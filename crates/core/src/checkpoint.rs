@@ -9,13 +9,19 @@
 //! (entity tables + header scalars), the incremental [`EventIndex`]
 //! mirror, lazy qualification rows, A1/A2 partner caches and overlap
 //! counters, emitted-set dedup state, and the findings so far — in a
-//! versioned schema (`faircrowd-checkpoint` v1) behind the same three
-//! never-panicking load gates as trace files ([`crate::persist`]):
+//! versioned binary schema (`faircrowd-checkpoint` v2) behind the same
+//! three never-panicking load gates as trace files ([`crate::persist`]):
 //!
-//! 1. **Parse** — malformed or truncated JSON names the byte where it
-//!    broke;
-//! 2. **Schema** — a foreign schema name or an unsupported version is
-//!    rejected before any field is decoded;
+//! 1. **Parse** — every read is bounds-checked by
+//!    [`faircrowd_model::codec::Cursor`], so a truncated or corrupt
+//!    file names the byte where it broke and no length is trusted
+//!    before the bytes behind it exist; the embedded world goes
+//!    through the `.fcb` trace decoder's own gates;
+//! 2. **Schema** — foreign magic, a foreign schema name or an
+//!    unsupported version is rejected before the body is decoded. A
+//!    file that is not a checkpoint but is one of ours is named: a
+//!    `.fcb` trace, a JSON trace, or a version 1 (JSON) checkpoint
+//!    from before this format;
 //! 3. **Integrity** — [`Checkpoint::ensure_valid`] cross-checks the
 //!    monitor state against the entity tables (row and cache lengths,
 //!    partner/pair index bounds, finding seqs against the header seq),
@@ -23,33 +29,66 @@
 //!    body's `events_seen` — a snapshot stitched from two different
 //!    moments must fail loudly, not resume into silent drift.
 //!
+//! ## Layout
+//!
+//! ```text
+//! magic            8 bytes: 89 'F' 'C' 'K' 0D 0A 1A 0A
+//! schema name      varint length + UTF-8 ("faircrowd-checkpoint")
+//! schema version   varint (2)
+//! seq              8 bytes little-endian: the header seq
+//! scalars          events_seen, source_lines, last_time (varints),
+//!                  flags byte (policy_scanned | finalized << 1),
+//!                  max_findings, suppressed (varints)
+//! world            varint length + an event-less `.fcb` trace blob
+//! mirror           visibility, audience (id → id set), payments,
+//!                  earnings (id → zigzag millicents), flagged,
+//!                  session and informed worker sets, work_started,
+//!                  interruptions, quits
+//! monitor rows     qual_tasks, qual_workers (seen + id set),
+//!                  similar_partners, comparable_partners (seen +
+//!                  partner positions)
+//! pair tables      a1_pairs, a2_pairs: five varints per pair
+//! emitted sets     a1/a2 position pairs, a3 submission pairs, a4
+//!                  worker set, a6 task set
+//! findings         origin tag (+ seq/time), axiom index, severity
+//!                  as f64 bits, description
+//! <end>            decoding past this point is "trailing garbage"
+//! ```
+//!
+//! Every list is a varint count followed by its entries. Sets and
+//! id-keyed maps store each id as its gap past the previous one (see
+//! `Gaps`), so a dense set costs a byte per member. The primitives are
+//! [`faircrowd_model::codec`]'s, shared with `.fcb` traces.
+//!
 //! Restoring through [`LiveAuditor::resume`] and finishing the stream
 //! is bit-identical — findings, final report, wages — to never having
 //! stopped (pinned by the `checkpoint_resume` oracle tests across the
 //! scenario catalog and random checkpoint seqs).
 
 use crate::axiom::AxiomId;
-use crate::fields::{
-    arr_field, bool_field, i64_field, require, str_field, u32_field, u32_pair, u32_value,
-    u64_field, u64_pair,
-};
 use crate::live::{FindingOrigin, LiveAuditor, LiveFinding};
 use crate::Violation;
+use faircrowd_model::arena::{ArenaKey, DenseIdMap};
+use faircrowd_model::codec::{put_credits, put_f64, put_str, put_u64, put_u64_le, Cursor};
 use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::event::QuitReason;
 use faircrowd_model::ids::{SubmissionId, TaskId, WorkerId};
 use faircrowd_model::json::Json;
 use faircrowd_model::money::Credits;
-use faircrowd_model::time::{SimDuration, SimTime};
+use faircrowd_model::time::SimTime;
 use faircrowd_model::trace::{EventIndex, Interruption, Trace};
+use faircrowd_model::trace_bin;
 use faircrowd_model::trace_io::{self, JsonlHeader};
 use std::collections::BTreeSet;
 use std::path::Path;
 
+/// The eight bytes every checkpoint file starts with (the `.fcb`
+/// magic's shape, with `K` for checkpoint).
+pub const MAGIC: [u8; 8] = [0x89, b'F', b'C', b'K', 0x0D, 0x0A, 0x1A, 0x0A];
 /// Schema name stamped into every checkpoint file.
 pub const SCHEMA_NAME: &str = "faircrowd-checkpoint";
 /// Schema version this build writes and reads.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// A durable snapshot of one [`LiveAuditor`]'s incremental state.
 ///
@@ -119,6 +158,23 @@ impl Checkpoint {
     /// The findings retained up to the checkpoint, in emission order.
     pub fn findings(&self) -> &[LiveFinding] {
         &self.findings
+    }
+
+    /// How a resume from this checkpoint reads in a notice:
+    /// `checkpoint seq N (skipping L line(s))`, plus how many findings
+    /// were not restored when the retention cap dropped some.
+    pub fn resume_note(&self) -> String {
+        let mut note = format!(
+            "checkpoint seq {} (skipping {} line(s)",
+            self.events_seen, self.source_lines
+        );
+        if self.suppressed > 0 {
+            note += &format!(
+                "; {} finding(s) past the retention cap of {} were not restored",
+                self.suppressed, self.max_findings
+            );
+        }
+        note + ")"
     }
 
     /// The stream header a resumed [`trace_io::JsonlReader`] should
@@ -263,526 +319,442 @@ impl Checkpoint {
 
 // ---- encode ---------------------------------------------------------
 
-/// Encode a checkpoint as pretty-printed JSON. Deterministic: the same
-/// snapshot always encodes to the same bytes (hash-keyed state was
-/// already sorted by [`LiveAuditor::checkpoint`]).
-pub fn encode(ckpt: &Checkpoint) -> String {
-    let mut text = to_json(ckpt).to_pretty();
-    text.push('\n');
-    text
+/// Encode a checkpoint in the binary layout of the module docs.
+/// Deterministic: the same snapshot always encodes to the same bytes
+/// (hash-keyed state was already sorted by [`LiveAuditor::checkpoint`]).
+pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
+    let world = trace_bin::trace_to_bytes(&ckpt.world);
+    let mut out = Vec::with_capacity(world.len() + 4096);
+    out.extend_from_slice(&MAGIC);
+    put_str(&mut out, SCHEMA_NAME);
+    put_u64(&mut out, SCHEMA_VERSION);
+    put_u64_le(&mut out, ckpt.events_seen);
+    put_u64(&mut out, ckpt.events_seen);
+    put_u64(&mut out, ckpt.source_lines);
+    put_u64(&mut out, ckpt.last_time.as_secs());
+    out.push(u8::from(ckpt.policy_scanned) | u8::from(ckpt.finalized) << 1);
+    put_u64(&mut out, ckpt.max_findings as u64);
+    put_u64(&mut out, ckpt.suppressed);
+    put_u64(&mut out, world.len() as u64);
+    out.extend_from_slice(&world);
+
+    let m = &ckpt.mirror;
+    put_set_map(&mut out, &m.visibility);
+    put_set_map(&mut out, &m.audience);
+    put_credit_map(&mut out, &m.payments);
+    put_credit_map(&mut out, &m.earnings);
+    for set in [&m.flagged, &m.session_workers, &m.informed_workers] {
+        put_ids(&mut out, set.iter().copied());
+    }
+    put_u64(&mut out, m.work_started as u64);
+    put_u64(&mut out, m.interruptions.len() as u64);
+    for i in &m.interruptions {
+        put_u64(&mut out, u64::from(i.task.raw()));
+        put_u64(&mut out, u64::from(i.worker.raw()));
+        put_u64(&mut out, i.invested.as_secs());
+        out.push(u8::from(i.compensated));
+    }
+    put_u64(&mut out, m.quits.len() as u64);
+    for (w, reason, time) in &m.quits {
+        put_u64(&mut out, u64::from(w.raw()));
+        out.push(match reason {
+            QuitReason::Frustration => 0,
+            QuitReason::NaturalChurn => 1,
+        });
+        put_u64(&mut out, time.as_secs());
+    }
+
+    put_rows(&mut out, &ckpt.qual_tasks);
+    put_rows(&mut out, &ckpt.qual_workers);
+    for caches in [&ckpt.similar_partners, &ckpt.comparable_partners] {
+        put_u64(&mut out, caches.len() as u64);
+        for (seen, partners) in caches {
+            put_u64(&mut out, *seen as u64);
+            put_u64(&mut out, partners.len() as u64);
+            for &p in partners {
+                put_u64(&mut out, p as u64);
+            }
+        }
+    }
+    for pairs in [&ckpt.a1_pairs, &ckpt.a2_pairs] {
+        put_u64(&mut out, pairs.len() as u64);
+        for &v in pairs.iter().flatten() {
+            put_u64(&mut out, v);
+        }
+    }
+    for pairs in [&ckpt.a1_emitted, &ckpt.a2_emitted] {
+        put_u64(&mut out, pairs.len() as u64);
+        for &(i, j) in pairs.iter() {
+            put_u64(&mut out, i);
+            put_u64(&mut out, j);
+        }
+    }
+    put_u64(&mut out, ckpt.a3_emitted.len() as u64);
+    for (a, b) in &ckpt.a3_emitted {
+        put_u64(&mut out, u64::from(a.raw()));
+        put_u64(&mut out, u64::from(b.raw()));
+    }
+    put_ids(&mut out, ckpt.a4_emitted.iter().copied());
+    put_ids(&mut out, ckpt.a6_emitted.iter().copied());
+
+    put_u64(&mut out, ckpt.findings.len() as u64);
+    for f in &ckpt.findings {
+        match f.origin {
+            FindingOrigin::Setup => out.push(0),
+            FindingOrigin::Event { seq, time } => {
+                out.push(1);
+                put_u64(&mut out, seq);
+                put_u64(&mut out, time.as_secs());
+            }
+            FindingOrigin::EndOfStream { last_seq: None } => out.push(2),
+            FindingOrigin::EndOfStream {
+                last_seq: Some(seq),
+            } => {
+                out.push(3);
+                put_u64(&mut out, seq);
+            }
+        }
+        let axiom = AxiomId::ALL
+            .iter()
+            .position(|&a| a == f.violation.axiom)
+            .expect("every AxiomId appears in ALL");
+        out.push(axiom as u8);
+        put_f64(&mut out, f.violation.severity);
+        put_str(&mut out, &f.violation.description);
+    }
+    out
 }
 
-fn to_json(ckpt: &Checkpoint) -> Json {
-    let id_arr = |ids: &[u32]| Json::Arr(ids.iter().map(|&i| Json::uint(u64::from(i))).collect());
-    let rows = |rows: &[(usize, Vec<u32>)]| {
-        Json::Arr(
-            rows.iter()
-                .map(|(seen, ids)| {
-                    Json::Obj(vec![
-                        ("seen".into(), Json::uint(*seen as u64)),
-                        ("ids".into(), id_arr(ids)),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    let caches = |caches: &[(usize, Vec<usize>)]| {
-        Json::Arr(
-            caches
-                .iter()
-                .map(|(seen, partners)| {
-                    Json::Obj(vec![
-                        ("seen".into(), Json::uint(*seen as u64)),
-                        (
-                            "partners".into(),
-                            Json::Arr(partners.iter().map(|&p| Json::uint(p as u64)).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    let pairs = |pairs: &[[u64; 5]]| {
-        Json::Arr(
-            pairs
-                .iter()
-                .map(|row| Json::Arr(row.iter().map(|&v| Json::uint(v)).collect()))
-                .collect(),
-        )
-    };
-    let emitted = |pairs: &[(u64, u64)]| {
-        Json::Arr(
-            pairs
-                .iter()
-                .map(|&(i, j)| Json::Arr(vec![Json::uint(i), Json::uint(j)]))
-                .collect(),
-        )
-    };
-    Json::Obj(vec![
-        ("schema".into(), Json::str(SCHEMA_NAME)),
-        ("version".into(), Json::uint(SCHEMA_VERSION)),
-        ("seq".into(), Json::uint(ckpt.events_seen)),
-        ("source_lines".into(), Json::uint(ckpt.source_lines)),
-        ("world".into(), trace_io::trace_to_json(&ckpt.world)),
-        ("mirror".into(), mirror_to_json(&ckpt.mirror)),
-        ("events_seen".into(), Json::uint(ckpt.events_seen)),
-        ("last_time".into(), Json::uint(ckpt.last_time.as_secs())),
-        ("policy_scanned".into(), Json::Bool(ckpt.policy_scanned)),
-        ("finalized".into(), Json::Bool(ckpt.finalized)),
-        ("max_findings".into(), Json::uint(ckpt.max_findings as u64)),
-        ("suppressed".into(), Json::uint(ckpt.suppressed)),
-        (
-            "qual_tasks".into(),
-            rows(&unraw(&ckpt.qual_tasks, |id: &TaskId| id.raw())),
-        ),
-        (
-            "qual_workers".into(),
-            rows(&unraw(&ckpt.qual_workers, |id: &WorkerId| id.raw())),
-        ),
-        ("similar_partners".into(), caches(&ckpt.similar_partners)),
-        (
-            "comparable_partners".into(),
-            caches(&ckpt.comparable_partners),
-        ),
-        ("a1_pairs".into(), pairs(&ckpt.a1_pairs)),
-        ("a2_pairs".into(), pairs(&ckpt.a2_pairs)),
-        ("a1_emitted".into(), emitted(&ckpt.a1_emitted)),
-        ("a2_emitted".into(), emitted(&ckpt.a2_emitted)),
-        (
-            "a3_emitted".into(),
-            Json::Arr(
-                ckpt.a3_emitted
-                    .iter()
-                    .map(|&(a, b)| {
-                        Json::Arr(vec![
-                            Json::uint(u64::from(a.raw())),
-                            Json::uint(u64::from(b.raw())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "a4_emitted".into(),
-            id_arr(&ckpt.a4_emitted.iter().map(|w| w.raw()).collect::<Vec<_>>()),
-        ),
-        (
-            "a6_emitted".into(),
-            id_arr(&ckpt.a6_emitted.iter().map(|t| t.raw()).collect::<Vec<_>>()),
-        ),
-        (
-            "findings".into(),
-            Json::Arr(ckpt.findings.iter().map(finding_to_json).collect()),
-        ),
-    ])
+/// Strictly ascending ids, each stored as its distance past the
+/// previous id plus one: dense sets cost a byte per member, and any
+/// decoded sequence is strictly ascending by construction.
+#[derive(Default)]
+struct Gaps {
+    next: u64,
 }
 
-fn unraw<T>(rows: &[(usize, Vec<T>)], raw: impl Fn(&T) -> u32) -> Vec<(usize, Vec<u32>)> {
-    rows.iter()
-        .map(|(seen, ids)| (*seen, ids.iter().map(&raw).collect()))
-        .collect()
+impl Gaps {
+    fn put(&mut self, out: &mut Vec<u8>, id: u32) {
+        debug_assert!(u64::from(id) >= self.next, "ids must be strictly ascending");
+        put_u64(out, u64::from(id) - self.next);
+        self.next = u64::from(id) + 1;
+    }
+
+    fn read(&mut self, cur: &mut Cursor<'_>, what: &str) -> Result<u32, FaircrowdError> {
+        let gap = cur.u64(what)?;
+        let id = self
+            .next
+            .checked_add(gap)
+            .and_then(|id| u32::try_from(id).ok())
+            .ok_or_else(|| cur.err(format_args!("{what} overflows a 32-bit id")))?;
+        self.next = u64::from(id) + 1;
+        Ok(id)
+    }
 }
 
-fn mirror_to_json(mirror: &EventIndex) -> Json {
-    let id_set = |ids: &BTreeSet<u32>| -> Json {
-        Json::Arr(ids.iter().map(|&i| Json::uint(u64::from(i))).collect())
-    };
-    let visibility = Json::Arr(
-        mirror
-            .visibility
-            .iter()
-            .map(|(w, tasks)| {
-                Json::Obj(vec![
-                    ("worker".into(), Json::uint(u64::from(w.raw()))),
-                    (
-                        "tasks".into(),
-                        id_set(&tasks.iter().map(|t| t.raw()).collect()),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let audience = Json::Arr(
-        mirror
-            .audience
-            .iter()
-            .map(|(t, workers)| {
-                Json::Obj(vec![
-                    ("task".into(), Json::uint(u64::from(t.raw()))),
-                    (
-                        "workers".into(),
-                        id_set(&workers.iter().map(|w| w.raw()).collect()),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    let payments = Json::Arr(
-        mirror
-            .payments
-            .iter()
-            .map(|(s, amount)| {
-                Json::Obj(vec![
-                    ("submission".into(), Json::uint(u64::from(s.raw()))),
-                    ("amount".into(), Json::int(amount.millicents())),
-                ])
-            })
-            .collect(),
-    );
-    let earnings = Json::Arr(
-        mirror
-            .earnings
-            .iter()
-            .map(|(w, amount)| {
-                Json::Obj(vec![
-                    ("worker".into(), Json::uint(u64::from(w.raw()))),
-                    ("amount".into(), Json::int(amount.millicents())),
-                ])
-            })
-            .collect(),
-    );
-    let interruptions = Json::Arr(
-        mirror
-            .interruptions
-            .iter()
-            .map(|i| {
-                Json::Obj(vec![
-                    ("task".into(), Json::uint(u64::from(i.task.raw()))),
-                    ("worker".into(), Json::uint(u64::from(i.worker.raw()))),
-                    ("invested".into(), Json::uint(i.invested.as_secs())),
-                    ("compensated".into(), Json::Bool(i.compensated)),
-                ])
-            })
-            .collect(),
-    );
-    let quits = Json::Arr(
-        mirror
-            .quits
-            .iter()
-            .map(|(w, reason, time)| {
-                Json::Obj(vec![
-                    ("worker".into(), Json::uint(u64::from(w.raw()))),
-                    (
-                        "reason".into(),
-                        Json::str(match reason {
-                            QuitReason::Frustration => "frustration",
-                            QuitReason::NaturalChurn => "natural_churn",
-                        }),
-                    ),
-                    ("time".into(), Json::uint(time.as_secs())),
-                ])
-            })
-            .collect(),
-    );
-    Json::Obj(vec![
-        ("visibility".into(), visibility),
-        ("audience".into(), audience),
-        ("payments".into(), payments),
-        ("earnings".into(), earnings),
-        (
-            "flagged".into(),
-            id_set(&mirror.flagged.iter().map(|w| w.raw()).collect()),
-        ),
-        (
-            "session_workers".into(),
-            id_set(&mirror.session_workers.iter().map(|w| w.raw()).collect()),
-        ),
-        (
-            "informed_workers".into(),
-            id_set(&mirror.informed_workers.iter().map(|w| w.raw()).collect()),
-        ),
-        (
-            "work_started".into(),
-            Json::uint(mirror.work_started as u64),
-        ),
-        ("interruptions".into(), interruptions),
-        ("quits".into(), quits),
-    ])
+fn put_ids<T: ArenaKey>(out: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = T>) {
+    put_u64(out, ids.len() as u64);
+    let mut gaps = Gaps::default();
+    for id in ids {
+        gaps.put(out, id.raw_index());
+    }
 }
 
-fn finding_to_json(f: &LiveFinding) -> Json {
-    let origin = match f.origin {
-        FindingOrigin::Setup => Json::Obj(vec![("kind".into(), Json::str("setup"))]),
-        FindingOrigin::Event { seq, time } => Json::Obj(vec![
-            ("kind".into(), Json::str("event")),
-            ("seq".into(), Json::uint(seq)),
-            ("time".into(), Json::uint(time.as_secs())),
-        ]),
-        FindingOrigin::EndOfStream { last_seq } => Json::Obj(vec![
-            ("kind".into(), Json::str("end-of-stream")),
-            ("last_seq".into(), last_seq.map_or(Json::Null, Json::uint)),
-        ]),
-    };
-    Json::Obj(vec![
-        ("origin".into(), origin),
-        ("axiom".into(), Json::str(f.violation.axiom.label())),
-        ("severity".into(), Json::float(f.violation.severity)),
-        ("description".into(), Json::str(&*f.violation.description)),
-    ])
+fn put_set_map<K: ArenaKey, V: ArenaKey>(out: &mut Vec<u8>, map: &DenseIdMap<K, BTreeSet<V>>) {
+    put_u64(out, map.len() as u64);
+    let mut keys = Gaps::default();
+    for (k, set) in map.iter() {
+        keys.put(out, k.raw_index());
+        put_ids(out, set.iter().copied());
+    }
+}
+
+fn put_credit_map<K: ArenaKey>(out: &mut Vec<u8>, map: &DenseIdMap<K, Credits>) {
+    put_u64(out, map.len() as u64);
+    let mut keys = Gaps::default();
+    for (k, amount) in map.iter() {
+        keys.put(out, k.raw_index());
+        put_credits(out, *amount);
+    }
+}
+
+fn put_rows<T: ArenaKey>(out: &mut Vec<u8>, rows: &[(usize, Vec<T>)]) {
+    put_u64(out, rows.len() as u64);
+    for (seen, ids) in rows {
+        put_u64(out, *seen as u64);
+        put_ids(out, ids.iter().copied());
+    }
 }
 
 // ---- decode ---------------------------------------------------------
 
-/// Decode a checkpoint: gate 1 (parse, with byte positions) and gate 2
-/// (schema name + version), then field-by-field decoding with every
-/// missing or mistyped field named, plus the header-vs-body seq
-/// cross-check. Gate 3 ([`Checkpoint::ensure_valid`]) runs in
-/// [`load`], the path untrusted files come through.
-pub fn decode(text: &str) -> Result<Checkpoint, FaircrowdError> {
-    let json = Json::parse(text).map_err(FaircrowdError::persist)?;
-    let schema = json.get("schema").and_then(Json::as_str).ok_or_else(|| {
-        FaircrowdError::persist("missing `schema` field — not a faircrowd checkpoint file")
-    })?;
-    if schema != SCHEMA_NAME {
+/// Decode a checkpoint: gate 1 (every read bounds-checked, errors
+/// naming the byte offset; the world blob through the `.fcb` trace
+/// gates) and gate 2 (magic, schema name, version), plus the
+/// header-vs-body seq cross-check. Gate 3 ([`Checkpoint::ensure_valid`])
+/// runs in [`load`], the path untrusted files come through.
+pub fn decode(bytes: &[u8]) -> Result<Checkpoint, FaircrowdError> {
+    let mut cur = Cursor::new(bytes, "binary checkpoint");
+    cur.magic(&MAGIC)
+        .map_err(|e| identify_foreign(bytes).unwrap_or(e))?;
+    let name = cur.string("schema name")?;
+    if name != SCHEMA_NAME {
         return Err(FaircrowdError::persist(format!(
-            "schema is `{schema}`, expected `{SCHEMA_NAME}`"
+            "binary checkpoint declares schema `{name}`, expected `{SCHEMA_NAME}`"
         )));
     }
-    let version = u64_field(&json, "version", "checkpoint")?;
+    let version = cur.u64("schema version")?;
     if version != SCHEMA_VERSION {
         return Err(FaircrowdError::persist(format!(
             "unsupported checkpoint version {version} (this build reads version {SCHEMA_VERSION})"
         )));
     }
-    let seq = u64_field(&json, "seq", "checkpoint")?;
-    let events_seen = u64_field(&json, "events_seen", "checkpoint")?;
+    let seq = cur.u64_le("header seq")?;
+    let events_seen = cur.u64("events_seen")?;
     if seq != events_seen {
         return Err(FaircrowdError::persist(format!(
             "header seq {seq} disagrees with the mirror's events_seen {events_seen} — \
              the checkpoint was stitched from two different moments"
         )));
     }
-    let world = trace_io::trace_from_json(require(&json, "world", "checkpoint")?)?;
-    let mirror = mirror_from_json(require(&json, "mirror", "checkpoint")?)?;
-    let findings = arr_field(&json, "findings", "checkpoint")?
-        .iter()
-        .enumerate()
-        .map(|(i, f)| finding_from_json(f, i))
-        .collect::<Result<Vec<_>, _>>()?;
+    let source_lines = cur.u64("source_lines")?;
+    let last_time = cur.secs("last_time")?;
+    let flags = cur.u8tag("flags", 4)?;
+    let max_findings = cur.count("max_findings")?;
+    let suppressed = cur.u64("suppressed")?;
+    let len = cur.count("world length")?;
+    let at = cur.pos();
+    let world = trace_bin::trace_from_bytes(cur.take(len, "world")?).map_err(|e| match e {
+        FaircrowdError::Persist { message, .. } => FaircrowdError::persist(format!(
+            "binary checkpoint: world blob at byte {at}: {message}"
+        )),
+        other => other,
+    })?;
+
+    let mut mirror = EventIndex {
+        visibility: read_set_map(&mut cur, "visibility")?,
+        audience: read_set_map(&mut cur, "audience")?,
+        payments: read_credit_map(&mut cur, "payments")?,
+        earnings: read_credit_map(&mut cur, "earnings")?,
+        flagged: read_set(&mut cur, "flagged")?,
+        session_workers: read_set(&mut cur, "session_workers")?,
+        informed_workers: read_set(&mut cur, "informed_workers")?,
+        work_started: cur.count("work_started")?,
+        ..EventIndex::default()
+    };
+    for _ in 0..cur.count("interruption count")? {
+        mirror.interruptions.push(Interruption {
+            task: TaskId::new(cur.id32("interrupted task")?),
+            worker: WorkerId::new(cur.id32("interrupted worker")?),
+            invested: cur.duration("invested")?,
+            compensated: cur.bool("compensated")?,
+        });
+    }
+    for _ in 0..cur.count("quit count")? {
+        mirror.quits.push((
+            WorkerId::new(cur.id32("quit worker")?),
+            match cur.u8tag("quit reason", 2)? {
+                0 => QuitReason::Frustration,
+                _ => QuitReason::NaturalChurn,
+            },
+            cur.secs("quit time")?,
+        ));
+    }
+
+    let qual_tasks = read_rows(&mut cur, "qual_tasks")?;
+    let qual_workers = read_rows(&mut cur, "qual_workers")?;
+    let similar_partners = read_caches(&mut cur, "similar_partners")?;
+    let comparable_partners = read_caches(&mut cur, "comparable_partners")?;
+    let a1_pairs = read_pairs(&mut cur, "a1_pairs")?;
+    let a2_pairs = read_pairs(&mut cur, "a2_pairs")?;
+    let a1_emitted = read_emitted(&mut cur, "a1_emitted")?;
+    let a2_emitted = read_emitted(&mut cur, "a2_emitted")?;
+    let mut a3_emitted = Vec::new();
+    for _ in 0..cur.count("a3_emitted count")? {
+        a3_emitted.push((
+            SubmissionId::new(cur.id32("a3_emitted submission")?),
+            SubmissionId::new(cur.id32("a3_emitted submission")?),
+        ));
+    }
+    let mut a4_emitted = Vec::new();
+    read_ids(&mut cur, "a4_emitted", |w| a4_emitted.push(w))?;
+    let mut a6_emitted = Vec::new();
+    read_ids(&mut cur, "a6_emitted", |t| a6_emitted.push(t))?;
+
+    let mut findings = Vec::new();
+    for _ in 0..cur.count("finding count")? {
+        let origin = match cur.u8tag("finding origin", 4)? {
+            0 => FindingOrigin::Setup,
+            1 => FindingOrigin::Event {
+                seq: cur.u64("finding seq")?,
+                time: cur.secs("finding time")?,
+            },
+            2 => FindingOrigin::EndOfStream { last_seq: None },
+            _ => FindingOrigin::EndOfStream {
+                last_seq: Some(cur.u64("finding last_seq")?),
+            },
+        };
+        let axiom = AxiomId::ALL[usize::from(cur.u8tag("axiom", AxiomId::ALL.len() as u8)?)];
+        findings.push(LiveFinding {
+            origin,
+            violation: Violation {
+                axiom,
+                severity: cur.f64("severity")?,
+                description: cur.string("description")?,
+            },
+        });
+    }
+    cur.finish()?;
+
     Ok(Checkpoint {
         world,
         mirror,
         events_seen,
-        source_lines: u64_field(&json, "source_lines", "checkpoint")?,
-        last_time: SimTime::from_secs(u64_field(&json, "last_time", "checkpoint")?),
-        policy_scanned: bool_field(&json, "policy_scanned", "checkpoint")?,
-        finalized: bool_field(&json, "finalized", "checkpoint")?,
-        max_findings: u64_field(&json, "max_findings", "checkpoint")? as usize,
-        suppressed: u64_field(&json, "suppressed", "checkpoint")?,
-        qual_tasks: rows_from_json(&json, "qual_tasks", TaskId::new)?,
-        qual_workers: rows_from_json(&json, "qual_workers", WorkerId::new)?,
-        similar_partners: caches_from_json(&json, "similar_partners")?,
-        comparable_partners: caches_from_json(&json, "comparable_partners")?,
-        a1_pairs: pairs_from_json(&json, "a1_pairs")?,
-        a2_pairs: pairs_from_json(&json, "a2_pairs")?,
-        a1_emitted: emitted_from_json(&json, "a1_emitted")?,
-        a2_emitted: emitted_from_json(&json, "a2_emitted")?,
-        a3_emitted: arr_field(&json, "a3_emitted", "checkpoint")?
-            .iter()
-            .map(|p| {
-                let (a, b) = u32_pair(p, "a3_emitted")?;
-                Ok((SubmissionId::new(a), SubmissionId::new(b)))
-            })
-            .collect::<Result<Vec<_>, FaircrowdError>>()?,
-        a4_emitted: id_list(&json, "a4_emitted", WorkerId::new)?,
-        a6_emitted: id_list(&json, "a6_emitted", TaskId::new)?,
+        source_lines,
+        last_time,
+        policy_scanned: flags & 1 != 0,
+        finalized: flags & 2 != 0,
+        max_findings,
+        suppressed,
+        qual_tasks,
+        qual_workers,
+        similar_partners,
+        comparable_partners,
+        a1_pairs,
+        a2_pairs,
+        a1_emitted,
+        a2_emitted,
+        a3_emitted,
+        a4_emitted,
+        a6_emitted,
         findings,
     })
 }
 
-fn mirror_from_json(json: &Json) -> Result<EventIndex, FaircrowdError> {
-    let mut mirror = EventIndex::default();
-    for row in arr_field(json, "visibility", "mirror")? {
-        let worker = WorkerId::new(u32_field(row, "worker", "mirror visibility")?);
-        let tasks = arr_field(row, "tasks", "mirror visibility")?
-            .iter()
-            .map(|t| Ok(TaskId::new(u32_value(t, "mirror visibility task")?)))
-            .collect::<Result<BTreeSet<_>, FaircrowdError>>()?;
-        mirror.visibility.insert(worker, tasks);
+/// Name what a file without the checkpoint magic is, when it is one of
+/// ours: a binary trace, or a JSON document — a version 1 checkpoint
+/// (the JSON era), a JSON trace, or a foreign schema.
+fn identify_foreign(bytes: &[u8]) -> Option<FaircrowdError> {
+    if trace_bin::sniff_binary(bytes) {
+        return Some(FaircrowdError::persist(format!(
+            "schema is `{}` (a binary trace), expected `{SCHEMA_NAME}`",
+            trace_io::SCHEMA_NAME
+        )));
     }
-    for row in arr_field(json, "audience", "mirror")? {
-        let task = TaskId::new(u32_field(row, "task", "mirror audience")?);
-        let workers = arr_field(row, "workers", "mirror audience")?
-            .iter()
-            .map(|w| Ok(WorkerId::new(u32_value(w, "mirror audience worker")?)))
-            .collect::<Result<BTreeSet<_>, FaircrowdError>>()?;
-        mirror.audience.insert(task, workers);
-    }
-    for row in arr_field(json, "payments", "mirror")? {
-        mirror.payments.insert(
-            SubmissionId::new(u32_field(row, "submission", "mirror payments")?),
-            Credits::from_millicents(i64_field(row, "amount", "mirror payments")?),
-        );
-    }
-    for row in arr_field(json, "earnings", "mirror")? {
-        mirror.earnings.insert(
-            WorkerId::new(u32_field(row, "worker", "mirror earnings")?),
-            Credits::from_millicents(i64_field(row, "amount", "mirror earnings")?),
-        );
-    }
-    for (key, set) in [
-        ("flagged", &mut mirror.flagged),
-        ("session_workers", &mut mirror.session_workers),
-        ("informed_workers", &mut mirror.informed_workers),
-    ] {
-        for w in arr_field(json, key, "mirror")? {
-            set.insert(WorkerId::new(u32_value(w, format!("mirror {key}"))?));
-        }
-    }
-    mirror.work_started = u64_field(json, "work_started", "mirror")? as usize;
-    for row in arr_field(json, "interruptions", "mirror")? {
-        mirror.interruptions.push(Interruption {
-            task: TaskId::new(u32_field(row, "task", "mirror interruption")?),
-            worker: WorkerId::new(u32_field(row, "worker", "mirror interruption")?),
-            invested: SimDuration::from_secs(u64_field(row, "invested", "mirror interruption")?),
-            compensated: bool_field(row, "compensated", "mirror interruption")?,
-        });
-    }
-    for row in arr_field(json, "quits", "mirror")? {
-        let reason = match str_field(row, "reason", "mirror quit")? {
-            "frustration" => QuitReason::Frustration,
-            "natural_churn" => QuitReason::NaturalChurn,
-            other => {
-                return Err(FaircrowdError::persist(format!(
-                    "mirror quit: unknown reason `{other}`"
-                )))
-            }
-        };
-        mirror.quits.push((
-            WorkerId::new(u32_field(row, "worker", "mirror quit")?),
-            reason,
-            SimTime::from_secs(u64_field(row, "time", "mirror quit")?),
-        ));
-    }
-    Ok(mirror)
+    let json = Json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+    Some(FaircrowdError::persist(
+        match json.get("schema").and_then(Json::as_str) {
+            None => "missing `schema` field — not a faircrowd checkpoint file".to_owned(),
+            Some(SCHEMA_NAME) => format!(
+                "checkpoint version {} (JSON) is no longer readable; this build reads \
+                 version {SCHEMA_VERSION} (binary)",
+                json.get("version").map_or("?".to_owned(), Json::to_string)
+            ),
+            Some(schema) => format!("schema is `{schema}`, expected `{SCHEMA_NAME}`"),
+        },
+    ))
 }
 
-fn finding_from_json(json: &Json, index: usize) -> Result<LiveFinding, FaircrowdError> {
-    let ctx = format!("finding {index}");
-    let origin_json = require(json, "origin", &ctx)?;
-    let origin = match str_field(origin_json, "kind", &ctx)? {
-        "setup" => FindingOrigin::Setup,
-        "event" => FindingOrigin::Event {
-            seq: u64_field(origin_json, "seq", &ctx)?,
-            time: SimTime::from_secs(u64_field(origin_json, "time", &ctx)?),
-        },
-        "end-of-stream" => FindingOrigin::EndOfStream {
-            last_seq: match require(origin_json, "last_seq", &ctx)? {
-                Json::Null => None,
-                v => Some(v.as_u64().ok_or_else(|| {
-                    FaircrowdError::persist(format!(
-                        "{ctx}: `last_seq` should be an unsigned integer or null"
-                    ))
-                })?),
-            },
-        },
-        other => {
-            return Err(FaircrowdError::persist(format!(
-                "{ctx}: unknown origin kind `{other}`"
-            )))
-        }
-    };
-    let label = str_field(json, "axiom", &ctx)?;
-    let axiom = AxiomId::ALL
-        .into_iter()
-        .find(|a| a.label() == label)
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: unknown axiom label `{label}`")))?;
-    let severity = require(json, "severity", &ctx)?
-        .as_f64()
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: `severity` should be a number")))?;
-    Ok(LiveFinding {
-        origin,
-        violation: Violation {
-            axiom,
-            severity,
-            description: str_field(json, "description", &ctx)?.to_owned(),
-        },
-    })
+fn read_ids<T: ArenaKey>(
+    cur: &mut Cursor<'_>,
+    what: &str,
+    mut each: impl FnMut(T),
+) -> Result<(), FaircrowdError> {
+    let mut gaps = Gaps::default();
+    for _ in 0..cur.count(what)? {
+        each(T::from_raw_index(gaps.read(cur, what)?));
+    }
+    Ok(())
 }
 
-fn rows_from_json<T>(
-    json: &Json,
-    key: &str,
-    make: impl Fn(u32) -> T,
+fn read_set<T: ArenaKey>(cur: &mut Cursor<'_>, what: &str) -> Result<BTreeSet<T>, FaircrowdError> {
+    let mut set = BTreeSet::new();
+    read_ids(cur, what, |id| {
+        set.insert(id);
+    })?;
+    Ok(set)
+}
+
+fn read_set_map<K: ArenaKey, V: ArenaKey>(
+    cur: &mut Cursor<'_>,
+    what: &str,
+) -> Result<DenseIdMap<K, BTreeSet<V>>, FaircrowdError> {
+    let mut map = DenseIdMap::new();
+    let mut keys = Gaps::default();
+    for _ in 0..cur.count(what)? {
+        let key = K::from_raw_index(keys.read(cur, what)?);
+        map.insert(key, read_set(cur, what)?);
+    }
+    Ok(map)
+}
+
+fn read_credit_map<K: ArenaKey>(
+    cur: &mut Cursor<'_>,
+    what: &str,
+) -> Result<DenseIdMap<K, Credits>, FaircrowdError> {
+    let mut map = DenseIdMap::new();
+    let mut keys = Gaps::default();
+    for _ in 0..cur.count(what)? {
+        let key = K::from_raw_index(keys.read(cur, what)?);
+        map.insert(key, cur.credits(what)?);
+    }
+    Ok(map)
+}
+
+fn read_rows<T: ArenaKey>(
+    cur: &mut Cursor<'_>,
+    what: &str,
 ) -> Result<Vec<(usize, Vec<T>)>, FaircrowdError> {
-    arr_field(json, key, "checkpoint")?
-        .iter()
-        .map(|row| {
-            let seen = u64_field(row, "seen", key)? as usize;
-            let ids = arr_field(row, "ids", key)?
-                .iter()
-                .map(|id| Ok(make(u32_value(id, key)?)))
-                .collect::<Result<Vec<_>, FaircrowdError>>()?;
-            Ok((seen, ids))
-        })
-        .collect()
+    let mut rows = Vec::new();
+    for _ in 0..cur.count(what)? {
+        let seen = cur.count(what)?;
+        let mut ids = Vec::new();
+        read_ids(cur, what, |id| ids.push(id))?;
+        rows.push((seen, ids));
+    }
+    Ok(rows)
 }
 
-fn caches_from_json(json: &Json, key: &str) -> Result<Vec<(usize, Vec<usize>)>, FaircrowdError> {
-    arr_field(json, key, "checkpoint")?
-        .iter()
-        .map(|row| {
-            let seen = u64_field(row, "seen", key)? as usize;
-            let partners = arr_field(row, "partners", key)?
-                .iter()
-                .map(|p| {
-                    p.as_u64().map(|v| v as usize).ok_or_else(|| {
-                        FaircrowdError::persist(format!(
-                            "{key}: partner position should be an unsigned integer"
-                        ))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok((seen, partners))
-        })
-        .collect()
+fn read_caches(
+    cur: &mut Cursor<'_>,
+    what: &str,
+) -> Result<Vec<(usize, Vec<usize>)>, FaircrowdError> {
+    let mut caches = Vec::new();
+    for _ in 0..cur.count(what)? {
+        let seen = cur.count(what)?;
+        let mut partners = Vec::new();
+        for _ in 0..cur.count(what)? {
+            partners.push(cur.count(what)?);
+        }
+        caches.push((seen, partners));
+    }
+    Ok(caches)
 }
 
-fn pairs_from_json(json: &Json, key: &str) -> Result<Vec<[u64; 5]>, FaircrowdError> {
-    arr_field(json, key, "checkpoint")?
-        .iter()
-        .map(|row| {
-            let arr = row.as_arr().ok_or_else(|| {
-                FaircrowdError::persist(format!("{key}: pair entry is not an array"))
-            })?;
-            let values = arr
-                .iter()
-                .map(|v| {
-                    v.as_u64().ok_or_else(|| {
-                        FaircrowdError::persist(format!("{key}: pair entry holds a non-integer"))
-                    })
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            <[u64; 5]>::try_from(values).map_err(|v| {
-                FaircrowdError::persist(format!(
-                    "{key}: pair entry has {} element(s), expected 5",
-                    v.len()
-                ))
-            })
-        })
-        .collect()
+fn read_pairs(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<[u64; 5]>, FaircrowdError> {
+    let mut pairs = Vec::new();
+    for _ in 0..cur.count(what)? {
+        let mut row = [0u64; 5];
+        for v in &mut row {
+            *v = cur.u64(what)?;
+        }
+        pairs.push(row);
+    }
+    Ok(pairs)
 }
 
-fn emitted_from_json(json: &Json, key: &str) -> Result<Vec<(u64, u64)>, FaircrowdError> {
-    arr_field(json, key, "checkpoint")?
-        .iter()
-        .map(|p| {
-            let (a, b) = u64_pair(p, key)?;
-            Ok((a, b))
-        })
-        .collect()
-}
-
-fn id_list<T>(json: &Json, key: &str, make: impl Fn(u32) -> T) -> Result<Vec<T>, FaircrowdError> {
-    arr_field(json, key, "checkpoint")?
-        .iter()
-        .map(|id| Ok(make(u32_value(id, key)?)))
-        .collect()
+fn read_emitted(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<(u64, u64)>, FaircrowdError> {
+    let mut pairs = Vec::new();
+    for _ in 0..cur.count(what)? {
+        pairs.push((cur.u64(what)?, cur.u64(what)?));
+    }
+    Ok(pairs)
 }
 
 // ---- save / load ----------------------------------------------------
 
-/// Write a checkpoint to `path`. I/O failures carry the path.
+/// Write a checkpoint to `path` in one in-place write. I/O failures
+/// carry the path.
 pub fn save(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), FaircrowdError> {
     let path = path.as_ref();
     std::fs::write(path, encode(ckpt)).map_err(|e| FaircrowdError::Io {
@@ -794,15 +766,16 @@ pub fn save(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), FaircrowdEr
 /// Load and **validate** a checkpoint from `path`: read, decode under
 /// the schema gates, then run [`Checkpoint::ensure_valid`]. Every
 /// failure mode — truncated file, foreign schema, future version, a
-/// header seq disagreeing with its mirror, dangling positions — is a
-/// descriptive [`FaircrowdError`] carrying the path, never a panic.
+/// version 1 JSON checkpoint, a header seq disagreeing with its
+/// mirror, dangling positions — is a descriptive [`FaircrowdError`]
+/// carrying the path, never a panic.
 pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, FaircrowdError> {
     let path = path.as_ref();
-    let text = std::fs::read_to_string(path).map_err(|e| FaircrowdError::Io {
+    let bytes = std::fs::read(path).map_err(|e| FaircrowdError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })?;
-    let ckpt = decode(&text).map_err(|e| e.at_path(path.display()))?;
+    let ckpt = decode(&bytes).map_err(|e| e.at_path(path.display()))?;
     ckpt.ensure_valid().map_err(|e| e.at_path(path.display()))?;
     Ok(ckpt)
 }

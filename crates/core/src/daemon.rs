@@ -35,8 +35,23 @@
 //!   the stream is bit-identical — findings, final report, wages — to
 //!   never having stopped. A checkpoint that fails any load gate
 //!   (truncated, foreign schema, future version, header seq
-//!   disagreeing with its mirror) is reported as a notice and the
-//!   market falls back to replaying its trace from the start.
+//!   disagreeing with its mirror, a version 1 JSON checkpoint from
+//!   before the binary format) is reported as a notice and the market
+//!   falls back to replaying its trace from the start. A resume that
+//!   cannot restore every finding (the retention cap dropped some) says
+//!   how many in its notice.
+//!
+//! On disk, one binary file per market, rewritten in place at each
+//! cadence point (the byte layout is in [`crate::checkpoint`]):
+//!
+//! ```text
+//! <dir>/<market>.checkpoint   magic 89 'F' 'C' 'K' 0D 0A 1A 0A,
+//!                             "faircrowd-checkpoint", version 2,
+//!                             8-byte header seq, then the body
+//! ```
+//!
+//! The name never ends in `.fcb` or `.jsonl`, so a checkpoint directory
+//! shared with the traces is never discovered as a market.
 //!
 //! Failure isolation is per market: a stream that breaks mid-line (or
 //! a trace that violates arrival order) marks **that market** failed
@@ -61,8 +76,7 @@ pub struct DaemonConfig {
     /// Shard (thread) count for each poll round. Clamped to at least 1.
     pub jobs: usize,
     /// Where checkpoints are written and resumed from
-    /// (`<dir>/<market>.checkpoint.json`). `None` disables
-    /// checkpointing.
+    /// (`<dir>/<market>.checkpoint`). `None` disables checkpointing.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint a market after this many newly ingested events
     /// (cadence, not an exact stride: snapshots are taken between poll
@@ -271,23 +285,13 @@ impl AuditDaemon {
             return self.add_recording(source);
         }
         let mut market = self.make_market(source.market.clone());
-        market.tail = Some(MarketTail {
-            file: std::fs::File::open(&source.path).unwrap_or_else(|_| {
-                // Defer open errors to the poll loop, which reports
-                // them per market; an empty placeholder keeps
-                // construction infallible.
-                std::fs::File::open("/dev/null").expect("null device")
-            }),
-            path: source.path.clone(),
-            carry: Vec::new(),
-        });
-        // Re-open properly, reporting a missing file as a market
-        // failure rather than silently tailing the null device.
         match std::fs::File::open(&source.path) {
             Ok(file) => {
-                if let Some(tail) = &mut market.tail {
-                    tail.file = file;
-                }
+                market.tail = Some(MarketTail {
+                    file,
+                    path: source.path,
+                    carry: Vec::new(),
+                });
             }
             Err(e) => {
                 market.failed = Some(format!("cannot open `{}`: {e}", source.path.display()));
@@ -374,9 +378,8 @@ impl AuditDaemon {
         match restored {
             Ok((auditor, ckpt)) => {
                 self.notices.push(format!(
-                    "resumed market `{name}` from checkpoint seq {} (skipping {} line(s))",
-                    ckpt.seq(),
-                    ckpt.source_lines()
+                    "resumed market `{name}` from {}",
+                    ckpt.resume_note()
                 ));
                 Market {
                     name: name.clone(),
@@ -600,7 +603,7 @@ fn shard_of(name: &str) -> usize {
 }
 
 fn checkpoint_path(dir: &Path, market: &str) -> PathBuf {
-    dir.join(format!("{market}.checkpoint.json"))
+    dir.join(format!("{market}.checkpoint"))
 }
 
 /// One market's share of a poll round, run inside its shard thread:
@@ -929,11 +932,58 @@ mod tests {
     }
 
     #[test]
+    fn resume_notice_names_the_findings_the_cap_dropped() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let mut capped = LiveAuditor::new(AuditConfig::default()).max_live_findings(2);
+        capped.ingest_trace(&trace).unwrap();
+        let dropped = capped.suppressed_findings();
+        assert!(dropped > 0, "the fixture must overflow a cap of 2");
+        let dir = temp_dir("capped");
+        checkpoint::save_auditor(&capped, lines.len() as u64, checkpoint_path(&dir, "m")).unwrap();
+        let mut daemon = AuditDaemon::new(DaemonConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..DaemonConfig::default()
+        });
+        for line in &lines {
+            daemon.feed_line("m", *line);
+        }
+        daemon.poll();
+        let notices = daemon.take_notices();
+        let want = format!("{dropped} finding(s) past the retention cap of 2 were not restored");
+        assert!(
+            notices
+                .iter()
+                .any(|n| n.contains("resumed market `m` from checkpoint seq") && n.contains(&want)),
+            "{notices:?}"
+        );
+        assert_eq!(daemon.restored_findings().len(), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_missing_stream_file_fails_its_market() {
+        let dir = temp_dir("missing");
+        let mut daemon = AuditDaemon::new(DaemonConfig::default());
+        daemon.add_source(MarketSource {
+            market: "gone".into(),
+            path: dir.join("gone.jsonl"),
+        });
+        let failed = daemon.failed_markets();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].1.contains("cannot open"), "{}", failed[0].1);
+        assert!(daemon.poll().is_empty() && daemon.finalize().is_empty());
+        assert!(daemon.reports().unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn corrupt_checkpoint_falls_back_to_full_replay() {
         let trace = violating_trace();
         let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
         let dir = temp_dir("fallback");
-        std::fs::write(dir.join("m.checkpoint.json"), "{\"schema\": \"garb").unwrap();
+        std::fs::write(dir.join("m.checkpoint"), "{\"schema\": \"garb").unwrap();
         let config = DaemonConfig {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 1_000_000,

@@ -30,7 +30,6 @@ pub mod axioms;
 pub mod checkpoint;
 pub mod daemon;
 pub mod enforce;
-mod fields;
 pub mod index;
 pub mod live;
 pub mod metrics;

@@ -894,10 +894,20 @@ impl LiveAuditor {
     /// same auditor state always snapshots to the same checkpoint —
     /// byte-identical once encoded.
     pub fn checkpoint(&self, source_lines: u64) -> Checkpoint {
-        let mut world = self.trace.clone();
-        world.events = faircrowd_model::event::EventLog::new();
+        // Field by field: cloning the whole trace would copy the event
+        // log only to throw it away.
+        let t = &self.trace;
         Checkpoint {
-            world,
+            world: Trace {
+                workers: t.workers.clone(),
+                tasks: t.tasks.clone(),
+                requesters: t.requesters.clone(),
+                submissions: t.submissions.clone(),
+                events: Default::default(),
+                disclosure: t.disclosure.clone(),
+                horizon: t.horizon,
+                ground_truth: t.ground_truth.clone(),
+            },
             mirror: self.events.clone(),
             events_seen: self.events_seen() as u64,
             source_lines,

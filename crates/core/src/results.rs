@@ -30,8 +30,8 @@
 
 use crate::audit::FairnessReport;
 use crate::axiom::{AxiomId, AxiomReport, Violation};
-use crate::fields::{arr_field, bool_field, f64_field, str_field, u64_field};
 use faircrowd_model::error::FaircrowdError;
+use faircrowd_model::fields::{arr_field, bool_field, f64_field, str_field, u64_field};
 use faircrowd_model::json::Json;
 use faircrowd_pay::wage::WageStats;
 

@@ -1,17 +1,20 @@
 //! Shared JSON field accessors for the versioned on-disk schemas.
 //!
-//! Every persisted schema in this crate — checkpoints
-//! ([`crate::checkpoint`]), per-cell sweep results ([`crate::results`])
-//! — decodes through the same discipline: a missing or mistyped field
-//! is a [`FaircrowdError::Persist`] naming the field, its expected
-//! shape, and the context it sat in, never a panic. These helpers are
-//! that discipline in one place, so the schemas cannot drift apart in
-//! how they report corruption.
+//! Every JSON schema in the workspace — traces ([`crate::trace_io`]),
+//! per-cell sweep results (`faircrowd-core::results`) — decodes through
+//! the same discipline: a missing or mistyped field is a
+//! [`FaircrowdError::Persist`] naming the field, its expected shape,
+//! and the context it sat in, never a panic. These helpers are that
+//! discipline in one place, so the schemas cannot drift apart in how
+//! they report corruption.
 
-use faircrowd_model::error::FaircrowdError;
-use faircrowd_model::json::Json;
+use crate::error::FaircrowdError;
+use crate::json::Json;
+use crate::money::Credits;
+use crate::time::SimDuration;
 
-pub(crate) fn require<'a>(
+/// The field `key`, or an error naming it.
+pub fn require<'a>(
     json: &'a Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -20,7 +23,8 @@ pub(crate) fn require<'a>(
         .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `{key}`")))
 }
 
-pub(crate) fn u64_field(
+/// The field `key` as an unsigned integer.
+pub fn u64_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -34,7 +38,8 @@ pub(crate) fn u64_field(
     })
 }
 
-pub(crate) fn i64_field(
+/// The field `key` as a signed integer.
+pub fn i64_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -48,59 +53,28 @@ pub(crate) fn i64_field(
     })
 }
 
-pub(crate) fn u32_field(
+/// The field `key` as a 32-bit id.
+pub fn u32_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,
 ) -> Result<u32, FaircrowdError> {
-    let v = u64_field(json, key, &ctx)?;
-    u32::try_from(v)
-        .map_err(|_| FaircrowdError::persist(format!("{ctx}: field `{key}` overflows an id")))
+    let raw = u64_field(json, key, &ctx)?;
+    u32::try_from(raw).map_err(|_| {
+        FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit an id"))
+    })
 }
 
-pub(crate) fn u32_value(json: &Json, ctx: impl std::fmt::Display) -> Result<u32, FaircrowdError> {
-    json.as_u64()
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: value should be a 32-bit id")))
+/// The field `key` as a byte.
+pub fn u8_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u8, FaircrowdError> {
+    let raw = u64_field(json, key, &ctx)?;
+    u8::try_from(raw).map_err(|_| {
+        FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit a byte"))
+    })
 }
 
-pub(crate) fn u64_pair(
-    json: &Json,
-    ctx: impl std::fmt::Display,
-) -> Result<(u64, u64), FaircrowdError> {
-    let arr = json
-        .as_arr()
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: pair is not an array")))?;
-    match arr {
-        [a, b] => Ok((
-            a.as_u64().ok_or_else(|| {
-                FaircrowdError::persist(format!("{ctx}: pair holds a non-integer"))
-            })?,
-            b.as_u64().ok_or_else(|| {
-                FaircrowdError::persist(format!("{ctx}: pair holds a non-integer"))
-            })?,
-        )),
-        _ => Err(FaircrowdError::persist(format!(
-            "{ctx}: pair has {} element(s), expected 2",
-            arr.len()
-        ))),
-    }
-}
-
-pub(crate) fn u32_pair(
-    json: &Json,
-    ctx: impl std::fmt::Display,
-) -> Result<(u32, u32), FaircrowdError> {
-    let (a, b) = u64_pair(json, &ctx)?;
-    match (u32::try_from(a), u32::try_from(b)) {
-        (Ok(a), Ok(b)) => Ok((a, b)),
-        _ => Err(FaircrowdError::persist(format!(
-            "{ctx}: pair member overflows an id"
-        ))),
-    }
-}
-
-pub(crate) fn f64_field(
+/// The field `key` as a number.
+pub fn f64_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -114,21 +88,8 @@ pub(crate) fn f64_field(
     })
 }
 
-pub(crate) fn bool_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<bool, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_bool().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be a boolean, got {}",
-            v.kind()
-        ))
-    })
-}
-
-pub(crate) fn str_field<'a>(
+/// The field `key` as a string.
+pub fn str_field<'a>(
     json: &'a Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -142,7 +103,23 @@ pub(crate) fn str_field<'a>(
     })
 }
 
-pub(crate) fn arr_field<'a>(
+/// The field `key` as a boolean.
+pub fn bool_field(
+    json: &Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<bool, FaircrowdError> {
+    let v = require(json, key, &ctx)?;
+    v.as_bool().ok_or_else(|| {
+        FaircrowdError::persist(format!(
+            "{ctx}: field `{key}` should be a boolean, got {}",
+            v.kind()
+        ))
+    })
+}
+
+/// The field `key` as an array.
+pub fn arr_field<'a>(
     json: &'a Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -156,6 +133,24 @@ pub(crate) fn arr_field<'a>(
     })
 }
 
+/// The field `key` as integer millicents.
+pub fn credits_field(
+    json: &Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<Credits, FaircrowdError> {
+    Ok(Credits::from_millicents(i64_field(json, key, ctx)?))
+}
+
+/// The field `key` as integer seconds.
+pub fn duration_field(
+    json: &Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<SimDuration, FaircrowdError> {
+    Ok(SimDuration::from_secs(u64_field(json, key, ctx)?))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,6 +161,7 @@ mod tests {
         assert_eq!(u64_field(&json, "a", "ctx").unwrap(), 1);
         assert_eq!(i64_field(&json, "a", "ctx").unwrap(), 1);
         assert_eq!(u32_field(&json, "a", "ctx").unwrap(), 1);
+        assert_eq!(u8_field(&json, "a", "ctx").unwrap(), 1);
         assert_eq!(str_field(&json, "b", "ctx").unwrap(), "x");
         assert_eq!(arr_field(&json, "c", "ctx").unwrap().len(), 2);
         assert!(bool_field(&json, "d", "ctx").unwrap());
@@ -176,10 +172,5 @@ mod tests {
         let err = u64_field(&json, "b", "ctx").unwrap_err();
         assert!(err.to_string().contains("unsigned integer"), "{err}");
         assert!(err.to_string().contains("string"), "{err}");
-        let err = u64_pair(json.get("b").unwrap(), "ctx").unwrap_err();
-        assert!(err.to_string().contains("not an array"), "{err}");
-        assert_eq!(u64_pair(json.get("c").unwrap(), "ctx").unwrap(), (1, 2));
-        assert_eq!(u32_pair(json.get("c").unwrap(), "ctx").unwrap(), (1, 2));
-        assert_eq!(u32_value(json.get("a").unwrap(), "ctx").unwrap(), 1);
     }
 }

@@ -25,10 +25,12 @@
 
 pub mod arena;
 pub mod attributes;
+pub mod codec;
 pub mod contribution;
 pub mod disclosure;
 pub mod error;
 pub mod event;
+pub mod fields;
 pub mod ids;
 pub mod json;
 pub mod money;

@@ -34,26 +34,27 @@
 //! so the two formats decode to identical [`Trace`]s and share
 //! [`SCHEMA_NAME`]/[`SCHEMA_VERSION`].
 //!
-//! Decoding never panics and never trusts a length: every read is
-//! bounds-checked against the remaining input and every defect surfaces
-//! as a [`FaircrowdError::Persist`] naming the offending byte offset
-//! (truncation, foreign magic, an unknown tag, a varint running past
-//! ten bytes, an id overflowing `u32`). Referential integrity is left
+//! The primitives live in [`crate::codec`], shared with the daemon's
+//! checkpoint format. Decoding never panics and never trusts a length:
+//! every read is bounds-checked against the remaining input and every
+//! defect surfaces as a [`FaircrowdError::Persist`] naming the
+//! offending byte offset (truncation, foreign magic, an unknown tag, a
+//! varint running past ten bytes, an id overflowing `u32`). Referential integrity is left
 //! to [`Trace::ensure_valid`], run by the file loader in
 //! `faircrowd-core::persist` — the same three-gate contract as the JSON
 //! path.
 
 use crate::attributes::{AttrValue, ComputedAttrs, DeclaredAttrs};
+use crate::codec::{put_credits, put_f64, put_i64, put_str, put_u64, Cursor};
 use crate::contribution::{Contribution, Submission};
 use crate::disclosure::{Audience, DisclosureItem, DisclosureSet};
 use crate::error::FaircrowdError;
 use crate::event::{CancelReason, Event, EventKind, EventLog, QuitReason};
 use crate::ids::{CampaignId, RequesterId, SkillId, SubmissionId, TaskId, WorkerId};
-use crate::money::Credits;
 use crate::requester::Requester;
 use crate::skills::SkillVector;
 use crate::task::{Task, TaskConditions, TaskKind};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::trace::{GroundTruth, Trace};
 use crate::trace_io::{SCHEMA_NAME, SCHEMA_VERSION};
 use crate::worker::Worker;
@@ -92,35 +93,6 @@ pub fn trace_to_bytes(trace: &Trace) -> Vec<u8> {
     put_disclosure(&mut out, &trace.disclosure);
     put_ground_truth(&mut out, &trace.ground_truth);
     out
-}
-
-fn put_u64(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_credits(out: &mut Vec<u8>, c: Credits) {
-    put_i64(out, c.millicents());
 }
 
 fn put_skills(out: &mut Vec<u8>, s: &SkillVector) {
@@ -472,8 +444,8 @@ fn put_ground_truth(out: &mut Vec<u8>, gt: &GroundTruth) {
 /// [`FaircrowdError::Persist`] naming the byte offset; referential
 /// integrity is left to [`Trace::ensure_valid`].
 pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, FaircrowdError> {
-    let mut cur = Cursor { bytes, pos: 0 };
-    cur.magic()?;
+    let mut cur = Cursor::new(bytes, "binary trace");
+    cur.magic(&MAGIC)?;
     let name = cur.string("schema name")?;
     if name != SCHEMA_NAME {
         return Err(FaircrowdError::persist(format!(
@@ -522,13 +494,7 @@ pub fn trace_from_bytes(bytes: &[u8]) -> Result<Trace, FaircrowdError> {
     trace.events = cur.events()?;
     trace.disclosure = cur.disclosure()?;
     trace.ground_truth = cur.ground_truth()?;
-    if cur.pos != cur.bytes.len() {
-        return Err(FaircrowdError::persist(format!(
-            "binary trace: {} byte(s) of trailing garbage at byte {}",
-            cur.bytes.len() - cur.pos,
-            cur.pos
-        )));
-    }
+    cur.finish()?;
     Ok(trace)
 }
 
@@ -546,137 +512,7 @@ fn in_record(kind: &str, i: usize, e: FaircrowdError) -> FaircrowdError {
     FaircrowdError::persist(format!("{e} (in {kind} record {i})"))
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn err(&self, what: impl std::fmt::Display) -> FaircrowdError {
-        FaircrowdError::persist(format!("binary trace: {what} at byte {}", self.pos))
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn magic(&mut self) -> Result<(), FaircrowdError> {
-        if self.bytes.len() < MAGIC.len() {
-            return Err(FaircrowdError::persist(format!(
-                "binary trace: file is {} byte(s) long, shorter than the 8-byte magic",
-                self.bytes.len()
-            )));
-        }
-        if self.bytes[..MAGIC.len()] != MAGIC {
-            return Err(FaircrowdError::persist(
-                "not a faircrowd binary trace (magic bytes missing)",
-            ));
-        }
-        self.pos = MAGIC.len();
-        Ok(())
-    }
-
-    fn byte(&mut self, what: &str) -> Result<u8, FaircrowdError> {
-        let Some(&b) = self.bytes.get(self.pos) else {
-            return Err(self.err(format_args!("unexpected end of file reading {what}")));
-        };
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], FaircrowdError> {
-        if self.remaining() < n {
-            return Err(self.err(format_args!(
-                "unexpected end of file reading {what} ({n} byte(s) wanted, {} left)",
-                self.remaining()
-            )));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, FaircrowdError> {
-        let start = self.pos;
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let Some(&b) = self.bytes.get(self.pos) else {
-                return Err(self.err(format_args!("unexpected end of file reading {what}")));
-            };
-            self.pos += 1;
-            if self.pos - start > 10 || (shift == 63 && b > 1) {
-                self.pos = start;
-                return Err(self.err(format_args!("varint overflow in {what}")));
-            }
-            value |= u64::from(b & 0x7f) << shift;
-            if b & 0x80 == 0 {
-                return Ok(value);
-            }
-            shift += 7;
-        }
-    }
-
-    fn i64(&mut self, what: &str) -> Result<i64, FaircrowdError> {
-        let z = self.u64(what)?;
-        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
-    }
-
-    fn count(&mut self, what: &str) -> Result<usize, FaircrowdError> {
-        let v = self.u64(what)?;
-        usize::try_from(v).map_err(|_| self.err(format_args!("{what} {v} overflows this platform")))
-    }
-
-    fn id32(&mut self, what: &str) -> Result<u32, FaircrowdError> {
-        let v = self.u64(what)?;
-        u32::try_from(v).map_err(|_| self.err(format_args!("{what} {v} overflows a 32-bit id")))
-    }
-
-    fn u8tag(&mut self, what: &str, limit: u8) -> Result<u8, FaircrowdError> {
-        let pos = self.pos;
-        let b = self.byte(what)?;
-        if b >= limit {
-            self.pos = pos;
-            return Err(self.err(format_args!("unknown {what} tag {b}")));
-        }
-        Ok(b)
-    }
-
-    fn bool(&mut self, what: &str) -> Result<bool, FaircrowdError> {
-        Ok(self.u8tag(what, 2)? == 1)
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, FaircrowdError> {
-        let bytes = self.take(8, what)?;
-        Ok(f64::from_bits(u64::from_le_bytes(
-            bytes.try_into().expect("take returned 8 bytes"),
-        )))
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, FaircrowdError> {
-        let len = self.count(what)?;
-        let start = self.pos;
-        let bytes = self.take(len, what)?;
-        std::str::from_utf8(bytes).map(str::to_owned).map_err(|e| {
-            FaircrowdError::persist(format!(
-                "binary trace: {what} is not UTF-8 at byte {}",
-                start + e.valid_up_to()
-            ))
-        })
-    }
-
-    fn secs(&mut self, what: &str) -> Result<SimTime, FaircrowdError> {
-        Ok(SimTime::from_secs(self.u64(what)?))
-    }
-
-    fn duration(&mut self, what: &str) -> Result<SimDuration, FaircrowdError> {
-        Ok(SimDuration::from_secs(self.u64(what)?))
-    }
-
-    fn credits(&mut self, what: &str) -> Result<Credits, FaircrowdError> {
-        Ok(Credits::from_millicents(self.i64(what)?))
-    }
-
+impl Cursor<'_> {
     fn skills(&mut self, what: &str) -> Result<SkillVector, FaircrowdError> {
         let n = self.count(what)?;
         let packed = self.take(n.div_ceil(8), what)?;
@@ -745,11 +581,7 @@ impl<'a> Cursor<'a> {
         };
         let assignments_wanted = self.id32("assignments_wanted")?;
         let est_duration = self.duration("est_duration")?;
-        let mask = self.byte("task-conditions mask")?;
-        if mask >= 1 << 5 {
-            self.pos -= 1;
-            return Err(self.err("unknown task-conditions bits"));
-        }
+        let mask = self.u8tag("task-conditions mask", 1 << 5)?;
         let conditions = TaskConditions {
             stated_hourly_wage: (mask & 1 != 0)
                 .then(|| self.credits("stated_hourly_wage"))
@@ -993,62 +825,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn varints_roundtrip_across_the_whole_range() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            16_383,
-            16_384,
-            u64::from(u32::MAX),
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let mut buf = Vec::new();
-            put_u64(&mut buf, v);
-            let mut cur = Cursor {
-                bytes: &buf,
-                pos: 0,
-            };
-            assert_eq!(cur.u64("probe").expect("valid varint"), v);
-            assert_eq!(cur.pos, buf.len(), "no trailing bytes for {v}");
-        }
-    }
-
-    #[test]
-    fn zigzag_roundtrips_signed_extremes() {
-        for v in [0i64, -1, 1, i64::MIN, i64::MAX, -123_456_789] {
-            let mut buf = Vec::new();
-            put_i64(&mut buf, v);
-            let mut cur = Cursor {
-                bytes: &buf,
-                pos: 0,
-            };
-            assert_eq!(cur.i64("probe").expect("valid zigzag"), v);
-        }
-    }
-
-    #[test]
-    fn varint_overflow_is_a_positioned_error_not_a_panic() {
-        let bytes = [0xffu8; 11];
-        let mut cur = Cursor {
-            bytes: &bytes,
-            pos: 0,
-        };
-        let err = cur.u64("probe").expect_err("11 continuation bytes");
-        assert!(err.to_string().contains("varint overflow"), "got: {err}");
-        // An unterminated but in-range varint is truncation instead.
-        let bytes = [0x80u8, 0x80];
-        let mut cur = Cursor {
-            bytes: &bytes,
-            pos: 0,
-        };
-        let err = cur.u64("probe").expect_err("unterminated varint");
-        assert!(err.to_string().contains("unexpected end"), "got: {err}");
-    }
-
-    #[test]
     fn empty_trace_roundtrips() {
         let trace = Trace::default();
         let bytes = trace_to_bytes(&trace);
@@ -1064,10 +840,7 @@ mod tests {
             let mut buf = Vec::new();
             put_skills(&mut buf, &v);
             assert_eq!(buf.len(), varint_len(n as u64) + n.div_ceil(8));
-            let mut cur = Cursor {
-                bytes: &buf,
-                pos: 0,
-            };
+            let mut cur = Cursor::new(&buf, "probe");
             assert_eq!(cur.skills("probe").expect("valid"), v);
         }
     }

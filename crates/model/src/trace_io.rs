@@ -36,13 +36,16 @@ use crate::contribution::{Contribution, Submission};
 use crate::disclosure::{Audience, DisclosureItem, DisclosureSet};
 use crate::error::FaircrowdError;
 use crate::event::{CancelReason, Event, EventKind, EventLog, QuitReason};
+use crate::fields::{
+    arr_field, bool_field, credits_field, duration_field, f64_field, require, str_field, u32_field,
+    u64_field, u8_field,
+};
 use crate::ids::{CampaignId, RequesterId, SkillId, SubmissionId, TaskId, WorkerId};
 use crate::json::Json;
-use crate::money::Credits;
 use crate::requester::Requester;
 use crate::skills::SkillVector;
 use crate::task::{Task, TaskConditions, TaskKind};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use crate::trace::{GroundTruth, Trace};
 use crate::worker::Worker;
 
@@ -724,115 +727,6 @@ fn check_schema(json: &Json) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-// ---- field helpers --------------------------------------------------
-
-fn require<'a>(
-    json: &'a Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<&'a Json, FaircrowdError> {
-    json.get(key)
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `{key}`")))
-}
-
-fn u64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u64, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_u64().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be an unsigned integer, got {}",
-            v.kind()
-        ))
-    })
-}
-
-fn i64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<i64, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_i64().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be an integer, got {}",
-            v.kind()
-        ))
-    })
-}
-
-fn u32_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u32, FaircrowdError> {
-    let raw = u64_field(json, key, &ctx)?;
-    u32::try_from(raw).map_err(|_| {
-        FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit an id"))
-    })
-}
-
-fn u8_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u8, FaircrowdError> {
-    let raw = u64_field(json, key, &ctx)?;
-    u8::try_from(raw).map_err(|_| {
-        FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit a byte"))
-    })
-}
-
-fn f64_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<f64, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_f64().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be a number, got {}",
-            v.kind()
-        ))
-    })
-}
-
-fn str_field<'a>(
-    json: &'a Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<&'a str, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_str().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be a string, got {}",
-            v.kind()
-        ))
-    })
-}
-
-fn bool_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<bool, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_bool().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be a boolean, got {}",
-            v.kind()
-        ))
-    })
-}
-
-fn arr_field<'a>(
-    json: &'a Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<&'a [Json], FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_arr().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be an array, got {}",
-            v.kind()
-        ))
-    })
-}
-
-fn credits_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<Credits, FaircrowdError> {
-    Ok(Credits::from_millicents(i64_field(json, key, ctx)?))
-}
-
-fn duration_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<SimDuration, FaircrowdError> {
-    Ok(SimDuration::from_secs(u64_field(json, key, ctx)?))
-}
-
 // ---- record decoders ------------------------------------------------
 
 fn worker_from_json(json: &Json, ctx: &str) -> Result<Worker, FaircrowdError> {
@@ -1218,7 +1112,9 @@ fn ground_truth_from_json(json: &Json) -> Result<GroundTruth, FaircrowdError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::money::Credits;
     use crate::task::TaskBuilder;
+    use crate::time::SimDuration;
 
     /// A trace touching every encoder branch: all four contribution
     /// kinds, optional fields present and absent, every reason enum,

@@ -145,12 +145,12 @@ fn usage_text() -> String {
          WATCH-OPTS:\n  \
          --once           process the file's current contents and stop (no tailing)\n  \
          --idle-ms N      stop after N ms with no growth (default 1500)\n  \
-         --checkpoint FILE  snapshot auditor state to FILE as the stream grows and\n                     \
-         resume from it on restart (no log replay)\n  \
+         --checkpoint FILE  snapshot auditor state to FILE (binary checkpoint v2) as\n                     \
+         the stream grows and resume from it on restart (no log replay)\n  \
          --checkpoint-every N  events between snapshots (default 512)\n\n\
          SERVE-OPTS:\n  \
-         --checkpoint-dir D  snapshot each market to D/<market>.checkpoint.json and\n                      \
-         resume every stream from its checkpoint on restart\n  \
+         --checkpoint-dir D  snapshot each market to D/<market>.checkpoint (binary\n                      \
+         checkpoint v2) and resume every stream from it on restart\n  \
          --checkpoint-every N  events between snapshots, per market (default 512)\n  \
          --jobs N         shard threads (default: available cores)\n  \
          --once           process current contents and stop (no tailing)\n  \
@@ -599,11 +599,7 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
             .and_then(|c| Ok((LiveAuditor::resume(AuditConfig::default(), &c)?, c)));
         match restored {
             Ok((restored, c)) => {
-                println!(
-                    "resumed from checkpoint seq {} (skipping {} line(s))",
-                    c.seq(),
-                    c.source_lines()
-                );
+                println!("resumed from {}", c.resume_note());
                 reader = faircrowd::model::trace_io::JsonlReader::resume(
                     c.jsonl_header(),
                     c.source_lines() as usize,
@@ -1779,8 +1775,8 @@ mod tests {
         serve_cmd(&args).unwrap();
         // The cadence wrote a checkpoint per market; a rerun resumes
         // from them (end-of-stream state) and still closes cleanly.
-        assert!(ckpt.join("alpha.checkpoint.json").exists());
-        assert!(ckpt.join("beta.checkpoint.json").exists());
+        assert!(ckpt.join("alpha.checkpoint").exists());
+        assert!(ckpt.join("beta.checkpoint").exists());
         serve_cmd(&args).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1804,7 +1800,7 @@ mod tests {
         let cut = lines.len() * 2 / 3;
         let half_path = dir.join("half.jsonl");
         std::fs::write(&half_path, format!("{}\n", lines[..cut].join("\n"))).unwrap();
-        let ck = dir.join("m.checkpoint.json");
+        let ck = dir.join("m.checkpoint");
         // First life over the truncated stream writes a checkpoint…
         watch_cmd(&argv(&[
             half_path.to_str().unwrap(),

@@ -10,7 +10,8 @@
 //!   JSONL stream at several line positions (just past the header, a
 //!   quarter, half, three quarters, and end-of-stream) and pushing each
 //!   checkpoint through the full `encode` → `decode` → `ensure_valid`
-//!   → `resume` cycle;
+//!   → `resume` cycle, and re-encoding each decoded checkpoint to the
+//!   same bytes;
 //! * for the direct ingest path, cutting at raw event boundaries (no
 //!   JSONL in the loop), including seq 0 and the final seq;
 //! * property-based, over adversarial random traces and random cut
@@ -75,12 +76,17 @@ fn cycle_at(lines: &[&str], cut: usize, want: &Reference, tag: &str) {
     let ckpt = first_life.checkpoint(reader.lines_fed() as u64);
     ckpt.ensure_valid().expect("fresh checkpoint is valid");
 
-    // Serialize → parse: the decoded checkpoint is the one we wrote.
-    let text = checkpoint::encode(&ckpt);
-    let decoded = checkpoint::decode(&text).expect("roundtrip decodes");
+    // Serialize → parse: the decoded checkpoint is the one we wrote,
+    // and it encodes back to the same bytes.
+    let bytes = checkpoint::encode(&ckpt);
+    let decoded = checkpoint::decode(&bytes).expect("roundtrip decodes");
     assert_eq!(
         decoded, ckpt,
         "{tag}: checkpoint roundtrips bit-identically"
+    );
+    assert!(
+        checkpoint::encode(&decoded) == bytes,
+        "{tag}: encode(decode(bytes)) == bytes"
     );
 
     // Second life: resume and finish the stream. A restarted tailer
