@@ -1,11 +1,11 @@
-//! P6 — Trace persistence throughput and the sweep simulation cache.
+//! P6 — Trace persistence throughput and the sweep's lean final runs.
 //!
 //! Criterion view of the two workloads `traceio_baseline` pins in
 //! `BENCH_traceio.json`: encoding/decoding the baseline catalog trace
-//! in both schema formats, and an enforcement-axis sweep with the
-//! baseline-simulation cache on vs off (cells differing only on the
-//! `enforce` stack share one simulated trace; outputs are
-//! byte-identical either way — only wall-clock moves).
+//! in both schema formats, and an enforcement-axis sweep on its shared
+//! final runs vs the per-case `Pipeline::run` oracle (enforced cells
+//! skip the unread baseline; outputs are byte-identical either way —
+//! only wall-clock moves).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use faircrowd::core::persist::{self, TraceFormat};

@@ -11,11 +11,11 @@
 //! * **resume beats cold** — a part truncated to ~80 % of its records
 //!   (what a SIGKILL leaves) must re-run only the missing tail: resume
 //!   is asserted ≥ 2× faster than the cold shard run;
-//! * **the shard-aware cache holds** — on the stacked-enforce grid the
-//!   cluster partition keeps every enforce-variant of a baseline
-//!   simulation on one shard, so the per-shard `OnceLock` cache still
-//!   pays each simulation once: summed 2-shard runs with the cache are
-//!   asserted ≥ 1.5× faster than without it;
+//! * **the lean path holds under sharding** — on the stacked-enforce
+//!   grid each enforced cell simulates only its repaired config, never
+//!   the unread baseline: summed 2-shard runs on the sweep's shared
+//!   final runs are asserted ≥ 1.5× faster than the per-case
+//!   `Pipeline::run` oracle (`reuse_sim: false`);
 //! * **scale** — wall-clock for the shard fan-out at 2 / 4 / 8
 //!   processes on an 8-cell stacked-enforce grid and a 1000-cell grid
 //!   (ratios are hardware-honest; on a 1-core host the fan-out buys
@@ -38,7 +38,7 @@ use std::process::Command;
 use std::time::Instant;
 
 /// 8 cells: 2 seeds × 4 enforcement stacks — the grid whose enforce
-/// axis exercises the baseline-simulation cache hardest.
+/// axis exercises the lean enforced path hardest.
 const STACKED: &str =
     "scenario=baseline;seed=0..2;scale=4;enforce=none,transparency,grace,transparency+grace";
 
@@ -213,11 +213,10 @@ fn main() {
          faster than a cold run (measured {resume_speedup:.1}×)"
     );
 
-    // Shard-aware cache: sweep the stacked-enforce grid as 2 in-process
-    // shard runs with and without the baseline-simulation cache. The
-    // cluster partition keeps all four enforce-variants of a (scenario,
-    // policy, seed, scale, rounds) baseline on one shard, so each
-    // shard's private cache still pays that simulation exactly once.
+    // Lean path under sharding: sweep the stacked-enforce grid as 2
+    // in-process shard runs, on shared final runs and on the per-case
+    // oracle. Enforced cells skip the baseline simulation and audit the
+    // oracle pays for.
     let stacked = SweepGrid::parse(STACKED).expect("grid parses");
     let dir = scratch("cache");
     let timed = |reuse: bool| {
@@ -238,8 +237,8 @@ fn main() {
     let cache_speedup = uncached_ms / cached_ms;
     assert!(
         cache_speedup >= 1.5,
-        "acceptance: the shard-aware baseline-simulation cache must keep a ≥ 1.5× \
-         win on the stacked-enforce grid (measured {cache_speedup:.2}×)"
+        "acceptance: shared final runs must keep a ≥ 1.5× win over the per-case \
+         oracle on the stacked-enforce grid (measured {cache_speedup:.2}×)"
     );
 
     println!("{{");
@@ -251,7 +250,7 @@ fn main() {
          processes and include process startup; merged_byte_identical compares the merged \
          parts' table, JSON and CSV against the in-process single-run bytes; resume keeps \
          80% of a completed part and re-runs only the tail; cache times 2 in-process shard \
-         runs with/without the per-shard baseline-simulation cache\","
+         runs on shared final runs vs the per-case Pipeline::run oracle\","
     );
     println!("  \"grids\": [");
     println!("{grid_rows}");

@@ -13,12 +13,12 @@
 //!    MB/s-of-own-bytes would reward verbosity, since the `.fcb` file
 //!    is ~14× smaller than the JSON one).
 //! 2. **Cached vs uncached sweeps** — a grid with a stacked `enforce`
-//!    axis run through `faircrowd::sweep` with the baseline-simulation
-//!    cache on and off. Cells differing only on the enforcement stack
-//!    share one simulated trace (so the cached sweep does (stacks − 1)
-//!    fewer baseline simulations per cell), and the cached path also
-//!    skips the baseline audit of enforced cells, whose report the
-//!    sweep never reads. Outputs are asserted byte-identical before any
+//!    axis run through `faircrowd::sweep` on its shared final runs
+//!    ("cached") and on the per-case `Pipeline::run` oracle
+//!    ("uncached"). Enforced cells simulate only their repaired config,
+//!    so the cached sweep skips (stacks − 1) baseline simulations per
+//!    cell and the baseline audit of enforced cells, which the sweep
+//!    never reads. Outputs are asserted byte-identical before any
 //!    number is reported.
 //!
 //! ```text
@@ -129,9 +129,9 @@ fn main() {
     // Sweep: 2 seeds × 4 enforcement stacks over the baseline scenario
     // at scale 4. Uncached: 8 baseline simulations (+6 enforced
     // re-simulations, which repair the config and *must* re-run) and 14
-    // audits. Cached: 2 baseline simulations (+6) and 8 audits — cells
-    // differing only on the stack share one baseline trace, and
-    // enforced cells skip the baseline audit nobody reads.
+    // audits. Cached: 2 baseline simulations (+6) and 8 audits —
+    // enforced cells skip the baseline simulation and audit nobody
+    // reads.
     let grid = SweepGrid::parse(
         "scenario=baseline;seed=0..2;scale=4;enforce=none,transparency,grace,transparency+grace",
     )

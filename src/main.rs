@@ -1020,13 +1020,24 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
                  render with `faircrowd merge <part>...` once every shard finished",
             ));
         }
-        let total = grid.expand()?.len();
+        // The count runs over the cells this invocation computes: those
+        // this shard owns, less any a part file already holds.
+        let cases = grid.expand()?;
+        let owned = faircrowd::sweep::shard::partition(&cases, spec.count)
+            .into_iter()
+            .filter(|&s| s == spec.index - 1)
+            .count();
+        let resumed = match std::fs::metadata(out) {
+            Ok(meta) if meta.len() > 0 => {
+                faircrowd::sweep::shard::load_part(std::path::Path::new(out))?
+                    .cells
+                    .len()
+            }
+            _ => 0,
+        };
+        let counter = ProgressCounter::new(format!("shard {spec} "), owned.saturating_sub(resumed));
         let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-            eprintln!(
-                "[shard {spec} cell {}/{total}] {}",
-                cell + 1,
-                progress_cell(outcome)
-            );
+            counter.report(cell, outcome);
         };
         let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
         let run = faircrowd::sweep::shard::run_shard_opts(
@@ -1050,9 +1061,9 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
     }
     let format = flag_value(args, "--format")?.unwrap_or("table");
 
-    let total = grid.expand()?.len();
+    let counter = ProgressCounter::new(String::new(), grid.expand()?.len());
     let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-        eprintln!("[cell {}/{total}] {}", cell + 1, progress_cell(outcome));
+        counter.report(cell, outcome);
     };
     let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
     let result = faircrowd::sweep::run_grid_observed(&grid, jobs, true, hook)?;
@@ -1074,6 +1085,37 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
         }
     }
     Ok(())
+}
+
+/// The `--progress` line printer: `[k/total] case #i …` per completed
+/// cell, where `k` counts completions and `i` is the cell's 1-based
+/// grid position (cells complete out of grid order on several workers).
+struct ProgressCounter {
+    tag: String,
+    total: usize,
+    done: std::sync::atomic::AtomicUsize,
+}
+
+impl ProgressCounter {
+    fn new(tag: String, total: usize) -> Self {
+        let done = std::sync::atomic::AtomicUsize::new(0);
+        ProgressCounter { tag, total, done }
+    }
+
+    fn report(&self, cell: usize, outcome: &faircrowd::sweep::CaseOutcome) {
+        use std::io::Write as _;
+        // Count under the stderr lock, so lines print in count order.
+        let mut stderr = std::io::stderr().lock();
+        let k = self.done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        let _ = writeln!(
+            stderr,
+            "[{}{k}/{}] case #{} {}",
+            self.tag,
+            self.total,
+            cell + 1,
+            progress_cell(outcome)
+        );
+    }
 }
 
 /// The per-cell description `--progress` prints after the cell tag.
@@ -1128,9 +1170,9 @@ fn frontier_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     let progress = args.iter().any(|a| a == "--progress");
     let format = flag_value(args, "--format")?.unwrap_or("table");
 
-    let total = grid.expand()?.len();
+    let counter = ProgressCounter::new(String::new(), grid.expand()?.len());
     let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-        eprintln!("[cell {}/{total}] {}", cell + 1, progress_cell(outcome));
+        counter.report(cell, outcome);
     };
     let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
     let result = faircrowd::frontier::run_frontier_observed(&grid, jobs, hook)?;

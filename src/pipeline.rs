@@ -373,7 +373,7 @@ impl Pipeline {
     /// a static config is a single simulator pass, a strategic one is
     /// iterated to its fixed point ([`crate::sim::converge`]) and the
     /// **converged** trace is returned. Every simulation the pipeline
-    /// performs (run, export, sweep cache, enforcement re-runs) funnels
+    /// performs (run, export, sweep work units, enforcement re-runs) funnels
     /// through here, so "the trace of a scenario" means the same thing
     /// on every path.
     fn simulate_config(&self, config: &ScenarioConfig) -> Result<Trace, FaircrowdError> {
@@ -387,11 +387,9 @@ impl Pipeline {
     }
 
     /// Validate the staged scenario and simulate it into a validated
-    /// trace — the export path (`faircrowd export`) and the sweep
-    /// engine's simulation cache both call this, so a trace produced
-    /// here and fed back through [`Pipeline::run_with_baseline`] or
-    /// [`Pipeline::replay`] is exactly the trace [`Pipeline::run`]
-    /// would have audited.
+    /// trace — the export path (`faircrowd export`) calls this, so a
+    /// trace produced here and fed back through [`Pipeline::replay`] is
+    /// exactly the trace [`Pipeline::run`] would have audited.
     pub fn simulate(&self) -> Result<Trace, FaircrowdError> {
         self.scenario.validate()?;
         self.simulate_config(&self.scenario)
@@ -421,7 +419,48 @@ impl Pipeline {
     pub fn run(self) -> Result<PipelineResult, FaircrowdError> {
         self.scenario.validate()?;
         let baseline_trace = self.simulate_config(&self.scenario)?;
-        self.finish(baseline_trace)
+        let baseline_ix = TraceIndex::new(&baseline_trace);
+        let baseline_report = self.audit_indexed(&baseline_ix);
+        let baseline_summary = TraceSummary::of(&baseline_trace);
+        let baseline_wages = metrics::wage_stats(&baseline_ix);
+
+        let enforced = if self.enforcements.is_empty() {
+            None
+        } else {
+            let mut repaired = self.scenario.clone();
+            for enforcement in &self.enforcements {
+                enforcement.apply(&mut repaired);
+            }
+            repaired.validate()?;
+            let trace = self.simulate_config(&repaired)?;
+            let ix = baseline_ix.rebuilt_for(&trace);
+            let report = self.audit_indexed(&ix);
+            let wages = metrics::wage_stats(&ix);
+            let summary = TraceSummary::of(&trace);
+            drop(ix);
+            Some(EnforcedRun {
+                config: repaired,
+                applied: self.enforcements.clone(),
+                artifacts: RunArtifacts {
+                    trace,
+                    summary,
+                    report,
+                    wages,
+                },
+            })
+        };
+        drop(baseline_ix);
+
+        Ok(PipelineResult {
+            config: self.scenario,
+            baseline: RunArtifacts {
+                trace: baseline_trace,
+                summary: baseline_summary,
+                report: baseline_report,
+                wages: baseline_wages,
+            },
+            enforced,
+        })
     }
 
     /// Execute the pipeline's convergence path explicitly: iterate the
@@ -458,18 +497,6 @@ impl Pipeline {
         })
     }
 
-    /// Execute the pipeline against a **pre-simulated** baseline trace,
-    /// skipping only the baseline simulation: the audit, enforcement
-    /// re-simulation and re-audit are identical to [`Pipeline::run`].
-    /// The trace must be the output of [`Pipeline::simulate`] on the
-    /// same scenario — this is the sweep engine's simulation-cache path,
-    /// where grid cells differing only on the enforcement axis share
-    /// one simulated baseline instead of re-running the platform.
-    pub fn run_with_baseline(self, baseline: Trace) -> Result<PipelineResult, FaircrowdError> {
-        self.scenario.validate()?;
-        self.finish(baseline)
-    }
-
     /// Audit an externally recorded trace through this pipeline's audit
     /// configuration and staged axiom subset — the **replay** path (load
     /// → index → audit → report, no simulator in the loop). The trace is
@@ -492,32 +519,24 @@ impl Pipeline {
     }
 
     /// Produce only the **final** artifacts: for an enforcement-free
-    /// pipeline, the audit of the baseline trace `simulate` yields; with
-    /// enforcements staged, the repaired re-simulation and its re-audit
-    /// — *skipping the baseline entirely* (neither simulated nor
-    /// audited), since nothing of it is returned. `simulate` is called
-    /// at most once, and only when the baseline is actually needed.
+    /// pipeline, the audit of the simulated scenario; with enforcements
+    /// staged, the repaired re-simulation and its re-audit — *skipping
+    /// the baseline entirely* (neither simulated nor audited), since
+    /// nothing of it is returned.
     ///
-    /// This is the sweep engine's cached path: a grid cell folds exactly
-    /// the fields of [`RunArtifacts`], so dropping the unread baseline
-    /// work changes wall-clock and nothing else (pinned byte-identical
-    /// against the full [`Pipeline::run`] by `sweep`'s determinism
-    /// tests).
-    pub fn run_final_with_baseline(
-        self,
-        simulate: impl FnOnce() -> Result<Trace, FaircrowdError>,
-    ) -> Result<RunArtifacts, FaircrowdError> {
+    /// This is the sweep engine's work unit: a grid cell folds exactly
+    /// the fields of [`RunArtifacts`] (plus a consensus score of the
+    /// trace), so dropping the unread baseline work changes wall-clock
+    /// and nothing else (pinned byte-identical against the full
+    /// [`Pipeline::run`] by `sweep`'s determinism tests).
+    pub fn run_final(self) -> Result<RunArtifacts, FaircrowdError> {
         self.scenario.validate()?;
-        if self.enforcements.is_empty() {
-            let baseline = simulate()?;
-            return Ok(self.audit_artifacts(baseline));
-        }
-        let mut repaired = self.scenario.clone();
+        let mut config = self.scenario.clone();
         for enforcement in &self.enforcements {
-            enforcement.apply(&mut repaired);
+            enforcement.apply(&mut config);
         }
-        repaired.validate()?;
-        let trace = self.simulate_config(&repaired)?;
+        config.validate()?;
+        let trace = self.simulate_config(&config)?;
         Ok(self.audit_artifacts(trace))
     }
 
@@ -635,54 +654,6 @@ impl Pipeline {
         }
     }
 
-    /// Shared tail of [`Pipeline::run`] / [`Pipeline::run_with_baseline`]:
-    /// audit the baseline trace and, when enforcements are staged, repair
-    /// the scenario, re-simulate and re-audit.
-    fn finish(self, baseline_trace: Trace) -> Result<PipelineResult, FaircrowdError> {
-        let baseline_ix = TraceIndex::new(&baseline_trace);
-        let baseline_report = self.audit_indexed(&baseline_ix);
-        let baseline_summary = TraceSummary::of(&baseline_trace);
-        let baseline_wages = metrics::wage_stats(&baseline_ix);
-
-        let enforced = if self.enforcements.is_empty() {
-            None
-        } else {
-            let mut repaired = self.scenario.clone();
-            for enforcement in &self.enforcements {
-                enforcement.apply(&mut repaired);
-            }
-            repaired.validate()?;
-            let trace = self.simulate_config(&repaired)?;
-            let ix = baseline_ix.rebuilt_for(&trace);
-            let report = self.audit_indexed(&ix);
-            let wages = metrics::wage_stats(&ix);
-            let summary = TraceSummary::of(&trace);
-            drop(ix);
-            Some(EnforcedRun {
-                config: repaired,
-                applied: self.enforcements.clone(),
-                artifacts: RunArtifacts {
-                    trace,
-                    summary,
-                    report,
-                    wages,
-                },
-            })
-        };
-        drop(baseline_ix);
-
-        Ok(PipelineResult {
-            config: self.scenario,
-            baseline: RunArtifacts {
-                trace: baseline_trace,
-                summary: baseline_summary,
-                report: baseline_report,
-                wages: baseline_wages,
-            },
-            enforced,
-        })
-    }
-
     /// Run the identical pipeline once per policy name — the parameter
     /// sweep the CLI's `sweep` command and the benches build on.
     /// Returns `(name, result)` pairs in input order.
@@ -753,40 +724,24 @@ mod tests {
     }
 
     #[test]
-    fn run_with_baseline_equals_run() {
-        // The sweep cache's contract: feeding `simulate()`'s trace back
-        // through `run_with_baseline` is exactly `run()` — including the
-        // enforcement re-simulation and re-audit.
+    fn run_final_equals_the_final_run_of_run() {
+        // The lean final-artifacts path agrees with the full one: with
+        // enforcements staged, the repaired re-run and its re-audit…
         let pipeline = Pipeline::new()
             .seed(5)
             .rounds(10)
             .enforce(Enforcement::GraceFinish);
-        let from_run = pipeline.clone().run().unwrap();
-        let trace = pipeline.simulate().unwrap();
-        let from_baseline = pipeline.clone().run_with_baseline(trace.clone()).unwrap();
-        assert_eq!(from_run.baseline.report, from_baseline.baseline.report);
-        assert_eq!(from_run.baseline.wages, from_baseline.baseline.wages);
-        let (a, b) = (
-            from_run.enforced.as_ref().unwrap(),
-            from_baseline.enforced.as_ref().unwrap(),
-        );
-        assert_eq!(a.artifacts.report, b.artifacts.report);
-        // …and the lean final-artifacts path agrees with the full one.
-        // With enforcements staged it must not even ask for a baseline.
-        let lean = pipeline
-            .clone()
-            .run_final_with_baseline(|| panic!("enforced lean path must not simulate a baseline"))
-            .unwrap();
-        assert_eq!(lean.report, a.artifacts.report);
-        assert_eq!(lean.summary, a.artifacts.summary);
-        assert_eq!(lean.wages, a.artifacts.wages);
-        // Without enforcements it audits exactly the supplied baseline.
+        let full = pipeline.clone().run().unwrap().enforced.unwrap().artifacts;
+        let lean = pipeline.run_final().unwrap();
+        assert_eq!(lean.trace, full.trace);
+        assert_eq!(lean.report, full.report);
+        assert_eq!(lean.summary, full.summary);
+        assert_eq!(lean.wages, full.wages);
+        // …and without enforcements, the baseline itself.
         let plain = Pipeline::new().seed(5).rounds(10);
-        let lean = plain
-            .clone()
-            .run_final_with_baseline(|| plain.simulate())
-            .unwrap();
-        assert_eq!(lean.report, plain.clone().run().unwrap().baseline.report);
+        let lean = plain.clone().run_final().unwrap();
+        assert_eq!(lean.trace, plain.simulate().unwrap());
+        assert_eq!(lean.report, plain.run().unwrap().baseline.report);
     }
 
     #[test]

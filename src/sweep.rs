@@ -27,21 +27,23 @@
 //!    names resolve during [`SweepGrid::expand`], before any thread
 //!    spawns, with errors listing the valid names.
 //!
-//! With PR 3's `TraceIndex` making audits cheap, **simulation is the
-//! dominant cost of a sweep cell** — so the engine caches simulated
-//! baseline traces by `(scenario, policy, strategy, seed, scale,
-//! rounds)`. Cases
-//! that differ only on the `enforce` axis are the same platform run
-//! audited under different repairs: instead of each re-running the
-//! simulator, they draw on one keyed [`OnceLock`]-guarded slot,
-//! consulted lazily — the empty-stack cell audits (a clone of) the
-//! shared baseline, while enforced cells re-simulate only their
-//! *repaired* config and skip the baseline simulation and its unread
-//! audit entirely ([`Pipeline::run_final_with_baseline`]). The
-//! simulator is a pure function of its config, so cached and uncached
-//! sweeps are byte-identical ([`run_grid_opts`] exposes the switch;
-//! `tests/sweep_determinism.rs` and the `traceio_baseline` bench pin
-//! equality and the wall-clock win).
+//! With each trace indexed once, audits are cheap and **simulation is
+//! the dominant cost of a sweep cell** — so the engine's unit of work
+//! is one *final run*, not one case. Cases that differ only on the
+//! `aggregator` axis are one platform run rescored after the market
+//! closed: the engine groups them (same scenario, policy, strategy,
+//! seed, scale, rounds and enforcement stack), and a worker runs each
+//! group's pipeline once — simulate or converge, repair, validate,
+//! index, audit, wages, summary ([`Pipeline::run_final`]) — builds
+//! every sibling's outcome from that one run, and drops the trace
+//! before it takes the next group.
+//! Enforced cells simulate only their *repaired* config; the unread
+//! baseline is never simulated or audited. Cases differing on the
+//! `enforce` axis share nothing: each stack is a different market. The
+//! simulator is a pure function of its config, so grouped and
+//! ungrouped sweeps are byte-identical ([`run_grid_opts`] with
+//! `reuse_sim: false` runs every case through the full
+//! [`Pipeline::run`] as the oracle; the determinism tests pin it).
 //!
 //! Grid syntax (the CLI's `--grid` argument): `;`-separated
 //! `axis=value,value,…` entries —
@@ -63,9 +65,8 @@
 //! enforcement, majority-vote aggregation.
 //!
 //! Aggregation is **post-simulation**: the `aggregator` axis rescores
-//! one trace's answer matrix, so it never forks the simulation cache —
-//! cells differing only on the aggregator share a baseline exactly as
-//! `enforce`-only siblings do.
+//! one trace's answer matrix, so cells differing only on the
+//! aggregator share their whole final run, enforced or not.
 //!
 //! ```
 //! use faircrowd::sweep::{self, SweepGrid};
@@ -85,7 +86,7 @@ use crate::core::report::TextTable;
 use crate::core::{AuditConfig, FairnessReport};
 use crate::model::{FaircrowdError, Trace};
 use crate::pay::WageStats;
-use crate::pipeline::{Enforcement, Pipeline};
+use crate::pipeline::{Enforcement, Pipeline, RunArtifacts};
 use crate::quality::aggregate::{AggregateContext, AggregatorChoice};
 use crate::quality::{majority_vote, AnswerSet, GoldSet};
 use crate::sim::{catalog, strategy, PolicyChoice, StrategyChoice, TraceSummary};
@@ -94,7 +95,7 @@ use faircrowd_model::contribution::Contribution;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// The axes of a sweep. Every field is an optional axis; `None` means
 /// the single default point documented on [the module](self). Parse one
@@ -123,8 +124,8 @@ pub struct SweepGrid {
     /// iterated to their fixed point by the pipeline before auditing.
     pub strategies: Option<Vec<String>>,
     /// Aggregator-registry names the consensus-quality column is scored
-    /// under (default: `["majority"]`). Post-simulation: never forks
-    /// the simulation cache.
+    /// under (default: `["majority"]`). Post-simulation: siblings on
+    /// this axis share one final run.
     pub aggregators: Option<Vec<String>>,
 }
 
@@ -454,58 +455,32 @@ impl SweepCase {
         }
     }
 
-    /// Run the case: simulate, audit (and repair + re-audit when the
-    /// stack is non-empty), keeping the final report and summary.
+    /// Run the case through the full [`Pipeline::run`] — baseline and,
+    /// when the stack is non-empty, repair + re-audit — keeping the
+    /// final report and summary. The reference the grouped sweep is
+    /// pinned against.
     pub fn run(&self) -> Result<CaseOutcome, FaircrowdError> {
-        let aggregator = self.aggregator_choice()?;
         let result = self.pipeline()?.run()?;
-        let consensus = consensus_accuracy(result.trace(), &aggregator);
-        Ok(self.outcome_of(result, consensus))
+        self.outcome_of(&result.enforced.map_or(result.baseline, |e| e.artifacts))
     }
 
-    /// Run the case with its baseline trace supplied lazily (the
-    /// simulation-cache path: `baseline` pulls a clone from the shared
-    /// per-key slot, and is only invoked when the case actually audits
-    /// the baseline — enforced cells re-simulate a repaired config and
-    /// never touch it). Identical output to [`SweepCase::run`]: the
-    /// simulator is a pure function of the case's config, so a cached
-    /// trace is *the* trace this case would have simulated, and the cell
-    /// folds only the *final* report, which the lean
-    /// [`Pipeline::run_final_with_baseline`] path returns unchanged.
-    pub fn run_with_baseline(
-        &self,
-        baseline: impl FnOnce() -> Result<Trace, FaircrowdError>,
-    ) -> Result<CaseOutcome, FaircrowdError> {
-        let aggregator = self.aggregator_choice()?;
-        let artifacts = self.pipeline()?.run_final_with_baseline(baseline)?;
+    /// This case's outcome from a final run — its own, or the one it
+    /// shares with its aggregator siblings: the run's report, summary
+    /// and wages, with consensus scored under this case's aggregator.
+    fn outcome_of(&self, run: &RunArtifacts) -> Result<CaseOutcome, FaircrowdError> {
         Ok(CaseOutcome {
-            consensus: consensus_accuracy(&artifacts.trace, &aggregator),
-            report: artifacts.report,
-            summary: artifacts.summary,
-            wages: artifacts.wages,
+            consensus: consensus_accuracy(&run.trace, &self.aggregator_choice()?),
+            report: run.report.clone(),
+            summary: run.summary.clone(),
+            wages: run.wages,
             case: self.clone(),
         })
     }
 
-    fn outcome_of(
-        &self,
-        result: crate::pipeline::PipelineResult,
-        consensus: Option<f64>,
-    ) -> CaseOutcome {
-        CaseOutcome {
-            report: result.report().clone(),
-            summary: result.summary().clone(),
-            wages: result.wages(),
-            consensus,
-            case: self.clone(),
-        }
-    }
-
-    /// The simulation-cache key: everything that determines the
-    /// **baseline** trace. The `enforce` axis is deliberately absent —
-    /// enforcement repairs re-simulate a *different* config in the
-    /// second pipeline pass, but the baseline run they are compared
-    /// against is shared across the whole stack axis.
+    /// Everything that determines the **baseline** trace. The `enforce`
+    /// axis is absent: it forks the market, so a work unit is keyed by
+    /// this *and* the stack. The shard partition clusters on this
+    /// coarser key alone, so a unit never straddles shards.
     fn sim_key(&self) -> (String, Option<String>, Option<String>, u64, u64, u32) {
         (
             self.scenario.clone(),
@@ -647,15 +622,15 @@ pub struct SweepResult {
 /// Run every case of `grid` on a pool of `jobs` worker threads
 /// (clamped to at least 1) and fold the reports into per-cell
 /// aggregates. Output is deterministic: identical for any `jobs`, and
-/// identical with the simulation cache on (the default) or off.
+/// identical to running every case on its own ([`run_grid_opts`]).
 pub fn run_grid(grid: &SweepGrid, jobs: usize) -> Result<SweepResult, FaircrowdError> {
     run_grid_opts(grid, jobs, true)
 }
 
-/// [`run_grid`] with the baseline-simulation cache switchable.
-/// `reuse_sim: false` re-simulates every case from scratch — it exists
-/// for the determinism tests and the `traceio_baseline` bench, which
-/// pin that the cache changes wall-clock and nothing else.
+/// [`run_grid`] with run sharing switchable. `reuse_sim: false` runs
+/// every case on its own through the full [`Pipeline::run`] — the
+/// oracle the determinism tests and the `traceio_baseline` bench pin
+/// the shared final runs against.
 pub fn run_grid_opts(
     grid: &SweepGrid,
     jobs: usize,
@@ -686,67 +661,69 @@ pub fn run_grid_observed(
     })
 }
 
-/// One slot of the simulation cache: filled exactly once, by whichever
-/// worker needs its key first; later takers clone the `Arc`'d trace.
-type SimSlot = OnceLock<Result<Arc<Trace>, FaircrowdError>>;
+/// Group `cases` into work units: the indexes of the cases sharing a
+/// [`SweepCase::sim_key`] and an enforcement stack — the siblings that
+/// differ only on the aggregator. Units appear in first-occurrence
+/// order, each listing its cases ascending.
+fn work_units(cases: &[SweepCase]) -> Vec<Vec<usize>> {
+    let mut unit_of_key = HashMap::new();
+    let mut units: Vec<Vec<usize>> = Vec::new();
+    for (i, case) in cases.iter().enumerate() {
+        let key = (case.sim_key(), stack_label(&case.enforcements));
+        let next = units.len();
+        let unit = *unit_of_key.entry(key).or_insert(next);
+        if unit == next {
+            units.push(Vec::new());
+        }
+        units[unit].push(i);
+    }
+    units
+}
 
-/// Execute `cases` on `jobs` scoped worker threads. Work is pulled off
-/// a shared atomic counter; results land in their case's slot, so the
-/// output order is the input order regardless of thread scheduling.
+/// Execute `cases` on `jobs` scoped worker threads. Workers pull whole
+/// work units ([`work_units`]) off a shared atomic counter; results
+/// land in their case's slot, so the output order is the input order
+/// regardless of thread scheduling.
 ///
-/// With `reuse_sim`, cases sharing a [`SweepCase::sim_key`] (i.e.
-/// differing only on the enforcement stack) pull their baseline from
-/// one keyed [`OnceLock`] slot: the first taker fills it with a single
-/// simulation, concurrent takers block on that instead of running their
-/// own, and the slot is consulted **lazily** — an enforced cell
-/// re-simulates its repaired config and never touches the baseline, so
-/// it neither simulates nor clones one.
+/// With `reuse_sim`, a unit's pipeline runs once ([`Pipeline::run_final`])
+/// and every sibling's outcome is built from that run; its trace is
+/// dropped before the worker takes the next unit, so at most `jobs`
+/// final traces are alive at once. Without it, every case is its own
+/// unit and runs the full [`SweepCase::run`].
 fn run_cases(
     cases: &[SweepCase],
     jobs: usize,
     reuse_sim: bool,
     on_done: CellHook<'_>,
 ) -> Result<Vec<CaseOutcome>, FaircrowdError> {
-    let jobs = jobs.max(1).min(cases.len().max(1));
-
-    // Key interning pass: case index → dense cache-slot index.
-    let mut slot_of_key = HashMap::new();
-    let slot_of_case: Vec<usize> = cases
-        .iter()
-        .map(|case| {
-            let next = slot_of_key.len();
-            *slot_of_key.entry(case.sim_key()).or_insert(next)
-        })
-        .collect();
-    let sim_cache: Vec<SimSlot> = (0..slot_of_key.len()).map(|_| OnceLock::new()).collect();
-
+    let units = if reuse_sim {
+        work_units(cases)
+    } else {
+        (0..cases.len()).map(|i| vec![i]).collect()
+    };
+    let jobs = jobs.max(1).min(units.len().max(1));
     let slots: Vec<Mutex<Option<Result<CaseOutcome, FaircrowdError>>>> =
         cases.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(case) = cases.get(i) else { break };
-                let outcome = if reuse_sim {
-                    // Lazy: only consulted (and only then simulated /
-                    // cloned) when the case audits the baseline.
-                    case.run_with_baseline(|| {
-                        sim_cache[slot_of_case[i]]
-                            .get_or_init(|| {
-                                case.pipeline().and_then(|p| p.simulate()).map(Arc::new)
-                            })
-                            .as_ref()
-                            .map(|trace| Trace::clone(trace))
-                            .map_err(FaircrowdError::clone)
-                    })
-                } else {
-                    case.run()
-                };
-                if let (Some(on_done), Ok(outcome)) = (on_done, &outcome) {
-                    on_done(i, outcome);
+            scope.spawn(|| {
+                while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let outcomes = if reuse_sim {
+                        match cases[unit[0]].pipeline().and_then(Pipeline::run_final) {
+                            Ok(run) => unit.iter().map(|&i| cases[i].outcome_of(&run)).collect(),
+                            Err(e) => vec![Err(e); unit.len()],
+                        }
+                    } else {
+                        vec![cases[unit[0]].run()]
+                    };
+                    for (&i, outcome) in unit.iter().zip(outcomes) {
+                        if let (Some(on_done), Ok(outcome)) = (on_done, &outcome) {
+                            on_done(i, outcome);
+                        }
+                        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
+                    }
                 }
-                *slots[i].lock().expect("result slot poisoned") = Some(outcome);
             });
         }
     });
@@ -1289,11 +1266,50 @@ mod tests {
     #[test]
     fn aggregator_axis_shares_the_simulation_key() {
         // Cells differing only on the aggregator rescore one trace:
-        // they must share a sim-cache slot (the axis is post-sim).
+        // they must share a sim key and so one work unit (the axis is
+        // post-sim).
         let grid = SweepGrid::parse("rounds=6;aggregator=majority,weighted_majority").unwrap();
         let cases = grid.expand().unwrap();
         assert_eq!(cases.len(), 2);
         assert_eq!(cases[0].sim_key(), cases[1].sim_key());
+        assert_eq!(work_units(&cases), vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn work_units_group_exactly_the_aggregator_siblings() {
+        let units_of = |spec: &str| {
+            let cases = SweepGrid::parse(spec).unwrap().expand().unwrap();
+            let units = work_units(&cases);
+            // Every case appears in exactly one unit.
+            let mut seen: Vec<usize> = units.iter().flatten().copied().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..cases.len()).collect::<Vec<_>>(), "{spec}");
+            // Siblings differ only on the aggregator.
+            for unit in &units {
+                let first = &cases[unit[0]];
+                for &i in &unit[1..] {
+                    let sibling = SweepCase {
+                        aggregator: first.aggregator.clone(),
+                        aggregator_label: first.aggregator_label.clone(),
+                        ..cases[i].clone()
+                    };
+                    assert_eq!(&sibling, first, "{spec}: unit {unit:?}");
+                }
+            }
+            (cases.len(), units.len())
+        };
+        // Frontier-shaped: 3 policies × 2 aggregators × 2 stacks × 2
+        // seeds → each unit is one aggregator pair.
+        let (cases, units) = units_of(
+            "policy=self_selection,round_robin,kos;aggregator=majority,parity_constrained;\
+             enforce=none,parity;seed=1,2;rounds=6",
+        );
+        assert_eq!(cases, 24);
+        assert_eq!(units, cases / 2);
+        // Aggregator-free: every case is its own unit, enforce siblings
+        // included.
+        let (cases, units) = units_of("policy=round_robin,kos;enforce=none,grace;seed=1,2");
+        assert_eq!(units, cases);
     }
 
     #[test]
@@ -1322,7 +1338,7 @@ mod tests {
             .to_csv()
             .starts_with("scenario,policy,strategy,scale,rounds,enforce,aggregator,"));
         assert!(result.render_table().contains("parity-constrained"));
-        // The cached sweep equals the uncached one with the axis too.
+        // The grouped sweep equals the per-case one with the axis too.
         let uncached = run_grid_opts(&grid, 1, false).unwrap();
         assert_eq!(result.to_json(), uncached.to_json());
     }
@@ -1407,17 +1423,23 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_sweeps_are_byte_identical() {
-        // The simulation cache (cells differing only on `enforce` share
-        // one baseline trace) must change wall-clock and nothing else —
-        // across different job counts too.
-        let grid =
-            SweepGrid::parse("scenario=baseline;rounds=8;seed=1,2;enforce=none,grace,parity")
-                .unwrap();
-        let cached = run_grid_opts(&grid, 3, true).unwrap();
-        let uncached = run_grid_opts(&grid, 2, false).unwrap();
-        assert_eq!(cached.to_json(), uncached.to_json());
-        assert_eq!(cached.to_csv(), uncached.to_csv());
-        assert_eq!(cached.render_table(), uncached.render_table());
+        // Sharing one final run across aggregator siblings (enforced or
+        // not) must change wall-clock and nothing else — across
+        // different job counts too.
+        for spec in [
+            "scenario=baseline;rounds=8;seed=1,2;enforce=none,grace,parity",
+            "scenario=baseline;rounds=8;aggregator=majority,parity_constrained;\
+             enforce=none,grace,parity+grace;seed=1,2",
+        ] {
+            let grid = SweepGrid::parse(spec).unwrap();
+            let uncached = run_grid_opts(&grid, 2, false).unwrap();
+            for jobs in [1, 3] {
+                let cached = run_grid_opts(&grid, jobs, true).unwrap();
+                assert_eq!(cached.to_json(), uncached.to_json(), "{spec} jobs={jobs}");
+                assert_eq!(cached.to_csv(), uncached.to_csv(), "{spec} jobs={jobs}");
+                assert_eq!(cached.render_table(), uncached.render_table());
+            }
+        }
     }
 
     #[test]

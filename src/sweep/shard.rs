@@ -1,4 +1,4 @@
-//! Sharded, resumable sweeps: split a grid into work units, persist
+//! Sharded, resumable sweeps: split a grid into shards, persist
 //! per-cell results, merge byte-identical.
 //!
 //! A thousand-cell grid does not fit one machine's patience. This
@@ -14,21 +14,21 @@
 //! ## Partition: round-robin over baseline clusters
 //!
 //! Cases are not dealt out cell-by-cell. The sweep's dominant cost is
-//! simulation, and cases differing only on the `enforce` axis share one
-//! baseline trace through the per-run simulation cache
-//! (`SweepCase::sim_key`) — a cache that lives inside one process.
-//! Dealing cells round-robin would scatter each baseline's enforce
-//! variants across shards and re-simulate the baseline once *per
-//! shard*, silently forfeiting the cache's ~1.65× win. Instead the
-//! partition groups cases into **clusters** sharing a `sim_key`
-//! (clusters are numbered in first-occurrence order over the
-//! expansion) and deals whole clusters round-robin:
-//! `shard(case) = cluster(case) % N`. Every cluster has exactly one
-//! case per enforcement stack, so shards stay balanced to within one
-//! cluster, and each shard's private cache sees every enforce variant
-//! of its baselines. The tradeoff: a grid with fewer clusters than
-//! shards leaves trailing shards empty — acceptable, because such grids
-//! are too small to shard profitably in the first place.
+//! simulation, and its unit of work is one final run shared by the
+//! cases that differ only on the `aggregator` axis (same
+//! `SweepCase::sim_key` and enforcement stack) — a sharing that lives
+//! inside one process. The partition groups cases into **clusters**
+//! sharing the coarser `sim_key` (clusters are numbered in
+//! first-occurrence order over the expansion) and deals whole clusters
+//! round-robin: `shard(case) = cluster(case) % N`. Every work unit is a
+//! subset of one cluster, so no unit straddles shards and no run is
+//! repeated in two processes; a cluster's enforce variants never
+//! shared a run (each stack is a different market), so keeping them
+//! together costs nothing. Every cluster has exactly one case per
+//! enforcement stack × aggregator, so shards stay balanced to within
+//! one cluster. The tradeoff: a grid with fewer clusters than shards
+//! leaves trailing shards empty — acceptable, because such grids are
+//! too small to shard profitably in the first place.
 //!
 //! ## Part files: `faircrowd-sweep-part` v1
 //!
@@ -182,8 +182,8 @@ pub struct ShardRun {
 /// part file at `out`. If `out` already holds a part for this exact
 /// grid and shard, its cells are **resumed** — loaded, skipped, never
 /// re-run — and only the missing cells execute (on the usual worker
-/// pool, with the per-process simulation cache keyed over just this
-/// shard's cases). A part for a *different* grid or shard is rejected
+/// pool, grouped into work units over just the missing cases). A part
+/// for a *different* grid or shard is rejected
 /// with a named error, not overwritten.
 pub fn run_shard(
     grid: &SweepGrid,
@@ -194,8 +194,8 @@ pub fn run_shard(
     run_shard_opts(grid, spec, out, jobs, true, None)
 }
 
-/// [`run_shard`] with the simulation cache switchable (for the bench;
-/// output is identical either way) and a per-cell completion hook
+/// [`run_shard`] with run sharing switchable (for the bench; output is
+/// identical either way) and a per-cell completion hook
 /// (the CLI's `--progress`), called with each cell's **grid** index as
 /// it finishes. The hook fires only for cells computed now, not for
 /// resumed ones.
@@ -846,9 +846,8 @@ mod tests {
     fn partition_keeps_enforce_clusters_together_and_balances() {
         let cases = grid().expand().unwrap();
         let shard_of = partition(&cases, 3);
-        // Cases sharing a sim key (differing only on `enforce`) must
-        // land on the same shard — that is what keeps the baseline
-        // cache effective under sharding.
+        // Cases sharing a sim key (differing only on `enforce`) land
+        // on the same shard: the partition clusters on that key.
         let mut shard_of_key: HashMap<_, usize> = HashMap::new();
         for (i, case) in cases.iter().enumerate() {
             let prev = shard_of_key.entry(case.sim_key()).or_insert(shard_of[i]);
@@ -865,6 +864,58 @@ mod tests {
         }
         let (min, max) = (load.iter().min().unwrap(), load.iter().max().unwrap());
         assert!(max - min <= 2, "unbalanced shard loads: {load:?}");
+    }
+
+    #[test]
+    fn no_work_unit_straddles_shards() {
+        // A work unit (one shared final run) is a subset of one sim-key
+        // cluster, so the partition never splits it across processes.
+        let cases = SweepGrid::parse(
+            "policy=round_robin,kos;aggregator=majority,parity_constrained;\
+             enforce=none,parity,grace;seed=1..4;rounds=6",
+        )
+        .unwrap()
+        .expand()
+        .unwrap();
+        for shards in [2, 3] {
+            let shard_of = partition(&cases, shards);
+            for unit in super::super::work_units(&cases) {
+                assert!(
+                    unit.iter().all(|&i| shard_of[i] == shard_of[unit[0]]),
+                    "unit {unit:?} straddles shards at N={shards}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn resume_with_one_sibling_of_a_unit_done_merges_byte_identical() {
+        // A part killed between two aggregator siblings holds half a
+        // work unit; the resume runs the other half as a unit of its own.
+        let grid =
+            SweepGrid::parse("rounds=6;seed=1,2;aggregator=majority,parity_constrained").unwrap();
+        let single = run_grid(&grid, 2).unwrap();
+        let (p1, p2) = (temp_path("sib1"), temp_path("sib2"));
+        std::fs::remove_file(&p1).ok();
+        std::fs::remove_file(&p2).ok();
+        let spec1 = ShardSpec { index: 1, count: 2 };
+        run_shard(&grid, spec1, &p1, 2).unwrap();
+        run_shard(&grid, ShardSpec { index: 2, count: 2 }, &p2, 2).unwrap();
+        // Keep the header and only the record of cell 0, whose unit
+        // sibling (cell 2: same seed, other aggregator) is then missing.
+        let text = std::fs::read_to_string(&p1).unwrap();
+        let mut lines = text.lines();
+        let header = lines.next().unwrap();
+        let cell0 = lines.find(|l| l.starts_with("{\"cell\":0,")).unwrap();
+        std::fs::write(&p1, format!("{header}\n{cell0}\n")).unwrap();
+        let resumed = run_shard(&grid, spec1, &p1, 2).unwrap();
+        assert_eq!(resumed.resumed, 1);
+        assert_eq!(resumed.ran, resumed.shard_cells - 1);
+        let merged = merge_paths(&[&p1, &p2]).unwrap();
+        assert_eq!(merged.to_json(), single.to_json());
+        assert_eq!(merged.to_csv(), single.to_csv());
+        std::fs::remove_file(&p1).ok();
+        std::fs::remove_file(&p2).ok();
     }
 
     #[test]
