@@ -5,15 +5,24 @@
 //! A production crowdsourcing platform is not one market: it runs
 //! thousands of concurrent task markets, each appending its own JSONL
 //! event stream. [`AuditDaemon`] is the platform-resident form of the
-//! paper's transparency machinery for that shape (`faircrowd serve`):
+//! paper's transparency machinery for that shape (`faircrowd serve`);
+//! `faircrowd watch` is the same daemon holding one market.
 //!
 //! - **Multiplexing** — every market gets its own [`LiveAuditor`] and
-//!   [`JsonlReader`]. Markets are discovered as `<market>.jsonl` files
-//!   in a directory ([`MarketSource::discover`]) and tailed by the
-//!   daemon itself, or fed line-by-line through
+//!   [`JsonlReader`]. Markets are discovered as `<market>.jsonl` and
+//!   `<market>.fcb` files in a directory ([`MarketSource::discover`])
+//!   and read by the daemon itself, or fed line-by-line through
 //!   [`AuditDaemon::feed_line`] — the consumption route for a single
 //!   multiplexed stream whose records carry a market tag: route each
 //!   line by its tag and the daemon does the rest.
+//! - **One ingest path for both trace formats** — a file that starts
+//!   with the `.fcb` magic is a finished recording: it is decoded once
+//!   and its header and records go straight into the auditor, in the
+//!   order its JSONL twin spells them (workers, tasks, requesters,
+//!   submissions, events). Anything else is a JSONL stream, tailed as
+//!   it grows. Either way a market's position is the JSONL line count
+//!   (header included), so a recording and its twin write the same
+//!   checkpoint and either one resumes from the other's.
 //! - **Sharding** — each market is pinned to a shard by an FNV-1a hash
 //!   of its name (stable across runs and processes, unlike the
 //!   process-seeded `RandomState`), and each [`AuditDaemon::poll`]
@@ -24,22 +33,24 @@
 //!   merged into a single deterministic order (market name, then
 //!   per-market emission order) and tagged as
 //!   [`DaemonFinding`]`{market, finding}`; each market's subsequence
-//!   is exactly what a dedicated single-stream `watch` would emit.
-//! - **Checkpoints** — with a checkpoint directory configured, each
-//!   market's auditor state is snapshotted through
-//!   [`crate::checkpoint`] every `checkpoint_every` events. A
-//!   restarted daemon ([`AuditDaemon::open`] over the same directory)
-//!   resumes every stream from its last checkpoint seq *without
-//!   replaying the log*: the file is skipped to the checkpointed line,
-//!   the auditor continues from its restored mirrors, and finishing
-//!   the stream is bit-identical — findings, final report, wages — to
-//!   never having stopped. A checkpoint that fails any load gate
-//!   (truncated, foreign schema, future version, header seq
-//!   disagreeing with its mirror, a version 1 JSON checkpoint from
-//!   before the binary format) is reported as a notice and the market
-//!   falls back to replaying its trace from the start. A resume that
-//!   cannot restore every finding (the retention cap dropped some) says
-//!   how many in its notice.
+//!   is exactly what a dedicated single-market `watch` emits.
+//! - **Checkpoints** — each market may have a checkpoint file
+//!   (`<dir>/<market>.checkpoint` under a configured checkpoint
+//!   directory, or an explicit path per market), and its auditor state
+//!   is snapshotted through [`crate::checkpoint`] every
+//!   `checkpoint_every` events. A restarted daemon
+//!   ([`AuditDaemon::open`] over the same directory) resumes every
+//!   stream from its last checkpoint seq *without replaying the log*:
+//!   the consumed prefix is skipped by line count, the auditor
+//!   continues from its restored mirrors, and finishing the stream is
+//!   bit-identical — findings, final report, wages — to never having
+//!   stopped. A checkpoint that fails any load gate (truncated, foreign
+//!   schema, future version, header seq disagreeing with its mirror, a
+//!   version 1 JSON checkpoint from before the binary format) is
+//!   reported as a notice and the market falls back to replaying its
+//!   trace from the start. A resume that cannot restore every finding
+//!   (the retention cap dropped some) says how many in its notice. A
+//!   failed checkpoint write is a notice too; the audit goes on.
 //!
 //! On disk, one binary file per market, rewritten in place at each
 //! cadence point (the byte layout is in [`crate::checkpoint`]):
@@ -53,16 +64,19 @@
 //! The name never ends in `.fcb` or `.jsonl`, so a checkpoint directory
 //! shared with the traces is never discovered as a market.
 //!
-//! Failure isolation is per market: a stream that breaks mid-line (or
-//! a trace that violates arrival order) marks **that market** failed
-//! with a line-tagged error and the daemon keeps serving the rest.
+//! Failure isolation is per market: a stream that breaks mid-line, a
+//! trace that violates arrival order, or a stream that closes without
+//! ever declaring its schema header marks **that market** failed with
+//! a line-tagged error and the daemon keeps serving the rest.
 
 use crate::audit::{AuditConfig, FairnessReport};
 use crate::axiom::AxiomId;
 use crate::checkpoint;
 use crate::live::{LiveAuditor, LiveFinding};
 use faircrowd_model::error::FaircrowdError;
-use faircrowd_model::trace_io::JsonlReader;
+use faircrowd_model::trace::Trace;
+use faircrowd_model::trace_bin;
+use faircrowd_model::trace_io::{JsonlHeader, JsonlReader, JsonlRecord};
 use faircrowd_pay::wage::WageStats;
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -76,7 +90,8 @@ pub struct DaemonConfig {
     /// Shard (thread) count for each poll round. Clamped to at least 1.
     pub jobs: usize,
     /// Where checkpoints are written and resumed from
-    /// (`<dir>/<market>.checkpoint`). `None` disables checkpointing.
+    /// (`<dir>/<market>.checkpoint`). `None` disables checkpointing
+    /// for markets registered without an explicit checkpoint file.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint a market after this many newly ingested events
     /// (cadence, not an exact stride: snapshots are taken between poll
@@ -96,8 +111,8 @@ impl Default for DaemonConfig {
 }
 
 /// One discovered market stream: a name and the trace file backing it —
-/// a growing `.jsonl` stream, or a finished `.fcb` recording ingested
-/// in one shot.
+/// a growing JSONL stream, or a finished `.fcb` recording ingested in
+/// one shot.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MarketSource {
     /// Market id — the file stem of `<market>.jsonl` / `<market>.fcb`.
@@ -205,7 +220,7 @@ pub struct DaemonReport {
 /// A file tail: the open handle plus the raw bytes of a trailing
 /// partial line. Bytes are carried raw (not as `&str`) so a poll that
 /// catches a half-written multi-byte character waits for the rest
-/// instead of aborting — the same discipline as `faircrowd watch`.
+/// instead of aborting.
 #[derive(Debug)]
 struct MarketTail {
     file: std::fs::File,
@@ -218,18 +233,22 @@ struct Market {
     name: String,
     shard: usize,
     tail: Option<MarketTail>,
+    /// A decoded `.fcb` recording, ingested whole at the next poll.
+    recording: Option<Trace>,
     /// Lines queued by [`AuditDaemon::feed_line`], drained each round.
     pending: Vec<String>,
     auditor: LiveAuditor,
     reader: JsonlReader,
     header_applied: bool,
-    /// Physical lines still to skip before feeding — the consumed
-    /// prefix of a resumed stream.
+    /// Lines still to skip before feeding — the consumed prefix of a
+    /// resumed stream.
     skip_lines: u64,
     resumed_from: Option<u64>,
     /// The findings restored from the checkpoint, frozen at resume time
     /// (the auditor's own list keeps growing past them).
     restored: Vec<LiveFinding>,
+    /// Where this market's checkpoints are written and resumed from.
+    checkpoint: Option<PathBuf>,
     /// `events_seen` at the last checkpoint write.
     last_checkpoint: u64,
     failed: Option<String>,
@@ -274,60 +293,37 @@ impl AuditDaemon {
         daemon
     }
 
-    /// Register a file-backed market. A `.jsonl` file need not have
-    /// content yet; it is tailed from the next [`AuditDaemon::poll`]. A
-    /// `.fcb` file is a finished recording: it is decoded now and its
-    /// records queued for the next poll in one shot (through the same
-    /// line pipeline as a stream, so checkpoints and resume stay
-    /// line-addressed and a restart skips the consumed prefix).
+    /// Register a file-backed market, checkpointed to
+    /// `<dir>/<market>.checkpoint` when the configuration names a
+    /// checkpoint directory. The file's first bytes pick its format,
+    /// whatever its extension: a file that starts with the `.fcb`
+    /// magic is a finished recording, decoded now through the binary
+    /// load gates and ingested at the next [`AuditDaemon::poll`];
+    /// anything else is a JSONL stream, which need not have content
+    /// yet and is tailed from the next poll. Open and decode failures
+    /// fail the market (named, positioned), never the daemon.
     pub fn add_source(&mut self, source: MarketSource) {
-        if source.path.extension().and_then(|e| e.to_str()) == Some("fcb") {
-            return self.add_recording(source);
-        }
-        let mut market = self.make_market(source.market.clone());
-        match std::fs::File::open(&source.path) {
-            Ok(file) => {
-                market.tail = Some(MarketTail {
-                    file,
-                    path: source.path,
-                    carry: Vec::new(),
-                });
-            }
-            Err(e) => {
-                market.failed = Some(format!("cannot open `{}`: {e}", source.path.display()));
-            }
-        }
-        if let Some(err) = &market.failed {
-            self.notices
-                .push(format!("market `{}` failed: {err}", market.name));
-        }
-        self.markets.insert(source.market, market);
+        let checkpoint = self.checkpoint_in_dir(&source.market);
+        self.add_source_with_checkpoint(source, checkpoint);
     }
 
-    /// Register a market backed by a finished `.fcb` recording: decode
-    /// the whole file through the binary load gates and queue its
-    /// records as JSONL lines for the next poll. Decode failures fail
-    /// the market (named, positioned), never the daemon.
-    fn add_recording(&mut self, source: MarketSource) {
-        let mut market = self.make_market(source.market.clone());
-        match std::fs::read(&source.path) {
-            Ok(bytes) => match crate::persist::decode_bytes(&bytes) {
-                Ok(trace) => {
-                    market.pending.extend(
-                        crate::persist::encode(&trace, crate::persist::TraceFormat::Jsonl)
-                            .lines()
-                            .map(str::to_owned),
-                    );
-                }
-                Err(e) => market.failed = Some(format!("`{}`: {e}", source.path.display())),
-            },
-            Err(e) => {
-                market.failed = Some(format!("cannot read `{}`: {e}", source.path.display()));
+    /// [`AuditDaemon::add_source`] with an explicit checkpoint file for
+    /// this market (`None`: not checkpointed) instead of one under the
+    /// configured directory — `faircrowd watch --checkpoint FILE`.
+    pub fn add_source_with_checkpoint(
+        &mut self,
+        source: MarketSource,
+        checkpoint: Option<PathBuf>,
+    ) {
+        let mut market = self.make_market(source.market.clone(), checkpoint);
+        match open_trace(&source.path) {
+            Ok(Opened::Stream(tail)) => market.tail = Some(tail),
+            Ok(Opened::Recording(trace)) => market.recording = Some(trace),
+            Err(err) => {
+                self.notices
+                    .push(format!("market `{}` failed: {err}", market.name));
+                market.failed = Some(err);
             }
-        }
-        if let Some(err) = &market.failed {
-            self.notices
-                .push(format!("market `{}` failed: {err}", market.name));
         }
         self.markets.insert(source.market, market);
     }
@@ -338,7 +334,8 @@ impl AuditDaemon {
     /// [`AuditDaemon::poll`].
     pub fn feed_line(&mut self, market: &str, line: impl Into<String>) {
         if !self.markets.contains_key(market) {
-            let created = self.make_market(market.to_owned());
+            let checkpoint = self.checkpoint_in_dir(market);
+            let created = self.make_market(market.to_owned(), checkpoint);
             self.markets.insert(market.to_owned(), created);
         }
         self.markets
@@ -348,32 +345,37 @@ impl AuditDaemon {
             .push(line.into());
     }
 
+    /// `<dir>/<market>.checkpoint` under the configured checkpoint
+    /// directory, if there is one.
+    fn checkpoint_in_dir(&self, market: &str) -> Option<PathBuf> {
+        let dir = self.config.checkpoint_dir.as_deref()?;
+        Some(checkpoint_path(dir, market))
+    }
+
     /// Build a market, resuming from its checkpoint when one exists and
     /// loads cleanly.
-    fn make_market(&mut self, name: String) -> Market {
-        let shard = shard_of(&name);
-        let fresh = |cfg: &AuditConfig| Market {
-            name: name.clone(),
-            shard,
+    fn make_market(&mut self, name: String, checkpoint: Option<PathBuf>) -> Market {
+        let mut market = Market {
+            shard: shard_of(&name),
+            name,
             tail: None,
+            recording: None,
             pending: Vec::new(),
-            auditor: LiveAuditor::new(cfg.clone()),
+            auditor: LiveAuditor::new(self.config.audit.clone()),
             reader: JsonlReader::new(),
             header_applied: false,
             skip_lines: 0,
             resumed_from: None,
             restored: Vec::new(),
+            checkpoint,
             last_checkpoint: 0,
             failed: None,
         };
-        let Some(dir) = &self.config.checkpoint_dir else {
-            return fresh(&self.config.audit);
+        let Some(path) = market.checkpoint.as_deref().filter(|p| p.exists()) else {
+            return market;
         };
-        let path = checkpoint_path(dir, &name);
-        if !path.exists() {
-            return fresh(&self.config.audit);
-        }
-        let restored = checkpoint::load(&path)
+        let name = &market.name;
+        let restored = checkpoint::load(path)
             .and_then(|ckpt| Ok((LiveAuditor::resume(self.config.audit.clone(), &ckpt)?, ckpt)));
         match restored {
             Ok((auditor, ckpt)) => {
@@ -381,28 +383,20 @@ impl AuditDaemon {
                     "resumed market `{name}` from {}",
                     ckpt.resume_note()
                 ));
-                Market {
-                    name: name.clone(),
-                    shard,
-                    tail: None,
-                    pending: Vec::new(),
-                    reader: JsonlReader::resume(ckpt.jsonl_header(), ckpt.source_lines() as usize),
-                    header_applied: true,
-                    skip_lines: ckpt.source_lines(),
-                    resumed_from: Some(ckpt.seq()),
-                    restored: auditor.findings().to_vec(),
-                    last_checkpoint: ckpt.seq(),
-                    failed: None,
-                    auditor,
-                }
+                market.reader =
+                    JsonlReader::resume(ckpt.jsonl_header(), ckpt.source_lines() as usize);
+                market.header_applied = true;
+                market.skip_lines = ckpt.source_lines();
+                market.resumed_from = Some(ckpt.seq());
+                market.restored = auditor.findings().to_vec();
+                market.last_checkpoint = ckpt.seq();
+                market.auditor = auditor;
             }
-            Err(e) => {
-                self.notices.push(format!(
-                    "checkpoint for market `{name}` is unusable ({e}); replaying from the trace"
-                ));
-                fresh(&self.config.audit)
-            }
+            Err(e) => self.notices.push(format!(
+                "checkpoint for market `{name}` is unusable ({e}); replaying from the trace"
+            )),
         }
+        market
     }
 
     /// Number of registered markets.
@@ -418,9 +412,9 @@ impl AuditDaemon {
             .collect()
     }
 
-    /// Total physical lines consumed across all markets — the poll
-    /// loop's progress measure (unchanged after a poll means the
-    /// streams are idle).
+    /// Total lines consumed across all markets — the poll loop's
+    /// progress measure (unchanged after a poll means the streams are
+    /// idle).
     pub fn total_lines(&self) -> u64 {
         self.markets
             .values()
@@ -435,6 +429,12 @@ impl AuditDaemon {
             .values()
             .map(|m| m.auditor.events_seen() as u64)
             .sum()
+    }
+
+    /// The live auditor of a registered market: its mirrored trace is
+    /// the market as ingested so far.
+    pub fn auditor(&self, market: &str) -> Option<&LiveAuditor> {
+        self.markets.get(market).map(|m| &m.auditor)
     }
 
     /// The findings a restarted daemon restored from checkpoints, in
@@ -458,50 +458,33 @@ impl AuditDaemon {
         std::mem::take(&mut self.notices)
     }
 
-    /// One poll round: every live market reads whatever its file grew
-    /// by (plus any fed lines), decodes and ingests it, and checkpoints
-    /// when its cadence is due — shards running concurrently on a
-    /// scoped thread pool. Returns the round's findings in the merged
-    /// deterministic order (market name, then per-market emission
-    /// order). Per-market errors fail that market only.
+    /// One poll round: every live market ingests whatever its file grew
+    /// by (or its pending recording, plus any fed lines), and
+    /// checkpoints when its cadence is due — shards running
+    /// concurrently on a scoped thread pool. Returns the round's
+    /// findings in the merged deterministic order (market name, then
+    /// per-market emission order). Per-market errors fail that market
+    /// only.
     pub fn poll(&mut self) -> Vec<DaemonFinding> {
-        let jobs = self.config.jobs;
-        let config = &self.config;
-        let mut shards: Vec<Vec<&mut Market>> = (0..jobs).map(|_| Vec::new()).collect();
-        for m in self.markets.values_mut() {
-            if m.failed.is_none() {
-                shards[m.shard % jobs].push(m);
-            }
-        }
-        let results: Vec<RoundResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .filter(|shard| !shard.is_empty())
-                .map(|shard| {
-                    s.spawn(move || {
-                        shard
-                            .into_iter()
-                            .map(|m| run_market(m, config))
-                            .collect::<Vec<RoundResult>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
-        self.merge(results)
+        let every = self.config.checkpoint_every;
+        self.round(move |m| run_market(m, every))
     }
 
-    /// Close every stream: feed any trailing partial line, finalize
-    /// each auditor (end-of-stream findings), and write a final
-    /// checkpoint per market so even a post-finalize restart restores
-    /// the complete state. Returns the closing findings in the same
-    /// merged order as [`AuditDaemon::poll`].
+    /// Close every stream: ingest what is left (a trailing partial line
+    /// included), fail any market that never declared a schema header,
+    /// write a final checkpoint per market so even a post-finalize
+    /// restart restores the complete state, and finalize each auditor
+    /// (end-of-stream findings). Returns the closing findings in the
+    /// same merged order as [`AuditDaemon::poll`].
     pub fn finalize(&mut self) -> Vec<DaemonFinding> {
+        self.round(finalize_market)
+    }
+
+    /// Run `step` over every live market, shards on a scoped thread
+    /// pool, and merge the results.
+    fn round(&mut self, step: impl Fn(&mut Market) -> RoundResult + Sync) -> Vec<DaemonFinding> {
         let jobs = self.config.jobs;
-        let config = &self.config;
+        let step = &step;
         let mut shards: Vec<Vec<&mut Market>> = (0..jobs).map(|_| Vec::new()).collect();
         for m in self.markets.values_mut() {
             if m.failed.is_none() {
@@ -513,12 +496,7 @@ impl AuditDaemon {
                 .into_iter()
                 .filter(|shard| !shard.is_empty())
                 .map(|shard| {
-                    s.spawn(move || {
-                        shard
-                            .into_iter()
-                            .map(|m| finalize_market(m, config))
-                            .collect::<Vec<RoundResult>>()
-                    })
+                    s.spawn(move || shard.into_iter().map(step).collect::<Vec<RoundResult>>())
                 })
                 .collect();
             handles
@@ -532,9 +510,9 @@ impl AuditDaemon {
     /// Per-market closing artifacts, sorted by market name. Failed
     /// markets are skipped (their errors stay on
     /// [`AuditDaemon::failed_markets`]). A market that watched its
-    /// whole stream is also referentially validated, exactly like
-    /// `faircrowd watch`; a resumed market skips that gate — its prefix
-    /// was validated before the checkpoint was taken, and the tail was
+    /// whole stream is also referentially validated, exactly like a
+    /// batch replay; a resumed market skips that gate — its prefix was
+    /// validated before the checkpoint was taken, and the tail was
     /// validated event by event.
     pub fn reports(&self) -> Result<Vec<DaemonReport>, FaircrowdError> {
         let mut out = Vec::new();
@@ -606,37 +584,47 @@ fn checkpoint_path(dir: &Path, market: &str) -> PathBuf {
     dir.join(format!("{market}.checkpoint"))
 }
 
+/// A market's trace file, opened.
+enum Opened {
+    /// A JSONL stream to tail; its first bytes wait in the carry.
+    Stream(MarketTail),
+    /// A finished `.fcb` recording, decoded.
+    Recording(Trace),
+}
+
+/// Open a trace file and sniff its first eight bytes: the `.fcb` magic
+/// means a finished recording (the binary format has no append form),
+/// decoded whole; anything else is a JSONL stream to tail.
+fn open_trace(path: &Path) -> Result<Opened, String> {
+    let cannot = |verb: &str, e: std::io::Error| format!("cannot {verb} `{}`: {e}", path.display());
+    let mut file = std::fs::File::open(path).map_err(|e| cannot("open", e))?;
+    let mut head = Vec::with_capacity(trace_bin::MAGIC.len());
+    (&mut file)
+        .take(trace_bin::MAGIC.len() as u64)
+        .read_to_end(&mut head)
+        .map_err(|e| cannot("read", e))?;
+    if head != trace_bin::MAGIC {
+        return Ok(Opened::Stream(MarketTail {
+            file,
+            path: path.to_owned(),
+            carry: head,
+        }));
+    }
+    file.read_to_end(&mut head).map_err(|e| cannot("read", e))?;
+    crate::persist::decode_bytes(&head)
+        .map(Opened::Recording)
+        .map_err(|e| format!("`{}`: {e}", path.display()))
+}
+
 /// One market's share of a poll round, run inside its shard thread:
-/// tail the file, feed every complete line, checkpoint if due.
-fn run_market(m: &mut Market, config: &DaemonConfig) -> RoundResult {
+/// ingest what arrived, checkpoint if due.
+fn run_market(m: &mut Market, every: u64) -> RoundResult {
     let mut findings = Vec::new();
     let mut notices = Vec::new();
-    let mut error = None;
-
-    let mut lines: Vec<String> = std::mem::take(&mut m.pending);
-    if let Some(tail) = &mut m.tail {
-        match read_new_lines(tail) {
-            Ok(fresh) => lines.extend(fresh),
-            Err(e) => error = Some(e),
-        }
+    let error = ingest_arrivals(m, &mut findings).err();
+    if error.is_none() && m.auditor.events_seen() as u64 >= m.last_checkpoint + every.max(1) {
+        save_checkpoint(m, "checkpoint", &mut notices);
     }
-
-    if error.is_none() {
-        for line in lines {
-            match feed_one(m, &line) {
-                Ok(mut out) => findings.append(&mut out),
-                Err(e) => {
-                    error = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-
-    if error.is_none() {
-        maybe_checkpoint(m, config, &mut notices);
-    }
-
     RoundResult {
         market: m.name.clone(),
         findings,
@@ -645,57 +633,77 @@ fn run_market(m: &mut Market, config: &DaemonConfig) -> RoundResult {
     }
 }
 
-/// One market's share of finalization: flush a trailing partial line,
-/// finalize the auditor, write the final checkpoint.
-fn finalize_market(m: &mut Market, config: &DaemonConfig) -> RoundResult {
+/// One market's share of finalization: ingest what is left (a trailing
+/// partial line included), refuse a stream that never declared its
+/// header, write the final checkpoint, finalize the auditor.
+fn finalize_market(m: &mut Market) -> RoundResult {
     let mut findings = Vec::new();
     let mut notices = Vec::new();
-    let mut error = None;
-
-    // A last line without a trailing newline is still a record.
-    let carry = m.tail.as_mut().map(|t| std::mem::take(&mut t.carry));
-    if let Some(carry) = carry {
-        if carry.iter().any(|b| !b.is_ascii_whitespace()) {
-            match String::from_utf8(carry) {
-                Ok(line) => match feed_one(m, &line) {
-                    Ok(mut out) => findings.append(&mut out),
-                    Err(e) => error = Some(e),
-                },
-                Err(_) => {
-                    error = Some(format!(
-                        "line {}: not valid UTF-8",
-                        m.reader.lines_fed() + 1
-                    ));
-                }
-            }
-        }
-    }
-
-    if error.is_none() {
-        // Snapshot BEFORE finalizing: end-of-stream is this run's
-        // local judgment, not a property of the log. A restart
-        // re-derives the closing findings from the restored state — or
-        // keeps ingesting, if the market grew in the meantime.
-        if let Some(dir) = &config.checkpoint_dir {
-            let path = checkpoint_path(dir, &m.name);
-            if let Err(e) = checkpoint::save_auditor(&m.auditor, m.reader.lines_fed() as u64, &path)
-            {
-                notices.push(format!(
-                    "market `{}`: final checkpoint write failed: {e}",
-                    m.name
-                ));
-            } else {
-                m.last_checkpoint = m.auditor.events_seen() as u64;
-            }
-        }
-        findings.extend(m.auditor.finalize());
-    }
-
+    let error = close_market(m, &mut findings, &mut notices).err();
     RoundResult {
         market: m.name.clone(),
         findings,
         error,
         notices,
+    }
+}
+
+fn close_market(
+    m: &mut Market,
+    findings: &mut Vec<LiveFinding>,
+    notices: &mut Vec<String>,
+) -> Result<(), String> {
+    ingest_arrivals(m, findings)?;
+    // A last line without a trailing newline is still a record.
+    let carry = m.tail.as_mut().map(|t| std::mem::take(&mut t.carry));
+    if let Some(carry) = carry.filter(|c| c.iter().any(|b| !b.is_ascii_whitespace())) {
+        let line = String::from_utf8(carry)
+            .map_err(|_| format!("line {}: not valid UTF-8", m.reader.lines_fed() + 1))?;
+        findings.extend(feed_one(m, &line)?);
+    }
+    if !m.header_applied {
+        // An empty file or a whole-file JSON trace has no verdict to
+        // give: auditing it would judge a default market nobody declared.
+        return Err("not a JSONL trace stream (no schema header line); \
+                    use `faircrowd replay` for whole-file JSON traces"
+            .to_owned());
+    }
+    // Snapshot BEFORE finalizing: end-of-stream is this run's local
+    // judgment, not a property of the log. A restart re-derives the
+    // closing findings from the restored state — or keeps ingesting, if
+    // the market grew in the meantime.
+    save_checkpoint(m, "final checkpoint", notices);
+    findings.extend(m.auditor.finalize());
+    Ok(())
+}
+
+/// Ingest everything that arrived since the last round: the pending
+/// recording, the file's growth, fed lines.
+fn ingest_arrivals(m: &mut Market, findings: &mut Vec<LiveFinding>) -> Result<(), String> {
+    if let Some(trace) = m.recording.take() {
+        feed_recording(m, trace, findings)?;
+    }
+    let mut lines = std::mem::take(&mut m.pending);
+    if let Some(tail) = &mut m.tail {
+        lines.extend(read_new_lines(tail)?);
+    }
+    for line in lines {
+        findings.extend(feed_one(m, &line)?);
+    }
+    Ok(())
+}
+
+/// Snapshot the market to its checkpoint file, if it has one. A failed
+/// write is a notice, never a market failure; the next attempt waits
+/// for the next cadence point.
+fn save_checkpoint(m: &mut Market, what: &str, notices: &mut Vec<String>) {
+    let Some(path) = &m.checkpoint else {
+        return;
+    };
+    let saved = checkpoint::save_auditor(&m.auditor, m.reader.lines_fed() as u64, path);
+    m.last_checkpoint = m.auditor.events_seen() as u64;
+    if let Err(e) = saved {
+        notices.push(format!("market `{}`: {what} write failed: {e}", m.name));
     }
 }
 
@@ -717,34 +725,74 @@ fn feed_one(m: &mut Market, line: &str) -> Result<Vec<LiveFinding>, String> {
     let Some(record) = record else {
         return Ok(Vec::new());
     };
-    m.auditor.apply_record(record).map_err(|e| {
-        // Ingest-order defects don't know the file position; tag them
-        // with the line the reader just consumed, like `watch` does.
-        let lineno = m.reader.lines_fed();
-        match e {
-            FaircrowdError::InvalidTrace { problems } => problems
-                .into_iter()
-                .map(|p| format!("line {lineno}: {p}"))
-                .collect::<Vec<_>>()
-                .join("; "),
-            other => format!("line {lineno}: {other}"),
-        }
-    })
+    let lineno = m.reader.lines_fed();
+    m.auditor
+        .apply_record(record)
+        .map_err(|e| at_line(e, lineno))
 }
 
-/// Snapshot the market if its checkpoint cadence is due.
-fn maybe_checkpoint(m: &mut Market, config: &DaemonConfig, notices: &mut Vec<String>) {
-    let Some(dir) = &config.checkpoint_dir else {
-        return;
+/// Ingest a decoded recording without spelling it out as text: its
+/// header and records go straight into the auditor, in the order its
+/// JSONL twin writes them, and the market's position advances one line
+/// for the header and one per record — the twin's line count — so
+/// checkpoints and resume address both formats alike. A resumed market
+/// skips the records its checkpoint already covers.
+fn feed_recording(
+    m: &mut Market,
+    trace: Trace,
+    findings: &mut Vec<LiveFinding>,
+) -> Result<(), String> {
+    let Trace {
+        workers,
+        tasks,
+        requesters,
+        submissions,
+        events,
+        disclosure,
+        horizon,
+        ground_truth,
+    } = trace;
+    let header = JsonlHeader {
+        horizon,
+        disclosure,
+        ground_truth,
     };
-    let seen = m.auditor.events_seen() as u64;
-    if seen < m.last_checkpoint + config.checkpoint_every.max(1) {
-        return;
+    if !m.header_applied {
+        m.auditor.apply_header(&header);
+        m.header_applied = true;
     }
-    let path = checkpoint_path(dir, &m.name);
-    match checkpoint::save_auditor(&m.auditor, m.reader.lines_fed() as u64, &path) {
-        Ok(()) => m.last_checkpoint = seen,
-        Err(e) => notices.push(format!("market `{}`: checkpoint write failed: {e}", m.name)),
+    let records = workers
+        .into_iter()
+        .map(JsonlRecord::Worker)
+        .chain(tasks.into_iter().map(JsonlRecord::Task))
+        .chain(requesters.into_iter().map(JsonlRecord::Requester))
+        .chain(submissions.into_iter().map(JsonlRecord::Submission))
+        .chain(events.into_iter().map(JsonlRecord::Event));
+    // Line 1 is the header; a resumed prefix covers it too.
+    let skip = std::mem::take(&mut m.skip_lines).saturating_sub(1) as usize;
+    let mut lineno = m.reader.lines_fed().max(1);
+    for record in records.skip(skip) {
+        lineno += 1;
+        findings.extend(
+            m.auditor
+                .apply_record(record)
+                .map_err(|e| at_line(e, lineno))?,
+        );
+    }
+    m.reader = JsonlReader::resume(header, lineno);
+    Ok(())
+}
+
+/// Tag an ingest error with the line it arose on: ingest-order defects
+/// don't know the file position.
+fn at_line(err: FaircrowdError, lineno: usize) -> String {
+    match err {
+        FaircrowdError::InvalidTrace { problems } => problems
+            .into_iter()
+            .map(|p| format!("line {lineno}: {p}"))
+            .collect::<Vec<_>>()
+            .join("; "),
+        other => format!("line {lineno}: {other}"),
     }
 }
 
@@ -756,9 +804,6 @@ fn read_new_lines(tail: &mut MarketTail) -> Result<Vec<String>, String> {
     tail.file
         .read_to_end(&mut buf)
         .map_err(|e| format!("cannot read `{}`: {e}", tail.path.display()))?;
-    if buf.is_empty() {
-        return Ok(Vec::new());
-    }
     tail.carry.extend_from_slice(&buf);
     let mut lines = Vec::new();
     let mut start = 0;
@@ -1171,6 +1216,172 @@ mod tests {
         let (want, _) = reference(&trace);
         assert_eq!(merged.len(), want.len(), "good market is unaffected");
         assert_eq!(daemon.reports().unwrap().len(), 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_stream_without_a_header_fails_at_finalize_and_alone() {
+        let trace = violating_trace();
+        let dir = temp_dir("noheader");
+        std::fs::write(dir.join("empty.jsonl"), "").unwrap();
+        std::fs::write(
+            dir.join("good.jsonl"),
+            persist::encode(&trace, persist::TraceFormat::Jsonl),
+        )
+        .unwrap();
+        let mut daemon = AuditDaemon::new(DaemonConfig::default());
+        for source in MarketSource::discover(&dir).unwrap() {
+            daemon.add_source(source);
+        }
+        let mut merged = daemon.poll();
+        assert!(
+            daemon.failed_markets().is_empty(),
+            "an empty stream may still grow"
+        );
+        merged.extend(daemon.finalize());
+        let failed = daemon.failed_markets();
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].0, "empty");
+        assert!(
+            failed[0]
+                .1
+                .contains("not a JSONL trace stream (no schema header line)"),
+            "{}",
+            failed[0].1
+        );
+        assert!(daemon
+            .take_notices()
+            .iter()
+            .any(|n| n.starts_with("market `empty` failed: not a JSONL trace stream")));
+        let (want, want_report) = reference(&trace);
+        assert_eq!(merged.len(), want.len(), "good market is unaffected");
+        let reports = daemon.reports().unwrap();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].report, want_report);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn format_is_chosen_by_content_not_extension() {
+        let trace = violating_trace();
+        let dir = temp_dir("sniff");
+        let path = dir.join("m.trace");
+        std::fs::write(
+            &path,
+            persist::encode_bytes(&trace, persist::TraceFormat::Binary),
+        )
+        .unwrap();
+        let mut daemon = AuditDaemon::new(DaemonConfig::default());
+        daemon.add_source(MarketSource {
+            market: "m".into(),
+            path,
+        });
+        let mut merged = daemon.poll();
+        merged.extend(daemon.finalize());
+        let (want, want_report) = reference(&trace);
+        assert_eq!(merged.len(), want.len());
+        assert_eq!(daemon.reports().unwrap()[0].report, want_report);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One daemon life over `path` as market `m`, checkpointed to
+    /// `ckpt` at every event: restored plus fresh findings, and the
+    /// closing report.
+    fn checkpointed_life(path: &Path, ckpt: &Path) -> (Vec<LiveFinding>, DaemonReport) {
+        let mut daemon = AuditDaemon::new(DaemonConfig {
+            checkpoint_every: 1,
+            ..DaemonConfig::default()
+        });
+        let source = MarketSource {
+            market: "m".into(),
+            path: path.to_owned(),
+        };
+        daemon.add_source_with_checkpoint(source, Some(ckpt.to_owned()));
+        let findings: Vec<LiveFinding> = daemon
+            .restored_findings()
+            .into_iter()
+            .chain(daemon.poll())
+            .chain(daemon.finalize())
+            .map(|f| f.finding)
+            .collect();
+        assert!(
+            daemon.failed_markets().is_empty(),
+            "{:?}",
+            daemon.take_notices()
+        );
+        (findings, daemon.reports().unwrap().remove(0))
+    }
+
+    #[test]
+    fn a_recording_and_its_jsonl_twin_share_one_position() {
+        let config = faircrowd_sim::catalog::get("spam_campaign").unwrap();
+        let trace = faircrowd_sim::Simulation::new(config).run();
+        let dir = temp_dir("twins");
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let (twin, recording) = (dir.join("m.jsonl"), dir.join("m.fcb"));
+        std::fs::write(&twin, &jsonl).unwrap();
+        std::fs::write(
+            &recording,
+            persist::encode_bytes(&trace, persist::TraceFormat::Binary),
+        )
+        .unwrap();
+        let (twin_ck, recording_ck) = (dir.join("twin.checkpoint"), dir.join("rec.checkpoint"));
+
+        // Uninterrupted, the two formats audit alike and write the same
+        // checkpoint, byte for byte.
+        let (want, want_report) = checkpointed_life(&twin, &twin_ck);
+        assert_eq!(
+            checkpointed_life(&recording, &recording_ck),
+            (want.clone(), want_report.clone())
+        );
+        assert_eq!(
+            std::fs::read(&twin_ck).unwrap(),
+            std::fs::read(&recording_ck).unwrap()
+        );
+
+        // Each format resumes from the other's checkpoint to the same
+        // finding stream and report.
+        let resumed_report = DaemonReport {
+            resumed_from: Some(trace.events.len() as u64),
+            ..want_report.clone()
+        };
+        for (path, ckpt) in [(&twin, &recording_ck), (&recording, &twin_ck)] {
+            let (findings, report) = checkpointed_life(path, ckpt);
+            assert_eq!(findings, want, "{}", path.display());
+            assert_eq!(report, resumed_report, "{}", path.display());
+        }
+
+        // A checkpoint taken mid-stream by the JSONL twin resumes the
+        // recording: the records it covers are skipped by position.
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let cut = lines.len() * 2 / 3;
+        let half = dir.join("half.jsonl");
+        std::fs::write(&half, format!("{}\n", lines[..cut].join("\n"))).unwrap();
+        let mid_ck = dir.join("mid.checkpoint");
+        let mut first = AuditDaemon::new(DaemonConfig {
+            checkpoint_every: 1,
+            ..DaemonConfig::default()
+        });
+        first.add_source_with_checkpoint(
+            MarketSource {
+                market: "m".into(),
+                path: half,
+            },
+            Some(mid_ck.clone()),
+        );
+        first.poll();
+        drop(first);
+        let seq = checkpoint::load(&mid_ck).unwrap().seq();
+        assert!(seq > 0 && seq < trace.events.len() as u64);
+        let (findings, report) = checkpointed_life(&recording, &mid_ck);
+        assert_eq!(findings, want);
+        assert_eq!(
+            report,
+            DaemonReport {
+                resumed_from: Some(seq),
+                ..want_report
+            }
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }

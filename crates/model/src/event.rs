@@ -431,6 +431,14 @@ impl EventLog {
     }
 }
 
+impl IntoIterator for EventLog {
+    type Item = Event;
+    type IntoIter = std::vec::IntoIter<Event>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.events.into_iter()
+    }
+}
+
 impl<'a> IntoIterator for &'a EventLog {
     type Item = &'a Event;
     type IntoIter = std::slice::Iter<'a, Event>;

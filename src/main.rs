@@ -9,8 +9,8 @@
 //! faircrowd audit [OPTS | --trace FILE]    audit a simulated market or a trace file
 //! faircrowd export [OPTS] --out FILE       simulate a market and write its trace
 //! faircrowd replay <FILE>                  load a trace file, audit it, report
-//! faircrowd watch <FILE.jsonl> [--once]    tail a (growing) JSONL trace, stream violations
-//! faircrowd serve <DIR> [--checkpoint-dir D]  audit every <market>.jsonl in DIR at once
+//! faircrowd watch <FILE> [--once]         a one-market serve: stream one trace's violations
+//! faircrowd serve <DIR> [--checkpoint-dir D]  audit every <market>.jsonl / .fcb in DIR at once
 //! faircrowd sweep [--grid G] [--jobs N] [--format F]   parallel grid sweep
 //! faircrowd frontier [--grid G] [--jobs N] [--format F]  quality/fairness Pareto frontier
 //! faircrowd scenarios                      list the named scenario catalog
@@ -105,8 +105,9 @@ fn usage_text() -> String {
          faircrowd audit [OPTS | --trace FILE]    audit a simulated market or a trace file\n  \
          faircrowd export [OPTS] --out FILE       simulate a market and write its trace\n  \
          faircrowd replay <FILE>                  load a trace file, audit it, report\n  \
-         faircrowd watch <FILE.jsonl> [WATCH-OPTS]  tail a JSONL trace (even while it\n                                           \
-         grows), stream violations as they land\n  \
+         faircrowd watch <FILE> [WATCH-OPTS]      a one-market serve: tail a JSONL trace\n                                           \
+         (even while it grows) or feed a .fcb\n                                           \
+         recording, stream violations as they land\n  \
          faircrowd serve <DIR> [SERVE-OPTS]       tail every <market>.jsonl (and audit\n                                           \
          every <market>.fcb) in DIR at once\n  \
          faircrowd sweep [SWEEP-OPTS]             parallel grid sweep, aggregate stats\n  \
@@ -122,8 +123,8 @@ fn usage_text() -> String {
          trace files: `.jsonl` writes the line-oriented log form, `.fcb` the\n  \
          length-prefixed binary form, anything else the whole-file JSON form;\n  \
          `replay` and `audit --trace` sniff and accept all three (validated:\n  \
-         schema version + referential integrity, never a panic); `watch` tails\n  \
-         the JSONL form and ingests a finished `.fcb` recording in one shot\n\n\
+         schema version + referential integrity, never a panic); `watch` and\n  \
+         `serve` tail the JSONL form and feed a `.fcb` recording's records straight in\n\n\
          OPTS:\n  \
          --scenario NAME  start from a catalog scenario (default: flag-built market)\n  \
          --policy NAME    assignment policy (default self_selection)\n  \
@@ -529,21 +530,22 @@ fn replay_file(path: &str) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-/// `faircrowd watch <FILE.jsonl>`: stream a JSONL trace through the
-/// live auditor, printing each violation at the event that introduced
-/// it. The file may still be growing — watch keeps tailing until it has
-/// seen no new bytes for `--idle-ms` (or processes the current contents
-/// once under `--once`), then finalizes and prints the same
-/// market-plus-report block as `replay`/`audit --trace`, so the two
-/// outputs diff cleanly from the audit table onward (the CI smoke step
-/// does exactly that: the streamed violation set must not drift from
-/// the batch one).
+/// `faircrowd watch <FILE>`: a one-market `serve`. The file — a JSONL
+/// stream, possibly still growing, or a finished `.fcb` recording — is
+/// registered on an [`AuditDaemon`] as its only market and run through
+/// the poll loop `serve` uses, printing each violation at the event
+/// that introduced it. The loop stops once the file has not grown for
+/// `--idle-ms` (or after one pass under `--once`); watch then closes
+/// with the same market-plus-report block as `replay`/`audit --trace`,
+/// so the two outputs diff cleanly from the audit table onward (the CI
+/// smoke step does exactly that: the streamed violation set must not
+/// drift from the batch one).
 ///
-/// With `--checkpoint FILE` the auditor's incremental state is
-/// snapshotted to FILE as the stream grows, and a restarted watch
-/// resumes from it — skipping the consumed lines instead of replaying
-/// them — printing the restored findings first, so the restart's output
-/// is still the stream's complete finding history.
+/// With `--checkpoint FILE` the market is checkpointed to FILE as the
+/// stream grows, and a restarted watch resumes from it — skipping the
+/// consumed lines instead of replaying them — printing the restored
+/// findings first, so the restart's output is still the stream's
+/// complete finding history.
 fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     let mut path: Option<&str> = None;
     let mut i = 0;
@@ -573,249 +575,55 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     let once = args.iter().any(|a| a == "--once");
     let idle_ms: u64 = positive_flag(args, "--idle-ms", 1500)?;
     let ckpt_path = flag_value(args, "--checkpoint")?.map(std::path::PathBuf::from);
-    let ckpt_every = positive_flag(args, "--checkpoint-every", 512)?;
+    let checkpoint_every = positive_flag(args, "--checkpoint-every", 512)?;
     if ckpt_path.is_none() && flag_value(args, "--checkpoint-every")?.is_some() {
         return Err(FaircrowdError::usage(
             "--checkpoint-every requires --checkpoint FILE",
         ));
     }
-
-    use std::io::Read as _;
-    let mut file = std::fs::File::open(path).map_err(|e| FaircrowdError::Io {
+    // A missing file is the caller's mistake, not a market failure.
+    std::fs::metadata(path).map_err(|e| FaircrowdError::Io {
         path: path.to_owned(),
         message: e.to_string(),
     })?;
-    let mut reader = faircrowd::model::trace_io::JsonlReader::new();
-    let mut auditor = LiveAuditor::new(AuditConfig::default());
-    let mut header_applied = false;
-    // Resume from the checkpoint when one loads cleanly; a checkpoint
-    // that fails any load gate is a warning and a full replay, never a
-    // refusal to watch.
-    let mut skip_lines: u64 = 0;
-    let mut resumed = false;
-    let mut last_checkpoint: u64 = 0;
-    if let Some(ck) = ckpt_path.as_deref().filter(|p| p.exists()) {
-        let restored = faircrowd::core::checkpoint::load(ck)
-            .and_then(|c| Ok((LiveAuditor::resume(AuditConfig::default(), &c)?, c)));
-        match restored {
-            Ok((restored, c)) => {
-                println!("resumed from {}", c.resume_note());
-                reader = faircrowd::model::trace_io::JsonlReader::resume(
-                    c.jsonl_header(),
-                    c.source_lines() as usize,
-                );
-                skip_lines = c.source_lines();
-                last_checkpoint = c.seq();
-                auditor = restored;
-                header_applied = true;
-                resumed = true;
-                // The restored findings followed by the fresh ones make
-                // the restarted watch's output the stream's complete
-                // finding history.
-                for finding in auditor.findings() {
-                    println!("{finding}");
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "warning: checkpoint `{}` is unusable ({e}); replaying from the trace",
-                    ck.display()
-                );
-            }
-        }
-    }
-    // Sniff the first eight bytes: a `.fcb` recording is finished by
-    // definition (the binary format has no append form), so it is
-    // decoded whole and ingested in one shot instead of tailed.
-    let mut head = Vec::with_capacity(8);
-    std::io::Read::by_ref(&mut file)
-        .take(8)
-        .read_to_end(&mut head)
-        .map_err(|e| FaircrowdError::Io {
-            path: path.to_owned(),
-            message: e.to_string(),
-        })?;
-    let binary = head == faircrowd::model::trace_bin::MAGIC;
 
-    let mut feed = |line: &str,
-                    reader: &mut faircrowd::model::trace_io::JsonlReader,
-                    auditor: &mut LiveAuditor|
-     -> Result<(), FaircrowdError> {
-        if skip_lines > 0 {
-            skip_lines -= 1;
-            return Ok(());
-        }
-        match reader.feed_line(line).map_err(|e| e.at_path(path))? {
-            None => {
-                if !header_applied {
-                    if let Some(header) = reader.header() {
-                        auditor.apply_header(header);
-                        header_applied = true;
-                    }
-                }
-            }
-            Some(record) => {
-                let findings = auditor
-                    .apply_record(record)
-                    .map_err(|e| at_watch_line(e, reader.lines_fed()))?;
-                for finding in findings {
-                    println!("{finding}");
-                }
-            }
-        }
-        Ok(())
+    let mut daemon = AuditDaemon::new(DaemonConfig {
+        checkpoint_every,
+        ..DaemonConfig::default()
+    });
+    let source = MarketSource {
+        market: path.to_owned(),
+        path: path.into(),
     };
-
-    if binary {
-        // A `.fcb` recording is finished by definition (the binary
-        // format has no append form), so it is decoded whole and
-        // re-spelled as its JSONL lines, then streamed through the same
-        // feed path a tailed file uses — findings, checkpoints, resume
-        // skipping and the closing report all stay line-addressed and
-        // bit-identical to watching the recording's JSONL twin.
-        let mut bytes = head;
-        file.read_to_end(&mut bytes)
-            .map_err(|e| FaircrowdError::Io {
-                path: path.to_owned(),
-                message: e.to_string(),
-            })?;
-        let trace = faircrowd::core::persist::decode_bytes(&bytes).map_err(|e| e.at_path(path))?;
-        let lines =
-            faircrowd::core::persist::encode(&trace, faircrowd::core::persist::TraceFormat::Jsonl);
-        for line in lines.lines() {
-            feed(line, &mut reader, &mut auditor)?;
-        }
-    } else {
-        // Byte buffers, not strings: a poll can catch the producer mid
-        // multi-byte UTF-8 character, which must wait in the carry for
-        // the rest of the write — only complete lines are decoded.
-        let mut carry: Vec<u8> = head;
-        let mut chunk: Vec<u8> = Vec::new();
-        let mut idle_waited = 0u64;
-        const POLL_MS: u64 = 100;
-        loop {
-            chunk.clear();
-            file.read_to_end(&mut chunk)
-                .map_err(|e| FaircrowdError::Io {
-                    path: path.to_owned(),
-                    message: e.to_string(),
-                })?;
-            if chunk.is_empty() {
-                if once {
-                    break;
-                }
-                if idle_waited >= idle_ms {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
-                idle_waited += POLL_MS;
-                continue;
-            }
-            idle_waited = 0;
-            carry.extend_from_slice(&chunk);
-            // Feed only complete lines; a partially written tail (bytes,
-            // or half a multi-byte character) stays in the carry until
-            // its newline arrives.
-            while let Some(nl) = carry.iter().position(|&b| b == b'\n') {
-                let line_bytes: Vec<u8> = carry.drain(..=nl).collect();
-                let line = String::from_utf8(line_bytes).map_err(|_| {
-                    FaircrowdError::persist(format!(
-                        "line {}: not valid UTF-8",
-                        reader.lines_fed() + 1
-                    ))
-                    .at_path(path)
-                })?;
-                feed(
-                    line.trim_end_matches(['\n', '\r']),
-                    &mut reader,
-                    &mut auditor,
-                )?;
-            }
-            if let Some(ck) = &ckpt_path {
-                if auditor.events_seen() as u64 >= last_checkpoint + ckpt_every {
-                    faircrowd::core::checkpoint::save_auditor(
-                        &auditor,
-                        reader.lines_fed() as u64,
-                        ck,
-                    )?;
-                    last_checkpoint = auditor.events_seen() as u64;
-                }
-            }
-        }
-        // A non-empty carry at stop is a file truncated mid-record
-        // (possibly mid-character): feed it so the decoder reports the
-        // malformed line instead of silently dropping it.
-        if carry.iter().any(|b| !b.is_ascii_whitespace()) {
-            let tail = String::from_utf8_lossy(&carry).into_owned();
-            feed(&tail, &mut reader, &mut auditor)?;
-        }
-    }
-    if !header_applied {
-        return Err(FaircrowdError::usage(format!(
-            "`{path}` is not a JSONL trace stream (no schema header line); \
-             use `faircrowd replay` for whole-file JSON traces"
-        )));
-    }
-    if let Some(ck) = &ckpt_path {
-        // Snapshot BEFORE finalizing: end-of-stream was this run's
-        // local judgment (idle timeout), not a property of the log. A
-        // restart re-derives it — or keeps ingesting, if the stream
-        // grew in the meantime.
-        faircrowd::core::checkpoint::save_auditor(&auditor, reader.lines_fed() as u64, ck)?;
-    }
-    for finding in auditor.finalize() {
-        println!("{finding}");
-    }
-    // A resumed watch skips the end-of-stream referential gate: its
-    // prefix was validated before the checkpoint was taken (and the
-    // accumulated trace holds only the tail of the log, which batch
-    // validation would reject as sparse).
-    if !resumed {
-        auditor.trace().ensure_valid()?;
-    }
-    let (report, wages) = auditor.final_artifacts(&AxiomId::ALL);
-    let events_total = auditor.events_seen();
-    let trace = auditor.into_trace();
+    daemon.add_source_with_checkpoint(source, ckpt_path);
+    poll_until_idle(&mut daemon, once, idle_ms, |f| f.finding.to_string());
+    fail_on_failed_markets(&daemon)?;
+    let closed = daemon.reports()?.pop().expect("the watched market closed");
+    let trace = daemon.auditor(path).expect("registered").trace().clone();
     println!(
         "\nwatched {path}: {} workers, {} tasks, {} events\n",
-        trace.workers.len(),
-        trace.tasks.len(),
-        events_total
+        closed.workers, closed.tasks, closed.events
     );
-    let summary = TraceSummary::of(&trace);
     let artifacts = RunArtifacts {
+        summary: TraceSummary::of(&trace),
         trace,
-        summary,
-        report,
-        wages,
+        report: closed.report,
+        wages: closed.wages,
     };
     print!("{}", artifacts.render("watched"));
     Ok(())
 }
 
-/// Tag a streaming-ingest error with the file line it arose on.
-fn at_watch_line(err: FaircrowdError, lineno: usize) -> FaircrowdError {
-    match err {
-        FaircrowdError::InvalidTrace { problems } => FaircrowdError::InvalidTrace {
-            problems: problems
-                .into_iter()
-                .map(|p| format!("line {lineno}: {p}"))
-                .collect(),
-        },
-        other => other,
-    }
-}
-
 /// `faircrowd serve <dir>`: the multi-market audit daemon. Every
-/// `<market>.jsonl` in the directory is tailed by its own live auditor
-/// ([`faircrowd::core::AuditDaemon`]), sharded across `--jobs` threads,
-/// and all findings land in one merged stream tagged `[market]`. With
-/// `--checkpoint-dir` each market's state is snapshotted at the
-/// `--checkpoint-every` cadence and a restarted serve resumes every
-/// stream from its checkpoint — an unusable checkpoint falls back to
-/// replaying that market's trace from the start. Closing reports are
-/// printed per market; a failed market stream fails the exit code but
-/// never the other markets.
+/// `<market>.jsonl` and `<market>.fcb` in the directory gets its own
+/// live auditor ([`faircrowd::core::AuditDaemon`]), sharded across
+/// `--jobs` threads, and all findings land in one merged stream tagged
+/// `[market]`. With `--checkpoint-dir` each market's state is
+/// snapshotted at the `--checkpoint-every` cadence and a restarted
+/// serve resumes every stream from its checkpoint — an unusable
+/// checkpoint falls back to replaying that market's trace from the
+/// start. Closing reports are printed per market; a failed market
+/// stream fails the exit code but never the other markets.
 fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     let mut dir: Option<&str> = None;
     let mut i = 0;
@@ -874,39 +682,7 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         },
         sources,
     );
-    for notice in daemon.take_notices() {
-        println!("{notice}");
-    }
-    for finding in daemon.restored_findings() {
-        println!("{finding}");
-    }
-
-    const POLL_MS: u64 = 100;
-    let mut idle_waited = 0u64;
-    loop {
-        let before = daemon.total_lines();
-        for finding in daemon.poll() {
-            println!("{finding}");
-        }
-        for notice in daemon.take_notices() {
-            println!("{notice}");
-        }
-        if daemon.total_lines() == before {
-            if once || idle_waited >= idle_ms {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
-            idle_waited += POLL_MS;
-        } else {
-            idle_waited = 0;
-        }
-    }
-    for finding in daemon.finalize() {
-        println!("{finding}");
-    }
-    for notice in daemon.take_notices() {
-        println!("{notice}");
-    }
+    poll_until_idle(&mut daemon, once, idle_ms, DaemonFinding::to_string);
     for r in daemon.reports()? {
         let resumed = r
             .resumed_from
@@ -918,19 +694,70 @@ fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
         );
         print!("{}", faircrowd::core::report::render_report(&r.report));
     }
-    let failed = daemon.failed_markets();
-    if !failed.is_empty() {
-        let list = failed
-            .iter()
-            .map(|(m, e)| format!("`{m}`: {e}"))
-            .collect::<Vec<_>>()
-            .join("; ");
-        return Err(FaircrowdError::persist(format!(
-            "{} market stream(s) failed: {list}",
-            failed.len()
-        )));
+    fail_on_failed_markets(&daemon)
+}
+
+/// The poll loop `serve` and `watch` share. Prints the startup notices
+/// and the findings restored from checkpoints, then polls — printing
+/// each round's findings (through `show`) and notices — until no
+/// stream grows: after one pass under `--once`, else after `idle_ms`
+/// without a new line, or at once when every market has failed. Then
+/// finalizes every market and prints the closing findings.
+fn poll_until_idle(
+    daemon: &mut AuditDaemon,
+    once: bool,
+    idle_ms: u64,
+    show: impl Fn(&DaemonFinding) -> String,
+) {
+    const POLL_MS: u64 = 100;
+    let print = |findings: Vec<DaemonFinding>, notices: Vec<String>| {
+        for finding in &findings {
+            println!("{}", show(finding));
+        }
+        for notice in notices {
+            println!("{notice}");
+        }
+    };
+    for notice in daemon.take_notices() {
+        println!("{notice}");
     }
-    Ok(())
+    print(daemon.restored_findings(), Vec::new());
+    let mut idle_waited = 0u64;
+    loop {
+        let before = daemon.total_lines();
+        let findings = daemon.poll();
+        print(findings, daemon.take_notices());
+        if daemon.total_lines() != before {
+            idle_waited = 0;
+            continue;
+        }
+        if once || idle_waited >= idle_ms || daemon.failed_markets().len() == daemon.market_count()
+        {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(POLL_MS));
+        idle_waited += POLL_MS;
+    }
+    let findings = daemon.finalize();
+    print(findings, daemon.take_notices());
+}
+
+/// The error a daemon run ends with when any market failed. Each
+/// failure was already printed as a notice when it happened.
+fn fail_on_failed_markets(daemon: &AuditDaemon) -> Result<(), FaircrowdError> {
+    let failed = daemon.failed_markets();
+    if failed.is_empty() {
+        return Ok(());
+    }
+    let list = failed
+        .iter()
+        .map(|(m, e)| format!("`{m}`: {e}"))
+        .collect::<Vec<_>>()
+        .join("; ");
+    Err(FaircrowdError::persist(format!(
+        "{} market stream(s) failed: {list}",
+        failed.len()
+    )))
 }
 
 /// The only flags `sweep` reads; anything else is rejected rather than
