@@ -1,44 +1,20 @@
 //! The `faircrowd` command-line tool: run the scenario → simulate →
 //! audit → enforce → report pipeline and work with transparency policies
-//! from the shell.
-//!
-//! ```text
-//! faircrowd axioms                         print the paper's seven axioms
-//! faircrowd run   [OPTS] [--live] [--enforce E]...  full pipeline incl. enforcement re-audit
-//! faircrowd converge [OPTS]                iterate a strategic market to its fixed point, audit it
-//! faircrowd audit [OPTS | --trace FILE]    audit a simulated market or a trace file
-//! faircrowd export [OPTS] --out FILE       simulate a market and write its trace
-//! faircrowd replay <FILE>                  load a trace file, audit it, report
-//! faircrowd watch <FILE> [--once]         a one-market serve: stream one trace's violations
-//! faircrowd serve <DIR> [--checkpoint-dir D]  audit every <market>.jsonl / .fcb in DIR at once
-//! faircrowd sweep [--grid G] [--jobs N] [--format F]   parallel grid sweep
-//! faircrowd frontier [--grid G] [--jobs N] [--format F]  quality/fairness Pareto frontier
-//! faircrowd scenarios                      list the named scenario catalog
-//! faircrowd policies                       list the TPL platform catalog
-//! faircrowd render <policy>                human-readable policy description
-//! faircrowd compare <a> <b>                diff two catalog policies
-//! ```
+//! from the shell. `faircrowd --help` ([`usage_text`]) lists every verb
+//! and flag; both come from one table ([`VERBS`]), which the parser
+//! ([`cli::parse`]) also checks every command line against.
 //!
 //! Every market command goes through [`faircrowd::Pipeline`] and selects
 //! assignment policies via the registry
 //! ([`faircrowd::assign::registry`]) and scenarios via the catalog
 //! ([`faircrowd::sim::catalog`]), so the CLI, examples and tests
-//! exercise the same code path. `converge` iterates a strategic market
-//! (`--strategy`, or a strategic-family scenario) to its fixed point
-//! ([`faircrowd::sim::converge`]) and audits the converged trace.
-//! `sweep` runs whole grids
-//! (scenarios × policies × strategies × seeds × scales × enforcements ×
-//! aggregators) through
-//! [`faircrowd::sweep`] on a worker pool; its aggregate output is
-//! byte-identical whatever `--jobs` says. `frontier` runs the same
-//! machinery over a policy × aggregator × enforcement grid and extracts
-//! the quality/fairness Pareto-dominant set
-//! ([`faircrowd::frontier`]). `export` and
-//! `replay`/`audit --trace` are the two halves of the paper's
-//! audit-external-logs workload: a trace written once replays to a
-//! bit-identical audit report with no simulator in the loop
-//! ([`faircrowd::core::persist`]).
+//! exercise the same code path; grids run through [`faircrowd::sweep`]
+//! and [`faircrowd::frontier`], trace files through
+//! [`faircrowd::core::persist`].
 
+mod cli;
+
+use cli::{switch, value, Args, Flag, Verb};
 use faircrowd::assign::registry;
 use faircrowd::lang::{catalog, compare, printer, render};
 use faircrowd::model::disclosure::DisclosureSet;
@@ -46,34 +22,131 @@ use faircrowd::model::FaircrowdError;
 use faircrowd::prelude::*;
 use faircrowd::sim::catalog as scenarios;
 use faircrowd::sim::{strategy, StrategyChoice};
+use faircrowd::sweep::CellHook;
 use std::process::ExitCode;
 
+/// The market flags `run`, `converge`, `audit` and `export` share.
+#[rustfmt::skip]
+const OPTS: &[Flag] = &[
+    value("--scenario", "NAME", "start from a catalog scenario (default: flag-built market)"),
+    value("--policy", "NAME", "assignment policy (default self_selection)"),
+    value("--strategy", "NAME", "agent-strategy profile (default static; strategic profiles\n\
+        converge via fixed-point iteration; conflicts with a\n\
+        strategic-family --scenario, whose profile is baked in)"),
+    value("--seed", "N", "simulation seed (default 42)"),
+    value("--rounds", "N", "market rounds (default 48)"),
+    value("--workers", "N", "diligent workers (default 30; ignored with --scenario)"),
+    switch("--opaque", "run the platform with an opaque disclosure set"),
+];
+const JOBS: Flag = value("--jobs", "N", "worker threads (default: available cores)");
+const FORMATS: Flag = value("--format", "F", "table | json | csv (default table)");
+const ONCE: Flag = switch("--once", "process current contents and stop (no tailing)");
+#[rustfmt::skip]
+const PROGRESS: Flag =
+    switch("--progress", "one stderr line per completed cell (stdout unchanged)");
+#[rustfmt::skip]
+const IDLE_MS: Flag =
+    value("--idle-ms", "N", "stop after N ms with no growth on any stream (default 1500)");
+#[rustfmt::skip]
+const EVERY: Flag =
+    value("--checkpoint-every", "N", "events between snapshots, per market (default 512)");
+
+/// Every verb: its positional arguments, its flags, its help and its
+/// handler. The parser, the help and the usage errors all read this.
+#[rustfmt::skip]
+const VERBS: [Verb; 15] = [
+    Verb { name: "axioms", positionals: &[], shared: &[], run: axioms, flags: &[],
+        summary: "print the paper's seven axioms" },
+    Verb { name: "run", positionals: &[], shared: OPTS, run: run_cmd,
+        summary: "full pipeline incl. enforcement re-audit",
+        flags: &[
+            switch("--live", "audit during the simulation, printing each\n\
+                violation at the event that introduced it"),
+            Flag { name: "--enforce", metavar: Some("E"), repeatable: true,
+                help: "repair the platform, then re-audit (repeatable;\n\
+                    see the enforcements below)" },
+        ] },
+    Verb { name: "converge", positionals: &[], shared: OPTS, run: converge_cmd,
+        summary: "iterate a strategic market to its\nfixed point, then audit the converged trace",
+        flags: &[
+            value("--tolerance", "F", "fixed-point residual tolerance (default 0.005)"),
+            value("--max-iters", "N", "iteration cap before a named divergence error (default 40)"),
+            value("--gain", "F", "proportional-controller gain in (0, 1] (default 0.5)"),
+        ] },
+    Verb { name: "audit", positionals: &[], shared: OPTS, run: audit_cmd,
+        summary: "audit a simulated market or a trace file",
+        flags: &[value("--trace", "FILE", "audit a recorded trace instead of simulating\n\
+            (takes no other flag)")] },
+    Verb { name: "export", positionals: &[], shared: OPTS, run: export_cmd,
+        summary: "simulate a market and write its trace",
+        flags: &[value("--out", "FILE", "where to write the trace (required)")] },
+    Verb { name: "replay", positionals: &["<FILE>"], shared: &[], run: replay_cmd, flags: &[],
+        summary: "load a trace file, audit it, report" },
+    Verb { name: "watch", positionals: &["<FILE>"], shared: &[], run: watch_cmd,
+        summary: "a one-market serve: tail a JSONL trace\n(even while it grows) or feed a .fcb\n\
+            recording, stream violations as they land",
+        flags: &[
+            ONCE,
+            IDLE_MS,
+            value("--checkpoint", "FILE", "snapshot auditor state to FILE (binary checkpoint v2)\n\
+                as the stream grows and resume from it on restart\n(no log replay)"),
+            EVERY,
+        ] },
+    Verb { name: "serve", positionals: &["<DIR>"], shared: &[], run: serve_cmd,
+        summary: "tail every <market>.jsonl (and audit\nevery <market>.fcb) in DIR at once",
+        flags: &[
+            value("--checkpoint-dir", "D", "snapshot each market to D/<market>.checkpoint (binary\n\
+                checkpoint v2) and resume every stream from it on restart"),
+            EVERY,
+            JOBS,
+            ONCE,
+            IDLE_MS,
+        ] },
+    Verb { name: "sweep", positionals: &[], shared: &[], run: sweep,
+        summary: "parallel grid sweep, aggregate stats",
+        flags: &[
+            value("--grid", "SPEC", "axes as `axis=v1,v2;…` over scenario | policy | strategy |\n\
+                seed | scale | rounds | enforce | aggregator — `*` for every\n\
+                name, `a..b` or `a..=b` seed ranges, `+`-stacked enforcements\n\
+                (default `policy=*`); strategic cells converge before auditing"),
+            JOBS,
+            FORMATS,
+            value("--seed", "N", "seed axis when the grid sets none"),
+            value("--rounds", "N", "rounds axis when the grid sets none"),
+            value("--strategy", "NAME", "strategy axis when the grid sets none"),
+            value("--shard", "i/N", "run only shard i of an N-way split, appending each finished\n\
+                cell to --out FILE (killed shards resume: done cells are\n\
+                loaded from the part file and skipped)"),
+            value("--out", "FILE", "(with --shard) the part file; render via `faircrowd merge`"),
+            PROGRESS,
+        ] },
+    Verb { name: "frontier", positionals: &[], shared: &[], run: frontier_cmd,
+        summary: "sweep a policy × aggregator × enforce\ngrid, chart the quality/fairness\n\
+            Pareto-dominant set",
+        flags: &[
+            value("--grid", "SPEC", "same grammar as sweep; axes left unset default to the\n\
+                frontier contrast — every policy, every aggregator,\n\
+                enforce=none,parity (a plain sweep defaults each to one point)"),
+            JOBS,
+            value("--format", "F", "table | json (default table; `*` marks Pareto members)"),
+            PROGRESS,
+        ] },
+    Verb { name: "merge", positionals: &["<part.json>..."], shared: &[], run: merge_cmd,
+        summary: "fold shard part files into the\nsingle-process sweep report, byte-identical",
+        flags: &[FORMATS] },
+    Verb { name: "scenarios", positionals: &[], shared: &[], run: scenarios_cmd, flags: &[],
+        summary: "list the named scenario catalog" },
+    Verb { name: "policies", positionals: &[], shared: &[], run: policies, flags: &[],
+        summary: "list the TPL platform catalog" },
+    Verb { name: "render", positionals: &["<policy>"], shared: &[], run: render_cmd, flags: &[],
+        summary: "human-readable policy description" },
+    Verb { name: "compare", positionals: &["<a>", "<b>"], shared: &[], run: compare_cmd,
+        flags: &[], summary: "diff two catalog policies" },
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = args.first().map(String::as_str);
-    let result = match command {
-        Some("axioms") => axioms(),
-        Some("run") => run_cmd(&args[1..], true),
-        Some("converge") => converge_cmd(&args[1..]),
-        Some("audit") => run_cmd(&args[1..], false),
-        Some("export") => export_cmd(&args[1..]),
-        Some("replay") => replay_cmd(&args[1..]),
-        Some("watch") => watch_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("sweep") => sweep(&args[1..]),
-        Some("frontier") => frontier_cmd(&args[1..]),
-        Some("merge") => merge_cmd(&args[1..]),
-        Some("scenarios") => scenarios_cmd(),
-        Some("policies") => policies(),
-        Some("render") => render_cmd(&args[1..]),
-        Some("compare") => compare_cmd(&args[1..]),
-        Some("--help") | Some("-h") | Some("help") | None => {
-            usage();
-            Ok(())
-        }
-        Some(other) => Err(FaircrowdError::usage(format!("unknown command `{other}`"))),
-    };
-    match result {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(err) => {
             eprintln!("error: {err}");
@@ -86,95 +159,41 @@ fn main() -> ExitCode {
     }
 }
 
+/// Look the verb up in [`VERBS`], check the rest of the line against
+/// its row, and run it.
+fn dispatch(argv: &[String]) -> Result<(), FaircrowdError> {
+    let name = argv.first().map_or("--help", String::as_str);
+    if matches!(name, "--help" | "-h" | "help") {
+        usage();
+        return Ok(());
+    }
+    let verb = VERBS
+        .iter()
+        .find(|v| v.name == name)
+        .ok_or_else(|| FaircrowdError::usage(format!("unknown command `{name}`")))?;
+    let Some(args) = cli::parse(verb, &argv[1..])? else {
+        usage();
+        return Ok(());
+    };
+    (verb.run)(&args)
+}
+
 fn usage() {
     println!("{}", usage_text());
 }
 
-/// The full `--help` text. A function (not an inline `println!`) so the
-/// tests can assert that every registry — policies, strategies,
-/// scenarios, aggregators — is listed verbatim: the help must never
-/// fall behind a grown registry.
+/// The full `--help` text: the verb table rendered, then the registry
+/// lists. The tests assert that every flag the table declares and every
+/// registry name — policies, strategies, scenarios, aggregators — is
+/// listed verbatim: the help must never fall behind either.
 fn usage_text() -> String {
     format!(
-        "faircrowd — fairness and transparency auditing for crowdsourcing\n\n\
-         USAGE:\n  \
-         faircrowd axioms                         print the paper's seven axioms\n  \
-         faircrowd run   [OPTS] [--live] [--enforce E]...  full pipeline incl. enforcement re-audit\n  \
-         faircrowd converge [OPTS] [CONVERGE-OPTS]  iterate a strategic market to its\n                                           \
-         fixed point, then audit the converged trace\n  \
-         faircrowd audit [OPTS | --trace FILE]    audit a simulated market or a trace file\n  \
-         faircrowd export [OPTS] --out FILE       simulate a market and write its trace\n  \
-         faircrowd replay <FILE>                  load a trace file, audit it, report\n  \
-         faircrowd watch <FILE> [WATCH-OPTS]      a one-market serve: tail a JSONL trace\n                                           \
-         (even while it grows) or feed a .fcb\n                                           \
-         recording, stream violations as they land\n  \
-         faircrowd serve <DIR> [SERVE-OPTS]       tail every <market>.jsonl (and audit\n                                           \
-         every <market>.fcb) in DIR at once\n  \
-         faircrowd sweep [SWEEP-OPTS]             parallel grid sweep, aggregate stats\n  \
-         faircrowd frontier [FRONTIER-OPTS]       sweep a policy × aggregator × enforce\n                                           \
-         grid, chart the quality/fairness\n                                           \
-         Pareto-dominant set\n  \
-         faircrowd merge <part.json>... [--format F]  fold shard part files into the\n                                           \
-         single-process sweep report, byte-identical\n  \
-         faircrowd scenarios                      list the named scenario catalog\n  \
-         faircrowd policies                       list the TPL platform catalog\n  \
-         faircrowd render <policy>                human-readable policy description\n  \
-         faircrowd compare <a> <b>                diff two catalog policies\n\n\
+        "faircrowd — fairness and transparency auditing for crowdsourcing\n\n{}\n\
          trace files: `.jsonl` writes the line-oriented log form, `.fcb` the\n  \
          length-prefixed binary form, anything else the whole-file JSON form;\n  \
          `replay` and `audit --trace` sniff and accept all three (validated:\n  \
          schema version + referential integrity, never a panic); `watch` and\n  \
          `serve` tail the JSONL form and feed a `.fcb` recording's records straight in\n\n\
-         OPTS:\n  \
-         --scenario NAME  start from a catalog scenario (default: flag-built market)\n  \
-         --policy NAME    assignment policy (default self_selection)\n  \
-         --strategy NAME  agent-strategy profile (default static; strategic profiles\n                   \
-         converge via fixed-point iteration; conflicts with a\n                   \
-         strategic-family --scenario, whose profile is baked in)\n  \
-         --seed N         simulation seed (default 42)\n  \
-         --rounds N       market rounds (default 48)\n  \
-         --workers N      diligent workers (default 30; ignored with --scenario)\n  \
-         --opaque         run the platform with an opaque disclosure set\n  \
-         --live           (run) audit during the simulation, printing each\n                   \
-         violation at the event that introduced it\n  \
-         --out FILE       (export) where to write the trace\n  \
-         --trace FILE     (audit) audit a recorded trace instead of simulating\n\n\
-         CONVERGE-OPTS:\n  \
-         --tolerance F    fixed-point residual tolerance (default 0.005)\n  \
-         --max-iters N    iteration cap before a named divergence error (default 40)\n  \
-         --gain F         proportional-controller gain in (0, 1] (default 0.5)\n\n\
-         WATCH-OPTS:\n  \
-         --once           process the file's current contents and stop (no tailing)\n  \
-         --idle-ms N      stop after N ms with no growth (default 1500)\n  \
-         --checkpoint FILE  snapshot auditor state to FILE (binary checkpoint v2) as\n                     \
-         the stream grows and resume from it on restart (no log replay)\n  \
-         --checkpoint-every N  events between snapshots (default 512)\n\n\
-         SERVE-OPTS:\n  \
-         --checkpoint-dir D  snapshot each market to D/<market>.checkpoint (binary\n                      \
-         checkpoint v2) and resume every stream from it on restart\n  \
-         --checkpoint-every N  events between snapshots, per market (default 512)\n  \
-         --jobs N         shard threads (default: available cores)\n  \
-         --once           process current contents and stop (no tailing)\n  \
-         --idle-ms N      stop after N ms with no growth on any stream (default 1500)\n\n\
-         SWEEP-OPTS:\n  \
-         --grid SPEC      axes as `axis=v1,v2;…` over scenario | policy | strategy |\n                   \
-         seed | scale | rounds | enforce | aggregator — `*` for every\n                   \
-         name, `a..b` or `a..=b` seed ranges, `+`-stacked enforcements\n                   \
-         (default `policy=*`); strategic cells converge before auditing\n  \
-         --jobs N         worker threads (default: available cores)\n  \
-         --format F       table | json | csv (default table)\n  \
-         --shard i/N      run only shard i of an N-way split, appending each finished\n                   \
-         cell to --out FILE (killed shards resume: done cells are\n                   \
-         loaded from the part file and skipped)\n  \
-         --out FILE       (with --shard) the part file; render via `faircrowd merge`\n  \
-         --progress       one stderr line per completed cell (stdout unchanged)\n\n\
-         FRONTIER-OPTS:\n  \
-         --grid SPEC      same grammar as sweep; axes left unset default to the\n                   \
-         frontier contrast — every policy, every aggregator,\n                   \
-         enforce=none,parity (a plain sweep defaults each to one point)\n  \
-         --jobs N         worker threads (default: available cores)\n  \
-         --format F       table | json (default table; `*` marks Pareto members)\n  \
-         --progress       one stderr line per completed cell (stdout unchanged)\n\n\
          enforcements for --enforce (repeatable) and the enforce axis:\n  \
          parity | floor:N | transparency | grace\n\n\
          assignment policies (registry names):\n  {}\n\n\
@@ -183,6 +202,7 @@ fn usage_text() -> String {
          scenario catalog (see `faircrowd scenarios` for both families):\n  \
          static:    {}\n  \
          strategic: {}",
+        cli::render(&VERBS),
         registry::NAMES.join(" | "),
         strategy::NAMES.join(" | "),
         faircrowd::quality::aggregate::NAMES.join(" | "),
@@ -191,7 +211,7 @@ fn usage_text() -> String {
     )
 }
 
-fn scenarios_cmd() -> Result<(), FaircrowdError> {
+fn scenarios_cmd(_: &Args) -> Result<(), FaircrowdError> {
     println!("scenario catalog (faircrowd-sim::catalog):\n");
     println!("static family — fixed parameterisations, one simulation pass:");
     for name in scenarios::STATIC_NAMES {
@@ -214,80 +234,36 @@ fn scenarios_cmd() -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-fn axioms() -> Result<(), FaircrowdError> {
+fn axioms(_: &Args) -> Result<(), FaircrowdError> {
     for id in AxiomId::ALL {
         println!("{}\n  {}\n", id.label(), id.statement());
     }
     Ok(())
 }
 
-/// The value following `flag`, `Ok(None)` when the flag is absent, and
-/// a usage error when the flag dangles at the end of the line — a
-/// dangling flag silently falling back to defaults would report results
-/// for a run the user didn't ask for.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>, FaircrowdError> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(String::as_str)
-            .map(Some)
-            .ok_or_else(|| FaircrowdError::usage(format!("{flag} requires a value"))),
-    }
-}
-
-fn parse_flag<T: std::str::FromStr>(
-    args: &[String],
-    flag: &str,
-    default: T,
-) -> Result<T, FaircrowdError> {
-    match flag_value(args, flag)? {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| FaircrowdError::usage(format!("invalid value `{raw}` for {flag}"))),
-    }
-}
-
-/// The shared parser for count-like flags (`--jobs`, `--idle-ms`,
-/// `--checkpoint-every`): every verb rejects zero and non-numeric
-/// values with the same "expected a positive integer" wording, instead
-/// of each flag loop rolling its own.
-fn positive_flag(args: &[String], flag: &str, default: u64) -> Result<u64, FaircrowdError> {
-    match flag_value(args, flag)? {
-        None => Ok(default),
-        Some(raw) => match raw.parse::<u64>() {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(FaircrowdError::usage(format!(
-                "invalid value `{raw}` for {flag}: expected a positive integer"
-            ))),
-        },
-    }
-}
-
 /// The shared market scenario behind `run` and `audit`: a catalog
 /// preset when `--scenario` names one, else the flag-built default —
 /// two comparable labeling campaigns over a full-participation diligent
 /// population, so Axioms 1–3 have pairs to quantify over.
-fn scenario_from_flags(args: &[String]) -> Result<ScenarioConfig, FaircrowdError> {
-    let mut config = if let Some(name) = flag_value(args, "--scenario")? {
+fn scenario_from_flags(args: &Args) -> Result<ScenarioConfig, FaircrowdError> {
+    let mut config = if let Some(name) = args.value("--scenario") {
         scenarios::get(name)?
     } else {
         // The flag-built default market IS the catalog baseline —
         // resolved from the catalog so the two can never drift apart;
         // --workers resizes its single diligent population.
         let mut config = scenarios::get("baseline")?;
-        config.workers[0].count = parse_flag(args, "--workers", config.workers[0].count)?;
+        config.workers[0].count = args.parse("--workers", config.workers[0].count)?;
         config
     };
     // Explicit flags override whichever base was chosen; a catalog
     // scenario's own seed/rounds survive when the flag is absent.
-    config.seed = parse_flag(args, "--seed", config.seed)?;
-    config.rounds = parse_flag(args, "--rounds", config.rounds)?;
-    if args.iter().any(|a| a == "--opaque") {
+    config.seed = args.parse("--seed", config.seed)?;
+    config.rounds = args.parse("--rounds", config.rounds)?;
+    if args.switch("--opaque") {
         config.disclosure = DisclosureSet::opaque();
     }
-    if let Some(name) = flag_value(args, "--strategy")? {
+    if let Some(name) = args.value("--strategy") {
         // Resolve first: an unknown name must list the registry, not
         // fall through to the scenario's default.
         let choice = StrategyChoice::by_name(name)?;
@@ -296,7 +272,7 @@ fn scenario_from_flags(args: &[String]) -> Result<ScenarioConfig, FaircrowdError
                 "--strategy {name} conflicts with --scenario {}: its `{}` profile is part \
                  of the scenario definition (strategic family; see `faircrowd scenarios`). \
                  Pick a static-family scenario to override, or drop --strategy",
-                flag_value(args, "--scenario")?.unwrap_or("<flag-built>"),
+                args.value("--scenario").unwrap_or("<flag-built>"),
                 config.strategy.label()
             )));
         }
@@ -305,75 +281,50 @@ fn scenario_from_flags(args: &[String]) -> Result<ScenarioConfig, FaircrowdError
     Ok(config)
 }
 
-fn pipeline_from_flags(args: &[String], with_enforce: bool) -> Result<Pipeline, FaircrowdError> {
-    let policy_name = flag_value(args, "--policy")?.unwrap_or("self_selection");
-    let mut pipeline = Pipeline::new()
+fn pipeline_from_flags(args: &Args) -> Result<Pipeline, FaircrowdError> {
+    let policy_name = args.value("--policy").unwrap_or("self_selection");
+    Pipeline::new()
         .scenario(scenario_from_flags(args)?)
-        .policy_name(policy_name)?;
-    if with_enforce {
-        let mut rest = args;
-        while let Some(i) = rest.iter().position(|a| a == "--enforce") {
-            let raw = rest.get(i + 1).ok_or_else(|| {
-                FaircrowdError::usage(
-                    "--enforce requires a value (parity | floor:N | transparency | grace)",
-                )
-            })?;
-            pipeline = pipeline.enforce(Enforcement::parse(raw)?);
-            rest = &rest[i + 2..];
-        }
-    } else if args.iter().any(|a| a == "--enforce") {
-        return Err(FaircrowdError::usage(
-            "--enforce is only valid with `faircrowd run`; `audit`/`export` never enforce",
-        ));
-    }
-    Ok(pipeline)
+        .policy_name(policy_name)
 }
 
-/// Flags that conflict with `--trace`: a recorded trace already fixes
-/// the scenario (so market flags would silently report on a market the
-/// user didn't replay), and config repairs cannot be applied to a
-/// platform that already ran (so `--enforce` would be silently
-/// dropped).
-const TRACE_CONFLICTS: [&str; 9] = [
-    "--scenario",
-    "--policy",
-    "--strategy",
-    "--seed",
-    "--rounds",
-    "--workers",
-    "--opaque",
-    "--enforce",
-    "--live",
-];
-
-fn run_cmd(args: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
-    if let Some(path) = flag_value(args, "--trace")? {
-        if with_enforce {
+fn run_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    if args.switch("--live") {
+        if args.value("--enforce").is_some() {
             return Err(FaircrowdError::usage(
-                "--trace is only valid with `faircrowd audit` (or `faircrowd replay`); \
-                 `run` simulates, and config repairs cannot be applied to a platform \
-                 that already ran",
+                "--enforce conflicts with --live: live auditing watches one run as it happens, \
+                 while enforcement repairs re-simulate a different market",
             ));
         }
-        if let Some(bad) = args.iter().find(|a| TRACE_CONFLICTS.contains(&a.as_str())) {
-            return Err(FaircrowdError::usage(format!(
-                "{bad} conflicts with --trace: a recorded trace already fixes the market \
-                 and cannot be repaired after the fact"
-            )));
-        }
-        return replay_file(path);
+        return run_live(pipeline_from_flags(args)?);
     }
-    let live = args.iter().any(|a| a == "--live");
-    if live && !with_enforce {
-        return Err(FaircrowdError::usage(
-            "--live is only valid with `faircrowd run`; `audit --trace` replays a finished \
-             log (use `faircrowd watch` to stream one)",
-        ));
+    run_batch(enforced_pipeline(args)?)
+}
+
+/// `run`'s pipeline: the flag-built market plus every `--enforce`, in order.
+fn enforced_pipeline(args: &Args) -> Result<Pipeline, FaircrowdError> {
+    args.all("--enforce")
+        .try_fold(pipeline_from_flags(args)?, |pipeline, raw| {
+            Ok(pipeline.enforce(Enforcement::parse(raw)?))
+        })
+}
+
+/// `faircrowd audit`: `run` without enforcement, or — with `--trace` —
+/// the replay of a recorded trace, which already fixes the market, so
+/// no market flag may ride along.
+fn audit_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let Some(path) = args.value("--trace") else {
+        return run_batch(pipeline_from_flags(args)?);
+    };
+    if let Some(bad) = args.given().find(|&f| f != "--trace") {
+        return Err(FaircrowdError::usage(format!(
+            "{bad} conflicts with --trace: a recorded trace already fixes the market"
+        )));
     }
-    let pipeline = pipeline_from_flags(args, with_enforce)?;
-    if live {
-        return run_live(args, pipeline);
-    }
+    replay_file(path)
+}
+
+fn run_batch(pipeline: Pipeline) -> Result<(), FaircrowdError> {
     let result = pipeline.run()?;
     println!(
         "auditing: policy={}, seed={}, rounds={}\n",
@@ -389,13 +340,7 @@ fn run_cmd(args: &[String], with_enforce: bool) -> Result<(), FaircrowdError> {
 /// each violation at the event that introduced it, then the same
 /// market-plus-report block as a batch `run` (the closing report is
 /// bit-identical to the batch audit of the same scenario).
-fn run_live(args: &[String], pipeline: Pipeline) -> Result<(), FaircrowdError> {
-    if args.iter().any(|a| a == "--enforce") {
-        return Err(FaircrowdError::usage(
-            "--enforce conflicts with --live: live auditing watches one run as it happens, \
-             while enforcement repairs re-simulate a different market",
-        ));
-    }
+fn run_live(pipeline: Pipeline) -> Result<(), FaircrowdError> {
     // The header comes off the pipeline's resolved config — the same
     // source the batch path prints — so it can never drift from what
     // actually runs.
@@ -427,28 +372,17 @@ fn run_live(args: &[String], pipeline: Pipeline) -> Result<(), FaircrowdError> {
 /// converged audit diffs cleanly against `replay` of the exported
 /// converged trace from the axiom table onward (the CI converge smoke
 /// does exactly that).
-fn converge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    if args.iter().any(|a| a == "--trace") {
-        return Err(FaircrowdError::usage(
-            "--trace is only valid with `faircrowd audit`/`replay`: `converge` iterates a \
-             simulator, while a recorded trace is already a finished market",
-        ));
-    }
-    if args.iter().any(|a| a == "--live") {
-        return Err(FaircrowdError::usage(
-            "--live is only valid with `faircrowd run`; `converge` audits the fixed point, \
-             not the iterations on the way there",
-        ));
-    }
+fn converge_cmd(args: &Args) -> Result<(), FaircrowdError> {
     let defaults = faircrowd::sim::ConvergeOptions::default();
     let opts = faircrowd::sim::ConvergeOptions {
-        tolerance: parse_flag(args, "--tolerance", defaults.tolerance)?,
-        max_iterations: positive_flag(args, "--max-iters", u64::from(defaults.max_iterations))?
+        tolerance: args.parse("--tolerance", defaults.tolerance)?,
+        max_iterations: args
+            .positive("--max-iters", u64::from(defaults.max_iterations))?
             .try_into()
             .map_err(|_| FaircrowdError::usage("--max-iters is too large"))?,
-        gain: parse_flag(args, "--gain", defaults.gain)?,
+        gain: args.parse("--gain", defaults.gain)?,
     };
-    let pipeline = pipeline_from_flags(args, false)?.converge_options(opts.clone());
+    let pipeline = pipeline_from_flags(args)?.converge_options(opts.clone());
     let config = pipeline.scenario_config();
     println!(
         "converging: strategy={}, policy={}, seed={}, rounds={} \
@@ -477,11 +411,11 @@ fn converge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
 
 /// `faircrowd export`: simulate the flag-selected market and write its
 /// trace to `--out` (format by extension: `.jsonl` → JSONL, else JSON).
-fn export_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let out = flag_value(args, "--out")?.ok_or_else(|| {
+fn export_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let out = args.value("--out").ok_or_else(|| {
         FaircrowdError::usage("export requires --out FILE (`.jsonl` for the line-oriented form)")
     })?;
-    let trace = pipeline_from_flags(args, false)?.simulate()?;
+    let trace = pipeline_from_flags(args)?.simulate()?;
     faircrowd::core::persist::save(&trace, out)?;
     println!(
         "exported {}: {} workers, {} tasks, {} submissions, {} events",
@@ -495,22 +429,9 @@ fn export_cmd(args: &[String]) -> Result<(), FaircrowdError> {
 }
 
 /// `faircrowd replay <FILE>`: load → validate → index → audit → report,
-/// no simulator in the loop. Anything beyond the one path is rejected
-/// rather than silently ignored.
-fn replay_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let (path, rest) = match args.first().map(String::as_str) {
-        Some("--trace") => (flag_value(args, "--trace")?, &args[2.min(args.len())..]),
-        Some(first) => (Some(first), &args[1..]),
-        None => (None, args),
-    };
-    let path = path.ok_or_else(|| FaircrowdError::usage("usage: faircrowd replay <trace-file>"))?;
-    if let Some(extra) = rest.first() {
-        return Err(FaircrowdError::usage(format!(
-            "unexpected argument `{extra}`: `faircrowd replay` takes exactly one trace file \
-             (a recorded trace already fixes the market)"
-        )));
-    }
-    replay_file(path)
+/// no simulator in the loop.
+fn replay_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    replay_file(&args.positionals[0])
 }
 
 /// Shared tail of `replay` and `audit --trace`. Prints the same
@@ -546,37 +467,13 @@ fn replay_file(path: &str) -> Result<(), FaircrowdError> {
 /// consumed lines instead of replaying them — printing the restored
 /// findings first, so the restart's output is still the stream's
 /// complete finding history.
-fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let mut path: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--once" => i += 1,
-            "--idle-ms" | "--checkpoint" | "--checkpoint-every" => i += 2,
-            flag if flag.starts_with("--") => {
-                return Err(FaircrowdError::usage(format!(
-                    "unknown flag `{flag}` for `faircrowd watch`; supported: \
-                     --once --idle-ms N --checkpoint FILE --checkpoint-every N"
-                )))
-            }
-            positional => {
-                if path.is_some() {
-                    return Err(FaircrowdError::usage(format!(
-                        "unexpected argument `{positional}`: `faircrowd watch` takes exactly \
-                         one trace file (`.jsonl` stream or `.fcb` recording)"
-                    )));
-                }
-                path = Some(positional);
-                i += 1;
-            }
-        }
-    }
-    let path = path.ok_or_else(|| FaircrowdError::usage("usage: faircrowd watch <trace.jsonl>"))?;
-    let once = args.iter().any(|a| a == "--once");
-    let idle_ms: u64 = positive_flag(args, "--idle-ms", 1500)?;
-    let ckpt_path = flag_value(args, "--checkpoint")?.map(std::path::PathBuf::from);
-    let checkpoint_every = positive_flag(args, "--checkpoint-every", 512)?;
-    if ckpt_path.is_none() && flag_value(args, "--checkpoint-every")?.is_some() {
+fn watch_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let path = args.positionals[0].as_str();
+    let once = args.switch("--once");
+    let idle_ms = args.positive("--idle-ms", 1500)?;
+    let ckpt_path = args.value("--checkpoint").map(std::path::PathBuf::from);
+    let checkpoint_every = args.positive("--checkpoint-every", 512)?;
+    if ckpt_path.is_none() && args.value("--checkpoint-every").is_some() {
         return Err(FaircrowdError::usage(
             "--checkpoint-every requires --checkpoint FILE",
         ));
@@ -624,38 +521,13 @@ fn watch_cmd(args: &[String]) -> Result<(), FaircrowdError> {
 /// checkpoint falls back to replaying that market's trace from the
 /// start. Closing reports are printed per market; a failed market
 /// stream fails the exit code but never the other markets.
-fn serve_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let mut dir: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--once" => i += 1,
-            "--idle-ms" | "--jobs" | "--checkpoint-dir" | "--checkpoint-every" => i += 2,
-            flag if flag.starts_with("--") => {
-                return Err(FaircrowdError::usage(format!(
-                    "unknown flag `{flag}` for `faircrowd serve`; supported: \
-                     --checkpoint-dir D --checkpoint-every N --jobs N --once --idle-ms N"
-                )))
-            }
-            positional => {
-                if dir.is_some() {
-                    return Err(FaircrowdError::usage(format!(
-                        "unexpected argument `{positional}`: `faircrowd serve` takes exactly \
-                         one trace directory"
-                    )));
-                }
-                dir = Some(positional);
-                i += 1;
-            }
-        }
-    }
-    let dir = dir.ok_or_else(|| FaircrowdError::usage("usage: faircrowd serve <dir>"))?;
-    let once = args.iter().any(|a| a == "--once");
-    let idle_ms = positive_flag(args, "--idle-ms", 1500)?;
-    let default_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let jobs = positive_flag(args, "--jobs", default_jobs as u64)? as usize;
-    let checkpoint_dir = flag_value(args, "--checkpoint-dir")?.map(std::path::PathBuf::from);
-    let checkpoint_every = positive_flag(args, "--checkpoint-every", 512)?;
+fn serve_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let dir = args.positionals[0].as_str();
+    let once = args.switch("--once");
+    let idle_ms = args.positive("--idle-ms", 1500)?;
+    let jobs = args.positive("--jobs", default_jobs())? as usize;
+    let checkpoint_dir = args.value("--checkpoint-dir").map(std::path::PathBuf::from);
+    let checkpoint_every = args.positive("--checkpoint-every", 512)?;
     if let Some(d) = &checkpoint_dir {
         std::fs::create_dir_all(d).map_err(|e| FaircrowdError::Io {
             path: d.display().to_string(),
@@ -760,77 +632,31 @@ fn fail_on_failed_markets(daemon: &AuditDaemon) -> Result<(), FaircrowdError> {
     )))
 }
 
-/// The only flags `sweep` reads; anything else is rejected rather than
-/// silently ignored (the grid's axes subsume `run`'s market flags).
-const SWEEP_FLAGS: [&str; 9] = [
-    "--grid",
-    "--jobs",
-    "--format",
-    "--seed",
-    "--rounds",
-    "--strategy",
-    "--shard",
-    "--out",
-    "--progress",
-];
+fn default_jobs() -> u64 {
+    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+}
 
-fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !SWEEP_FLAGS.contains(&a.as_str()))
-    {
-        return Err(FaircrowdError::usage(format!(
-            "unknown flag `{bad}` for `faircrowd sweep`; supported: {} \
-             (scenario, policy and enforcement are grid axes, e.g. \
-             --grid 'scenario=spam_campaign;policy=*;enforce=parity')",
-            SWEEP_FLAGS.join(" ")
-        )));
-    }
-    // A bare positional (usually a grid spec missing its `--grid`) would
-    // otherwise be silently dropped and the default grid swept instead.
-    let mut expects_value = false;
-    for arg in args {
-        if expects_value {
-            expects_value = false;
-        } else if arg.starts_with("--") {
-            expects_value = arg != "--progress";
-        } else {
-            return Err(FaircrowdError::usage(format!(
-                "unexpected argument `{arg}` for `faircrowd sweep`; grid specs go \
-                 via --grid, e.g. --grid 'seed=1..4;enforce=parity'"
-            )));
-        }
-    }
-    let spec = flag_value(args, "--grid")?.unwrap_or("policy=*");
+fn sweep(args: &Args) -> Result<(), FaircrowdError> {
+    let spec = args.value("--grid").unwrap_or("policy=*");
     let mut grid = SweepGrid::parse(spec)?;
     // --seed/--rounds act as axis defaults when the grid omits them.
-    if grid.seeds.is_none() {
-        if let Some(raw) = flag_value(args, "--seed")? {
-            grid.seeds = Some(vec![raw.parse().map_err(|_| {
-                FaircrowdError::usage(format!("invalid value `{raw}` for --seed"))
-            })?]);
-        }
+    if grid.seeds.is_none() && args.value("--seed").is_some() {
+        grid.seeds = Some(vec![args.parse("--seed", 0)?]);
     }
-    if grid.rounds.is_none() {
-        if let Some(raw) = flag_value(args, "--rounds")? {
-            grid.rounds = Some(vec![raw.parse().map_err(|_| {
-                FaircrowdError::usage(format!("invalid value `{raw}` for --rounds"))
-            })?]);
-        }
+    if grid.rounds.is_none() && args.value("--rounds").is_some() {
+        grid.rounds = Some(vec![args.parse("--rounds", 0)?]);
     }
     if grid.strategies.is_none() {
-        if let Some(raw) = flag_value(args, "--strategy")? {
+        if let Some(raw) = args.value("--strategy") {
             // Resolve now so a typo lists the registry before any
             // thread spawns, same as the grid's own axis validation.
             StrategyChoice::by_name(raw)?;
             grid.strategies = Some(vec![raw.to_owned()]);
         }
     }
-    let default_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let jobs = positive_flag(args, "--jobs", default_jobs as u64)? as usize;
-    let progress = args.iter().any(|a| a == "--progress");
-    let shard = flag_value(args, "--shard")?;
-    let out = flag_value(args, "--out")?;
+    let jobs = args.positive("--jobs", default_jobs())? as usize;
+    let shard = args.value("--shard");
+    let out = args.value("--out");
 
     if let Some(spec) = shard {
         // Shard mode: results stream to the part file, formatting waits
@@ -841,7 +667,7 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
                 "--shard requires --out FILE (the part file this shard appends to)",
             ));
         };
-        if flag_value(args, "--format")?.is_some() {
+        if args.value("--format").is_some() {
             return Err(FaircrowdError::usage(
                 "--format does not apply to a shard run: shards write part files; \
                  render with `faircrowd merge <part>...` once every shard finished",
@@ -862,19 +688,11 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
             }
             _ => 0,
         };
-        let counter = ProgressCounter::new(format!("shard {spec} "), owned.saturating_sub(resumed));
-        let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-            counter.report(cell, outcome);
-        };
-        let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
-        let run = faircrowd::sweep::shard::run_shard_opts(
-            &grid,
-            spec,
-            std::path::Path::new(out),
-            jobs,
-            true,
-            hook,
-        )?;
+        let (tag, todo) = (format!("shard {spec} "), owned.saturating_sub(resumed));
+        let run = with_progress(args, &tag, todo, |hook| {
+            let part = std::path::Path::new(out);
+            faircrowd::sweep::shard::run_shard_opts(&grid, spec, part, jobs, true, hook)
+        })?;
         println!(
             "shard {spec}: {} of {} grid cell(s); {} ran, {} resumed -> {out}",
             run.shard_cells, run.total_cells, run.ran, run.resumed
@@ -886,21 +704,26 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
             "--out only applies to shard runs; pair it with --shard i/N",
         ));
     }
-    let format = flag_value(args, "--format")?.unwrap_or("table");
+    let format = args.value("--format").unwrap_or("table");
 
-    let counter = ProgressCounter::new(String::new(), grid.expand()?.len());
-    let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-        counter.report(cell, outcome);
-    };
-    let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
-    let result = faircrowd::sweep::run_grid_observed(&grid, jobs, true, hook)?;
+    let result = with_progress(args, "", grid.expand()?.len(), |hook| {
+        faircrowd::sweep::run_grid_observed(&grid, jobs, true, hook)
+    })?;
+    print_sweep(&result, format, "sweep", &format!("{jobs} job(s)"))
+}
+
+/// The `sweep` and `merge` report in `format`; a table opens with a
+/// `grid {verb}: …` line that ends in `tail`.
+fn print_sweep(
+    result: &SweepResult,
+    format: &str,
+    verb: &str,
+    tail: &str,
+) -> Result<(), FaircrowdError> {
     match format {
         "table" => {
-            println!(
-                "grid sweep: {} case(s) over {} cell(s), {jobs} job(s)\n",
-                result.cases.len(),
-                result.groups.len()
-            );
+            let (cases, cells) = (result.cases.len(), result.groups.len());
+            println!("grid {verb}: {cases} case(s) over {cells} cell(s), {tail}\n");
             print!("{}", result.render_table());
         }
         "json" => print!("{}", result.to_json()),
@@ -914,35 +737,21 @@ fn sweep(args: &[String]) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-/// The `--progress` line printer: `[k/total] case #i …` per completed
-/// cell, where `k` counts completions and `i` is the cell's 1-based
-/// grid position (cells complete out of grid order on several workers).
-struct ProgressCounter {
-    tag: String,
-    total: usize,
-    done: std::sync::atomic::AtomicUsize,
-}
-
-impl ProgressCounter {
-    fn new(tag: String, total: usize) -> Self {
-        let done = std::sync::atomic::AtomicUsize::new(0);
-        ProgressCounter { tag, total, done }
-    }
-
-    fn report(&self, cell: usize, outcome: &faircrowd::sweep::CaseOutcome) {
+/// Runs `run` with the `--progress` hook when the flag is given: one
+/// stderr line `[{tag}k/total] case #i …` per completed cell, where `k`
+/// counts completions and `i` is the cell's 1-based grid position (cells
+/// complete out of grid order on several workers).
+fn with_progress<T>(args: &Args, tag: &str, total: usize, run: impl FnOnce(CellHook) -> T) -> T {
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    let line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
         use std::io::Write as _;
         // Count under the stderr lock, so lines print in count order.
         let mut stderr = std::io::stderr().lock();
-        let k = self.done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-        let _ = writeln!(
-            stderr,
-            "[{}{k}/{}] case #{} {}",
-            self.tag,
-            self.total,
-            cell + 1,
-            progress_cell(outcome)
-        );
-    }
+        let k = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+        let (cell, case) = (cell + 1, progress_cell(outcome));
+        let _ = writeln!(stderr, "[{tag}{k}/{total}] case #{cell} {case}");
+    };
+    run(args.switch("--progress").then_some(&line))
 }
 
 /// The per-cell description `--progress` prints after the cell tag.
@@ -961,48 +770,15 @@ fn progress_cell(outcome: &faircrowd::sweep::CaseOutcome) -> String {
     )
 }
 
-/// The only flags `frontier` reads; like `sweep`, anything else is
-/// rejected rather than silently ignored.
-const FRONTIER_FLAGS: [&str; 4] = ["--grid", "--jobs", "--format", "--progress"];
-
-fn frontier_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    if let Some(bad) = args
-        .iter()
-        .find(|a| a.starts_with("--") && !FRONTIER_FLAGS.contains(&a.as_str()))
-    {
-        return Err(FaircrowdError::usage(format!(
-            "unknown flag `{bad}` for `faircrowd frontier`; supported: {} \
-             (policy, aggregator and enforcement are grid axes, e.g. \
-             --grid 'policy=*;aggregator=*;enforce=none,parity')",
-            FRONTIER_FLAGS.join(" ")
-        )));
-    }
-    let mut expects_value = false;
-    for arg in args {
-        if expects_value {
-            expects_value = false;
-        } else if arg.starts_with("--") {
-            expects_value = arg != "--progress";
-        } else {
-            return Err(FaircrowdError::usage(format!(
-                "unexpected argument `{arg}` for `faircrowd frontier`; grid specs go \
-                 via --grid, e.g. --grid 'policy=*;aggregator=*'"
-            )));
-        }
-    }
-    let spec = flag_value(args, "--grid")?.unwrap_or("");
+fn frontier_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let spec = args.value("--grid").unwrap_or("");
     let grid = faircrowd::frontier::frontier_grid(spec)?;
-    let default_jobs = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let jobs = positive_flag(args, "--jobs", default_jobs as u64)? as usize;
-    let progress = args.iter().any(|a| a == "--progress");
-    let format = flag_value(args, "--format")?.unwrap_or("table");
+    let jobs = args.positive("--jobs", default_jobs())? as usize;
+    let format = args.value("--format").unwrap_or("table");
 
-    let counter = ProgressCounter::new(String::new(), grid.expand()?.len());
-    let progress_line = |cell: usize, outcome: &faircrowd::sweep::CaseOutcome| {
-        counter.report(cell, outcome);
-    };
-    let hook: faircrowd::sweep::CellHook<'_> = progress.then_some(&progress_line);
-    let result = faircrowd::frontier::run_frontier_observed(&grid, jobs, hook)?;
+    let result = with_progress(args, "", grid.expand()?.len(), |hook| {
+        faircrowd::frontier::run_frontier_observed(&grid, jobs, hook)
+    })?;
     match format {
         "table" => {
             println!(
@@ -1022,52 +798,19 @@ fn frontier_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-fn merge_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let format = flag_value(args, "--format")?.unwrap_or("table");
-    let mut paths: Vec<std::path::PathBuf> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => i += 2,
-            flag if flag.starts_with("--") => {
-                return Err(FaircrowdError::usage(format!(
-                    "unknown flag `{flag}` for `faircrowd merge`; supported: --format"
-                )));
-            }
-            path => {
-                paths.push(path.into());
-                i += 1;
-            }
-        }
-    }
-    if paths.is_empty() {
-        return Err(FaircrowdError::usage(
-            "usage: faircrowd merge <part.json>... [--format table|json|csv]",
-        ));
-    }
+fn merge_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let format = args.value("--format").unwrap_or("table");
+    let paths: Vec<std::path::PathBuf> = args.positionals.iter().map(Into::into).collect();
     let result = faircrowd::sweep::shard::merge_paths(&paths)?;
-    match format {
-        "table" => {
-            println!(
-                "grid merge: {} case(s) over {} cell(s), {} part(s)\n",
-                result.cases.len(),
-                result.groups.len(),
-                paths.len()
-            );
-            print!("{}", result.render_table());
-        }
-        "json" => print!("{}", result.to_json()),
-        "csv" => print!("{}", result.to_csv()),
-        other => {
-            return Err(FaircrowdError::usage(format!(
-                "unknown format `{other}`; expected table | json | csv"
-            )))
-        }
-    }
-    Ok(())
+    print_sweep(
+        &result,
+        format,
+        "merge",
+        &format!("{} part(s)", paths.len()),
+    )
 }
 
-fn policies() -> Result<(), FaircrowdError> {
+fn policies(_: &Args) -> Result<(), FaircrowdError> {
     println!("catalog policies (TPL sources in faircrowd-lang::catalog):\n");
     for (name, _) in catalog::sources() {
         let policy = catalog::get(name)?;
@@ -1084,11 +827,8 @@ fn policies() -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-fn render_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let name = args
-        .first()
-        .ok_or_else(|| FaircrowdError::usage("usage: faircrowd render <policy>"))?;
-    let policy = catalog::get(name)?;
+fn render_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let policy = catalog::get(&args.positionals[0])?;
     print!("{}", render::render_policy(&policy));
     println!(
         "\ncanonical TPL source:\n\n{}",
@@ -1097,9 +837,9 @@ fn render_cmd(args: &[String]) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-fn compare_cmd(args: &[String]) -> Result<(), FaircrowdError> {
-    let (Some(a), Some(b)) = (args.first(), args.get(1)) else {
-        return Err(FaircrowdError::usage("usage: faircrowd compare <a> <b>"));
+fn compare_cmd(args: &Args) -> Result<(), FaircrowdError> {
+    let [a, b] = &args.positionals[..] else {
+        unreachable!("the parser admits exactly two positionals")
     };
     let (pa, pb) = (catalog::get(a)?, catalog::get(b)?);
     print!("{}", compare(&pa, &pb).render());
@@ -1114,18 +854,52 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn verb(name: &str) -> &'static Verb {
+        VERBS
+            .iter()
+            .find(|v| v.name == name)
+            .expect("a verb in the table")
+    }
+
+    /// `line` (verb first) checked against its row; it must parse.
+    fn parsed(line: &[&str]) -> Args {
+        cli::parse(verb(line[0]), &argv(&line[1..]))
+            .unwrap()
+            .expect("not a help request")
+    }
+
+    /// `line` through the binary's entry point.
+    fn run(line: &[&str]) -> Result<(), FaircrowdError> {
+        dispatch(&argv(line))
+    }
+
+    /// The usage error `line` must be rejected with, naming `token`.
+    fn rejected(line: &[&str], token: &str) -> String {
+        let err = match cli::parse(verb(line[0]), &argv(&line[1..])) {
+            Err(err) => err,
+            Ok(_) => panic!("{line:?} parsed"),
+        };
+        assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains(token),
+            "{line:?}: `{token}` not named in: {text}"
+        );
+        text
+    }
+
     #[test]
     fn every_registry_name_builds_a_pipeline() {
         for name in registry::NAMES {
-            let args = argv(&["--policy", name, "--rounds", "6"]);
-            assert!(pipeline_from_flags(&args, false).is_ok(), "{name}");
+            let args = parsed(&["audit", "--policy", name, "--rounds", "6"]);
+            assert!(pipeline_from_flags(&args).is_ok(), "{name}");
         }
         // Hyphen spellings from the old CLI still resolve.
-        let args = argv(&["--policy", "round-robin"]);
-        assert!(pipeline_from_flags(&args, false).is_ok());
-        let args = argv(&["--policy", "magic"]);
+        let args = parsed(&["audit", "--policy", "round-robin"]);
+        assert!(pipeline_from_flags(&args).is_ok());
+        let args = parsed(&["audit", "--policy", "magic"]);
         assert!(matches!(
-            pipeline_from_flags(&args, false),
+            pipeline_from_flags(&args),
             Err(FaircrowdError::UnknownPolicy { .. })
         ));
     }
@@ -1152,6 +926,15 @@ mod tests {
         }
         assert!(help.contains("faircrowd frontier"));
         assert!(help.contains("| aggregator"));
+        // The help is rendered from the table the parser checks: every
+        // verb, and every flag with its metavar, is in it.
+        for verb in &VERBS {
+            assert!(help.contains(&format!("faircrowd {}", verb.name)));
+            for flag in verb.all_flags() {
+                let spelled = flag.spelled();
+                assert!(help.contains(&spelled), "`{spelled}` missing from help");
+            }
+        }
     }
 
     #[test]
@@ -1179,47 +962,39 @@ mod tests {
 
     #[test]
     fn frontier_rejects_flags_and_positionals_it_would_ignore() {
-        for args in [
-            argv(&["--shard", "0/2"]),
-            argv(&["--out", "part.json"]),
-            argv(&["--seed", "7"]),
-        ] {
-            let err = frontier_cmd(&args).unwrap_err();
+        for args in [["--shard", "0/2"], ["--out", "part.json"], ["--seed", "7"]] {
+            let err = run(&[&["frontier"], &args[..]].concat()).unwrap_err();
             assert!(matches!(err, FaircrowdError::Usage { .. }), "{args:?}");
             assert!(err.to_string().contains("--grid"), "{err}");
         }
-        let err = frontier_cmd(&argv(&["policy=kos"])).unwrap_err();
+        let err = run(&["frontier", "policy=kos"]).unwrap_err();
         assert!(err.to_string().contains("`policy=kos`"), "{err}");
-        let err = frontier_cmd(&argv(&["--grid", "orbit=1"])).unwrap_err();
+        let err = run(&["frontier", "--grid", "orbit=1"]).unwrap_err();
         assert!(err.to_string().contains("orbit"), "{err}");
-        let err = frontier_cmd(&argv(&["--grid", "rounds=6", "--format", "csv"])).unwrap_err();
+        let err = run(&["frontier", "--grid", "rounds=6", "--format", "csv"]).unwrap_err();
         assert!(err.to_string().contains("table | json"), "{err}");
     }
 
     #[test]
-    fn flag_value_extracts_pairs() {
-        let args = argv(&["--seed", "7", "--policy", "kos"]);
-        assert_eq!(flag_value(&args, "--seed").unwrap(), Some("7"));
-        assert_eq!(flag_value(&args, "--policy").unwrap(), Some("kos"));
-        assert_eq!(flag_value(&args, "--rounds").unwrap(), None);
+    fn value_extracts_pairs() {
+        let args = parsed(&["run", "--seed", "7", "--policy", "kos"]);
+        assert_eq!(args.value("--seed"), Some("7"));
+        assert_eq!(args.value("--policy"), Some("kos"));
+        assert_eq!(args.value("--rounds"), None);
         // A flag dangling at the end of the line is an error, not a
         // silent fall-back to the default.
-        let dangling = argv(&["--seed"]);
-        assert!(matches!(
-            flag_value(&dangling, "--seed"),
-            Err(FaircrowdError::Usage { .. })
-        ));
+        rejected(&["run", "--seed"], "--seed requires a value");
     }
 
     #[test]
     fn sweep_rejects_flags_it_would_ignore() {
         for args in [
-            argv(&["--opaque"]),
-            argv(&["--workers", "10"]),
-            argv(&["--scenario", "spam_campaign"]),
-            argv(&["--enforce", "parity"]),
+            &["--opaque"][..],
+            &["--workers", "10"],
+            &["--scenario", "spam_campaign"],
+            &["--enforce", "parity"],
         ] {
-            let err = sweep(&args).unwrap_err();
+            let err = run(&[&["sweep"], args].concat()).unwrap_err();
             assert!(matches!(err, FaircrowdError::Usage { .. }), "{args:?}");
             assert!(err.to_string().contains("--grid"), "{err}");
         }
@@ -1228,7 +1003,7 @@ mod tests {
     #[test]
     fn sweep_rejects_a_bare_positional_grid_spec() {
         // Forgetting `--grid` must not silently sweep the default grid.
-        let err = sweep(&argv(&["seed=1..4;enforce=parity"])).unwrap_err();
+        let err = run(&["sweep", "seed=1..4;enforce=parity"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
         assert!(
             err.to_string().contains("seed=1..4;enforce=parity"),
@@ -1236,38 +1011,38 @@ mod tests {
         );
         assert!(err.to_string().contains("--grid"), "{err}");
         // Flag values are not positionals.
-        let err = sweep(&argv(&["--jobs", "2", "extra"])).unwrap_err();
+        let err = run(&["sweep", "--jobs", "2", "extra"]).unwrap_err();
         assert!(err.to_string().contains("`extra`"), "{err}");
     }
 
     #[test]
     fn sweep_shard_flags_validate() {
         // --shard without --out has nowhere to persist cells.
-        let err = sweep(&argv(&["--shard", "1/2"])).unwrap_err();
+        let err = run(&["sweep", "--shard", "1/2"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
         assert!(err.to_string().contains("--out"), "{err}");
         // --format belongs to merge, not to a shard run.
-        let err = sweep(&argv(&[
-            "--shard", "1/2", "--out", "p.json", "--format", "json",
-        ]))
+        let err = run(&[
+            "sweep", "--shard", "1/2", "--out", "p.json", "--format", "json",
+        ])
         .unwrap_err();
         assert!(err.to_string().contains("merge"), "{err}");
         // Malformed shard specs name the expected form.
-        let err = sweep(&argv(&["--shard", "3/2", "--out", "p.json"])).unwrap_err();
+        let err = run(&["sweep", "--shard", "3/2", "--out", "p.json"]).unwrap_err();
         assert!(err.to_string().contains("i/N"), "{err}");
         // --out without --shard is not an export flag here.
-        let err = sweep(&argv(&["--out", "p.json"])).unwrap_err();
+        let err = run(&["sweep", "--out", "p.json"]).unwrap_err();
         assert!(err.to_string().contains("--shard"), "{err}");
     }
 
     #[test]
     fn merge_rejects_empty_and_unknown_flags() {
-        let err = merge_cmd(&argv(&[])).unwrap_err();
+        let err = run(&["merge"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
         assert!(err.to_string().contains("merge <part.json>"), "{err}");
-        let err = merge_cmd(&argv(&["p.json", "--jobs", "2"])).unwrap_err();
+        let err = run(&["merge", "p.json", "--jobs", "2"]).unwrap_err();
         assert!(err.to_string().contains("--jobs"), "{err}");
-        let err = merge_cmd(&argv(&["p.json", "--format", "yaml"])).unwrap_err();
+        let err = run(&["merge", "p.json", "--format", "yaml"]).unwrap_err();
         let text = err.to_string();
         // Either the missing file or the bad format may surface first;
         // both must be usage-shaped, never a panic.
@@ -1276,10 +1051,10 @@ mod tests {
 
     #[test]
     fn default_market_is_the_catalog_baseline() {
-        let config = scenario_from_flags(&[]).unwrap();
+        let config = scenario_from_flags(&parsed(&["run"])).unwrap();
         assert_eq!(config, scenarios::get("baseline").unwrap());
         // --workers only resizes the baseline's population.
-        let config = scenario_from_flags(&argv(&["--workers", "12"])).unwrap();
+        let config = scenario_from_flags(&parsed(&["run", "--workers", "12"])).unwrap();
         assert_eq!(config.workers[0].count, 12);
     }
 
@@ -1308,11 +1083,12 @@ mod tests {
     #[test]
     fn scenario_flag_selects_catalog_presets() {
         // A preset keeps its own seed/rounds when flags are absent…
-        let args = argv(&["--scenario", "worker_churn"]);
+        let args = parsed(&["run", "--scenario", "worker_churn"]);
         let config = scenario_from_flags(&args).unwrap();
         assert_eq!(config.rounds, 60);
         // …and explicit flags still win.
-        let args = argv(&[
+        let args = parsed(&[
+            "run",
             "--scenario",
             "worker-churn",
             "--rounds",
@@ -1324,7 +1100,7 @@ mod tests {
         assert_eq!(config.rounds, 12);
         assert_eq!(config.seed, 7);
         // Unknown names list the catalog.
-        let args = argv(&["--scenario", "atlantis"]);
+        let args = parsed(&["run", "--scenario", "atlantis"]);
         match scenario_from_flags(&args) {
             Err(FaircrowdError::UnknownScenario { available, .. }) => {
                 assert_eq!(available.len(), scenarios::NAMES.len());
@@ -1337,10 +1113,11 @@ mod tests {
     fn strategy_flag_resolves_conflicts_and_rejects_unknowns() {
         // Override on a static-family base (including the flag-built
         // default) is the point of the flag…
-        let config = scenario_from_flags(&argv(&["--strategy", "super_turker"])).unwrap();
+        let config = scenario_from_flags(&parsed(&["run", "--strategy", "super_turker"])).unwrap();
         assert_eq!(config.strategy, StrategyChoice::SuperTurker);
         // …hyphen spellings canonicalise like policies/scenarios…
-        let config = scenario_from_flags(&argv(&[
+        let config = scenario_from_flags(&parsed(&[
+            "run",
             "--scenario",
             "baseline",
             "--strategy",
@@ -1349,7 +1126,8 @@ mod tests {
         .unwrap();
         assert_eq!(config.strategy, StrategyChoice::SuperTurker);
         // …a strategic scenario's baked-in profile cannot be overridden…
-        let err = scenario_from_flags(&argv(&[
+        let err = scenario_from_flags(&parsed(&[
+            "run",
             "--scenario",
             "price_war",
             "--strategy",
@@ -1361,7 +1139,7 @@ mod tests {
         assert!(err.to_string().contains("price_undercut"), "{err}");
         // …and unknown names list the registry instead of falling
         // through to the default.
-        let err = scenario_from_flags(&argv(&["--strategy", "chaos_monkey"])).unwrap_err();
+        let err = scenario_from_flags(&parsed(&["run", "--strategy", "chaos_monkey"])).unwrap_err();
         match err {
             FaircrowdError::UnknownStrategy { available, .. } => {
                 assert_eq!(available.len(), strategy::NAMES.len());
@@ -1372,26 +1150,26 @@ mod tests {
 
     #[test]
     fn converge_cmd_validates_flags_and_runs() {
-        let err = converge_cmd(&argv(&["--trace", "t.json"])).unwrap_err();
+        let err = run(&["converge", "--trace", "t.json"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
-        let err = converge_cmd(&argv(&["--live"])).unwrap_err();
+        let err = run(&["converge", "--live"]).unwrap_err();
         assert!(err.to_string().contains("faircrowd run"), "{err}");
-        let err = converge_cmd(&argv(&["--tolerance", "-1", "--rounds", "6"])).unwrap_err();
+        let err = run(&["converge", "--tolerance", "-1", "--rounds", "6"]).unwrap_err();
         assert!(err.to_string().contains("tolerance"), "{err}");
-        let err = converge_cmd(&argv(&["--max-iters", "0"])).unwrap_err();
+        let err = run(&["converge", "--max-iters", "0"]).unwrap_err();
         assert!(
             err.to_string().contains("expected a positive integer"),
             "{err}"
         );
         // A strategic scenario settles end to end through the verb.
-        converge_cmd(&argv(&["--scenario", "super_turkers", "--rounds", "8"])).unwrap();
+        run(&["converge", "--scenario", "super_turkers", "--rounds", "8"]).unwrap();
     }
 
     #[test]
     fn sweep_accepts_a_strategy_default_flag() {
         // The flag acts as an axis default, like --seed/--rounds; a
         // typo errors before any cell runs.
-        let err = sweep(&argv(&["--strategy", "chaos_monkey"])).unwrap_err();
+        let err = run(&["sweep", "--strategy", "chaos_monkey"]).unwrap_err();
         assert!(
             matches!(err, FaircrowdError::UnknownStrategy { .. }),
             "{err:?}"
@@ -1400,23 +1178,30 @@ mod tests {
 
     #[test]
     fn repeated_enforce_flags_accumulate() {
-        let args = argv(&["--enforce", "parity", "--rounds", "6", "--enforce", "grace"]);
-        let pipeline = pipeline_from_flags(&args, true).unwrap();
+        let args = parsed(&[
+            "run",
+            "--enforce",
+            "parity",
+            "--rounds",
+            "6",
+            "--enforce",
+            "grace",
+        ]);
+        let pipeline = enforced_pipeline(&args).unwrap();
         let result = pipeline.run().unwrap();
         assert_eq!(result.enforced.unwrap().applied.len(), 2);
     }
 
     #[test]
     fn audit_rejects_enforce_instead_of_ignoring_it() {
-        let args = argv(&["--enforce", "parity"]);
-        let err = pipeline_from_flags(&args, false).unwrap_err();
+        let err = run(&["audit", "--enforce", "parity"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err}");
         assert!(err.to_string().contains("faircrowd run"));
     }
 
     #[test]
     fn bad_numeric_flags_are_usage_errors() {
-        let args = argv(&["--seed", "pony"]);
+        let args = parsed(&["run", "--seed", "pony"]);
         assert!(matches!(
             scenario_from_flags(&args),
             Err(FaircrowdError::Usage { .. })
@@ -1425,29 +1210,29 @@ mod tests {
 
     #[test]
     fn export_requires_out_and_replay_requires_a_path() {
-        let err = export_cmd(&argv(&["--rounds", "6"])).unwrap_err();
+        let err = run(&["export", "--rounds", "6"]).unwrap_err();
         assert!(err.to_string().contains("--out"), "{err}");
-        let err = replay_cmd(&[]).unwrap_err();
-        assert!(err.to_string().contains("replay <trace-file>"), "{err}");
+        let err = run(&["replay"]).unwrap_err();
+        assert!(err.to_string().contains("replay <FILE>"), "{err}");
     }
 
     #[test]
     fn trace_flag_rejects_conflicts_instead_of_ignoring_them() {
         // `run` never replays…
-        let err = run_cmd(&argv(&["--trace", "t.json"]), true).unwrap_err();
+        let err = run(&["run", "--trace", "t.json"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Usage { .. }), "{err}");
         // …and a recorded trace can't be combined with market flags…
-        let err = run_cmd(&argv(&["--trace", "t.json", "--seed", "7"]), false).unwrap_err();
+        let err = run(&["audit", "--trace", "t.json", "--seed", "7"]).unwrap_err();
         assert!(err.to_string().contains("--seed"), "{err}");
         assert!(err.to_string().contains("--trace"), "{err}");
         // …or with --enforce (repairs can't apply to a finished run) —
         // rejected, not silently dropped.
-        let err = run_cmd(&argv(&["--trace", "t.json", "--enforce", "parity"]), false).unwrap_err();
+        let err = run(&["audit", "--trace", "t.json", "--enforce", "parity"]).unwrap_err();
         assert!(err.to_string().contains("--enforce"), "{err}");
         // `replay` takes exactly one path; extras are rejected too.
-        let err = replay_cmd(&argv(&["t.json", "--seed", "7"])).unwrap_err();
+        let err = run(&["replay", "t.json", "--seed", "7"]).unwrap_err();
         assert!(err.to_string().contains("--seed"), "{err}");
-        let err = replay_cmd(&argv(&["--trace", "t.json", "extra"])).unwrap_err();
+        let err = run(&["replay", "t.json", "extra"]).unwrap_err();
         assert!(err.to_string().contains("extra"), "{err}");
     }
 
@@ -1455,48 +1240,49 @@ mod tests {
     fn export_then_audit_trace_roundtrips() {
         let path = std::env::temp_dir().join("fc_cli_roundtrip.trace.jsonl");
         let path_str = path.to_str().unwrap().to_owned();
-        export_cmd(&argv(&[
+        run(&[
+            "export",
             "--rounds",
             "6",
             "--workers",
             "8",
             "--out",
             &path_str,
-        ]))
+        ])
         .unwrap();
-        run_cmd(&argv(&["--trace", &path_str]), false).unwrap();
-        replay_cmd(&argv(&[&path_str])).unwrap();
-        watch_cmd(&argv(&[&path_str, "--once"])).unwrap();
+        run(&["audit", "--trace", &path_str]).unwrap();
+        run(&["replay", &path_str]).unwrap();
+        run(&["watch", &path_str, "--once"]).unwrap();
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn run_live_streams_and_reports() {
-        run_cmd(&argv(&["--rounds", "6", "--workers", "8", "--live"]), true).unwrap();
+        run(&["run", "--rounds", "6", "--workers", "8", "--live"]).unwrap();
         // --live cannot combine with --enforce (repairs re-simulate)…
-        let err = run_cmd(
-            &argv(&["--live", "--enforce", "parity", "--rounds", "6"]),
-            true,
-        )
-        .unwrap_err();
+        let err = run(&["run", "--live", "--enforce", "parity", "--rounds", "6"]).unwrap_err();
         assert!(err.to_string().contains("--live"), "{err}");
         // …nor with `audit` (which replays or simulates a finished log).
-        let err = run_cmd(&argv(&["--live", "--rounds", "6"]), false).unwrap_err();
-        assert!(err.to_string().contains("watch"), "{err}");
+        let err = run(&["audit", "--live", "--rounds", "6"]).unwrap_err();
+        assert!(err.to_string().contains("--live"), "{err}");
+        assert!(err.to_string().contains("faircrowd run"), "{err}");
         // …and a recorded trace is watched, not run live.
-        let err = run_cmd(&argv(&["--trace", "t.jsonl", "--live"]), false).unwrap_err();
+        let err = run(&["audit", "--trace", "t.jsonl", "--live"]).unwrap_err();
         assert!(err.to_string().contains("--live"), "{err}");
     }
 
     #[test]
     fn watch_arguments_are_validated() {
-        let err = watch_cmd(&[]).unwrap_err();
-        assert!(err.to_string().contains("watch <trace.jsonl>"), "{err}");
-        let err = watch_cmd(&argv(&["a.jsonl", "b.jsonl"])).unwrap_err();
-        assert!(err.to_string().contains("exactly"), "{err}");
-        let err = watch_cmd(&argv(&["a.jsonl", "--follow-forever"])).unwrap_err();
+        let err = run(&["watch"]).unwrap_err();
+        assert!(err.to_string().contains("watch <FILE>"), "{err}");
+        let err = run(&["watch", "a.jsonl", "b.jsonl"]).unwrap_err();
+        assert!(
+            err.to_string().contains("unexpected argument `b.jsonl`"),
+            "{err}"
+        );
+        let err = run(&["watch", "a.jsonl", "--follow-forever"]).unwrap_err();
         assert!(err.to_string().contains("--follow-forever"), "{err}");
-        let err = watch_cmd(&argv(&["/no/such/fc_trace.jsonl", "--once"])).unwrap_err();
+        let err = run(&["watch", "/no/such/fc_trace.jsonl", "--once"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Io { .. }), "{err:?}");
     }
 
@@ -1504,16 +1290,17 @@ mod tests {
     fn watch_rejects_whole_file_json_with_guidance() {
         let path = std::env::temp_dir().join("fc_cli_watch_wrongformat.trace.json");
         let path_str = path.to_str().unwrap().to_owned();
-        export_cmd(&argv(&[
+        run(&[
+            "export",
             "--rounds",
             "6",
             "--workers",
             "6",
             "--out",
             &path_str,
-        ]))
+        ])
         .unwrap();
-        let err = watch_cmd(&argv(&[&path_str, "--once"])).unwrap_err();
+        let err = run(&["watch", &path_str, "--once"]).unwrap_err();
         let text = err.to_string();
         assert!(
             text.contains("replay") || text.contains("header"),
@@ -1528,14 +1315,15 @@ mod tests {
         // the file line and the offending seq, not just fail wholesale.
         let path = std::env::temp_dir().join("fc_cli_watch_sparse.trace.jsonl");
         let path_str = path.to_str().unwrap().to_owned();
-        export_cmd(&argv(&[
+        run(&[
+            "export",
             "--rounds",
             "6",
             "--workers",
             "6",
             "--out",
             &path_str,
-        ]))
+        ])
         .unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
@@ -1545,7 +1333,7 @@ mod tests {
             .expect("an event with seq 3 exists");
         lines[target] = lines[target].replacen("\"seq\":3,", "\"seq\":9,", 1);
         std::fs::write(&path, lines.join("\n")).unwrap();
-        let err = watch_cmd(&argv(&[&path_str, "--once"])).unwrap_err();
+        let err = run(&["watch", &path_str, "--once"]).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains(&format!("line {}", target + 1)), "{msg}");
         assert!(msg.contains("seq 9"), "{msg}");
@@ -1554,61 +1342,141 @@ mod tests {
 
     #[test]
     fn replay_of_missing_file_is_a_clean_error() {
-        let err = replay_cmd(&argv(&["/no/such/fc_trace.json"])).unwrap_err();
+        let err = run(&["replay", "/no/such/fc_trace.json"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Io { .. }), "{err:?}");
     }
 
     #[test]
-    fn positive_flag_accepts_counts_and_rejects_the_rest() {
-        assert_eq!(positive_flag(&[], "--jobs", 4).unwrap(), 4);
-        let args = argv(&["--jobs", "8"]);
-        assert_eq!(positive_flag(&args, "--jobs", 4).unwrap(), 8);
+    fn positive_accepts_counts_and_rejects_the_rest() {
+        assert_eq!(parsed(&["serve", "d"]).positive("--jobs", 4).unwrap(), 4);
+        let args = parsed(&["serve", "d", "--jobs", "8"]);
+        assert_eq!(args.positive("--jobs", 4).unwrap(), 8);
         // Zero, negatives and non-numerics all get the same wording.
         for bad in ["0", "-3", "many", "1.5", ""] {
-            let args = argv(&["--jobs", bad]);
-            let err = positive_flag(&args, "--jobs", 4).unwrap_err();
+            let err = parsed(&["serve", "d", "--jobs", bad])
+                .positive("--jobs", 4)
+                .unwrap_err();
             assert!(matches!(err, FaircrowdError::Usage { .. }), "{bad}");
             assert!(
                 err.to_string().contains("expected a positive integer"),
                 "{err}"
             );
         }
-        // A dangling flag is still the flag_value error.
-        let err = positive_flag(&argv(&["--jobs"]), "--jobs", 4).unwrap_err();
-        assert!(err.to_string().contains("requires a value"), "{err}");
+        // A dangling flag is still the parser's error.
+        rejected(&["serve", "d", "--jobs"], "--jobs requires a value");
+    }
+
+    #[test]
+    fn every_verb_rejects_input_it_does_not_read() {
+        for verb in &VERBS {
+            let fits = vec!["x"; verb.positionals.len()];
+            let line = |extra: &[&'static str]| [&[verb.name][..], &fits, extra].concat();
+            let with_value = |flag: &Flag| match flag.metavar {
+                Some(_) => vec![flag.name, "1"],
+                None => vec![flag.name],
+            };
+            // A flag only other verbs declare names the verbs that do.
+            let foreign = VERBS
+                .iter()
+                .flat_map(Verb::all_flags)
+                .find(|f| verb.flag(f.name).is_none())
+                .expect("every verb lacks some other verb's flag");
+            let text = rejected(&line(&with_value(foreign)), foreign.name);
+            assert!(text.contains("accepted by `faircrowd "), "{text}");
+            rejected(&line(&["--no-such-flag"]), "--no-such-flag");
+            // One positional too many; a list shape has no maximum, so
+            // there the empty list is the misfit.
+            match verb.positionals.last() {
+                Some(list) if list.ends_with("...") => rejected(&[verb.name], list),
+                _ => rejected(&line(&["extra"]), "`extra`"),
+            };
+            if let Some(flag) = verb.all_flags().find(|f| !f.repeatable) {
+                let twice = [with_value(flag), with_value(flag)].concat();
+                rejected(
+                    &line(&twice),
+                    &format!("{} given more than once", flag.name),
+                );
+            }
+        }
+        // Lines that used to exit 0 while ignoring part of the input.
+        for (line, token) in [
+            (&["run", "--sed", "7"][..], "--sed"),
+            (&["converge", "--jobs", "4"], "--jobs"),
+            (&["run", "--tolerance", "0.1"], "--tolerance"),
+            (&["audit", "--trace", "F", "--out", "X"], "--out"),
+            (&["export", "--out", "F", "stray"], "`stray`"),
+            (&["compare", "amt", "crowdflower", "extra"], "`extra`"),
+            (&["render", "amt", "extra"], "`extra`"),
+            (&["run", "--rounds", "4", "--rounds", "6"], "--rounds"),
+        ] {
+            rejected(line, token);
+        }
+    }
+
+    #[test]
+    fn a_value_flag_never_swallows_the_next_flag() {
+        rejected(
+            &["watch", "m.jsonl", "--checkpoint", "--once"],
+            "--checkpoint requires a value",
+        );
+        rejected(
+            &["sweep", "--grid", "--progress"],
+            "--grid requires a value",
+        );
+        // Single-dash words are values, so negative numbers reach the
+        // value's own parser.
+        let args = parsed(&["converge", "--tolerance", "-1"]);
+        assert_eq!(args.value("--tolerance"), Some("-1"));
+    }
+
+    #[test]
+    fn help_anywhere_is_a_help_request() {
+        for verb in &VERBS {
+            for help in ["-h", "--help"] {
+                let line = argv(&["--no-such-flag", help]);
+                assert!(cli::parse(verb, &line).unwrap().is_none(), "{}", verb.name);
+            }
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "not declared")]
+    fn reading_an_undeclared_flag_is_a_bug() {
+        parsed(&["replay", "t.json"]).switch("--once");
     }
 
     #[test]
     fn count_flags_error_uniformly_across_verbs() {
-        let err = sweep(&argv(&["--jobs", "0"])).unwrap_err();
+        let err = run(&["sweep", "--jobs", "0"]).unwrap_err();
         assert!(err.to_string().contains("expected a positive integer"));
-        let err = watch_cmd(&argv(&["t.jsonl", "--idle-ms", "soon"])).unwrap_err();
+        let err = run(&["watch", "t.jsonl", "--idle-ms", "soon"]).unwrap_err();
         assert!(err.to_string().contains("expected a positive integer"));
-        let err = serve_cmd(&argv(&["/tmp", "--checkpoint-every", "0"])).unwrap_err();
+        let err = run(&["serve", "/tmp", "--checkpoint-every", "0"]).unwrap_err();
         assert!(err.to_string().contains("expected a positive integer"));
     }
 
     #[test]
     fn serve_arguments_are_validated() {
-        let err = serve_cmd(&[]).unwrap_err();
-        assert!(err.to_string().contains("serve <dir>"), "{err}");
-        let err = serve_cmd(&argv(&["a", "b"])).unwrap_err();
-        assert!(err.to_string().contains("exactly"), "{err}");
-        let err = serve_cmd(&argv(&["a", "--daemonize"])).unwrap_err();
+        let err = run(&["serve"]).unwrap_err();
+        assert!(err.to_string().contains("serve <DIR>"), "{err}");
+        let err = run(&["serve", "a", "b"]).unwrap_err();
+        assert!(err.to_string().contains("unexpected argument `b`"), "{err}");
+        let err = run(&["serve", "a", "--daemonize"]).unwrap_err();
         assert!(err.to_string().contains("--daemonize"), "{err}");
-        let err = serve_cmd(&argv(&["/no/such/fc_serve_dir"])).unwrap_err();
+        let err = run(&["serve", "/no/such/fc_serve_dir"]).unwrap_err();
         assert!(matches!(err, FaircrowdError::Io { .. }), "{err:?}");
         // A directory with no .jsonl streams is named, not silently idle.
         let empty = std::env::temp_dir().join("fc_cli_serve_empty");
         std::fs::create_dir_all(&empty).unwrap();
-        let err = serve_cmd(&argv(&[empty.to_str().unwrap()])).unwrap_err();
+        let err = run(&["serve", empty.to_str().unwrap()]).unwrap_err();
         assert!(err.to_string().contains("no `<market>.jsonl`"), "{err}");
         std::fs::remove_dir_all(&empty).ok();
     }
 
     #[test]
     fn watch_checkpoint_every_requires_checkpoint() {
-        let err = watch_cmd(&argv(&["t.jsonl", "--checkpoint-every", "5"])).unwrap_err();
+        let err = run(&["watch", "t.jsonl", "--checkpoint-every", "5"]).unwrap_err();
         assert!(err.to_string().contains("--checkpoint FILE"), "{err}");
     }
 
@@ -1618,7 +1486,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         for (market, seed) in [("alpha", "1"), ("beta", "2")] {
             let out = dir.join(format!("{market}.jsonl"));
-            export_cmd(&argv(&[
+            run(&[
+                "export",
                 "--rounds",
                 "6",
                 "--workers",
@@ -1627,11 +1496,12 @@ mod tests {
                 seed,
                 "--out",
                 out.to_str().unwrap(),
-            ]))
+            ])
             .unwrap();
         }
         let ckpt = dir.join("ckpts");
         let args = argv(&[
+            "serve",
             dir.to_str().unwrap(),
             "--once",
             "--jobs",
@@ -1641,12 +1511,12 @@ mod tests {
             "--checkpoint-every",
             "1",
         ]);
-        serve_cmd(&args).unwrap();
+        dispatch(&args).unwrap();
         // The cadence wrote a checkpoint per market; a rerun resumes
         // from them (end-of-stream state) and still closes cleanly.
         assert!(ckpt.join("alpha.checkpoint").exists());
         assert!(ckpt.join("beta.checkpoint").exists());
-        serve_cmd(&args).unwrap();
+        dispatch(&args).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1655,14 +1525,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fc_cli_watchck_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("m.jsonl");
-        export_cmd(&argv(&[
+        run(&[
+            "export",
             "--rounds",
             "6",
             "--workers",
             "8",
             "--out",
             trace_path.to_str().unwrap(),
-        ]))
+        ])
         .unwrap();
         let full = std::fs::read_to_string(&trace_path).unwrap();
         let lines: Vec<&str> = full.lines().collect();
@@ -1671,24 +1542,26 @@ mod tests {
         std::fs::write(&half_path, format!("{}\n", lines[..cut].join("\n"))).unwrap();
         let ck = dir.join("m.checkpoint");
         // First life over the truncated stream writes a checkpoint…
-        watch_cmd(&argv(&[
+        run(&[
+            "watch",
             half_path.to_str().unwrap(),
             "--once",
             "--checkpoint",
             ck.to_str().unwrap(),
             "--checkpoint-every",
             "1",
-        ]))
+        ])
         .unwrap();
         assert!(ck.exists());
         // …and the restart over the complete stream resumes from it.
         std::fs::write(&half_path, &full).unwrap();
-        watch_cmd(&argv(&[
+        run(&[
+            "watch",
             half_path.to_str().unwrap(),
             "--once",
             "--checkpoint",
             ck.to_str().unwrap(),
-        ]))
+        ])
         .unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
