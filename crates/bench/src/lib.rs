@@ -1,13 +1,12 @@
 //! # faircrowd-bench
 //!
-//! Shared machinery for the experiment suite (E1–E7 in EXPERIMENTS.md)
-//! that executes the paper's §4 validation agenda — objective fairness
-//! and transparency measures over controlled simulated marketplaces:
-//! scenario presets, multi-seed averaging, and formatting helpers. Each
+//! Shared machinery for the experiment suite (E1–E7) that executes the
+//! paper's §4 validation agenda — objective fairness and transparency
+//! measures over controlled simulated marketplaces: scenario presets,
+//! multi-seed averaging, and formatting helpers. Each
 //! experiment lives in `benches/` as a `harness = false` target so that
-//! `cargo bench` regenerates every table the project reports; the
-//! `perf_*` targets micro-benchmark the hot paths (assignment, audit,
-//! TPL, truth inference, and the parallel sweep engine).
+//! `cargo bench` regenerates every experiment table. Performance is
+//! measured by the separate `perfbench/` harness, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,15 +3,10 @@
 //! These are the original, pre-index checker implementations: each one
 //! re-derives the maps it needs straight from the [`Trace`] and scans
 //! **all** worker/task/submission pairs with no blocking. They are kept
-//! (not test-gated) for two jobs:
-//!
-//! * **correctness oracle** — the `index_equivalence` property tests
-//!   assert that the indexed, blocked, parallel audit in
-//!   [`crate::audit::AuditEngine`] produces bit-identical
-//!   [`AxiomReport`]s to this path on arbitrary traces;
-//! * **perf baseline** — `perf_audit` and the `BENCH_audit.json`
-//!   harness measure the indexed path against this one, so speedups are
-//!   tracked against a fixed reference rather than a moving target.
+//! (not test-gated) as the **correctness oracle**: the
+//! `index_equivalence` property tests assert that the indexed, blocked,
+//! parallel audit in [`crate::audit::AuditEngine`] produces
+//! bit-identical [`AxiomReport`]s to this path on arbitrary traces.
 //!
 //! Nothing else should call these: they are intentionally `O(n²)` and
 //! re-derive per axiom. To stay a faithful *pre-refactor* baseline they

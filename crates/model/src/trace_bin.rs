@@ -1,11 +1,11 @@
 //! The binary on-disk encoding for [`Trace`] — `.fcb` files.
 //!
-//! JSON keeps the audit trail human-readable, but BENCH_traceio.json
-//! puts its codec an order of magnitude under the hardware; a platform
-//! retaining months of event logs (the premise of the paper's
-//! transparency axioms — audits run over *recorded* traces) needs a
-//! wire format that decodes at memory speed. This module is that
-//! format: length-prefixed, varint-packed, columnar where it pays.
+//! JSON keeps the audit trail human-readable, but its codec runs an
+//! order of magnitude under the hardware; a platform retaining months
+//! of event logs (the premise of the paper's transparency axioms —
+//! audits run over *recorded* traces) needs a wire format that decodes
+//! at memory speed. This module is that format: length-prefixed,
+//! varint-packed, columnar where it pays.
 //!
 //! ## Layout
 //!

@@ -138,7 +138,7 @@ pub fn run_frontier_observed(
     jobs: usize,
     on_done: CellHook<'_>,
 ) -> Result<FrontierResult, FaircrowdError> {
-    let sweep = run_grid_observed(grid, jobs, true, on_done)?;
+    let sweep = run_grid_observed(grid, jobs, on_done)?;
     let mut points: Vec<FrontierPoint> = sweep
         .groups
         .iter()
@@ -356,5 +356,19 @@ mod tests {
         }
         assert!(serial.to_json().contains("\"frontier_size\""));
         assert!(serial.render_table().starts_with("pareto"));
+        // The catalog's trade-offs differ by scenario, so on the
+        // catalog-wide contrast grid no one scenario holds the frontier.
+        let catalog = frontier_grid(
+            "scenario=*;policy=self_selection,round_robin,kos;\
+             aggregator=majority,parity_constrained;enforce=none,parity;seed=0",
+        )
+        .unwrap();
+        let result = run_frontier(&catalog, 2).unwrap();
+        let scenarios: std::collections::BTreeSet<&str> = result
+            .frontier()
+            .iter()
+            .map(|p| p.scenario.as_str())
+            .collect();
+        assert!(scenarios.len() >= 2, "frontier spans {scenarios:?}");
     }
 }

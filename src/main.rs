@@ -35,7 +35,7 @@ const OPTS: &[Flag] = &[
         strategic-family --scenario, whose profile is baked in)"),
     value("--seed", "N", "simulation seed (default 42)"),
     value("--rounds", "N", "market rounds (default 48)"),
-    value("--workers", "N", "diligent workers (default 30; ignored with --scenario)"),
+    value("--workers", "N", "diligent workers of the flag-built market (default 30)"),
     switch("--opaque", "run the platform with an opaque disclosure set"),
 ];
 const JOBS: Flag = value("--jobs", "N", "worker threads (default: available cores)");
@@ -111,9 +111,9 @@ const VERBS: [Verb; 15] = [
                 (default `policy=*`); strategic cells converge before auditing"),
             JOBS,
             FORMATS,
-            value("--seed", "N", "seed axis when the grid sets none"),
-            value("--rounds", "N", "rounds axis when the grid sets none"),
-            value("--strategy", "NAME", "strategy axis when the grid sets none"),
+            value("--seed", "N", "seed axis when the grid sets none (an error if it does)"),
+            value("--rounds", "N", "rounds axis when the grid sets none (an error if it does)"),
+            value("--strategy", "NAME", "strategy axis when the grid sets none (an error if it does)"),
             value("--shard", "i/N", "run only shard i of an N-way split, appending each finished\n\
                 cell to --out FILE (killed shards resume: done cells are\n\
                 loaded from the part file and skipped)"),
@@ -145,6 +145,7 @@ const VERBS: [Verb; 15] = [
 ];
 
 fn main() -> ExitCode {
+    restore_sigpipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,
@@ -158,6 +159,29 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Let a closed stdout end the process quietly, as it ends `cat` or
+/// `grep`. The Rust runtime ignores `SIGPIPE`, so `faircrowd … | head`
+/// would otherwise make the next `println!` panic with "Broken pipe".
+#[cfg(any(target_os = "linux", target_os = "macos"))]
+fn restore_sigpipe() {
+    extern "C" {
+        fn signal(signum: std::os::raw::c_int, handler: usize) -> usize;
+    }
+    // 13 on Linux and macOS alike; `SIG_DFL` is the null handler.
+    const SIGPIPE: std::os::raw::c_int = 13;
+    const SIG_DFL: usize = 0;
+    // SAFETY: the declaration matches C's `signal(int, void (*)(int))`
+    // with the handler as a pointer-sized integer. It resets one signal
+    // to its default disposition before any thread is spawned, and no
+    // handler code of ours ever runs.
+    unsafe {
+        signal(SIGPIPE, SIG_DFL);
+    }
+}
+
+#[cfg(not(any(target_os = "linux", target_os = "macos")))]
+fn restore_sigpipe() {}
 
 /// Look the verb up in [`VERBS`], check the rest of the line against
 /// its row, and run it.
@@ -247,6 +271,13 @@ fn axioms(_: &Args) -> Result<(), FaircrowdError> {
 /// population, so Axioms 1–3 have pairs to quantify over.
 fn scenario_from_flags(args: &Args) -> Result<ScenarioConfig, FaircrowdError> {
     let mut config = if let Some(name) = args.value("--scenario") {
+        if args.value("--workers").is_some() {
+            return Err(FaircrowdError::usage(format!(
+                "--workers conflicts with --scenario {name}: a catalog scenario fixes its \
+                 own worker populations. Drop --workers, or drop --scenario to resize the \
+                 flag-built market"
+            )));
+        }
         scenarios::get(name)?
     } else {
         // The flag-built default market IS the catalog baseline —
@@ -639,20 +670,32 @@ fn default_jobs() -> u64 {
 fn sweep(args: &Args) -> Result<(), FaircrowdError> {
     let spec = args.value("--grid").unwrap_or("policy=*");
     let mut grid = SweepGrid::parse(spec)?;
-    // --seed/--rounds act as axis defaults when the grid omits them.
-    if grid.seeds.is_none() && args.value("--seed").is_some() {
+    // --seed/--rounds/--strategy set an axis the grid omits; on an axis
+    // the grid sets they would have no effect, so they are an error.
+    for (flag, set) in [
+        ("--seed", grid.seeds.is_some()),
+        ("--rounds", grid.rounds.is_some()),
+        ("--strategy", grid.strategies.is_some()),
+    ] {
+        if set && args.value(flag).is_some() {
+            return Err(FaircrowdError::usage(format!(
+                "{flag} conflicts with `{}=` in --grid: the flag only sets an axis \
+                 the grid leaves out. Drop one of them",
+                &flag[2..]
+            )));
+        }
+    }
+    if args.value("--seed").is_some() {
         grid.seeds = Some(vec![args.parse("--seed", 0)?]);
     }
-    if grid.rounds.is_none() && args.value("--rounds").is_some() {
+    if args.value("--rounds").is_some() {
         grid.rounds = Some(vec![args.parse("--rounds", 0)?]);
     }
-    if grid.strategies.is_none() {
-        if let Some(raw) = args.value("--strategy") {
-            // Resolve now so a typo lists the registry before any
-            // thread spawns, same as the grid's own axis validation.
-            StrategyChoice::by_name(raw)?;
-            grid.strategies = Some(vec![raw.to_owned()]);
-        }
+    if let Some(raw) = args.value("--strategy") {
+        // Resolve now so a typo lists the registry before any thread
+        // spawns, same as the grid's own axis validation.
+        StrategyChoice::by_name(raw)?;
+        grid.strategies = Some(vec![raw.to_owned()]);
     }
     let jobs = args.positive("--jobs", default_jobs())? as usize;
     let shard = args.value("--shard");
@@ -691,7 +734,7 @@ fn sweep(args: &Args) -> Result<(), FaircrowdError> {
         let (tag, todo) = (format!("shard {spec} "), owned.saturating_sub(resumed));
         let run = with_progress(args, &tag, todo, |hook| {
             let part = std::path::Path::new(out);
-            faircrowd::sweep::shard::run_shard_opts(&grid, spec, part, jobs, true, hook)
+            faircrowd::sweep::shard::run_shard_opts(&grid, spec, part, jobs, hook)
         })?;
         println!(
             "shard {spec}: {} of {} grid cell(s); {} ran, {} resumed -> {out}",
@@ -707,7 +750,7 @@ fn sweep(args: &Args) -> Result<(), FaircrowdError> {
     let format = args.value("--format").unwrap_or("table");
 
     let result = with_progress(args, "", grid.expand()?.len(), |hook| {
-        faircrowd::sweep::run_grid_observed(&grid, jobs, true, hook)
+        faircrowd::sweep::run_grid_observed(&grid, jobs, hook)
     })?;
     print_sweep(&result, format, "sweep", &format!("{jobs} job(s)"))
 }
@@ -998,6 +1041,17 @@ mod tests {
             assert!(matches!(err, FaircrowdError::Usage { .. }), "{args:?}");
             assert!(err.to_string().contains("--grid"), "{err}");
         }
+        // An axis default the grid already sets would be dropped.
+        for (grid, flag, value) in [
+            ("scenario=baseline;seed=0..3", "--seed", "9"),
+            ("rounds=6", "--rounds", "8"),
+            ("strategy=static;rounds=6", "--strategy", "super_turker"),
+        ] {
+            let err = run(&["sweep", "--grid", grid, flag, value]).unwrap_err();
+            assert!(matches!(err, FaircrowdError::Usage { .. }), "{flag}");
+            let (text, axis) = (err.to_string(), format!("`{}=`", &flag[2..]));
+            assert!(text.contains(flag) && text.contains(&axis), "{text}");
+        }
     }
 
     #[test]
@@ -1053,9 +1107,18 @@ mod tests {
     fn default_market_is_the_catalog_baseline() {
         let config = scenario_from_flags(&parsed(&["run"])).unwrap();
         assert_eq!(config, scenarios::get("baseline").unwrap());
-        // --workers only resizes the baseline's population.
+        // --workers only resizes the baseline's population…
         let config = scenario_from_flags(&parsed(&["run", "--workers", "12"])).unwrap();
         assert_eq!(config.workers[0].count, 12);
+        // …so a catalog scenario, which fixes its own, rejects it.
+        for verb in ["run", "audit"] {
+            let line = [verb, "--scenario", "baseline", "--workers", "12"];
+            let err = run(&line).unwrap_err();
+            assert!(matches!(err, FaircrowdError::Usage { .. }), "{err:?}");
+            let text = err.to_string();
+            assert!(text.contains("--workers"), "{text}");
+            assert!(text.contains("--scenario"), "{text}");
+        }
     }
 
     #[test]

@@ -41,9 +41,9 @@
 //! baseline is never simulated or audited. Cases differing on the
 //! `enforce` axis share nothing: each stack is a different market. The
 //! simulator is a pure function of its config, so grouped and
-//! ungrouped sweeps are byte-identical ([`run_grid_opts`] with
-//! `reuse_sim: false` runs every case through the full
-//! [`Pipeline::run`] as the oracle; the determinism tests pin it).
+//! ungrouped sweeps are byte-identical (the determinism tests pin the
+//! grouped sweep against a per-case oracle that runs every case through
+//! the full [`Pipeline::run`]).
 //!
 //! Grid syntax (the CLI's `--grid` argument): `;`-separated
 //! `axis=value,value,…` entries —
@@ -455,15 +455,6 @@ impl SweepCase {
         }
     }
 
-    /// Run the case through the full [`Pipeline::run`] — baseline and,
-    /// when the stack is non-empty, repair + re-audit — keeping the
-    /// final report and summary. The reference the grouped sweep is
-    /// pinned against.
-    pub fn run(&self) -> Result<CaseOutcome, FaircrowdError> {
-        let result = self.pipeline()?.run()?;
-        self.outcome_of(&result.enforced.map_or(result.baseline, |e| e.artifacts))
-    }
-
     /// This case's outcome from a final run — its own, or the one it
     /// shares with its aggregator siblings: the run's report, summary
     /// and wages, with consensus scored under this case's aggregator.
@@ -622,21 +613,10 @@ pub struct SweepResult {
 /// Run every case of `grid` on a pool of `jobs` worker threads
 /// (clamped to at least 1) and fold the reports into per-cell
 /// aggregates. Output is deterministic: identical for any `jobs`, and
-/// identical to running every case on its own ([`run_grid_opts`]).
+/// identical to running every case on its own through the full
+/// [`Pipeline::run`].
 pub fn run_grid(grid: &SweepGrid, jobs: usize) -> Result<SweepResult, FaircrowdError> {
-    run_grid_opts(grid, jobs, true)
-}
-
-/// [`run_grid`] with run sharing switchable. `reuse_sim: false` runs
-/// every case on its own through the full [`Pipeline::run`] — the
-/// oracle the determinism tests and the `traceio_baseline` bench pin
-/// the shared final runs against.
-pub fn run_grid_opts(
-    grid: &SweepGrid,
-    jobs: usize,
-    reuse_sim: bool,
-) -> Result<SweepResult, FaircrowdError> {
-    run_grid_observed(grid, jobs, reuse_sim, None)
+    run_grid_observed(grid, jobs, None)
 }
 
 /// A per-cell completion observer: called from worker threads, once
@@ -644,17 +624,16 @@ pub fn run_grid_opts(
 /// completion order, not grid order. `None` observes nothing.
 pub type CellHook<'a> = Option<&'a (dyn Fn(usize, &CaseOutcome) + Sync)>;
 
-/// [`run_grid_opts`] with a per-cell completion hook (the CLI's
+/// [`run_grid`] with a per-cell completion hook (the CLI's
 /// `--progress`). The hook observes; it cannot change any output, so
 /// observed and unobserved sweeps stay byte-identical.
 pub fn run_grid_observed(
     grid: &SweepGrid,
     jobs: usize,
-    reuse_sim: bool,
     on_done: CellHook<'_>,
 ) -> Result<SweepResult, FaircrowdError> {
     let cases = grid.expand()?;
-    let outcomes = run_cases(&cases, jobs, reuse_sim, on_done)?;
+    let outcomes = run_cases(&cases, jobs, on_done)?;
     Ok(SweepResult {
         groups: fold_groups(&outcomes, grid.seeds_per_group()),
         cases: outcomes,
@@ -685,22 +664,16 @@ fn work_units(cases: &[SweepCase]) -> Vec<Vec<usize>> {
 /// land in their case's slot, so the output order is the input order
 /// regardless of thread scheduling.
 ///
-/// With `reuse_sim`, a unit's pipeline runs once ([`Pipeline::run_final`])
-/// and every sibling's outcome is built from that run; its trace is
-/// dropped before the worker takes the next unit, so at most `jobs`
-/// final traces are alive at once. Without it, every case is its own
-/// unit and runs the full [`SweepCase::run`].
+/// A unit's pipeline runs once ([`Pipeline::run_final`]) and every
+/// sibling's outcome is built from that run; its trace is dropped
+/// before the worker takes the next unit, so at most `jobs` final
+/// traces are alive at once.
 fn run_cases(
     cases: &[SweepCase],
     jobs: usize,
-    reuse_sim: bool,
     on_done: CellHook<'_>,
 ) -> Result<Vec<CaseOutcome>, FaircrowdError> {
-    let units = if reuse_sim {
-        work_units(cases)
-    } else {
-        (0..cases.len()).map(|i| vec![i]).collect()
-    };
+    let units = work_units(cases);
     let jobs = jobs.max(1).min(units.len().max(1));
     let slots: Vec<Mutex<Option<Result<CaseOutcome, FaircrowdError>>>> =
         cases.iter().map(|_| Mutex::new(None)).collect();
@@ -709,13 +682,9 @@ fn run_cases(
         for _ in 0..jobs {
             scope.spawn(|| {
                 while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    let outcomes = if reuse_sim {
-                        match cases[unit[0]].pipeline().and_then(Pipeline::run_final) {
-                            Ok(run) => unit.iter().map(|&i| cases[i].outcome_of(&run)).collect(),
-                            Err(e) => vec![Err(e); unit.len()],
-                        }
-                    } else {
-                        vec![cases[unit[0]].run()]
+                    let outcomes = match cases[unit[0]].pipeline().and_then(Pipeline::run_final) {
+                        Ok(run) => unit.iter().map(|&i| cases[i].outcome_of(&run)).collect(),
+                        Err(e) => vec![Err(e); unit.len()],
                     };
                     for (&i, outcome) in unit.iter().zip(outcomes) {
                         if let (Some(on_done), Ok(outcome)) = (on_done, &outcome) {
@@ -1110,6 +1079,27 @@ fn csv_field(s: &str) -> String {
 mod tests {
     use super::*;
 
+    /// The oracle the grouped sweep is pinned against: every case on
+    /// its own, serially, through the full [`Pipeline::run`] — baseline
+    /// and, when the stack is non-empty, repair + re-audit — folded as
+    /// the sweep folds.
+    fn per_case_sweep(grid: &SweepGrid) -> SweepResult {
+        let outcomes: Vec<CaseOutcome> = grid
+            .expand()
+            .unwrap()
+            .iter()
+            .map(|case| {
+                let result = case.pipeline()?.run()?;
+                case.outcome_of(&result.enforced.map_or(result.baseline, |e| e.artifacts))
+            })
+            .collect::<Result<_, FaircrowdError>>()
+            .unwrap();
+        SweepResult {
+            groups: fold_groups(&outcomes, grid.seeds_per_group()),
+            cases: outcomes,
+        }
+    }
+
     #[test]
     fn default_grid_is_one_baseline_case() {
         let cases = SweepGrid::default().expand().unwrap();
@@ -1339,7 +1329,7 @@ mod tests {
             .starts_with("scenario,policy,strategy,scale,rounds,enforce,aggregator,"));
         assert!(result.render_table().contains("parity-constrained"));
         // The grouped sweep equals the per-case one with the axis too.
-        let uncached = run_grid_opts(&grid, 1, false).unwrap();
+        let uncached = per_case_sweep(&grid);
         assert_eq!(result.to_json(), uncached.to_json());
     }
 
@@ -1432,9 +1422,9 @@ mod tests {
              enforce=none,grace,parity+grace;seed=1,2",
         ] {
             let grid = SweepGrid::parse(spec).unwrap();
-            let uncached = run_grid_opts(&grid, 2, false).unwrap();
+            let uncached = per_case_sweep(&grid);
             for jobs in [1, 3] {
-                let cached = run_grid_opts(&grid, jobs, true).unwrap();
+                let cached = run_grid(&grid, jobs).unwrap();
                 assert_eq!(cached.to_json(), uncached.to_json(), "{spec} jobs={jobs}");
                 assert_eq!(cached.to_csv(), uncached.to_csv(), "{spec} jobs={jobs}");
                 assert_eq!(cached.render_table(), uncached.render_table());

@@ -191,20 +191,18 @@ pub fn run_shard(
     out: &Path,
     jobs: usize,
 ) -> Result<ShardRun, FaircrowdError> {
-    run_shard_opts(grid, spec, out, jobs, true, None)
+    run_shard_opts(grid, spec, out, jobs, None)
 }
 
-/// [`run_shard`] with run sharing switchable (for the bench; output is
-/// identical either way) and a per-cell completion hook
-/// (the CLI's `--progress`), called with each cell's **grid** index as
-/// it finishes. The hook fires only for cells computed now, not for
+/// [`run_shard`] with a per-cell completion hook (the CLI's
+/// `--progress`), called with each cell's **grid** index as it
+/// finishes. The hook fires only for cells computed now, not for
 /// resumed ones.
 pub fn run_shard_opts(
     grid: &SweepGrid,
     spec: ShardSpec,
     out: &Path,
     jobs: usize,
-    reuse_sim: bool,
     progress: super::CellHook<'_>,
 ) -> Result<ShardRun, FaircrowdError> {
     let cases = grid.expand()?;
@@ -267,7 +265,7 @@ pub fn run_shard_opts(
             progress(cell, outcome);
         }
     };
-    super::run_cases(&missing_cases, jobs, reuse_sim, Some(&on_done))?;
+    super::run_cases(&missing_cases, jobs, Some(&on_done))?;
     if let Some(err) = write_err.into_inner().expect("write-error slot poisoned") {
         return Err(err);
     }

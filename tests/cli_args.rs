@@ -1,9 +1,11 @@
 //! The CLI's argument grammar through the binary: every verb answers
-//! `--help`/`-h` with the usage text, and a value-taking flag never
+//! `--help`/`-h` with the usage text, a value-taking flag never
 //! swallows the flag after it (so nothing is ever written to a file
-//! named after a flag).
+//! named after a flag), and a reader that stops early ends the output
+//! quietly.
 
-use std::process::{Command, Output};
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Output, Stdio};
 
 fn faircrowd(dir: &std::path::Path, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_faircrowd"))
@@ -74,5 +76,34 @@ fn a_dangling_value_flag_never_swallows_the_next_flag() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success());
     assert!(stderr.contains("--grid requires a value"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stdout_ends_the_output_without_a_panic() {
+    let dir = temp_dir("pipe");
+    // `run --live` prints far more than a pipe buffers, so it is still
+    // writing when the reader leaves, whatever the scheduling.
+    for line in [
+        &["run", "--scenario", "baseline"][..],
+        &["run", "--scenario", "baseline", "--live"],
+        &["sweep", "--help"],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_faircrowd"))
+            .current_dir(&dir)
+            .args(line)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("the faircrowd binary runs");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+        let mut first = String::new();
+        stdout.read_line(&mut first).expect("one line of output");
+        assert!(!first.is_empty(), "{line:?}: no output");
+        drop(stdout);
+        let out = child.wait_with_output().expect("the binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{line:?}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -95,20 +95,28 @@ fn strategic_fixed_points_are_deterministic_per_seed() {
 #[test]
 fn converged_trace_replays_to_an_identical_audit() {
     // Export the fixed point in the binary (.fcb) form, decode it back,
-    // and replay it with no simulator in the loop: the audit report
-    // must not move by a byte — the CI smoke's in-process twin.
-    let mut cfg = catalog::get("super_turkers").unwrap();
-    cfg.rounds = 10;
-    let converged = Pipeline::new().scenario(cfg).run_converged().unwrap();
-    let bytes = persist::encode_bytes(&converged.artifacts.trace, TraceFormat::Binary);
-    let decoded = persist::decode_bytes(&bytes).unwrap();
-    let replayed = Pipeline::new().replay_owned(decoded).unwrap();
-    assert_eq!(
-        render_report(&replayed.report),
-        render_report(&converged.artifacts.report),
-        "replayed audit of the converged trace must be bit-identical"
-    );
-    assert_eq!(replayed.summary, converged.artifacts.summary);
+    // and replay it with no simulator in the loop: the file re-encodes
+    // to the same bytes and the audit report must not move by a byte —
+    // the CI smoke's in-process twin, for every strategic scenario.
+    for name in catalog::STRATEGIC_NAMES {
+        let mut cfg = catalog::get(name).unwrap();
+        cfg.rounds = 10;
+        let converged = Pipeline::new().scenario(cfg).run_converged().unwrap();
+        let bytes = persist::encode_bytes(&converged.artifacts.trace, TraceFormat::Binary);
+        let decoded = persist::decode_bytes(&bytes).unwrap();
+        assert_eq!(
+            persist::encode_bytes(&decoded, TraceFormat::Binary),
+            bytes,
+            "{name}: .fcb round trip must be byte-identical"
+        );
+        let replayed = Pipeline::new().replay_owned(decoded).unwrap();
+        assert_eq!(
+            render_report(&replayed.report),
+            render_report(&converged.artifacts.report),
+            "{name}: replayed audit of the converged trace must be bit-identical"
+        );
+        assert_eq!(replayed.summary, converged.artifacts.summary, "{name}");
+    }
 }
 
 #[test]
