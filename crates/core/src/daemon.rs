@@ -657,9 +657,8 @@ fn close_market(
     // A last line without a trailing newline is still a record.
     let carry = m.tail.as_mut().map(|t| std::mem::take(&mut t.carry));
     if let Some(carry) = carry.filter(|c| c.iter().any(|b| !b.is_ascii_whitespace())) {
-        let line = String::from_utf8(carry)
-            .map_err(|_| format!("line {}: not valid UTF-8", m.reader.lines_fed() + 1))?;
-        findings.extend(feed_one(m, &line)?);
+        let line = utf8_line(m, &carry)?;
+        findings.extend(feed_one(m, line)?);
     }
     if !m.header_applied {
         // An empty file or a whole-file JSON trace has no verdict to
@@ -678,19 +677,55 @@ fn close_market(
 }
 
 /// Ingest everything that arrived since the last round: the pending
-/// recording, the file's growth, fed lines.
+/// recording, fed lines, the file's growth.
 fn ingest_arrivals(m: &mut Market, findings: &mut Vec<LiveFinding>) -> Result<(), String> {
     if let Some(trace) = m.recording.take() {
         feed_recording(m, trace, findings)?;
     }
-    let mut lines = std::mem::take(&mut m.pending);
-    if let Some(tail) = &mut m.tail {
-        lines.extend(read_new_lines(tail)?);
-    }
-    for line in lines {
+    for line in std::mem::take(&mut m.pending) {
         findings.extend(feed_one(m, &line)?);
     }
+    let Some(tail) = &mut m.tail else {
+        return Ok(());
+    };
+    tail.file
+        .read_to_end(&mut tail.carry)
+        .map_err(|e| format!("cannot read `{}`: {e}", tail.path.display()))?;
+    // The carry leaves the tail while its lines are fed (feeding needs
+    // the whole market) and goes back holding only the partial last line.
+    let mut carry = std::mem::take(&mut tail.carry);
+    let fed = feed_lines(m, &carry, findings)?;
+    carry.drain(..fed);
+    if let Some(tail) = &mut m.tail {
+        tail.carry = carry;
+    }
     Ok(())
+}
+
+/// Feed every complete line of `bytes`, each borrowed in place; returns
+/// the bytes those lines took, so a trailing partial line stays carried.
+fn feed_lines(
+    m: &mut Market,
+    bytes: &[u8],
+    findings: &mut Vec<LiveFinding>,
+) -> Result<usize, String> {
+    let mut start = 0;
+    while let Some(nl) = bytes[start..].iter().position(|&b| b == b'\n') {
+        let line = utf8_line(m, &bytes[start..start + nl])?;
+        findings.extend(feed_one(m, line)?);
+        start += nl + 1;
+    }
+    Ok(start)
+}
+
+/// A tailed line as text, or an error naming the file line it is: the
+/// reader's count, which already holds a resumed market's whole
+/// consumed prefix, less the part of that prefix still to be skipped.
+fn utf8_line<'a>(m: &Market, bytes: &'a [u8]) -> Result<&'a str, String> {
+    std::str::from_utf8(bytes).map_err(|_| {
+        let lineno = m.reader.lines_fed() as u64 - m.skip_lines + 1;
+        format!("line {lineno}: not valid UTF-8")
+    })
 }
 
 /// Snapshot the market to its checkpoint file, if it has one. A failed
@@ -794,28 +829,6 @@ fn at_line(err: FaircrowdError, lineno: usize) -> String {
             .join("; "),
         other => format!("line {lineno}: {other}"),
     }
-}
-
-/// Read whatever the file grew by since the last poll and split it
-/// into complete lines, carrying a trailing partial line (raw bytes)
-/// to the next round.
-fn read_new_lines(tail: &mut MarketTail) -> Result<Vec<String>, String> {
-    let mut buf = Vec::new();
-    tail.file
-        .read_to_end(&mut buf)
-        .map_err(|e| format!("cannot read `{}`: {e}", tail.path.display()))?;
-    tail.carry.extend_from_slice(&buf);
-    let mut lines = Vec::new();
-    let mut start = 0;
-    while let Some(nl) = tail.carry[start..].iter().position(|&b| b == b'\n') {
-        let end = start + nl;
-        let line = String::from_utf8(tail.carry[start..end].to_vec())
-            .map_err(|_| format!("`{}`: line is not valid UTF-8", tail.path.display()))?;
-        lines.push(line);
-        start = end + 1;
-    }
-    tail.carry.drain(..start);
-    Ok(lines)
 }
 
 #[cfg(test)]
@@ -1112,6 +1125,72 @@ mod tests {
             assert_eq!(&g.finding, w);
         }
         assert_eq!(daemon.reports().unwrap()[0].report, want_report);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn invalid_utf8_in_a_tailed_file_names_its_line() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let lines: Vec<&[u8]> = jsonl.lines().map(str::as_bytes).collect();
+        let bad: &[u8] = b"{\"event\":\xff}";
+        let dir = temp_dir("utf8");
+        let path = dir.join("m.jsonl");
+        let config = DaemonConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            ..DaemonConfig::default()
+        };
+        let failure = |daemon: &AuditDaemon| {
+            let failed = daemon.failed_markets();
+            assert_eq!(failed.len(), 1, "{failed:?}");
+            failed[0].1.to_owned()
+        };
+        let open = || {
+            let mut daemon = AuditDaemon::new(config.clone());
+            daemon.add_source(MarketSource {
+                market: "m".into(),
+                path: path.clone(),
+            });
+            daemon
+        };
+        // Fresh: a complete bad line 3, and a bad last line with no
+        // newline, read at finalize.
+        std::fs::write(&path, [lines[0], lines[1], bad, lines[2]].join(&b'\n')).unwrap();
+        let mut daemon = open();
+        daemon.poll();
+        assert_eq!(failure(&daemon), "line 3: not valid UTF-8");
+        std::fs::write(&path, [lines[0], lines[1], bad].join(&b'\n')).unwrap();
+        let mut daemon = open();
+        daemon.poll();
+        assert!(daemon.failed_markets().is_empty());
+        daemon.finalize();
+        assert_eq!(failure(&daemon), "line 3: not valid UTF-8");
+        // Resumed: the first life checkpoints `cut` lines; the second
+        // skips them by count and still names absolute lines.
+        let cut = lines.len() - 2;
+        let mut prefix = lines[..cut].join(&b'\n');
+        prefix.push(b'\n');
+        std::fs::write(&path, &prefix).unwrap();
+        let mut first = open();
+        first.poll();
+        assert!(first.failed_markets().is_empty());
+        drop(first);
+        std::fs::write(&path, [&prefix[..], lines[cut], b"\n", bad, b"\n"].concat()).unwrap();
+        let mut second = open();
+        second.poll();
+        assert!(second.take_notices()[0].contains("resumed market `m`"));
+        assert_eq!(
+            failure(&second),
+            format!("line {}: not valid UTF-8", cut + 2)
+        );
+        // A bad byte inside the prefix being skipped is still checked.
+        let mut rewritten = lines.clone();
+        rewritten[1] = bad;
+        std::fs::write(&path, rewritten.join(&b'\n')).unwrap();
+        let mut third = open();
+        third.poll();
+        assert_eq!(failure(&third), "line 2: not valid UTF-8");
         std::fs::remove_dir_all(&dir).ok();
     }
 

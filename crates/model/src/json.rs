@@ -343,46 +343,10 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut digits = 0;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-            digits += 1;
-        }
-        if digits == 0 {
-            return Err(format!("malformed number at byte {start}"));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            let mut frac = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                frac += 1;
-            }
-            if frac == 0 {
-                return Err(format!("malformed number at byte {start}"));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            let mut exp = 0;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-                exp += 1;
-            }
-            if exp == 0 {
-                return Err(format!("malformed number at byte {start}"));
-            }
-        }
-        let token = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number tokens are ASCII")
-            .to_owned();
-        Ok(Json::Num(token))
+        let len = number_len(&self.bytes[start..])
+            .ok_or_else(|| format!("malformed number at byte {start}"))?;
+        self.pos += len;
+        Ok(Json::Num(self.text[start..self.pos].to_owned()))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -524,6 +488,33 @@ impl Parser<'_> {
             }
         }
     }
+}
+
+/// Length of the number token `bytes` starts with, under the JSON
+/// grammar (`-`? digits, an optional `.` fraction, an optional `e`/`E`
+/// exponent), or `None` when no well-formed token starts there. The tree
+/// parser and `trace_io`'s canonical-line decoder both cut tokens with
+/// it, so they read the same token text from the same bytes.
+pub(crate) fn number_len(bytes: &[u8]) -> Option<usize> {
+    let digits = |from: usize| {
+        let n = bytes[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        (n > 0).then_some(from + n)
+    };
+    let mut pos = digits(usize::from(bytes.first() == Some(&b'-')))?;
+    if bytes.get(pos) == Some(&b'.') {
+        pos = digits(pos + 1)?;
+    }
+    if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+        pos += 1;
+        if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+            pos += 1;
+        }
+        pos = digits(pos)?;
+    }
+    Some(pos)
 }
 
 fn lone_surrogate(pos: usize) -> String {

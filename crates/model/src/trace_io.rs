@@ -42,12 +42,14 @@ use crate::fields::{
 };
 use crate::ids::{CampaignId, RequesterId, SkillId, SubmissionId, TaskId, WorkerId};
 use crate::json::Json;
+use crate::money::Credits;
 use crate::requester::Requester;
 use crate::skills::SkillVector;
 use crate::task::{Task, TaskConditions, TaskKind};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 use crate::trace::{GroundTruth, Trace};
 use crate::worker::Worker;
+use std::fmt;
 
 /// The schema identifier every trace file carries.
 pub const SCHEMA_NAME: &str = "faircrowd-trace";
@@ -487,26 +489,26 @@ pub fn trace_from_json(json: &Json) -> Result<Trace, FaircrowdError> {
     for (i, w) in arr_field(json, "workers", "trace")?.iter().enumerate() {
         trace
             .workers
-            .push(worker_from_json(w, &format!("worker record {i}"))?);
+            .push(worker_from_json(w, RecordCtx::Index("worker", i))?);
     }
     for (i, t) in arr_field(json, "tasks", "trace")?.iter().enumerate() {
         trace
             .tasks
-            .push(task_from_json(t, &format!("task record {i}"))?);
+            .push(task_from_json(t, RecordCtx::Index("task", i))?);
     }
     for (i, r) in arr_field(json, "requesters", "trace")?.iter().enumerate() {
         trace
             .requesters
-            .push(requester_from_json(r, &format!("requester record {i}"))?);
+            .push(requester_from_json(r, RecordCtx::Index("requester", i))?);
     }
     for (i, s) in arr_field(json, "submissions", "trace")?.iter().enumerate() {
         trace
             .submissions
-            .push(submission_from_json(s, &format!("submission record {i}"))?);
+            .push(submission_from_json(s, RecordCtx::Index("submission", i))?);
     }
     let mut events = Vec::new();
     for (i, e) in arr_field(json, "events", "trace")?.iter().enumerate() {
-        events.push(event_from_json(e, &format!("event record {i}"))?);
+        events.push(event_from_json(e, RecordCtx::Index("event", i))?);
     }
     trace.events = EventLog::from_events(events);
     Ok(trace)
@@ -554,6 +556,12 @@ pub enum JsonlRecord {
 /// Errors name the (1-based) line they occurred on, counting **every**
 /// fed line (blank lines too), so positions match the file an operator
 /// opens.
+///
+/// A record line in exactly the bytes [`trace_to_jsonl`] writes (its
+/// member order, no whitespace, no escaped string) decodes straight
+/// from the borrowed `&str`, without building a [`Json`] tree. The
+/// header line and any other valid JSONL line decode through the tree
+/// parser, with identical results and identical errors.
 #[derive(Debug, Default)]
 pub struct JsonlReader {
     lineno: usize,
@@ -636,46 +644,49 @@ impl JsonlReader {
             });
             return Ok(None);
         }
-        let record = Json::parse(line)
-            .map_err(|e| FaircrowdError::persist(format!("line {lineno}: {e}")))?;
-        let members = record.as_obj().ok_or_else(|| {
-            FaircrowdError::persist(format!("line {lineno}: record is not an object"))
-        })?;
-        let [(tag, value)] = members else {
-            return Err(FaircrowdError::persist(format!(
-                "line {lineno}: expected one `{{\"<record-type>\": …}}` member, got {}",
-                members.len()
-            )));
-        };
-        Ok(Some(match tag.as_str() {
-            "worker" => JsonlRecord::Worker(worker_from_json(
-                value,
-                &format!("line {lineno} (worker record)"),
-            )?),
-            "task" => JsonlRecord::Task(task_from_json(
-                value,
-                &format!("line {lineno} (task record)"),
-            )?),
-            "requester" => JsonlRecord::Requester(requester_from_json(
-                value,
-                &format!("line {lineno} (requester record)"),
-            )?),
-            "submission" => JsonlRecord::Submission(submission_from_json(
-                value,
-                &format!("line {lineno} (submission record)"),
-            )?),
-            "event" => JsonlRecord::Event(event_from_json(
-                value,
-                &format!("line {lineno} (event record)"),
-            )?),
-            other => {
-                return Err(FaircrowdError::persist(format!(
-                    "line {lineno}: unknown record type `{other}` \
-                     (expected worker | task | requester | submission | event)"
-                )))
-            }
-        }))
+        match canonical_record(line) {
+            Some(record) => Ok(Some(record)),
+            None => record_from_tree(line, lineno).map(Some),
+        }
     }
+}
+
+/// Decode record line `lineno` through the JSON tree: the route for
+/// every line [`canonical_record`] declines, and the reference it must
+/// agree with.
+fn record_from_tree(line: &str, lineno: usize) -> Result<JsonlRecord, FaircrowdError> {
+    let record =
+        Json::parse(line).map_err(|e| FaircrowdError::persist(format!("line {lineno}: {e}")))?;
+    let members = record.as_obj().ok_or_else(|| {
+        FaircrowdError::persist(format!("line {lineno}: record is not an object"))
+    })?;
+    let [(tag, value)] = members else {
+        return Err(FaircrowdError::persist(format!(
+            "line {lineno}: expected one `{{\"<record-type>\": …}}` member, got {}",
+            members.len()
+        )));
+    };
+    Ok(match tag.as_str() {
+        "worker" => {
+            JsonlRecord::Worker(worker_from_json(value, RecordCtx::Line(lineno, "worker"))?)
+        }
+        "task" => JsonlRecord::Task(task_from_json(value, RecordCtx::Line(lineno, "task"))?),
+        "requester" => JsonlRecord::Requester(requester_from_json(
+            value,
+            RecordCtx::Line(lineno, "requester"),
+        )?),
+        "submission" => JsonlRecord::Submission(submission_from_json(
+            value,
+            RecordCtx::Line(lineno, "submission"),
+        )?),
+        "event" => JsonlRecord::Event(event_from_json(value, RecordCtx::Line(lineno, "event"))?),
+        other => {
+            return Err(FaircrowdError::persist(format!(
+                "line {lineno}: unknown record type `{other}` \
+                 (expected worker | task | requester | submission | event)"
+            )))
+        }
+    })
 }
 
 /// Decode a trace from its JSONL form: a header line, then one tagged
@@ -706,10 +717,9 @@ pub fn trace_from_jsonl(text: &str) -> Result<Trace, FaircrowdError> {
 }
 
 fn check_schema(json: &Json) -> Result<(), FaircrowdError> {
-    let obj_like = json
-        .as_obj()
-        .ok_or_else(|| FaircrowdError::persist("top-level value is not an object"))?;
-    let _ = obj_like;
+    if json.as_obj().is_none() {
+        return Err(FaircrowdError::persist("top-level value is not an object"));
+    }
     let schema = json.get("schema").and_then(Json::as_str).ok_or_else(|| {
         FaircrowdError::persist("missing `schema` field — not a faircrowd trace file")
     })?;
@@ -729,7 +739,26 @@ fn check_schema(json: &Json) -> Result<(), FaircrowdError> {
 
 // ---- record decoders ------------------------------------------------
 
-fn worker_from_json(json: &Json, ctx: &str) -> Result<Worker, FaircrowdError> {
+/// Where a record sits, as its decode errors name it. Formatted only
+/// when an error is built, never for a record that decodes.
+#[derive(Clone, Copy)]
+enum RecordCtx {
+    /// `line N (<type> record)`: a JSONL line.
+    Line(usize, &'static str),
+    /// `<type> record I`: an element of a whole-file JSON array.
+    Index(&'static str, usize),
+}
+
+impl fmt::Display for RecordCtx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecordCtx::Line(lineno, kind) => write!(f, "line {lineno} ({kind} record)"),
+            RecordCtx::Index(kind, i) => write!(f, "{kind} record {i}"),
+        }
+    }
+}
+
+fn worker_from_json(json: &Json, ctx: RecordCtx) -> Result<Worker, FaircrowdError> {
     Ok(Worker {
         id: WorkerId::new(u32_field(json, "id", ctx)?),
         declared: declared_from_json(require(json, "declared", ctx)?, ctx)?,
@@ -738,7 +767,7 @@ fn worker_from_json(json: &Json, ctx: &str) -> Result<Worker, FaircrowdError> {
     })
 }
 
-fn declared_from_json(json: &Json, ctx: &str) -> Result<DeclaredAttrs, FaircrowdError> {
+fn declared_from_json(json: &Json, ctx: RecordCtx) -> Result<DeclaredAttrs, FaircrowdError> {
     let members = json.as_obj().ok_or_else(|| {
         FaircrowdError::persist(format!("{ctx}: declared attributes should be an object"))
     })?;
@@ -749,7 +778,11 @@ fn declared_from_json(json: &Json, ctx: &str) -> Result<DeclaredAttrs, Faircrowd
     Ok(attrs)
 }
 
-fn attr_value_from_json(json: &Json, ctx: &str, key: &str) -> Result<AttrValue, FaircrowdError> {
+fn attr_value_from_json(
+    json: &Json,
+    ctx: RecordCtx,
+    key: &str,
+) -> Result<AttrValue, FaircrowdError> {
     let members = json.as_obj().unwrap_or(&[]);
     match members {
         [(tag, v)] => match (tag.as_str(), v) {
@@ -768,7 +801,7 @@ fn attr_value_from_json(json: &Json, ctx: &str, key: &str) -> Result<AttrValue, 
     }
 }
 
-fn computed_from_json(json: &Json, ctx: &str) -> Result<ComputedAttrs, FaircrowdError> {
+fn computed_from_json(json: &Json, ctx: RecordCtx) -> Result<ComputedAttrs, FaircrowdError> {
     let mut extra = std::collections::BTreeMap::new();
     if let Some(members) = require(json, "extra", ctx)?.as_obj() {
         for (key, value) in members {
@@ -795,7 +828,7 @@ fn computed_from_json(json: &Json, ctx: &str) -> Result<ComputedAttrs, Faircrowd
     })
 }
 
-fn skills_from_json(json: &Json, ctx: &str) -> Result<SkillVector, FaircrowdError> {
+fn skills_from_json(json: &Json, ctx: RecordCtx) -> Result<SkillVector, FaircrowdError> {
     let bits = json.as_str().ok_or_else(|| {
         FaircrowdError::persist(format!("{ctx}: skill vector should be a 0/1 string"))
     })?;
@@ -814,7 +847,7 @@ fn skills_from_json(json: &Json, ctx: &str) -> Result<SkillVector, FaircrowdErro
     Ok(SkillVector::from_bools(bools))
 }
 
-fn task_from_json(json: &Json, ctx: &str) -> Result<Task, FaircrowdError> {
+fn task_from_json(json: &Json, ctx: RecordCtx) -> Result<Task, FaircrowdError> {
     Ok(Task {
         id: TaskId::new(u32_field(json, "id", ctx)?),
         requester: RequesterId::new(u32_field(json, "requester", ctx)?),
@@ -828,7 +861,7 @@ fn task_from_json(json: &Json, ctx: &str) -> Result<Task, FaircrowdError> {
     })
 }
 
-fn kind_from_json(json: &Json, ctx: &str) -> Result<TaskKind, FaircrowdError> {
+fn kind_from_json(json: &Json, ctx: RecordCtx) -> Result<TaskKind, FaircrowdError> {
     match str_field(json, "name", ctx)? {
         "labeling" => Ok(TaskKind::Labeling {
             classes: u8_field(json, "classes", ctx)?,
@@ -844,7 +877,7 @@ fn kind_from_json(json: &Json, ctx: &str) -> Result<TaskKind, FaircrowdError> {
     }
 }
 
-fn conditions_from_json(json: &Json, ctx: &str) -> Result<TaskConditions, FaircrowdError> {
+fn conditions_from_json(json: &Json, ctx: RecordCtx) -> Result<TaskConditions, FaircrowdError> {
     if json.as_obj().is_none() {
         return Err(FaircrowdError::persist(format!(
             "{ctx}: conditions should be an object"
@@ -871,7 +904,7 @@ fn conditions_from_json(json: &Json, ctx: &str) -> Result<TaskConditions, Faircr
     })
 }
 
-fn requester_from_json(json: &Json, ctx: &str) -> Result<Requester, FaircrowdError> {
+fn requester_from_json(json: &Json, ctx: RecordCtx) -> Result<Requester, FaircrowdError> {
     Ok(Requester {
         id: RequesterId::new(u32_field(json, "id", ctx)?),
         name: str_field(json, "name", ctx)?.to_owned(),
@@ -884,7 +917,7 @@ fn requester_from_json(json: &Json, ctx: &str) -> Result<Requester, FaircrowdErr
     })
 }
 
-fn submission_from_json(json: &Json, ctx: &str) -> Result<Submission, FaircrowdError> {
+fn submission_from_json(json: &Json, ctx: RecordCtx) -> Result<Submission, FaircrowdError> {
     Ok(Submission {
         id: SubmissionId::new(u32_field(json, "id", ctx)?),
         task: TaskId::new(u32_field(json, "task", ctx)?),
@@ -895,7 +928,7 @@ fn submission_from_json(json: &Json, ctx: &str) -> Result<Submission, FaircrowdE
     })
 }
 
-fn contribution_from_json(json: &Json, ctx: &str) -> Result<Contribution, FaircrowdError> {
+fn contribution_from_json(json: &Json, ctx: RecordCtx) -> Result<Contribution, FaircrowdError> {
     let members = json.as_obj().unwrap_or(&[]);
     let [(tag, value)] = members else {
         return Err(FaircrowdError::persist(format!(
@@ -921,7 +954,7 @@ fn contribution_from_json(json: &Json, ctx: &str) -> Result<Contribution, Faircr
     .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: malformed `{tag}` contribution")))
 }
 
-fn event_from_json(json: &Json, ctx: &str) -> Result<Event, FaircrowdError> {
+fn event_from_json(json: &Json, ctx: RecordCtx) -> Result<Event, FaircrowdError> {
     let time = SimTime::from_secs(u64_field(json, "time", ctx)?);
     let seq = u64_field(json, "seq", ctx)?;
     let tag = str_field(json, "kind", ctx)?;
@@ -1107,6 +1140,449 @@ fn ground_truth_from_json(json: &Json) -> Result<GroundTruth, FaircrowdError> {
         gt.true_labels.insert(TaskId::new(task), label);
     }
     Ok(gt)
+}
+
+// ---------------------------------------------------------------------
+// Canonical record lines
+// ---------------------------------------------------------------------
+
+/// Decode a record line that is byte for byte what [`trace_to_jsonl`]
+/// writes: members in the writer's order, no whitespace, strings with
+/// no `\` escape and no control byte, nothing after the closing `}}`.
+/// Any other line, malformed ones included, gives `None`, and
+/// [`JsonlReader::feed_line`] decodes it through the tree parser, which
+/// owns every error text. Numbers are cut by the tree parser's own
+/// grammar and converted by the same `str::parse` its accessors use, so
+/// a line decoded here equals its tree decode.
+fn canonical_record(line: &str) -> Option<JsonlRecord> {
+    let mut c = Cursor { line, pos: 0 };
+    let record = if c.eat(r#"{"event":"#) {
+        JsonlRecord::Event(c.event()?)
+    } else if c.eat(r#"{"worker":"#) {
+        JsonlRecord::Worker(c.worker()?)
+    } else if c.eat(r#"{"task":"#) {
+        JsonlRecord::Task(c.task()?)
+    } else if c.eat(r#"{"requester":"#) {
+        JsonlRecord::Requester(c.requester()?)
+    } else if c.eat(r#"{"submission":"#) {
+        JsonlRecord::Submission(c.submission()?)
+    } else {
+        return None;
+    };
+    (c.eat("}}") && c.pos == line.len()).then_some(record)
+}
+
+/// A byte cursor over one canonical record line. Every read returns
+/// `None` at the first byte that departs from the writer's layout.
+/// The record readers list struct fields in the writer's member order:
+/// Rust evaluates a struct literal's fields in source order, so that
+/// order is the byte layout they read.
+struct Cursor<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn rest(&self) -> &'a [u8] {
+        &self.line.as_bytes()[self.pos..]
+    }
+
+    /// Step over `text` if it comes next.
+    fn eat(&mut self, text: &str) -> bool {
+        let hit = self.rest().starts_with(text.as_bytes());
+        if hit {
+            self.pos += text.len();
+        }
+        hit
+    }
+
+    /// Step over `text`, which must come next: punctuation, or the
+    /// bytes that open a member up to its value (`{"id":`, `,"seq":`).
+    fn lit(&mut self, text: &str) -> Option<&mut Self> {
+        self.eat(text).then_some(self)
+    }
+
+    /// The optional member `key` (bare name) next: its value, read by
+    /// `value`, or `None` inside when the member is absent. `first` is
+    /// true until a member of this object has been read; after that a
+    /// `,` must precede the next one.
+    fn opt<T>(
+        &mut self,
+        first: &mut bool,
+        key: &str,
+        value: impl FnOnce(&mut Self) -> Option<T>,
+    ) -> Option<Option<T>> {
+        let start = self.pos;
+        if (*first || self.eat(",")) && self.eat("\"") && self.eat(key) && self.eat("\":") {
+            *first = false;
+            return value(self).map(Some);
+        }
+        self.pos = start;
+        Some(None)
+    }
+
+    /// An object of free-form keys, `{}` or `{m,m,…}`, each member read
+    /// by `member`.
+    fn members(&mut self, mut member: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
+        self.lit("{")?;
+        if self.eat("}") {
+            return Some(());
+        }
+        loop {
+            member(self)?;
+            if self.eat("}") {
+                return Some(());
+            }
+            self.lit(",")?;
+        }
+    }
+
+    /// A number token, parsed as `T`.
+    fn number<T: std::str::FromStr>(&mut self) -> Option<T> {
+        let len = crate::json::number_len(self.rest())?;
+        let token = &self.line[self.pos..self.pos + len];
+        self.pos += len;
+        token.parse().ok()
+    }
+
+    /// An unsigned integer that fits `T` (read as `u64`, then narrowed,
+    /// as the tree path's field accessors do).
+    fn uint<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        T::try_from(self.number::<u64>()?).ok()
+    }
+
+    fn int(&mut self) -> Option<i64> {
+        self.number()
+    }
+
+    /// A float: a number token, or a non-finite spelling of
+    /// [`Json::float`].
+    fn float(&mut self) -> Option<f64> {
+        if !self.rest().starts_with(b"\"") {
+            return self.number();
+        }
+        match self.string()? {
+            "NaN" => Some(f64::NAN),
+            "inf" => Some(f64::INFINITY),
+            "-inf" => Some(f64::NEG_INFINITY),
+            _ => None,
+        }
+    }
+
+    /// A string without escapes or control bytes, borrowed from the
+    /// line. (`"` and `\` never occur inside a multi-byte UTF-8
+    /// character, so the byte scan cannot split one.)
+    fn string(&mut self) -> Option<&'a str> {
+        self.lit("\"")?;
+        let len = self
+            .rest()
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        if self.rest()[len] != b'"' {
+            return None;
+        }
+        let text = &self.line[self.pos..self.pos + len];
+        self.pos += len + 1;
+        Some(text)
+    }
+
+    fn owned(&mut self) -> Option<String> {
+        self.string().map(str::to_owned)
+    }
+
+    fn boolean(&mut self) -> Option<bool> {
+        if self.eat("true") {
+            Some(true)
+        } else if self.eat("false") {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    fn skills(&mut self) -> Option<SkillVector> {
+        let bits = self.string()?;
+        bits.bytes()
+            .all(|b| b == b'0' || b == b'1')
+            .then(|| SkillVector::from_bools(bits.bytes().map(|b| b == b'1')))
+    }
+
+    fn worker_id(&mut self) -> Option<WorkerId> {
+        self.lit(r#","worker":"#)?.uint().map(WorkerId::new)
+    }
+
+    fn task_id(&mut self) -> Option<TaskId> {
+        self.lit(r#","task":"#)?.uint().map(TaskId::new)
+    }
+
+    fn submission_id(&mut self) -> Option<SubmissionId> {
+        self.lit(r#","submission":"#)?.uint().map(SubmissionId::new)
+    }
+
+    fn requester_id(&mut self) -> Option<RequesterId> {
+        self.lit(r#","requester":"#)?.uint().map(RequesterId::new)
+    }
+
+    fn amount(&mut self) -> Option<Credits> {
+        self.lit(r#","amount":"#)?
+            .int()
+            .map(Credits::from_millicents)
+    }
+
+    fn worker(&mut self) -> Option<Worker> {
+        Some(Worker {
+            id: WorkerId::new(self.lit(r#"{"id":"#)?.uint()?),
+            declared: self.lit(r#","declared":"#)?.declared()?,
+            computed: self.lit(r#","computed":"#)?.computed()?,
+            skills: self.lit(r#","skills":"#)?.skills()?,
+        })
+    }
+
+    fn declared(&mut self) -> Option<DeclaredAttrs> {
+        let mut attrs = DeclaredAttrs::new();
+        self.members(|c| {
+            let key = c.string()?;
+            let value = if c.eat(r#":{"bool":"#) {
+                AttrValue::Bool(c.boolean()?)
+            } else if c.eat(r#":{"int":"#) {
+                AttrValue::Int(c.int()?)
+            } else if c.eat(r#":{"real":"#) {
+                AttrValue::Real(c.float()?)
+            } else if c.eat(r#":{"text":"#) {
+                AttrValue::Text(c.owned()?)
+            } else {
+                return None;
+            };
+            attrs.set(key, value);
+            c.lit("}")?;
+            Some(())
+        })?;
+        Some(attrs)
+    }
+
+    fn computed(&mut self) -> Option<ComputedAttrs> {
+        let computed = ComputedAttrs {
+            acceptance_ratio: self.lit(r#"{"acceptance_ratio":"#)?.float()?,
+            tasks_approved: self.lit(r#","tasks_approved":"#)?.uint()?,
+            tasks_rejected: self.lit(r#","tasks_rejected":"#)?.uint()?,
+            tasks_submitted: self.lit(r#","tasks_submitted":"#)?.uint()?,
+            quality_estimate: self.lit(r#","quality_estimate":"#)?.float()?,
+            mean_approval_latency: SimDuration::from_secs(
+                self.lit(r#","mean_approval_latency":"#)?.uint()?,
+            ),
+            total_earnings: Credits::from_millicents(self.lit(r#","total_earnings":"#)?.int()?),
+            sessions: self.lit(r#","sessions":"#)?.uint()?,
+            extra: {
+                let mut extra = std::collections::BTreeMap::new();
+                self.lit(r#","extra":"#)?.members(|c| {
+                    let key = c.owned()?;
+                    extra.insert(key, c.lit(":")?.float()?);
+                    Some(())
+                })?;
+                extra
+            },
+        };
+        self.lit("}")?;
+        Some(computed)
+    }
+
+    fn task(&mut self) -> Option<Task> {
+        Some(Task {
+            id: TaskId::new(self.lit(r#"{"id":"#)?.uint()?),
+            requester: self.requester_id()?,
+            campaign: CampaignId::new(self.lit(r#","campaign":"#)?.uint()?),
+            skills: self.lit(r#","skills":"#)?.skills()?,
+            reward: Credits::from_millicents(self.lit(r#","reward":"#)?.int()?),
+            kind: {
+                let kind = match self.lit(r#","kind":{"name":"#)?.string()? {
+                    "labeling" => TaskKind::Labeling {
+                        classes: self.lit(r#","classes":"#)?.uint()?,
+                    },
+                    "free-text" => TaskKind::FreeText,
+                    "ranking" => TaskKind::Ranking {
+                        items: self.lit(r#","items":"#)?.uint()?,
+                    },
+                    "survey" => TaskKind::Survey,
+                    _ => return None,
+                };
+                self.lit("}")?;
+                kind
+            },
+            assignments_wanted: self.lit(r#","assignments_wanted":"#)?.uint()?,
+            est_duration: SimDuration::from_secs(self.lit(r#","est_duration":"#)?.uint()?),
+            conditions: self.lit(r#","conditions":{"#)?.conditions()?,
+        })
+    }
+
+    /// The members of a task's conditions, each optional, then `}`.
+    fn conditions(&mut self) -> Option<TaskConditions> {
+        let first = &mut true;
+        let conditions = TaskConditions {
+            stated_hourly_wage: self.opt(first, "stated_hourly_wage", |c| {
+                c.int().map(Credits::from_millicents)
+            })?,
+            stated_payment_delay: self.opt(first, "stated_payment_delay", |c| {
+                c.uint().map(SimDuration::from_secs)
+            })?,
+            recruitment_criteria: self.opt(first, "recruitment_criteria", Self::owned)?,
+            rejection_criteria: self.opt(first, "rejection_criteria", Self::owned)?,
+            evaluation_scheme: self.opt(first, "evaluation_scheme", Self::owned)?,
+        };
+        self.lit("}")?;
+        Some(conditions)
+    }
+
+    fn requester(&mut self) -> Option<Requester> {
+        Some(Requester {
+            id: RequesterId::new(self.lit(r#"{"id":"#)?.uint()?),
+            name: self.lit(r#","name":"#)?.owned()?,
+            approved: self.lit(r#","approved":"#)?.uint()?,
+            rejected: self.lit(r#","rejected":"#)?.uint()?,
+            rejections_with_feedback: self.lit(r#","rejections_with_feedback":"#)?.uint()?,
+            mean_decision_latency: SimDuration::from_secs(
+                self.lit(r#","mean_decision_latency":"#)?.uint()?,
+            ),
+            bonuses_promised: self.lit(r#","bonuses_promised":"#)?.uint()?,
+            bonuses_paid: self.lit(r#","bonuses_paid":"#)?.uint()?,
+        })
+    }
+
+    fn submission(&mut self) -> Option<Submission> {
+        Some(Submission {
+            id: SubmissionId::new(self.lit(r#"{"id":"#)?.uint()?),
+            task: self.task_id()?,
+            worker: self.worker_id()?,
+            contribution: self.lit(r#","contribution":"#)?.contribution()?,
+            started_at: SimTime::from_secs(self.lit(r#","started_at":"#)?.uint()?),
+            submitted_at: SimTime::from_secs(self.lit(r#","submitted_at":"#)?.uint()?),
+        })
+    }
+
+    fn contribution(&mut self) -> Option<Contribution> {
+        let contribution = if self.eat(r#"{"label":"#) {
+            Contribution::Label(self.uint()?)
+        } else if self.eat(r#"{"text":"#) {
+            Contribution::Text(self.owned()?)
+        } else if self.eat(r#"{"ranking":["#) {
+            let mut items = Vec::new();
+            if !self.eat("]") {
+                loop {
+                    items.push(self.uint()?);
+                    if self.eat("]") {
+                        break;
+                    }
+                    self.lit(",")?;
+                }
+            }
+            Contribution::Ranking(items)
+        } else if self.eat(r#"{"numeric":"#) {
+            Contribution::Numeric(self.float()?)
+        } else {
+            return None;
+        };
+        self.lit("}")?;
+        Some(contribution)
+    }
+
+    fn event(&mut self) -> Option<Event> {
+        let time = SimTime::from_secs(self.lit(r#"{"time":"#)?.uint()?);
+        let seq = self.lit(r#","seq":"#)?.uint()?;
+        let kind = match self.lit(r#","kind":"#)?.string()? {
+            "task_posted" => EventKind::TaskPosted {
+                task: self.task_id()?,
+                requester: self.requester_id()?,
+            },
+            "task_visible" => EventKind::TaskVisible {
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+            },
+            "task_accepted" => EventKind::TaskAccepted {
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+            },
+            "work_started" => EventKind::WorkStarted {
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+            },
+            "submission_received" => EventKind::SubmissionReceived {
+                submission: self.submission_id()?,
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+            },
+            "submission_approved" => EventKind::SubmissionApproved {
+                submission: self.submission_id()?,
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+            },
+            "submission_rejected" => EventKind::SubmissionRejected {
+                submission: self.submission_id()?,
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+                feedback: self.opt(&mut false, "feedback", Self::owned)?,
+            },
+            "payment_issued" => EventKind::PaymentIssued {
+                submission: self.submission_id()?,
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+                amount: self.amount()?,
+            },
+            "bonus_promised" => EventKind::BonusPromised {
+                worker: self.worker_id()?,
+                requester: self.requester_id()?,
+                amount: self.amount()?,
+            },
+            "bonus_paid" => EventKind::BonusPaid {
+                worker: self.worker_id()?,
+                requester: self.requester_id()?,
+                amount: self.amount()?,
+            },
+            "bonus_reneged" => EventKind::BonusReneged {
+                worker: self.worker_id()?,
+                requester: self.requester_id()?,
+                amount: self.amount()?,
+            },
+            "task_canceled" => EventKind::TaskCanceled {
+                task: self.task_id()?,
+                reason: match self.lit(r#","reason":"#)?.string()? {
+                    "target_reached" => CancelReason::TargetReached,
+                    "budget_exhausted" => CancelReason::BudgetExhausted,
+                    "withdrawn" => CancelReason::Withdrawn,
+                    _ => return None,
+                },
+            },
+            "work_interrupted" => EventKind::WorkInterrupted {
+                task: self.task_id()?,
+                worker: self.worker_id()?,
+                invested: SimDuration::from_secs(self.lit(r#","invested":"#)?.uint()?),
+                compensated: self.lit(r#","compensated":"#)?.boolean()?,
+            },
+            "worker_flagged" => EventKind::WorkerFlagged {
+                worker: self.worker_id()?,
+                score: self.lit(r#","score":"#)?.float()?,
+                detector: self.lit(r#","detector":"#)?.owned()?,
+            },
+            "disclosure_shown" => EventKind::DisclosureShown {
+                worker: self.worker_id()?,
+                item: DisclosureItem::from_name(self.lit(r#","item":"#)?.string()?)?,
+            },
+            "session_started" => EventKind::SessionStarted {
+                worker: self.worker_id()?,
+            },
+            "session_ended" => EventKind::SessionEnded {
+                worker: self.worker_id()?,
+            },
+            "worker_quit" => EventKind::WorkerQuit {
+                worker: self.worker_id()?,
+                reason: match self.lit(r#","reason":"#)?.string()? {
+                    "frustration" => QuitReason::Frustration,
+                    "natural_churn" => QuitReason::NaturalChurn,
+                    _ => return None,
+                },
+            },
+            _ => return None,
+        };
+        Some(Event { time, seq, kind })
+    }
 }
 
 #[cfg(test)]
@@ -1590,5 +2066,271 @@ mod tests {
             !back.validate().is_empty(),
             "tampered seq must fail validation"
         );
+    }
+
+    /// `full_trace` plus what it leaves out: the remaining reasons and
+    /// task kinds, partial conditions, and the edges of every number
+    /// and string type. Only its lines matter, not its validity.
+    fn edge_trace() -> Trace {
+        let mut trace = full_trace();
+        let mut worker = Worker::new(
+            WorkerId::new(u32::MAX),
+            DeclaredAttrs::new()
+                .with("bio", AttrValue::Text("say \"hi\"\t\u{1} — über 🎉".into()))
+                .with("plain", AttrValue::Text("Ωmega".into()))
+                .with("nan", AttrValue::Real(f64::NAN))
+                .with("zero", AttrValue::Real(-0.0))
+                .with("min", AttrValue::Int(i64::MIN))
+                .with("off", AttrValue::Bool(false)),
+            SkillVector::with_len(0),
+        );
+        worker.computed.acceptance_ratio = f64::INFINITY;
+        worker.computed.quality_estimate = f64::NEG_INFINITY;
+        worker.computed.tasks_submitted = u64::MAX;
+        worker.computed.mean_approval_latency = SimDuration::from_secs(u64::MAX);
+        worker.computed.total_earnings = Credits::from_millicents(i64::MIN);
+        worker.computed.extra.insert("nan".into(), f64::NAN);
+        worker.computed.extra.insert("tiny".into(), 1e-300);
+        worker.computed.extra.insert("huge".into(), -1.5e300);
+        trace.workers.push(worker);
+        trace
+            .requesters
+            .push(Requester::new(RequesterId::new(u32::MAX), "Ωmega \\ corp"));
+        let partial = TaskConditions {
+            stated_payment_delay: Some(SimDuration::from_secs(u64::MAX)),
+            rejection_criteria: Some("gold fails".into()),
+            ..TaskConditions::default()
+        };
+        for (id, kind) in [
+            TaskKind::FreeText,
+            TaskKind::Survey,
+            TaskKind::Labeling { classes: u8::MAX },
+            TaskKind::Ranking { items: 0 },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            trace.tasks.push(
+                TaskBuilder::new(
+                    TaskId::new(u32::MAX - id as u32),
+                    RequesterId::new(u32::MAX),
+                    SkillVector::from_bools([true; 9]),
+                    Credits::from_millicents(-7),
+                )
+                .kind(kind)
+                .conditions(partial.clone())
+                .build(),
+            );
+        }
+        for contribution in [
+            Contribution::Label(u8::MAX),
+            Contribution::Text(String::new()),
+            Contribution::Text("tab\there ünï".into()),
+            Contribution::Ranking(Vec::new()),
+            Contribution::Ranking(vec![u16::MAX, 0]),
+            Contribution::Numeric(f64::NAN),
+            Contribution::Numeric(f64::NEG_INFINITY),
+            Contribution::Numeric(-0.0),
+        ] {
+            trace.submissions.push(Submission {
+                id: SubmissionId::new(u32::MAX),
+                task: TaskId::new(u32::MAX),
+                worker: WorkerId::new(u32::MAX),
+                contribution,
+                started_at: SimTime::from_secs(0),
+                submitted_at: SimTime::from_secs(u64::MAX),
+            });
+        }
+        let top = WorkerId::new(u32::MAX);
+        let mut events = trace.events.as_slice().to_vec();
+        for kind in [
+            EventKind::TaskCanceled {
+                task: TaskId::new(u32::MAX),
+                reason: CancelReason::TargetReached,
+            },
+            EventKind::TaskCanceled {
+                task: TaskId::new(0),
+                reason: CancelReason::Withdrawn,
+            },
+            EventKind::WorkerQuit {
+                worker: top,
+                reason: QuitReason::Frustration,
+            },
+            EventKind::PaymentIssued {
+                submission: SubmissionId::new(u32::MAX),
+                task: TaskId::new(u32::MAX),
+                worker: top,
+                amount: Credits::from_millicents(i64::MIN),
+            },
+            EventKind::BonusPaid {
+                worker: top,
+                requester: RequesterId::new(u32::MAX),
+                amount: Credits::from_millicents(-1),
+            },
+            EventKind::SubmissionRejected {
+                submission: SubmissionId::new(0),
+                task: TaskId::new(0),
+                worker: top,
+                feedback: Some("\"late\" \\ \u{7f} ✓".into()),
+            },
+            EventKind::SubmissionRejected {
+                submission: SubmissionId::new(0),
+                task: TaskId::new(0),
+                worker: top,
+                feedback: Some("Ωk".into()),
+            },
+            EventKind::WorkerFlagged {
+                worker: top,
+                score: f64::NAN,
+                detector: "spam→bot".into(),
+            },
+            EventKind::WorkerFlagged {
+                worker: top,
+                score: f64::INFINITY,
+                detector: String::new(),
+            },
+            EventKind::WorkerFlagged {
+                worker: top,
+                score: -2.5e-8,
+                detector: "x".into(),
+            },
+            EventKind::WorkInterrupted {
+                task: TaskId::new(0),
+                worker: top,
+                invested: SimDuration::from_secs(u64::MAX),
+                compensated: true,
+            },
+        ] {
+            events.push(Event {
+                time: SimTime::from_secs(u64::MAX),
+                seq: u64::MAX,
+                kind,
+            });
+        }
+        trace.events = EventLog::from_events(events);
+        trace
+    }
+
+    /// Each variant of `value` with one object somewhere inside it
+    /// re-membered: two neighbours swapped, one member dropped, or one
+    /// member doubled.
+    fn reshaped(value: &Json) -> Vec<Json> {
+        let mut out = Vec::new();
+        match value {
+            Json::Obj(members) => {
+                for i in 0..members.len() {
+                    let mut dropped = members.clone();
+                    dropped.remove(i);
+                    out.push(Json::Obj(dropped));
+                    let mut doubled = members.clone();
+                    doubled.insert(i, members[i].clone());
+                    out.push(Json::Obj(doubled));
+                    if i + 1 < members.len() {
+                        let mut swapped = members.clone();
+                        swapped.swap(i, i + 1);
+                        out.push(Json::Obj(swapped));
+                    }
+                    for inner in reshaped(&members[i].1) {
+                        let mut changed = members.clone();
+                        changed[i].1 = inner;
+                        out.push(Json::Obj(changed));
+                    }
+                }
+            }
+            Json::Arr(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    for inner in reshaped(item) {
+                        let mut changed = items.clone();
+                        changed[i] = inner;
+                        out.push(Json::Arr(changed));
+                    }
+                }
+            }
+            _ => {}
+        }
+        out
+    }
+
+    /// The ways the differential test bends a record line: member order
+    /// and count, spacing, number spellings, escapes and trailers.
+    fn mutants(line: &str) -> Vec<String> {
+        let mut out: Vec<String> = reshaped(&Json::parse(line).unwrap())
+            .iter()
+            .map(Json::to_compact)
+            .collect();
+        let bytes = line.as_bytes();
+        for i in (1..bytes.len()).filter(|&i| line.is_char_boundary(i)) {
+            let (head, tail) = line.split_at(i);
+            if matches!(bytes[i - 1], b':' | b',') {
+                out.push(format!("{head} {tail}"));
+            }
+            if bytes[i - 1] == b'"' && bytes[i].is_ascii_alphabetic() {
+                out.push(format!("{head}\\u{:04x}{}", bytes[i], &tail[1..]));
+            }
+            let Some(len) = crate::json::number_len(&bytes[i..])
+                .filter(|_| matches!(bytes[i - 1], b':' | b',' | b'['))
+            else {
+                continue;
+            };
+            let (token, rest) = tail.split_at(len);
+            let (sign, digits) = token.split_at(usize::from(token.starts_with('-')));
+            for respelled in [
+                format!("{sign}0{digits}"),
+                "-0".to_owned(),
+                format!("{token}9"),
+                format!("{token}99999999999999999999"),
+                format!("{token}.0"),
+                format!("{token}e0"),
+            ] {
+                out.push(format!("{head}{respelled}{rest}"));
+            }
+        }
+        for trailer in ["x", " ", "}", ",", "\r", "\r\r"] {
+            out.push(format!("{line}{trailer}"));
+        }
+        out
+    }
+
+    #[test]
+    fn canonical_lines_decode_exactly_as_the_tree_does() {
+        let text = trace_to_jsonl(&edge_trace());
+        let mut lines = text.lines();
+        let mut reader = JsonlReader::new();
+        assert_eq!(reader.feed_line(lines.next().unwrap()).unwrap(), None);
+        let header = reader.into_header().unwrap();
+        let (mut direct, mut checked) = (0, 0);
+        for (i, line) in lines.enumerate() {
+            // Line 1 is the header; this is line `i + 2`.
+            let lineno = i + 2;
+            // What `feed_line` gave before the canonical decoder existed.
+            let reference = |line: &str| {
+                let line = line.strip_suffix('\r').unwrap_or(line);
+                let decoded = if line.trim().is_empty() {
+                    Ok(None)
+                } else {
+                    record_from_tree(line, lineno).map(Some)
+                };
+                format!("{:?}", decoded.map_err(|e| e.to_string()))
+            };
+            let fed = |line: &str| {
+                let decoded = JsonlReader::resume(header.clone(), lineno - 1).feed_line(line);
+                format!("{:?}", decoded.map_err(|e| e.to_string()))
+            };
+            // The writer escapes only quotes, backslashes and control
+            // characters; every other line it writes is canonical.
+            if !line.contains('\\') {
+                let record = canonical_record(line)
+                    .unwrap_or_else(|| panic!("line {lineno} is canonical: {line}"));
+                let ok: Result<_, String> = Ok(Some(record));
+                assert_eq!(format!("{ok:?}"), reference(line), "line {lineno}");
+                direct += 1;
+            }
+            for mutant in mutants(line) {
+                assert_eq!(fed(&mutant), reference(&mutant), "line {lineno}: {mutant}");
+                checked += 1;
+            }
+        }
+        assert!(direct >= 45, "{direct} canonical lines");
+        assert!(checked >= 4_000, "{checked} mutants");
     }
 }
