@@ -1,10 +1,14 @@
-//! Checkpoint files: durable snapshots of a [`LiveAuditor`]'s
-//! incremental state, so a restarted audit process resumes a stream
-//! from its last checkpoint seq **without replaying the log**.
+//! Checkpoints: durable snapshots of a [`LiveAuditor`]'s incremental
+//! state, so a restarted audit process resumes a stream from its last
+//! checkpoint seq **without replaying the log**.
 //!
 //! The paper's transparency machinery is platform-resident: fairness
 //! state must survive process restarts the way any other operational
-//! state does. A [`Checkpoint`] captures everything
+//! state does. The audit daemon keeps its checkpoints as records of one
+//! append-only checkpoint journal per target (see [`crate::daemon`]);
+//! each record's body is exactly the bytes [`encode`] writes, and
+//! [`load`] reads the same bytes from a file of their own. A
+//! [`Checkpoint`] captures everything
 //! [`LiveAuditor::checkpoint`] accumulated — the event-less world
 //! (entity tables + header scalars), the incremental [`EventIndex`]
 //! mirror, lazy qualification rows, A1/A2 partner caches and overlap
@@ -66,7 +70,9 @@
 //! scenario catalog and random checkpoint seqs).
 
 use crate::axiom::AxiomId;
-use crate::live::{FindingOrigin, LiveAuditor, LiveFinding};
+#[cfg(doc)]
+use crate::live::LiveAuditor;
+use crate::live::{FindingOrigin, LiveFinding};
 use crate::Violation;
 use faircrowd_model::arena::{ArenaKey, DenseIdMap};
 use faircrowd_model::codec::{put_credits, put_f64, put_str, put_u64, put_u64_le, Cursor};
@@ -92,9 +98,9 @@ pub const SCHEMA_VERSION: u64 = 2;
 
 /// A durable snapshot of one [`LiveAuditor`]'s incremental state.
 ///
-/// Produced by [`LiveAuditor::checkpoint`], persisted via
-/// [`save`]/[`encode`], loaded back through the gates of
-/// [`load`]/[`decode`], and turned back into a running auditor by
+/// Produced by [`LiveAuditor::checkpoint`], serialised by [`encode`],
+/// loaded back through the gates of [`load`]/[`decode`], and turned
+/// back into a running auditor by
 /// [`LiveAuditor::resume`]. The struct is opaque outside the crate;
 /// the accessors below expose what resuming callers need.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,95 +329,103 @@ impl Checkpoint {
 /// Deterministic: the same snapshot always encodes to the same bytes
 /// (hash-keyed state was already sorted by [`LiveAuditor::checkpoint`]).
 pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
+    let mut out = Vec::new();
+    encode_into(ckpt, &mut out);
+    out
+}
+
+/// [`encode`], appended to `out` — how a journal record frames a
+/// checkpoint without copying it.
+pub(crate) fn encode_into(ckpt: &Checkpoint, out: &mut Vec<u8>) {
     let world = trace_bin::trace_to_bytes(&ckpt.world);
-    let mut out = Vec::with_capacity(world.len() + 4096);
+    out.reserve(world.len() + 4096);
     out.extend_from_slice(&MAGIC);
-    put_str(&mut out, SCHEMA_NAME);
-    put_u64(&mut out, SCHEMA_VERSION);
-    put_u64_le(&mut out, ckpt.events_seen);
-    put_u64(&mut out, ckpt.events_seen);
-    put_u64(&mut out, ckpt.source_lines);
-    put_u64(&mut out, ckpt.last_time.as_secs());
+    put_str(out, SCHEMA_NAME);
+    put_u64(out, SCHEMA_VERSION);
+    put_u64_le(out, ckpt.events_seen);
+    put_u64(out, ckpt.events_seen);
+    put_u64(out, ckpt.source_lines);
+    put_u64(out, ckpt.last_time.as_secs());
     out.push(u8::from(ckpt.policy_scanned) | u8::from(ckpt.finalized) << 1);
-    put_u64(&mut out, ckpt.max_findings as u64);
-    put_u64(&mut out, ckpt.suppressed);
-    put_u64(&mut out, world.len() as u64);
+    put_u64(out, ckpt.max_findings as u64);
+    put_u64(out, ckpt.suppressed);
+    put_u64(out, world.len() as u64);
     out.extend_from_slice(&world);
 
     let m = &ckpt.mirror;
-    put_set_map(&mut out, &m.visibility);
-    put_set_map(&mut out, &m.audience);
-    put_credit_map(&mut out, &m.payments);
-    put_credit_map(&mut out, &m.earnings);
+    put_set_map(out, &m.visibility);
+    put_set_map(out, &m.audience);
+    put_credit_map(out, &m.payments);
+    put_credit_map(out, &m.earnings);
     for set in [&m.flagged, &m.session_workers, &m.informed_workers] {
-        put_ids(&mut out, set.iter().copied());
+        put_ids(out, set.iter().copied());
     }
-    put_u64(&mut out, m.work_started as u64);
-    put_u64(&mut out, m.interruptions.len() as u64);
+    put_u64(out, m.work_started as u64);
+    put_u64(out, m.interruptions.len() as u64);
     for i in &m.interruptions {
-        put_u64(&mut out, u64::from(i.task.raw()));
-        put_u64(&mut out, u64::from(i.worker.raw()));
-        put_u64(&mut out, i.invested.as_secs());
+        put_u64(out, u64::from(i.task.raw()));
+        put_u64(out, u64::from(i.worker.raw()));
+        put_u64(out, i.invested.as_secs());
         out.push(u8::from(i.compensated));
     }
-    put_u64(&mut out, m.quits.len() as u64);
+    put_u64(out, m.quits.len() as u64);
     for (w, reason, time) in &m.quits {
-        put_u64(&mut out, u64::from(w.raw()));
+        put_u64(out, u64::from(w.raw()));
         out.push(match reason {
             QuitReason::Frustration => 0,
             QuitReason::NaturalChurn => 1,
         });
-        put_u64(&mut out, time.as_secs());
+        put_u64(out, time.as_secs());
     }
 
-    put_rows(&mut out, &ckpt.qual_tasks);
-    put_rows(&mut out, &ckpt.qual_workers);
+    put_rows(out, &ckpt.qual_tasks);
+    put_rows(out, &ckpt.qual_workers);
     for caches in [&ckpt.similar_partners, &ckpt.comparable_partners] {
-        put_u64(&mut out, caches.len() as u64);
+        put_u64(out, caches.len() as u64);
         for (seen, partners) in caches {
-            put_u64(&mut out, *seen as u64);
-            put_u64(&mut out, partners.len() as u64);
+            put_u64(out, *seen as u64);
+            put_u64(out, partners.len() as u64);
             for &p in partners {
-                put_u64(&mut out, p as u64);
+                put_u64(out, p as u64);
             }
         }
     }
     for pairs in [&ckpt.a1_pairs, &ckpt.a2_pairs] {
-        put_u64(&mut out, pairs.len() as u64);
+        put_u64(out, pairs.len() as u64);
         for &v in pairs.iter().flatten() {
-            put_u64(&mut out, v);
+            put_u64(out, v);
         }
     }
     for pairs in [&ckpt.a1_emitted, &ckpt.a2_emitted] {
-        put_u64(&mut out, pairs.len() as u64);
+        put_u64(out, pairs.len() as u64);
         for &(i, j) in pairs.iter() {
-            put_u64(&mut out, i);
-            put_u64(&mut out, j);
+            put_u64(out, i);
+            put_u64(out, j);
         }
     }
-    put_u64(&mut out, ckpt.a3_emitted.len() as u64);
+    put_u64(out, ckpt.a3_emitted.len() as u64);
     for (a, b) in &ckpt.a3_emitted {
-        put_u64(&mut out, u64::from(a.raw()));
-        put_u64(&mut out, u64::from(b.raw()));
+        put_u64(out, u64::from(a.raw()));
+        put_u64(out, u64::from(b.raw()));
     }
-    put_ids(&mut out, ckpt.a4_emitted.iter().copied());
-    put_ids(&mut out, ckpt.a6_emitted.iter().copied());
+    put_ids(out, ckpt.a4_emitted.iter().copied());
+    put_ids(out, ckpt.a6_emitted.iter().copied());
 
-    put_u64(&mut out, ckpt.findings.len() as u64);
+    put_u64(out, ckpt.findings.len() as u64);
     for f in &ckpt.findings {
         match f.origin {
             FindingOrigin::Setup => out.push(0),
             FindingOrigin::Event { seq, time } => {
                 out.push(1);
-                put_u64(&mut out, seq);
-                put_u64(&mut out, time.as_secs());
+                put_u64(out, seq);
+                put_u64(out, time.as_secs());
             }
             FindingOrigin::EndOfStream { last_seq: None } => out.push(2),
             FindingOrigin::EndOfStream {
                 last_seq: Some(seq),
             } => {
                 out.push(3);
-                put_u64(&mut out, seq);
+                put_u64(out, seq);
             }
         }
         let axiom = AxiomId::ALL
@@ -419,10 +433,9 @@ pub fn encode(ckpt: &Checkpoint) -> Vec<u8> {
             .position(|&a| a == f.violation.axiom)
             .expect("every AxiomId appears in ALL");
         out.push(axiom as u8);
-        put_f64(&mut out, f.violation.severity);
-        put_str(&mut out, &f.violation.description);
+        put_f64(out, f.violation.severity);
+        put_str(out, &f.violation.description);
     }
-    out
 }
 
 /// Strictly ascending ids, each stored as its distance past the
@@ -751,19 +764,10 @@ fn read_emitted(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<(u64, u64)>, Fai
     Ok(pairs)
 }
 
-// ---- save / load ----------------------------------------------------
+// ---- load ---------------------------------------------------------
 
-/// Write a checkpoint to `path` in one in-place write. I/O failures
-/// carry the path.
-pub fn save(ckpt: &Checkpoint, path: impl AsRef<Path>) -> Result<(), FaircrowdError> {
-    let path = path.as_ref();
-    std::fs::write(path, encode(ckpt)).map_err(|e| FaircrowdError::Io {
-        path: path.display().to_string(),
-        message: e.to_string(),
-    })
-}
-
-/// Load and **validate** a checkpoint from `path`: read, decode under
+/// Load and **validate** a checkpoint file at `path` (the bytes of
+/// [`encode`], alone in their file): read, decode under
 /// the schema gates, then run [`Checkpoint::ensure_valid`]. Every
 /// failure mode — truncated file, foreign schema, future version, a
 /// version 1 JSON checkpoint, a header seq disagreeing with its
@@ -778,15 +782,4 @@ pub fn load(path: impl AsRef<Path>) -> Result<Checkpoint, FaircrowdError> {
     let ckpt = decode(&bytes).map_err(|e| e.at_path(path.display()))?;
     ckpt.ensure_valid().map_err(|e| e.at_path(path.display()))?;
     Ok(ckpt)
-}
-
-/// Checkpoint an auditor straight to disk —
-/// [`LiveAuditor::checkpoint`] + [`save`] in one call, the form the
-/// daemon's cadence loop uses.
-pub fn save_auditor(
-    auditor: &LiveAuditor,
-    source_lines: u64,
-    path: impl AsRef<Path>,
-) -> Result<(), FaircrowdError> {
-    save(&auditor.checkpoint(source_lines), path)
 }

@@ -34,34 +34,52 @@
 //!   per-market emission order) and tagged as
 //!   [`DaemonFinding`]`{market, finding}`; each market's subsequence
 //!   is exactly what a dedicated single-market `watch` emits.
-//! - **Checkpoints** — each market may have a checkpoint file
-//!   (`<dir>/<market>.checkpoint` under a configured checkpoint
-//!   directory, or an explicit path per market), and its auditor state
-//!   is snapshotted through [`crate::checkpoint`] every
-//!   `checkpoint_every` events. A restarted daemon
-//!   ([`AuditDaemon::open`] over the same directory) resumes every
-//!   stream from its last checkpoint seq *without replaying the log*:
-//!   the consumed prefix is skipped by line count, the auditor
+//! - **Checkpoints** — each market may have a checkpoint target (the
+//!   journal under a configured checkpoint directory, or an explicit
+//!   file per market), and its auditor state is snapshotted through
+//!   [`crate::checkpoint`] every `checkpoint_every` events. A restarted
+//!   daemon ([`AuditDaemon::open`] over the same directory) resumes
+//!   every stream from its last checkpoint seq *without replaying the
+//!   log*: the consumed prefix is skipped by line count, the auditor
 //!   continues from its restored mirrors, and finishing the stream is
 //!   bit-identical — findings, final report, wages — to never having
-//!   stopped. A checkpoint that fails any load gate (truncated, foreign
-//!   schema, future version, header seq disagreeing with its mirror, a
-//!   version 1 JSON checkpoint from before the binary format) is
+//!   stopped. A checkpoint that fails any load gate (foreign schema,
+//!   future version, header seq disagreeing with its mirror) is
 //!   reported as a notice and the market falls back to replaying its
 //!   trace from the start. A resume that cannot restore every finding
 //!   (the retention cap dropped some) says how many in its notice. A
 //!   failed checkpoint write is a notice too; the audit goes on.
 //!
-//! On disk, one binary file per market, rewritten in place at each
-//! cadence point (the byte layout is in [`crate::checkpoint`]):
+//! On disk, one append-only journal per checkpoint target: shard
+//! threads encode, and each round appends the records of every market
+//! it snapshotted, in market order, with one write — so the bytes are
+//! the same for any `jobs`. Nothing is rewritten in place and nothing
+//! is fsynced.
 //!
 //! ```text
-//! <dir>/<market>.checkpoint   magic 89 'F' 'C' 'K' 0D 0A 1A 0A,
-//!                             "faircrowd-checkpoint", version 2,
-//!                             8-byte header seq, then the body
+//! <dir>/checkpoints.journal   (or the explicit file)
+//!   header                    magic 89 'F' 'C' 'J' 0D 0A 1A 0A,
+//!                             "faircrowd-journal", version 1
+//!   record, repeated          u64 LE length, market name,
+//!                             a "faircrowd-checkpoint" v2 body
+//!                             (layout in [`crate::checkpoint`]),
+//!                             u64 LE word-wise FNV-1a checksum
+//! <dir>/checkpoints.journal.tmp
+//!                             a compaction in progress
 //! ```
 //!
-//! The name never ends in `.fcb` or `.jsonl`, so a checkpoint directory
+//! A market resumes from its newest intact record. Opening the journal
+//! cuts a torn or corrupt tail (a kill mid-write) with a notice, so the
+//! market it held resumes from its previous record. When superseded
+//! records outweigh both the live ones and 8 MiB, the live records are
+//! copied to the `.tmp` file and renamed over the journal; a leftover
+//! `.tmp` is deleted on open. A file at the journal path that is not a
+//! journal is refused by name and never written. A single checkpoint
+//! from before the journal — at the journal path, or as
+//! `<dir>/<market>.checkpoint` for a market the journal has no record
+//! of — is named in a notice and not read: that market replays once.
+//!
+//! Neither name ends in `.fcb` or `.jsonl`, so a checkpoint directory
 //! shared with the traces is never discovered as a market.
 //!
 //! Failure isolation is per market: a stream that breaks mid-line, a
@@ -71,7 +89,7 @@
 
 use crate::audit::{AuditConfig, FairnessReport};
 use crate::axiom::AxiomId;
-use crate::checkpoint;
+use crate::journal::{self, Journal, Record};
 use crate::live::{LiveAuditor, LiveFinding};
 use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::trace::Trace;
@@ -89,9 +107,10 @@ pub struct DaemonConfig {
     pub audit: AuditConfig,
     /// Shard (thread) count for each poll round. Clamped to at least 1.
     pub jobs: usize,
-    /// Where checkpoints are written and resumed from
-    /// (`<dir>/<market>.checkpoint`). `None` disables checkpointing
-    /// for markets registered without an explicit checkpoint file.
+    /// Where checkpoints are written and resumed from: the journal
+    /// `<dir>/checkpoints.journal`, shared by every market. `None`
+    /// disables checkpointing for markets registered without an
+    /// explicit checkpoint file.
     pub checkpoint_dir: Option<PathBuf>,
     /// Checkpoint a market after this many newly ingested events
     /// (cadence, not an exact stride: snapshots are taken between poll
@@ -244,10 +263,11 @@ struct Market {
     /// resumed stream.
     skip_lines: u64,
     resumed_from: Option<u64>,
-    /// The findings restored from the checkpoint, frozen at resume time
-    /// (the auditor's own list keeps growing past them).
-    restored: Vec<LiveFinding>,
-    /// Where this market's checkpoints are written and resumed from.
+    /// How many findings the checkpoint restored: the first entries of
+    /// the auditor's list, which only ever grows at its end.
+    restored: usize,
+    /// The journal this market's checkpoints are appended to and
+    /// resumed from.
     checkpoint: Option<PathBuf>,
     /// `events_seen` at the last checkpoint write.
     last_checkpoint: u64,
@@ -258,7 +278,8 @@ struct RoundResult {
     market: String,
     findings: Vec<LiveFinding>,
     error: Option<String>,
-    notices: Vec<String>,
+    /// The market's checkpoint, framed for its journal, when one was due.
+    record: Option<Record>,
 }
 
 /// The long-running multi-market audit service. See the
@@ -267,6 +288,8 @@ struct RoundResult {
 pub struct AuditDaemon {
     config: DaemonConfig,
     markets: BTreeMap<String, Market>,
+    /// One open journal per checkpoint target, by path.
+    journals: BTreeMap<PathBuf, Journal>,
     notices: Vec<String>,
 }
 
@@ -277,6 +300,7 @@ impl AuditDaemon {
         AuditDaemon {
             config,
             markets: BTreeMap::new(),
+            journals: BTreeMap::new(),
             notices: Vec::new(),
         }
     }
@@ -293,8 +317,8 @@ impl AuditDaemon {
         daemon
     }
 
-    /// Register a file-backed market, checkpointed to
-    /// `<dir>/<market>.checkpoint` when the configuration names a
+    /// Register a file-backed market, checkpointed to the journal
+    /// `<dir>/checkpoints.journal` when the configuration names a
     /// checkpoint directory. The file's first bytes pick its format,
     /// whatever its extension: a file that starts with the `.fcb`
     /// magic is a finished recording, decoded now through the binary
@@ -303,13 +327,14 @@ impl AuditDaemon {
     /// yet and is tailed from the next poll. Open and decode failures
     /// fail the market (named, positioned), never the daemon.
     pub fn add_source(&mut self, source: MarketSource) {
-        let checkpoint = self.checkpoint_in_dir(&source.market);
+        let checkpoint = self.dir_journal();
         self.add_source_with_checkpoint(source, checkpoint);
     }
 
-    /// [`AuditDaemon::add_source`] with an explicit checkpoint file for
-    /// this market (`None`: not checkpointed) instead of one under the
-    /// configured directory — `faircrowd watch --checkpoint FILE`.
+    /// [`AuditDaemon::add_source`] with an explicit checkpoint journal
+    /// file for this market (`None`: not checkpointed) instead of the
+    /// configured directory's — `faircrowd watch --checkpoint FILE`.
+    /// Markets given the same file share one journal.
     pub fn add_source_with_checkpoint(
         &mut self,
         source: MarketSource,
@@ -334,7 +359,7 @@ impl AuditDaemon {
     /// [`AuditDaemon::poll`].
     pub fn feed_line(&mut self, market: &str, line: impl Into<String>) {
         if !self.markets.contains_key(market) {
-            let checkpoint = self.checkpoint_in_dir(market);
+            let checkpoint = self.dir_journal();
             let created = self.make_market(market.to_owned(), checkpoint);
             self.markets.insert(market.to_owned(), created);
         }
@@ -345,15 +370,15 @@ impl AuditDaemon {
             .push(line.into());
     }
 
-    /// `<dir>/<market>.checkpoint` under the configured checkpoint
+    /// `<dir>/checkpoints.journal` under the configured checkpoint
     /// directory, if there is one.
-    fn checkpoint_in_dir(&self, market: &str) -> Option<PathBuf> {
+    fn dir_journal(&self) -> Option<PathBuf> {
         let dir = self.config.checkpoint_dir.as_deref()?;
-        Some(checkpoint_path(dir, market))
+        Some(dir.join(journal::FILE_NAME))
     }
 
-    /// Build a market, resuming from its checkpoint when one exists and
-    /// loads cleanly.
+    /// Build a market, resuming from its newest journal record when
+    /// there is one and it loads cleanly.
     fn make_market(&mut self, name: String, checkpoint: Option<PathBuf>) -> Market {
         let mut market = Market {
             shard: shard_of(&name),
@@ -366,17 +391,29 @@ impl AuditDaemon {
             header_applied: false,
             skip_lines: 0,
             resumed_from: None,
-            restored: Vec::new(),
+            restored: 0,
             checkpoint,
             last_checkpoint: 0,
             failed: None,
         };
-        let Some(path) = market.checkpoint.as_deref().filter(|p| p.exists()) else {
+        let Some(path) = market.checkpoint.clone() else {
             return market;
         };
+        if !self.journals.contains_key(&path) {
+            let (journal, notice) = Journal::open(&path);
+            self.notices.extend(notice);
+            self.journals.insert(path.clone(), journal);
+        }
         let name = &market.name;
-        let restored = checkpoint::load(path)
-            .and_then(|ckpt| Ok((LiveAuditor::resume(self.config.audit.clone(), &ckpt)?, ckpt)));
+        let Some(loaded) = self.journals[&path].load(name) else {
+            self.notices.extend(self.fresh_start_notice(name, &path));
+            return market;
+        };
+        let restored = loaded.and_then(|ckpt| {
+            let auditor =
+                LiveAuditor::resume(self.config.audit.clone(), &ckpt).map_err(|e| e.to_string())?;
+            Ok((auditor, ckpt))
+        });
         match restored {
             Ok((auditor, ckpt)) => {
                 self.notices.push(format!(
@@ -388,7 +425,7 @@ impl AuditDaemon {
                 market.header_applied = true;
                 market.skip_lines = ckpt.source_lines();
                 market.resumed_from = Some(ckpt.seq());
-                market.restored = auditor.findings().to_vec();
+                market.restored = auditor.findings().len();
                 market.last_checkpoint = ckpt.seq();
                 market.auditor = auditor;
             }
@@ -397,6 +434,38 @@ impl AuditDaemon {
             )),
         }
         market
+    }
+
+    /// Why a market whose journal has no record of it starts from
+    /// scratch, when there is more to say than that it is new: beside
+    /// the directory journal, a checkpoint file of its own from before
+    /// the journal; in an explicit journal, the other markets it holds
+    /// (`watch` names its market by the path as given).
+    fn fresh_start_notice(&self, name: &str, path: &Path) -> Option<String> {
+        if Some(path) == self.dir_journal().as_deref() {
+            let dir = self.config.checkpoint_dir.as_deref()?;
+            let old = dir.join(format!("{name}.checkpoint"));
+            return old.exists().then(|| {
+                format!(
+                    "market `{name}`: `{}` is a checkpoint from before the checkpoint journal \
+                     and is not read; replaying from the trace",
+                    old.display()
+                )
+            });
+        }
+        let held: Vec<String> = self.journals[path]
+            .markets()
+            .map(|m| format!("`{m}`"))
+            .collect();
+        if held.is_empty() {
+            return None;
+        }
+        Some(format!(
+            "checkpoint journal `{}` has no record for market `{name}`, only for {}; \
+             replaying from the trace",
+            path.display(),
+            held.join(", ")
+        ))
     }
 
     /// Number of registered markets.
@@ -444,10 +513,14 @@ impl AuditDaemon {
     pub fn restored_findings(&self) -> Vec<DaemonFinding> {
         let mut out = Vec::new();
         for m in self.markets.values() {
-            out.extend(m.restored.iter().map(|f| DaemonFinding {
-                market: m.name.clone(),
-                finding: f.clone(),
-            }));
+            out.extend(
+                m.auditor.findings()[..m.restored]
+                    .iter()
+                    .map(|f| DaemonFinding {
+                        market: m.name.clone(),
+                        finding: f.clone(),
+                    }),
+            );
         }
         out
     }
@@ -546,12 +619,20 @@ impl AuditDaemon {
     }
 
     /// Merge one round's per-market results into the deterministic
-    /// output order and fold notices/errors into daemon state.
+    /// output order, fold notices/errors into daemon state, and append
+    /// the round's checkpoints to their journals.
     fn merge(&mut self, mut results: Vec<RoundResult>) -> Vec<DaemonFinding> {
         results.sort_by(|a, b| a.market.cmp(&b.market));
         let mut out = Vec::new();
+        let mut batches: BTreeMap<PathBuf, Vec<Record>> = BTreeMap::new();
         for r in results {
-            self.notices.extend(r.notices);
+            if let Some(record) = r.record {
+                let path = self.markets[&r.market].checkpoint.clone();
+                batches
+                    .entry(path.expect("only a checkpointed market makes a record"))
+                    .or_default()
+                    .push(record);
+            }
             if let Some(err) = r.error {
                 self.notices
                     .push(format!("market `{}` failed: {err}", r.market));
@@ -563,6 +644,24 @@ impl AuditDaemon {
                 market: r.market.clone(),
                 finding,
             }));
+        }
+        for (path, records) in batches {
+            let journal = self
+                .journals
+                .get_mut(&path)
+                .expect("opened with its first market");
+            if let Err(e) = journal.append(&records) {
+                self.notices.extend(
+                    records
+                        .iter()
+                        .map(|r| format!("market `{}`: checkpoint write failed: {e}", r.market())),
+                );
+            } else if let Err(e) = journal.compact_if_due(journal::COMPACT_FLOOR) {
+                self.notices.push(format!(
+                    "checkpoint journal `{}`: compaction failed: {e}",
+                    path.display()
+                ));
+            }
         }
         out
     }
@@ -578,10 +677,6 @@ fn shard_of(name: &str) -> usize {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h as usize
-}
-
-fn checkpoint_path(dir: &Path, market: &str) -> PathBuf {
-    dir.join(format!("{market}.checkpoint"))
 }
 
 /// A market's trace file, opened.
@@ -620,16 +715,18 @@ fn open_trace(path: &Path) -> Result<Opened, String> {
 /// ingest what arrived, checkpoint if due.
 fn run_market(m: &mut Market, every: u64) -> RoundResult {
     let mut findings = Vec::new();
-    let mut notices = Vec::new();
     let error = ingest_arrivals(m, &mut findings).err();
-    if error.is_none() && m.auditor.events_seen() as u64 >= m.last_checkpoint + every.max(1) {
-        save_checkpoint(m, "checkpoint", &mut notices);
-    }
+    let due = m.auditor.events_seen() as u64 >= m.last_checkpoint + every.max(1);
+    let record = if error.is_none() && due {
+        snapshot(m)
+    } else {
+        None
+    };
     RoundResult {
         market: m.name.clone(),
         findings,
         error,
-        notices,
+        record,
     }
 }
 
@@ -638,21 +735,22 @@ fn run_market(m: &mut Market, every: u64) -> RoundResult {
 /// header, write the final checkpoint, finalize the auditor.
 fn finalize_market(m: &mut Market) -> RoundResult {
     let mut findings = Vec::new();
-    let mut notices = Vec::new();
-    let error = close_market(m, &mut findings, &mut notices).err();
+    let closed = close_market(m, &mut findings);
+    let (record, error) = match closed {
+        Ok(record) => (record, None),
+        Err(e) => (None, Some(e)),
+    };
     RoundResult {
         market: m.name.clone(),
         findings,
         error,
-        notices,
+        record,
     }
 }
 
-fn close_market(
-    m: &mut Market,
-    findings: &mut Vec<LiveFinding>,
-    notices: &mut Vec<String>,
-) -> Result<(), String> {
+/// Close one market; returns its final checkpoint record, if it has a
+/// journal.
+fn close_market(m: &mut Market, findings: &mut Vec<LiveFinding>) -> Result<Option<Record>, String> {
     ingest_arrivals(m, findings)?;
     // A last line without a trailing newline is still a record.
     let carry = m.tail.as_mut().map(|t| std::mem::take(&mut t.carry));
@@ -671,9 +769,9 @@ fn close_market(
     // judgment, not a property of the log. A restart re-derives the
     // closing findings from the restored state — or keeps ingesting, if
     // the market grew in the meantime.
-    save_checkpoint(m, "final checkpoint", notices);
+    let record = snapshot(m);
     findings.extend(m.auditor.finalize());
-    Ok(())
+    Ok(record)
 }
 
 /// Ingest everything that arrived since the last round: the pending
@@ -728,18 +826,14 @@ fn utf8_line<'a>(m: &Market, bytes: &'a [u8]) -> Result<&'a str, String> {
     })
 }
 
-/// Snapshot the market to its checkpoint file, if it has one. A failed
-/// write is a notice, never a market failure; the next attempt waits
-/// for the next cadence point.
-fn save_checkpoint(m: &mut Market, what: &str, notices: &mut Vec<String>) {
-    let Some(path) = &m.checkpoint else {
-        return;
-    };
-    let saved = checkpoint::save_auditor(&m.auditor, m.reader.lines_fed() as u64, path);
+/// Snapshot the market and frame it as a journal record, if it has a
+/// journal; the merge appends it. A failed append is a notice, never a
+/// market failure; the next attempt waits for the next cadence point.
+fn snapshot(m: &mut Market) -> Option<Record> {
+    m.checkpoint.as_ref()?;
     m.last_checkpoint = m.auditor.events_seen() as u64;
-    if let Err(e) = saved {
-        notices.push(format!("market `{}`: {what} write failed: {e}", m.name));
-    }
+    let ckpt = m.auditor.checkpoint(m.reader.lines_fed() as u64);
+    Some(Record::new(&m.name, &ckpt))
 }
 
 /// Feed one line: skip it if it belongs to a resumed prefix, apply the
@@ -835,7 +929,7 @@ fn at_line(err: FaircrowdError, lineno: usize) -> String {
 mod tests {
     use super::*;
     use crate::axioms::fixtures::*;
-    use crate::persist;
+    use crate::{checkpoint, persist};
     use faircrowd_model::contribution::Contribution;
     use faircrowd_model::trace::Trace;
 
@@ -861,6 +955,19 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("fc_daemon_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// A journal at `path` holding exactly `records`.
+    fn write_journal(path: &Path, records: &[Record]) {
+        std::fs::remove_file(path).ok();
+        let (mut journal, notice) = Journal::open(path);
+        assert_eq!(notice, None);
+        journal.append(records).unwrap();
+    }
+
+    /// The newest checkpoint the journal at `path` holds for `market`.
+    fn newest(path: &Path, market: &str) -> checkpoint::Checkpoint {
+        Journal::open(path).0.load(market).unwrap().unwrap()
     }
 
     #[test]
@@ -999,7 +1106,8 @@ mod tests {
         let dropped = capped.suppressed_findings();
         assert!(dropped > 0, "the fixture must overflow a cap of 2");
         let dir = temp_dir("capped");
-        checkpoint::save_auditor(&capped, lines.len() as u64, checkpoint_path(&dir, "m")).unwrap();
+        let ckpt = capped.checkpoint(lines.len() as u64);
+        write_journal(&dir.join(journal::FILE_NAME), &[Record::new("m", &ckpt)]);
         let mut daemon = AuditDaemon::new(DaemonConfig {
             checkpoint_dir: Some(dir.clone()),
             ..DaemonConfig::default()
@@ -1041,7 +1149,9 @@ mod tests {
         let trace = violating_trace();
         let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
         let dir = temp_dir("fallback");
-        std::fs::write(dir.join("m.checkpoint"), "{\"schema\": \"garb").unwrap();
+        // An intact record whose body is no checkpoint.
+        let garbage = Record::frame("m", |out| out.extend_from_slice(b"{\"schema\": \"garb"));
+        write_journal(&dir.join(journal::FILE_NAME), &[garbage]);
         let config = DaemonConfig {
             checkpoint_dir: Some(dir.clone()),
             checkpoint_every: 1_000_000,
@@ -1367,6 +1477,12 @@ mod tests {
     /// `ckpt` at every event: restored plus fresh findings, and the
     /// closing report.
     fn checkpointed_life(path: &Path, ckpt: &Path) -> (Vec<LiveFinding>, DaemonReport) {
+        let (findings, report, _) = noted_life(path, ckpt);
+        (findings, report)
+    }
+
+    /// [`checkpointed_life`], with the life's notices.
+    fn noted_life(path: &Path, ckpt: &Path) -> (Vec<LiveFinding>, DaemonReport, Vec<String>) {
         let mut daemon = AuditDaemon::new(DaemonConfig {
             checkpoint_every: 1,
             ..DaemonConfig::default()
@@ -1383,12 +1499,9 @@ mod tests {
             .chain(daemon.finalize())
             .map(|f| f.finding)
             .collect();
-        assert!(
-            daemon.failed_markets().is_empty(),
-            "{:?}",
-            daemon.take_notices()
-        );
-        (findings, daemon.reports().unwrap().remove(0))
+        let notices = daemon.take_notices();
+        assert!(daemon.failed_markets().is_empty(), "{notices:?}");
+        (findings, daemon.reports().unwrap().remove(0), notices)
     }
 
     #[test]
@@ -1404,10 +1517,10 @@ mod tests {
             persist::encode_bytes(&trace, persist::TraceFormat::Binary),
         )
         .unwrap();
-        let (twin_ck, recording_ck) = (dir.join("twin.checkpoint"), dir.join("rec.checkpoint"));
+        let (twin_ck, recording_ck) = (dir.join("twin.journal"), dir.join("rec.journal"));
 
-        // Uninterrupted, the two formats audit alike and write the same
-        // checkpoint, byte for byte.
+        // Uninterrupted, the two formats audit alike and append the
+        // same journal records, byte for byte.
         let (want, want_report) = checkpointed_life(&twin, &twin_ck);
         assert_eq!(
             checkpointed_life(&recording, &recording_ck),
@@ -1436,7 +1549,7 @@ mod tests {
         let cut = lines.len() * 2 / 3;
         let half = dir.join("half.jsonl");
         std::fs::write(&half, format!("{}\n", lines[..cut].join("\n"))).unwrap();
-        let mid_ck = dir.join("mid.checkpoint");
+        let mid_ck = dir.join("mid.journal");
         let mut first = AuditDaemon::new(DaemonConfig {
             checkpoint_every: 1,
             ..DaemonConfig::default()
@@ -1450,7 +1563,7 @@ mod tests {
         );
         first.poll();
         drop(first);
-        let seq = checkpoint::load(&mid_ck).unwrap().seq();
+        let seq = newest(&mid_ck, "m").seq();
         assert!(seq > 0 && seq < trace.events.len() as u64);
         let (findings, report) = checkpointed_life(&recording, &mid_ck);
         assert_eq!(findings, want);
@@ -1460,6 +1573,286 @@ mod tests {
                 resumed_from: Some(seq),
                 ..want_report
             }
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One daemon life fed all of `lines` for each of `markets`:
+    /// restored plus fresh findings by market, the reports, the notices.
+    fn fed_life(
+        config: &DaemonConfig,
+        markets: &[&str],
+        lines: &[&str],
+    ) -> (
+        BTreeMap<String, Vec<LiveFinding>>,
+        Vec<DaemonReport>,
+        Vec<String>,
+    ) {
+        let mut daemon = AuditDaemon::new(config.clone());
+        for market in markets {
+            for line in lines {
+                daemon.feed_line(market, *line);
+            }
+        }
+        let mut found: BTreeMap<String, Vec<LiveFinding>> = BTreeMap::new();
+        let all = daemon
+            .restored_findings()
+            .into_iter()
+            .chain(daemon.poll())
+            .chain(daemon.finalize());
+        for f in all {
+            found.entry(f.market).or_default().push(f.finding);
+        }
+        let notices = daemon.take_notices();
+        assert!(daemon.failed_markets().is_empty(), "{notices:?}");
+        (found, daemon.reports().unwrap(), notices)
+    }
+
+    #[test]
+    fn a_torn_or_corrupt_last_record_costs_its_market_one_checkpoint() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let dir = temp_dir("torn");
+        let path = dir.join(journal::FILE_NAME);
+        let config = DaemonConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            ..DaemonConfig::default()
+        };
+        // First life: two rounds, each checkpointing both markets, so
+        // `b`'s second record ends the journal.
+        let mut first = AuditDaemon::new(config.clone());
+        let mut seqs = Vec::new();
+        let mut fed = 0;
+        for cut in [lines.len() - 3, lines.len() - 1] {
+            for market in ["a", "b"] {
+                for line in &lines[fed..cut] {
+                    first.feed_line(market, *line);
+                }
+            }
+            fed = cut;
+            first.poll();
+            seqs.push(first.auditor("b").unwrap().events_seen() as u64);
+        }
+        assert!(seqs[0] > 0 && seqs[0] < seqs[1]);
+        drop(first);
+        let pristine = std::fs::read(&path).unwrap();
+        let last = Journal::open(&path).0.span("b").unwrap();
+        assert_eq!(last.end, pristine.len());
+        let (want, want_report) = reference(&trace);
+        let resumed = |market: &str, seq: u64| {
+            format!("resumed market `{market}` from checkpoint seq {seq} (")
+        };
+        // Kill mid-write at every byte of the last record, or flip any
+        // one of its bytes: `b` loses that record and nothing else.
+        for at in last.clone() {
+            let mut flipped = pristine.clone();
+            flipped[at] ^= 0xff;
+            for (how, bytes) in [("cut", &pristine[..at]), ("flipped", &flipped[..])] {
+                std::fs::write(&path, bytes).unwrap();
+                let (found, reports, notices) = fed_life(&config, &["a", "b"], &lines);
+                let tag = format!("{how} at byte {at}: {notices:?}");
+                let cut = notices.iter().any(|n| n.contains("torn or corrupt record"));
+                assert_eq!(cut, bytes.len() != last.start, "{tag}");
+                assert!(
+                    notices
+                        .iter()
+                        .any(|n| n.starts_with(&resumed("a", seqs[1]))),
+                    "{tag}"
+                );
+                assert!(
+                    notices
+                        .iter()
+                        .any(|n| n.starts_with(&resumed("b", seqs[0]))),
+                    "{tag}"
+                );
+                for market in ["a", "b"] {
+                    assert_eq!(found[market], want, "{market}, {tag}");
+                }
+                for r in &reports {
+                    assert_eq!(r.report, want_report, "{}, {tag}", r.market);
+                }
+                assert_eq!(reports[1].resumed_from, Some(seqs[0]), "{tag}");
+                // The cut left a journal that later records extend.
+                let closed = trace.events.len() as u64;
+                assert_eq!(newest(&path, "b").seq(), closed, "{tag}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn the_journal_is_byte_identical_for_any_jobs() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let markets = ["m0", "m1", "m2", "m3", "m4", "m5", "m6"];
+        let journal_of = |jobs: usize| {
+            let dir = temp_dir(&format!("jobs{jobs}"));
+            let mut daemon = AuditDaemon::new(DaemonConfig {
+                jobs,
+                checkpoint_dir: Some(dir.clone()),
+                checkpoint_every: 1,
+                ..DaemonConfig::default()
+            });
+            // Markets fed at different paces, so rounds checkpoint
+            // different subsets of them.
+            for round in 1..=4 {
+                for (i, market) in markets.iter().enumerate() {
+                    let pace = |r: usize| (lines.len() * r * (i + 1) / 8).min(lines.len());
+                    for line in &lines[pace(round - 1)..pace(round)] {
+                        daemon.feed_line(market, *line);
+                    }
+                }
+                daemon.poll();
+            }
+            daemon.finalize();
+            assert!(daemon.failed_markets().is_empty());
+            let bytes = std::fs::read(dir.join(journal::FILE_NAME)).unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            bytes
+        };
+        let serial = journal_of(1);
+        assert!(serial.len() > 1000);
+        assert_eq!(serial, journal_of(4));
+    }
+
+    /// A single checkpoint file as written before the journal: the whole
+    /// of `trace` ingested, so resuming from it would skip everything.
+    fn pre_journal_checkpoint(trace: &Trace, path: &Path) {
+        let mut auditor = LiveAuditor::new(AuditConfig::default());
+        auditor.ingest_trace(trace).unwrap();
+        let lines = persist::encode(trace, persist::TraceFormat::Jsonl)
+            .lines()
+            .count();
+        std::fs::write(path, checkpoint::encode(&auditor.checkpoint(lines as u64))).unwrap();
+    }
+
+    #[test]
+    fn a_pre_journal_checkpoint_at_the_journal_path_is_named_and_replayed_once() {
+        let trace = violating_trace();
+        let dir = temp_dir("prejournal_file");
+        let stream = dir.join("m.jsonl");
+        std::fs::write(
+            &stream,
+            persist::encode(&trace, persist::TraceFormat::Jsonl),
+        )
+        .unwrap();
+        let old = dir.join("old.checkpoint");
+        pre_journal_checkpoint(&trace, &old);
+        let (want, want_report) = reference(&trace);
+        let named = format!("`{}` is a single checkpoint from before", old.display());
+
+        let (findings, report, notices) = noted_life(&stream, &old);
+        assert!(notices.iter().any(|n| n.starts_with(&named)), "{notices:?}");
+        assert_eq!((findings, report.resumed_from), (want.clone(), None));
+        assert_eq!(report.report, want_report);
+        // The first life's checkpoints replaced it with a journal.
+        let (findings, report, notices) = noted_life(&stream, &old);
+        assert!(!notices.iter().any(|n| n.contains("before")), "{notices:?}");
+        assert!(notices[0].starts_with("resumed market"), "{notices:?}");
+        assert_eq!(findings, want);
+        assert_eq!(report.resumed_from, Some(trace.events.len() as u64));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_pre_journal_checkpoint_beside_the_directory_journal_is_named_and_replayed_once() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let dir = temp_dir("prejournal_dir");
+        let old = dir.join("m.checkpoint");
+        pre_journal_checkpoint(&trace, &old);
+        let config = DaemonConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..DaemonConfig::default()
+        };
+        let (want, want_report) = reference(&trace);
+        let named = format!(
+            "market `m`: `{}` is a checkpoint from before",
+            old.display()
+        );
+
+        let (found, reports, notices) = fed_life(&config, &["m"], &lines);
+        assert!(notices.iter().any(|n| n.starts_with(&named)), "{notices:?}");
+        assert_eq!(found["m"], want);
+        assert_eq!(reports[0].report, want_report);
+        assert_eq!(reports[0].resumed_from, None);
+        // Now the journal has a record for `m`; the old file is left be.
+        let (found, reports, notices) = fed_life(&config, &["m"], &lines);
+        assert!(!notices.iter().any(|n| n.contains("before")), "{notices:?}");
+        assert_eq!(found["m"], want);
+        assert!(reports[0].resumed_from.is_some());
+        assert!(old.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_foreign_file_at_the_journal_path_is_refused_by_name_and_left_alone() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let dir = temp_dir("foreign_journal");
+        let stream = dir.join("m.jsonl");
+        std::fs::write(&stream, &jsonl).unwrap();
+        let mut elsewhere = b"\x89FCJ\r\n\x1a\n".to_vec();
+        faircrowd_model::codec::put_str(&mut elsewhere, "faircrowd-elsewhere");
+        elsewhere.push(1);
+        let cases = [
+            (
+                elsewhere,
+                "declares schema `faircrowd-elsewhere`, expected `faircrowd-journal`",
+            ),
+            (jsonl.clone().into_bytes(), "magic bytes missing"),
+        ];
+        let (want, _) = reference(&trace);
+        let target = dir.join("target.journal");
+        for (bytes, why) in cases {
+            std::fs::write(&target, &bytes).unwrap();
+            let (findings, report, notices) = noted_life(&stream, &target);
+            let refused = format!("checkpoint journal `{}` refused: ", target.display());
+            assert!(
+                notices
+                    .iter()
+                    .any(|n| n.starts_with(&refused) && n.contains(why)),
+                "{notices:?}"
+            );
+            assert!(notices
+                .iter()
+                .any(|n| n.contains("checkpoint write failed")));
+            assert_eq!((findings, report.resumed_from), (want.clone(), None));
+            assert_eq!(std::fs::read(&target).unwrap(), bytes, "never written");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_journal_without_the_market_names_the_markets_it_holds() {
+        let trace = violating_trace();
+        let dir = temp_dir("other_market");
+        let stream = dir.join("m.jsonl");
+        std::fs::write(
+            &stream,
+            persist::encode(&trace, persist::TraceFormat::Jsonl),
+        )
+        .unwrap();
+        let target = dir.join("m.journal");
+        checkpointed_life(&stream, &target);
+        // The same file under another name is another market.
+        let mut daemon = AuditDaemon::new(DaemonConfig::default());
+        let source = MarketSource {
+            market: "./m".into(),
+            path: stream,
+        };
+        daemon.add_source_with_checkpoint(source, Some(target.clone()));
+        assert_eq!(
+            daemon.take_notices(),
+            [format!(
+                "checkpoint journal `{}` has no record for market `./m`, only for `m`; \
+                 replaying from the trace",
+                target.display()
+            )]
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -31,6 +31,7 @@ pub mod checkpoint;
 pub mod daemon;
 pub mod enforce;
 pub mod index;
+mod journal;
 pub mod live;
 pub mod metrics;
 pub mod persist;

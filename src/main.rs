@@ -88,15 +88,15 @@ const VERBS: [Verb; 15] = [
         flags: &[
             ONCE,
             IDLE_MS,
-            value("--checkpoint", "FILE", "snapshot auditor state to FILE (binary checkpoint v2)\n\
-                as the stream grows and resume from it on restart\n(no log replay)"),
+            value("--checkpoint", "FILE", "append auditor snapshots to the checkpoint journal\n\
+                FILE as the stream grows and resume from it on restart\n(no log replay)"),
             EVERY,
         ] },
     Verb { name: "serve", positionals: &["<DIR>"], shared: &[], run: serve_cmd,
         summary: "tail every <market>.jsonl (and audit\nevery <market>.fcb) in DIR at once",
         flags: &[
-            value("--checkpoint-dir", "D", "snapshot each market to D/<market>.checkpoint (binary\n\
-                checkpoint v2) and resume every stream from it on restart"),
+            value("--checkpoint-dir", "D", "append every market's snapshots to the journal\n\
+                D/checkpoints.journal; a restart resumes every stream\nfrom it (no log replay)"),
             EVERY,
             JOBS,
             ONCE,
@@ -1575,10 +1575,13 @@ mod tests {
             "1",
         ]);
         dispatch(&args).unwrap();
-        // The cadence wrote a checkpoint per market; a rerun resumes
-        // from them (end-of-stream state) and still closes cleanly.
-        assert!(ckpt.join("alpha.checkpoint").exists());
-        assert!(ckpt.join("beta.checkpoint").exists());
+        // The cadence appended records for both markets to the one
+        // journal; a rerun resumes from them (end-of-stream state) and
+        // still closes cleanly.
+        let journal = std::fs::read(ckpt.join("checkpoints.journal")).unwrap();
+        for market in [&b"alpha"[..], b"beta"] {
+            assert!(journal.windows(market.len()).any(|w| w == market));
+        }
         dispatch(&args).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
