@@ -3,8 +3,8 @@
 //! These are the original, pre-index checker implementations: each one
 //! re-derives the maps it needs straight from the [`Trace`] and scans
 //! **all** worker/task/submission pairs with no blocking. They are kept
-//! (not test-gated) as the **correctness oracle**: the
-//! `index_equivalence` property tests assert that the indexed, blocked,
+//! (not test-gated) as the **correctness oracle**: the route harness
+//! (`tests/routes.rs`) asserts that the indexed, blocked,
 //! parallel audit in [`crate::audit::AuditEngine`] produces
 //! bit-identical [`AxiomReport`]s to this path on arbitrary traces.
 //!

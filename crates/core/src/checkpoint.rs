@@ -66,7 +66,7 @@
 //!
 //! Restoring through [`LiveAuditor::resume`] and finishing the stream
 //! is bit-identical — findings, final report, wages — to never having
-//! stopped (pinned by the `checkpoint_resume` oracle tests across the
+//! stopped (pinned by the route harness, `tests/routes.rs`, across the
 //! scenario catalog and random checkpoint seqs).
 
 use crate::axiom::AxiomId;

@@ -91,6 +91,7 @@ use crate::audit::{AuditConfig, FairnessReport};
 use crate::axiom::AxiomId;
 use crate::journal::{self, Journal, Record};
 use crate::live::{LiveAuditor, LiveFinding};
+use faircrowd_model::codec;
 use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::trace::Trace;
 use faircrowd_model::trace_bin;
@@ -671,12 +672,7 @@ impl AuditDaemon {
 /// standard library's hasher is seeded per process, which would move
 /// markets between shards across restarts; this hash never does.
 fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h as usize
+    codec::fnv1a64(name.as_bytes()) as usize
 }
 
 /// A market's trace file, opened.

@@ -23,10 +23,11 @@
 //! candidates are emitted in the same `(i, j)` order the naive double
 //! loop visits. Reports produced through the index are therefore
 //! bit-identical to the retained naive reference implementation
-//! ([`crate::axioms::naive`]) — pinned by the `index_equivalence`
-//! property tests. Small traces skip the bucket machinery entirely
-//! ([`EXACT_SCAN_MAX`]) since an exhaustive scan is cheaper than
-//! building buckets for a handful of entities.
+//! ([`crate::axioms::naive`]) — pinned by the route harness
+//! (`tests/routes.rs`) on random and catalog traces. Small traces skip
+//! the bucket machinery entirely ([`EXACT_SCAN_MAX`]) since an
+//! exhaustive scan is cheaper than building buckets for a handful of
+//! entities.
 //!
 //! For the A1/A2 inner loops the index additionally holds the
 //! qualification and access relations as **dense bit matrices**

@@ -35,9 +35,9 @@
 //! runs the real axiom checkers over a [`TraceIndex`] built around the
 //! incrementally maintained mirror — no second replay of the log — so
 //! the closing report is **bit-identical** to
-//! [`AuditEngine::run_indexed`] on the same trace (pinned by the
-//! `live_stream` oracle tests across the whole scenario catalog and on
-//! random proptest traces).
+//! [`AuditEngine::run_indexed`] on the same trace (pinned by the route
+//! harness, `tests/routes.rs`, across the whole scenario catalog and on
+//! random traces).
 //!
 //! ## Monitor semantics
 //!
@@ -953,7 +953,7 @@ impl LiveAuditor {
     /// (their order is the position), then the incremental mirrors are
     /// restored verbatim. Finishing the stream from here is
     /// bit-identical — findings, final report, wages — to never having
-    /// stopped (pinned by the `checkpoint_resume` oracle tests).
+    /// stopped (pinned by the route harness, `tests/routes.rs`).
     ///
     /// The audit configuration is not part of the checkpoint; resuming
     /// under a different similarity regime than the one that produced

@@ -142,12 +142,28 @@ fn sniff_jsonl(text: &str) -> bool {
 }
 
 /// Write a trace to `path` in the format implied by its extension
-/// (`.jsonl` → JSONL, `.fcb` → binary, else JSON). I/O failures carry
-/// the path.
+/// (`.jsonl` → JSONL, `.fcb` → binary, else JSON). A regular file (or
+/// a new one) is written to `<path>.tmp` first, which is then renamed
+/// over `path`, so a kill or a full disk mid-write leaves the previous
+/// file whole; a failed write removes the `.tmp`. Anything else at
+/// `path` — a symlink, `/dev/stdout`, a pipe — is written through in
+/// place. I/O failures carry the path.
 pub fn save(trace: &Trace, path: impl AsRef<Path>) -> Result<(), FaircrowdError> {
     let path = path.as_ref();
     let bytes = encode_bytes(trace, TraceFormat::for_path(path));
-    std::fs::write(path, bytes).map_err(|e| FaircrowdError::Io {
+    let in_place = std::fs::symlink_metadata(path).is_ok_and(|m| !m.is_file());
+    let written = if in_place {
+        std::fs::write(path, bytes)
+    } else {
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+        if written.is_err() {
+            std::fs::remove_file(&tmp).ok();
+        }
+        written
+    };
+    written.map_err(|e| FaircrowdError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })
@@ -237,6 +253,73 @@ mod tests {
             assert_eq!(load(&path).unwrap(), trace, "{name}");
             std::fs::remove_file(&path).ok();
         }
+    }
+
+    /// A scratch directory of its own per test.
+    fn scratch(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("fc_persist_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn saving_over_an_export_leaves_no_temporary_file() {
+        let dir = scratch("over");
+        let path = dir.join("t.jsonl");
+        std::fs::write(dir.join("t.jsonl.tmp"), "stale").unwrap();
+        save(&Trace::default(), &path).unwrap();
+        save(&small_trace(), &path).unwrap();
+        assert_eq!(load(&path).unwrap(), small_trace());
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["t.jsonl"]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_save_names_the_path_and_keeps_the_last_export() {
+        let dir = scratch("blocked");
+        let path = dir.join("t.fcb");
+        save(&small_trace(), &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        std::fs::create_dir_all(dir.join("t.fcb.tmp")).unwrap();
+        let err = save(&Trace::default(), &path).unwrap_err();
+        assert!(matches!(err, FaircrowdError::Io { .. }), "{err:?}");
+        assert!(err.to_string().contains("t.fcb"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn saving_through_a_symlink_writes_its_target() {
+        let dir = scratch("link");
+        let (target, link) = (dir.join("target.json"), dir.join("link.json"));
+        std::fs::write(&target, "old").unwrap();
+        std::os::unix::fs::symlink(&target, &link).unwrap();
+        save(&small_trace(), &link).unwrap();
+        assert!(std::fs::symlink_metadata(&link).unwrap().is_symlink());
+        assert_eq!(load(&target).unwrap(), small_trace());
+        assert!(!dir.join("link.json.tmp").exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn binary_is_denser_than_json_and_sniffed_by_content() {
+        let trace = small_trace();
+        let json = encode(&trace, TraceFormat::Json);
+        let bytes = encode_bytes(&trace, TraceFormat::Binary);
+        assert!(
+            bytes.len() * 4 < json.len(),
+            "{} vs {} bytes",
+            bytes.len(),
+            json.len()
+        );
+        assert!(trace_bin::sniff_binary(&bytes));
+        assert!(!trace_bin::sniff_binary(json.as_bytes()));
+        assert_eq!(decode_bytes(&bytes).unwrap(), trace);
     }
 
     #[test]

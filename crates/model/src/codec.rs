@@ -53,6 +53,17 @@ pub fn put_credits(out: &mut Vec<u8>, c: Credits) {
     put_i64(out, c.millicents());
 }
 
+/// FNV-1a 64 over `bytes`, one byte at a time: the stable content hash
+/// behind the daemon's market → shard pinning and a sweep part file's
+/// grid identity. Unlike the standard library's hasher it is the same
+/// in every process. (The checkpoint journal's checksum is a different,
+/// word-wise function, pinned by the journal format.)
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// A bounds-checked reader over one encoded buffer. `label` names the
 /// format in every error ("binary trace", "binary checkpoint").
 #[derive(Debug)]
@@ -246,6 +257,13 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a64_matches_the_standard_test_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn varints_roundtrip_across_the_whole_range() {

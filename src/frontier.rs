@@ -40,7 +40,7 @@
 use crate::core::report::TextTable;
 use crate::model::FaircrowdError;
 use crate::pipeline::Enforcement;
-use crate::sweep::{run_grid_observed, CellHook, SweepGrid, SweepResult};
+use crate::sweep::{json_f64, json_str, run_grid_observed, CellHook, SweepGrid, SweepResult};
 use faircrowd_assign::registry;
 use std::fmt::Write as _;
 
@@ -213,11 +213,7 @@ impl FrontierResult {
     /// sweep exports, a pure function of the grid — byte-identical for
     /// any worker count.
     pub fn to_json(&self) -> String {
-        let measure = |v: Option<f64>| match v {
-            None => "null".to_owned(),
-            Some(v) if v.fract() == 0.0 && v.is_finite() => format!("{v:.1}"),
-            Some(v) => format!("{v}"),
-        };
+        let measure = |v: Option<f64>| v.map_or_else(|| "null".to_owned(), json_f64);
         let mut out = String::from("{\n  \"points\": [");
         for (i, p) in self.points.iter().enumerate() {
             if i > 0 {
@@ -225,14 +221,14 @@ impl FrontierResult {
             }
             let _ = write!(
                 out,
-                "\n    {{\"scenario\": \"{}\", \"policy\": \"{}\", \"aggregator\": \"{}\", \
-                 \"enforce\": \"{}\", \"scale\": {}, \"quality\": {}, \"wage_gini\": {}, \
+                "\n    {{\"scenario\": {}, \"policy\": {}, \"aggregator\": {}, \
+                 \"enforce\": {}, \"scale\": {}, \"quality\": {}, \"wage_gini\": {}, \
                  \"violations\": {}, \"on_frontier\": {}}}",
-                p.scenario,
-                p.policy,
-                p.aggregator,
-                p.enforce,
-                measure(Some(p.scale)),
+                json_str(&p.scenario),
+                json_str(&p.policy),
+                json_str(&p.aggregator),
+                json_str(&p.enforce),
+                json_f64(p.scale),
                 measure(p.quality),
                 measure(p.wage_gini),
                 p.violations,
@@ -264,6 +260,20 @@ mod tests {
             violations,
             on_frontier: false,
         }
+    }
+
+    #[test]
+    fn json_escapes_labels_and_parses_back() {
+        let grid = SweepGrid::parse("policy=round_robin;rounds=2").unwrap();
+        let mut result = run_frontier(&grid, 1).unwrap();
+        let label = "say \"hi\" \\ bye";
+        result.points[0].policy = label.into();
+        let json = crate::model::json::Json::parse(&result.to_json()).expect("valid JSON");
+        let points = json.get("points").and_then(|p| p.as_arr()).unwrap();
+        assert_eq!(
+            points[0].get("policy").and_then(|p| p.as_str()),
+            Some(label)
+        );
     }
 
     #[test]

@@ -1028,7 +1028,7 @@ impl SweepResult {
 }
 
 /// JSON string literal with the escapes our label alphabet can need.
-fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -1048,7 +1048,7 @@ fn json_str(s: &str) -> String {
 
 /// Shortest round-trip decimal for a float (Rust's `Display`), which is
 /// deterministic and therefore safe for byte-identical exports.
-fn json_f64(x: f64) -> String {
+pub(crate) fn json_f64(x: f64) -> String {
     if x.fract() == 0.0 && x.is_finite() && x.abs() < 1e15 {
         // keep JSON numbers as numbers but make integers explicit floats
         format!("{x:.1}")

@@ -52,6 +52,7 @@
 
 use super::{fold_groups, CaseOutcome, SweepCase, SweepGrid, SweepResult};
 use crate::core::results;
+use crate::model::codec;
 use crate::model::json::Json;
 use crate::model::FaircrowdError;
 use crate::pipeline::Enforcement;
@@ -123,16 +124,12 @@ pub fn partition(cases: &[SweepCase], shards: usize) -> Vec<usize> {
 /// FNV-1a 64 over the canonical encoding of every case in expansion
 /// order: the identity of the work list a part file belongs to.
 pub fn grid_hash(cases: &[SweepCase]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
+    let mut text = String::new();
     for case in cases {
-        for byte in case_to_json(case).to_compact().bytes() {
-            hash = (hash ^ u64::from(byte)).wrapping_mul(PRIME);
-        }
-        hash = (hash ^ u64::from(b'\n')).wrapping_mul(PRIME);
+        text.push_str(&case_to_json(case).to_compact());
+        text.push('\n');
     }
-    hash
+    codec::fnv1a64(text.as_bytes())
 }
 
 /// A part file's header line.

@@ -1,25 +1,15 @@
 //! Convergence-engine integration suite: the fixed-point loop is
-//! deterministic, the `static` strategy is the exact pre-refactor
-//! simulator (pinned bit-identical for every legacy scenario), and a
-//! converged trace survives the export → replay round trip with an
-//! identical audit — the properties the CI converge smoke re-checks
-//! from the shell.
+//! deterministic and the `static` strategy is the exact pre-refactor
+//! simulator (pinned bit-identical for every legacy scenario) — the
+//! properties the CI converge smoke re-checks from the shell. That a
+//! converged trace replays to an identical audit is a row of
+//! `routes.rs`.
 
 use faircrowd::core::persist::{self, TraceFormat};
-use faircrowd::core::report::render_report;
+use faircrowd::model::codec::fnv1a64;
 use faircrowd::model::FaircrowdError;
 use faircrowd::prelude::*;
 use faircrowd::sim::{catalog, ConvergeOptions};
-
-/// FNV-1a 64 — the same tiny content hash the sweep shard files use
-/// for grid identity, applied here to encoded traces.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn jsonl(trace: &Trace) -> String {
     persist::encode(trace, TraceFormat::Jsonl)
@@ -60,11 +50,11 @@ fn static_family_converges_in_one_iteration_to_the_pinned_traces() {
             "{name}: converged static trace must BE the plain run"
         );
         assert_eq!(
-            fnv64(encoded.as_bytes()),
+            fnv1a64(encoded.as_bytes()),
             pinned,
             "{name}: trace drifted from the pre-refactor pin \
              (computed {:#018x})",
-            fnv64(encoded.as_bytes())
+            fnv1a64(encoded.as_bytes())
         );
     }
 }
@@ -89,33 +79,6 @@ fn strategic_fixed_points_are_deterministic_per_seed() {
             "{name}: same seed must give a bit-identical fixed point"
         );
         assert_eq!(a.state, b.state, "{name}: converged strategy state");
-    }
-}
-
-#[test]
-fn converged_trace_replays_to_an_identical_audit() {
-    // Export the fixed point in the binary (.fcb) form, decode it back,
-    // and replay it with no simulator in the loop: the file re-encodes
-    // to the same bytes and the audit report must not move by a byte —
-    // the CI smoke's in-process twin, for every strategic scenario.
-    for name in catalog::STRATEGIC_NAMES {
-        let mut cfg = catalog::get(name).unwrap();
-        cfg.rounds = 10;
-        let converged = Pipeline::new().scenario(cfg).run_converged().unwrap();
-        let bytes = persist::encode_bytes(&converged.artifacts.trace, TraceFormat::Binary);
-        let decoded = persist::decode_bytes(&bytes).unwrap();
-        assert_eq!(
-            persist::encode_bytes(&decoded, TraceFormat::Binary),
-            bytes,
-            "{name}: .fcb round trip must be byte-identical"
-        );
-        let replayed = Pipeline::new().replay_owned(decoded).unwrap();
-        assert_eq!(
-            render_report(&replayed.report),
-            render_report(&converged.artifacts.report),
-            "{name}: replayed audit of the converged trace must be bit-identical"
-        );
-        assert_eq!(replayed.summary, converged.artifacts.summary, "{name}");
     }
 }
 

@@ -1,12 +1,12 @@
-//! Sharded-sweep acceptance: merge ≡ single process, byte for byte.
+//! Sharded-sweep acceptance under kills: merge ≡ single process, byte
+//! for byte.
 //!
 //! The shard engine promises that splitting a grid across part files —
 //! under any shard count, any completion interleaving, and any kill
-//! point — changes *where* cells are computed and nothing else. These
-//! tests pin that promise:
+//! point — changes *where* cells are computed and nothing else. Every
+//! shard count merged in either order is a row of `routes.rs`; these
+//! tests pin the rest of that promise:
 //!
-//! * deterministically, for every shard count on a fixed grid (the
-//!   table, JSON and CSV of `merge` equal `run_grid`'s bytes);
 //! * property-based, over random grids × shard counts × kill points: a
 //!   part truncated at an arbitrary **byte** (mid-record, mid-UTF-8 —
 //!   whatever a SIGKILL leaves) resumes by re-running exactly the cells
@@ -14,81 +14,12 @@
 //! * structurally: resume accounting (`ShardRun::{resumed, ran}`)
 //!   matches the part file's contents before the resume.
 
+mod common;
+
+use common::{run_all_shards, scratch};
 use faircrowd::sweep::shard::{grid_hash, load_part, merge_paths, partition, run_shard, ShardSpec};
 use faircrowd::sweep::{run_grid, SweepGrid};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-/// A fresh scratch directory per test case, so concurrent tests and
-/// proptest iterations never share part files.
-fn scratch() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "fc_sweep_shard_{}_{}",
-        std::process::id(),
-        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-/// Run every shard of `grid` into `dir`, returning the part paths.
-fn run_all_shards(grid: &SweepGrid, shards: usize, dir: &std::path::Path) -> Vec<PathBuf> {
-    (1..=shards)
-        .map(|index| {
-            let path = dir.join(format!("part-{index}.json"));
-            run_shard(
-                grid,
-                ShardSpec {
-                    index,
-                    count: shards,
-                },
-                &path,
-                2,
-            )
-            .unwrap();
-            path
-        })
-        .collect()
-}
-
-#[test]
-fn every_shard_count_merges_byte_identical() {
-    let grid =
-        SweepGrid::parse("policy=round_robin,kos;seed=1,2;rounds=6;enforce=none,grace").unwrap();
-    let single = run_grid(&grid, 4).unwrap();
-    for shards in [1, 2, 3, 5, 8] {
-        let dir = scratch();
-        let paths = run_all_shards(&grid, shards, &dir);
-        let merged = merge_paths(&paths).unwrap();
-        assert_eq!(
-            merged.render_table(),
-            single.render_table(),
-            "{shards} shard(s): table"
-        );
-        assert_eq!(
-            merged.to_json(),
-            single.to_json(),
-            "{shards} shard(s): json"
-        );
-        assert_eq!(merged.to_csv(), single.to_csv(), "{shards} shard(s): csv");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-}
-
-#[test]
-fn merge_order_is_irrelevant() {
-    let grid = SweepGrid::parse("policy=round_robin;seed=1,2,3;rounds=6").unwrap();
-    let single = run_grid(&grid, 2).unwrap();
-    let dir = scratch();
-    let mut paths = run_all_shards(&grid, 3, &dir);
-    paths.reverse();
-    let merged = merge_paths(&paths).unwrap();
-    assert_eq!(merged.to_json(), single.to_json());
-    std::fs::remove_dir_all(&dir).ok();
-}
 
 #[test]
 fn kill_at_every_line_boundary_resumes_without_rerunning_durable_cells() {
