@@ -74,7 +74,7 @@ use crate::axiom::AxiomId;
 use crate::live::LiveAuditor;
 use crate::live::{FindingOrigin, LiveFinding};
 use crate::Violation;
-use faircrowd_model::arena::{ArenaKey, DenseIdMap};
+use faircrowd_model::arena::{ArenaKey, DenseIdMap, IdSet};
 use faircrowd_model::codec::{put_credits, put_f64, put_str, put_u64, put_u64_le, Cursor};
 use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::event::QuitReason;
@@ -473,12 +473,12 @@ fn put_ids<T: ArenaKey>(out: &mut Vec<u8>, ids: impl ExactSizeIterator<Item = T>
     }
 }
 
-fn put_set_map<K: ArenaKey, V: ArenaKey>(out: &mut Vec<u8>, map: &DenseIdMap<K, BTreeSet<V>>) {
+fn put_set_map<K: ArenaKey, V: ArenaKey>(out: &mut Vec<u8>, map: &DenseIdMap<K, IdSet<V>>) {
     put_u64(out, map.len() as u64);
     let mut keys = Gaps::default();
     for (k, set) in map.iter() {
         keys.put(out, k.raw_index());
-        put_ids(out, set.iter().copied());
+        put_ids(out, set.iter());
     }
 }
 
@@ -691,12 +691,16 @@ fn read_set<T: ArenaKey>(cur: &mut Cursor<'_>, what: &str) -> Result<BTreeSet<T>
 fn read_set_map<K: ArenaKey, V: ArenaKey>(
     cur: &mut Cursor<'_>,
     what: &str,
-) -> Result<DenseIdMap<K, BTreeSet<V>>, FaircrowdError> {
+) -> Result<DenseIdMap<K, IdSet<V>>, FaircrowdError> {
     let mut map = DenseIdMap::new();
     let mut keys = Gaps::default();
     for _ in 0..cur.count(what)? {
         let key = K::from_raw_index(keys.read(cur, what)?);
-        map.insert(key, read_set(cur, what)?);
+        let mut set = IdSet::new();
+        read_ids(cur, what, |id| {
+            set.insert(id);
+        })?;
+        map.insert(key, set);
     }
     Ok(map)
 }

@@ -7,9 +7,10 @@
 //! trace and owns every derived structure the audit layer reads:
 //!
 //! * the log-derived maps ([`faircrowd_model::trace::EventIndex`],
-//!   replayed from the event log in a single pass);
+//!   replayed from the event log in a single pass), the access sets
+//!   among them as id-keyed bit rows ([`IdSet`]);
 //! * submission groupings by task and by worker;
-//! * the worker ⇄ task qualification matrices Axioms 1–2 intersect
+//! * the worker ⇄ task qualification relation Axioms 1–2 intersect
 //!   against (computed lazily, shared between both axioms);
 //! * **similarity blocking buckets**: workers and tasks keyed by the
 //!   coarse skill-vector signature (set-bit count), so the pairwise
@@ -29,16 +30,18 @@
 //! exhaustive scan is cheaper than building buckets for a handful of
 //! entities.
 //!
-//! For the A1/A2 inner loops the index additionally holds the
-//! qualification and access relations as **dense bit matrices**
-//! (64-entity words, rows per worker/task position), so each surviving
-//! candidate pair costs a few word-AND + popcount passes instead of
-//! `BTreeSet` intersections — the dominant cost of the naive scan at
-//! scale. Precondition shared with the naive path's id-keyed maps:
+//! For the A1/A2 inner loops the qualification and access relations
+//! are **dense bit matrices** (64-entity words, rows per worker/task
+//! position), so each surviving candidate pair costs a few word-AND +
+//! popcount passes instead of `BTreeSet` intersections — the dominant
+//! cost of the naive scan at scale. The qualification matrices are
+//! built straight from the entity tables; the access matrices are
+//! re-keyed from the event index's id rows to table positions.
+//! Precondition shared with the naive path's id-keyed maps:
 //! entity ids in `trace.workers` / `trace.tasks` are unique (simulator
 //! traces and well-formed hand-built traces always are).
 
-use faircrowd_model::arena::DenseIdMap;
+use faircrowd_model::arena::{ArenaKey, DenseIdMap, IdSet};
 use faircrowd_model::contribution::{Contribution, Submission};
 use faircrowd_model::ids::{SubmissionId, TaskId, WorkerId};
 use faircrowd_model::money::Credits;
@@ -52,16 +55,6 @@ use std::sync::OnceLock;
 /// the exact fallback path for small traces, where bucket bookkeeping
 /// costs more than it prunes.
 pub const EXACT_SCAN_MAX: usize = 32;
-
-/// The worker ⇄ task qualification matrices, shared by Axioms 1 and 2.
-#[derive(Debug, Clone)]
-struct Qualification {
-    /// Per worker (by position in `trace.workers`), the tasks she
-    /// qualifies for.
-    tasks_per_worker: Vec<BTreeSet<TaskId>>,
-    /// Per task (by position in `trace.tasks`), the qualified workers.
-    workers_per_task: Vec<BTreeSet<WorkerId>>,
-}
 
 /// Dense id → position maps for the bit-row scans — arena-backed, so a
 /// probe is an array index rather than a tree descent.
@@ -85,8 +78,9 @@ struct DenseQualified {
 }
 
 /// The access relation (visibility / audience) as dense bit matrices
-/// with the same layout as [`DenseQualified`]. Event-derived, so never
-/// carried across traces.
+/// with the same layout as [`DenseQualified`]: the event index's id
+/// rows, re-keyed to table positions. Event-derived, so never carried
+/// across traces.
 #[derive(Debug)]
 struct DenseAccess {
     visible: Vec<u64>,
@@ -179,17 +173,17 @@ impl Buckets {
 /// Every derived structure an audit reads, built once per trace.
 ///
 /// Cheap slices (log replay, submission groupings) are built eagerly in
-/// [`TraceIndex::new`]; the quadratic-ish ones (qualification matrices,
-/// blocking buckets) are built lazily on first use and shared across the
-/// axioms — and across threads, since the audit engine fans the seven
-/// checkers out over a scoped pool against one `&TraceIndex`.
+/// [`TraceIndex::new`]; the quadratic-ish ones (qualification and
+/// access bit matrices, blocking buckets) are built lazily on first use
+/// and shared across the axioms — and across threads, since the audit
+/// engine fans the seven checkers out over a scoped pool against one
+/// `&TraceIndex`.
 #[derive(Debug)]
 pub struct TraceIndex<'a> {
     trace: &'a Trace,
     events: EventIndex,
     subs_by_task: BTreeMap<TaskId, Vec<&'a Submission>>,
     subs_by_worker: BTreeMap<WorkerId, Vec<&'a Submission>>,
-    qualification: OnceLock<Qualification>,
     positions: OnceLock<Positions>,
     dense_qualified: OnceLock<DenseQualified>,
     dense_access: OnceLock<DenseAccess>,
@@ -199,8 +193,8 @@ pub struct TraceIndex<'a> {
 
 impl<'a> TraceIndex<'a> {
     /// Index a trace: one pass over the event log, one over the
-    /// submissions. Qualification matrices and blocking buckets are
-    /// deferred until an axiom asks for them.
+    /// submissions. Bit matrices and blocking buckets are deferred until
+    /// an axiom asks for them.
     pub fn new(trace: &'a Trace) -> TraceIndex<'a> {
         Self::build(trace, trace.event_index())
     }
@@ -249,7 +243,6 @@ impl<'a> TraceIndex<'a> {
             events,
             subs_by_task,
             subs_by_worker,
-            qualification: OnceLock::new(),
             positions: OnceLock::new(),
             dense_qualified: OnceLock::new(),
             dense_access: OnceLock::new(),
@@ -260,8 +253,8 @@ impl<'a> TraceIndex<'a> {
 
     /// Re-index a follow-up trace (the pipeline's enforce → re-audit
     /// pass), carrying over every slice the change did not touch: the
-    /// qualification matrices when both entity tables are unchanged, and
-    /// each blocking-bucket family when its entity table is unchanged.
+    /// qualification bit matrices when both entity tables are unchanged,
+    /// and each blocking-bucket family when its entity table is unchanged.
     /// Log-derived slices are always replayed — comparing the log costs
     /// as much as replaying it.
     pub fn rebuilt_for<'b>(&self, trace: &'b Trace) -> TraceIndex<'b> {
@@ -269,9 +262,6 @@ impl<'a> TraceIndex<'a> {
         let workers_same = self.trace.workers == trace.workers;
         let tasks_same = self.trace.tasks == trace.tasks;
         if workers_same && tasks_same {
-            if let Some(q) = self.qualification.get() {
-                let _ = ix.qualification.set(q.clone());
-            }
             if let Some(d) = self.dense_qualified.get() {
                 let _ = ix.dense_qualified.set(d.clone());
             }
@@ -295,12 +285,12 @@ impl<'a> TraceIndex<'a> {
     }
 
     /// Per worker, the tasks made visible to her (every worker appears).
-    pub fn visibility(&self) -> &DenseIdMap<WorkerId, BTreeSet<TaskId>> {
+    pub fn visibility(&self) -> &DenseIdMap<WorkerId, IdSet<TaskId>> {
         &self.events.visibility
     }
 
     /// Per task, the workers it was shown to (every task appears).
-    pub fn audience(&self) -> &DenseIdMap<TaskId, BTreeSet<WorkerId>> {
+    pub fn audience(&self) -> &DenseIdMap<TaskId, IdSet<WorkerId>> {
         &self.events.audience
     }
 
@@ -359,38 +349,6 @@ impl<'a> TraceIndex<'a> {
         self.subs_by_worker.keys().copied().collect()
     }
 
-    fn qualification(&self) -> &Qualification {
-        self.qualification.get_or_init(|| {
-            let workers = &self.trace.workers;
-            let tasks = &self.trace.tasks;
-            let mut tasks_per_worker = vec![BTreeSet::new(); workers.len()];
-            let mut workers_per_task = vec![BTreeSet::new(); tasks.len()];
-            for (wi, w) in workers.iter().enumerate() {
-                for (ti, t) in tasks.iter().enumerate() {
-                    if w.qualifies_for(t) {
-                        tasks_per_worker[wi].insert(t.id);
-                        workers_per_task[ti].insert(w.id);
-                    }
-                }
-            }
-            Qualification {
-                tasks_per_worker,
-                workers_per_task,
-            }
-        })
-    }
-
-    /// Per worker (by position in `trace.workers`), the tasks she
-    /// qualifies for.
-    pub fn qualified_tasks(&self) -> &[BTreeSet<TaskId>] {
-        &self.qualification().tasks_per_worker
-    }
-
-    /// Per task (by position in `trace.tasks`), the qualified workers.
-    pub fn qualified_workers(&self) -> &[BTreeSet<WorkerId>] {
-        &self.qualification().workers_per_task
-    }
-
     fn positions(&self) -> &Positions {
         self.positions.get_or_init(|| Positions {
             worker: self
@@ -443,25 +401,19 @@ impl<'a> TraceIndex<'a> {
             let mut audience = vec![0u64; self.trace.tasks.len() * dq.worker_width];
             // Rows are filled per entity *position* (looked up by id), so
             // every position sees exactly the access set the id-keyed
-            // maps hold. Access events referencing entities outside the
+            // rows hold. Access events referencing entities outside the
             // tables never survive the intersection with the qualified
             // rows, so dropping them here is exact.
             for (wi, w) in self.trace.workers.iter().enumerate() {
                 if let Some(tasks) = self.events.visibility.get(w.id) {
-                    for t in tasks {
-                        if let Some(&ti) = pos.task.get(*t) {
-                            visible[wi * dq.task_width + ti / 64] |= 1u64 << (ti % 64);
-                        }
-                    }
+                    let row = &mut visible[wi * dq.task_width..(wi + 1) * dq.task_width];
+                    fill_row(row, tasks, &pos.task);
                 }
             }
             for (ti, t) in self.trace.tasks.iter().enumerate() {
                 if let Some(workers) = self.events.audience.get(t.id) {
-                    for w in workers {
-                        if let Some(&wi) = pos.worker.get(*w) {
-                            audience[ti * dq.worker_width + wi / 64] |= 1u64 << (wi % 64);
-                        }
-                    }
+                    let row = &mut audience[ti * dq.worker_width..(ti + 1) * dq.worker_width];
+                    fill_row(row, workers, &pos.worker);
                 }
             }
             DenseAccess { visible, audience }
@@ -529,6 +481,15 @@ impl<'a> TraceIndex<'a> {
                 Buckets::group_by_count(self.trace.tasks.iter().map(|t| t.skills.count()))
             })
             .admissible_pairs(cfg.skill_measure, cfg.task_skill_threshold)
+    }
+}
+
+/// Set the bit of every member's table position in one position row.
+fn fill_row<T: ArenaKey>(row: &mut [u64], members: &IdSet<T>, positions: &DenseIdMap<T, usize>) {
+    for id in members.iter() {
+        if let Some(&p) = positions.get(id) {
+            row[p / 64] |= 1u64 << (p % 64);
+        }
     }
 }
 
@@ -713,7 +674,7 @@ mod tests {
     fn rebuilt_for_carries_untouched_slices_over() {
         let trace = trace_with_counts(&[1, 2, 3, 4]);
         let ix = TraceIndex::new(&trace);
-        let _ = ix.qualified_tasks(); // force the lazy build
+        let _ = ix.worker_access_overlap(0, 1); // force the lazy build
         let mut paid = trace.clone();
         paid.events.push(
             SimTime::from_secs(1),
@@ -726,7 +687,11 @@ mod tests {
         );
         // Entities unchanged: the qualification matrices carry over …
         let reused = ix.rebuilt_for(&paid);
-        assert!(reused.qualification.get().is_some());
+        assert!(reused.dense_qualified.get().is_some());
+        assert!(
+            reused.dense_access.get().is_none(),
+            "access is event-derived"
+        );
         // … while the log-derived slices reflect the new event.
         assert_eq!(
             reused.payments().get(SubmissionId::new(0)),
@@ -736,7 +701,7 @@ mod tests {
         let mut reworked = trace.clone();
         reworked.workers[0].skills = skills(7, 8);
         let fresh = ix.rebuilt_for(&reworked);
-        assert!(fresh.qualification.get().is_none());
+        assert!(fresh.dense_qualified.get().is_none());
     }
 
     #[test]
@@ -819,13 +784,50 @@ mod tests {
     fn qualification_matrices_are_mutually_consistent() {
         let trace = trace_with_counts(&[0, 3, 8]);
         let ix = TraceIndex::new(&trace);
+        let dq = ix.dense_qualified();
+        let bit = |rows: &[u64], width: usize, row: usize, col: usize| {
+            rows[row * width + col / 64] >> (col % 64) & 1 != 0
+        };
         for (wi, w) in trace.workers.iter().enumerate() {
             for (ti, t) in trace.tasks.iter().enumerate() {
-                assert_eq!(
-                    ix.qualified_tasks()[wi].contains(&t.id),
-                    ix.qualified_workers()[ti].contains(&w.id)
-                );
+                let by_worker = bit(&dq.by_worker, dq.task_width, wi, ti);
+                assert_eq!(by_worker, bit(&dq.by_task, dq.worker_width, ti, wi));
+                assert_eq!(by_worker, w.qualifies_for(t), "worker {wi}, task {ti}");
             }
         }
+    }
+
+    #[test]
+    fn access_rows_are_the_id_rows_at_table_positions() {
+        // Ids out of table order, an outlier id, and an event about an
+        // undeclared task: each position row holds exactly its entity's
+        // declared accesses.
+        let mut trace = trace_with_counts(&[2, 2, 2]);
+        trace.workers.reverse();
+        trace.tasks[1].id = TaskId::new(4_000_000);
+        for (task, worker) in [(4_000_000, 2), (0, 2), (2, 0), (77, 1)] {
+            trace.events.push(
+                SimTime::from_secs(1),
+                EventKind::TaskVisible {
+                    task: TaskId::new(task),
+                    worker: WorkerId::new(worker),
+                },
+            );
+        }
+        let ix = TraceIndex::new(&trace);
+        let (dq, da) = (ix.dense_qualified(), ix.dense_access());
+        for (wi, w) in trace.workers.iter().enumerate() {
+            for (ti, t) in trace.tasks.iter().enumerate() {
+                let shown = ix.visibility().get(w.id).is_some_and(|v| v.contains(t.id));
+                assert_eq!(
+                    shown,
+                    ix.audience().get(t.id).is_some_and(|a| a.contains(w.id))
+                );
+                let visible = da.visible[wi * dq.task_width + ti / 64] >> (ti % 64) & 1 != 0;
+                let reached = da.audience[ti * dq.worker_width + wi / 64] >> (wi % 64) & 1 != 0;
+                assert_eq!((visible, reached), (shown, shown), "worker {wi}, task {ti}");
+            }
+        }
+        assert_eq!(da.visible.iter().map(|w| w.count_ones()).sum::<u32>(), 3);
     }
 }

@@ -75,7 +75,7 @@ use crate::axiom::{AxiomId, Violation};
 use crate::axioms::{a1_witness, a2_witness, a6::obligation_coverage, worker_similarity};
 use crate::checkpoint::Checkpoint;
 use crate::index::{AccessOverlap, TraceIndex};
-use faircrowd_model::arena::{ArenaKey, DenseIdMap};
+use faircrowd_model::arena::{ArenaKey, DenseIdMap, IdSet};
 use faircrowd_model::contribution::Submission;
 use faircrowd_model::disclosure::{Audience, DisclosureItem, DisclosureSet};
 use faircrowd_model::error::FaircrowdError;
@@ -150,76 +150,22 @@ impl std::fmt::Display for LiveFinding {
 }
 
 /// A qualification row extended lazily: `seen` entities of the opposite
-/// table have been folded in; anything appended since is "dirt" paid
-/// for only when a monitor reads the row.
-///
-/// Membership is double-booked: the ordered `set` serves iteration,
-/// intersection and checkpoint encoding, while `bits` mirrors it as a
-/// bit-per-raw-id vector so the pair scans' per-event probes are one
-/// shift and a mask instead of a tree descent. The bit region grows
-/// under the same occupancy bound as [`DenseIdMap`]; outlier ids
-/// (hostile sparse id spaces) live only in `set` and are caught by the
-/// fallback probe.
+/// table have been folded into `ids`; anything appended since is "dirt"
+/// paid for only when a monitor reads the row. Membership is an
+/// [`IdSet`] bit row, so the pair scans' per-event probes are one shift
+/// and a mask.
 #[derive(Debug, Clone)]
-struct LazyRow<T: ArenaKey + Ord> {
-    set: BTreeSet<T>,
-    bits: Vec<u64>,
+struct LazyRow<T: ArenaKey> {
+    ids: IdSet<T>,
     seen: usize,
 }
 
-impl<T: ArenaKey + Ord> Default for LazyRow<T> {
+impl<T: ArenaKey> Default for LazyRow<T> {
     fn default() -> Self {
         LazyRow {
-            set: BTreeSet::new(),
-            bits: Vec::new(),
+            ids: IdSet::new(),
             seen: 0,
         }
-    }
-}
-
-impl<T: ArenaKey + Ord> LazyRow<T> {
-    fn insert(&mut self, id: T) {
-        let raw = id.raw_index() as usize;
-        let word = raw / 64;
-        if word < self.bits.len() {
-            self.bits[word] |= 1 << (raw % 64);
-        } else if raw < 16 * (self.set.len() + 64) {
-            self.grow_to(word + 1);
-            self.bits[word] |= 1 << (raw % 64);
-        }
-        self.set.insert(id);
-    }
-
-    /// Extend the bit region, backfilling any members it now covers
-    /// (ids inserted as outliers before the occupancy bound reached
-    /// them) — the invariant `contains` relies on: every member with a
-    /// raw id inside the region has its bit set.
-    fn grow_to(&mut self, words: usize) {
-        let old = self.bits.len() * 64;
-        self.bits.resize(words, 0);
-        let hi = self.bits.len() * 64;
-        let lo = T::from_raw_index(old.min(u32::MAX as usize) as u32);
-        for id in self.set.range(lo..) {
-            let raw = id.raw_index() as usize;
-            if raw >= hi {
-                break;
-            }
-            self.bits[raw / 64] |= 1 << (raw % 64);
-        }
-    }
-
-    #[inline]
-    fn contains(&self, id: T) -> bool {
-        let raw = id.raw_index() as usize;
-        match self.bits.get(raw / 64) {
-            Some(word) => word & (1 << (raw % 64)) != 0,
-            None => self.set.contains(&id),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.set.clear();
-        self.bits.clear();
     }
 }
 
@@ -699,14 +645,8 @@ impl LiveAuditor {
         self.trace.ground_truth = end.ground_truth.clone();
         self.trace.disclosure = end.disclosure.clone();
         self.trace.horizon = end.horizon;
-        for row in &mut self.qual_tasks {
-            row.clear();
-            row.seen = 0;
-        }
-        for row in &mut self.qual_workers {
-            row.clear();
-            row.seen = 0;
-        }
+        self.qual_tasks.fill_with(LazyRow::default);
+        self.qual_workers.fill_with(LazyRow::default);
         for cache in self
             .similar_partners
             .iter_mut()
@@ -919,12 +859,12 @@ impl LiveAuditor {
             qual_tasks: self
                 .qual_tasks
                 .iter()
-                .map(|r| (r.seen, r.set.iter().copied().collect()))
+                .map(|r| (r.seen, r.ids.iter().collect()))
                 .collect(),
             qual_workers: self
                 .qual_workers
                 .iter()
-                .map(|r| (r.seen, r.set.iter().copied().collect()))
+                .map(|r| (r.seen, r.ids.iter().collect()))
                 .collect(),
             similar_partners: self
                 .similar_partners
@@ -990,15 +930,11 @@ impl LiveAuditor {
         auditor.events = ckpt.mirror.clone();
         for (row, (seen, ids)) in auditor.qual_tasks.iter_mut().zip(&ckpt.qual_tasks) {
             row.seen = *seen;
-            for &id in ids {
-                row.insert(id);
-            }
+            row.ids = ids.iter().copied().collect();
         }
         for (row, (seen, ids)) in auditor.qual_workers.iter_mut().zip(&ckpt.qual_workers) {
             row.seen = *seen;
-            for &id in ids {
-                row.insert(id);
-            }
+            row.ids = ids.iter().copied().collect();
         }
         for (cache, (seen, partners)) in auditor
             .similar_partners
@@ -1107,7 +1043,7 @@ impl LiveAuditor {
         let worker = &self.trace.workers[wi];
         for t in &self.trace.tasks[row.seen..] {
             if worker.qualifies_for(t) {
-                row.insert(t.id);
+                row.ids.insert(t.id);
             }
         }
         row.seen = self.trace.tasks.len();
@@ -1123,7 +1059,7 @@ impl LiveAuditor {
         let task = &self.trace.tasks[ti];
         for w in &self.trace.workers[row.seen..] {
             if w.qualifies_for(task) {
-                row.insert(w.id);
+                row.ids.insert(w.id);
             }
         }
         row.seen = self.trace.workers.len();
@@ -1195,7 +1131,7 @@ impl LiveAuditor {
             return; // monitors skip events about undeclared entities
         };
         self.ensure_worker_row(wi);
-        if !self.qual_tasks[wi].contains(task) {
+        if !self.qual_tasks[wi].ids.contains(task) {
             return; // the shown task is outside every common-qualified set
         }
         self.ensure_similar_partners(wi);
@@ -1211,7 +1147,7 @@ impl LiveAuditor {
                 continue;
             }
             self.ensure_worker_row(wj);
-            if !self.qual_tasks[wj].contains(task) {
+            if !self.qual_tasks[wj].ids.contains(task) {
                 continue; // outside the pair's common qualified set
             }
             let key = (wi.min(wj), wi.max(wj));
@@ -1231,7 +1167,7 @@ impl LiveAuditor {
                 .events
                 .visibility
                 .get(self.trace.workers[wj].id)
-                .is_some_and(|seen| seen.contains(&task));
+                .is_some_and(|seen| seen.contains(task));
             let counters = &mut self.a1_pairs.slots[slot].counters;
             let partner_credited = if wi == key.0 {
                 counters.right > 0
@@ -1262,9 +1198,8 @@ impl LiveAuditor {
             let sim = worker_similarity(a, b, &self.config.similarity);
             let o = AccessOverlap {
                 common: self.qual_tasks[key.0]
-                    .set
-                    .intersection(&self.qual_tasks[key.1].set)
-                    .count(),
+                    .ids
+                    .intersection_len(&self.qual_tasks[key.1].ids),
                 left: c.left,
                 right: c.right,
                 inter: c.inter,
@@ -1307,7 +1242,7 @@ impl LiveAuditor {
             return;
         };
         self.ensure_task_row(tp);
-        if !self.qual_workers[tp].contains(worker) {
+        if !self.qual_workers[tp].ids.contains(worker) {
             return;
         }
         self.ensure_comparable_partners(tp);
@@ -1321,7 +1256,7 @@ impl LiveAuditor {
                 continue;
             }
             self.ensure_task_row(tj);
-            if !self.qual_workers[tj].contains(worker) {
+            if !self.qual_workers[tj].ids.contains(worker) {
                 continue;
             }
             let key = (tp.min(tj), tp.max(tj));
@@ -1337,7 +1272,7 @@ impl LiveAuditor {
                 .events
                 .audience
                 .get(self.trace.tasks[tj].id)
-                .is_some_and(|seen| seen.contains(&worker));
+                .is_some_and(|seen| seen.contains(worker));
             let counters = &mut self.a2_pairs.slots[slot].counters;
             let partner_credited = if tp == key.0 {
                 counters.right > 0

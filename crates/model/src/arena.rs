@@ -32,8 +32,26 @@
 //! assert_eq!(earnings.get(WorkerId::new(3)), Some(&300));
 //! assert_eq!(earnings.get(WorkerId::new(7)), None);
 //! ```
+//!
+//! [`IdSet`] is the same idea for sets: one bit per raw id in `u64`
+//! words under the same growth rule, outliers in a `BTreeSet` spill. It
+//! holds the Axiom 1–2 access sets (a worker's visible tasks, a task's
+//! audience), so replaying a `TaskVisible` event sets two bits instead
+//! of inserting into two trees.
+//!
+//! ```
+//! use faircrowd_model::arena::IdSet;
+//! use faircrowd_model::ids::TaskId;
+//!
+//! let mut seen: IdSet<TaskId> = IdSet::new();
+//! assert!(seen.insert(TaskId::new(9)));
+//! assert!(!seen.insert(TaskId::new(9)), "already a member");
+//! seen.insert(TaskId::new(2));
+//! assert_eq!(seen.iter().collect::<Vec<_>>(), [TaskId::new(2), TaskId::new(9)]);
+//! assert!(seen.contains(TaskId::new(2)) && !seen.contains(TaskId::new(3)));
+//! ```
 
-use std::collections::BTreeMap;
+use std::collections::{btree_set, BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 
 use crate::ids::{CampaignId, RequesterId, SkillId, SubmissionId, TaskId, WorkerId};
@@ -232,7 +250,7 @@ impl<K: ArenaKey, V> DenseIdMap<K, V> {
     }
 
     /// The whole map as an owned `BTreeMap` (for callers that promise a
-    /// tree-map view, e.g. [`crate::trace::Trace::visibility_map`]).
+    /// tree-map view, e.g. [`crate::trace::Trace::earnings_by_worker`]).
     pub fn to_btree_map(&self) -> BTreeMap<K, V>
     where
         V: Clone,
@@ -272,6 +290,200 @@ impl<K: ArenaKey, V> FromIterator<(K, V)> for DenseIdMap<K, V> {
             map.insert(k, v);
         }
         map
+    }
+}
+
+/// A set of dense integer ids: one bit per raw id in `u64` words for
+/// the dense region, with a `BTreeSet` spill for outlier ids. The bit
+/// region grows under the same occupancy bound as [`DenseIdMap`], the
+/// member count is a field, iteration is ascending, and equality is by
+/// content. See the module docs.
+#[derive(Clone)]
+pub struct IdSet<T> {
+    words: Vec<u64>,
+    /// Invariant: every spilled id is `>= 64 × words.len()`, so the bit
+    /// region followed by the spill iterates in ascending order.
+    spill: BTreeSet<u32>,
+    len: usize,
+    _id: PhantomData<T>,
+}
+
+impl<T: ArenaKey> IdSet<T> {
+    /// An empty set.
+    pub fn new() -> Self {
+        IdSet {
+            words: Vec::new(),
+            spill: BTreeSet::new(),
+            len: 0,
+            _id: PhantomData,
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Is the set empty?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Is `id` a member? A shift and a mask for ids in the bit region.
+    #[inline]
+    pub fn contains(&self, id: T) -> bool {
+        let raw = id.raw_index() as usize;
+        match self.words.get(raw / 64) {
+            Some(word) => word >> (raw % 64) & 1 != 0,
+            None => self.spill.contains(&id.raw_index()),
+        }
+    }
+
+    /// Add `id`; `true` when it was not a member yet (as
+    /// `BTreeSet::insert`).
+    #[inline]
+    pub fn insert(&mut self, id: T) -> bool {
+        let raw = id.raw_index() as usize;
+        let at = raw / 64;
+        if at >= self.words.len() {
+            if raw >= dense_bound(self.len) {
+                let fresh = self.spill.insert(id.raw_index());
+                self.len += usize::from(fresh);
+                return fresh;
+            }
+            self.grow_to(at + 1);
+        }
+        let word = &mut self.words[at];
+        let bit = 1u64 << (raw % 64);
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        self.len += usize::from(fresh);
+        fresh
+    }
+
+    /// Grow the bit region to `words` words, moving every spilled id it
+    /// now covers into it (restores the ordering invariant).
+    fn grow_to(&mut self, words: usize) {
+        self.words.resize(words, 0);
+        if self.spill.is_empty() {
+            return;
+        }
+        let still_spilled = match u32::try_from(words * 64) {
+            Ok(covered) => self.spill.split_off(&covered),
+            Err(_) => BTreeSet::new(),
+        };
+        for raw in std::mem::replace(&mut self.spill, still_spilled) {
+            self.words[raw as usize / 64] |= 1u64 << (raw % 64);
+        }
+    }
+
+    /// `|self ∩ other|`, without materialising the intersection: a
+    /// popcount over the shared bit region plus probes for spilled ids.
+    pub fn intersection_len(&self, other: &IdSet<T>) -> usize {
+        let shared: usize = self
+            .words
+            .iter()
+            .zip(&other.words)
+            .map(|(a, b)| (a & b).count_ones() as usize)
+            .sum();
+        // A common member outside the shared region is spilled on at
+        // least one side: count it from `self`'s spill, or from
+        // `other`'s when it sits in `self`'s bit region.
+        let self_region = self.words.len() * 64;
+        let mine = self
+            .spill
+            .iter()
+            .filter(|&&raw| other.contains(T::from_raw_index(raw)));
+        let theirs = other
+            .spill
+            .iter()
+            .filter(|&&raw| (raw as usize) < self_region && self.contains(T::from_raw_index(raw)));
+        shared + mine.count() + theirs.count()
+    }
+
+    /// Iterate the members in ascending order.
+    pub fn iter(&self) -> Iter<'_, T> {
+        Iter {
+            words: &self.words,
+            next_word: 0,
+            bits: 0,
+            base: 0,
+            spill: self.spill.iter(),
+            remaining: self.len,
+            _id: PhantomData,
+        }
+    }
+}
+
+/// Ascending iterator over an [`IdSet`]: set bits word by word, then
+/// the spill.
+pub struct Iter<'a, T> {
+    words: &'a [u64],
+    next_word: usize,
+    /// The current word with the bits already yielded cleared.
+    bits: u64,
+    /// Raw id of the current word's bit 0.
+    base: usize,
+    spill: btree_set::Iter<'a, u32>,
+    remaining: usize,
+    _id: PhantomData<T>,
+}
+
+impl<T: ArenaKey> Iterator for Iter<'_, T> {
+    type Item = T;
+
+    #[inline]
+    fn next(&mut self) -> Option<T> {
+        while self.bits == 0 {
+            let Some(&word) = self.words.get(self.next_word) else {
+                let raw = *self.spill.next()?;
+                self.remaining -= 1;
+                return Some(T::from_raw_index(raw));
+            };
+            self.bits = word;
+            self.base = self.next_word * 64;
+            self.next_word += 1;
+        }
+        let raw = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        self.remaining -= 1;
+        Some(T::from_raw_index(raw as u32))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl<T: ArenaKey> ExactSizeIterator for Iter<'_, T> {}
+
+impl<T: ArenaKey> Default for IdSet<T> {
+    fn default() -> Self {
+        IdSet::new()
+    }
+}
+
+impl<T: ArenaKey> PartialEq for IdSet<T> {
+    /// Content equality: the same members, however they are split
+    /// between the bit region and the spill.
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl<T: ArenaKey> std::fmt::Debug for IdSet<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl<T: ArenaKey> FromIterator<T> for IdSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut set = IdSet::new();
+        for id in iter {
+            set.insert(id);
+        }
+        set
     }
 }
 
@@ -380,5 +592,108 @@ mod tests {
         assert_eq!(tree.len(), 2);
         assert_eq!(tree[&w(1)], 1);
         assert_eq!(tree[&w(4)], 4);
+    }
+
+    fn t(raw: u32) -> TaskId {
+        TaskId::new(raw)
+    }
+
+    #[test]
+    fn id_set_insert_reports_freshness_like_a_btree_set() {
+        let mut set: IdSet<TaskId> = IdSet::new();
+        let mut model = BTreeSet::new();
+        for raw in [5, 0, 5, 63, 64, 5_000, 0, 5_000, u32::MAX] {
+            assert_eq!(set.insert(t(raw)), model.insert(raw), "insert {raw}");
+            assert_eq!(set.len(), model.len());
+        }
+        for raw in [0, 1, 5, 63, 64, 65, 4_999, 5_000, u32::MAX - 1, u32::MAX] {
+            assert_eq!(set.contains(t(raw)), model.contains(&raw), "contains {raw}");
+        }
+        assert!(!set.is_empty());
+        assert!(IdSet::<TaskId>::new().is_empty());
+    }
+
+    #[test]
+    fn id_set_iterates_ascending_across_bits_and_spill() {
+        // 3000 is past the empty set's bound (16 × 64 = 1024) and
+        // spills; the dense ids land in the bit region.
+        let set: IdSet<TaskId> = [3000, 7, 1023, 0, 64, 2_000_000]
+            .map(t)
+            .into_iter()
+            .collect();
+        assert!(
+            !set.spill.is_empty(),
+            "the fixture must straddle the boundary"
+        );
+        let members: Vec<u32> = set.iter().map(|id| id.raw()).collect();
+        assert_eq!(members, [0, 7, 64, 1023, 3000, 2_000_000]);
+        assert_eq!(set.iter().len(), 6);
+        let mut it = set.iter();
+        it.next();
+        assert_eq!(it.len(), 5, "the iterator counts down exactly");
+    }
+
+    #[test]
+    fn id_set_equality_ignores_the_bits_spill_split() {
+        // `a` sees the outlier first, so it spills and is migrated into
+        // the bit region once 300 members raise the bound past it; `b`
+        // sees it last, when it lands in the bit region directly.
+        let mut a: IdSet<WorkerId> = IdSet::new();
+        a.insert(w(3000));
+        assert_eq!(a.spill.len(), 1);
+        for i in 0..300 {
+            a.insert(w(i));
+        }
+        a.insert(w(3100));
+        assert!(a
+            .spill
+            .iter()
+            .all(|&raw| raw as usize >= 64 * a.words.len()));
+        let mut b: IdSet<WorkerId> = (0..300).map(w).collect();
+        b.insert(w(3100));
+        b.insert(w(3000));
+        assert_eq!(a, b);
+        assert!(a.contains(w(3000)) && b.contains(w(3000)));
+        b.insert(w(3001));
+        assert_ne!(a, b);
+        // Backfilling dense ids raises the bound but not the region, so
+        // an outlier inserted first can stay spilled while the same id
+        // inserted last is a bit: still equal.
+        let mut spilled: IdSet<WorkerId> = IdSet::new();
+        spilled.insert(w(5000));
+        for i in 0..400 {
+            spilled.insert(w(i));
+        }
+        let mut dense: IdSet<WorkerId> = (0..400).map(w).collect();
+        dense.insert(w(5000));
+        assert_eq!(spilled.spill.len(), 1);
+        assert!(dense.spill.is_empty());
+        assert_eq!(spilled, dense);
+    }
+
+    #[test]
+    fn id_set_ids_near_u32_max_stay_bounded() {
+        let mut set: IdSet<SubmissionId> = IdSet::new();
+        for raw in (u32::MAX - 9..=u32::MAX).chain(0..10) {
+            set.insert(SubmissionId::new(raw));
+        }
+        assert!(set.words.len() <= 16, "words = {}", set.words.len());
+        assert_eq!(set.spill.len(), 10);
+        assert_eq!(set.len(), 20);
+        assert_eq!(set.iter().last(), Some(SubmissionId::new(u32::MAX)));
+    }
+
+    #[test]
+    fn id_set_intersection_len_counts_across_the_split() {
+        let a: IdSet<TaskId> = [1, 2, 3000, 70, 2_000_000].map(t).into_iter().collect();
+        let mut b: IdSet<TaskId> = (0..300).map(t).collect();
+        b.insert(t(3000));
+        b.insert(t(2_000_000));
+        let model: BTreeSet<u32> = a.iter().map(|x| x.raw()).collect();
+        let other: BTreeSet<u32> = b.iter().map(|x| x.raw()).collect();
+        let expected = model.intersection(&other).count();
+        assert_eq!(expected, 5);
+        assert_eq!(a.intersection_len(&b), expected);
+        assert_eq!(b.intersection_len(&a), expected);
     }
 }

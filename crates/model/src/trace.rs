@@ -8,7 +8,7 @@
 //! simulator in `faircrowd-sim` produces them; hand-built traces drive the
 //! axiom unit tests.
 
-use crate::arena::DenseIdMap;
+use crate::arena::{DenseIdMap, IdSet};
 use crate::contribution::Submission;
 use crate::disclosure::DisclosureSet;
 use crate::event::{Event, EventKind, EventLog, QuitReason};
@@ -53,25 +53,27 @@ pub struct Interruption {
 /// Every event-derived structure the audit layer quantifies over, built
 /// in **one pass** over the [`EventLog`] by [`Trace::event_index`].
 ///
-/// The individual [`Trace`] accessors (`visibility_map`,
-/// `audience_map`, …) delegate here, and `faircrowd-core`'s `TraceIndex`
-/// embeds one so the seven axiom checkers and the objective metrics all
-/// share a single replay of the log instead of re-deriving their own
-/// maps.
+/// The individual [`Trace`] accessors (`payment_by_submission`,
+/// `earnings_by_worker`) delegate here, and `faircrowd-core`'s
+/// `TraceIndex` embeds one so the seven axiom checkers and the objective
+/// metrics all share a single replay of the log instead of re-deriving
+/// their own maps. `faircrowd-core`'s `LiveAuditor` keeps one up to
+/// date event by event instead.
 /// The entity-keyed tables are [`DenseIdMap`] arenas, not tree maps:
 /// the audit hot paths probe them once per event, and the dense integer
-/// ids make that an array index instead of a hash or pointer chase.
-/// Iteration stays in ascending id order, so everything downstream that
-/// encodes or renders from the index is byte-identical to the tree-map
-/// form.
+/// ids make that an array index instead of a hash or pointer chase. The
+/// access sets are [`IdSet`] bit rows, so a `TaskVisible` event sets
+/// two bits. Iteration stays in ascending id order, so everything
+/// downstream that encodes or renders from the index is byte-identical
+/// to the tree form.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventIndex {
     /// Per worker, the tasks made visible to her (Axiom 1 access sets).
     /// Every known worker appears, even with an empty set — "no access
     /// at all" is the strongest discrimination signal.
-    pub visibility: DenseIdMap<WorkerId, BTreeSet<TaskId>>,
+    pub visibility: DenseIdMap<WorkerId, IdSet<TaskId>>,
     /// Per task, the workers it was shown to (the Axiom 2 inversion).
-    pub audience: DenseIdMap<TaskId, BTreeSet<WorkerId>>,
+    pub audience: DenseIdMap<TaskId, IdSet<WorkerId>>,
     /// Total amount actually paid per submission (Axiom 3).
     pub payments: DenseIdMap<SubmissionId, Credits>,
     /// Total earnings per worker: payments plus honoured bonuses. Every
@@ -190,18 +192,6 @@ impl Trace {
             }
         }
         ix
-    }
-
-    /// The access map Axioms 1–2 quantify over: for every worker, the set
-    /// of tasks the platform made visible to her.
-    pub fn visibility_map(&self) -> BTreeMap<WorkerId, BTreeSet<TaskId>> {
-        self.event_index().visibility.to_btree_map()
-    }
-
-    /// For every task, the set of workers it was shown to (the Axiom 2
-    /// view of the same events).
-    pub fn audience_map(&self) -> BTreeMap<TaskId, BTreeSet<WorkerId>> {
-        self.event_index().audience.to_btree_map()
     }
 
     /// Total amount actually paid per submission.
@@ -356,20 +346,22 @@ mod tests {
     }
 
     #[test]
-    fn visibility_map_includes_unexposed_workers() {
-        let trace = tiny_trace();
-        let vis = trace.visibility_map();
+    fn visibility_includes_unexposed_workers() {
+        let vis = tiny_trace().event_index().visibility;
         assert_eq!(vis.len(), 2);
-        assert_eq!(vis[&WorkerId::new(0)].len(), 1);
-        assert!(vis[&WorkerId::new(1)].is_empty(), "w1 saw nothing");
+        assert_eq!(vis.get(WorkerId::new(0)).map(IdSet::len), Some(1));
+        assert!(
+            vis.get(WorkerId::new(1)).is_some_and(IdSet::is_empty),
+            "w1 saw nothing"
+        );
     }
 
     #[test]
-    fn audience_map_inverts_visibility() {
-        let trace = tiny_trace();
-        let aud = trace.audience_map();
-        assert!(aud[&TaskId::new(0)].contains(&WorkerId::new(0)));
-        assert!(!aud[&TaskId::new(0)].contains(&WorkerId::new(1)));
+    fn audience_inverts_visibility() {
+        let aud = tiny_trace().event_index().audience;
+        let shown = aud.get(TaskId::new(0)).expect("every task has a row");
+        assert!(shown.contains(WorkerId::new(0)));
+        assert!(!shown.contains(WorkerId::new(1)));
     }
 
     #[test]
@@ -453,8 +445,6 @@ mod tests {
             },
         );
         let ix = trace.event_index();
-        assert_eq!(ix.visibility.to_btree_map(), trace.visibility_map());
-        assert_eq!(ix.audience.to_btree_map(), trace.audience_map());
         assert_eq!(ix.payments.to_btree_map(), trace.payment_by_submission());
         assert_eq!(ix.earnings.to_btree_map(), trace.earnings_by_worker());
         assert_eq!(ix.session_workers.len(), 1);

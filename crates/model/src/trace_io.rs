@@ -17,8 +17,8 @@
 //!   form a platform would actually log into.
 //!
 //! Schema conventions: ids are raw `u32`s, money is `i64` **millicents**
-//! ([`Credits`](crate::money::Credits)), instants and durations are `u64` **seconds**
-//! ([`SimTime`]/[`SimDuration`](crate::time::SimDuration)), skill vectors are `0`/`1` strings, and
+//! ([`Credits`]), instants and durations are `u64` **seconds**
+//! ([`SimTime`]/[`SimDuration`]), skill vectors are `0`/`1` strings, and
 //! enum-like values use their existing canonical names
 //! ([`EventKind::tag`], [`DisclosureItem::name`], [`Audience::name`],
 //! [`TaskKind::name`]). Floats print in Rust's shortest round-trip form,

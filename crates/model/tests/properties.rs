@@ -1,7 +1,9 @@
 //! Property tests for the data-model invariants the axioms lean on:
-//! exact money arithmetic, bounded/symmetric similarity kernels, and
-//! inequality-index sanity.
+//! exact money arithmetic, bounded/symmetric similarity kernels,
+//! inequality-index sanity, and the id-set arena against a `BTreeSet`.
 
+use faircrowd_model::arena::IdSet;
+use faircrowd_model::ids::TaskId;
 use faircrowd_model::money::Credits;
 use faircrowd_model::ranking::{kendall_tau, ndcg, ranking_similarity};
 use faircrowd_model::skills::SkillVector;
@@ -15,6 +17,20 @@ fn small_credits() -> impl Strategy<Value = Credits> {
 
 fn skill_vec() -> impl Strategy<Value = SkillVector> {
     prop::collection::vec(prop::bool::ANY, 0..96).prop_map(SkillVector::from_bools)
+}
+
+/// Raw ids that are mostly dense, with outliers far past any dense
+/// bound (up to `u32::MAX`) so sets straddle the bits/spill boundary.
+fn raw_ids() -> impl Strategy<Value = Vec<u32>> {
+    prop::collection::vec(
+        prop_oneof![
+            0u32..200,
+            0u32..3_000,
+            3_000u32..100_000,
+            (u32::MAX - 64)..u32::MAX
+        ],
+        0..160,
+    )
 }
 
 fn permutation(n: usize) -> impl Strategy<Value = Vec<u16>> {
@@ -169,5 +185,31 @@ proptest! {
         let mut worst = idx.clone();
         worst.reverse();
         prop_assert!(ndcg(&worst, &rels) <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn id_set_behaves_like_a_btree_set(a in raw_ids(), b in raw_ids(), probes in raw_ids()) {
+        let mut set: IdSet<TaskId> = IdSet::new();
+        let mut model = std::collections::BTreeSet::new();
+        for &raw in &a {
+            prop_assert_eq!(set.insert(TaskId::new(raw)), model.insert(raw));
+            prop_assert_eq!(set.len(), model.len());
+        }
+        for &raw in probes.iter().chain(&a) {
+            prop_assert_eq!(set.contains(TaskId::new(raw)), model.contains(&raw));
+        }
+        let members: Vec<u32> = set.iter().map(TaskId::raw).collect();
+        prop_assert_eq!(&members, &model.iter().copied().collect::<Vec<_>>());
+        prop_assert_eq!(set.iter().len(), model.len());
+        // The same members inserted in reverse order split differently
+        // between bits and spill, yet compare equal.
+        let reversed: IdSet<TaskId> = a.iter().rev().map(|&raw| TaskId::new(raw)).collect();
+        prop_assert_eq!(&reversed, &set);
+        let other: IdSet<TaskId> = b.iter().map(|&raw| TaskId::new(raw)).collect();
+        let other_model: std::collections::BTreeSet<u32> = b.iter().copied().collect();
+        let common = model.intersection(&other_model).count();
+        prop_assert_eq!(set.intersection_len(&other), common);
+        prop_assert_eq!(other.intersection_len(&set), common);
+        prop_assert_eq!(set == other, model == other_model);
     }
 }
