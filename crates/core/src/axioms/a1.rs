@@ -11,16 +11,16 @@
 //! a worker could not take. The per-pair score is the Jaccard overlap of
 //! those access sets; the axiom score is the mean over pairs.
 //!
-//! Candidate pairs come pre-blocked from the [`TraceIndex`]
-//! (skill-count buckets); the exact composite similarity is still
-//! applied to every candidate, so the result is identical to the
-//! exhaustive scan.
+//! Candidate pairs stream pre-blocked from the [`TraceIndex`] (one
+//! admissible-partner bit row per skill-set count); the exact composite
+//! similarity is still applied to every candidate, so the result is
+//! identical to the exhaustive scan.
 
 use crate::axiom::{Axiom, AxiomId, AxiomReport, ViolationCollector};
 use crate::axioms::worker_similarity;
 use crate::index::TraceIndex;
 use faircrowd_model::similarity::SimilarityConfig;
-use faircrowd_model::stats;
+use faircrowd_model::stats::RunningMean;
 
 /// Checker for Axiom 1.
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,7 +39,7 @@ impl Axiom for WorkerAssignmentFairness {
     ) -> AxiomReport {
         let trace = ix.trace();
 
-        let mut overlaps = Vec::new();
+        let mut overlaps = RunningMean::default();
         let mut collector = ViolationCollector::new(self.id(), max_witnesses);
         for (i, j) in ix.similar_worker_candidates(cfg) {
             let (wi, wj) = (&trace.workers[i], &trace.workers[j]);
@@ -47,10 +47,10 @@ impl Axiom for WorkerAssignmentFairness {
             if sim < cfg.worker_threshold {
                 continue;
             }
-            let o = ix.worker_access_overlap(i, j);
-            let overlap = o.jaccard();
+            let overlap = ix.worker_access_jaccard(i, j);
             overlaps.push(overlap);
             if overlap < 1.0 - 1e-9 {
+                let o = ix.worker_access_overlap(i, j);
                 collector.push(
                     1.0 - overlap,
                     crate::axioms::a1_witness(wi.id, wj.id, sim, &o, overlap),
@@ -63,7 +63,7 @@ impl Axiom for WorkerAssignmentFairness {
         }
         AxiomReport {
             axiom: self.id(),
-            score: stats::mean(&overlaps),
+            score: overlaps.mean(),
             checked: overlaps.len(),
             violation_count: collector.total,
             truncated: collector.truncated(),

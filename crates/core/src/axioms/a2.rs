@@ -10,11 +10,16 @@
 //! cosine) and comparable rewards (relative tolerance). The per-pair score
 //! is the Jaccard overlap of the two tasks' audiences, restricted to
 //! workers qualified for both.
+//!
+//! Candidate pairs stream from the [`TraceIndex`] already restricted to
+//! different requesters and blocked by skill-set count; the exact kernel
+//! and the reward test are still applied to every candidate, so the
+//! result is identical to the exhaustive scan.
 
 use crate::axiom::{Axiom, AxiomId, AxiomReport, ViolationCollector};
 use crate::index::TraceIndex;
 use faircrowd_model::similarity::SimilarityConfig;
-use faircrowd_model::stats;
+use faircrowd_model::stats::RunningMean;
 
 /// Checker for Axiom 2.
 #[derive(Debug, Clone, Copy, Default)]
@@ -33,23 +38,21 @@ impl Axiom for RequesterAssignmentFairness {
     ) -> AxiomReport {
         let trace = ix.trace();
 
-        let mut overlaps = Vec::new();
+        let mut overlaps = RunningMean::default();
         let mut collector = ViolationCollector::new(self.id(), max_witnesses);
         for (i, j) in ix.comparable_task_candidates(cfg) {
             let (ti, tj) = (&trace.tasks[i], &trace.tasks[j]);
-            if ti.requester == tj.requester {
-                continue; // the axiom compares *different* requesters
-            }
+            debug_assert_ne!(ti.requester, tj.requester, "the stream is cross-requester");
             let skill_sim = cfg.skill_measure.score(&ti.skills, &tj.skills);
             if skill_sim < cfg.task_skill_threshold
                 || !ti.reward_comparable(tj, cfg.reward_tolerance)
             {
                 continue;
             }
-            let o = ix.task_audience_overlap(i, j);
-            let overlap = o.jaccard();
+            let overlap = ix.task_audience_jaccard(i, j);
             overlaps.push(overlap);
             if overlap < 1.0 - 1e-9 {
+                let o = ix.task_audience_overlap(i, j);
                 collector.push(
                     1.0 - overlap,
                     crate::axioms::a2_witness(ti, tj, skill_sim, o.left, o.right, overlap),
@@ -65,7 +68,7 @@ impl Axiom for RequesterAssignmentFairness {
         }
         AxiomReport {
             axiom: self.id(),
-            score: stats::mean(&overlaps),
+            score: overlaps.mean(),
             checked: overlaps.len(),
             violation_count: collector.total,
             truncated: collector.truncated(),

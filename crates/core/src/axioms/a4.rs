@@ -39,7 +39,7 @@ impl Axiom for MaliceDetection {
         // Only workers who actually submitted can be detected or need to be.
         let active = ix.submitters();
         let active_malicious: BTreeSet<WorkerId> =
-            malicious.intersection(&active).copied().collect();
+            malicious.intersection(active).copied().collect();
 
         if active_malicious.is_empty() {
             let mut report =

@@ -9,51 +9,57 @@
 //! * the log-derived maps ([`faircrowd_model::trace::EventIndex`],
 //!   replayed from the event log in a single pass), the access sets
 //!   among them as id-keyed bit rows ([`IdSet`]);
-//! * submission groupings by task and by worker;
+//! * submissions grouped by task, and the set of workers who submitted;
 //! * the worker ⇄ task qualification relation Axioms 1–2 intersect
 //!   against (computed lazily, shared between both axioms);
-//! * **similarity blocking buckets**: workers and tasks keyed by the
-//!   coarse skill-vector signature (set-bit count), so the pairwise
-//!   axioms only compare pairs whose buckets could possibly clear the
-//!   configured similarity threshold
-//!   ([`SkillMeasure::count_admissible`]).
+//! * **candidate pair streams** ([`CandidatePairs`]) for the pairwise
+//!   axioms: one admissible-partner bit row per distinct skill-vector
+//!   set-bit count, so A1 and A2 only compare pairs whose counts could
+//!   clear the configured similarity threshold
+//!   ([`SkillMeasure::count_admissible`]); A2's rows also drop the
+//!   same-requester partners its quantifier excludes.
 //!
-//! Blocking here is **lossless**: the bucket predicate is a necessary
+//! Blocking here is **lossless**: the count predicate is a necessary
 //! condition for the exact kernel to reach the threshold, every
 //! surviving candidate is re-checked with the exact kernel, and
-//! candidates are emitted in the same `(i, j)` order the naive double
-//! loop visits. Reports produced through the index are therefore
-//! bit-identical to the retained naive reference implementation
-//! ([`crate::axioms::naive`]) — pinned by the route harness
-//! (`tests/routes.rs`) on random and catalog traces. Small traces skip
-//! the bucket machinery entirely ([`EXACT_SCAN_MAX`]) since an
-//! exhaustive scan is cheaper than building buckets for a handful of
-//! entities.
+//! candidates are walked off the rows in the same `(i, j)` order the
+//! naive double loop visits — no pair list is built or sorted. Reports
+//! produced through the index are therefore bit-identical to the
+//! retained naive reference implementation ([`crate::axioms::naive`]) —
+//! pinned by the route harness (`tests/routes.rs`) on random and catalog
+//! traces. The rows cost a few words per entity to build, so every trace
+//! size takes the same path.
 //!
 //! For the A1/A2 inner loops the qualification and access relations
 //! are **dense bit matrices** (64-entity words, rows per worker/task
 //! position), so each surviving candidate pair costs a few word-AND +
 //! popcount passes instead of `BTreeSet` intersections — the dominant
-//! cost of the naive scan at scale. The qualification matrices are
+//! cost of the naive scan at scale. A pair's score needs no counts when
+//! its two restricted access sets are equal (the overlap is exactly
+//! 1.0, as in every pair of a fair market), and only `|∩|` and `|∪|`
+//! otherwise; the four counts a witness prints are taken only for a
+//! violating pair. The qualification matrices are
 //! built straight from the entity tables; the access matrices are
 //! re-keyed from the event index's id rows to table positions.
 //! Precondition shared with the naive path's id-keyed maps:
 //! entity ids in `trace.workers` / `trace.tasks` are unique (simulator
 //! traces and well-formed hand-built traces always are).
+//!
+//! [`SkillMeasure::count_admissible`]: faircrowd_model::similarity::SkillMeasure::count_admissible
 
 use faircrowd_model::arena::{ArenaKey, DenseIdMap, IdSet};
 use faircrowd_model::contribution::{Contribution, Submission};
 use faircrowd_model::ids::{SubmissionId, TaskId, WorkerId};
 use faircrowd_model::money::Credits;
-use faircrowd_model::similarity::{SimilarityConfig, SkillMeasure};
+use faircrowd_model::similarity::SimilarityConfig;
 use faircrowd_model::time::SimTime;
 use faircrowd_model::trace::{EventIndex, Interruption, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
-/// Below this many entities the pairwise axioms scan all pairs directly:
-/// the exact fallback path for small traces, where bucket bookkeeping
-/// costs more than it prunes.
+/// Below this many items [`contribution_candidates`] returns all pairs
+/// directly: grouping a handful of contributions costs more than it
+/// prunes.
 pub const EXACT_SCAN_MAX: usize = 32;
 
 /// Dense id → position maps for the bit-row scans — arena-backed, so a
@@ -125,76 +131,162 @@ impl AccessOverlap {
     }
 }
 
-/// Blocking buckets: entity positions grouped by skill-vector set-bit
-/// count, counts ascending, members ascending within a bucket.
-#[derive(Debug, Clone)]
-struct Buckets(Vec<(usize, Vec<usize>)>);
+/// Candidate pairs `(i, j)`, `i < j`, over the positions of one entity
+/// table, streamed in ascending `(i, j)` order — the order of the naive
+/// double loop over the surviving pairs — without building a pair list.
+///
+/// Two row tables, each row `width` words over entity positions: one
+/// admissible-partner row per distinct skill-set count (every position
+/// whose count [`SkillMeasure::count_admissible`] admits against it), and
+/// one excluded-partner row per exclusion group (the group's own
+/// positions; a single empty row when nothing is excluded). Row `i` of
+/// the stream is its count's row `AND NOT` its group's row, walked from
+/// bit `i + 1` up with `trailing_zeros`. The group rows take `g × n`
+/// bits: at most `n²` when every task has its own requester, the size
+/// of a qualification matrix over a crowd as large as the task table.
+///
+/// [`SkillMeasure::count_admissible`]: faircrowd_model::similarity::SkillMeasure::count_admissible
+#[derive(Debug)]
+pub struct CandidatePairs {
+    n: usize,
+    width: usize,
+    /// Per position: its admissible row and its excluded row.
+    rows_of: Vec<(u32, u32)>,
+    admissible: Vec<u64>,
+    excluded: Vec<u64>,
+    /// The cursor: current row, word within it, and that word's bits
+    /// not yet emitted.
+    i: usize,
+    k: usize,
+    word: u64,
+}
 
-impl Buckets {
-    fn group_by_count<I: Iterator<Item = usize>>(counts: I) -> Buckets {
-        let mut map: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, c) in counts.enumerate() {
-            map.entry(c).or_default().push(i);
-        }
-        Buckets(map.into_iter().collect())
-    }
-
-    /// Candidate pairs `(i, j)` with `i < j`, restricted to bucket pairs
-    /// the kernel could score at or above `threshold`, in ascending
-    /// `(i, j)` order — exactly the order of the naive double loop over
-    /// the surviving pairs.
-    fn admissible_pairs(&self, measure: SkillMeasure, threshold: f64) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for (a, (ca, members_a)) in self.0.iter().enumerate() {
-            for (cb, members_b) in &self.0[a..] {
-                if !measure.count_admissible(*ca, *cb, threshold) {
-                    continue;
-                }
-                if *cb == *ca {
-                    for (x, &i) in members_a.iter().enumerate() {
-                        for &j in &members_a[x + 1..] {
-                            pairs.push((i, j));
-                        }
-                    }
-                } else {
-                    for &i in members_a {
-                        for &j in members_b {
-                            pairs.push((i.min(j), i.max(j)));
-                        }
+impl CandidatePairs {
+    /// The stream over positions with set-bit counts `counts`, admitting
+    /// a pair when `admit(count_i, count_j)` holds and, when `groups` is
+    /// given, `groups[i] != groups[j]`. `groups` holds dense indices
+    /// `0..g`, one per position.
+    fn new(
+        counts: &[usize],
+        groups: Option<&[u32]>,
+        admit: impl Fn(usize, usize) -> bool,
+    ) -> CandidatePairs {
+        let n = counts.len();
+        let width = n.div_ceil(64);
+        let mut distinct = counts.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let class: Vec<u32> = counts
+            .iter()
+            .map(|c| distinct.binary_search(c).expect("count is present") as u32)
+            .collect();
+        let members = member_rows(&class, distinct.len(), width);
+        let mut admissible = vec![0u64; distinct.len() * width];
+        for (a, &ca) in distinct.iter().enumerate() {
+            for (b, &cb) in distinct.iter().enumerate() {
+                if admit(ca, cb) {
+                    let row = &mut admissible[a * width..(a + 1) * width];
+                    for (w, m) in row.iter_mut().zip(&members[b * width..(b + 1) * width]) {
+                        *w |= m;
                     }
                 }
             }
         }
-        pairs.sort_unstable();
+        let (group_of, excluded) = match groups {
+            Some(groups) => {
+                let g = groups.iter().max().map_or(0, |&m| m as usize + 1);
+                (groups.to_vec(), member_rows(groups, g, width))
+            }
+            None => (vec![0; n], vec![0u64; width]),
+        };
+        let mut pairs = CandidatePairs {
+            n,
+            width,
+            rows_of: class.into_iter().zip(group_of).collect(),
+            admissible,
+            excluded,
+            i: 0,
+            k: 0,
+            word: 0,
+        };
+        pairs.seek_row();
         pairs
     }
+
+    /// Word `k` of row `i`: admissible partners minus excluded ones.
+    fn load(&self, i: usize, k: usize) -> u64 {
+        let (a, g) = self.rows_of[i];
+        self.admissible[a as usize * self.width + k] & !self.excluded[g as usize * self.width + k]
+    }
+
+    /// Point the cursor at the first word of row `self.i` holding
+    /// partners above `i`.
+    fn seek_row(&mut self) {
+        let first = self.i + 1;
+        self.k = first / 64;
+        self.word = if self.k < self.width {
+            self.load(self.i, self.k) & (u64::MAX << (first % 64))
+        } else {
+            0
+        };
+    }
+}
+
+impl Iterator for CandidatePairs {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        while self.i < self.n {
+            if self.word != 0 {
+                let j = self.k * 64 + self.word.trailing_zeros() as usize;
+                self.word &= self.word - 1;
+                return Some((self.i, j));
+            }
+            self.k += 1;
+            if self.k < self.width {
+                self.word = self.load(self.i, self.k);
+            } else {
+                self.i += 1;
+                if self.i < self.n {
+                    self.seek_row();
+                }
+            }
+        }
+        None
+    }
+}
+
+/// One row per class over positions: the positions in that class.
+fn member_rows(class_of: &[u32], classes: usize, width: usize) -> Vec<u64> {
+    let mut rows = vec![0u64; classes * width];
+    for (p, &c) in class_of.iter().enumerate() {
+        rows[c as usize * width + p / 64] |= 1u64 << (p % 64);
+    }
+    rows
 }
 
 /// Every derived structure an audit reads, built once per trace.
 ///
 /// Cheap slices (log replay, submission groupings) are built eagerly in
 /// [`TraceIndex::new`]; the quadratic-ish ones (qualification and
-/// access bit matrices, blocking buckets) are built lazily on first use
-/// and shared across the axioms — and across threads, since the audit
-/// engine fans the seven checkers out over a scoped pool against one
-/// `&TraceIndex`.
+/// access bit matrices) are built lazily on first use and shared across
+/// the axioms — and across threads, since the audit engine fans the
+/// seven checkers out over a scoped pool against one `&TraceIndex`.
 #[derive(Debug)]
 pub struct TraceIndex<'a> {
     trace: &'a Trace,
     events: EventIndex,
     subs_by_task: BTreeMap<TaskId, Vec<&'a Submission>>,
-    subs_by_worker: BTreeMap<WorkerId, Vec<&'a Submission>>,
+    submitters: BTreeSet<WorkerId>,
     positions: OnceLock<Positions>,
     dense_qualified: OnceLock<DenseQualified>,
     dense_access: OnceLock<DenseAccess>,
-    worker_buckets: OnceLock<Buckets>,
-    task_buckets: OnceLock<Buckets>,
 }
 
 impl<'a> TraceIndex<'a> {
     /// Index a trace: one pass over the event log, one over the
-    /// submissions. Bit matrices and blocking buckets are deferred until
-    /// an axiom asks for them.
+    /// submissions. The bit matrices are deferred until an axiom asks
+    /// for them.
     pub fn new(trace: &'a Trace) -> TraceIndex<'a> {
         Self::build(trace, trace.event_index())
     }
@@ -233,47 +325,32 @@ impl<'a> TraceIndex<'a> {
 
     fn build(trace: &'a Trace, events: EventIndex) -> TraceIndex<'a> {
         let mut subs_by_task: BTreeMap<TaskId, Vec<&'a Submission>> = BTreeMap::new();
-        let mut subs_by_worker: BTreeMap<WorkerId, Vec<&'a Submission>> = BTreeMap::new();
+        let mut submitters = BTreeSet::new();
         for s in &trace.submissions {
             subs_by_task.entry(s.task).or_default().push(s);
-            subs_by_worker.entry(s.worker).or_default().push(s);
+            submitters.insert(s.worker);
         }
         TraceIndex {
             trace,
             events,
             subs_by_task,
-            subs_by_worker,
+            submitters,
             positions: OnceLock::new(),
             dense_qualified: OnceLock::new(),
             dense_access: OnceLock::new(),
-            worker_buckets: OnceLock::new(),
-            task_buckets: OnceLock::new(),
         }
     }
 
     /// Re-index a follow-up trace (the pipeline's enforce → re-audit
-    /// pass), carrying over every slice the change did not touch: the
-    /// qualification bit matrices when both entity tables are unchanged,
-    /// and each blocking-bucket family when its entity table is unchanged.
-    /// Log-derived slices are always replayed — comparing the log costs
-    /// as much as replaying it.
+    /// pass), carrying over the qualification bit matrices when both
+    /// entity tables are unchanged — the one slice that depends on the
+    /// tables alone. Log-derived slices are always replayed — comparing
+    /// the log costs as much as replaying it.
     pub fn rebuilt_for<'b>(&self, trace: &'b Trace) -> TraceIndex<'b> {
         let ix = TraceIndex::new(trace);
-        let workers_same = self.trace.workers == trace.workers;
-        let tasks_same = self.trace.tasks == trace.tasks;
-        if workers_same && tasks_same {
+        if self.trace.workers == trace.workers && self.trace.tasks == trace.tasks {
             if let Some(d) = self.dense_qualified.get() {
                 let _ = ix.dense_qualified.set(d.clone());
-            }
-        }
-        if workers_same {
-            if let Some(b) = self.worker_buckets.get() {
-                let _ = ix.worker_buckets.set(b.clone());
-            }
-        }
-        if tasks_same {
-            if let Some(b) = self.task_buckets.get() {
-                let _ = ix.task_buckets.set(b.clone());
             }
         }
         ix
@@ -339,14 +416,9 @@ impl<'a> TraceIndex<'a> {
         &self.subs_by_task
     }
 
-    /// Submissions grouped by worker, in submission order.
-    pub fn submissions_by_worker(&self) -> &BTreeMap<WorkerId, Vec<&'a Submission>> {
-        &self.subs_by_worker
-    }
-
     /// Workers who submitted at least once (the Axiom 4 "active" set).
-    pub fn submitters(&self) -> BTreeSet<WorkerId> {
-        self.subs_by_worker.keys().copied().collect()
+    pub fn submitters(&self) -> &BTreeSet<WorkerId> {
+        &self.submitters
     }
 
     fn positions(&self) -> &Positions {
@@ -425,62 +497,74 @@ impl<'a> TraceIndex<'a> {
     /// visible tasks restricted to it, and their intersection — four
     /// AND/popcount passes over the dense bit rows, no allocation.
     pub fn worker_access_overlap(&self, i: usize, j: usize) -> AccessOverlap {
-        let dq = self.dense_qualified();
-        let da = self.dense_access();
-        overlap_of(
-            dq.task_width,
-            &dq.by_worker[i * dq.task_width..(i + 1) * dq.task_width],
-            &dq.by_worker[j * dq.task_width..(j + 1) * dq.task_width],
-            &da.visible[i * dq.task_width..(i + 1) * dq.task_width],
-            &da.visible[j * dq.task_width..(j + 1) * dq.task_width],
-        )
+        self.worker_rows(i, j).overlap()
+    }
+
+    /// [`worker_access_overlap`](Self::worker_access_overlap)`(i, j).jaccard()`,
+    /// bit for bit, without counting the sets when they are equal.
+    pub fn worker_access_jaccard(&self, i: usize, j: usize) -> f64 {
+        self.worker_rows(i, j).jaccard()
     }
 
     /// The Axiom 2 per-pair quantities for tasks at positions `i` and
     /// `j`: common qualified workers, each task's audience restricted to
     /// them, and the intersection.
     pub fn task_audience_overlap(&self, i: usize, j: usize) -> AccessOverlap {
-        let dq = self.dense_qualified();
-        let da = self.dense_access();
-        overlap_of(
-            dq.worker_width,
-            &dq.by_task[i * dq.worker_width..(i + 1) * dq.worker_width],
-            &dq.by_task[j * dq.worker_width..(j + 1) * dq.worker_width],
-            &da.audience[i * dq.worker_width..(i + 1) * dq.worker_width],
-            &da.audience[j * dq.worker_width..(j + 1) * dq.worker_width],
-        )
+        self.task_rows(i, j).overlap()
     }
 
-    /// Candidate worker pairs for Axiom 1: every pair whose skill-count
-    /// buckets could clear `cfg.worker_threshold` under the configured
+    /// [`task_audience_overlap`](Self::task_audience_overlap)`(i, j).jaccard()`,
+    /// bit for bit, without counting the sets when they are equal.
+    pub fn task_audience_jaccard(&self, i: usize, j: usize) -> f64 {
+        self.task_rows(i, j).jaccard()
+    }
+
+    fn worker_rows(&self, i: usize, j: usize) -> PairRows<'_> {
+        let (dq, da) = (self.dense_qualified(), self.dense_access());
+        PairRows::of(dq.task_width, &dq.by_worker, &da.visible, i, j)
+    }
+
+    fn task_rows(&self, i: usize, j: usize) -> PairRows<'_> {
+        let (dq, da) = (self.dense_qualified(), self.dense_access());
+        PairRows::of(dq.worker_width, &dq.by_task, &da.audience, i, j)
+    }
+
+    /// Candidate worker pairs for Axiom 1: every pair whose skill-set
+    /// counts could clear `cfg.worker_threshold` under the configured
     /// kernel, ascending. A superset of the truly similar pairs — the
-    /// checker still applies the exact composite similarity — and the
-    /// full pair set below [`EXACT_SCAN_MAX`] workers.
-    pub fn similar_worker_candidates(&self, cfg: &SimilarityConfig) -> Vec<(usize, usize)> {
-        let n = self.trace.workers.len();
-        if n <= EXACT_SCAN_MAX {
-            return all_pairs(n);
-        }
-        self.worker_buckets
-            .get_or_init(|| {
-                Buckets::group_by_count(self.trace.workers.iter().map(|w| w.skills.count()))
-            })
-            .admissible_pairs(cfg.skill_measure, cfg.worker_threshold)
+    /// checker still applies the exact composite similarity.
+    pub fn similar_worker_candidates(&self, cfg: &SimilarityConfig) -> CandidatePairs {
+        let counts: Vec<usize> = self
+            .trace
+            .workers
+            .iter()
+            .map(|w| w.skills.count())
+            .collect();
+        CandidatePairs::new(&counts, None, |a, b| {
+            cfg.skill_measure
+                .count_admissible(a, b, cfg.worker_threshold)
+        })
     }
 
-    /// Candidate task pairs for Axiom 2, blocked the same way under
-    /// `cfg.task_skill_threshold`. Requester identity and reward
-    /// comparability stay with the checker.
-    pub fn comparable_task_candidates(&self, cfg: &SimilarityConfig) -> Vec<(usize, usize)> {
-        let n = self.trace.tasks.len();
-        if n <= EXACT_SCAN_MAX {
-            return all_pairs(n);
-        }
-        self.task_buckets
-            .get_or_init(|| {
-                Buckets::group_by_count(self.trace.tasks.iter().map(|t| t.skills.count()))
+    /// Candidate task pairs for Axiom 2: pairs of tasks posted by
+    /// different requesters, blocked the same way under
+    /// `cfg.task_skill_threshold`, ascending. Reward comparability and
+    /// the exact kernel stay with the checker.
+    pub fn comparable_task_candidates(&self, cfg: &SimilarityConfig) -> CandidatePairs {
+        let tasks = &self.trace.tasks;
+        let counts: Vec<usize> = tasks.iter().map(|t| t.skills.count()).collect();
+        let mut requesters = BTreeMap::new();
+        let groups: Vec<u32> = tasks
+            .iter()
+            .map(|t| {
+                let next = requesters.len() as u32;
+                *requesters.entry(t.requester).or_insert(next)
             })
-            .admissible_pairs(cfg.skill_measure, cfg.task_skill_threshold)
+            .collect();
+        CandidatePairs::new(&counts, Some(&groups), |a, b| {
+            cfg.skill_measure
+                .count_admissible(a, b, cfg.task_skill_threshold)
+        })
     }
 }
 
@@ -493,21 +577,73 @@ fn fill_row<T: ArenaKey>(row: &mut [u64], members: &IdSet<T>, positions: &DenseI
     }
 }
 
-fn overlap_of(width: usize, qi: &[u64], qj: &[u64], ai: &[u64], aj: &[u64]) -> AccessOverlap {
-    let mut o = AccessOverlap {
-        common: 0,
-        left: 0,
-        right: 0,
-        inter: 0,
-    };
-    for k in 0..width {
-        let common = qi[k] & qj[k];
-        o.common += common.count_ones() as usize;
-        o.left += (ai[k] & common).count_ones() as usize;
-        o.right += (aj[k] & common).count_ones() as usize;
-        o.inter += (ai[k] & aj[k] & common).count_ones() as usize;
+/// The four equal-width bit rows one pair's overlap reads: both
+/// entities' qualified rows and access rows.
+struct PairRows<'r> {
+    qi: &'r [u64],
+    qj: &'r [u64],
+    ai: &'r [u64],
+    aj: &'r [u64],
+}
+
+impl<'r> PairRows<'r> {
+    /// Rows `i` and `j` of a qualified and an access matrix of `width`
+    /// words per row.
+    fn of(width: usize, qualified: &'r [u64], access: &'r [u64], i: usize, j: usize) -> Self {
+        let row = |rows: &'r [u64], p: usize| &rows[p * width..(p + 1) * width];
+        PairRows {
+            qi: row(qualified, i),
+            qj: row(qualified, j),
+            ai: row(access, i),
+            aj: row(access, j),
+        }
     }
-    o
+
+    /// Word `k` of both access rows, restricted to the common qualified
+    /// entities.
+    fn restricted(&self, k: usize) -> (u64, u64, u64) {
+        let common = self.qi[k] & self.qj[k];
+        (common, self.ai[k] & common, self.aj[k] & common)
+    }
+
+    fn overlap(&self) -> AccessOverlap {
+        let mut o = AccessOverlap {
+            common: 0,
+            left: 0,
+            right: 0,
+            inter: 0,
+        };
+        for k in 0..self.qi.len() {
+            let (common, l, r) = self.restricted(k);
+            o.common += common.count_ones() as usize;
+            o.left += l.count_ones() as usize;
+            o.right += r.count_ones() as usize;
+            o.inter += (l & r).count_ones() as usize;
+        }
+        o
+    }
+
+    /// [`AccessOverlap::jaccard`] of [`overlap`](Self::overlap). Equal
+    /// restricted sets (both empty included) score exactly 1.0, so they
+    /// are settled by one compare pass with no counting — every pair of
+    /// a fair market. Otherwise `|∩| / |∪|` is the same integer quotient
+    /// `inter / (left + right - inter)` is.
+    fn jaccard(&self) -> f64 {
+        let differ = (0..self.qi.len()).any(|k| {
+            let (_, l, r) = self.restricted(k);
+            l != r
+        });
+        if !differ {
+            return 1.0;
+        }
+        let (mut inter, mut union) = (0u32, 0u32);
+        for k in 0..self.qi.len() {
+            let (_, l, r) = self.restricted(k);
+            inter += (l & r).count_ones();
+            union += (l | r).count_ones();
+        }
+        f64::from(inter) / f64::from(union)
+    }
 }
 
 fn all_pairs(n: usize) -> Vec<(usize, usize)> {
@@ -564,6 +700,7 @@ mod tests {
     use faircrowd_model::attributes::DeclaredAttrs;
     use faircrowd_model::event::EventKind;
     use faircrowd_model::ids::{RequesterId, SkillId};
+    use faircrowd_model::similarity::SkillMeasure;
     use faircrowd_model::skills::SkillVector;
     use faircrowd_model::task::TaskBuilder;
     use faircrowd_model::worker::Worker;
@@ -597,48 +734,106 @@ mod tests {
         trace
     }
 
-    #[test]
-    fn small_traces_use_the_exhaustive_fallback() {
-        let trace = trace_with_counts(&[1, 4, 8]);
-        let ix = TraceIndex::new(&trace);
-        let cfg = SimilarityConfig::default();
-        assert_eq!(
-            ix.similar_worker_candidates(&cfg),
-            vec![(0, 1), (0, 2), (1, 2)]
-        );
-        assert_eq!(
-            ix.comparable_task_candidates(&cfg),
-            vec![(0, 1), (0, 2), (1, 2)]
-        );
-    }
-
-    #[test]
-    fn blocking_is_a_superset_of_threshold_pairs_and_sorted() {
-        // > EXACT_SCAN_MAX workers with spread-out skill counts.
-        let counts: Vec<usize> = (0..40).map(|i| i % 9).collect();
-        let trace = trace_with_counts(&counts);
-        let ix = TraceIndex::new(&trace);
-        let cfg = SimilarityConfig::default();
-        let candidates = ix.similar_worker_candidates(&cfg);
-        let mut sorted = candidates.clone();
-        sorted.sort_unstable();
-        assert_eq!(candidates, sorted, "candidates must be in scan order");
-        // No pair clearing the kernel threshold may be missing.
-        let set: BTreeSet<(usize, usize)> = candidates.iter().copied().collect();
-        let mut pruned_any = false;
-        for i in 0..trace.workers.len() {
-            for j in (i + 1)..trace.workers.len() {
-                let score = cfg
-                    .skill_measure
-                    .score(&trace.workers[i].skills, &trace.workers[j].skills);
-                if score >= cfg.worker_threshold {
-                    assert!(set.contains(&(i, j)), "blocked a similar pair ({i},{j})");
-                } else if !set.contains(&(i, j)) {
-                    pruned_any = true;
+    /// The oracle for both streams: the exhaustive `i < j` double loop,
+    /// filtered by the count bound and, when `requesters` is given, by
+    /// different requesters.
+    fn exhaustive(
+        counts: &[usize],
+        requesters: Option<&[u32]>,
+        measure: SkillMeasure,
+        threshold: f64,
+    ) -> Vec<(usize, usize)> {
+        let mut pairs = Vec::new();
+        for i in 0..counts.len() {
+            for j in (i + 1)..counts.len() {
+                if measure.count_admissible(counts[i], counts[j], threshold)
+                    && requesters.is_none_or(|r| r[i] != r[j])
+                {
+                    pairs.push((i, j));
                 }
             }
         }
-        assert!(pruned_any, "blocking should prune something at this size");
+        pairs
+    }
+
+    /// `n` workers and `n` tasks with scattered skill-set counts, task
+    /// `i` posted by requester `requester(i)`.
+    fn table(n: usize, requester: impl Fn(usize) -> u32) -> Trace {
+        let counts: Vec<usize> = (0..n).map(|i| (i * 7 + i / 5) % 9).collect();
+        let mut trace = trace_with_counts(&counts);
+        for (i, t) in trace.tasks.iter_mut().enumerate() {
+            t.requester = RequesterId::new(requester(i));
+        }
+        trace
+    }
+
+    #[test]
+    fn candidate_streams_equal_the_exhaustive_loop() {
+        let measures = [
+            SkillMeasure::Exact,
+            SkillMeasure::Cosine,
+            SkillMeasure::Jaccard,
+            SkillMeasure::Dice,
+        ];
+        // Word boundaries (63, 64, 65, 129) and the old exact-scan cut
+        // (31, 32, 33).
+        for n in [31, 32, 33, 63, 64, 65, 129] {
+            let trace = table(n, |i| (i % 3) as u32);
+            let ix = TraceIndex::new(&trace);
+            let counts: Vec<usize> = trace.workers.iter().map(|w| w.skills.count()).collect();
+            let requesters: Vec<u32> = trace.tasks.iter().map(|t| t.requester.raw()).collect();
+            for measure in measures {
+                for threshold in [0.0, 0.9, 1.0] {
+                    let cfg = SimilarityConfig {
+                        skill_measure: measure,
+                        worker_threshold: threshold,
+                        task_skill_threshold: threshold,
+                        ..SimilarityConfig::default()
+                    };
+                    let at = format!("{} ≥ {threshold}, n = {n}", measure.name());
+                    let workers: Vec<_> = ix.similar_worker_candidates(&cfg).collect();
+                    assert_eq!(
+                        workers,
+                        exhaustive(&counts, None, measure, threshold),
+                        "{at}"
+                    );
+                    let tasks: Vec<_> = ix.comparable_task_candidates(&cfg).collect();
+                    assert_eq!(
+                        tasks,
+                        exhaustive(&counts, Some(&requesters), measure, threshold),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_requester_leaves_axiom_2_vacuous() {
+        use crate::axiom::Axiom;
+        let cfg = SimilarityConfig {
+            task_skill_threshold: 0.0,
+            ..SimilarityConfig::default()
+        };
+        for n in [1, 33, 129] {
+            let trace = table(n, |_| 4);
+            let ix = TraceIndex::new(&trace);
+            assert_eq!(ix.comparable_task_candidates(&cfg).next(), None, "n = {n}");
+            let report = crate::axioms::RequesterAssignmentFairness.check(&ix, &cfg, 10);
+            assert_eq!(report.checked, 0, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn own_requesters_exclude_nothing() {
+        for n in [0, 1, 2, 65, 129] {
+            let trace = table(n, |i| i as u32);
+            let ix = TraceIndex::new(&trace);
+            let cfg = SimilarityConfig::default();
+            let workers: Vec<_> = ix.similar_worker_candidates(&cfg).collect();
+            let tasks: Vec<_> = ix.comparable_task_candidates(&cfg).collect();
+            assert_eq!(tasks, workers, "n = {n}");
+        }
     }
 
     #[test]
@@ -672,6 +867,8 @@ mod tests {
 
     #[test]
     fn rebuilt_for_carries_untouched_slices_over() {
+        // The qualification matrices are the one slice a follow-up trace
+        // can share: they depend on the entity tables alone.
         let trace = trace_with_counts(&[1, 2, 3, 4]);
         let ix = TraceIndex::new(&trace);
         let _ = ix.worker_access_overlap(0, 1); // force the lazy build
@@ -697,11 +894,13 @@ mod tests {
             reused.payments().get(SubmissionId::new(0)),
             Some(&Credits::from_cents(5))
         );
-        // Touch the worker table and the matrices are invalidated.
+        // Touch either entity table and the matrices are rebuilt.
         let mut reworked = trace.clone();
         reworked.workers[0].skills = skills(7, 8);
-        let fresh = ix.rebuilt_for(&reworked);
-        assert!(fresh.dense_qualified.get().is_none());
+        assert!(ix.rebuilt_for(&reworked).dense_qualified.get().is_none());
+        let mut retasked = trace.clone();
+        retasked.tasks[0].skills = skills(7, 8);
+        assert!(ix.rebuilt_for(&retasked).dense_qualified.get().is_none());
     }
 
     #[test]
@@ -734,8 +933,7 @@ mod tests {
     #[test]
     fn zero_access_pairs_flow_through_candidate_selection_without_nan() {
         // End-to-end regression via `similar_worker_candidates`: a trace
-        // with > EXACT_SCAN_MAX workers where many similar pairs saw
-        // nothing at all. Every candidate pair's overlap must be finite,
+        // of 40 workers where many similar pairs saw nothing at all. Every candidate pair's overlap must be finite,
         // and the all-empty pairs must score exactly 1.0.
         let counts: Vec<usize> = (0..40).map(|i| i % 5).collect();
         let mut trace = trace_with_counts(&counts);
@@ -750,7 +948,7 @@ mod tests {
         );
         let ix = TraceIndex::new(&trace);
         let cfg = SimilarityConfig::default();
-        let candidates = ix.similar_worker_candidates(&cfg);
+        let candidates: Vec<_> = ix.similar_worker_candidates(&cfg).collect();
         assert!(!candidates.is_empty());
         let mut saw_empty_pair = false;
         for (i, j) in candidates {
@@ -771,6 +969,44 @@ mod tests {
         use crate::axiom::Axiom;
         let report = crate::axioms::WorkerAssignmentFairness.check(&ix, &cfg, 10);
         assert!(report.score.is_finite(), "A1 score must never be NaN");
+    }
+
+    #[test]
+    fn pair_jaccard_is_the_overlap_jaccard_bit_for_bit() {
+        // Sparse, dense, equal and disjoint rows over 1–3 words: the
+        // compare-first quotient must equal the four-count one exactly.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..2_000 {
+            let width = 1 + case % 3;
+            let mut row = |density: u64| -> Vec<u64> {
+                (0..width)
+                    .map(|_| (0..density).fold(u64::MAX, |w, _| w & next()))
+                    .collect()
+            };
+            let (qi, qj, ai) = (row(case as u64 % 3), row(1), row(case as u64 % 4));
+            let aj = match case % 4 {
+                0 => ai.clone(),
+                1 => vec![0; width],
+                _ => row(case as u64 % 5),
+            };
+            let rows = PairRows {
+                qi: &qi,
+                qj: &qj,
+                ai: &ai,
+                aj: &aj,
+            };
+            assert_eq!(
+                rows.jaccard().to_bits(),
+                rows.overlap().jaccard().to_bits(),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Property tests for the audit machinery: determinism, score bounds,
-//! monotonicity of the enforcement repairs, and the invariants of
-//! payment equalisation.
+//! monotonicity of the enforcement repairs, the invariants of payment
+//! equalisation, and the A2 candidate stream against its double loop.
 
 use faircrowd_core::enforce::equalize_payments;
+use faircrowd_core::index::TraceIndex;
 use faircrowd_core::{AuditConfig, AuditEngine, SimilarityConfig};
 use faircrowd_model::contribution::Contribution;
-use faircrowd_model::ids::SubmissionId;
+use faircrowd_model::ids::{RequesterId, SubmissionId, TaskId};
 use faircrowd_model::money::Credits;
+use faircrowd_model::similarity::SkillMeasure;
+use faircrowd_model::skills::SkillVector;
+use faircrowd_model::task::TaskBuilder;
+use faircrowd_model::trace::Trace;
 use proptest::prelude::*;
 
 fn contribution_strategy() -> impl Strategy<Value = Contribution> {
@@ -35,8 +40,71 @@ fn planned_payments() -> impl Strategy<Value = Vec<(SubmissionId, Contribution, 
     })
 }
 
+/// Random task tables: up to 150 tasks, each a 6-skill requirement
+/// vector and a requester drawn from `spread` requesters (1 is a
+/// single-requester market, 150 nearly one requester per task).
+fn task_table() -> impl Strategy<Value = Trace> {
+    (
+        prop::collection::vec(
+            (prop::collection::vec(prop::bool::ANY, 6), 0u32..150),
+            0..150,
+        ),
+        1u32..150,
+    )
+        .prop_map(|(rows, spread)| {
+            let mut trace = Trace::default();
+            for (i, (skills, requester)) in rows.into_iter().enumerate() {
+                trace.tasks.push(
+                    TaskBuilder::new(
+                        TaskId::new(i as u32),
+                        RequesterId::new(requester % spread),
+                        SkillVector::from_bools(skills),
+                        Credits::from_cents(10),
+                    )
+                    .build(),
+                );
+            }
+            trace
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The A2 candidate stream is exactly the `i < j` double loop over
+    /// the task table, filtered by the kernel's count bound and by
+    /// different requesters, in the loop's order.
+    #[test]
+    fn task_candidate_stream_is_the_filtered_double_loop(
+        trace in task_table(),
+        measure in prop::sample::select(vec![
+            SkillMeasure::Exact,
+            SkillMeasure::Cosine,
+            SkillMeasure::Jaccard,
+            SkillMeasure::Dice,
+        ]),
+        threshold in prop_oneof![Just(0.0), Just(1.0), 0.0f64..1.0],
+    ) {
+        let cfg = SimilarityConfig {
+            skill_measure: measure,
+            task_skill_threshold: threshold,
+            ..SimilarityConfig::default()
+        };
+        let tasks = &trace.tasks;
+        let mut expected = Vec::new();
+        for i in 0..tasks.len() {
+            for j in (i + 1)..tasks.len() {
+                let (a, b) = (&tasks[i], &tasks[j]);
+                if a.requester != b.requester
+                    && measure.count_admissible(a.skills.count(), b.skills.count(), threshold)
+                {
+                    expected.push((i, j));
+                }
+            }
+        }
+        let streamed: Vec<_> = TraceIndex::new(&trace).comparable_task_candidates(&cfg).collect();
+        prop_assert_eq!(streamed, expected);
+    }
 
     /// Repair invariants: never lowers pay, is idempotent, and leaves
     /// every similar pair equal-paid.

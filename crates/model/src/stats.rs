@@ -13,6 +13,48 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
+/// [`mean`] over values pushed one at a time, without keeping them. The
+/// sum folds left to right from `-0.0`, the start value `Iterator::sum`
+/// folds floats from, so pushing `xs` in order gives `mean(xs)` bit for
+/// bit.
+#[derive(Debug, Clone, Copy)]
+pub struct RunningMean {
+    sum: f64,
+    len: usize,
+}
+
+impl Default for RunningMean {
+    fn default() -> Self {
+        RunningMean { sum: -0.0, len: 0 }
+    }
+}
+
+impl RunningMean {
+    /// Add one value.
+    pub fn push(&mut self, x: f64) {
+        self.sum += x;
+        self.len += 1;
+    }
+
+    /// How many values were pushed.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The mean so far; 0.0 before the first push, as [`mean`] of `[]`.
+    pub fn mean(&self) -> f64 {
+        if self.len == 0 {
+            return 0.0;
+        }
+        self.sum / self.len as f64
+    }
+}
+
 /// Population standard deviation; 0.0 for fewer than two values.
 pub fn stddev(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
@@ -195,6 +237,25 @@ mod tests {
         // population stddev of 2,4,4,4,5,5,7,9 is 2
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((stddev(&xs) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn running_mean_is_mean_bit_for_bit() {
+        // Sums that round differently by order, and signed zeros, which
+        // only agree when both start from the same value.
+        let cases: [&[f64]; 5] = [
+            &[],
+            &[-0.0],
+            &[-0.0, -0.0],
+            &[0.1, 0.2, 0.3, 1e16, -1e16, 0.7],
+            &[1.0 / 3.0, 2.0 / 3.0, 0.0, 1.0, 0.25],
+        ];
+        for xs in cases {
+            let mut m = RunningMean::default();
+            xs.iter().for_each(|&x| m.push(x));
+            assert_eq!(m.len(), xs.len());
+            assert_eq!(m.mean().to_bits(), mean(xs).to_bits(), "{xs:?}");
+        }
     }
 
     #[test]

@@ -412,9 +412,9 @@ impl Pipeline {
     /// Each trace is indexed exactly once ([`TraceIndex`]); the audit
     /// and the re-audit both read through that index, and the re-audit's
     /// index is built with [`TraceIndex::rebuilt_for`], which carries
-    /// over every slice the enforcement did not touch (e.g. a
-    /// pure-transparency repair leaves the qualification matrices and
-    /// blocking buckets intact). The market summary stays on
+    /// over the qualification matrices when the enforcement left the
+    /// entity tables untouched (e.g. a pure-transparency repair). The
+    /// market summary stays on
     /// [`TraceSummary::of`], which is a single event pass of its own.
     pub fn run(self) -> Result<PipelineResult, FaircrowdError> {
         self.scenario.validate()?;
