@@ -140,16 +140,16 @@ pub fn select_budget_diverse(
 #[derive(Debug, Clone, PartialEq)]
 pub struct BudgetDiverse {
     /// Total reward the policy may commit per round across all tasks.
-    pub round_budget: Credits,
+    pub(crate) round_budget: Credits,
     /// Distinct groups each task's selection should draw from (capped
     /// by the slots and the groups present among qualified candidates,
     /// so the derived quota is always feasible).
-    pub group_spread: usize,
+    pub(crate) group_spread: usize,
 }
 
 impl BudgetDiverse {
     /// Stable registry/report name.
-    pub const NAME: &'static str = "budget-diverse";
+    pub(crate) const NAME: &'static str = "budget-diverse";
 }
 
 impl Default for BudgetDiverse {

@@ -18,7 +18,7 @@ use rand::RngCore;
 /// Group workers into similarity classes: same-skill (by kernel score ≥
 /// threshold) and close quality. Greedy clustering against each class's
 /// first member keeps the result deterministic.
-pub fn similarity_classes(
+pub(crate) fn similarity_classes(
     workers: &[WorkerView],
     skill_threshold: f64,
     quality_tolerance: f64,
@@ -47,11 +47,11 @@ pub fn similarity_classes(
 #[derive(Debug, Clone)]
 pub struct ExposureParity<P> {
     /// The wrapped base policy.
-    pub base: P,
+    pub(crate) base: P,
     /// Skill-cosine threshold for class membership.
-    pub skill_threshold: f64,
+    pub(crate) skill_threshold: f64,
     /// Maximum quality difference for class membership.
-    pub quality_tolerance: f64,
+    pub(crate) quality_tolerance: f64,
 }
 
 impl<P> ExposureParity<P> {

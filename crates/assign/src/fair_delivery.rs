@@ -22,12 +22,12 @@ pub struct FairDelivery {
     /// Utility already delivered to each worker in earlier rounds; the
     /// balancing carries across rounds so a worker starved early is
     /// first in line later.
-    pub delivered: BTreeMap<WorkerId, f64>,
+    pub(crate) delivered: BTreeMap<WorkerId, f64>,
 }
 
 impl FairDelivery {
     /// Stable registry/report name.
-    pub const NAME: &'static str = "fair-delivery";
+    pub(crate) const NAME: &'static str = "fair-delivery";
 }
 
 impl AssignmentPolicy for FairDelivery {

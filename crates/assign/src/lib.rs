@@ -15,18 +15,17 @@
 //! shown) — the object Axioms 1–2 quantify over.
 //!
 //! Policies:
-//! * [`self_selection`] — post-and-browse (the AMT/CrowdFlower default);
-//! * [`round_robin`] — equitable rotation;
-//! * [`requester_centric`] — greedy requester-utility maximisation;
-//! * [`online_matching`] — Ho–Vaughan-style online assignment (cited as \[8\]);
-//! * [`worker_centric`] — optimal matching on worker preference;
-//! * [`kos`] — Karger–Oh–Shah (l,r)-regular allocation (cited as \[11\]);
-//! * [`budget_diverse`] — budget- and diversity-constrained selection
+//! * [`SelfSelection`] — post-and-browse (the AMT/CrowdFlower default);
+//! * [`RoundRobin`] — equitable rotation;
+//! * [`RequesterCentric`] — greedy requester-utility maximisation;
+//! * [`OnlineMatching`] — Ho–Vaughan-style online assignment (cited as \[8\]);
+//! * [`WorkerCentric`] — optimal matching on worker preference;
+//! * [`KosAllocation`] — Karger–Oh–Shah (l,r)-regular allocation (cited as \[11\]);
+//! * [`BudgetDiverse`] — budget- and diversity-constrained selection
 //!   over declared worker groups (Goel–Faltings);
-//! * [`fair_delivery`] — fair-allocation utility balancing (Basık et al.);
-//! * [`fair`] — enforcement wrappers (exposure parity, exposure floor)
-//!   that repair a base policy's Axiom-1 violations;
-//! * [`hungarian`] — exact max-weight bipartite matching substrate.
+//! * [`FairDelivery`] — fair-allocation utility balancing (Basık et al.);
+//! * [`ExposureParity`] and [`ExposureFloor`] — enforcement wrappers
+//!   that repair a base policy's Axiom-1 violations.
 //!
 //! The [`registry`] maps string names (`"round_robin"`, `"kos"`, …) to
 //! policy instances so CLIs, benches and sweeps select any of the ten
@@ -35,28 +34,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod budget_diverse;
-pub mod fair;
-pub mod fair_delivery;
-pub mod hungarian;
-pub mod kos;
-pub mod mcmf;
-pub mod online_matching;
+pub(crate) mod budget_diverse;
+pub(crate) mod fair;
+pub(crate) mod fair_delivery;
+pub(crate) mod kos;
+pub(crate) mod mcmf;
+pub(crate) mod online_matching;
 pub mod policy;
 pub mod registry;
-pub mod requester_centric;
-pub mod round_robin;
-pub mod self_selection;
-pub mod worker_centric;
+pub(crate) mod requester_centric;
+pub(crate) mod round_robin;
+pub(crate) mod self_selection;
+pub(crate) mod worker_centric;
 
 pub use budget_diverse::{select_budget_diverse, BudgetDiverse, Candidate};
 pub use fair::{ExposureFloor, ExposureParity};
 pub use fair_delivery::FairDelivery;
 pub use kos::KosAllocation;
 pub use online_matching::OnlineMatching;
-pub use policy::{
-    preference_score, AssignInput, AssignmentOutcome, AssignmentPolicy, TaskView, WorkerView,
-};
+pub use policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, TaskView, WorkerView};
 pub use requester_centric::RequesterCentric;
 pub use round_robin::RoundRobin;
 pub use self_selection::SelfSelection;

@@ -31,13 +31,13 @@ struct Edge {
 
 /// A min-cost-flow network builder/solver.
 #[derive(Debug, Default)]
-pub struct MinCostFlow {
+pub(crate) struct MinCostFlow {
     graph: Vec<Vec<Edge>>,
 }
 
 impl MinCostFlow {
     /// A network with `n` nodes.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         MinCostFlow {
             graph: vec![Vec::new(); n],
         }
@@ -45,7 +45,13 @@ impl MinCostFlow {
 
     /// Add a directed edge with capacity and per-unit cost. Returns
     /// `(from, index)` so callers can inspect flow afterwards.
-    pub fn add_edge(&mut self, from: usize, to: usize, cap: i64, cost: f64) -> (usize, usize) {
+    pub(crate) fn add_edge(
+        &mut self,
+        from: usize,
+        to: usize,
+        cap: i64,
+        cost: f64,
+    ) -> (usize, usize) {
         let fwd = Edge {
             to,
             rev: self.graph[to].len(),
@@ -66,7 +72,7 @@ impl MinCostFlow {
 
     /// Flow pushed through an edge returned by `add_edge`: the reverse
     /// edge's residual capacity.
-    pub fn flow_on(&self, handle: (usize, usize)) -> i64 {
+    pub(crate) fn flow_on(&self, handle: (usize, usize)) -> i64 {
         let (from, idx) = handle;
         let e = &self.graph[from][idx];
         self.graph[e.to][e.rev].cap
@@ -75,7 +81,7 @@ impl MinCostFlow {
     /// Push flow along negative-cost shortest paths from `source` to
     /// `sink` until no negative-cost augmenting path remains. Returns
     /// `(flow, total_cost)`.
-    pub fn run_negative(&mut self, source: usize, sink: usize) -> (i64, f64) {
+    pub(crate) fn run_negative(&mut self, source: usize, sink: usize) -> (i64, f64) {
         let n = self.graph.len();
         let mut total_flow = 0i64;
         let mut total_cost = 0.0f64;
@@ -133,7 +139,7 @@ impl MinCostFlow {
 /// (`f64::NEG_INFINITY` = forbidden); `capacities[w]` bounds the worker's
 /// degree, `slots[t]` the task's. Only strictly positive-weight pairs are
 /// ever selected. Returns the chosen pairs in deterministic order.
-pub fn max_weight_b_matching(
+pub(crate) fn max_weight_b_matching(
     weights: &[Vec<f64>],
     capacities: &[u32],
     slots: &[u32],

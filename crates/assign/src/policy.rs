@@ -68,18 +68,6 @@ pub struct AssignInput {
     pub workers: Vec<WorkerView>,
 }
 
-impl AssignInput {
-    /// Total open slots.
-    pub fn total_slots(&self) -> u64 {
-        self.tasks.iter().map(|t| u64::from(t.slots)).sum()
-    }
-
-    /// Total worker capacity.
-    pub fn total_capacity(&self) -> u64 {
-        self.workers.iter().map(|w| u64::from(w.capacity)).sum()
-    }
-}
-
 /// What a policy decided.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct AssignmentOutcome {
@@ -91,13 +79,13 @@ pub struct AssignmentOutcome {
 
 impl AssignmentOutcome {
     /// Record that `worker` was shown `task`.
-    pub fn show(&mut self, worker: WorkerId, task: TaskId) {
+    pub(crate) fn show(&mut self, worker: WorkerId, task: TaskId) {
         self.visibility.entry(worker).or_default().insert(task);
     }
 
     /// Record an assignment; an assignment implies visibility (a worker
     /// cannot take a task she never saw).
-    pub fn assign(&mut self, worker: WorkerId, task: TaskId) {
+    pub(crate) fn assign(&mut self, worker: WorkerId, task: TaskId) {
         self.show(worker, task);
         self.assignments.push((worker, task));
     }
@@ -190,28 +178,10 @@ pub trait AssignmentPolicy {
 /// affinity. Workers like well-paid tasks that match their interests —
 /// the §3.1.1 description of worker-centric assignment ("allocates tasks
 /// based on workers' preferences … favoring their expected compensation").
-pub fn preference_score(worker: &WorkerView, task: &TaskView) -> f64 {
+pub(crate) fn preference_score(worker: &WorkerView, task: &TaskView) -> f64 {
     let reward = task.reward.as_dollars_f64();
     let affinity = worker.skills.cosine(&task.skills);
     reward * (1.0 + affinity)
-}
-
-/// Requester utility of an assignment: expected value = worker quality ×
-/// task reward (the requester pays `reward` hoping for usable work, so a
-/// quality-q worker yields q·reward of expected value).
-pub fn requester_utility(input: &AssignInput, outcome: &AssignmentOutcome) -> f64 {
-    let tasks: BTreeMap<TaskId, &TaskView> = input.tasks.iter().map(|t| (t.id, t)).collect();
-    let workers: BTreeMap<WorkerId, &WorkerView> =
-        input.workers.iter().map(|w| (w.id, w)).collect();
-    outcome
-        .assignments
-        .iter()
-        .filter_map(|(w, t)| {
-            let wv = workers.get(w)?;
-            let tv = tasks.get(t)?;
-            Some(wv.quality * tv.reward.as_dollars_f64())
-        })
-        .sum()
 }
 
 /// Total worker utility of an assignment (sum of preference scores).
@@ -236,7 +206,7 @@ pub mod fixtures {
     use super::*;
 
     /// Bits → skill vector.
-    pub fn sv(bits: &[u8]) -> SkillVector {
+    pub(crate) fn sv(bits: &[u8]) -> SkillVector {
         SkillVector::from_bools(bits.iter().map(|&b| b == 1))
     }
 
@@ -366,10 +336,8 @@ mod tests {
     fn utilities_sum_over_assignments() {
         let m = small_market();
         let mut o = AssignmentOutcome::default();
-        o.assign(WorkerId::new(0), TaskId::new(2)); // quality .95 * $0.30
-        o.assign(WorkerId::new(1), TaskId::new(1)); // quality .80 * $0.20
-        let ru = requester_utility(&m, &o);
-        assert!((ru - (0.95 * 0.30 + 0.80 * 0.20)).abs() < 1e-12);
+        o.assign(WorkerId::new(0), TaskId::new(2));
+        o.assign(WorkerId::new(1), TaskId::new(1));
         let wu = worker_utility(&m, &o);
         assert!(wu > 0.0);
     }
@@ -380,12 +348,5 @@ mod tests {
         let w0 = &m.workers[0];
         // t2 pays more than t1 and matches w0 equally -> preferred
         assert!(preference_score(w0, &m.tasks[2]) > preference_score(w0, &m.tasks[1]));
-    }
-
-    #[test]
-    fn input_totals() {
-        let m = small_market();
-        assert_eq!(m.total_slots(), 4);
-        assert_eq!(m.total_capacity(), 5);
     }
 }

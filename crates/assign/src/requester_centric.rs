@@ -72,11 +72,21 @@ impl AssignmentPolicy for RequesterCentric {
 mod tests {
     use super::*;
     use crate::policy::fixtures::small_market;
-    use crate::policy::requester_utility;
     use crate::SelfSelection;
-    use faircrowd_model::ids::WorkerId;
+    use faircrowd_model::ids::{TaskId, WorkerId};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Expected value of an assignment to its requesters: worker quality
+    /// × task reward, summed.
+    fn requester_utility(input: &AssignInput, outcome: &AssignmentOutcome) -> f64 {
+        let value = |(w, t): &(WorkerId, TaskId)| {
+            let wv = input.workers.iter().find(|v| v.id == *w)?;
+            let tv = input.tasks.iter().find(|v| v.id == *t)?;
+            Some(wv.quality * tv.reward.as_dollars_f64())
+        };
+        outcome.assignments.iter().filter_map(value).sum()
+    }
 
     #[test]
     fn feasible() {

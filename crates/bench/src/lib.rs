@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use faircrowd_core::report::{Align, TextTable};
+pub use faircrowd_core::report::TextTable;
 
 use faircrowd_model::trace::Trace;
 use faircrowd_sim::{ScenarioConfig, Simulation};
@@ -19,7 +19,7 @@ use faircrowd_sim::{ScenarioConfig, Simulation};
 /// The standard seeds experiments average over. Three seeds keeps every
 /// experiment under a few seconds while damping run-to-run noise; the
 /// tables report means.
-pub const SEEDS: [u64; 3] = [11, 42, 1337];
+pub(crate) const SEEDS: [u64; 3] = [11, 42, 1337];
 
 /// Run one scenario per seed and collect the traces.
 pub fn run_seeds<F>(mut configure: F) -> Vec<Trace>

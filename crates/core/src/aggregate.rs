@@ -141,16 +141,6 @@ impl ReportAggregate {
     pub fn axiom(&self, id: AxiomId) -> Option<&AxiomAggregate> {
         self.axioms.iter().find(|a| a.axiom == id)
     }
-
-    /// Fraction of reports in which *every* audited axiom held (1.0
-    /// over the empty fold).
-    pub fn all_hold_rate(&self) -> f64 {
-        if self.runs == 0 {
-            1.0
-        } else {
-            self.all_hold_runs as f64 / self.runs as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -230,6 +220,5 @@ mod tests {
         assert_eq!(agg.runs, 0);
         assert!(agg.axioms.is_empty());
         assert_eq!(agg.total_violations, 0);
-        assert!((agg.all_hold_rate() - 1.0).abs() < 1e-12);
     }
 }

@@ -46,7 +46,7 @@ impl AxiomId {
     ];
 
     /// The fairness axioms (1–5).
-    pub const FAIRNESS: [AxiomId; 5] = [
+    pub(crate) const FAIRNESS: [AxiomId; 5] = [
         AxiomId::A1WorkerAssignment,
         AxiomId::A2RequesterAssignment,
         AxiomId::A3Compensation,
@@ -55,7 +55,7 @@ impl AxiomId {
     ];
 
     /// The transparency axioms (6–7).
-    pub const TRANSPARENCY: [AxiomId; 2] = [
+    pub(crate) const TRANSPARENCY: [AxiomId; 2] = [
         AxiomId::A6RequesterTransparency,
         AxiomId::A7PlatformTransparency,
     ];
@@ -77,7 +77,7 @@ impl AxiomId {
     /// [`AxiomId::label`]). `None` for an unknown label — callers
     /// decoding persisted reports turn that into a schema error rather
     /// than a panic.
-    pub fn from_label(label: &str) -> Option<AxiomId> {
+    pub(crate) fn from_label(label: &str) -> Option<AxiomId> {
         AxiomId::ALL.into_iter().find(|a| a.label() == label)
     }
 

@@ -12,18 +12,18 @@ use faircrowd_model::time::SimTime;
 use faircrowd_model::trace::Trace;
 use faircrowd_model::worker::Worker;
 
-pub fn w(i: u32) -> WorkerId {
+pub(crate) fn w(i: u32) -> WorkerId {
     WorkerId::new(i)
 }
-pub fn t(i: u32) -> TaskId {
+pub(crate) fn t(i: u32) -> TaskId {
     TaskId::new(i)
 }
-pub fn sub(i: u32) -> SubmissionId {
+pub(crate) fn sub(i: u32) -> SubmissionId {
     SubmissionId::new(i)
 }
 
 /// A worker with the given skill bits (identical declared/computed attrs).
-pub fn worker(i: u32, bits: &[u8]) -> Worker {
+pub(crate) fn worker(i: u32, bits: &[u8]) -> Worker {
     Worker::new(
         w(i),
         DeclaredAttrs::new(),
@@ -32,7 +32,7 @@ pub fn worker(i: u32, bits: &[u8]) -> Worker {
 }
 
 /// A basic labeling task.
-pub fn task(i: u32, requester: u32, bits: &[u8], reward_cents: i64) -> Task {
+pub(crate) fn task(i: u32, requester: u32, bits: &[u8], reward_cents: i64) -> Task {
     TaskBuilder::new(
         t(i),
         RequesterId::new(requester),
@@ -44,7 +44,7 @@ pub fn task(i: u32, requester: u32, bits: &[u8], reward_cents: i64) -> Task {
 
 /// A trace skeleton with two identical workers, two requesters and the
 /// given tasks; tests then append the events they need.
-pub fn skeleton(tasks: Vec<Task>) -> Trace {
+pub(crate) fn skeleton(tasks: Vec<Task>) -> Trace {
     Trace {
         workers: vec![worker(0, &[1, 1]), worker(1, &[1, 1])],
         tasks,
@@ -57,7 +57,7 @@ pub fn skeleton(tasks: Vec<Task>) -> Trace {
 }
 
 /// Append a visibility event.
-pub fn show(trace: &mut Trace, at: u64, task_id: u32, worker_id: u32) {
+pub(crate) fn show(trace: &mut Trace, at: u64, task_id: u32, worker_id: u32) {
     trace.events.push(
         SimTime::from_secs(at),
         EventKind::TaskVisible {
@@ -68,7 +68,7 @@ pub fn show(trace: &mut Trace, at: u64, task_id: u32, worker_id: u32) {
 }
 
 /// Append a submission record plus its received event; returns the id.
-pub fn submit(
+pub(crate) fn submit(
     trace: &mut Trace,
     at: u64,
     task_id: u32,
@@ -96,7 +96,13 @@ pub fn submit(
 }
 
 /// Append a payment event.
-pub fn pay(trace: &mut Trace, at: u64, submission: SubmissionId, worker_id: u32, cents: i64) {
+pub(crate) fn pay(
+    trace: &mut Trace,
+    at: u64,
+    submission: SubmissionId,
+    worker_id: u32,
+    cents: i64,
+) {
     let task = trace
         .submissions
         .iter()

@@ -7,13 +7,13 @@
 //! it. The [`naive`] module retains the original unindexed
 //! implementations as the correctness oracle and perf baseline.
 
-pub mod a1;
-pub mod a2;
-pub mod a3;
-pub mod a4;
-pub mod a5;
-pub mod a6;
-pub mod a7;
+pub(crate) mod a1;
+pub(crate) mod a2;
+pub(crate) mod a3;
+pub(crate) mod a4;
+pub(crate) mod a5;
+pub(crate) mod a6;
+pub(crate) mod a7;
 pub mod naive;
 
 #[cfg(test)]

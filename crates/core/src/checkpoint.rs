@@ -94,7 +94,7 @@ pub const MAGIC: [u8; 8] = [0x89, b'F', b'C', b'K', 0x0D, 0x0A, 0x1A, 0x0A];
 /// Schema name stamped into every checkpoint file.
 pub const SCHEMA_NAME: &str = "faircrowd-checkpoint";
 /// Schema version this build writes and reads.
-pub const SCHEMA_VERSION: u64 = 2;
+pub(crate) const SCHEMA_VERSION: u64 = 2;
 
 /// A durable snapshot of one [`LiveAuditor`]'s incremental state.
 ///
@@ -156,11 +156,6 @@ impl Checkpoint {
         self.source_lines
     }
 
-    /// Whether the snapshotted auditor had already been finalized.
-    pub fn finalized(&self) -> bool {
-        self.finalized
-    }
-
     /// The findings retained up to the checkpoint, in emission order.
     pub fn findings(&self) -> &[LiveFinding] {
         &self.findings
@@ -169,7 +164,7 @@ impl Checkpoint {
     /// How a resume from this checkpoint reads in a notice:
     /// `checkpoint seq N (skipping L line(s))`, plus how many findings
     /// were not restored when the retention cap dropped some.
-    pub fn resume_note(&self) -> String {
+    pub(crate) fn resume_note(&self) -> String {
         let mut note = format!(
             "checkpoint seq {} (skipping {} line(s)",
             self.events_seen, self.source_lines

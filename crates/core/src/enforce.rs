@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 /// `threshold`" graph: if a~b and b~c, all three are paid alike even when
 /// a and c fall just below the threshold — fairness repairs should not
 /// depend on comparison order. The pair scan reuses the audit layer's
-/// contribution blocking ([`crate::index::contribution_candidates`]):
+/// contribution blocking (`crate::index::contribution_candidates`):
 /// pruned pairs have similarity exactly 0, which for a positive
 /// threshold can never be a union edge, so the components are identical
 /// to the exhaustive scan's.

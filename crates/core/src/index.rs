@@ -57,7 +57,7 @@ use faircrowd_model::trace::{EventIndex, Interruption, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
-/// Below this many items [`contribution_candidates`] returns all pairs
+/// Below this many items `contribution_candidates` returns all pairs
 /// directly: grouping a handful of contributions costs more than it
 /// prunes.
 pub const EXACT_SCAN_MAX: usize = 32;
@@ -97,15 +97,15 @@ struct DenseAccess {
 /// `left`/`right` are the two access sets restricted to the pair's
 /// common qualified entities; `inter` their intersection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessOverlap {
+pub(crate) struct AccessOverlap {
     /// `|qualified(i) ∩ qualified(j)|`.
-    pub common: usize,
+    pub(crate) common: usize,
     /// `|access(i) ∩ common|`.
-    pub left: usize,
+    pub(crate) left: usize,
     /// `|access(j) ∩ common|`.
-    pub right: usize,
+    pub(crate) right: usize,
     /// `|access(i) ∩ access(j) ∩ common|`.
-    pub inter: usize,
+    pub(crate) inter: usize,
 }
 
 impl AccessOverlap {
@@ -123,7 +123,7 @@ impl AccessOverlap {
     /// result is always finite and in `[0, 1]`; regression-tested
     /// end-to-end through `similar_worker_candidates` with zero-access
     /// worker pairs.
-    pub fn jaccard(&self) -> f64 {
+    pub(crate) fn jaccard(&self) -> f64 {
         if self.left == 0 && self.right == 0 {
             return 1.0;
         }
@@ -357,52 +357,47 @@ impl<'a> TraceIndex<'a> {
     }
 
     /// The indexed trace.
-    pub fn trace(&self) -> &'a Trace {
+    pub(crate) fn trace(&self) -> &'a Trace {
         self.trace
     }
 
     /// Per worker, the tasks made visible to her (every worker appears).
-    pub fn visibility(&self) -> &DenseIdMap<WorkerId, IdSet<TaskId>> {
+    pub(crate) fn visibility(&self) -> &DenseIdMap<WorkerId, IdSet<TaskId>> {
         &self.events.visibility
     }
 
-    /// Per task, the workers it was shown to (every task appears).
-    pub fn audience(&self) -> &DenseIdMap<TaskId, IdSet<WorkerId>> {
-        &self.events.audience
-    }
-
     /// Total amount actually paid per submission.
-    pub fn payments(&self) -> &DenseIdMap<SubmissionId, Credits> {
+    pub(crate) fn payments(&self) -> &DenseIdMap<SubmissionId, Credits> {
         &self.events.payments
     }
 
     /// Total earnings per worker (payments plus honoured bonuses).
-    pub fn earnings(&self) -> &DenseIdMap<WorkerId, Credits> {
+    pub(crate) fn earnings(&self) -> &DenseIdMap<WorkerId, Credits> {
         &self.events.earnings
     }
 
     /// Workers flagged by any detector.
-    pub fn flagged(&self) -> &BTreeSet<WorkerId> {
+    pub(crate) fn flagged(&self) -> &BTreeSet<WorkerId> {
         &self.events.flagged
     }
 
     /// Workers who had at least one session.
-    pub fn session_workers(&self) -> &BTreeSet<WorkerId> {
+    pub(crate) fn session_workers(&self) -> &BTreeSet<WorkerId> {
         &self.events.session_workers
     }
 
     /// Workers who were shown at least one disclosure.
-    pub fn informed_workers(&self) -> &BTreeSet<WorkerId> {
+    pub(crate) fn informed_workers(&self) -> &BTreeSet<WorkerId> {
         &self.events.informed_workers
     }
 
     /// Number of `WorkStarted` events.
-    pub fn work_started(&self) -> usize {
+    pub(crate) fn work_started(&self) -> usize {
         self.events.work_started
     }
 
     /// Every interruption, in log order.
-    pub fn interruptions(&self) -> &[Interruption] {
+    pub(crate) fn interruptions(&self) -> &[Interruption] {
         &self.events.interruptions
     }
 
@@ -412,12 +407,12 @@ impl<'a> TraceIndex<'a> {
     }
 
     /// Submissions grouped by task, in submission order.
-    pub fn submissions_by_task(&self) -> &BTreeMap<TaskId, Vec<&'a Submission>> {
+    pub(crate) fn submissions_by_task(&self) -> &BTreeMap<TaskId, Vec<&'a Submission>> {
         &self.subs_by_task
     }
 
     /// Workers who submitted at least once (the Axiom 4 "active" set).
-    pub fn submitters(&self) -> &BTreeSet<WorkerId> {
+    pub(crate) fn submitters(&self) -> &BTreeSet<WorkerId> {
         &self.submitters
     }
 
@@ -496,26 +491,26 @@ impl<'a> TraceIndex<'a> {
     /// `j`: sizes of the common qualified task set, each worker's
     /// visible tasks restricted to it, and their intersection — four
     /// AND/popcount passes over the dense bit rows, no allocation.
-    pub fn worker_access_overlap(&self, i: usize, j: usize) -> AccessOverlap {
+    pub(crate) fn worker_access_overlap(&self, i: usize, j: usize) -> AccessOverlap {
         self.worker_rows(i, j).overlap()
     }
 
     /// [`worker_access_overlap`](Self::worker_access_overlap)`(i, j).jaccard()`,
     /// bit for bit, without counting the sets when they are equal.
-    pub fn worker_access_jaccard(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn worker_access_jaccard(&self, i: usize, j: usize) -> f64 {
         self.worker_rows(i, j).jaccard()
     }
 
     /// The Axiom 2 per-pair quantities for tasks at positions `i` and
     /// `j`: common qualified workers, each task's audience restricted to
     /// them, and the intersection.
-    pub fn task_audience_overlap(&self, i: usize, j: usize) -> AccessOverlap {
+    pub(crate) fn task_audience_overlap(&self, i: usize, j: usize) -> AccessOverlap {
         self.task_rows(i, j).overlap()
     }
 
     /// [`task_audience_overlap`](Self::task_audience_overlap)`(i, j).jaccard()`,
     /// bit for bit, without counting the sets when they are equal.
-    pub fn task_audience_jaccard(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn task_audience_jaccard(&self, i: usize, j: usize) -> f64 {
         self.task_rows(i, j).jaccard()
     }
 
@@ -533,7 +528,7 @@ impl<'a> TraceIndex<'a> {
     /// counts could clear `cfg.worker_threshold` under the configured
     /// kernel, ascending. A superset of the truly similar pairs — the
     /// checker still applies the exact composite similarity.
-    pub fn similar_worker_candidates(&self, cfg: &SimilarityConfig) -> CandidatePairs {
+    pub(crate) fn similar_worker_candidates(&self, cfg: &SimilarityConfig) -> CandidatePairs {
         let counts: Vec<usize> = self
             .trace
             .workers
@@ -662,7 +657,11 @@ fn all_pairs(n: usize) -> Vec<(usize, usize)> {
 /// unequal-label pairs score exactly 0, so for any positive threshold
 /// they are pruned without being evaluated; everything else is kept and
 /// re-checked exactly by the caller.
-pub fn contribution_candidates<T, F>(items: &[T], key: F, threshold: f64) -> Vec<(usize, usize)>
+pub(crate) fn contribution_candidates<T, F>(
+    items: &[T],
+    key: F,
+    threshold: f64,
+) -> Vec<(usize, usize)>
 where
     F: Fn(&T) -> &Contribution,
 {
@@ -1057,7 +1056,10 @@ mod tests {
                 let shown = ix.visibility().get(w.id).is_some_and(|v| v.contains(t.id));
                 assert_eq!(
                     shown,
-                    ix.audience().get(t.id).is_some_and(|a| a.contains(w.id))
+                    ix.events
+                        .audience
+                        .get(t.id)
+                        .is_some_and(|a| a.contains(w.id))
                 );
                 let visible = da.visible[wi * dq.task_width + ti / 64] >> (ti % 64) & 1 != 0;
                 let reached = da.audience[ti * dq.worker_width + wi / 64] >> (wi % 64) & 1 != 0;

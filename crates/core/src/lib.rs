@@ -8,13 +8,13 @@
 //!
 //! | Axiom | Statement (abridged) | Checker |
 //! |-------|----------------------|---------|
-//! | 1 | similar workers get access to the same tasks | [`axioms::a1`] |
-//! | 2 | similar tasks are shown to the same workers | [`axioms::a2`] |
-//! | 3 | similar contributions to a task earn the same reward | [`axioms::a3`] |
-//! | 4 | requesters can detect malicious workers | [`axioms::a4`] |
-//! | 5 | started work is not interrupted | [`axioms::a5`] |
-//! | 6 | requesters disclose working conditions | [`axioms::a6`] |
-//! | 7 | the platform discloses computed worker attributes | [`axioms::a7`] |
+//! | 1 | similar workers get access to the same tasks | `axioms::a1` |
+//! | 2 | similar tasks are shown to the same workers | `axioms::a2` |
+//! | 3 | similar contributions to a task earn the same reward | `axioms::a3` |
+//! | 4 | requesters can detect malicious workers | `axioms::a4` |
+//! | 5 | started work is not interrupted | `axioms::a5` |
+//! | 6 | requesters disclose working conditions | `axioms::a6` |
+//! | 7 | the platform discloses computed worker attributes | `axioms::a7` |
 //!
 //! Similarity is pluggable per the paper ("ranges from perfect equality to
 //! threshold-based similarity"): every check takes a
@@ -24,8 +24,8 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod audit;
-pub mod axiom;
+pub(crate) mod audit;
+pub(crate) mod axiom;
 pub mod axioms;
 pub mod checkpoint;
 pub mod daemon;

@@ -393,11 +393,6 @@ impl LiveAuditor {
         self
     }
 
-    /// The active audit configuration.
-    pub fn config(&self) -> &AuditConfig {
-        &self.config
-    }
-
     /// Declare the disclosure configuration the platform runs under.
     /// Must precede ingestion — the Axiom 6/7 monitors read it.
     pub fn set_disclosure(&mut self, disclosure: DisclosureSet) {
@@ -782,20 +777,7 @@ impl LiveAuditor {
     /// incrementally maintained event mirror (the log this auditor
     /// already watched is never replayed).
     pub fn final_report(&self) -> FairnessReport {
-        self.final_report_for(&AxiomId::ALL)
-    }
-
-    /// [`LiveAuditor::final_report`] for a chosen axiom subset, in the
-    /// given order.
-    pub fn final_report_for(&self, ids: &[AxiomId]) -> FairnessReport {
-        self.final_artifacts(ids).0
-    }
-
-    /// Effective hourly-wage statistics of the accumulated trace, off
-    /// the same mirror-backed index the final report uses.
-    pub fn final_wages(&self) -> Option<WageStats> {
-        let ix = self.closing_index();
-        crate::metrics::wage_stats(&ix)
+        self.final_artifacts(&AxiomId::ALL).0
     }
 
     /// The closing report **and** wage statistics off one shared

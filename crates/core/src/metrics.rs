@@ -17,25 +17,11 @@ use faircrowd_model::time::SimDuration;
 use faircrowd_pay::wage::WageStats;
 use std::collections::BTreeMap;
 
-/// Per-worker exposure counts (how many distinct tasks each worker saw).
-pub fn exposure_counts(ix: &TraceIndex<'_>) -> BTreeMap<WorkerId, usize> {
-    ix.visibility()
-        .iter()
-        .map(|(w, tasks)| (w, tasks.len()))
-        .collect()
-}
-
 /// Gini coefficient of the exposure distribution — the headline
 /// exposure-inequality number in E1.
 pub fn exposure_gini(ix: &TraceIndex<'_>) -> f64 {
     let counts: Vec<f64> = ix.visibility().values().map(|t| t.len() as f64).collect();
     stats::gini(&counts)
-}
-
-/// Jain fairness index of exposure.
-pub fn exposure_jain(ix: &TraceIndex<'_>) -> f64 {
-    let counts: Vec<f64> = ix.visibility().values().map(|t| t.len() as f64).collect();
-    stats::jain_index(&counts)
 }
 
 /// Mean access disparity among similar worker pairs: `1 − mean Jaccard
@@ -192,14 +178,8 @@ mod tests {
     fn exposure_counts_and_indices() {
         let trace = trace_with_exposure();
         let ix = TraceIndex::new(&trace);
-        let counts = exposure_counts(&ix);
-        assert_eq!(counts[&WorkerId::new(0)], 4);
-        assert_eq!(counts[&WorkerId::new(1)], 2);
-        assert_eq!(counts[&WorkerId::new(2)], 0);
         let g = exposure_gini(&ix);
         assert!(g > 0.3, "uneven exposure must show in gini: {g}");
-        let j = exposure_jain(&ix);
-        assert!(j < 0.8);
     }
 
     #[test]

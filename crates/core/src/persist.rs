@@ -60,7 +60,7 @@ impl TraceFormat {
     /// The format implied by a path: `.jsonl` means JSONL, `.fcb` means
     /// binary, anything else (including no extension) means whole-file
     /// JSON.
-    pub fn for_path(path: &Path) -> TraceFormat {
+    pub(crate) fn for_path(path: &Path) -> TraceFormat {
         match path.extension().and_then(|e| e.to_str()) {
             Some("jsonl") => TraceFormat::Jsonl,
             Some("fcb") => TraceFormat::Binary,

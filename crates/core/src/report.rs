@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 /// Column alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Align {
+pub(crate) enum Align {
     /// Left-aligned (text).
     Left,
     /// Right-aligned (numbers).
@@ -38,7 +38,7 @@ impl TextTable {
     }
 
     /// Set column alignments (right-align numeric columns).
-    pub fn aligns(mut self, aligns: Vec<Align>) -> Self {
+    pub(crate) fn aligns(mut self, aligns: Vec<Align>) -> Self {
         assert_eq!(aligns.len(), self.headers.len(), "alignment arity mismatch");
         self.aligns = aligns;
         self
@@ -57,16 +57,6 @@ impl TextTable {
         let cells: Vec<String> = cells.into_iter().map(Into::into).collect();
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Render with a header rule.
@@ -187,7 +177,6 @@ mod tests {
     #[test]
     fn empty_table_is_header_and_rule() {
         let t = TextTable::new(["x"]);
-        assert!(t.is_empty());
         assert_eq!(t.render().lines().count(), 2);
     }
 

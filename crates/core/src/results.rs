@@ -9,7 +9,7 @@
 //! Rust's shortest round-trip form (and non-finite values in the
 //! [`faircrowd_model::json::Json::float`] string spellings), counts as
 //! integer tokens, and axioms by their stable table labels
-//! ([`AxiomId::label`] / [`AxiomId::from_label`]).
+//! ([`AxiomId::label`] / `AxiomId::from_label`).
 //!
 //! Decoding follows the same never-panic discipline as every persisted
 //! schema in this crate: a missing field, wrong type, or unknown axiom

@@ -16,25 +16,25 @@ use serde::{Deserialize, Serialize};
 
 /// A parsed document: one or more policies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Document {
+pub(crate) struct Document {
     /// The policies, in source order.
-    pub policies: Vec<Policy>,
+    pub(crate) policies: Vec<Policy>,
 }
 
 /// A named policy block.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Policy {
+pub(crate) struct Policy {
     /// The policy name (string literal).
-    pub name: String,
+    pub(crate) name: String,
     /// Span of the name literal.
-    pub name_span: Span,
+    pub(crate) name_span: Span,
     /// Declarations in source order.
-    pub decls: Vec<Decl>,
+    pub(crate) decls: Vec<Decl>,
 }
 
 /// An audience expression on the right of an `audience` definition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum AudienceExpr {
+pub(crate) enum AudienceExpr {
     /// `public`
     Public,
     /// `subject`
@@ -50,16 +50,16 @@ pub enum AudienceExpr {
 
 /// A reference to an audience in a `disclose` rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AudienceRef {
+pub(crate) struct AudienceRef {
     /// The name as written (`public`, `subject`, or a defined audience).
-    pub name: String,
+    pub(crate) name: String,
     /// Where it was written.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// When a disclosure applies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Condition {
+pub(crate) enum Condition {
     /// `always` (also the default when omitted).
     Always,
     /// `when <context>`
@@ -73,7 +73,7 @@ pub enum Condition {
 
 /// One declaration inside a policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum Decl {
+pub(crate) enum Decl {
     /// `audience NAME = expr;`
     AudienceDef {
         /// The audience name.

@@ -14,7 +14,7 @@ use crate::sema::CompiledPolicy;
 /// AMT as the paper (and the worker forums) describe it: the platform
 /// shows requesters their own campaign progress and workers their raw
 /// history, and nothing else.
-pub const AMT_OPAQUE: &str = r#"
+pub(crate) const AMT_OPAQUE: &str = r#"
 # Amazon Mechanical Turk, stock experience.
 policy "amt" {
     audience posters = role(requester);
@@ -26,7 +26,7 @@ policy "amt" {
 /// AMT plus the worker-built transparency layer: Turkopticon requester
 /// reviews, Crowd-Workers/Turkbench wage estimates, and the forum scripts
 /// that reveal auto-approval times (§2.2).
-pub const AMT_TURKOPTICON: &str = r#"
+pub(crate) const AMT_TURKOPTICON: &str = r#"
 # AMT + Turkopticon + wage trackers + forum scripts.
 policy "amt+turkopticon" {
     audience posters = role(requester);
@@ -41,7 +41,7 @@ policy "amt+turkopticon" {
 
 /// CrowdFlower: "displays a panel with the worker's estimated accuracy so
 /// far" (§1) and per-task ratings in the browsing interface (§3.1.2).
-pub const CROWDFLOWER: &str = r#"
+pub(crate) const CROWDFLOWER: &str = r#"
 policy "crowdflower" {
     audience posters = role(requester);
     disclose task.rating to workers when browsing;
@@ -54,7 +54,7 @@ policy "crowdflower" {
 
 /// MobileWorks: managed crowdsourcing with worker-to-worker communication
 /// and worker-managers who monitor each other (§2.2).
-pub const MOBILEWORKS: &str = r#"
+pub(crate) const MOBILEWORKS: &str = r#"
 policy "mobileworks" {
     audience crowd = role(worker);
     disclose worker.history to crowd always;       # workers monitor each other
@@ -69,7 +69,7 @@ policy "mobileworks" {
 /// The fair-by-design policy: every Axiom-6 obligation disclosed to
 /// workers, every Axiom-7 attribute to the worker herself, plus the
 /// community-rating items the surveyed tools bolt on.
-pub const FAIRCROWD_FULL: &str = r#"
+pub(crate) const FAIRCROWD_FULL: &str = r#"
 policy "faircrowd-full" {
     audience everyone = public;
     # Axiom 6: requester-dependent and task-dependent working conditions.

@@ -11,15 +11,15 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// One effective grant: a viewer can see an item.
-pub type Grant = (DisclosureItem, Audience);
+pub(crate) type Grant = (DisclosureItem, Audience);
 
 /// The comparison of two policies.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PolicyComparison {
     /// Name of the first policy.
-    pub left_name: String,
+    pub(crate) left_name: String,
     /// Name of the second policy.
-    pub right_name: String,
+    pub(crate) right_name: String,
     /// Grants only the first policy makes.
     pub only_left: Vec<Grant>,
     /// Grants only the second policy makes.

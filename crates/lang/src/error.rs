@@ -18,12 +18,12 @@ pub struct Span {
 
 impl Span {
     /// Construct a span.
-    pub fn new(start: usize, end: usize) -> Self {
+    pub(crate) fn new(start: usize, end: usize) -> Self {
         Span { start, end }
     }
 
     /// A single-point span.
-    pub fn point(at: usize) -> Self {
+    pub(crate) fn point(at: usize) -> Self {
         Span {
             start: at,
             end: at + 1,
@@ -33,7 +33,7 @@ impl Span {
 
 /// Which phase produced the error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Tokenisation.
     Lex,
     /// Parsing.
@@ -48,9 +48,9 @@ pub enum Phase {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LangError {
     /// Producing phase.
-    pub phase: Phase,
+    pub(crate) phase: Phase,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
     /// Where (absent for `Other`).
     pub span: Option<Span>,
     /// The source line containing the error, pre-extracted for display.
@@ -59,7 +59,7 @@ pub struct LangError {
 
 impl LangError {
     /// An error at a span within `source`.
-    pub fn at(phase: Phase, message: impl Into<String>, span: Span, source: &str) -> Self {
+    pub(crate) fn at(phase: Phase, message: impl Into<String>, span: Span, source: &str) -> Self {
         let mut line_start = 0usize;
         let mut line_no = 1usize;
         for (i, b) in source.bytes().enumerate() {
@@ -86,7 +86,7 @@ impl LangError {
     }
 
     /// A location-free error.
-    pub fn other(message: impl Into<String>) -> Self {
+    pub(crate) fn other(message: impl Into<String>) -> Self {
         LangError {
             phase: Phase::Other,
             message: message.into(),

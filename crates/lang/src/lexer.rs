@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// A TPL token.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Token {
+pub(crate) enum Token {
     /// `policy`
     Policy,
     /// `audience`
@@ -57,7 +57,7 @@ pub enum Token {
 
 impl Token {
     /// Human name for diagnostics.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             Token::Ident(s) => format!("identifier `{s}`"),
             Token::Str(s) => format!("string {s:?}"),
@@ -93,15 +93,15 @@ impl Token {
 
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SpannedToken {
+pub(crate) struct SpannedToken {
     /// The token.
-    pub token: Token,
+    pub(crate) token: Token,
     /// Where it came from.
-    pub span: Span,
+    pub(crate) span: Span,
 }
 
 /// Tokenise a TPL document.
-pub fn lex(source: &str) -> Result<Vec<SpannedToken>, LangError> {
+pub(crate) fn lex(source: &str) -> Result<Vec<SpannedToken>, LangError> {
     let bytes = source.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0usize;

@@ -17,7 +17,7 @@
 //! 2. compilation into [`faircrowd_model::DisclosureSet`]s that the
 //!    simulator enacts and the Axiom-6/7 checkers audit;
 //! 3. a [`render`] back-end producing human-readable descriptions;
-//! 4. a [`mod@compare`] back-end diffing policies across platforms, plus a
+//! 4. a [`compare()`] back-end diffing policies across platforms, plus a
 //!    [`catalog`] of policies modelling AMT, AMT+Turkopticon, CrowdFlower
 //!    and MobileWorks as the paper describes them.
 //!
@@ -41,19 +41,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
+pub(crate) mod ast;
 pub mod catalog;
-pub mod compare;
-pub mod error;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod compare;
+pub(crate) mod error;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 pub mod printer;
 pub mod render;
-pub mod sema;
+pub(crate) mod sema;
 
 pub use compare::{compare, PolicyComparison};
 pub use error::LangError;
-pub use sema::{CompiledPolicy, Requirement};
+pub use sema::CompiledPolicy;
 
 /// Parse and check a TPL document (one or more policies).
 pub fn compile(source: &str) -> Result<Vec<CompiledPolicy>, LangError> {

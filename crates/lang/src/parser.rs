@@ -5,7 +5,7 @@ use crate::error::{LangError, Phase, Span};
 use crate::lexer::{SpannedToken, Token};
 
 /// Parse a token stream into a document.
-pub fn parse(tokens: &[SpannedToken], source: &str) -> Result<Document, LangError> {
+pub(crate) fn parse(tokens: &[SpannedToken], source: &str) -> Result<Document, LangError> {
     let mut p = Parser {
         tokens,
         pos: 0,

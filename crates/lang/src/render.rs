@@ -9,7 +9,7 @@ use faircrowd_model::disclosure::{Audience, DisclosureItem};
 use std::fmt::Write as _;
 
 /// English noun phrase for a disclosure item.
-pub fn item_phrase(item: DisclosureItem) -> &'static str {
+pub(crate) fn item_phrase(item: DisclosureItem) -> &'static str {
     match item {
         DisclosureItem::HourlyWage => "the expected hourly wage of each task",
         DisclosureItem::PaymentDelay => "how long payment takes after submission",
@@ -30,7 +30,7 @@ pub fn item_phrase(item: DisclosureItem) -> &'static str {
 }
 
 /// English subject phrase for an audience.
-pub fn audience_phrase(audience: Audience) -> &'static str {
+pub(crate) fn audience_phrase(audience: Audience) -> &'static str {
     match audience {
         Audience::Public => "Anyone",
         Audience::Workers => "Workers",
@@ -40,7 +40,7 @@ pub fn audience_phrase(audience: Audience) -> &'static str {
 }
 
 /// English adverbial for a context.
-pub fn context_phrase(ctx: Context) -> &'static str {
+pub(crate) fn context_phrase(ctx: Context) -> &'static str {
     match ctx {
         Context::Browsing => "while browsing tasks",
         Context::Accepting => "when accepting a task",
@@ -52,7 +52,7 @@ pub fn context_phrase(ctx: Context) -> &'static str {
 }
 
 /// Render one disclose rule as a sentence.
-pub fn render_rule(rule: &CompiledRule) -> String {
+pub(crate) fn render_rule(rule: &CompiledRule) -> String {
     let who = audience_phrase(rule.audience);
     let what = item_phrase(rule.item);
     match rule.condition {
@@ -64,7 +64,7 @@ pub fn render_rule(rule: &CompiledRule) -> String {
 }
 
 /// Render one requirement as a sentence.
-pub fn render_requirement(req: &Requirement) -> String {
+pub(crate) fn render_requirement(req: &Requirement) -> String {
     let what = item_phrase(req.item);
     match req.before {
         Some(ctx) => format!(

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 /// The lifecycle contexts a disclosure can be scoped to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Context {
+pub(crate) enum Context {
     /// While a worker browses available tasks.
     Browsing,
     /// When a worker accepts a task.
@@ -31,7 +31,7 @@ pub enum Context {
 
 impl Context {
     /// All contexts.
-    pub const ALL: [Context; 6] = [
+    pub(crate) const ALL: [Context; 6] = [
         Context::Browsing,
         Context::Accepting,
         Context::Working,
@@ -41,7 +41,7 @@ impl Context {
     ];
 
     /// The name used in TPL source.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Context::Browsing => "browsing",
             Context::Accepting => "accepting",
@@ -53,48 +53,38 @@ impl Context {
     }
 
     /// Parse a TPL context name.
-    pub fn from_name(s: &str) -> Option<Context> {
+    pub(crate) fn from_name(s: &str) -> Option<Context> {
         Context::ALL.into_iter().find(|c| c.name() == s)
     }
 }
 
 /// A compiled condition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CompiledCondition {
+pub(crate) enum CompiledCondition {
     /// Applies in every context.
     Always,
     /// Applies only in one context.
     When(Context),
 }
 
-impl CompiledCondition {
-    /// Does the condition apply in `ctx`?
-    pub fn applies_in(self, ctx: Context) -> bool {
-        match self {
-            CompiledCondition::Always => true,
-            CompiledCondition::When(c) => c == ctx,
-        }
-    }
-}
-
 /// A compiled `disclose` rule.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CompiledRule {
     /// What is disclosed.
-    pub item: DisclosureItem,
+    pub(crate) item: DisclosureItem,
     /// To whom.
-    pub audience: Audience,
+    pub(crate) audience: Audience,
     /// When.
-    pub condition: CompiledCondition,
+    pub(crate) condition: CompiledCondition,
 }
 
 /// A compiled `require requester discloses …` rule.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Requirement {
+pub(crate) struct Requirement {
     /// The requester-side item that must be disclosed.
-    pub item: DisclosureItem,
+    pub(crate) item: DisclosureItem,
     /// The phase before which it must be available.
-    pub before: Option<Context>,
+    pub(crate) before: Option<Context>,
 }
 
 /// A checked, resolved policy.
@@ -105,7 +95,7 @@ pub struct CompiledPolicy {
     /// Disclose rules in source order.
     pub rules: Vec<CompiledRule>,
     /// Requirements in source order.
-    pub requirements: Vec<Requirement>,
+    pub(crate) requirements: Vec<Requirement>,
 }
 
 impl CompiledPolicy {
@@ -119,27 +109,6 @@ impl CompiledPolicy {
         }
         for req in &self.requirements {
             set.grant(req.item, Audience::Workers);
-        }
-        set
-    }
-
-    /// The disclosures active in one lifecycle context.
-    pub fn disclosures_at(&self, ctx: Context) -> DisclosureSet {
-        let mut set = DisclosureSet::opaque();
-        for rule in &self.rules {
-            if rule.condition.applies_in(ctx) {
-                set.grant(rule.item, rule.audience);
-            }
-        }
-        for req in &self.requirements {
-            let active = match req.before {
-                // a "before posting" requirement is live from posting on
-                None => true,
-                Some(_) => true,
-            };
-            if active {
-                set.grant(req.item, Audience::Workers);
-            }
         }
         set
     }
@@ -163,7 +132,7 @@ fn resolve_requirement_item(name: &str) -> Option<DisclosureItem> {
 }
 
 /// Check one parsed policy against the schema.
-pub fn check(policy: &Policy, source: &str) -> Result<CompiledPolicy, LangError> {
+pub(crate) fn check(policy: &Policy, source: &str) -> Result<CompiledPolicy, LangError> {
     let mut audiences: BTreeMap<String, Audience> = BTreeMap::new();
     // Built-ins.
     audiences.insert("public".into(), Audience::Public);
@@ -323,24 +292,6 @@ mod tests {
         assert!(set.allows(DisclosureItem::TaskRating, Audience::Public));
         assert!(set.allows(DisclosureItem::WorkerAcceptanceRatio, Audience::Subject));
         assert!(set.allows(DisclosureItem::RejectionCriteria, Audience::Workers));
-    }
-
-    #[test]
-    fn conditions_scope_disclosures() {
-        let p = compile_one(
-            r#"
-            policy "p" {
-                disclose task.rating to public when browsing;
-                disclose worker.history to subject always;
-            }
-            "#,
-        )
-        .unwrap();
-        let browsing = p.disclosures_at(Context::Browsing);
-        assert!(browsing.allows(DisclosureItem::TaskRating, Audience::Public));
-        let working = p.disclosures_at(Context::Working);
-        assert!(!working.allows(DisclosureItem::TaskRating, Audience::Public));
-        assert!(working.allows(DisclosureItem::WorkerHistory, Audience::Subject));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Dense, id-indexed arena maps — the hash-free entity tables behind
 //! the audit indexes.
 //!
-//! The newtype ids ([`crate::ids`]) are small integers handed out by
-//! [`crate::ids::IdGen`] counters, so in every trace the simulator or a
-//! real platform produces they are *dense*: worker 0, worker 1, …. A
+//! The newtype ids ([`crate::ids`]) are small integers handed out in
+//! sequence, so in every trace the simulator or a real platform
+//! produces they are *dense*: worker 0, worker 1, …. A
 //! `BTreeMap<WorkerId, _>` (or a hash map) pays a pointer chase or a
 //! hash per probe for what is morally an array index. [`DenseIdMap`]
 //! stores values in a `Vec` indexed directly by the raw id, turning the
@@ -140,22 +140,6 @@ impl<K: ArenaKey, V> DenseIdMap<K, V> {
         }
     }
 
-    /// Mutable access to the value at `key`, if present.
-    #[inline]
-    pub fn get_mut(&mut self, key: K) -> Option<&mut V> {
-        let raw = key.raw_index() as usize;
-        if raw < self.slots.len() {
-            self.slots[raw].as_mut()
-        } else {
-            self.spill.get_mut(&key.raw_index())
-        }
-    }
-
-    /// Is `key` present?
-    pub fn contains_key(&self, key: K) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Insert `value` at `key`, returning the previous value if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
         let raw = key.raw_index() as usize;
@@ -182,7 +166,7 @@ impl<K: ArenaKey, V> DenseIdMap<K, V> {
 
     /// The value at `key`, inserting `f()` first when absent — the
     /// arena's `entry(...).or_insert_with(...)`.
-    pub fn get_or_insert_with(&mut self, key: K, f: impl FnOnce() -> V) -> &mut V {
+    pub(crate) fn get_or_insert_with(&mut self, key: K, f: impl FnOnce() -> V) -> &mut V {
         let raw = key.raw_index() as usize;
         if raw >= self.slots.len() {
             if raw < dense_bound(self.len) {
@@ -239,11 +223,6 @@ impl<K: ArenaKey, V> DenseIdMap<K, V> {
             )
     }
 
-    /// Iterate the keys in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.iter().map(|(k, _)| k)
-    }
-
     /// Iterate the values in ascending key order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.iter().map(|(_, v)| v)
@@ -251,7 +230,7 @@ impl<K: ArenaKey, V> DenseIdMap<K, V> {
 
     /// The whole map as an owned `BTreeMap` (for callers that promise a
     /// tree-map view, e.g. [`crate::trace::Trace::earnings_by_worker`]).
-    pub fn to_btree_map(&self) -> BTreeMap<K, V>
+    pub(crate) fn to_btree_map(&self) -> BTreeMap<K, V>
     where
         V: Clone,
     {
@@ -505,9 +484,7 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.get(w(2)), Some(&"c"));
         assert_eq!(m.get(w(1)), None);
-        assert!(m.contains_key(w(0)));
-        *m.get_mut(w(0)).unwrap() = "d";
-        assert_eq!(m.get(w(0)), Some(&"d"));
+        assert_eq!(m.get(w(0)), Some(&"b"));
     }
 
     #[test]
@@ -527,7 +504,7 @@ mod tests {
         m.insert(w(outlier), 99);
         m.insert(w(3), 3);
         m.insert(w(0), 0);
-        let keys: Vec<u32> = m.keys().map(|k| k.raw()).collect();
+        let keys: Vec<u32> = m.iter().map(|(k, _)| k.raw()).collect();
         assert_eq!(keys, vec![0, 3, outlier]);
         assert_eq!(m.values().copied().collect::<Vec<_>>(), vec![0, 3, 99]);
         assert_eq!(m.get(w(outlier)), Some(&99));
@@ -557,7 +534,7 @@ mod tests {
         }
         m.insert(w(3100), 2);
         assert!(m.spill.is_empty() || m.spill.keys().all(|&k| k as usize >= m.slots.len()));
-        let keys: Vec<u32> = m.keys().map(|k| k.raw()).collect();
+        let keys: Vec<u32> = m.iter().map(|(k, _)| k.raw()).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted, "iteration stays ascending");

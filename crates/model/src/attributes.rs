@@ -38,7 +38,7 @@ impl AttrValue {
     /// Values of different types have similarity 0. This implements the
     /// paper's "similarity can be platform-dependent and ranges from perfect
     /// equality to threshold-based similarity" for the attribute leaves.
-    pub fn similarity(&self, other: &AttrValue) -> f64 {
+    pub(crate) fn similarity(&self, other: &AttrValue) -> f64 {
         match (self, other) {
             (AttrValue::Bool(a), AttrValue::Bool(b)) => f64::from(a == b),
             (AttrValue::Text(a), AttrValue::Text(b)) => f64::from(a == b),
@@ -95,27 +95,22 @@ impl DeclaredAttrs {
     }
 
     /// Insert or replace an attribute.
-    pub fn set(&mut self, key: &str, value: AttrValue) {
+    pub(crate) fn set(&mut self, key: &str, value: AttrValue) {
         self.attrs.insert(key.to_owned(), value);
     }
 
     /// Look up an attribute.
-    pub fn get(&self, key: &str) -> Option<&AttrValue> {
+    pub(crate) fn get(&self, key: &str) -> Option<&AttrValue> {
         self.attrs.get(key)
     }
 
     /// Number of declared attributes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.attrs.len()
     }
 
-    /// True when nothing is declared.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
-    }
-
     /// Iterate in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -188,7 +183,7 @@ impl ComputedAttrs {
     /// A fresh record for a new worker: no history yet. By convention a
     /// fresh worker has acceptance ratio and quality estimate 1.0 (the
     /// platform has no evidence against them).
-    pub fn fresh() -> Self {
+    pub(crate) fn fresh() -> Self {
         ComputedAttrs {
             acceptance_ratio: 1.0,
             quality_estimate: 1.0,
@@ -223,20 +218,6 @@ impl ComputedAttrs {
         };
         ((r + q + e) / 3.0).clamp(0.0, 1.0)
     }
-
-    /// The canonical list of computed-attribute names, used by the
-    /// transparency axioms ("the platform must disclose, for each worker w,
-    /// computed attributes C_w").
-    pub const CANONICAL_FIELDS: [&'static str; 8] = [
-        "acceptance_ratio",
-        "tasks_approved",
-        "tasks_rejected",
-        "tasks_submitted",
-        "quality_estimate",
-        "mean_approval_latency",
-        "total_earnings",
-        "sessions",
-    ];
 }
 
 #[cfg(test)]
@@ -291,7 +272,6 @@ mod tests {
     #[test]
     fn declared_attrs_accessors() {
         let mut a = DeclaredAttrs::new();
-        assert!(a.is_empty());
         a.set("k", AttrValue::Bool(true));
         assert_eq!(a.len(), 1);
         assert_eq!(a.get("k"), Some(&AttrValue::Bool(true)));

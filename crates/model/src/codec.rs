@@ -28,7 +28,7 @@ pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Append `v` as a zigzag varint.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
+pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
     put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
 }
 
@@ -89,7 +89,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Bytes left to read.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
@@ -132,7 +132,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// One raw byte.
-    pub fn byte(&mut self, what: &str) -> Result<u8, FaircrowdError> {
+    pub(crate) fn byte(&mut self, what: &str) -> Result<u8, FaircrowdError> {
         let Some(&b) = self.bytes.get(self.pos) else {
             return Err(self.err(format_args!("unexpected end of file reading {what}")));
         };
@@ -177,7 +177,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// A zigzag varint.
-    pub fn i64(&mut self, what: &str) -> Result<i64, FaircrowdError> {
+    pub(crate) fn i64(&mut self, what: &str) -> Result<i64, FaircrowdError> {
         let z = self.u64(what)?;
         Ok((z >> 1) as i64 ^ -((z & 1) as i64))
     }
@@ -191,7 +191,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// A varint that must fit `usize` — a count or a position. Callers
-    /// bound it against [`Cursor::remaining`] before allocating for it.
+    /// bound it against `Cursor::remaining` before allocating for it.
     pub fn count(&mut self, what: &str) -> Result<usize, FaircrowdError> {
         let v = self.u64(what)?;
         usize::try_from(v).map_err(|_| self.err(format_args!("{what} {v} overflows this platform")))

@@ -51,7 +51,7 @@ impl Audience {
     }
 
     /// Parse a language-level audience name.
-    pub fn from_name(s: &str) -> Option<Audience> {
+    pub(crate) fn from_name(s: &str) -> Option<Audience> {
         Audience::ALL.into_iter().find(|a| a.name() == s)
     }
 }
@@ -236,7 +236,7 @@ impl DisclosureSet {
     }
 
     /// Iterate all grants in deterministic order.
-    pub fn iter(&self) -> impl Iterator<Item = (DisclosureItem, Audience)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (DisclosureItem, Audience)> + '_ {
         self.grants.iter().copied()
     }
 

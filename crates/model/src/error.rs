@@ -96,23 +96,9 @@ pub enum FaircrowdError {
 }
 
 impl FaircrowdError {
-    /// A [`FaircrowdError::Config`] from anything displayable.
-    pub fn config(message: impl fmt::Display) -> Self {
-        FaircrowdError::Config {
-            message: message.to_string(),
-        }
-    }
-
     /// A [`FaircrowdError::Usage`] from anything displayable.
     pub fn usage(message: impl fmt::Display) -> Self {
         FaircrowdError::Usage {
-            message: message.to_string(),
-        }
-    }
-
-    /// A [`FaircrowdError::Lang`] from anything displayable.
-    pub fn lang(message: impl fmt::Display) -> Self {
-        FaircrowdError::Lang {
             message: message.to_string(),
         }
     }
@@ -235,10 +221,6 @@ mod tests {
         };
         assert!(e.to_string().contains("kos"));
         assert!(e.to_string().contains("over capacity"));
-
-        assert!(FaircrowdError::config("no workers")
-            .to_string()
-            .contains("no workers"));
     }
 
     #[test]

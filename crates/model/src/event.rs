@@ -216,46 +216,6 @@ impl EventKind {
             EventKind::WorkerQuit { .. } => "worker_quit",
         }
     }
-
-    /// The worker an event concerns, if any.
-    pub fn worker(&self) -> Option<WorkerId> {
-        match self {
-            EventKind::TaskVisible { worker, .. }
-            | EventKind::TaskAccepted { worker, .. }
-            | EventKind::WorkStarted { worker, .. }
-            | EventKind::SubmissionReceived { worker, .. }
-            | EventKind::SubmissionApproved { worker, .. }
-            | EventKind::SubmissionRejected { worker, .. }
-            | EventKind::PaymentIssued { worker, .. }
-            | EventKind::BonusPromised { worker, .. }
-            | EventKind::BonusPaid { worker, .. }
-            | EventKind::BonusReneged { worker, .. }
-            | EventKind::WorkInterrupted { worker, .. }
-            | EventKind::WorkerFlagged { worker, .. }
-            | EventKind::DisclosureShown { worker, .. }
-            | EventKind::SessionStarted { worker }
-            | EventKind::SessionEnded { worker }
-            | EventKind::WorkerQuit { worker, .. } => Some(*worker),
-            EventKind::TaskPosted { .. } | EventKind::TaskCanceled { .. } => None,
-        }
-    }
-
-    /// The task an event concerns, if any.
-    pub fn task(&self) -> Option<TaskId> {
-        match self {
-            EventKind::TaskPosted { task, .. }
-            | EventKind::TaskVisible { task, .. }
-            | EventKind::TaskAccepted { task, .. }
-            | EventKind::WorkStarted { task, .. }
-            | EventKind::SubmissionReceived { task, .. }
-            | EventKind::SubmissionApproved { task, .. }
-            | EventKind::SubmissionRejected { task, .. }
-            | EventKind::PaymentIssued { task, .. }
-            | EventKind::TaskCanceled { task, .. }
-            | EventKind::WorkInterrupted { task, .. } => Some(*task),
-            _ => None,
-        }
-    }
 }
 
 /// The first integrity defect found in an event log: *which* entry broke
@@ -290,7 +250,7 @@ pub enum LogDefect {
 
 impl LogDefect {
     /// Log position (0-based) of the offending entry.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         match self {
             LogDefect::SparseSeq { index, .. } | LogDefect::TimeRegression { index, .. } => *index,
         }
@@ -551,24 +511,6 @@ mod tests {
         });
         assert_eq!(log.len(), 1);
         assert!(log.validate().is_ok());
-    }
-
-    #[test]
-    fn worker_and_task_extraction() {
-        let k = EventKind::PaymentIssued {
-            submission: SubmissionId::new(1),
-            task: TaskId::new(2),
-            worker: WorkerId::new(3),
-            amount: Credits::from_cents(10),
-        };
-        assert_eq!(k.worker(), Some(WorkerId::new(3)));
-        assert_eq!(k.task(), Some(TaskId::new(2)));
-        let p = EventKind::TaskPosted {
-            task: TaskId::new(0),
-            requester: RequesterId::new(0),
-        };
-        assert_eq!(p.worker(), None);
-        assert_eq!(p.task(), Some(TaskId::new(0)));
     }
 
     #[test]

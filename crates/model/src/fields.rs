@@ -14,7 +14,7 @@ use crate::money::Credits;
 use crate::time::SimDuration;
 
 /// The field `key`, or an error naming it.
-pub fn require<'a>(
+pub(crate) fn require<'a>(
     json: &'a Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -39,7 +39,7 @@ pub fn u64_field(
 }
 
 /// The field `key` as a signed integer.
-pub fn i64_field(
+pub(crate) fn i64_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -54,7 +54,7 @@ pub fn i64_field(
 }
 
 /// The field `key` as a 32-bit id.
-pub fn u32_field(
+pub(crate) fn u32_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -66,7 +66,11 @@ pub fn u32_field(
 }
 
 /// The field `key` as a byte.
-pub fn u8_field(json: &Json, key: &str, ctx: impl std::fmt::Display) -> Result<u8, FaircrowdError> {
+pub(crate) fn u8_field(
+    json: &Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<u8, FaircrowdError> {
     let raw = u64_field(json, key, &ctx)?;
     u8::try_from(raw).map_err(|_| {
         FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit a byte"))
@@ -134,7 +138,7 @@ pub fn arr_field<'a>(
 }
 
 /// The field `key` as integer millicents.
-pub fn credits_field(
+pub(crate) fn credits_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -143,7 +147,7 @@ pub fn credits_field(
 }
 
 /// The field `key` as integer seconds.
-pub fn duration_field(
+pub(crate) fn duration_field(
     json: &Json,
     key: &str,
     ctx: impl std::fmt::Display,

@@ -90,39 +90,6 @@ define_id!(
     "sub"
 );
 
-/// A compact generator for dense ids, used by builders and the simulator.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct IdGen {
-    next: u32,
-}
-
-impl IdGen {
-    /// A generator starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Produce the next raw id.
-    pub fn next_raw(&mut self) -> u32 {
-        let v = self.next;
-        self.next = self
-            .next
-            .checked_add(1)
-            .expect("id space exhausted (more than u32::MAX entities)");
-        v
-    }
-
-    /// Produce the next id of any id type.
-    pub fn next_id<T: From<u32>>(&mut self) -> T {
-        T::from(self.next_raw())
-    }
-
-    /// Number of ids handed out so far.
-    pub fn count(&self) -> u32 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,17 +119,5 @@ mod tests {
         set.insert(WorkerId::new(2));
         assert_eq!(set.len(), 2);
         assert!(WorkerId::new(1) < WorkerId::new(2));
-    }
-
-    #[test]
-    fn idgen_is_dense_and_typed() {
-        let mut g = IdGen::new();
-        let a: WorkerId = g.next_id();
-        let b: WorkerId = g.next_id();
-        let c: TaskId = g.next_id();
-        assert_eq!(a, WorkerId::new(0));
-        assert_eq!(b, WorkerId::new(1));
-        assert_eq!(c, TaskId::new(2));
-        assert_eq!(g.count(), 3);
     }
 }

@@ -10,7 +10,8 @@
 //! * a set of **workers** `W = {w1, …, wp}` where each worker is a tuple
 //!   `(id_w, A_w, C_w, S_w)` — identifier, self-declared attributes,
 //!   platform-computed attributes and skill vector ([`Worker`]);
-//! * a set of **skill keywords** `S = {s1, …, sm}` ([`skills::SkillUniverse`]).
+//! * a set of **skill keywords** `S = {s1, …, sm}`, each a dense [`SkillId`];
+//!   a task's `S_t` and a worker's `S_w` are [`SkillVector`]s over them.
 //!
 //! On top of the paper's tuples, this crate provides everything the axioms
 //! quantify over: the audit-log [`event`] vocabulary, [`Contribution`]s with
@@ -56,7 +57,7 @@ pub use event::{Event, EventKind, EventLog};
 pub use ids::{CampaignId, RequesterId, SkillId, SubmissionId, TaskId, WorkerId};
 pub use money::Credits;
 pub use requester::Requester;
-pub use skills::{SkillUniverse, SkillVector};
+pub use skills::SkillVector;
 pub use task::{Task, TaskKind};
 pub use time::{SimDuration, SimTime};
 pub use trace::Trace;
@@ -72,7 +73,7 @@ pub mod prelude {
     pub use crate::ids::*;
     pub use crate::money::Credits;
     pub use crate::requester::Requester;
-    pub use crate::skills::{SkillUniverse, SkillVector};
+    pub use crate::skills::SkillVector;
     pub use crate::task::{Task, TaskKind};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::trace::Trace;

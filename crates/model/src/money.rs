@@ -26,12 +26,6 @@ impl Credits {
     /// Zero money.
     pub const ZERO: Credits = Credits(0);
 
-    /// One cent.
-    pub const CENT: Credits = Credits(MILLIS_PER_CENT);
-
-    /// One dollar.
-    pub const DOLLAR: Credits = Credits(MILLIS_PER_DOLLAR);
-
     /// Construct from raw millicents.
     pub const fn from_millicents(mc: i64) -> Self {
         Credits(mc)
@@ -66,21 +60,6 @@ impl Credits {
     /// True when the amount is exactly zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, rhs: Credits) -> Option<Credits> {
-        self.0.checked_add(rhs.0).map(Credits)
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, rhs: Credits) -> Option<Credits> {
-        self.0.checked_sub(rhs.0).map(Credits)
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, rhs: Credits) -> Credits {
-        Credits(self.0.saturating_add(rhs.0))
     }
 
     /// Scale by a non-negative factor, rounding half away from zero.
@@ -206,7 +185,6 @@ mod tests {
     fn constructors_and_units() {
         assert_eq!(Credits::from_cents(5).millicents(), 5_000);
         assert_eq!(Credits::from_dollars(2).millicents(), 200_000);
-        assert_eq!(Credits::DOLLAR, Credits::from_cents(100));
     }
 
     #[test]
@@ -258,16 +236,6 @@ mod tests {
         assert_eq!(
             Credits::from_cents(5).max(Credits::from_cents(8)),
             Credits::from_cents(8)
-        );
-    }
-
-    #[test]
-    fn checked_ops_catch_overflow() {
-        assert!(Credits(i64::MAX).checked_add(Credits(1)).is_none());
-        assert!(Credits(i64::MIN).checked_sub(Credits(1)).is_none());
-        assert_eq!(
-            Credits(i64::MAX).saturating_add(Credits(1)),
-            Credits(i64::MAX)
         );
     }
 }

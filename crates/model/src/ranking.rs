@@ -10,7 +10,7 @@
 /// order, best-first). Uses the standard log-discount formulation
 /// `DCG = Σ_{i≥1} rel_i / log2(i + 1)` with 1-based rank `i`, so the
 /// discount is active from rank 2 onward.
-pub fn dcg(relevances: &[f64]) -> f64 {
+pub(crate) fn dcg(relevances: &[f64]) -> f64 {
     relevances
         .iter()
         .enumerate()

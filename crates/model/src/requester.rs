@@ -15,9 +15,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Requester {
     /// Unique requester identifier `id_r`.
-    pub id: RequesterId,
+    pub(crate) id: RequesterId,
     /// Display name for reports.
-    pub name: String,
+    pub(crate) name: String,
     /// Submissions approved.
     pub approved: u64,
     /// Submissions rejected.
@@ -45,71 +45,5 @@ impl Requester {
             bonuses_promised: 0,
             bonuses_paid: 0,
         }
-    }
-
-    /// Fraction of judged submissions that were approved (1.0 with no
-    /// history — no evidence against the requester).
-    pub fn approval_rate(&self) -> f64 {
-        let judged = self.approved + self.rejected;
-        if judged == 0 {
-            1.0
-        } else {
-            self.approved as f64 / judged as f64
-        }
-    }
-
-    /// Fraction of rejections that carried feedback (1.0 with none).
-    pub fn feedback_rate(&self) -> f64 {
-        if self.rejected == 0 {
-            1.0
-        } else {
-            self.rejections_with_feedback as f64 / self.rejected as f64
-        }
-    }
-
-    /// Fraction of promised bonuses that were honoured (1.0 with none).
-    pub fn bonus_honour_rate(&self) -> f64 {
-        if self.bonuses_promised == 0 {
-            1.0
-        } else {
-            self.bonuses_paid as f64 / self.bonuses_promised as f64
-        }
-    }
-
-    /// A Turkopticon-style 0–5 community rating: mean of approval rate,
-    /// feedback rate and bonus honour rate, scaled to 5.
-    pub fn community_rating(&self) -> f64 {
-        5.0 * (self.approval_rate() + self.feedback_rate() + self.bonus_honour_rate()) / 3.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fresh_requester_has_perfect_rates() {
-        let r = Requester::new(RequesterId::new(0), "acme");
-        assert_eq!(r.approval_rate(), 1.0);
-        assert_eq!(r.feedback_rate(), 1.0);
-        assert_eq!(r.bonus_honour_rate(), 1.0);
-        assert!((r.community_rating() - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rates_reflect_history() {
-        let mut r = Requester::new(RequesterId::new(1), "sloppy");
-        r.approved = 60;
-        r.rejected = 40;
-        r.rejections_with_feedback = 10;
-        r.bonuses_promised = 4;
-        r.bonuses_paid = 1;
-        assert!((r.approval_rate() - 0.6).abs() < 1e-12);
-        assert!((r.feedback_rate() - 0.25).abs() < 1e-12);
-        assert!((r.bonus_honour_rate() - 0.25).abs() < 1e-12);
-        let rating = r.community_rating();
-        assert!(rating > 0.0 && rating < 5.0);
-        // (0.6 + 0.25 + 0.25)/3 * 5
-        assert!((rating - 5.0 * (1.1 / 3.0)).abs() < 1e-9);
     }
 }

@@ -25,14 +25,6 @@ pub enum SkillMeasure {
 }
 
 impl SkillMeasure {
-    /// All kernels, for ablations.
-    pub const ALL: [SkillMeasure; 4] = [
-        SkillMeasure::Exact,
-        SkillMeasure::Cosine,
-        SkillMeasure::Jaccard,
-        SkillMeasure::Dice,
-    ];
-
     /// Apply the kernel.
     pub fn score(self, a: &SkillVector, b: &SkillVector) -> f64 {
         match self {
@@ -150,6 +142,13 @@ impl SimilarityConfig {
 mod tests {
     use super::*;
 
+    const MEASURES: [SkillMeasure; 4] = [
+        SkillMeasure::Exact,
+        SkillMeasure::Cosine,
+        SkillMeasure::Jaccard,
+        SkillMeasure::Dice,
+    ];
+
     fn v(bits: &[u8]) -> SkillVector {
         SkillVector::from_bools(bits.iter().map(|&b| b == 1))
     }
@@ -166,7 +165,7 @@ mod tests {
     #[test]
     fn kernels_agree_on_identical_inputs() {
         let a = v(&[1, 1, 0, 1]);
-        for m in SkillMeasure::ALL {
+        for m in MEASURES {
             assert!(
                 (m.score(&a, &a) - 1.0).abs() < 1e-12,
                 "{} should be 1 on identical vectors",
@@ -178,7 +177,7 @@ mod tests {
     #[test]
     fn kernels_are_bounded_and_symmetric() {
         let xs = [v(&[1, 0, 0]), v(&[1, 1, 0]), v(&[0, 0, 0]), v(&[1, 1, 1])];
-        for m in SkillMeasure::ALL {
+        for m in MEASURES {
             for a in &xs {
                 for b in &xs {
                     let s = m.score(a, b);
@@ -205,7 +204,7 @@ mod tests {
                 ])
             })
             .collect();
-        for m in SkillMeasure::ALL {
+        for m in MEASURES {
             for t in [0.0, 0.3, 0.7, 0.85, 0.9, 1.0] {
                 for a in &vecs {
                     for b in &vecs {

@@ -5,101 +5,13 @@
 //! worker a Boolean interest vector `S_w`. "Skill keywords may be
 //! interpreted as expected workers' interests or qualifications" (§3.2).
 //!
-//! [`SkillUniverse`] interns keyword strings to dense [`SkillId`]s;
-//! [`SkillVector`] is a bitset over that universe with the set algebra and
-//! similarity kernels (cosine, Jaccard, Dice, Hamming) that Axioms 1–2 need.
+//! Keywords are dense [`SkillId`]s; [`SkillVector`] is a bitset over them
+//! with the set algebra and similarity kernels (cosine, Jaccard, Dice,
+//! Hamming) that Axioms 1–2 need.
 
 use crate::ids::SkillId;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
-
-/// The interned set of skill keywords `S = {s1, …, sm}`.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct SkillUniverse {
-    names: Vec<String>,
-    by_name: HashMap<String, SkillId>,
-}
-
-impl SkillUniverse {
-    /// An empty universe.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build a universe from a list of keywords (duplicates are merged).
-    pub fn from_keywords<I, S>(keywords: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut u = Self::new();
-        for k in keywords {
-            u.intern(k.as_ref());
-        }
-        u
-    }
-
-    /// Intern a keyword, returning its id (existing id if already present).
-    pub fn intern(&mut self, name: &str) -> SkillId {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
-        }
-        let id = SkillId::new(self.names.len() as u32);
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
-        id
-    }
-
-    /// Look up a keyword without interning.
-    pub fn get(&self, name: &str) -> Option<SkillId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// The keyword for an id, if in range.
-    pub fn name(&self, id: SkillId) -> Option<&str> {
-        self.names.get(id.index()).map(String::as_str)
-    }
-
-    /// Number of keywords `m`.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when no keywords have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// Iterate over `(id, keyword)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (SkillId, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (SkillId::new(i as u32), n.as_str()))
-    }
-
-    /// A fresh all-false vector sized for this universe.
-    pub fn empty_vector(&self) -> SkillVector {
-        SkillVector::with_len(self.len())
-    }
-
-    /// Build a vector with the given keywords set (interning new ones is
-    /// **not** done here; unknown keywords are ignored).
-    pub fn vector_of<I, S>(&self, keywords: I) -> SkillVector
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut v = self.empty_vector();
-        for k in keywords {
-            if let Some(id) = self.get(k.as_ref()) {
-                v.set(id, true);
-            }
-        }
-        v
-    }
-}
 
 const WORD_BITS: usize = 64;
 
@@ -131,17 +43,12 @@ impl SkillVector {
     }
 
     /// Number of dimensions `m`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// True when the vector has zero dimensions.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Read one bit; out-of-range ids are reported as `false`.
-    pub fn get(&self, id: SkillId) -> bool {
+    pub(crate) fn get(&self, id: SkillId) -> bool {
         let i = id.index();
         if i >= self.len {
             return false;
@@ -169,13 +76,6 @@ impl SkillVector {
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Ids of set bits, ascending.
-    pub fn iter_set(&self) -> impl Iterator<Item = SkillId> + '_ {
-        (0..self.len)
-            .map(|i| SkillId::new(i as u32))
-            .filter(move |id| self.get(*id))
     }
 
     /// Size of the intersection with another vector.
@@ -287,30 +187,6 @@ mod tests {
 
     fn v(bits: &[u8]) -> SkillVector {
         SkillVector::from_bools(bits.iter().map(|&b| b == 1))
-    }
-
-    #[test]
-    fn universe_interning() {
-        let mut u = SkillUniverse::new();
-        let a = u.intern("translation");
-        let b = u.intern("image-labeling");
-        let a2 = u.intern("translation");
-        assert_eq!(a, a2);
-        assert_ne!(a, b);
-        assert_eq!(u.len(), 2);
-        assert_eq!(u.name(a), Some("translation"));
-        assert_eq!(u.get("image-labeling"), Some(b));
-        assert_eq!(u.get("nope"), None);
-    }
-
-    #[test]
-    fn universe_vector_of() {
-        let u = SkillUniverse::from_keywords(["a", "b", "c"]);
-        let v = u.vector_of(["a", "c", "unknown"]);
-        assert_eq!(v.count(), 2);
-        assert!(v.get(u.get("a").unwrap()));
-        assert!(!v.get(u.get("b").unwrap()));
-        assert!(v.get(u.get("c").unwrap()));
     }
 
     #[test]

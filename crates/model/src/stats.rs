@@ -1,8 +1,8 @@
 //! Statistical helpers shared across the workspace.
 //!
 //! The validation protocol (§4.1) asks for *objective measures* of fairness
-//! and transparency. The inequality indices here (Gini, Atkinson, Theil,
-//! Jain) quantify how unevenly exposure, wages or rewards are distributed;
+//! and transparency. The inequality indices here (Gini, Theil, Jain)
+//! quantify how unevenly exposure, wages or rewards are distributed;
 //! the summary helpers support every experiment table.
 
 /// Arithmetic mean; 0.0 for an empty slice.
@@ -53,15 +53,6 @@ impl RunningMean {
         }
         self.sum / self.len as f64
     }
-}
-
-/// Population standard deviation; 0.0 for fewer than two values.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(xs);
-    (xs.iter().map(|x| (x - m).powi(2)).sum::<f64>() / xs.len() as f64).sqrt()
 }
 
 /// p-th percentile (0–100) by linear interpolation; 0.0 for empty input.
@@ -116,35 +107,6 @@ pub fn gini(xs: &[f64]) -> f64 {
     (2.0 * weighted / (n as f64 * total) - (n as f64 + 1.0) / n as f64).clamp(0.0, 1.0)
 }
 
-/// Atkinson inequality index with aversion parameter `eps > 0` (≠ 1 uses
-/// the power form, 1.0 uses the geometric-mean form). 0 = equal.
-pub fn atkinson(xs: &[f64], eps: f64) -> f64 {
-    let n = xs.len();
-    if n == 0 {
-        return 0.0;
-    }
-    debug_assert!(eps > 0.0, "atkinson aversion must be positive");
-    let m = mean(xs);
-    if m == 0.0 {
-        return 0.0;
-    }
-    if (eps - 1.0).abs() < 1e-12 {
-        // 1 - geometric mean / mean; zero incomes push the index to 1.
-        if xs.iter().any(|&x| x <= 0.0) {
-            return 1.0;
-        }
-        let log_mean = xs.iter().map(|&x| x.ln()).sum::<f64>() / n as f64;
-        (1.0 - log_mean.exp() / m).clamp(0.0, 1.0)
-    } else {
-        let s = xs
-            .iter()
-            .map(|&x| (x / m).max(0.0).powf(1.0 - eps))
-            .sum::<f64>()
-            / n as f64;
-        (1.0 - s.powf(1.0 / (1.0 - eps))).clamp(0.0, 1.0)
-    }
-}
-
 /// Theil T index (≥ 0; 0 = equal). Zero values contribute zero (x·ln x → 0).
 pub fn theil(xs: &[f64]) -> f64 {
     let n = xs.len();
@@ -178,65 +140,14 @@ pub fn jain_index(xs: &[f64]) -> f64 {
     (sum * sum) / (n as f64 * sum_sq)
 }
 
-/// Five-number summary plus mean, used by experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub n: usize,
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Mean.
-    pub mean: f64,
-}
-
-impl Summary {
-    /// Summarise a sample; an empty sample yields all zeros.
-    pub fn of(xs: &[f64]) -> Summary {
-        if xs.is_empty() {
-            return Summary {
-                n: 0,
-                min: 0.0,
-                p25: 0.0,
-                median: 0.0,
-                p75: 0.0,
-                max: 0.0,
-                mean: 0.0,
-            };
-        }
-        let mut v = xs.to_vec();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
-        Summary {
-            n: v.len(),
-            min: v[0],
-            p25: percentile(&v, 25.0),
-            median: percentile(&v, 50.0),
-            p75: percentile(&v, 75.0),
-            max: v[v.len() - 1],
-            mean: mean(&v),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_known_values() {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
-        assert_eq!(stddev(&[5.0]), 0.0);
-        // population stddev of 2,4,4,4,5,5,7,9 is 2
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((stddev(&xs) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -289,18 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn atkinson_behaviour() {
-        assert!((atkinson(&[2.0, 2.0, 2.0], 0.5)).abs() < 1e-12);
-        let a = atkinson(&[1.0, 9.0], 0.5);
-        assert!(a > 0.0 && a < 1.0);
-        // eps = 1 branch with a zero income saturates
-        assert_eq!(atkinson(&[0.0, 5.0], 1.0), 1.0);
-        let a1 = atkinson(&[2.0, 8.0], 1.0);
-        assert!(a1 > 0.0 && a1 < 1.0);
-        assert_eq!(atkinson(&[], 0.5), 0.0);
-    }
-
-    #[test]
     fn theil_behaviour() {
         assert!((theil(&[3.0, 3.0, 3.0])).abs() < 1e-12);
         assert!(theil(&[1.0, 999.0]) > theil(&[400.0, 600.0]));
@@ -315,18 +214,5 @@ mod tests {
         assert!((jain_index(&[5.0, 5.0, 5.0]) - 1.0).abs() < 1e-12);
         // one of n gets everything -> 1/n
         assert!((jain_index(&[0.0, 0.0, 0.0, 8.0]) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_of_sample() {
-        let s = Summary::of(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(s.n, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.median - 2.5).abs() < 1e-12);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        let empty = Summary::of(&[]);
-        assert_eq!(empty.n, 0);
-        assert_eq!(empty.mean, 0.0);
     }
 }

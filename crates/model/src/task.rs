@@ -35,7 +35,7 @@ pub enum TaskKind {
 
 impl TaskKind {
     /// Short name used in reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TaskKind::Labeling { .. } => "labeling",
             TaskKind::FreeText => "free-text",
@@ -78,7 +78,7 @@ impl TaskConditions {
     }
 
     /// Number of the five Axiom-6 obligations that are disclosed.
-    pub fn disclosed_count(&self) -> usize {
+    pub(crate) fn disclosed_count(&self) -> usize {
         usize::from(self.stated_hourly_wage.is_some())
             + usize::from(self.stated_payment_delay.is_some())
             + usize::from(self.recruitment_criteria.is_some())
@@ -117,15 +117,6 @@ pub struct Task {
 }
 
 impl Task {
-    /// Reward per estimated hour — the implied hourly wage of the task.
-    pub fn implied_hourly_wage(&self) -> Credits {
-        let hours = self.est_duration.as_hours_f64();
-        if hours <= 0.0 {
-            return self.reward;
-        }
-        self.reward.mul_f64(1.0 / hours)
-    }
-
     /// The paper's Axiom-2 "comparable reward" test: rewards within
     /// `tolerance` (relative) of each other.
     pub fn reward_comparable(&self, other: &Task, tolerance: f64) -> bool {
@@ -175,18 +166,6 @@ impl TaskBuilder {
         self
     }
 
-    /// Set the number of assignments wanted.
-    pub fn assignments(mut self, n: u32) -> Self {
-        self.task.assignments_wanted = n;
-        self
-    }
-
-    /// Set the estimated honest completion time.
-    pub fn duration(mut self, d: SimDuration) -> Self {
-        self.task.est_duration = d;
-        self
-    }
-
     /// Set the disclosed working conditions.
     pub fn conditions(mut self, c: TaskConditions) -> Self {
         self.task.conditions = c;
@@ -204,37 +183,26 @@ mod tests {
     use super::*;
     use crate::skills::SkillVector;
 
-    fn t(reward_cents: i64, mins: u64) -> Task {
+    fn t(reward_cents: i64) -> Task {
         TaskBuilder::new(
             TaskId::new(0),
             RequesterId::new(0),
             SkillVector::with_len(4),
             Credits::from_cents(reward_cents),
         )
-        .duration(SimDuration::from_mins(mins))
         .build()
     }
 
     #[test]
-    fn implied_hourly_wage() {
-        // 10 cents for 5 minutes -> $1.20/hour
-        let task = t(10, 5);
-        assert_eq!(task.implied_hourly_wage(), Credits::from_cents(120));
-        // zero duration falls back to reward
-        let z = t(10, 0);
-        assert_eq!(z.implied_hourly_wage(), Credits::from_cents(10));
-    }
-
-    #[test]
     fn reward_comparability() {
-        let a = t(100, 5);
-        let b = t(95, 5);
-        let c = t(30, 5);
+        let a = t(100);
+        let b = t(95);
+        let c = t(30);
         assert!(a.reward_comparable(&b, 0.10));
         assert!(!a.reward_comparable(&c, 0.10));
         // zero rewards are comparable
-        let z1 = t(0, 5);
-        let z2 = t(0, 5);
+        let z1 = t(0);
+        let z2 = t(0);
         assert!(z1.reward_comparable(&z2, 0.0));
     }
 
@@ -262,11 +230,9 @@ mod tests {
         )
         .campaign(CampaignId::new(3))
         .kind(TaskKind::Ranking { items: 5 })
-        .assignments(9)
         .build();
         assert_eq!(task.id, TaskId::new(7));
         assert_eq!(task.campaign, CampaignId::new(3));
-        assert_eq!(task.assignments_wanted, 9);
         assert_eq!(task.kind.name(), "ranking");
     }
 

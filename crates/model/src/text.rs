@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 /// A frequency profile of character n-grams.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct NgramProfile {
+pub(crate) struct NgramProfile {
     n: usize,
     counts: HashMap<Vec<u8>, u32>,
     total: u64,
@@ -24,7 +24,7 @@ impl NgramProfile {
     /// spaces first (Damashek's normalisation), so formatting differences
     /// do not masquerade as content differences. Texts shorter than `n`
     /// produce an empty profile.
-    pub fn build(text: &str, n: usize) -> Self {
+    pub(crate) fn build(text: &str, n: usize) -> Self {
         assert!(n > 0, "n-gram size must be positive");
         let norm = normalize(text);
         let bytes = norm.as_bytes();
@@ -39,27 +39,12 @@ impl NgramProfile {
         NgramProfile { n, counts, total }
     }
 
-    /// Number of distinct n-grams.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total n-gram occurrences.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// The n-gram size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Cosine similarity between two profiles in `[0, 1]`.
     ///
     /// Both-empty profiles are identical (1.0); one-empty pairs are
     /// dissimilar (0.0). Profiles built with different `n` are
     /// incomparable and return 0.0.
-    pub fn cosine(&self, other: &NgramProfile) -> f64 {
+    pub(crate) fn cosine(&self, other: &NgramProfile) -> f64 {
         if self.n != other.n {
             return 0.0;
         }
@@ -166,15 +151,6 @@ mod tests {
         assert_eq!(ngram_cosine("abcdef", "", 3), 0.0);
         assert_eq!(ngram_cosine("ab", "ab", 3), 1.0); // both shorter than n -> both empty
         assert_eq!(ngram_cosine("ab", "abcdef", 3), 0.0);
-    }
-
-    #[test]
-    fn profile_statistics() {
-        let p = NgramProfile::build("aaaa", 2);
-        // "aaaa" -> windows: aa,aa,aa
-        assert_eq!(p.total(), 3);
-        assert_eq!(p.distinct(), 1);
-        assert_eq!(p.n(), 2);
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl SimDuration {
     }
 
     /// Saturating duration addition.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimDuration {
+    pub(crate) fn saturating_add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(rhs.0))
     }
 

@@ -12,7 +12,7 @@ use crate::arena::{DenseIdMap, IdSet};
 use crate::contribution::Submission;
 use crate::disclosure::DisclosureSet;
 use crate::event::{Event, EventKind, EventLog, QuitReason};
-use crate::ids::{RequesterId, SubmissionId, TaskId, WorkerId};
+use crate::ids::{SubmissionId, TaskId, WorkerId};
 use crate::money::Credits;
 use crate::requester::Requester;
 use crate::task::Task;
@@ -115,19 +115,9 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Look up a worker by id.
-    pub fn worker(&self, id: WorkerId) -> Option<&Worker> {
-        self.workers.iter().find(|w| w.id == id)
-    }
-
     /// Look up a task by id.
     pub fn task(&self, id: TaskId) -> Option<&Task> {
         self.tasks.iter().find(|t| t.id == id)
-    }
-
-    /// Look up a requester by id.
-    pub fn requester(&self, id: RequesterId) -> Option<&Requester> {
-        self.requesters.iter().find(|r| r.id == id)
     }
 
     /// Look up a submission by id.
@@ -214,7 +204,7 @@ impl Trace {
     }
 
     /// Events of one kind, via a filter-map projection.
-    pub fn events_where<'a, T, F>(&'a self, f: F) -> Vec<T>
+    pub(crate) fn events_where<'a, T, F>(&'a self, f: F) -> Vec<T>
     where
         F: Fn(&'a Event) -> Option<T> + 'a,
     {
@@ -286,6 +276,7 @@ mod tests {
     use super::*;
     use crate::attributes::DeclaredAttrs;
     use crate::contribution::Contribution;
+    use crate::ids::RequesterId;
     use crate::skills::SkillVector;
     use crate::task::TaskBuilder;
 
@@ -377,10 +368,7 @@ mod tests {
     #[test]
     fn lookups_work() {
         let trace = tiny_trace();
-        assert!(trace.worker(WorkerId::new(1)).is_some());
-        assert!(trace.worker(WorkerId::new(9)).is_none());
         assert!(trace.task(TaskId::new(0)).is_some());
-        assert!(trace.requester(RequesterId::new(0)).is_some());
         assert!(trace.submission(SubmissionId::new(0)).is_some());
     }
 

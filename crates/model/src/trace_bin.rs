@@ -32,7 +32,7 @@
 //! are varint seconds, floats are their IEEE-754 bits little-endian —
 //! exactly the JSON schema's value conventions, re-spelled in binary,
 //! so the two formats decode to identical [`Trace`]s and share
-//! [`SCHEMA_NAME`]/[`SCHEMA_VERSION`].
+//! [`SCHEMA_NAME`]/`SCHEMA_VERSION`.
 //!
 //! The primitives live in [`crate::codec`], shared with the daemon's
 //! checkpoint format. Decoding never panics and never trusts a length:

@@ -21,7 +21,7 @@
 //! ([`SimTime`]/[`SimDuration`]), skill vectors are `0`/`1` strings, and
 //! enum-like values use their existing canonical names
 //! ([`EventKind::tag`], [`DisclosureItem::name`], [`Audience::name`],
-//! [`TaskKind::name`]). Floats print in Rust's shortest round-trip form,
+//! `TaskKind::name`). Floats print in Rust's shortest round-trip form,
 //! so encode → decode → encode is byte-identical — the invariant the
 //! replay tests pin.
 //!
@@ -55,7 +55,7 @@ use std::fmt;
 pub const SCHEMA_NAME: &str = "faircrowd-trace";
 
 /// The schema version this build writes and reads.
-pub const SCHEMA_VERSION: u64 = 1;
+pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -594,7 +594,7 @@ impl JsonlReader {
     }
 
     /// Consume the reader, keeping the decoded header (if one arrived).
-    pub fn into_header(self) -> Option<JsonlHeader> {
+    pub(crate) fn into_header(self) -> Option<JsonlHeader> {
         self.header
     }
 

@@ -39,22 +39,11 @@ impl Worker {
     pub fn qualifies_for(&self, task: &Task) -> bool {
         self.skills.covers(&task.skills)
     }
-
-    /// Composite worker-to-worker similarity used by Axiom 1: the minimum
-    /// of the three component similarities (A_w, C_w, S_w). Axiom 1 fires
-    /// only when **all three** are similar, so the weakest link governs.
-    pub fn similarity(&self, other: &Worker) -> f64 {
-        let a = self.declared.similarity(&other.declared);
-        let c = self.computed.similarity(&other.computed);
-        let s = self.skills.cosine(&other.skills);
-        a.min(c).min(s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attributes::AttrValue;
     use crate::ids::{RequesterId, TaskId};
     use crate::money::Credits;
     use crate::skills::SkillVector;
@@ -87,35 +76,5 @@ mod tests {
         .build();
         assert!(w.qualifies_for(&easy));
         assert!(!w.qualifies_for(&hard));
-    }
-
-    #[test]
-    fn identical_workers_have_similarity_one() {
-        let a = worker(0, &[1, 0, 1]);
-        let mut b = worker(1, &[1, 0, 1]);
-        b.declared = a.declared.clone();
-        b.computed = a.computed.clone();
-        assert!((a.similarity(&b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weakest_component_governs_similarity() {
-        // Same skills and computed stats, different declared attributes.
-        let mut a = worker(0, &[1, 1, 0]);
-        let mut b = worker(1, &[1, 1, 0]);
-        a.declared.set("country", AttrValue::Text("PH".into()));
-        b.declared.set("country", AttrValue::Text("FR".into()));
-        // declared similarity is 0 -> overall similarity is 0
-        assert_eq!(a.similarity(&b), 0.0);
-    }
-
-    #[test]
-    fn skill_divergence_lowers_similarity() {
-        let a = worker(0, &[1, 1, 0, 0]);
-        let b = worker(1, &[1, 0, 1, 0]);
-        let s = a.similarity(&b);
-        assert!(s > 0.0 && s < 1.0);
-        // equals the cosine of the skill vectors since A and C match
-        assert!((s - 0.5).abs() < 1e-12);
     }
 }

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 
 /// One ledger movement.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LedgerEntry {
+pub(crate) enum LedgerEntry {
     /// A requester funded a payment to a worker for a submission.
     Payment {
         /// Paying requester.
@@ -44,7 +44,7 @@ pub enum LedgerEntry {
 
 impl LedgerEntry {
     /// The amount moved.
-    pub fn amount(&self) -> Credits {
+    pub(crate) fn amount(&self) -> Credits {
         match self {
             LedgerEntry::Payment { amount, .. } | LedgerEntry::Bonus { amount, .. } => *amount,
         }
@@ -55,15 +55,15 @@ impl LedgerEntry {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PendingDecision {
     /// The submission.
-    pub submission: SubmissionId,
+    pub(crate) submission: SubmissionId,
     /// Who submitted.
-    pub worker: WorkerId,
+    pub(crate) worker: WorkerId,
     /// Which requester owes the decision.
-    pub requester: RequesterId,
+    pub(crate) requester: RequesterId,
     /// When the work arrived.
-    pub submitted_at: SimTime,
+    pub(crate) submitted_at: SimTime,
     /// When the platform will auto-approve absent a decision.
-    pub auto_approve_at: SimTime,
+    pub(crate) auto_approve_at: SimTime,
 }
 
 /// Append-only payment ledger with an approval pipeline.
@@ -108,22 +108,6 @@ impl Ledger {
     /// still be compensated by enforcement middleware.
     pub fn resolve(&mut self, submission: SubmissionId) -> Option<PendingDecision> {
         self.pending.remove(&submission)
-    }
-
-    /// Submissions whose auto-approval deadline has passed at `now`.
-    pub fn due_auto_approvals(&self, now: SimTime) -> Vec<PendingDecision> {
-        self.pending
-            .values()
-            .filter(|p| p.auto_approve_at <= now)
-            .copied()
-            .collect()
-    }
-
-    /// Pending decisions, oldest first.
-    pub fn pending(&self) -> Vec<PendingDecision> {
-        let mut v: Vec<PendingDecision> = self.pending.values().copied().collect();
-        v.sort_by_key(|p| (p.submitted_at, p.submission));
-        v
     }
 
     /// Record a payment for a submission.
@@ -182,32 +166,6 @@ impl Ledger {
             .or_insert(Credits::ZERO) += amount;
     }
 
-    /// A worker's total earnings.
-    pub fn balance(&self, worker: WorkerId) -> Credits {
-        self.worker_balance
-            .get(&worker)
-            .copied()
-            .unwrap_or(Credits::ZERO)
-    }
-
-    /// A requester's total spend.
-    pub fn spend(&self, requester: RequesterId) -> Credits {
-        self.requester_spend
-            .get(&requester)
-            .copied()
-            .unwrap_or(Credits::ZERO)
-    }
-
-    /// All entries in order.
-    pub fn entries(&self) -> &[LedgerEntry] {
-        &self.entries
-    }
-
-    /// Earnings per worker (all workers that ever earned).
-    pub fn worker_balances(&self) -> &BTreeMap<WorkerId, Credits> {
-        &self.worker_balance
-    }
-
     /// Conservation invariant: total worker earnings equal total requester
     /// spend equal the sum of entries. A violation means the ledger code
     /// itself is broken — callers may assert on this after any batch.
@@ -233,6 +191,14 @@ mod tests {
         SubmissionId::new(i)
     }
 
+    /// A worker's total earnings.
+    pub(super) fn balance(l: &Ledger, worker: WorkerId) -> Credits {
+        l.worker_balance
+            .get(&worker)
+            .copied()
+            .unwrap_or(Credits::ZERO)
+    }
+
     #[test]
     fn submit_resolve_pipeline() {
         let mut l = Ledger::new();
@@ -243,15 +209,11 @@ mod tests {
             SimTime::from_secs(100),
             SimDuration::from_hours(1),
         );
-        assert_eq!(l.pending().len(), 1);
-        assert!(l.due_auto_approvals(SimTime::from_secs(200)).is_empty());
-        let due = l.due_auto_approvals(SimTime::from_secs(100 + 3600));
-        assert_eq!(due.len(), 1);
-        assert_eq!(due[0].submission, s(0));
+        assert_eq!(l.pending.len(), 1);
         let p = l.resolve(s(0)).unwrap();
         assert_eq!(p.worker, w(0));
         assert!(l.resolve(s(0)).is_none(), "already resolved");
-        assert!(l.pending().is_empty());
+        assert!(l.pending.is_empty());
     }
 
     #[test]
@@ -260,11 +222,11 @@ mod tests {
         l.pay(r(0), w(0), s(0), Credits::from_cents(10), SimTime::ZERO);
         l.pay(r(0), w(1), s(1), Credits::from_cents(5), SimTime::ZERO);
         l.pay_bonus(r(1), w(0), Credits::from_cents(3), SimTime::ZERO);
-        assert_eq!(l.balance(w(0)), Credits::from_cents(13));
-        assert_eq!(l.balance(w(1)), Credits::from_cents(5));
-        assert_eq!(l.spend(r(0)), Credits::from_cents(15));
-        assert_eq!(l.spend(r(1)), Credits::from_cents(3));
-        assert_eq!(l.entries().len(), 3);
+        assert_eq!(balance(&l, w(0)), Credits::from_cents(13));
+        assert_eq!(balance(&l, w(1)), Credits::from_cents(5));
+        assert_eq!(l.requester_spend[&r(0)], Credits::from_cents(15));
+        assert_eq!(l.requester_spend[&r(1)], Credits::from_cents(3));
+        assert_eq!(l.entries.len(), 3);
         assert!(l.conserves());
     }
 
@@ -273,8 +235,8 @@ mod tests {
         let mut l = Ledger::new();
         l.pay(r(0), w(0), s(0), Credits::ZERO, SimTime::ZERO);
         l.pay_bonus(r(0), w(0), Credits::ZERO, SimTime::ZERO);
-        assert!(l.entries().is_empty());
-        assert_eq!(l.balance(w(0)), Credits::ZERO);
+        assert!(l.entries.is_empty());
+        assert_eq!(balance(&l, w(0)), Credits::ZERO);
         assert!(l.conserves());
     }
 
@@ -283,35 +245,6 @@ mod tests {
     fn negative_payment_rejected() {
         let mut l = Ledger::new();
         l.pay(r(0), w(0), s(0), Credits::from_cents(-5), SimTime::ZERO);
-    }
-
-    #[test]
-    fn pending_sorted_by_submission_time() {
-        let mut l = Ledger::new();
-        l.submit(
-            s(1),
-            w(1),
-            r(0),
-            SimTime::from_secs(50),
-            SimDuration::from_hours(1),
-        );
-        l.submit(
-            s(0),
-            w(0),
-            r(0),
-            SimTime::from_secs(10),
-            SimDuration::from_hours(1),
-        );
-        let pend = l.pending();
-        assert_eq!(pend[0].submission, s(0));
-        assert_eq!(pend[1].submission, s(1));
-    }
-
-    #[test]
-    fn unknown_ids_have_zero_balance() {
-        let l = Ledger::new();
-        assert_eq!(l.balance(w(9)), Credits::ZERO);
-        assert_eq!(l.spend(r(9)), Credits::ZERO);
     }
 }
 
@@ -368,7 +301,7 @@ mod proptests {
                     .filter(|(w, _)| *w == wkr)
                     .map(|(_, a)| *a)
                     .sum();
-                prop_assert_eq!(l.balance(WorkerId::new(wkr)).millicents(), expect);
+                prop_assert_eq!(tests::balance(&l, WorkerId::new(wkr)).millicents(), expect);
             }
         }
     }

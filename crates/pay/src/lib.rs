@@ -23,7 +23,7 @@ pub mod ledger;
 pub mod scheme;
 pub mod wage;
 
-pub use ledger::{Ledger, LedgerEntry};
+pub use ledger::Ledger;
 pub use scheme::{
     split_equal, split_proportional, BonusPolicy, CompensationScheme, FixedPrice, PayContext,
     QualityBased,

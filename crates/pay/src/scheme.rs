@@ -114,16 +114,6 @@ impl BonusPolicy {
     pub fn qualifies(&self, ctx: &PayContext) -> bool {
         ctx.quality >= self.quality_threshold
     }
-
-    /// The bonus actually paid for this context (zero when reneged or
-    /// unqualified).
-    pub fn paid_amount(&self, ctx: &PayContext) -> Credits {
-        if self.qualifies(ctx) && self.honoured {
-            self.amount
-        } else {
-            Credits::ZERO
-        }
-    }
 }
 
 /// Split a collaborative task's reward into `n` equal shares (exact: the
@@ -233,10 +223,8 @@ mod tests {
         let good = ctx(10, 0.9);
         let bad = ctx(10, 0.5);
         assert!(honest.qualifies(&good));
-        assert_eq!(honest.paid_amount(&good), Credits::from_cents(50));
-        assert_eq!(honest.paid_amount(&bad), Credits::ZERO);
+        assert!(!honest.qualifies(&bad));
         assert!(reneger.qualifies(&good), "promise still made");
-        assert_eq!(reneger.paid_amount(&good), Credits::ZERO, "but not kept");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub const NAMES: [&str; 3] = ["majority", "weighted_majority", "parity_constrain
 
 /// Default demographic-parity gap bound for the `parity_constrained`
 /// registry entry: group agreement rates may differ by at most this.
-pub const DEFAULT_PARITY_GAP: f64 = 0.1;
+pub(crate) const DEFAULT_PARITY_GAP: f64 = 0.1;
 
 /// Worker-side context an aggregator may consult: reliability weights
 /// (`weighted_majority`) and declared demographic groups
@@ -61,7 +61,7 @@ pub enum AggregatorChoice {
 
 impl AggregatorChoice {
     /// Resolve a registry name (any [`canonical`] spelling) into the
-    /// choice, with [`DEFAULT_PARITY_GAP`] for `parity_constrained`.
+    /// choice, with `DEFAULT_PARITY_GAP` for `parity_constrained`.
     /// Unknown names report [`FaircrowdError::UnknownAggregator`]
     /// listing the registry.
     pub fn by_name(name: &str) -> Result<Self, FaircrowdError> {

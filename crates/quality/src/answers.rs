@@ -38,7 +38,7 @@ impl AnswerSet {
     }
 
     /// Number of label classes.
-    pub fn classes(&self) -> u8 {
+    pub(crate) fn classes(&self) -> u8 {
         self.classes
     }
 
@@ -78,7 +78,7 @@ impl AnswerSet {
     }
 
     /// Answers grouped by worker.
-    pub fn by_worker(&self) -> BTreeMap<WorkerId, Vec<Answer>> {
+    pub(crate) fn by_worker(&self) -> BTreeMap<WorkerId, Vec<Answer>> {
         let mut map: BTreeMap<WorkerId, Vec<Answer>> = BTreeMap::new();
         for &a in &self.answers {
             map.entry(a.worker).or_default().push(a);
@@ -92,20 +92,8 @@ impl AnswerSet {
     }
 
     /// Distinct workers who answered, ascending.
-    pub fn workers(&self) -> Vec<WorkerId> {
+    pub(crate) fn workers(&self) -> Vec<WorkerId> {
         self.by_worker().into_keys().collect()
-    }
-
-    /// Per-task label histograms: `hist[task][label] = count`.
-    pub fn task_histograms(&self) -> BTreeMap<TaskId, Vec<u32>> {
-        let mut map: BTreeMap<TaskId, Vec<u32>> = BTreeMap::new();
-        for &a in &self.answers {
-            let hist = map
-                .entry(a.task)
-                .or_insert_with(|| vec![0; self.classes as usize]);
-            hist[a.label as usize] += 1;
-        }
-        map
     }
 }
 
@@ -132,16 +120,6 @@ mod tests {
         assert_eq!(s.by_worker()[&w(0)].len(), 2);
         assert_eq!(s.tasks(), vec![t(0), t(1)]);
         assert_eq!(s.workers(), vec![w(0), w(1)]);
-    }
-
-    #[test]
-    fn histograms_count_labels() {
-        let mut s = AnswerSet::new(2);
-        s.record(w(0), t(0), 0);
-        s.record(w(1), t(0), 1);
-        s.record(w(2), t(0), 1);
-        let h = s.task_histograms();
-        assert_eq!(h[&t(0)], vec![1, 2]);
     }
 
     #[test]

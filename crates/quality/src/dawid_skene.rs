@@ -20,11 +20,11 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DawidSkene {
     /// Maximum EM iterations.
-    pub max_iters: usize,
+    pub(crate) max_iters: usize,
     /// Convergence threshold on the max absolute posterior change.
-    pub tolerance: f64,
+    pub(crate) tolerance: f64,
     /// Laplace smoothing pseudo-count for confusion rows and priors.
-    pub smoothing: f64,
+    pub(crate) smoothing: f64,
 }
 
 impl Default for DawidSkene {
@@ -50,10 +50,6 @@ pub struct DawidSkeneResult {
     pub reliability: BTreeMap<WorkerId, f64>,
     /// Estimated class priors.
     pub priors: Vec<f64>,
-    /// EM iterations actually run.
-    pub iterations: usize,
-    /// Whether the run converged before `max_iters`.
-    pub converged: bool,
 }
 
 impl DawidSkene {
@@ -68,8 +64,6 @@ impl DawidSkene {
                 labels: BTreeMap::new(),
                 reliability: BTreeMap::new(),
                 priors: vec![1.0 / k as f64; k],
-                iterations: 0,
-                converged: true,
             };
         }
 
@@ -113,11 +107,8 @@ impl DawidSkene {
 
         let mut confusion = vec![vec![vec![0.0; k]; k]; workers.len()];
         let mut priors = vec![1.0 / k as f64; k];
-        let mut iterations = 0;
-        let mut converged = false;
 
-        for iter in 0..self.max_iters {
-            iterations = iter + 1;
+        for _ in 0..self.max_iters {
             // M-step: priors and confusion matrices from posteriors.
             for p in priors.iter_mut() {
                 *p = self.smoothing;
@@ -164,7 +155,6 @@ impl DawidSkene {
                 }
             }
             if max_delta < self.tolerance {
-                converged = true;
                 break;
             }
         }
@@ -202,8 +192,6 @@ impl DawidSkene {
             labels,
             reliability,
             priors,
-            iterations,
-            converged,
         }
     }
 }
@@ -275,7 +263,6 @@ mod tests {
             .filter(|(i, &tl)| res.labels[&t(*i as u32)] == tl)
             .count();
         assert!(correct >= 38, "only {correct}/40 correct");
-        assert!(res.converged);
     }
 
     #[test]
@@ -338,7 +325,6 @@ mod tests {
     fn empty_input_is_fine() {
         let res = DawidSkene::default().run(&AnswerSet::new(2));
         assert!(res.labels.is_empty());
-        assert!(res.converged);
         assert_eq!(res.priors.len(), 2);
     }
 
@@ -354,19 +340,6 @@ mod tests {
         for &r in res.reliability.values() {
             assert!((0.0..=1.0).contains(&r));
         }
-    }
-
-    #[test]
-    fn respects_iteration_cap() {
-        let (s, _) = synthetic(30, 5, 3, 0.8, 13);
-        let cfg = DawidSkene {
-            max_iters: 2,
-            tolerance: 0.0,
-            ..Default::default()
-        };
-        let res = cfg.run(&s);
-        assert_eq!(res.iterations, 2);
-        assert!(!res.converged);
     }
 
     #[test]

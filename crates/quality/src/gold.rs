@@ -21,9 +21,9 @@ pub struct GoldSet {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GoldScore {
     /// Gold questions the worker answered.
-    pub answered: usize,
+    pub(crate) answered: usize,
     /// Of those, answered correctly.
-    pub correct: usize,
+    pub(crate) correct: usize,
 }
 
 impl GoldScore {
@@ -48,30 +48,9 @@ impl GoldSet {
         self.truth.insert(task, label);
     }
 
-    /// Builder-style insert.
-    pub fn with(mut self, task: TaskId, label: u8) -> Self {
-        self.insert(task, label);
-        self
-    }
-
-    /// Is this task a gold question?
-    pub fn contains(&self, task: TaskId) -> bool {
-        self.truth.contains_key(&task)
-    }
-
     /// The true label of a gold task.
-    pub fn label(&self, task: TaskId) -> Option<u8> {
+    pub(crate) fn label(&self, task: TaskId) -> Option<u8> {
         self.truth.get(&task).copied()
-    }
-
-    /// Number of gold tasks.
-    pub fn len(&self) -> usize {
-        self.truth.len()
-    }
-
-    /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.truth.is_empty()
     }
 
     /// Score an inferred consensus against the gold truth: of all gold
@@ -92,7 +71,7 @@ impl GoldSet {
     }
 
     /// Score every worker who answered at least one gold question.
-    pub fn score_workers(&self, answers: &AnswerSet) -> BTreeMap<WorkerId, GoldScore> {
+    pub(crate) fn score_workers(&self, answers: &AnswerSet) -> BTreeMap<WorkerId, GoldScore> {
         let mut scores: BTreeMap<WorkerId, GoldScore> = BTreeMap::new();
         for a in answers.answers() {
             if let Some(truth) = self.label(a.task) {
@@ -137,7 +116,11 @@ mod tests {
     }
 
     fn gold3() -> GoldSet {
-        GoldSet::new().with(t(0), 1).with(t(1), 0).with(t(2), 1)
+        let mut g = GoldSet::new();
+        for (i, label) in [(0, 1), (1, 0), (2, 1)] {
+            g.insert(t(i), label);
+        }
+        g
     }
 
     #[test]
@@ -206,10 +189,6 @@ mod tests {
     #[test]
     fn set_accessors() {
         let g = gold3();
-        assert_eq!(g.len(), 3);
-        assert!(!g.is_empty());
-        assert!(g.contains(t(0)));
-        assert!(!g.contains(t(7)));
         assert_eq!(g.label(t(1)), Some(0));
         assert_eq!(g.label(t(7)), None);
     }

@@ -26,8 +26,6 @@ pub struct KosResult {
     pub labels: BTreeMap<TaskId, u8>,
     /// Final per-task decision margins (confidence magnitude).
     pub margins: BTreeMap<TaskId, f64>,
-    /// Per-worker reliability proxy: mean final worker-to-task message.
-    pub worker_scores: BTreeMap<WorkerId, f64>,
 }
 
 /// Decode a binary answer set with `iters` rounds of message passing.
@@ -109,25 +107,7 @@ pub fn decode(answers: &AnswerSet, iters: usize) -> KosResult {
         margins.insert(tasks[ti], decision.abs());
     }
 
-    let worker_scores = workers
-        .iter()
-        .enumerate()
-        .map(|(wi, &w)| {
-            let es = &edges_of_worker[wi];
-            let mean = if es.is_empty() {
-                0.0
-            } else {
-                es.iter().map(|&ei| y[ei]).sum::<f64>() / es.len() as f64
-            };
-            (w, mean)
-        })
-        .collect();
-
-    KosResult {
-        labels,
-        margins,
-        worker_scores,
-    }
+    KosResult { labels, margins }
 }
 
 #[cfg(test)]
@@ -171,10 +151,6 @@ mod tests {
         for (ti, &tl) in truth.iter().enumerate() {
             assert_eq!(res.labels[&t(ti as u32)], tl);
         }
-        // contrarian's score should be lower than the faithful workers'
-        let good = res.worker_scores[&w(0)];
-        let bad = res.worker_scores[&w(3)];
-        assert!(good > bad, "good {good:.3} vs contrarian {bad:.3}");
     }
 
     #[test]
@@ -225,6 +201,5 @@ mod tests {
     fn empty_input() {
         let res = decode(&AnswerSet::new(2), 5);
         assert!(res.labels.is_empty());
-        assert!(res.worker_scores.is_empty());
     }
 }

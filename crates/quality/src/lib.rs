@@ -35,9 +35,7 @@ pub mod majority;
 pub mod metrics;
 pub mod spam;
 
-pub use aggregate::{
-    parity_constrained_vote, parity_gap, AggregateContext, AggregatorChoice, DEFAULT_PARITY_GAP,
-};
+pub use aggregate::{parity_constrained_vote, parity_gap, AggregateContext, AggregatorChoice};
 pub use answers::{Answer, AnswerSet};
 pub use dawid_skene::{DawidSkene, DawidSkeneResult};
 pub use gold::GoldSet;

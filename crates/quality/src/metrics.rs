@@ -13,13 +13,13 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DetectionCounts {
     /// Malicious workers correctly flagged.
-    pub true_positives: usize,
+    pub(crate) true_positives: usize,
     /// Honest workers wrongly flagged.
-    pub false_positives: usize,
+    pub(crate) false_positives: usize,
     /// Malicious workers missed.
-    pub false_negatives: usize,
+    pub(crate) false_negatives: usize,
     /// Honest workers correctly left alone.
-    pub true_negatives: usize,
+    pub(crate) true_negatives: usize,
 }
 
 impl DetectionCounts {

@@ -33,15 +33,6 @@ pub enum WorkerArchetype {
 }
 
 impl WorkerArchetype {
-    /// All archetypes, for iteration and workforce mixes.
-    pub const ALL: [WorkerArchetype; 5] = [
-        WorkerArchetype::Diligent,
-        WorkerArchetype::Sloppy,
-        WorkerArchetype::RandomSpammer,
-        WorkerArchetype::UniformSpammer,
-        WorkerArchetype::SemiRandomSpammer,
-    ];
-
     /// Whether the archetype is malicious in the Axiom-4 sense. Sloppy
     /// workers are low-quality but in good faith.
     pub fn is_malicious(self) -> bool {
@@ -51,17 +42,6 @@ impl WorkerArchetype {
                 | WorkerArchetype::UniformSpammer
                 | WorkerArchetype::SemiRandomSpammer
         )
-    }
-
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            WorkerArchetype::Diligent => "diligent",
-            WorkerArchetype::Sloppy => "sloppy",
-            WorkerArchetype::RandomSpammer => "random-spammer",
-            WorkerArchetype::UniformSpammer => "uniform-spammer",
-            WorkerArchetype::SemiRandomSpammer => "semi-random-spammer",
-        }
     }
 }
 
@@ -79,7 +59,7 @@ pub struct SpamScore {
     /// Weighted combination in `[0, 1]`.
     pub combined: f64,
     /// Answers observed for this worker.
-    pub answers: usize,
+    pub(crate) answers: usize,
 }
 
 /// Agreement/repetition/speed spam detector.
@@ -343,8 +323,6 @@ mod tests {
         assert!(WorkerArchetype::RandomSpammer.is_malicious());
         assert!(WorkerArchetype::UniformSpammer.is_malicious());
         assert!(WorkerArchetype::SemiRandomSpammer.is_malicious());
-        assert_eq!(WorkerArchetype::ALL.len(), 5);
-        assert_eq!(WorkerArchetype::Sloppy.name(), "sloppy");
     }
 
     #[test]

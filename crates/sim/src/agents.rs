@@ -25,58 +25,58 @@ use faircrowd_quality::spam::WorkerArchetype;
 use serde::{Deserialize, Serialize};
 
 /// Frustration increments for each bad experience.
-pub mod frustration {
+pub(crate) mod frustration {
     /// Rejection with no explanation (§3.1.2 requester opacity).
-    pub const REJECTED_NO_FEEDBACK: f64 = 0.18;
+    pub(crate) const REJECTED_NO_FEEDBACK: f64 = 0.18;
     /// Rejection with an explanation.
-    pub const REJECTED_WITH_FEEDBACK: f64 = 0.06;
+    pub(crate) const REJECTED_WITH_FEEDBACK: f64 = 0.06;
     /// Interrupted mid-task without compensation (Axiom 5 violation).
-    pub const INTERRUPTED_UNPAID: f64 = 0.25;
+    pub(crate) const INTERRUPTED_UNPAID: f64 = 0.25;
     /// Interrupted but compensated for invested time.
-    pub const INTERRUPTED_PAID: f64 = 0.08;
+    pub(crate) const INTERRUPTED_PAID: f64 = 0.08;
     /// A promised bonus was not paid.
-    pub const BONUS_RENEGED: f64 = 0.20;
+    pub(crate) const BONUS_RENEGED: f64 = 0.20;
     /// Per-session anxiety at a fully opaque platform (scaled by
     /// 1 − disclosure coverage).
-    pub const OPACITY_PER_SESSION: f64 = 0.02;
+    pub(crate) const OPACITY_PER_SESSION: f64 = 0.02;
     /// Multiplicative decay per round.
-    pub const DECAY: f64 = 0.995;
+    pub(crate) const DECAY: f64 = 0.995;
     /// Frustration below this never causes quitting.
-    pub const QUIT_KNEE: f64 = 0.5;
+    pub(crate) const QUIT_KNEE: f64 = 0.5;
     /// Slope of the quit hazard above the knee.
-    pub const QUIT_SLOPE: f64 = 0.45;
+    pub(crate) const QUIT_SLOPE: f64 = 0.45;
     /// Baseline natural churn per session, independent of treatment.
-    pub const NATURAL_CHURN: f64 = 0.0005;
+    pub(crate) const NATURAL_CHURN: f64 = 0.0005;
 }
 
 /// A worker's live state inside the simulator.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkerState {
+pub(crate) struct WorkerState {
     /// The platform-visible worker record.
-    pub worker: Worker,
+    pub(crate) worker: Worker,
     /// Ground-truth behavioural archetype.
-    pub archetype: WorkerArchetype,
+    pub(crate) archetype: WorkerArchetype,
     /// Intrinsic accuracy before motivation effects.
-    pub base_accuracy: f64,
+    pub(crate) base_accuracy: f64,
     /// Probability of being online each round.
-    pub participation: f64,
+    pub(crate) participation: f64,
     /// Tasks acceptable per round.
-    pub capacity_per_round: u32,
+    pub(crate) capacity_per_round: u32,
     /// Current frustration in `[0, 1]`.
-    pub frustration: f64,
+    pub(crate) frustration: f64,
     /// Has the worker quit for good?
-    pub quit: bool,
+    pub(crate) quit: bool,
     /// Is the worker in a session this round?
-    pub online: bool,
+    pub(crate) online: bool,
     /// Total seconds of work performed (for wage statistics).
-    pub seconds_worked: u64,
+    pub(crate) seconds_worked: u64,
     /// Whether the first-session disclosures were already shown.
-    pub disclosures_shown: bool,
+    pub(crate) disclosures_shown: bool,
 }
 
 impl WorkerState {
     /// Wrap a worker record with behavioural state.
-    pub fn new(
+    pub(crate) fn new(
         worker: Worker,
         archetype: WorkerArchetype,
         base_accuracy: f64,
@@ -98,23 +98,23 @@ impl WorkerState {
     }
 
     /// Motivation = 1 − frustration.
-    pub fn motivation(&self) -> f64 {
+    pub(crate) fn motivation(&self) -> f64 {
         (1.0 - self.frustration).clamp(0.0, 1.0)
     }
 
     /// Register a bad experience.
-    pub fn add_frustration(&mut self, amount: f64) {
+    pub(crate) fn add_frustration(&mut self, amount: f64) {
         self.frustration = (self.frustration + amount).clamp(0.0, 1.0);
     }
 
     /// Per-round decay.
-    pub fn decay_frustration(&mut self) {
+    pub(crate) fn decay_frustration(&mut self) {
         self.frustration *= frustration::DECAY;
     }
 
     /// Probability of quitting at the end of a session: a hinge on
     /// frustration plus natural churn.
-    pub fn quit_hazard(&self) -> f64 {
+    pub(crate) fn quit_hazard(&self) -> f64 {
         let f = self.frustration;
         let hinge = (f - frustration::QUIT_KNEE).max(0.0) * frustration::QUIT_SLOPE;
         (hinge + frustration::NATURAL_CHURN).clamp(0.0, 1.0)

@@ -1,6 +1,6 @@
 //! The named scenario catalog — marketplace presets addressable by
 //! string, in two families: eight **static** parameterisations and four
-//! **strategic** scenarios (see [`crate::scenarios`]) that only show
+//! **strategic** scenarios (see `crate::scenarios`) that only show
 //! their pathology after fixed-point convergence.
 //!
 //! The paper's validation protocol (§4.1) calls for *controlled
@@ -66,7 +66,7 @@ pub const STATIC_NAMES: [&str; 8] = [
     "transparent_utopia",
 ];
 
-/// The strategic family ([`crate::scenarios`]): scenarios that pin a
+/// The strategic family (`crate::scenarios`): scenarios that pin a
 /// non-static strategy and whose pathology *emerges* from fixed-point
 /// iteration ([`crate::converge`]).
 pub const STRATEGIC_NAMES: [&str; 4] = [
@@ -95,17 +95,6 @@ pub fn describe(name: &str) -> Option<&'static str> {
         _ => return None,
     };
     Some(text)
-}
-
-/// `(name, description)` for every catalog scenario, in presentation
-/// order — the iteration the CLI and docs tables are built from.
-pub fn entries() -> impl Iterator<Item = (&'static str, &'static str)> {
-    NAMES.into_iter().map(|name| {
-        (
-            name,
-            describe(name).expect("every catalog name has a description"),
-        )
-    })
 }
 
 /// Resolve a (canonicalised) scenario name into its preset configuration.
@@ -344,7 +333,6 @@ mod tests {
             config.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
             assert!(describe(name).is_some(), "{name} lacks a description");
         }
-        assert_eq!(entries().count(), NAMES.len());
     }
 
     #[test]

@@ -155,7 +155,7 @@ pub struct WorkerPopulation {
     /// Behavioural archetype (Vuurens taxonomy).
     pub archetype: WorkerArchetype,
     /// Probability each skill keyword is present in a worker's vector.
-    pub skill_prob: f64,
+    pub(crate) skill_prob: f64,
     /// Probability the worker is online in a given round.
     pub participation: f64,
     /// Tasks the worker can take per round.
@@ -242,7 +242,7 @@ pub enum PaymentSchemeChoice {
 
 impl PaymentSchemeChoice {
     /// Compute the payment for an approved submission.
-    pub fn payout(&self, ctx: &PayContext) -> Credits {
+    pub(crate) fn payout(&self, ctx: &PayContext) -> Credits {
         match self {
             PaymentSchemeChoice::Fixed => FixedPrice.payout(ctx),
             PaymentSchemeChoice::QualityBased {
@@ -253,19 +253,6 @@ impl PaymentSchemeChoice {
                 full_quality: *full_quality,
             }
             .payout(ctx),
-        }
-    }
-
-    /// Display label.
-    pub fn label(&self) -> String {
-        match self {
-            PaymentSchemeChoice::Fixed => "fixed".into(),
-            PaymentSchemeChoice::QualityBased {
-                floor,
-                full_quality,
-            } => {
-                format!("quality({floor:.2},{full_quality:.2})")
-            }
         }
     }
 }
@@ -326,9 +313,9 @@ impl CampaignSpec {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DetectionConfig {
     /// The detector to run.
-    pub detector: SpamDetector,
+    pub(crate) detector: SpamDetector,
     /// Run every this many rounds.
-    pub every_rounds: u32,
+    pub(crate) every_rounds: u32,
 }
 
 impl Default for DetectionConfig {

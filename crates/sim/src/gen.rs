@@ -21,7 +21,7 @@ use rand::Rng;
 /// Reference material the generator needs per task: what a perfect
 /// contribution looks like.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Reference {
+pub(crate) enum Reference {
     /// True label.
     Label(u8, u8), // (true label, n classes)
     /// Reference text (the "ideal summary").
@@ -34,7 +34,7 @@ pub enum Reference {
 
 /// Build a deterministic reference text for a task: a pool of topic words
 /// keyed by the task index.
-pub fn reference_text(task_index: u32) -> String {
+pub(crate) fn reference_text(task_index: u32) -> String {
     // A fixed vocabulary; each task draws a deterministic slice so
     // different tasks have different (but overlapping) references.
     const VOCAB: [&str; 24] = [
@@ -72,7 +72,7 @@ pub fn reference_text(task_index: u32) -> String {
 
 /// The worker's *intended* quality for this contribution in `[0, 1]`:
 /// how close to perfect she is trying (and able) to get.
-pub fn intended_quality(
+pub(crate) fn intended_quality(
     archetype: WorkerArchetype,
     base_accuracy: f64,
     motivation: f64,
@@ -99,7 +99,7 @@ pub fn intended_quality(
 
 /// Generate a contribution against a reference at the given intended
 /// quality.
-pub fn contribution(
+pub(crate) fn contribution(
     reference: &Reference,
     archetype: WorkerArchetype,
     quality: f64,
@@ -178,7 +178,7 @@ pub fn contribution(
 
 /// Objective quality of a contribution against its reference (the measure
 /// the Axiom-3 checker and E6 use).
-pub fn objective_quality(reference: &Reference, c: &Contribution) -> f64 {
+pub(crate) fn objective_quality(reference: &Reference, c: &Contribution) -> f64 {
     match (reference, c) {
         (Reference::Label(truth, _), Contribution::Label(l)) => f64::from(l == truth),
         (Reference::Text(r), Contribution::Text(t)) => faircrowd_model::text::ngram_cosine(r, t, 3),
@@ -192,7 +192,7 @@ pub fn objective_quality(reference: &Reference, c: &Contribution) -> f64 {
 
 /// How long the worker takes: honest workers take around the estimate
 /// (scaled by diligence), spammers rush.
-pub fn work_duration(
+pub(crate) fn work_duration(
     archetype: WorkerArchetype,
     est: SimDuration,
     rng: &mut StdRng,

@@ -20,7 +20,7 @@
 //! of its [`config::ScenarioConfig`] (seed included).
 //!
 //! Behavioural assumptions (worker frustration, quit hazard, motivation)
-//! are documented on [`agents::WorkerState`] and in DESIGN.md — they are
+//! are documented on `agents::WorkerState` and in DESIGN.md — they are
 //! the synthetic stand-in for the user studies the paper proposes.
 //!
 //! Scenarios are either built field-by-field ([`config::ScenarioConfig`])
@@ -31,14 +31,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod agents;
+pub(crate) mod agents;
 pub mod catalog;
-pub mod config;
+pub(crate) mod config;
 pub mod converge;
-pub mod gen;
-pub mod platform;
-pub mod scenarios;
-pub mod stats;
+pub(crate) mod gen;
+pub(crate) mod platform;
+pub(crate) mod scenarios;
+pub(crate) mod stats;
 pub mod strategy;
 
 pub use config::{

@@ -95,12 +95,6 @@ struct DecisionStats {
 /// so a streaming auditor can ingest the marketplace as it runs.
 #[derive(Debug)]
 pub struct RoundDelta<'a> {
-    /// The round that just completed (or [`ScenarioConfig::rounds`] for
-    /// the final flush).
-    pub round: u32,
-    /// True for the one post-horizon delta that lands still-flying work
-    /// and flushes outstanding judgments.
-    pub final_flush: bool,
     /// Tasks posted during the round, in id order.
     pub new_tasks: Vec<&'a Task>,
     /// Submissions that landed during the round.
@@ -169,7 +163,7 @@ impl Simulation {
     /// re-runs the scenario under controller-updated states until the
     /// market reaches a fixed point. The state is read-only during the
     /// run; the trace stays a pure function of `(cfg, state)`.
-    pub fn with_state(cfg: ScenarioConfig, strategy_state: StrategyState) -> Self {
+    pub(crate) fn with_state(cfg: ScenarioConfig, strategy_state: StrategyState) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let policy = cfg.policy.build();
         let worker_strategy = cfg.strategy.worker_strategy();
@@ -297,11 +291,10 @@ impl Simulation {
     /// exactly what that round appended to the world (tasks posted,
     /// submissions landed, events logged) — the hook the live-audit
     /// pipeline (`Pipeline::run_live`) ingests from, auditing during
-    /// the simulation instead of after it. One final delta (with
-    /// [`RoundDelta::final_flush`] set) carries the post-horizon flush
-    /// of in-flight work and outstanding judgments. The observer is
-    /// passive: observed and unobserved runs produce the identical
-    /// trace.
+    /// the simulation instead of after it. One final delta carries the
+    /// post-horizon flush of in-flight work and outstanding judgments.
+    /// The observer is passive: observed and unobserved runs produce the
+    /// identical trace.
     pub fn run_observed<F: FnMut(RoundDelta<'_>)>(mut self, mut observe: F) -> Trace {
         let rounds = self.cfg.rounds;
         for round in 0..rounds {
@@ -317,8 +310,6 @@ impl Simulation {
             self.run_detection(round);
             self.end_sessions();
             observe(RoundDelta {
-                round,
-                final_flush: false,
                 new_tasks: self.tasks[tasks_before..].iter().map(|t| &t.task).collect(),
                 new_submissions: &self.submissions[subs_before..],
                 new_events: &self.events.as_slice()[events_before..],
@@ -332,8 +323,6 @@ impl Simulation {
         self.land_submissions(u32::MAX);
         self.process_due_judgments(u32::MAX, true);
         observe(RoundDelta {
-            round: rounds,
-            final_flush: true,
             new_tasks: Vec::new(),
             new_submissions: &self.submissions[subs_before..],
             new_events: &self.events.as_slice()[events_before..],
@@ -1016,16 +1005,13 @@ mod tests {
         assert_eq!(setup.workers.len(), 15);
         assert!(setup.malicious_workers.is_empty());
         let n_requesters = setup.requesters.len();
-        let mut rounds_seen = 0u32;
+        let mut deltas = 0u32;
         let mut tasks = 0usize;
         let mut subs = 0usize;
         let mut events = 0usize;
         let mut last_seq: Option<u64> = None;
         let observed = sim.run_observed(|delta| {
-            if !delta.final_flush {
-                assert_eq!(delta.round, rounds_seen);
-                rounds_seen += 1;
-            }
+            deltas += 1;
             tasks += delta.new_tasks.len();
             subs += delta.new_submissions.len();
             events += delta.new_events.len();
@@ -1035,7 +1021,7 @@ mod tests {
             }
         });
         assert_eq!(observed, plain, "the observer must be passive");
-        assert_eq!(rounds_seen, base_config().rounds);
+        assert_eq!(deltas, base_config().rounds + 1, "one per round, one flush");
         assert_eq!(tasks, observed.tasks.len(), "every task is announced once");
         assert_eq!(subs, observed.submissions.len());
         assert_eq!(events, observed.events.len(), "deltas tile the event log");

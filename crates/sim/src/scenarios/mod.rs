@@ -14,7 +14,7 @@
 //! module is just its strategic wing, split one-file-per-scenario so
 //! each market design carries its own rationale.
 
-pub mod s_price_war;
-pub mod s_reform_rush;
-pub mod s_super_turkers;
-pub mod s_undercut_churn;
+pub(crate) mod s_price_war;
+pub(crate) mod s_reform_rush;
+pub(crate) mod s_super_turkers;
+pub(crate) mod s_undercut_churn;

@@ -11,7 +11,7 @@
 use crate::config::{CampaignSpec, ScenarioConfig, StrategyChoice, WorkerPopulation};
 
 /// The `price_war` preset.
-pub fn config() -> ScenarioConfig {
+pub(crate) fn config() -> ScenarioConfig {
     let mut population = WorkerPopulation::diligent(45);
     population.participation = 1.0;
     ScenarioConfig {

@@ -15,7 +15,7 @@ use crate::config::{ScenarioConfig, StrategyChoice, WorkerPopulation};
 use faircrowd_quality::spam::WorkerArchetype;
 
 /// The `reform_rush` preset.
-pub fn config() -> ScenarioConfig {
+pub(crate) fn config() -> ScenarioConfig {
     let mut diligent = WorkerPopulation::diligent(22);
     diligent.participation = 0.9;
     ScenarioConfig {

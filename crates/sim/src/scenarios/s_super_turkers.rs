@@ -12,7 +12,7 @@
 use crate::config::{CampaignSpec, ScenarioConfig, StrategyChoice, WorkerPopulation};
 
 /// The `super_turkers` preset.
-pub fn config() -> ScenarioConfig {
+pub(crate) fn config() -> ScenarioConfig {
     let mut population = WorkerPopulation::diligent(30);
     population.participation = 1.0;
     ScenarioConfig {

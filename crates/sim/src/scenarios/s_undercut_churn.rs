@@ -16,7 +16,7 @@ use crate::config::{
 use faircrowd_model::disclosure::DisclosureSet;
 
 /// The `undercut_churn` preset.
-pub fn config() -> ScenarioConfig {
+pub(crate) fn config() -> ScenarioConfig {
     let mut population = WorkerPopulation::diligent(24);
     population.participation = 0.65;
     ScenarioConfig {

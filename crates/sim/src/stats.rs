@@ -19,11 +19,11 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSummary {
     /// Workers who had at least one session.
-    pub active_workers: usize,
+    pub(crate) active_workers: usize,
     /// Workers who quit before the horizon.
-    pub quits: usize,
+    pub(crate) quits: usize,
     /// Of those, quits attributed to frustration.
-    pub frustration_quits: usize,
+    pub(crate) frustration_quits: usize,
     /// Retention = 1 − quits / active workers (1.0 when nobody was active).
     pub retention: f64,
     /// Submissions received.
@@ -35,9 +35,9 @@ pub struct TraceSummary {
     /// Total paid out (payments + bonuses).
     pub total_paid: Credits,
     /// Interrupted work items.
-    pub interruptions: usize,
+    pub(crate) interruptions: usize,
     /// Interrupted work items that went uncompensated.
-    pub uncompensated_interruptions: usize,
+    pub(crate) uncompensated_interruptions: usize,
 }
 
 impl TraceSummary {

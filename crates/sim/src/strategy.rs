@@ -1,10 +1,10 @@
 //! Pluggable agent strategies: the decision layer of the simulator.
 //!
-//! The platform loop in [`crate::platform`] used to hard-code two agent
+//! The platform loop in `crate::platform` used to hard-code two agent
 //! decisions: *workers take every assignment the policy hands them* and
 //! *requesters post exactly the reward their campaign spec states*.
 //! This module extracts both behind a trait pair —
-//! [`WorkerStrategy`] / [`RequesterStrategy`] — so the same marketplace
+//! `WorkerStrategy` / `RequesterStrategy` — so the same marketplace
 //! engine can run **strategic** agents whose decisions respond to what
 //! the market actually paid them (see [`crate::converge`] for the outer
 //! fixed-point loop that feeds realized wages back into
@@ -101,24 +101,8 @@ impl StrategyChoice {
         }
     }
 
-    /// One-line description for `--help` and the `scenarios` listing.
-    pub fn describe(&self) -> &'static str {
-        match self {
-            StrategyChoice::Static => "fixed behaviour; converges in one iteration",
-            StrategyChoice::ReputationTemporal => {
-                "workers demand wages commensurate with their reputation (REFORM)"
-            }
-            StrategyChoice::SuperTurker => {
-                "workers learn a reservation hourly wage and decline work below it"
-            }
-            StrategyChoice::PriceUndercut => {
-                "requesters undercut prices when their tasks fill too easily"
-            }
-        }
-    }
-
     /// Build the worker-side strategy implementation.
-    pub fn worker_strategy(&self) -> Box<dyn WorkerStrategy> {
+    pub(crate) fn worker_strategy(&self) -> Box<dyn WorkerStrategy> {
         match self {
             StrategyChoice::ReputationTemporal => Box::new(ReputationTemporalWorker),
             StrategyChoice::SuperTurker => Box::new(SuperTurkerWorker),
@@ -127,7 +111,7 @@ impl StrategyChoice {
     }
 
     /// Build the requester-side strategy implementation.
-    pub fn requester_strategy(&self) -> Box<dyn RequesterStrategy> {
+    pub(crate) fn requester_strategy(&self) -> Box<dyn RequesterStrategy> {
         match self {
             StrategyChoice::PriceUndercut => Box::new(PriceUndercutRequester),
             _ => Box::new(StaticRequester),
@@ -138,22 +122,22 @@ impl StrategyChoice {
 /// What a worker sees when the assignment policy hands her a task: the
 /// offer terms plus her own platform-computed standing.
 #[derive(Debug, Clone, Copy)]
-pub struct TaskOffer {
+pub(crate) struct TaskOffer {
     /// The posted reward for one assignment.
-    pub reward: Credits,
+    pub(crate) reward: Credits,
     /// The honest completion-time estimate.
-    pub est_duration: SimDuration,
+    pub(crate) est_duration: SimDuration,
     /// The worker's platform-computed quality estimate in `[0, 1]`.
-    pub quality_estimate: f64,
+    pub(crate) quality_estimate: f64,
     /// The worker's acceptance ratio (approved / judged, 1.0 when fresh).
-    pub acceptance_ratio: f64,
+    pub(crate) acceptance_ratio: f64,
 }
 
 impl TaskOffer {
     /// The offer's implied hourly rate in dollars per hour (the
     /// Super-Turker selection signal). An instantaneous task counts as
     /// arbitrarily well paid.
-    pub fn hourly_rate(&self) -> f64 {
+    pub(crate) fn hourly_rate(&self) -> f64 {
         let hours = self.est_duration.as_secs() as f64 / 3600.0;
         if hours <= 0.0 {
             f64::INFINITY
@@ -167,9 +151,7 @@ impl TaskOffer {
 ///
 /// Implementations must be deterministic and RNG-free — decisions read
 /// only the offer and the iteration-frozen [`StrategyState`].
-pub trait WorkerStrategy: Send + Sync {
-    /// Registry name of the profile this implementation belongs to.
-    fn name(&self) -> &'static str;
+pub(crate) trait WorkerStrategy: Send + Sync {
     /// Does worker `worker` (dense index) take this offer? The static
     /// strategy always says yes.
     fn accepts(&self, state: &StrategyState, worker: usize, offer: &TaskOffer) -> bool;
@@ -179,9 +161,7 @@ pub trait WorkerStrategy: Send + Sync {
 /// task whose campaign spec says `base`.
 ///
 /// Implementations must be deterministic and RNG-free.
-pub trait RequesterStrategy: Send + Sync {
-    /// Registry name of the profile this implementation belongs to.
-    fn name(&self) -> &'static str;
+pub(crate) trait RequesterStrategy: Send + Sync {
     /// The reward requester `requester` (dense index) posts. The static
     /// strategy returns `base` unchanged — the exact same `Credits`.
     fn post_reward(&self, state: &StrategyState, requester: usize, base: Credits) -> Credits;
@@ -189,12 +169,9 @@ pub trait RequesterStrategy: Send + Sync {
 
 /// Pre-strategy worker behaviour: take everything.
 #[derive(Debug, Clone, Copy)]
-pub struct StaticWorker;
+pub(crate) struct StaticWorker;
 
 impl WorkerStrategy for StaticWorker {
-    fn name(&self) -> &'static str {
-        "static"
-    }
     fn accepts(&self, _state: &StrategyState, _worker: usize, _offer: &TaskOffer) -> bool {
         true
     }
@@ -202,12 +179,9 @@ impl WorkerStrategy for StaticWorker {
 
 /// Pre-strategy requester behaviour: post the spec reward.
 #[derive(Debug, Clone, Copy)]
-pub struct StaticRequester;
+pub(crate) struct StaticRequester;
 
 impl RequesterStrategy for StaticRequester {
-    fn name(&self) -> &'static str {
-        "static"
-    }
     fn post_reward(&self, _state: &StrategyState, _requester: usize, base: Credits) -> Credits {
         base
     }
@@ -219,12 +193,9 @@ impl RequesterStrategy for StaticRequester {
 /// convergence iteration) and are moved by the controller toward a
 /// fraction of the wage the worker actually realized.
 #[derive(Debug, Clone, Copy)]
-pub struct SuperTurkerWorker;
+pub(crate) struct SuperTurkerWorker;
 
 impl WorkerStrategy for SuperTurkerWorker {
-    fn name(&self) -> &'static str {
-        "super_turker"
-    }
     fn accepts(&self, state: &StrategyState, worker: usize, offer: &TaskOffer) -> bool {
         offer.hourly_rate() >= state.reservation(worker)
     }
@@ -236,18 +207,15 @@ impl WorkerStrategy for SuperTurkerWorker {
 /// ratio), so reputation earned *during* a run immediately raises the
 /// bar for the offers she will still take.
 #[derive(Debug, Clone, Copy)]
-pub struct ReputationTemporalWorker;
+pub(crate) struct ReputationTemporalWorker;
 
 impl ReputationTemporalWorker {
     /// How strongly standing scales the asking wage: a zero-reputation
     /// worker asks 40% of her aspiration, a perfect one asks 100%.
-    pub const STANDING_FLOOR: f64 = 0.4;
+    pub(crate) const STANDING_FLOOR: f64 = 0.4;
 }
 
 impl WorkerStrategy for ReputationTemporalWorker {
-    fn name(&self) -> &'static str {
-        "reputation_temporal"
-    }
     fn accepts(&self, state: &StrategyState, worker: usize, offer: &TaskOffer) -> bool {
         let standing = 0.5 * (offer.quality_estimate + offer.acceptance_ratio);
         let asking = state.reservation(worker)
@@ -263,19 +231,16 @@ impl WorkerStrategy for ReputationTemporalWorker {
 /// they starve, clamped to [`PriceUndercutRequester::MIN_MULTIPLIER`] ..
 /// [`PriceUndercutRequester::MAX_MULTIPLIER`].
 #[derive(Debug, Clone, Copy)]
-pub struct PriceUndercutRequester;
+pub(crate) struct PriceUndercutRequester;
 
 impl PriceUndercutRequester {
     /// A requester never undercuts below half the spec reward.
-    pub const MIN_MULTIPLIER: f64 = 0.5;
+    pub(crate) const MIN_MULTIPLIER: f64 = 0.5;
     /// Nor bids above 1.5× the spec reward.
-    pub const MAX_MULTIPLIER: f64 = 1.5;
+    pub(crate) const MAX_MULTIPLIER: f64 = 1.5;
 }
 
 impl RequesterStrategy for PriceUndercutRequester {
-    fn name(&self) -> &'static str {
-        "price_undercut"
-    }
     fn post_reward(&self, state: &StrategyState, requester: usize, base: Credits) -> Credits {
         let m = state.multiplier(requester);
         if m == 1.0 {
@@ -298,9 +263,9 @@ pub struct StrategyState {
     /// Per-worker reservation/aspiration hourly wage in dollars. All
     /// zeros initially: every offer clears the bar, so iteration 1 is
     /// exactly the static run.
-    pub reservation: Vec<f64>,
+    pub(crate) reservation: Vec<f64>,
     /// Per-requester posted-price multiplier. All 1.0 initially.
-    pub multiplier: Vec<f64>,
+    pub(crate) multiplier: Vec<f64>,
 }
 
 impl StrategyState {
@@ -308,7 +273,7 @@ impl StrategyState {
     /// (populations in config order) and one 1.0 multiplier per distinct
     /// requester name (first-seen order, matching the simulator's
     /// requester numbering).
-    pub fn initial(cfg: &ScenarioConfig) -> StrategyState {
+    pub(crate) fn initial(cfg: &ScenarioConfig) -> StrategyState {
         let n_workers: usize = cfg.workers.iter().map(|p| p.count as usize).sum();
         let mut seen: BTreeSet<&str> = BTreeSet::new();
         let n_requesters = cfg
@@ -325,12 +290,12 @@ impl StrategyState {
     /// Worker `w`'s reservation wage (0.0 when out of range — a scaled
     /// or hand-built config with more workers than the state was sized
     /// for behaves statically for the extras rather than panicking).
-    pub fn reservation(&self, w: usize) -> f64 {
+    pub(crate) fn reservation(&self, w: usize) -> f64 {
         self.reservation.get(w).copied().unwrap_or(0.0)
     }
 
     /// Requester `r`'s price multiplier (1.0 when out of range).
-    pub fn multiplier(&self, r: usize) -> f64 {
+    pub(crate) fn multiplier(&self, r: usize) -> f64 {
         self.multiplier.get(r).copied().unwrap_or(1.0)
     }
 }
@@ -362,7 +327,6 @@ mod tests {
         for name in NAMES {
             let c = StrategyChoice::by_name(name).unwrap();
             assert_eq!(c.label(), name);
-            assert!(!c.describe().is_empty());
         }
         match StrategyChoice::by_name("greedy") {
             Err(FaircrowdError::UnknownStrategy { name, available }) => {

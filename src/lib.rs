@@ -82,7 +82,7 @@ pub use sweep::{SweepGrid, SweepResult};
 /// current API.
 #[cfg(doctest)]
 #[doc = include_str!("../README.md")]
-pub struct ReadmeDoctests;
+pub(crate) struct ReadmeDoctests;
 
 /// The items most programs need.
 pub mod prelude {

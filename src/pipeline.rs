@@ -196,21 +196,6 @@ impl PipelineResult {
             .map_or(&self.baseline.trace, |e| &e.artifacts.trace)
     }
 
-    /// The final market summary (enforced when present, else baseline).
-    pub fn summary(&self) -> &TraceSummary {
-        self.enforced
-            .as_ref()
-            .map_or(&self.baseline.summary, |e| &e.artifacts.summary)
-    }
-
-    /// The final wage statistics (enforced when present, else baseline);
-    /// `None` when that run paid for no invested time.
-    pub fn wages(&self) -> Option<WageStats> {
-        self.enforced
-            .as_ref()
-            .map_or(self.baseline.wages, |e| e.artifacts.wages)
-    }
-
     /// Render the full result: market summary, baseline report, and —
     /// when enforcement ran — the repairs and the re-audit.
     pub fn render(&self) -> String {
@@ -529,7 +514,7 @@ impl Pipeline {
     /// trace), so dropping the unread baseline work changes wall-clock
     /// and nothing else (pinned byte-identical against the full
     /// [`Pipeline::run`] by `sweep`'s determinism tests).
-    pub fn run_final(self) -> Result<RunArtifacts, FaircrowdError> {
+    pub(crate) fn run_final(self) -> Result<RunArtifacts, FaircrowdError> {
         self.scenario.validate()?;
         let mut config = self.scenario.clone();
         for enforcement in &self.enforcements {

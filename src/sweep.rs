@@ -34,7 +34,7 @@
 //! closed: the engine groups them (same scenario, policy, strategy,
 //! seed, scale, rounds and enforcement stack), and a worker runs each
 //! group's pipeline once — simulate or converge, repair, validate,
-//! index, audit, wages, summary ([`Pipeline::run_final`]) — builds
+//! index, audit, wages, summary (`Pipeline::run_final`) — builds
 //! every sibling's outcome from that one run, and drops the trace
 //! before it takes the next group.
 //! Enforced cells simulate only their *repaired* config; the unread
@@ -104,21 +104,21 @@ use std::sync::Mutex;
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepGrid {
     /// Catalog scenario names (default: `["baseline"]`).
-    pub scenarios: Option<Vec<String>>,
+    pub(crate) scenarios: Option<Vec<String>>,
     /// Registry policy names overriding each scenario's own policy
     /// (default: keep the scenario's policy).
-    pub policies: Option<Vec<String>>,
+    pub(crate) policies: Option<Vec<String>>,
     /// Simulation seeds (default: `[42]`).
     pub seeds: Option<Vec<u64>>,
     /// Marketplace scale factors applied via
     /// [`ScenarioConfig::at_scale`](crate::sim::ScenarioConfig::at_scale)
     /// (default: `[1.0]`).
-    pub scales: Option<Vec<f64>>,
+    pub(crate) scales: Option<Vec<f64>>,
     /// Market-round overrides (default: each scenario's own rounds).
     pub rounds: Option<Vec<u32>>,
     /// Enforcement stacks; the empty stack audits without repair
     /// (default: `[[]]`).
-    pub enforcements: Option<Vec<Vec<Enforcement>>>,
+    pub(crate) enforcements: Option<Vec<Vec<Enforcement>>>,
     /// Strategy-registry names overriding each scenario's own strategy
     /// (default: keep the scenario's strategy). Strategic cells are
     /// iterated to their fixed point by the pipeline before auditing.
@@ -126,7 +126,7 @@ pub struct SweepGrid {
     /// Aggregator-registry names the consensus-quality column is scored
     /// under (default: `["majority"]`). Post-simulation: siblings on
     /// this axis share one final run.
-    pub aggregators: Option<Vec<String>>,
+    pub(crate) aggregators: Option<Vec<String>>,
 }
 
 impl SweepGrid {
@@ -550,54 +550,54 @@ pub struct CaseOutcome {
     /// The case that ran.
     pub case: SweepCase,
     /// The final audit (the re-audit when enforcement ran).
-    pub report: FairnessReport,
+    pub(crate) report: FairnessReport,
     /// The final market summary.
     pub summary: TraceSummary,
     /// Effective-wage statistics of the final run; `None` when no
     /// worker invested time. Absent wages are **skipped** by the cell
     /// fold, never averaged in as gini-0/jain-1 "perfect fairness".
-    pub wages: Option<WageStats>,
+    pub(crate) wages: Option<WageStats>,
     /// Consensus accuracy under the case's aggregator
     /// ([`consensus_accuracy`]); `None` when the run carried no
     /// labeling ground truth. Like wages, absent values are skipped by
     /// the cell fold.
-    pub consensus: Option<f64>,
+    pub(crate) consensus: Option<f64>,
 }
 
 /// One grid cell's aggregate across its seeds.
 #[derive(Debug, Clone)]
 pub struct GroupSummary {
     /// Scenario name.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Effective policy label.
-    pub policy: String,
+    pub(crate) policy: String,
     /// Effective strategy label.
-    pub strategy: String,
+    pub(crate) strategy: String,
     /// Scale factor.
-    pub scale: f64,
+    pub(crate) scale: f64,
     /// Market rounds.
-    pub rounds: u32,
+    pub(crate) rounds: u32,
     /// Enforcement-stack label (`"none"` when empty).
-    pub enforce: String,
+    pub(crate) enforce: String,
     /// Effective aggregator label.
-    pub aggregator: String,
+    pub(crate) aggregator: String,
     /// The seeds folded into this cell, ascending.
     pub seeds: Vec<u64>,
     /// Axiom/score aggregate across the seeds.
-    pub aggregate: ReportAggregate,
+    pub(crate) aggregate: ReportAggregate,
     /// Worker-retention statistics across the seeds.
-    pub retention: ScoreStats,
+    pub(crate) retention: ScoreStats,
     /// Mean hourly wage (dollars/h) across the seeds **that had a wage
     /// distribution**; `n` < `seeds.len()` means some runs paid for no
     /// invested time and were skipped, `n == 0` means the whole cell
     /// was wage-less (exported as `null`, not as perfect fairness).
-    pub wage_mean: ScoreStats,
+    pub(crate) wage_mean: ScoreStats,
     /// Wage Gini coefficient across the same seeds.
-    pub wage_gini: ScoreStats,
+    pub(crate) wage_gini: ScoreStats,
     /// Consensus accuracy under the cell's aggregator, across the seeds
     /// **that had labeling ground truth**; `n == 0` means none did (the
     /// column exports as `null`/empty, never as a fabricated score).
-    pub consensus: ScoreStats,
+    pub(crate) consensus: ScoreStats,
 }
 
 /// The result of running a grid: per-case outcomes (grid order) and

@@ -63,13 +63,13 @@ use std::path::Path;
 use std::sync::Mutex;
 
 /// Schema name of a sweep part file.
-pub const SCHEMA: &str = "faircrowd-sweep-part";
+pub(crate) const SCHEMA: &str = "faircrowd-sweep-part";
 /// Current schema version. v2 added the `strategy`/`strategy_label`
 /// case fields alongside the strategy sweep axis; v3 added the
 /// `aggregator`/`aggregator_label` case fields and the per-cell
 /// `consensus` score alongside the aggregator axis. Earlier versions
 /// are rejected rather than guessed at.
-pub const VERSION: u64 = 3;
+pub(crate) const VERSION: u64 = 3;
 
 /// Which shard of how many — the CLI's `--shard i/N`, 1-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,32 +134,32 @@ pub fn grid_hash(cases: &[SweepCase]) -> u64 {
 
 /// A part file's header line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartHeader {
+pub(crate) struct PartHeader {
     /// [`grid_hash`] of the grid this part belongs to.
-    pub grid_hash: u64,
+    pub(crate) grid_hash: u64,
     /// Total cases in the whole grid (all shards).
-    pub cases: usize,
+    pub(crate) cases: usize,
     /// The grid's seeds-per-group, so `merge` can fold without `--grid`.
-    pub seeds_per_group: usize,
+    pub(crate) seeds_per_group: usize,
     /// Which shard wrote this part, 1-based.
-    pub shard: usize,
+    pub(crate) shard: usize,
     /// Total shards in the partition.
-    pub shards: usize,
+    pub(crate) shards: usize,
 }
 
 /// A loaded part file: its header and every durable cell, in file
 /// order. Produced by [`load_part`]; consumed by [`run_shard`] (resume)
-/// and [`merge_parts`].
+/// and `merge_parts`.
 #[derive(Debug, Clone)]
 pub struct PartFile {
     /// The schema header.
-    pub header: PartHeader,
+    pub(crate) header: PartHeader,
     /// `(cell index, outcome)` for every complete record.
     pub cells: Vec<(usize, CaseOutcome)>,
     /// Byte length of the durable prefix. Anything past it is a torn
     /// final line (a kill mid-append); a resuming writer truncates to
     /// this before appending, so the next record starts a fresh line.
-    pub clean_bytes: u64,
+    pub(crate) clean_bytes: u64,
 }
 
 /// What one [`run_shard`] invocation did.
@@ -277,7 +277,7 @@ pub fn run_shard_opts(
 /// Load a part file through the three gates (positioned parse, schema,
 /// per-record integrity). Cross-grid integrity — does this part belong
 /// to *that* grid — is the caller's second step ([`run_shard`] checks
-/// against its expansion; [`merge_parts`] checks parts against each
+/// against its expansion; `merge_parts` checks parts against each
 /// other and the merged case list against the declared hash).
 pub fn load_part(path: &Path) -> Result<PartFile, FaircrowdError> {
     let bytes = std::fs::read(path).map_err(|e| FaircrowdError::Io {
@@ -415,7 +415,7 @@ fn ensure_part_matches(
 /// once; the merged case list is re-hashed and must equal the declared
 /// grid hash. Table, JSON and CSV of the returned result are
 /// byte-identical to [`run_grid`](super::run_grid) on the same grid.
-pub fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdError> {
+pub(crate) fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdError> {
     let first = parts
         .first()
         .map(|p| p.header)
@@ -490,7 +490,7 @@ pub fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdError> {
     })
 }
 
-/// [`merge_parts`] from paths: load each file through the gates, then
+/// `merge_parts` from paths: load each file through the gates, then
 /// merge. Errors carry the offending path.
 pub fn merge_paths<P: AsRef<Path>>(paths: &[P]) -> Result<SweepResult, FaircrowdError> {
     let parts = paths
@@ -809,11 +809,36 @@ fn append_line(path: &Path, line: &str) -> Result<(), FaircrowdError> {
 mod tests {
     use super::*;
     use crate::sweep::run_grid;
+    use std::path::PathBuf;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
+    /// A part path in a directory of its own, which goes with the guard.
+    struct TempPart(PathBuf);
+
+    impl std::ops::Deref for TempPart {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TempPart {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempPart {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                std::fs::remove_dir_all(dir).ok();
+            }
+        }
+    }
+
+    fn temp_path(name: &str) -> TempPart {
         let dir = std::env::temp_dir().join(format!("fc_shard_{}_{name}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("part.json")
+        TempPart(dir.join("part.json"))
     }
 
     fn grid() -> SweepGrid {

@@ -11,7 +11,8 @@
 //! daemon included; none is re-implemented here.
 //!
 //! Inputs ([`cases`], built once for every row): [`RANDOM_CASES`] traces
-//! from `common::random_trace`, every catalog scenario (rounds ≤ 12,
+//! from `common::random_trace` and [`CROWDED_CASES`] more with one or
+//! two crowded tasks, every catalog scenario (rounds ≤ 12,
 //! strategic ones converged first) and the sparse-id trace. Beside the
 //! table: the reference stream's own checks, the pipeline runs that
 //! made the catalog inputs, several traces as the markets of one
@@ -462,15 +463,15 @@ fn check_stream(input: &Input, batch: &FairnessReport, findings: &[LiveFinding])
 }
 
 const RANDOM_CASES: usize = 48;
+const CROWDED_CASES: usize = 2;
 
 /// The harness's random inputs, drawn from one fixed seed. Worker and
 /// task counts each alternate between the two sides of
-/// `EXACT_SCAN_MAX`, every combination in turn, so the exhaustive and
-/// the blocked pair scans both run for workers (A1) and tasks (A2).
-/// Each case draws its similarity regime and witness cap.
+/// `EXACT_SCAN_MAX`, every combination in turn. Each case draws its
+/// similarity regime and witness cap. The crowded inputs follow.
 fn random_inputs() -> impl Iterator<Item = Input> {
     let mut rng = StdRng::seed_from_u64(0x0fa1_2c20);
-    (0..RANDOM_CASES).map(move |case| {
+    let spread = (0..RANDOM_CASES).map(move |case| {
         let seed = rng.gen_range(0..1_000_000u64);
         let mut count = |blocked: bool, max: usize| match blocked {
             false => rng.gen_range(0..=EXACT_SCAN_MAX),
@@ -491,6 +492,38 @@ fn random_inputs() -> impl Iterator<Item = Input> {
             ..AuditConfig::default()
         };
         let name = format!("random trace {case} (seed {seed}, {n_workers}w/{n_tasks}t/{n_subs}s)");
+        Input::new(
+            name,
+            random_trace(seed, n_workers, n_tasks, n_subs),
+            audit,
+            seed,
+        )
+    });
+    spread.chain(crowded_inputs())
+}
+
+/// Inputs with one or two tasks and more than `2 × EXACT_SCAN_MAX`
+/// submissions, drawn from a seed of their own: some task then holds
+/// more than `EXACT_SCAN_MAX` submissions, so A3's contribution scan
+/// (the only scan that still switches at that size) takes its blocked
+/// branch, under every similarity regime's positive threshold.
+fn crowded_inputs() -> impl Iterator<Item = Input> {
+    let mut rng = StdRng::seed_from_u64(0x0c20_a3b1);
+    (0..CROWDED_CASES).map(move |case| {
+        let seed = rng.gen_range(0..1_000_000u64);
+        let n_workers = rng.gen_range(2..60usize);
+        let n_tasks = 1 + case % 2;
+        let n_subs = rng.gen_range(2 * EXACT_SCAN_MAX + 2..100);
+        let similarity = match case {
+            0 => SimilarityConfig::default(),
+            _ => SimilarityConfig::lenient(),
+        };
+        let audit = AuditConfig {
+            similarity,
+            max_witnesses: rng.gen_range(0..6usize),
+            ..AuditConfig::default()
+        };
+        let name = format!("crowded trace {case} (seed {seed}, {n_workers}w/{n_tasks}t/{n_subs}s)");
         Input::new(
             name,
             random_trace(seed, n_workers, n_tasks, n_subs),
@@ -599,8 +632,8 @@ fn pipeline_runs_match_the_reference_on_catalog_scenarios() {
 }
 
 /// Full-length catalog markets, too long for every row in a debug
-/// build, through the batch engine: indexed ≡ naive where the blocking
-/// buckets hold the most entities.
+/// build, through the batch engine: indexed ≡ naive on the most
+/// entities any input has.
 #[test]
 fn full_length_catalog_traces_audit_like_naive() {
     for (name, scale) in [("baseline", 1.0), ("spam_campaign", 1.0), ("baseline", 2.0)] {
@@ -722,8 +755,10 @@ fn every_route_agrees_on_grids() {
 /// The random inputs are what the rows need them to be, so a change to
 /// the generator cannot quietly weaken a case: every event kind and
 /// contribution type occurs, worker and task counts fall on either side
-/// of `EXACT_SCAN_MAX` in every combination, and every axiom holds on
-/// some trace and fails with at least two violations on another.
+/// of `EXACT_SCAN_MAX` in every combination, A3's contribution scan
+/// runs both its exhaustive and its blocked branch (it is the only scan
+/// that switches at `EXACT_SCAN_MAX`), and every axiom holds on some
+/// trace and fails with at least two violations on another.
 #[test]
 fn the_random_inputs_cover_every_kind_and_verdict() {
     let inputs: Vec<Input> = random_inputs().collect();
@@ -750,6 +785,26 @@ fn the_random_inputs_cover_every_kind_and_verdict() {
         .map(|(w, t)| (w > EXACT_SCAN_MAX, t > EXACT_SCAN_MAX))
         .collect();
     assert_eq!(sizes.len(), 4, "(workers, tasks) blocked: {sizes:?}");
+    // Per input, which branches A3's per-task contribution scan takes:
+    // exhaustive for a pair-holding task of at most `EXACT_SCAN_MAX`
+    // submissions, blocked past it (every regime's threshold is positive).
+    let a3_branches: BTreeSet<bool> = inputs
+        .iter()
+        .flat_map(|i| {
+            assert!(i.audit.similarity.contribution_threshold > 0.0);
+            let mut per_task: BTreeMap<TaskId, usize> = BTreeMap::new();
+            for s in &i.trace.submissions {
+                *per_task.entry(s.task).or_default() += 1;
+            }
+            per_task.into_values().filter(|&n| n > 1)
+        })
+        .map(|n| n > EXACT_SCAN_MAX)
+        .collect();
+    assert_eq!(
+        a3_branches.len(),
+        2,
+        "A3 scan branches run: {a3_branches:?}"
+    );
 
     let reports: Vec<FairnessReport> = inputs
         .iter()
