@@ -17,7 +17,7 @@
 //! [`FaircrowdError::InfeasibleAssignment`] — never a panic — when that
 //! quota cannot be met.
 
-use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, WorkerView};
+use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification};
 use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::money::Credits;
 use rand::RngCore;
@@ -166,53 +166,47 @@ impl AssignmentPolicy for BudgetDiverse {
         Self::NAME
     }
 
-    fn assign(&mut self, input: &AssignInput, _rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
-        let mut remaining: BTreeMap<_, u32> =
-            input.workers.iter().map(|w| (w.id, w.capacity)).collect();
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        _rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = Draft::hidden(input, qualified);
+        let mut remaining: Vec<u32> = input.workers.iter().map(|w| w.capacity).collect();
         let mut budget_left = self.round_budget;
-        for task in &input.tasks {
-            let candidates: Vec<(&WorkerView, Candidate)> = input
+        for (ti, task) in input.tasks.iter().enumerate() {
+            let candidates: Vec<Candidate> = input
                 .workers
                 .iter()
                 .enumerate()
-                .filter(|(_, w)| w.qualifies(task) && remaining[&w.id] > 0)
-                .map(|(wi, w)| {
-                    (
-                        w,
-                        Candidate {
-                            index: wi,
-                            quality: w.quality,
-                            cost: task.reward,
-                            group: w.group.clone(),
-                        },
-                    )
+                .filter(|&(wi, _)| remaining[wi] > 0 && qualified.row(wi).contains(task.id))
+                .map(|(wi, w)| Candidate {
+                    index: wi,
+                    quality: w.quality,
+                    cost: task.reward,
+                    group: w.group.clone(),
                 })
                 .collect();
             // Every candidate sees the task (self-selection-style
             // exposure); the constraints bind only the assignments.
-            for (w, _) in &candidates {
-                outcome.show(w.id, task.id);
+            for c in &candidates {
+                outcome.show(c.index, ti);
             }
-            let quota = feasible_quota(
-                candidates.iter().map(|(_, c)| c),
-                task.slots as usize,
-                self.group_spread,
-            );
-            let flat: Vec<Candidate> = candidates.iter().map(|(_, c)| c.clone()).collect();
+            let quota = feasible_quota(candidates.iter(), task.slots as usize, self.group_spread);
             // The derived quota is feasible and quota picks are free of
             // budget pressure only when the budget allows; an exhausted
             // budget is not an error — the task simply goes unstaffed.
-            let picks = select_budget_diverse(&flat, task.slots as usize, budget_left, &quota)
-                .unwrap_or_default();
+            let picks =
+                select_budget_diverse(&candidates, task.slots as usize, budget_left, &quota)
+                    .unwrap_or_default();
             for wi in picks {
-                let w = &input.workers[wi];
-                outcome.assign(w.id, task.id);
-                *remaining.get_mut(&w.id).expect("candidate has capacity") -= 1;
+                outcome.assign(wi, ti);
+                remaining[wi] -= 1;
                 budget_left -= task.reward;
             }
         }
-        outcome
+        outcome.finish()
     }
 }
 

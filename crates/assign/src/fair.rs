@@ -11,8 +11,12 @@
 //!   violation rate to zero while leaving assignments untouched.
 //! * [`ExposureFloor`] — every worker is shown at least `min_exposure`
 //!   qualified tasks, eliminating total-exclusion discrimination.
+//!
+//! Both repair the base policy's visibility rows with the round's
+//! qualification rows — parity is row algebra: each member's row gains
+//! the class union AND her own qualification row.
 
-use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, WorkerView};
+use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, Qualification, WorkerView};
 use rand::RngCore;
 
 /// Group workers into similarity classes: same-skill (by kernel score ≥
@@ -71,32 +75,36 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
         "exposure-parity"
     }
 
-    fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = self.base.assign(input, rng);
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = self.base.assign_qualified(input, qualified, rng);
         let classes =
             similarity_classes(&input.workers, self.skill_threshold, self.quality_tolerance);
-        for class in classes {
+        // A lone member's union is her own row: nothing to grant.
+        for class in classes.iter().filter(|class| class.len() > 1) {
             // union of everything anyone in the class was shown
-            let mut union = std::collections::BTreeSet::new();
-            for &wi in &class {
+            let mut union = qualified.empty_row();
+            for &wi in class {
                 if let Some(vis) = outcome.visibility.get(&input.workers[wi].id) {
-                    union.extend(vis.iter().copied());
+                    union.union_with(vis, |_| {});
                 }
             }
             // grant the union to every member, restricted to qualification
-            for &wi in &class {
-                let w = &input.workers[wi];
-                for &tid in &union {
-                    let qualified = input
-                        .tasks
-                        .iter()
-                        .find(|t| t.id == tid)
-                        .map(|t| w.qualifies(t))
-                        .unwrap_or(false);
-                    if qualified {
-                        outcome.show(w.id, tid);
-                    }
+            for &wi in class {
+                let mut grant = union.clone();
+                grant.intersect_with(qualified.row(wi));
+                if grant.is_empty() {
+                    continue;
                 }
+                outcome
+                    .visibility
+                    .entry(input.workers[wi].id)
+                    .or_insert_with(|| qualified.empty_row())
+                    .union_with(&grant, |_| {});
             }
         }
         outcome
@@ -118,27 +126,35 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureFloor<P> {
         "exposure-floor"
     }
 
-    fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = self.base.assign(input, rng);
-        for w in &input.workers {
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = self.base.assign_qualified(input, qualified, rng);
+        for (wi, w) in input.workers.iter().enumerate() {
             let have = outcome.visibility.get(&w.id).map_or(0, |v| v.len());
             if have >= self.min_exposure {
                 continue;
             }
             let mut need = self.min_exposure - have;
+            let row = qualified.row(wi);
+            let mut shown = outcome
+                .visibility
+                .remove(&w.id)
+                .unwrap_or_else(|| qualified.empty_row());
+            // the first qualified tasks she was not shown, in input order
             for t in &input.tasks {
                 if need == 0 {
                     break;
                 }
-                let already = outcome
-                    .visibility
-                    .get(&w.id)
-                    .map(|v| v.contains(&t.id))
-                    .unwrap_or(false);
-                if !already && w.qualifies(t) {
-                    outcome.show(w.id, t.id);
+                if row.contains(t.id) && shown.insert(t.id) {
                     need -= 1;
                 }
+            }
+            if !shown.is_empty() {
+                outcome.visibility.insert(w.id, shown);
             }
         }
         outcome
@@ -262,7 +278,7 @@ mod tests {
         let o = wrapped.assign(&m, &mut StdRng::seed_from_u64(0));
         if let Some(v2) = o.visibility.get(&WorkerId::new(2)) {
             assert!(
-                !v2.contains(&TaskId::new(3)),
+                !v2.contains(TaskId::new(3)),
                 "unqualified task granted through parity"
             );
         }

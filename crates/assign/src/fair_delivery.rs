@@ -11,7 +11,9 @@
 //! lower level. Deterministic: ties break on worker id and the injected
 //! RNG is never consulted.
 
-use crate::policy::{preference_score, AssignInput, AssignmentOutcome, AssignmentPolicy};
+use crate::policy::{
+    preference_score, AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification,
+};
 use faircrowd_model::ids::WorkerId;
 use rand::RngCore;
 use std::collections::BTreeMap;
@@ -35,54 +37,59 @@ impl AssignmentPolicy for FairDelivery {
         Self::NAME
     }
 
-    fn assign(&mut self, input: &AssignInput, _rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
-        let mut remaining: BTreeMap<WorkerId, u32> =
-            input.workers.iter().map(|w| (w.id, w.capacity)).collect();
-        let mut level: BTreeMap<WorkerId, f64> = input
-            .workers
-            .iter()
-            .map(|w| (w.id, self.delivered.get(&w.id).copied().unwrap_or(0.0)))
-            .collect();
-
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        _rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
         // Self-selection-style exposure: every qualified worker sees the
         // task. The balancing binds only the delivery (assignments).
-        for task in &input.tasks {
-            for w in &input.workers {
-                if w.qualifies(task) {
-                    outcome.show(w.id, task.id);
-                }
-            }
-        }
+        let mut outcome = Draft::open(input, qualified);
+        let mut remaining: Vec<u32> = input.workers.iter().map(|w| w.capacity).collect();
+        let mut level: Vec<f64> = input
+            .workers
+            .iter()
+            .map(|w| self.delivered.get(&w.id).copied().unwrap_or(0.0))
+            .collect();
+        // The last task each worker was handed a slot of (slots of one
+        // task go to distinct workers).
+        let mut on_task: Vec<Option<usize>> = vec![None; input.workers.len()];
 
         // Best-paid tasks first: high-utility slots are the contested
         // resource, so they are levelled first.
-        let mut order: Vec<&crate::policy::TaskView> = input.tasks.iter().collect();
-        order.sort_by(|a, b| b.reward.cmp(&a.reward).then(a.id.cmp(&b.id)));
-        for task in order {
+        let mut order: Vec<usize> = (0..input.tasks.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (a, b) = (&input.tasks[a], &input.tasks[b]);
+            b.reward.cmp(&a.reward).then(a.id.cmp(&b.id))
+        });
+        for ti in order {
+            let task = &input.tasks[ti];
             for _slot in 0..task.slots {
                 let pick = input
                     .workers
                     .iter()
-                    .filter(|w| {
-                        w.qualifies(task)
-                            && remaining[&w.id] > 0
-                            && !outcome.assignments.contains(&(w.id, task.id))
+                    .enumerate()
+                    .filter(|&(wi, _)| {
+                        remaining[wi] > 0
+                            && on_task[wi] != Some(ti)
+                            && qualified.row(wi).contains(task.id)
                     })
-                    .min_by(|a, b| {
-                        level[&a.id]
-                            .partial_cmp(&level[&b.id])
+                    .min_by(|&(ai, a), &(bi, b)| {
+                        level[ai]
+                            .partial_cmp(&level[bi])
                             .unwrap_or(std::cmp::Ordering::Equal)
                             .then(a.id.cmp(&b.id))
                     });
-                let Some(w) = pick else { break };
-                outcome.assign(w.id, task.id);
-                *remaining.get_mut(&w.id).expect("known worker") -= 1;
-                *level.get_mut(&w.id).expect("known worker") += preference_score(w, task);
+                let Some((wi, w)) = pick else { break };
+                outcome.assign(wi, ti);
+                remaining[wi] -= 1;
+                on_task[wi] = Some(ti);
+                level[wi] += preference_score(w, task);
             }
         }
-        self.delivered = level;
-        outcome
+        self.delivered = input.workers.iter().map(|w| w.id).zip(level).collect();
+        outcome.finish()
     }
 }
 

@@ -10,10 +10,9 @@
 //! every qualified worker is equally likely to see any task, which gives
 //! the policy an interesting middle position in E1.
 
-use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy};
+use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification};
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// Random (l, r)-regular allocation.
 #[derive(Debug, Clone, Copy)]
@@ -35,14 +34,19 @@ impl AssignmentPolicy for KosAllocation {
         "kos-regular"
     }
 
-    fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = Draft::hidden(input, qualified);
         // Remaining right-degree per worker, bounded by both `r` and the
         // worker's declared capacity.
-        let mut budget: BTreeMap<_, u32> = input
+        let mut budget: Vec<u32> = input
             .workers
             .iter()
-            .map(|w| (w.id, w.capacity.min(self.r)))
+            .map(|w| w.capacity.min(self.r))
             .collect();
 
         let mut task_order: Vec<usize> = (0..input.tasks.len()).collect();
@@ -52,21 +56,16 @@ impl AssignmentPolicy for KosAllocation {
             let t = &input.tasks[ti];
             let want = self.l.min(t.slots);
             // candidate qualified workers with remaining budget
-            let mut candidates: Vec<usize> = input
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| budget[&w.id] > 0 && w.qualifies(t))
-                .map(|(wi, _)| wi)
+            let mut candidates: Vec<usize> = (0..input.workers.len())
+                .filter(|&wi| budget[wi] > 0 && qualified.row(wi).contains(t.id))
                 .collect();
             candidates.shuffle(rng);
             for wi in candidates.into_iter().take(want as usize) {
-                let w = &input.workers[wi];
-                *budget.get_mut(&w.id).expect("budget entry") -= 1;
-                outcome.assign(w.id, t.id);
+                budget[wi] -= 1;
+                outcome.assign(wi, ti);
             }
         }
-        outcome
+        outcome.finish()
     }
 }
 
@@ -81,6 +80,7 @@ mod tests {
     use faircrowd_model::time::SimDuration;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     /// A uniform market with no skill requirements.
     fn uniform_market(n_tasks: u32, n_workers: u32, slots: u32, capacity: u32) -> AssignInput {

@@ -12,7 +12,10 @@
 //!
 //! Every policy implements [`AssignmentPolicy`] and returns both an
 //! assignment and the **visibility sets** (which tasks each worker was
-//! shown) — the object Axioms 1–2 quantify over.
+//! shown) — the object Axioms 1–2 quantify over. A visibility set is a
+//! bit row of task ids ([`faircrowd_model::arena::IdSet`]), and
+//! qualification is computed once per round into the same rows
+//! ([`Qualification`]), shared by a policy and the wrapper around it.
 //!
 //! Policies:
 //! * [`SelfSelection`] — post-and-browse (the AMT/CrowdFlower default);
@@ -52,7 +55,9 @@ pub use fair::{ExposureFloor, ExposureParity};
 pub use fair_delivery::FairDelivery;
 pub use kos::KosAllocation;
 pub use online_matching::OnlineMatching;
-pub use policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, TaskView, WorkerView};
+pub use policy::{
+    AssignInput, AssignmentOutcome, AssignmentPolicy, Qualification, TaskView, WorkerView,
+};
 pub use requester_centric::RequesterCentric;
 pub use round_robin::RoundRobin;
 pub use self_selection::SelfSelection;

@@ -11,10 +11,9 @@
 //! Like [`crate::RequesterCentric`], the worker is shown only what she is
 //! offered — online platforms that route work do not reveal the queue.
 
-use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy};
+use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification};
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// Greedy online assignment with arrival order drawn from the RNG.
 #[derive(Debug, Clone, Copy, Default)]
@@ -25,25 +24,35 @@ impl AssignmentPolicy for OnlineMatching {
         "online-greedy"
     }
 
-    fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
-        let mut slots: BTreeMap<_, u32> = input.tasks.iter().map(|t| (t.id, t.slots)).collect();
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = Draft::hidden(input, qualified);
+        let mut slots: Vec<u32> = input.tasks.iter().map(|t| t.slots).collect();
+        // The last arrival that took each task: a worker answers any
+        // given task at most once (redundancy slots need distinct
+        // workers).
+        let mut taken_by: Vec<Option<usize>> = vec![None; input.tasks.len()];
 
         let mut arrivals: Vec<usize> = (0..input.workers.len()).collect();
         arrivals.shuffle(rng);
 
         for wi in arrivals {
             let w = &input.workers[wi];
-            // A worker answers any given task at most once (redundancy
-            // slots need distinct workers).
-            let mut taken: std::collections::BTreeSet<_> = std::collections::BTreeSet::new();
+            let row = qualified.row(wi);
             for _ in 0..w.capacity {
                 // marginal utility of routing w to each open task
                 let best = input
                     .tasks
                     .iter()
-                    .filter(|t| slots[&t.id] > 0 && !taken.contains(&t.id) && w.qualifies(t))
-                    .max_by(|a, b| {
+                    .enumerate()
+                    .filter(|&(ti, t)| {
+                        slots[ti] > 0 && taken_by[ti] != Some(wi) && row.contains(t.id)
+                    })
+                    .max_by(|(_, a), (_, b)| {
                         let ua = w.quality * a.reward.as_dollars_f64();
                         let ub = w.quality * b.reward.as_dollars_f64();
                         ua.partial_cmp(&ub)
@@ -51,16 +60,16 @@ impl AssignmentPolicy for OnlineMatching {
                             .then(b.id.cmp(&a.id))
                     });
                 match best {
-                    Some(t) => {
-                        *slots.get_mut(&t.id).expect("slot entry") -= 1;
-                        taken.insert(t.id);
-                        outcome.assign(w.id, t.id);
+                    Some((ti, _)) => {
+                        slots[ti] -= 1;
+                        taken_by[ti] = Some(wi);
+                        outcome.assign(wi, ti);
                     }
                     None => break,
                 }
             }
         }
-        outcome
+        outcome.finish()
     }
 }
 
@@ -99,7 +108,8 @@ mod tests {
                 .filter(|(aw, _)| aw == w)
                 .map(|(_, t)| *t)
                 .collect();
-            assert_eq!(vis, &assigned);
+            let shown: std::collections::BTreeSet<_> = vis.iter().collect();
+            assert_eq!(shown, assigned);
         }
     }
 

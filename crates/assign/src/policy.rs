@@ -7,7 +7,16 @@
 //! the assignments. Splitting the two is the point: a policy can be
 //! utility-optimal and exposure-discriminatory at the same time, which is
 //! exactly the §3.1.1 critique.
+//!
+//! Visibility sets are bit rows ([`IdSet`]), one per worker. Qualification
+//! is computed once per round into the same shape ([`Qualification`]):
+//! the open policies (self-selection, round-robin, worker-centric, fair
+//! delivery) show a worker her qualification row as it is, and the
+//! enforcement wrappers repair exposure with row algebra on it instead of
+//! re-testing skills pair by pair. Policies index slots, budgets and
+//! capacities by input position.
 
+use faircrowd_model::arena::IdSet;
 use faircrowd_model::ids::{RequesterId, TaskId, WorkerId};
 use faircrowd_model::money::Credits;
 use faircrowd_model::skills::SkillVector;
@@ -68,28 +77,124 @@ pub struct AssignInput {
     pub workers: Vec<WorkerView>,
 }
 
+/// The round's qualification matrix: for each worker, in input order,
+/// the bit row of the task ids she qualifies for. Built once per round
+/// ([`AssignmentPolicy::assign`] does it) and shared by a policy and any
+/// wrapper around it. Task ids are unique within an [`AssignInput`].
+#[derive(Debug, Clone)]
+pub struct Qualification {
+    rows: Vec<IdSet<TaskId>>,
+    /// An empty row whose bit region covers every task id of the input,
+    /// so rows cloned from it never grow or spill.
+    empty: IdSet<TaskId>,
+}
+
+impl Qualification {
+    /// Test every (worker, task) pair of `input` once.
+    pub fn of(input: &AssignInput) -> Self {
+        let empty = match input.tasks.iter().map(|t| t.id).max() {
+            Some(largest) => IdSet::with_region(largest, input.tasks.len()),
+            None => IdSet::new(),
+        };
+        let rows = input
+            .workers
+            .iter()
+            .map(|w| {
+                let mut row = empty.clone();
+                for t in input.tasks.iter().filter(|t| w.qualifies(t)) {
+                    row.insert(t.id);
+                }
+                row
+            })
+            .collect();
+        Qualification { rows, empty }
+    }
+
+    /// The tasks the worker at input position `wi` qualifies for.
+    pub fn row(&self, wi: usize) -> &IdSet<TaskId> {
+        &self.rows[wi]
+    }
+
+    /// An empty visibility row sized for this round's task ids.
+    pub(crate) fn empty_row(&self) -> IdSet<TaskId> {
+        self.empty.clone()
+    }
+}
+
 /// What a policy decided.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssignmentOutcome {
-    /// Which tasks each worker was shown (exposure).
-    pub visibility: BTreeMap<WorkerId, BTreeSet<TaskId>>,
+    /// Which tasks each worker was shown (exposure), as bit rows. A
+    /// worker shown nothing has no entry.
+    pub visibility: BTreeMap<WorkerId, IdSet<TaskId>>,
     /// Assignments made, in decision order.
     pub assignments: Vec<(WorkerId, TaskId)>,
 }
 
-impl AssignmentOutcome {
-    /// Record that `worker` was shown `task`.
-    pub(crate) fn show(&mut self, worker: WorkerId, task: TaskId) {
-        self.visibility.entry(worker).or_default().insert(task);
+/// An outcome under construction, indexed by input position: the
+/// visibility rows start empty (need-to-know policies) or as the
+/// qualification rows (open policies).
+pub(crate) struct Draft<'a> {
+    input: &'a AssignInput,
+    rows: Vec<IdSet<TaskId>>,
+    assignments: Vec<(WorkerId, TaskId)>,
+}
+
+impl<'a> Draft<'a> {
+    /// Nobody sees anything yet.
+    pub(crate) fn hidden(input: &'a AssignInput, qualified: &Qualification) -> Self {
+        Draft {
+            input,
+            rows: vec![qualified.empty_row(); input.workers.len()],
+            assignments: Vec::new(),
+        }
+    }
+
+    /// Every worker sees every task she qualifies for.
+    pub(crate) fn open(input: &'a AssignInput, qualified: &Qualification) -> Self {
+        Draft {
+            input,
+            rows: qualified.rows.clone(),
+            assignments: Vec::new(),
+        }
+    }
+
+    /// Show task `ti` to worker `wi`.
+    pub(crate) fn show(&mut self, wi: usize, ti: usize) {
+        self.rows[wi].insert(self.input.tasks[ti].id);
     }
 
     /// Record an assignment; an assignment implies visibility (a worker
     /// cannot take a task she never saw).
-    pub(crate) fn assign(&mut self, worker: WorkerId, task: TaskId) {
-        self.show(worker, task);
-        self.assignments.push((worker, task));
+    pub(crate) fn assign(&mut self, wi: usize, ti: usize) {
+        self.show(wi, ti);
+        self.assignments
+            .push((self.input.workers[wi].id, self.input.tasks[ti].id));
     }
 
+    /// The finished outcome: one visibility entry per worker shown
+    /// anything.
+    pub(crate) fn finish(self) -> AssignmentOutcome {
+        let mut visibility: BTreeMap<WorkerId, IdSet<TaskId>> = BTreeMap::new();
+        for (w, row) in self.input.workers.iter().zip(self.rows) {
+            if row.is_empty() {
+                continue;
+            }
+            match visibility.get_mut(&w.id) {
+                Some(seen) => seen.union_with(&row, |_| {}),
+                None => {
+                    visibility.insert(w.id, row);
+                }
+            }
+        }
+        AssignmentOutcome {
+            visibility,
+            assignments: self.assignments,
+        }
+    }
+}
+
+impl AssignmentOutcome {
     /// [`AssignmentOutcome::check_feasible`] as a `Result`: `Ok` when the
     /// outcome respects every structural invariant,
     /// [`faircrowd_model::FaircrowdError::InfeasibleAssignment`] naming
@@ -136,11 +241,7 @@ impl AssignmentOutcome {
             }
             *per_task.entry(t).or_insert(0) += 1;
             *per_worker.entry(w).or_insert(0) += 1;
-            let visible = self
-                .visibility
-                .get(&w)
-                .map(|v| v.contains(&t))
-                .unwrap_or(false);
+            let visible = self.visibility.get(&w).is_some_and(|v| v.contains(t));
             if !visible {
                 problems.push(format!("{w} assigned {t} without visibility"));
             }
@@ -170,8 +271,38 @@ pub trait AssignmentPolicy {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
+    /// Decide visibility and assignments for one round, given the
+    /// round's qualification matrix (`Qualification::of(input)`) — the
+    /// entry point wrappers call on the policy they wrap, so one matrix
+    /// serves both.
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome;
+
     /// Decide visibility and assignments for one round.
-    fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome;
+    fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
+        self.assign_qualified(input, &Qualification::of(input), rng)
+    }
+}
+
+/// A boxed policy is a policy, so wrappers can take a policy chosen at
+/// run time as their base.
+impl<P: AssignmentPolicy + ?Sized> AssignmentPolicy for Box<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        (**self).assign_qualified(input, qualified, rng)
+    }
 }
 
 /// A worker's preference for a task: reward (in dollars) scaled by skill
@@ -291,23 +422,43 @@ mod tests {
         }
     }
 
+    /// A hidden draft over the fixture market (worker and task ids
+    /// equal their input positions there).
+    fn draft(m: &AssignInput) -> Draft<'_> {
+        Draft::hidden(m, &Qualification::of(m))
+    }
+
+    #[test]
+    fn qualification_rows_match_the_pairwise_test() {
+        let m = small_market();
+        let q = Qualification::of(&m);
+        for (wi, w) in m.workers.iter().enumerate() {
+            for t in &m.tasks {
+                assert_eq!(q.row(wi).contains(t.id), w.qualifies(t));
+            }
+        }
+    }
+
     #[test]
     fn outcome_assign_implies_visibility() {
-        let mut o = AssignmentOutcome::default();
-        o.assign(WorkerId::new(0), TaskId::new(1));
-        assert!(o.visibility[&WorkerId::new(0)].contains(&TaskId::new(1)));
+        let m = small_market();
+        let mut d = draft(&m);
+        d.assign(0, 1);
+        let o = d.finish();
+        assert!(o.visibility[&WorkerId::new(0)].contains(TaskId::new(1)));
+        assert_eq!(o.visibility.len(), 1, "workers shown nothing get no entry");
     }
 
     #[test]
     fn feasibility_catches_violations() {
         let m = small_market();
-        let mut o = AssignmentOutcome::default();
+        let mut d = draft(&m);
         // unqualified assignment
-        o.assign(WorkerId::new(3), TaskId::new(1));
+        d.assign(3, 1);
         // over-capacity for w2 (capacity 1)
-        o.assign(WorkerId::new(2), TaskId::new(0));
-        o.assign(WorkerId::new(2), TaskId::new(2));
-        let problems = o.check_feasible(&m);
+        d.assign(2, 0);
+        d.assign(2, 2);
+        let problems = d.finish().check_feasible(&m);
         assert!(problems.iter().any(|p| p.contains("not qualified")));
         assert!(problems.iter().any(|p| p.contains("over-capacity")));
     }
@@ -324,10 +475,10 @@ mod tests {
     #[test]
     fn feasibility_catches_duplicates_and_overassignment() {
         let m = small_market();
-        let mut o = AssignmentOutcome::default();
-        o.assign(WorkerId::new(0), TaskId::new(1));
-        o.assign(WorkerId::new(0), TaskId::new(1));
-        let problems = o.check_feasible(&m);
+        let mut d = draft(&m);
+        d.assign(0, 1);
+        d.assign(0, 1);
+        let problems = d.finish().check_feasible(&m);
         assert!(problems.iter().any(|p| p.contains("more than once")));
         assert!(problems.iter().any(|p| p.contains("over-assigned")));
     }
@@ -335,10 +486,10 @@ mod tests {
     #[test]
     fn utilities_sum_over_assignments() {
         let m = small_market();
-        let mut o = AssignmentOutcome::default();
-        o.assign(WorkerId::new(0), TaskId::new(2));
-        o.assign(WorkerId::new(1), TaskId::new(1));
-        let wu = worker_utility(&m, &o);
+        let mut d = draft(&m);
+        d.assign(0, 2);
+        d.assign(1, 1);
+        let wu = worker_utility(&m, &d.finish());
         assert!(wu > 0.0);
     }
 

@@ -9,9 +9,8 @@
 //! information asymmetry the paper's fairness axioms are designed to
 //! expose.
 
-use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy};
+use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification};
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// Greedy requester-utility maximisation with need-to-know visibility.
 #[derive(Debug, Clone, Copy, Default)]
@@ -22,10 +21,18 @@ impl AssignmentPolicy for RequesterCentric {
         "requester-centric"
     }
 
-    fn assign(&mut self, input: &AssignInput, _rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
-        let mut capacity: BTreeMap<_, u32> =
-            input.workers.iter().map(|w| (w.id, w.capacity)).collect();
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        _rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = Draft::hidden(input, qualified);
+        let mut capacity: Vec<u32> = input.workers.iter().map(|w| w.capacity).collect();
+        // The last task each worker took a slot of: redundancy slots
+        // must go to distinct workers — the whole point of multiple
+        // assignments is independent answers.
+        let mut on_task: Vec<Option<usize>> = vec![None; input.workers.len()];
 
         // Most valuable tasks first: the requester protects her highest
         // rewards with her best workers.
@@ -39,32 +46,34 @@ impl AssignmentPolicy for RequesterCentric {
 
         for ti in task_order {
             let t = &input.tasks[ti];
-            // Redundancy slots must go to distinct workers — the whole
-            // point of multiple assignments is independent answers.
-            let mut on_task: std::collections::BTreeSet<_> = std::collections::BTreeSet::new();
             for _slot in 0..t.slots {
                 // best remaining qualified worker by quality
                 let best = input
                     .workers
                     .iter()
-                    .filter(|w| capacity[&w.id] > 0 && !on_task.contains(&w.id) && w.qualifies(t))
-                    .max_by(|a, b| {
+                    .enumerate()
+                    .filter(|&(wi, _)| {
+                        capacity[wi] > 0
+                            && on_task[wi] != Some(ti)
+                            && qualified.row(wi).contains(t.id)
+                    })
+                    .max_by(|(_, a), (_, b)| {
                         a.quality
                             .partial_cmp(&b.quality)
                             .expect("NaN quality")
                             .then(b.id.cmp(&a.id))
                     });
                 match best {
-                    Some(w) => {
-                        *capacity.get_mut(&w.id).expect("capacity entry") -= 1;
-                        on_task.insert(w.id);
-                        outcome.assign(w.id, t.id);
+                    Some((wi, _)) => {
+                        capacity[wi] -= 1;
+                        on_task[wi] = Some(ti);
+                        outcome.assign(wi, ti);
                     }
                     None => break, // nobody left for this task
                 }
             }
         }
-        outcome
+        outcome.finish()
     }
 }
 
@@ -124,7 +133,8 @@ mod tests {
                 .filter(|(aw, _)| aw == w)
                 .map(|(_, t)| *t)
                 .collect();
-            assert_eq!(vis, &assigned, "visibility leaks beyond assignments");
+            let shown: std::collections::BTreeSet<_> = vis.iter().collect();
+            assert_eq!(shown, assigned, "visibility leaks beyond assignments");
         }
     }
 

@@ -4,10 +4,15 @@
 //! assignments dealt one at a time to each worker in turn, so no worker
 //! accumulates tasks while another starves. Deterministic given the input
 //! (no RNG use) — useful as the fairness anchor in E1.
+//!
+//! Each turn a worker takes the first (lowest-position) task she
+//! qualifies for that still has a slot and that she has not taken yet.
+//! That eligible set only shrinks during a round — slots run out, taken
+//! tasks stay taken — so her first eligible position never moves back,
+//! and one cursor per worker replaces a rescan from the start.
 
-use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy};
+use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification};
 use rand::RngCore;
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Deal tasks to workers in rotation.
 #[derive(Debug, Clone, Copy, Default)]
@@ -18,35 +23,34 @@ impl AssignmentPolicy for RoundRobin {
         "round-robin"
     }
 
-    fn assign(&mut self, input: &AssignInput, _rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
-        for w in &input.workers {
-            for t in &input.tasks {
-                if w.qualifies(t) {
-                    outcome.show(w.id, t.id);
-                }
-            }
-        }
-        let mut slots: BTreeMap<_, u32> = input.tasks.iter().map(|t| (t.id, t.slots)).collect();
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        _rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = Draft::open(input, qualified);
+        let mut slots: Vec<u32> = input.tasks.iter().map(|t| t.slots).collect();
         let mut capacity: Vec<u32> = input.workers.iter().map(|w| w.capacity).collect();
-        let mut taken: Vec<BTreeSet<_>> = vec![BTreeSet::new(); input.workers.len()];
+        // Every task before a worker's cursor is taken by her or no
+        // longer eligible for her.
+        let mut cursor: Vec<usize> = vec![0; input.workers.len()];
 
         loop {
             let mut progressed = false;
-            for (wi, w) in input.workers.iter().enumerate() {
+            for wi in 0..input.workers.len() {
                 if capacity[wi] == 0 {
                     continue;
                 }
-                // the first (lowest-id) qualified open task not yet taken
-                let next = input
-                    .tasks
-                    .iter()
-                    .find(|t| w.qualifies(t) && slots[&t.id] > 0 && !taken[wi].contains(&t.id));
-                if let Some(t) = next {
-                    *slots.get_mut(&t.id).expect("slot entry") -= 1;
+                // the first qualified open task not yet taken
+                let row = qualified.row(wi);
+                let next = (cursor[wi]..input.tasks.len())
+                    .find(|&ti| slots[ti] > 0 && row.contains(input.tasks[ti].id));
+                cursor[wi] = next.map_or(input.tasks.len(), |ti| ti + 1);
+                if let Some(ti) = next {
+                    slots[ti] -= 1;
                     capacity[wi] -= 1;
-                    taken[wi].insert(t.id);
-                    outcome.assign(w.id, t.id);
+                    outcome.assign(wi, ti);
                     progressed = true;
                 }
             }
@@ -54,7 +58,7 @@ impl AssignmentPolicy for RoundRobin {
                 break;
             }
         }
-        outcome
+        outcome.finish()
     }
 }
 

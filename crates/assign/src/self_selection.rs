@@ -7,10 +7,11 @@
 //! sees every open task; workers then claim tasks by their own preference
 //! in random arrival order.
 
-use crate::policy::{preference_score, AssignInput, AssignmentOutcome, AssignmentPolicy};
+use crate::policy::{
+    preference_score, AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification,
+};
 use rand::seq::SliceRandom;
 use rand::RngCore;
-use std::collections::BTreeMap;
 
 /// The post-and-browse baseline. Fair in exposure by construction.
 #[derive(Debug, Clone, Copy, Default)]
@@ -21,28 +22,27 @@ impl AssignmentPolicy for SelfSelection {
         "self-selection"
     }
 
-    fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
         // Full visibility for the qualified.
-        for w in &input.workers {
-            for t in &input.tasks {
-                if w.qualifies(t) {
-                    outcome.show(w.id, t.id);
-                }
-            }
-        }
+        let mut outcome = Draft::open(input, qualified);
         // Workers arrive in random order and claim by preference.
-        let mut slots: BTreeMap<_, u32> = input.tasks.iter().map(|t| (t.id, t.slots)).collect();
+        let mut slots: Vec<u32> = input.tasks.iter().map(|t| t.slots).collect();
         let mut order: Vec<usize> = (0..input.workers.len()).collect();
         order.shuffle(rng);
         for wi in order {
             let w = &input.workers[wi];
+            let row = qualified.row(wi);
             // rank qualified open tasks by the worker's own preference
             let mut prefs: Vec<(f64, usize)> = input
                 .tasks
                 .iter()
                 .enumerate()
-                .filter(|(_, t)| w.qualifies(t) && slots[&t.id] > 0)
+                .filter(|&(ti, t)| slots[ti] > 0 && row.contains(t.id))
                 .map(|(ti, t)| (preference_score(w, t), ti))
                 .collect();
             prefs.sort_by(|a, b| {
@@ -51,15 +51,13 @@ impl AssignmentPolicy for SelfSelection {
                     .then(a.1.cmp(&b.1))
             });
             for &(_, ti) in prefs.iter().take(w.capacity as usize) {
-                let t = &input.tasks[ti];
-                let s = slots.get_mut(&t.id).expect("slot entry");
-                if *s > 0 {
-                    *s -= 1;
-                    outcome.assign(w.id, t.id);
+                if slots[ti] > 0 {
+                    slots[ti] -= 1;
+                    outcome.assign(wi, ti);
                 }
             }
         }
-        outcome
+        outcome.finish()
     }
 }
 
@@ -79,10 +77,7 @@ mod tests {
         for w in &m.workers {
             for t in &m.tasks {
                 assert_eq!(
-                    o.visibility
-                        .get(&w.id)
-                        .map(|v| v.contains(&t.id))
-                        .unwrap_or(false),
+                    o.visibility.get(&w.id).is_some_and(|v| v.contains(t.id)),
                     w.qualifies(t),
                     "visibility must exactly match qualification"
                 );

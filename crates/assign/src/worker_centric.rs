@@ -14,7 +14,9 @@
 //! — a worker-first platform hides nothing.
 
 use crate::mcmf::max_weight_b_matching;
-use crate::policy::{preference_score, AssignInput, AssignmentOutcome, AssignmentPolicy};
+use crate::policy::{
+    preference_score, AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification,
+};
 use rand::RngCore;
 
 /// Exact b-matching maximising total worker preference.
@@ -26,28 +28,27 @@ impl AssignmentPolicy for WorkerCentric {
         "worker-centric"
     }
 
-    fn assign(&mut self, input: &AssignInput, _rng: &mut dyn RngCore) -> AssignmentOutcome {
-        let mut outcome = AssignmentOutcome::default();
-        for w in &input.workers {
-            for t in &input.tasks {
-                if w.qualifies(t) {
-                    outcome.show(w.id, t.id);
-                }
-            }
-        }
+    fn assign_qualified(
+        &mut self,
+        input: &AssignInput,
+        qualified: &Qualification,
+        _rng: &mut dyn RngCore,
+    ) -> AssignmentOutcome {
+        let mut outcome = Draft::open(input, qualified);
         if input.workers.is_empty() || input.tasks.is_empty() {
-            return outcome;
+            return outcome.finish();
         }
 
         let weights: Vec<Vec<f64>> = input
             .workers
             .iter()
-            .map(|w| {
+            .enumerate()
+            .map(|(wi, w)| {
                 input
                     .tasks
                     .iter()
                     .map(|t| {
-                        if w.qualifies(t) {
+                        if qualified.row(wi).contains(t.id) {
                             preference_score(w, t)
                         } else {
                             f64::NEG_INFINITY
@@ -60,9 +61,9 @@ impl AssignmentPolicy for WorkerCentric {
         let slots: Vec<u32> = input.tasks.iter().map(|t| t.slots).collect();
 
         for (wi, ti) in max_weight_b_matching(&weights, &capacities, &slots) {
-            outcome.assign(input.workers[wi].id, input.tasks[ti].id);
+            outcome.assign(wi, ti);
         }
-        outcome
+        outcome.finish()
     }
 }
 
@@ -93,10 +94,7 @@ mod tests {
         for w in &m.workers {
             for t in &m.tasks {
                 assert_eq!(
-                    o.visibility
-                        .get(&w.id)
-                        .map(|v| v.contains(&t.id))
-                        .unwrap_or(false),
+                    o.visibility.get(&w.id).is_some_and(|v| v.contains(t.id)),
                     w.qualifies(t)
                 );
             }

@@ -150,7 +150,7 @@ proptest! {
         for (w, vis) in &base.visibility {
             let wrapped_vis = wrapped.visibility.get(w).cloned().unwrap_or_default();
             prop_assert!(
-                vis.is_subset(&wrapped_vis),
+                vis.iter().all(|t| wrapped_vis.contains(t)),
                 "parity removed exposure for {w}"
             );
         }
@@ -186,11 +186,7 @@ proptest! {
         let outcome = SelfSelection.assign(&input, &mut StdRng::seed_from_u64(seed));
         for w in &input.workers {
             for t in &input.tasks {
-                let visible = outcome
-                    .visibility
-                    .get(&w.id)
-                    .map(|v| v.contains(&t.id))
-                    .unwrap_or(false);
+                let visible = outcome.visibility.get(&w.id).is_some_and(|v| v.contains(t.id));
                 prop_assert_eq!(visible, w.qualifies(t));
             }
         }

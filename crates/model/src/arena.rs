@@ -298,6 +298,23 @@ impl<T: ArenaKey> IdSet<T> {
         }
     }
 
+    /// An empty set whose bit region already covers every raw id up to
+    /// `largest`, so filling it from a universe whose largest id that is
+    /// never grows or spills it. Use it for sets drawn from a small
+    /// window of a large id space (the open tasks of a late round): the
+    /// growth rule alone would spill their ids while the set is small.
+    /// The region is granted only while it stays within `16 × (members
+    /// + 64)` words — one word per id the growth rule would allow — so a
+    /// hostile `largest` gets a plain empty set, not a huge allocation.
+    pub fn with_region(largest: T, members: usize) -> Self {
+        let words = largest.raw_index() as usize / 64 + 1;
+        let mut set = IdSet::new();
+        if words <= dense_bound(members) {
+            set.words = vec![0; words];
+        }
+        set
+    }
+
     /// Number of members.
     pub fn len(&self) -> usize {
         self.len
@@ -306,6 +323,61 @@ impl<T: ArenaKey> IdSet<T> {
     /// Is the set empty?
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Add every member of `other`, calling `fresh` with each id that
+    /// was not a member yet, in ascending order: a word-wise OR over the
+    /// bit regions (growing `self`'s to cover `other`'s), then inserts
+    /// for `other`'s spilled ids.
+    pub fn union_with(&mut self, other: &IdSet<T>, mut fresh: impl FnMut(T)) {
+        if other.words.len() > self.words.len() {
+            self.grow_to(other.words.len());
+        }
+        for (at, (mine, &theirs)) in self.words.iter_mut().zip(&other.words).enumerate() {
+            let mut new = theirs & !*mine;
+            *mine |= theirs;
+            self.len += new.count_ones() as usize;
+            while new != 0 {
+                fresh(T::from_raw_index((at * 64) as u32 + new.trailing_zeros()));
+                new &= new - 1;
+            }
+        }
+        // Every spilled id of `other` is above its whole bit region, so
+        // the ascending order holds across the two passes.
+        for &raw in &other.spill {
+            if self.insert(T::from_raw_index(raw)) {
+                fresh(T::from_raw_index(raw));
+            }
+        }
+    }
+
+    /// Keep only the members `other` also has: a word-wise AND over the
+    /// shared bit region, probes of `other` for the rest.
+    pub fn intersect_with(&mut self, other: &IdSet<T>) {
+        let shared = self.words.len().min(other.words.len());
+        for (mine, theirs) in self.words.iter_mut().zip(&other.words) {
+            *mine &= theirs;
+        }
+        // Past `other`'s bit region a member survives only if `other`
+        // spilled it.
+        for (at, word) in self.words.iter_mut().enumerate().skip(shared) {
+            let mut bits = *word;
+            while bits != 0 {
+                let bit = bits.trailing_zeros();
+                if !other.spill.contains(&((at * 64) as u32 + bit)) {
+                    *word &= !(1u64 << bit);
+                }
+                bits &= bits - 1;
+            }
+        }
+        self.spill
+            .retain(|&raw| other.contains(T::from_raw_index(raw)));
+        self.len = self
+            .words
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            + self.spill.len();
     }
 
     /// Is `id` a member? A shift and a mask for ids in the bit region.
@@ -658,6 +730,67 @@ mod tests {
         assert_eq!(set.spill.len(), 10);
         assert_eq!(set.len(), 20);
         assert_eq!(set.iter().last(), Some(SubmissionId::new(u32::MAX)));
+    }
+
+    #[test]
+    fn id_set_with_region_fills_a_late_window_without_spilling() {
+        // Ten members in a window far above the empty set's bound.
+        let mut set: IdSet<TaskId> = IdSet::with_region(t(5_009), 10);
+        for raw in 5_000..5_010 {
+            set.insert(t(raw));
+        }
+        assert!(set.spill.is_empty(), "the window lands in the bit region");
+        assert_eq!(
+            set.iter().map(|x| x.raw()).collect::<Vec<_>>(),
+            (5_000..5_010).collect::<Vec<_>>()
+        );
+        // A hostile `largest` is refused a region: no allocation.
+        let hostile: IdSet<TaskId> = IdSet::with_region(t(u32::MAX), 10);
+        assert!(hostile.words.is_empty() && hostile.is_empty());
+        assert_eq!(hostile, IdSet::new());
+    }
+
+    /// Model-check `union_with` and `intersect_with` against `BTreeSet`
+    /// over operands that straddle the bits/spill split on both sides.
+    #[test]
+    fn id_set_union_and_intersection_match_btree_sets() {
+        let operands: [IdSet<TaskId>; 4] = [
+            [1, 2, 3000, 70, 2_000_000].map(t).into_iter().collect(),
+            (0..300)
+                .map(t)
+                .chain([3000, 2_000_000, 7_000].map(t))
+                .collect(),
+            IdSet::new(),
+            {
+                let mut late = IdSet::with_region(t(4_100), 4);
+                for raw in [4_000, 4_050, 4_100, 9_999_999] {
+                    late.insert(t(raw));
+                }
+                late
+            },
+        ];
+        for a in &operands {
+            for b in &operands {
+                let model_a: BTreeSet<u32> = a.iter().map(|x| x.raw()).collect();
+                let model_b: BTreeSet<u32> = b.iter().map(|x| x.raw()).collect();
+
+                let mut union = a.clone();
+                let mut fresh = Vec::new();
+                union.union_with(b, |id| fresh.push(id.raw()));
+                let expected: Vec<u32> = model_a.union(&model_b).copied().collect();
+                assert_eq!(union.iter().map(|x| x.raw()).collect::<Vec<_>>(), expected);
+                assert_eq!(union.len(), expected.len());
+                let new: Vec<u32> = model_b.difference(&model_a).copied().collect();
+                assert_eq!(fresh, new, "fresh ids, ascending");
+
+                let mut meet = a.clone();
+                meet.intersect_with(b);
+                let expected: Vec<u32> = model_a.intersection(&model_b).copied().collect();
+                assert_eq!(meet.iter().map(|x| x.raw()).collect::<Vec<_>>(), expected);
+                assert_eq!(meet.len(), expected.len());
+                assert_eq!(a.intersection_len(b), expected.len());
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,26 @@ const WORD_BITS: usize = 64;
 
 /// A Boolean vector over the skill universe (`S_t` / `S_w` in the paper),
 /// stored as a bitset.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct SkillVector {
     len: usize,
     words: Vec<u64>,
+}
+
+impl Clone for SkillVector {
+    fn clone(&self) -> Self {
+        SkillVector {
+            len: self.len,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s buffer, so a view refreshed every round does not
+    /// allocate.
+    fn clone_from(&mut self, source: &Self) {
+        self.len = source.len;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl SkillVector {

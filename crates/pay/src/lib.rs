@@ -11,19 +11,15 @@
 //!   quality-based pricing (after Wang–Ipeirotis–Provost, cited as \[21\]),
 //!   bonus schemes that may be honoured or reneged, and collaborative
 //!   equal/proportional splits;
-//! * [`ledger`] — an exact, integer-money payment ledger with approval
-//!   deadlines and auto-approval, whose every movement is auditable;
 //! * [`wage`] — effective-hourly-wage computation and wage-inequality
 //!   statistics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ledger;
 pub mod scheme;
 pub mod wage;
 
-pub use ledger::Ledger;
 pub use scheme::{
     split_equal, split_proportional, BonusPolicy, CompensationScheme, FixedPrice, PayContext,
     QualityBased,

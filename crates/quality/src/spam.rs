@@ -12,7 +12,8 @@
 //!   scores, combined into a single suspicion score per worker.
 
 use crate::answers::AnswerSet;
-use faircrowd_model::ids::WorkerId;
+use faircrowd_model::arena::{ArenaKey, DenseIdMap};
+use faircrowd_model::ids::{TaskId, WorkerId};
 use faircrowd_model::time::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -98,59 +99,64 @@ impl SpamDetector {
         answers: &AnswerSet,
         durations: Option<&BTreeMap<WorkerId, Vec<(SimDuration, SimDuration)>>>,
     ) -> BTreeMap<WorkerId, SpamScore> {
-        let by_task = answers.by_task();
-        let by_worker = answers.by_worker();
         let classes = answers.classes() as usize;
+        // Label histograms per task and per worker, `classes` counts per
+        // dense slot (slots in first-seen order).
+        let mut task_slots: DenseIdMap<TaskId, usize> = DenseIdMap::new();
+        let mut worker_slots: DenseIdMap<WorkerId, usize> = DenseIdMap::new();
+        let mut task_hist: Vec<u32> = Vec::new();
+        let mut worker_hist: Vec<u32> = Vec::new();
+        for a in answers.answers() {
+            let t = slot(&mut task_slots, &mut task_hist, classes, a.task);
+            task_hist[t + a.label as usize] += 1;
+            let w = slot(&mut worker_slots, &mut worker_hist, classes, a.worker);
+            worker_hist[w + a.label as usize] += 1;
+        }
 
-        // Leave-one-out agreement per worker.
-        let mut agree_num: BTreeMap<WorkerId, f64> = BTreeMap::new();
-        let mut agree_den: BTreeMap<WorkerId, f64> = BTreeMap::new();
-        for group in by_task.values() {
-            if group.len() < 2 {
+        // Leave-one-out agreement per worker slot: (agreeing, compared).
+        let mut agreement = vec![(0u32, 0u32); worker_slots.len()];
+        for a in answers.answers() {
+            let t = *task_slots.get(a.task).expect("every task has a slot");
+            let hist = &task_hist[t..t + classes];
+            if hist.iter().sum::<u32>() < 2 {
                 continue; // no peers to compare against
             }
-            let mut hist = vec![0u32; classes];
-            for a in group {
-                hist[a.label as usize] += 1;
-            }
-            for a in group {
-                // consensus of the *other* workers
-                let mut h = hist.clone();
-                h[a.label as usize] -= 1;
-                let peer_best = h
-                    .iter()
-                    .enumerate()
-                    .max_by(|x, y| x.1.cmp(y.1).then(y.0.cmp(&x.0)))
-                    .map(|(i, _)| i as u8)
-                    .unwrap_or(0);
-                *agree_den.entry(a.worker).or_insert(0.0) += 1.0;
-                if a.label == peer_best {
-                    *agree_num.entry(a.worker).or_insert(0.0) += 1.0;
-                }
+            // consensus of the *other* workers: the task's histogram
+            // minus this answer, read in place
+            let label = a.label as usize;
+            let peers = |c: usize| hist[c] - u32::from(c == label);
+            let peer_best = (0..classes)
+                .max_by(|&x, &y| peers(x).cmp(&peers(y)).then(y.cmp(&x)))
+                .unwrap_or(0);
+            let w = *worker_slots.get(a.worker).expect("every worker has a slot");
+            let (agreeing, compared) = &mut agreement[w / classes];
+            *compared += 1;
+            if label == peer_best {
+                *agreeing += 1;
             }
         }
 
         let mut out = BTreeMap::new();
-        for (&worker, group) in &by_worker {
-            if group.len() < self.min_answers {
+        for (worker, &w) in worker_slots.iter() {
+            let hist = &worker_hist[w..w + classes];
+            let answered = hist.iter().sum::<u32>() as usize;
+            if answered < self.min_answers {
                 continue;
             }
-            let disagreement = match (agree_num.get(&worker), agree_den.get(&worker)) {
-                (num, Some(&den)) if den > 0.0 => 1.0 - num.copied().unwrap_or(0.0) / den,
+            let disagreement = match agreement[w / classes] {
+                (agreeing, compared) if compared > 0 => {
+                    1.0 - f64::from(agreeing) / f64::from(compared)
+                }
                 _ => 0.0, // never had peers: no agreement evidence
             };
 
             // Repetition: 1 - H(answer distribution)/log2(classes)
-            let mut hist = vec![0f64; classes];
-            for a in group {
-                hist[a.label as usize] += 1.0;
-            }
-            let n = group.len() as f64;
+            let n = answered as f64;
             let entropy: f64 = hist
                 .iter()
-                .filter(|&&c| c > 0.0)
+                .filter(|&&c| c > 0)
                 .map(|&c| {
-                    let p = c / n;
+                    let p = f64::from(c) / n;
                     -p * p.log2()
                 })
                 .sum();
@@ -194,7 +200,7 @@ impl SpamDetector {
                     repetition,
                     speed,
                     combined,
-                    answers: group.len(),
+                    answers: answered,
                 },
             );
         }
@@ -215,10 +221,26 @@ impl SpamDetector {
     }
 }
 
+/// The offset of `id`'s histogram in `hist`, giving a first-seen id the
+/// next `classes` zeroed counts.
+fn slot<K: ArenaKey>(
+    slots: &mut DenseIdMap<K, usize>,
+    hist: &mut Vec<u32>,
+    classes: usize,
+    id: K,
+) -> usize {
+    if let Some(&at) = slots.get(id) {
+        return at;
+    }
+    let at = hist.len();
+    hist.resize(at + classes, 0);
+    slots.insert(id, at);
+    at
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use faircrowd_model::ids::TaskId;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

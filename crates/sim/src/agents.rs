@@ -62,6 +62,9 @@ pub(crate) struct WorkerState {
     pub(crate) participation: f64,
     /// Tasks acceptable per round.
     pub(crate) capacity_per_round: u32,
+    /// Group along the platform's diversity axis (the declared `region`
+    /// attribute), resolved once: declared attributes never change.
+    pub(crate) group: Option<String>,
     /// Current frustration in `[0, 1]`.
     pub(crate) frustration: f64,
     /// Has the worker quit for good?
@@ -84,6 +87,7 @@ impl WorkerState {
         capacity_per_round: u32,
     ) -> Self {
         WorkerState {
+            group: worker.declared.group_key("region"),
             worker,
             archetype,
             base_accuracy,

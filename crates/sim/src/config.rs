@@ -64,11 +64,9 @@ impl PolicyChoice {
             PolicyChoice::OnlineGreedy => Box::new(OnlineMatching),
             PolicyChoice::WorkerCentric => Box::new(WorkerCentric),
             PolicyChoice::Kos { l, r } => Box::new(KosAllocation { l: *l, r: *r }),
-            PolicyChoice::ParityOver(base) => {
-                Box::new(ExposureParity::new(DynPolicy(base.build())))
-            }
+            PolicyChoice::ParityOver(base) => Box::new(ExposureParity::new(base.build())),
             PolicyChoice::FloorOver(base, min) => Box::new(ExposureFloor {
-                base: DynPolicy(base.build()),
+                base: base.build(),
                 min_exposure: *min,
             }),
             PolicyChoice::BudgetDiverse => Box::new(BudgetDiverse::default()),
@@ -127,23 +125,6 @@ impl PolicyChoice {
             PolicyChoice::BudgetDiverse => "budget-diverse".into(),
             PolicyChoice::FairDelivery => "fair-delivery".into(),
         }
-    }
-}
-
-/// Newtype making a boxed policy usable where generic wrappers expect a
-/// sized `AssignmentPolicy`.
-struct DynPolicy(Box<dyn AssignmentPolicy>);
-
-impl AssignmentPolicy for DynPolicy {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn assign(
-        &mut self,
-        input: &faircrowd_assign::AssignInput,
-        rng: &mut dyn rand::RngCore,
-    ) -> faircrowd_assign::AssignmentOutcome {
-        self.0.assign(input, rng)
     }
 }
 

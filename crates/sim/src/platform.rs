@@ -23,18 +23,19 @@ use crate::config::{ApprovalPolicy, CancellationPolicy, ScenarioConfig};
 use crate::gen::{self, Reference};
 use crate::strategy::{RequesterStrategy, StrategyState, TaskOffer, WorkerStrategy};
 use faircrowd_assign::{AssignInput, AssignmentPolicy, TaskView, WorkerView};
+use faircrowd_model::arena::IdSet;
 use faircrowd_model::attributes::{AttrValue, DeclaredAttrs};
 use faircrowd_model::contribution::Submission;
 use faircrowd_model::disclosure::{Audience, DisclosureSet};
 use faircrowd_model::event::{CancelReason, Event, EventKind, EventLog, QuitReason};
 use faircrowd_model::ids::{CampaignId, RequesterId, SkillId, SubmissionId, TaskId, WorkerId};
+use faircrowd_model::money::Credits;
 use faircrowd_model::requester::Requester;
 use faircrowd_model::skills::SkillVector;
 use faircrowd_model::task::{Task, TaskKind};
 use faircrowd_model::time::{SimDuration, SimTime};
 use faircrowd_model::trace::{GroundTruth, Trace};
 use faircrowd_model::worker::Worker;
-use faircrowd_pay::ledger::Ledger;
 use faircrowd_pay::scheme::PayContext;
 use faircrowd_quality::answers::AnswerSet;
 use faircrowd_quality::spam::WorkerArchetype;
@@ -136,12 +137,22 @@ pub struct Simulation {
     campaigns: Vec<CampaignRt>,
     events: EventLog,
     submissions: Vec<Submission>,
-    ledger: Ledger,
+    /// Everything the platform paid out (payments, honoured bonuses,
+    /// interruption compensation): the conservation check's side of
+    /// Σ `total_earnings`.
+    paid: Credits,
     answers: AnswerSet,
     durations: BTreeMap<WorkerId, Vec<(SimDuration, SimDuration)>>,
     in_flight: Vec<InFlight>,
     judgments: Vec<PendingJudgment>,
-    seen_visibility: BTreeSet<(WorkerId, TaskId)>,
+    /// Per worker (by index), every task she was ever shown: a
+    /// `TaskVisible` event fires on the first showing only.
+    seen_visibility: Vec<IdSet<TaskId>>,
+    /// The last round's assignment input, refreshed in place each round
+    /// (see `Simulation::snapshot`) so its views are not rebuilt.
+    views: AssignInput,
+    /// How many of `tasks` have been considered for a view.
+    viewed_tasks: usize,
     true_labels: BTreeMap<TaskId, u8>,
 }
 
@@ -253,12 +264,14 @@ impl Simulation {
             campaigns,
             events: EventLog::new(),
             submissions: Vec::new(),
-            ledger: Ledger::new(),
+            paid: Credits::ZERO,
             answers: AnswerSet::new(max_classes),
             durations: BTreeMap::new(),
             in_flight: Vec::new(),
             judgments: Vec::new(),
-            seen_visibility: BTreeSet::new(),
+            seen_visibility: vec![IdSet::new(); n_workers],
+            views: AssignInput::default(),
+            viewed_tasks: 0,
             true_labels: BTreeMap::new(),
         }
     }
@@ -327,7 +340,14 @@ impl Simulation {
             new_submissions: &self.submissions[subs_before..],
             new_events: &self.events.as_slice()[events_before..],
         });
-        debug_assert!(self.ledger.conserves(), "ledger must conserve");
+        debug_assert_eq!(
+            self.paid,
+            self.workers
+                .iter()
+                .map(|w| w.worker.computed.total_earnings)
+                .sum::<Credits>(),
+            "every credit paid must land in a worker's earnings"
+        );
         self.build_trace()
     }
 
@@ -451,36 +471,65 @@ impl Simulation {
         }
     }
 
+    /// This round's marketplace as the policy sees it: open tasks in id
+    /// order and online workers, written over the last round's views.
+    fn snapshot(&mut self) -> AssignInput {
+        let mut input = std::mem::take(&mut self.views);
+        // A closed task never reopens (slots only run out, cancellation
+        // is final), so the open views keep id order as closed ones drop
+        // out and new postings join at the end; the rest only refresh
+        // their slots.
+        let tasks = &self.tasks;
+        input.tasks.retain_mut(|v| {
+            let t = &tasks[v.id.index()];
+            v.slots = t.slots_left;
+            !t.canceled && t.slots_left > 0
+        });
+        for t in &tasks[self.viewed_tasks..] {
+            if !t.canceled && t.slots_left > 0 {
+                input.tasks.push(TaskView {
+                    id: t.task.id,
+                    requester: t.task.requester,
+                    skills: t.task.skills.clone(),
+                    reward: t.task.reward,
+                    slots: t.slots_left,
+                    est_duration: t.task.est_duration,
+                });
+            }
+        }
+        self.viewed_tasks = tasks.len();
+        // Online workers, each written over a reused view's buffers.
+        let mut online = 0;
+        for w in self.workers.iter().filter(|w| w.online && !w.quit) {
+            let quality = w.worker.computed.quality_estimate;
+            match input.workers.get_mut(online) {
+                Some(view) => {
+                    view.id = w.worker.id;
+                    view.skills.clone_from(&w.worker.skills);
+                    view.quality = quality;
+                    view.capacity = w.capacity_per_round;
+                    view.group.clone_from(&w.group);
+                }
+                None => input.workers.push(WorkerView {
+                    id: w.worker.id,
+                    skills: w.worker.skills.clone(),
+                    quality,
+                    capacity: w.capacity_per_round,
+                    group: w.group.clone(),
+                }),
+            }
+            online += 1;
+        }
+        input.workers.truncate(online);
+        input
+    }
+
     fn run_assignment(&mut self, round: u32) {
-        let tasks: Vec<TaskView> = self
-            .tasks
-            .iter()
-            .filter(|t| !t.canceled && t.slots_left > 0)
-            .map(|t| TaskView {
-                id: t.task.id,
-                requester: t.task.requester,
-                skills: t.task.skills.clone(),
-                reward: t.task.reward,
-                slots: t.slots_left,
-                est_duration: t.task.est_duration,
-            })
-            .collect();
-        let workers: Vec<WorkerView> = self
-            .workers
-            .iter()
-            .filter(|w| w.online && !w.quit)
-            .map(|w| WorkerView {
-                id: w.worker.id,
-                skills: w.worker.skills.clone(),
-                quality: w.worker.computed.quality_estimate,
-                capacity: w.capacity_per_round,
-                group: w.worker.declared.group_key("region"),
-            })
-            .collect();
-        if tasks.is_empty() || workers.is_empty() {
+        let input = self.snapshot();
+        if input.tasks.is_empty() || input.workers.is_empty() {
+            self.views = input;
             return;
         }
-        let input = AssignInput { tasks, workers };
         let outcome = self.policy.assign(&input, &mut self.rng);
         debug_assert!(
             outcome.check_feasible(&input).is_empty(),
@@ -488,14 +537,15 @@ impl Simulation {
             outcome.check_feasible(&input)
         );
 
-        // Exposure events (first time a worker sees a task).
+        self.views = input;
+
+        // Exposure events (first time a worker sees a task), in
+        // (worker, task) order.
+        let (seen, events, now) = (&mut self.seen_visibility, &mut self.events, self.now);
         for (&w, vis) in &outcome.visibility {
-            for &t in vis {
-                if self.seen_visibility.insert((w, t)) {
-                    self.events
-                        .push(self.now, EventKind::TaskVisible { task: t, worker: w });
-                }
-            }
+            seen[w.index()].union_with(vis, |t| {
+                events.push(now, EventKind::TaskVisible { task: t, worker: w });
+            });
         }
         // Assignments become in-flight work — if the worker takes them.
         for (w, t) in outcome.assignments {
@@ -605,19 +655,11 @@ impl Simulation {
                         .push((item.duration, trt.task.est_duration));
                 }
             }
-            let requester = trt.task.requester;
-            self.ledger.submit(
-                sid,
-                item.worker,
-                requester,
-                submitted_at,
-                self.cfg.auto_approve_after,
-            );
             self.judgments.push(PendingJudgment {
                 submission: sid,
                 worker: item.worker,
                 task: item.task,
-                requester,
+                requester: trt.task.requester,
                 true_quality,
                 submitted_at,
                 decide_round: round.saturating_add(self.cfg.decision_delay_rounds),
@@ -646,7 +688,6 @@ impl Simulation {
     }
 
     fn decide(&mut self, j: PendingJudgment) {
-        self.ledger.resolve(j.submission);
         let (approve, feedback_given) = match self.cfg.approval {
             ApprovalPolicy::LenientAll => (true, true),
             ApprovalPolicy::QualityThreshold {
@@ -723,8 +764,7 @@ impl Simulation {
             };
             let amount = self.cfg.payment.payout(&ctx);
             if amount.is_positive() {
-                self.ledger
-                    .pay(j.requester, j.worker, j.submission, amount, self.now);
+                self.paid += amount;
                 self.events.push(
                     self.now,
                     EventKind::PaymentIssued {
@@ -752,8 +792,7 @@ impl Simulation {
                     );
                     self.requesters[j.requester.index()].bonuses_promised += 1;
                     if bonus.honoured {
-                        self.ledger
-                            .pay_bonus(j.requester, j.worker, bonus.amount, self.now);
+                        self.paid += bonus.amount;
                         self.events.push(
                             self.now,
                             EventKind::BonusPaid {
@@ -877,12 +916,7 @@ impl Simulation {
                         let amount = self.tasks[item.task.index()].task.reward.mul_f64(frac);
                         ws.add_frustration(frustration::INTERRUPTED_PAID);
                         if amount.is_positive() {
-                            self.ledger.pay_bonus(
-                                self.tasks[item.task.index()].task.requester,
-                                item.worker,
-                                amount,
-                                self.now,
-                            );
+                            self.paid += amount;
                             self.workers[item.worker.index()]
                                 .worker
                                 .computed

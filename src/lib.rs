@@ -14,7 +14,7 @@
 //! |-------|---------------|
 //! | [`model`] | the §3.2 data model: tasks, workers, skills, contributions, events, traces |
 //! | [`quality`] | truth inference (majority, Dawid–Skene, KOS) and spam detection |
-//! | [`pay`] | compensation schemes, the payment ledger, wage statistics |
+//! | [`pay`] | compensation schemes, wage statistics |
 //! | [`assign`] | assignment policies (self-selection → requester-centric → KOS) and fairness wrappers |
 //! | [`sim`] | the deterministic marketplace simulator |
 //! | [`core`] | **the paper's contribution**: Axioms 1–7, the audit engine, metrics, enforcement |

@@ -30,7 +30,7 @@ fn every_registry_name_assigns_feasibly_on_the_fixture_market() {
                 outcome
                     .visibility
                     .get(worker)
-                    .is_some_and(|v| v.contains(task)),
+                    .is_some_and(|v| v.contains(*task)),
                 "{name}: assignment implies visibility"
             );
         }
