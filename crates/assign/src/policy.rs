@@ -81,7 +81,7 @@ pub struct AssignInput {
 /// the bit row of the task ids she qualifies for. Built once per round
 /// ([`AssignmentPolicy::assign`] does it) and shared by a policy and any
 /// wrapper around it. Task ids are unique within an [`AssignInput`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Qualification {
     rows: Vec<IdSet<TaskId>>,
     /// An empty row whose bit region covers every task id of the input,

@@ -9,7 +9,7 @@
 //! qualifies for that still has a slot and that she has not taken yet.
 //! That eligible set only shrinks during a round — slots run out, taken
 //! tasks stay taken — so her first eligible position never moves back,
-//! and one cursor per worker replaces a rescan from the start.
+//! and a cursor per worker finds it without rescanning from the start.
 
 use crate::policy::{AssignInput, AssignmentOutcome, AssignmentPolicy, Draft, Qualification};
 use rand::RngCore;

@@ -100,24 +100,24 @@ impl SpamDetector {
         durations: Option<&BTreeMap<WorkerId, Vec<(SimDuration, SimDuration)>>>,
     ) -> BTreeMap<WorkerId, SpamScore> {
         let classes = answers.classes() as usize;
-        // Label histograms per task and per worker, `classes` counts per
-        // dense slot (slots in first-seen order).
+        // Label histograms per task and per worker: `classes` counts per
+        // dense slot, slots numbered in first-seen order.
         let mut task_slots: DenseIdMap<TaskId, usize> = DenseIdMap::new();
         let mut worker_slots: DenseIdMap<WorkerId, usize> = DenseIdMap::new();
         let mut task_hist: Vec<u32> = Vec::new();
         let mut worker_hist: Vec<u32> = Vec::new();
         for a in answers.answers() {
             let t = slot(&mut task_slots, &mut task_hist, classes, a.task);
-            task_hist[t + a.label as usize] += 1;
+            task_hist[t * classes + a.label as usize] += 1;
             let w = slot(&mut worker_slots, &mut worker_hist, classes, a.worker);
-            worker_hist[w + a.label as usize] += 1;
+            worker_hist[w * classes + a.label as usize] += 1;
         }
 
         // Leave-one-out agreement per worker slot: (agreeing, compared).
         let mut agreement = vec![(0u32, 0u32); worker_slots.len()];
         for a in answers.answers() {
             let t = *task_slots.get(a.task).expect("every task has a slot");
-            let hist = &task_hist[t..t + classes];
+            let hist = &task_hist[t * classes..][..classes];
             if hist.iter().sum::<u32>() < 2 {
                 continue; // no peers to compare against
             }
@@ -129,7 +129,7 @@ impl SpamDetector {
                 .max_by(|&x, &y| peers(x).cmp(&peers(y)).then(y.cmp(&x)))
                 .unwrap_or(0);
             let w = *worker_slots.get(a.worker).expect("every worker has a slot");
-            let (agreeing, compared) = &mut agreement[w / classes];
+            let (agreeing, compared) = &mut agreement[w];
             *compared += 1;
             if label == peer_best {
                 *agreeing += 1;
@@ -138,12 +138,12 @@ impl SpamDetector {
 
         let mut out = BTreeMap::new();
         for (worker, &w) in worker_slots.iter() {
-            let hist = &worker_hist[w..w + classes];
+            let hist = &worker_hist[w * classes..][..classes];
             let answered = hist.iter().sum::<u32>() as usize;
             if answered < self.min_answers {
                 continue;
             }
-            let disagreement = match agreement[w / classes] {
+            let disagreement = match agreement[w] {
                 (agreeing, compared) if compared > 0 => {
                     1.0 - f64::from(agreeing) / f64::from(compared)
                 }
@@ -221,8 +221,8 @@ impl SpamDetector {
     }
 }
 
-/// The offset of `id`'s histogram in `hist`, giving a first-seen id the
-/// next `classes` zeroed counts.
+/// `id`'s slot in `hist`, giving a first-seen id the next slot of
+/// `classes` zeroed counts.
 fn slot<K: ArenaKey>(
     slots: &mut DenseIdMap<K, usize>,
     hist: &mut Vec<u32>,
@@ -232,9 +232,9 @@ fn slot<K: ArenaKey>(
     if let Some(&at) = slots.get(id) {
         return at;
     }
-    let at = hist.len();
-    hist.resize(at + classes, 0);
+    let at = slots.len();
     slots.insert(id, at);
+    hist.resize((at + 1) * classes, 0);
     at
 }
 
