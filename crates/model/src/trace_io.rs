@@ -2333,4 +2333,26 @@ mod tests {
         assert!(direct >= 45, "{direct} canonical lines");
         assert!(checked >= 4_000, "{checked} mutants");
     }
+
+    /// FNV-1a 64 of `edge_trace` in each format: every event kind and
+    /// every optional field, so a drifted pin is a changed codec.
+    #[test]
+    fn edge_trace_keeps_its_bytes_in_every_format() {
+        use crate::codec::fnv1a64;
+        let trace = edge_trace();
+        let computed = [
+            fnv1a64(trace_to_json(&trace).to_pretty().as_bytes()),
+            fnv1a64(trace_to_jsonl(&trace).as_bytes()),
+            fnv1a64(&crate::trace_bin::trace_to_bytes(&trace)),
+        ];
+        assert_eq!(
+            computed,
+            [
+                0x70b6_5cf1_389f_b2db,
+                0x5f45_c2e2_d862_9bf4,
+                0xec18_e464_1d5f_3d76,
+            ],
+            "json, jsonl, fcb (computed {computed:#018x?})"
+        );
+    }
 }
