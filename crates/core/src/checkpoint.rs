@@ -75,9 +75,10 @@ use crate::live::LiveAuditor;
 use crate::live::{FindingOrigin, LiveFinding};
 use crate::Violation;
 use faircrowd_model::arena::{ArenaKey, DenseIdMap, IdSet};
-use faircrowd_model::codec::{put_credits, put_f64, put_str, put_u64, put_u64_le, Cursor};
+use faircrowd_model::codec::{
+    put_credits, put_f64, put_named, put_str, put_u64, put_u64_le, Cursor,
+};
 use faircrowd_model::error::FaircrowdError;
-use faircrowd_model::event::QuitReason;
 use faircrowd_model::ids::{SubmissionId, TaskId, WorkerId};
 use faircrowd_model::json::Json;
 use faircrowd_model::money::Credits;
@@ -366,10 +367,7 @@ pub(crate) fn encode_into(ckpt: &Checkpoint, out: &mut Vec<u8>) {
     put_u64(out, m.quits.len() as u64);
     for (w, reason, time) in &m.quits {
         put_u64(out, u64::from(w.raw()));
-        out.push(match reason {
-            QuitReason::Frustration => 0,
-            QuitReason::NaturalChurn => 1,
-        });
+        put_named(out, *reason);
         put_u64(out, time.as_secs());
     }
 
@@ -561,10 +559,7 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint, FaircrowdError> {
     for _ in 0..cur.count("quit count")? {
         mirror.quits.push((
             WorkerId::new(cur.id32("quit worker")?),
-            match cur.u8tag("quit reason", 2)? {
-                0 => QuitReason::Frustration,
-                _ => QuitReason::NaturalChurn,
-            },
+            cur.named()?,
             cur.secs("quit time")?,
         ));
     }

@@ -518,7 +518,7 @@ impl LiveAuditor {
             self.scan_policy(&mut out);
         }
 
-        let fresh = self.mirror(&event);
+        let fresh = self.events.apply(&event);
 
         let seq = event.seq;
         let time = event.time;
@@ -958,61 +958,6 @@ impl LiveAuditor {
             self.suppressed += 1;
         }
         out.push(finding);
-    }
-
-    /// Fold one event into the incremental [`EventIndex`] mirror — the
-    /// per-event form of [`Trace::event_index`]'s replay loop. Returns
-    /// whether the event changed the mirror's access state (false only
-    /// for a `TaskVisible` repeating an exposure already recorded).
-    fn mirror(&mut self, event: &Event) -> bool {
-        match &event.kind {
-            EventKind::TaskVisible { task, worker } => {
-                let fresh = self.events.visibility.entry(*worker).insert(*task);
-                self.events.audience.entry(*task).insert(*worker);
-                return fresh;
-            }
-            EventKind::PaymentIssued {
-                submission,
-                worker,
-                amount,
-                ..
-            } => {
-                *self.events.payments.entry(*submission) += *amount;
-                *self.events.earnings.entry(*worker) += *amount;
-            }
-            EventKind::BonusPaid { worker, amount, .. } => {
-                *self.events.earnings.entry(*worker) += *amount;
-            }
-            EventKind::WorkerFlagged { worker, .. } => {
-                self.events.flagged.insert(*worker);
-            }
-            EventKind::SessionStarted { worker } => {
-                self.events.session_workers.insert(*worker);
-            }
-            EventKind::DisclosureShown { worker, .. } => {
-                self.events.informed_workers.insert(*worker);
-            }
-            EventKind::WorkStarted { .. } => self.events.work_started += 1,
-            EventKind::WorkInterrupted {
-                task,
-                worker,
-                invested,
-                compensated,
-            } => self
-                .events
-                .interruptions
-                .push(faircrowd_model::trace::Interruption {
-                    task: *task,
-                    worker: *worker,
-                    invested: *invested,
-                    compensated: *compensated,
-                }),
-            EventKind::WorkerQuit { worker, reason } => {
-                self.events.quits.push((*worker, *reason, event.time));
-            }
-            _ => {}
-        }
-        true
     }
 
     /// Extend a worker's qualified-task row over any tasks appended

@@ -104,11 +104,6 @@ impl DeclaredAttrs {
         self.attrs.get(key)
     }
 
-    /// Number of declared attributes.
-    pub(crate) fn len(&self) -> usize {
-        self.attrs.len()
-    }
-
     /// Iterate in key order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &AttrValue)> {
         self.attrs.iter().map(|(k, v)| (k.as_str(), v))
@@ -273,7 +268,7 @@ mod tests {
     fn declared_attrs_accessors() {
         let mut a = DeclaredAttrs::new();
         a.set("k", AttrValue::Bool(true));
-        assert_eq!(a.len(), 1);
+        assert_eq!(a.iter().count(), 1);
         assert_eq!(a.get("k"), Some(&AttrValue::Bool(true)));
         let keys: Vec<&str> = a.iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["k"]);

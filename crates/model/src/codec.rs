@@ -53,6 +53,31 @@ pub fn put_credits(out: &mut Vec<u8>, c: Credits) {
     put_i64(out, c.millicents());
 }
 
+/// A closed set of values spelled by name in JSON and, in the binary
+/// formats, as one byte: the value's index in [`Named::ALL`].
+pub trait Named: Copy + PartialEq + 'static {
+    /// Every value, in wire-tag order.
+    const ALL: &'static [Self];
+    /// What a value is, as errors name it ("quit reason").
+    const WHAT: &'static str;
+    /// The JSON spelling.
+    fn name(self) -> &'static str;
+
+    /// The value spelled `name`.
+    fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.iter().copied().find(|v| v.name() == name)
+    }
+}
+
+/// Append `v` as its one-byte wire tag.
+pub fn put_named<T: Named>(out: &mut Vec<u8>, v: T) {
+    let tag = T::ALL
+        .iter()
+        .position(|&x| x == v)
+        .expect("every value appears in Named::ALL");
+    out.push(tag as u8);
+}
+
 /// FNV-1a 64 over `bytes`, one byte at a time: the stable content hash
 /// behind the daemon's market → shard pinning and a sweep part file's
 /// grid identity. Unlike the standard library's hasher it is the same
@@ -251,6 +276,12 @@ impl<'a> Cursor<'a> {
     /// Money as zigzag-varint millicents.
     pub fn credits(&mut self, what: &str) -> Result<Credits, FaircrowdError> {
         Ok(Credits::from_millicents(self.i64(what)?))
+    }
+
+    /// A [`Named`] value's one-byte wire tag.
+    pub fn named<T: Named>(&mut self) -> Result<T, FaircrowdError> {
+        let tag = self.u8tag(T::WHAT, T::ALL.len() as u8)?;
+        Ok(T::ALL[usize::from(tag)])
     }
 }
 

@@ -49,11 +49,6 @@ impl Audience {
             Audience::Subject => "subject",
         }
     }
-
-    /// Parse a language-level audience name.
-    pub(crate) fn from_name(s: &str) -> Option<Audience> {
-        Audience::ALL.into_iter().find(|a| a.name() == s)
-    }
 }
 
 impl fmt::Display for Audience {
@@ -283,6 +278,7 @@ mod tests {
 
     #[test]
     fn audience_names_roundtrip() {
+        use crate::codec::Named;
         for a in Audience::ALL {
             assert_eq!(Audience::from_name(a.name()), Some(a));
         }

@@ -192,32 +192,6 @@ pub enum EventKind {
     },
 }
 
-impl EventKind {
-    /// Short tag for reports and counting.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            EventKind::TaskPosted { .. } => "task_posted",
-            EventKind::TaskVisible { .. } => "task_visible",
-            EventKind::TaskAccepted { .. } => "task_accepted",
-            EventKind::WorkStarted { .. } => "work_started",
-            EventKind::SubmissionReceived { .. } => "submission_received",
-            EventKind::SubmissionApproved { .. } => "submission_approved",
-            EventKind::SubmissionRejected { .. } => "submission_rejected",
-            EventKind::PaymentIssued { .. } => "payment_issued",
-            EventKind::BonusPromised { .. } => "bonus_promised",
-            EventKind::BonusPaid { .. } => "bonus_paid",
-            EventKind::BonusReneged { .. } => "bonus_reneged",
-            EventKind::TaskCanceled { .. } => "task_canceled",
-            EventKind::WorkInterrupted { .. } => "work_interrupted",
-            EventKind::WorkerFlagged { .. } => "worker_flagged",
-            EventKind::DisclosureShown { .. } => "disclosure_shown",
-            EventKind::SessionStarted { .. } => "session_started",
-            EventKind::SessionEnded { .. } => "session_ended",
-            EventKind::WorkerQuit { .. } => "worker_quit",
-        }
-    }
-}
-
 /// The first integrity defect found in an event log: *which* entry broke
 /// the log invariants, and how. Streaming consumers (the live auditor,
 /// `faircrowd watch`) surface these as they ingest, so an operator sees

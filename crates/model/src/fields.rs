@@ -10,11 +10,9 @@
 
 use crate::error::FaircrowdError;
 use crate::json::Json;
-use crate::money::Credits;
-use crate::time::SimDuration;
 
 /// The field `key`, or an error naming it.
-pub(crate) fn require<'a>(
+fn require<'a>(
     json: &'a Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -35,45 +33,6 @@ pub fn u64_field(
             "{ctx}: field `{key}` should be an unsigned integer, got {}",
             v.kind()
         ))
-    })
-}
-
-/// The field `key` as a signed integer.
-pub(crate) fn i64_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<i64, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_i64().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be an integer, got {}",
-            v.kind()
-        ))
-    })
-}
-
-/// The field `key` as a 32-bit id.
-pub(crate) fn u32_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<u32, FaircrowdError> {
-    let raw = u64_field(json, key, &ctx)?;
-    u32::try_from(raw).map_err(|_| {
-        FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit an id"))
-    })
-}
-
-/// The field `key` as a byte.
-pub(crate) fn u8_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<u8, FaircrowdError> {
-    let raw = u64_field(json, key, &ctx)?;
-    u8::try_from(raw).map_err(|_| {
-        FaircrowdError::persist(format!("{ctx}: field `{key}` = {raw} does not fit a byte"))
     })
 }
 
@@ -137,24 +96,6 @@ pub fn arr_field<'a>(
     })
 }
 
-/// The field `key` as integer millicents.
-pub(crate) fn credits_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<Credits, FaircrowdError> {
-    Ok(Credits::from_millicents(i64_field(json, key, ctx)?))
-}
-
-/// The field `key` as integer seconds.
-pub(crate) fn duration_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<SimDuration, FaircrowdError> {
-    Ok(SimDuration::from_secs(u64_field(json, key, ctx)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,9 +104,6 @@ mod tests {
     fn helpers_name_field_context_and_kind() {
         let json = Json::parse(r#"{"a": 1, "b": "x", "c": [1, 2], "d": true, "e": 1.5}"#).unwrap();
         assert_eq!(u64_field(&json, "a", "ctx").unwrap(), 1);
-        assert_eq!(i64_field(&json, "a", "ctx").unwrap(), 1);
-        assert_eq!(u32_field(&json, "a", "ctx").unwrap(), 1);
-        assert_eq!(u8_field(&json, "a", "ctx").unwrap(), 1);
         assert_eq!(str_field(&json, "b", "ctx").unwrap(), "x");
         assert_eq!(arr_field(&json, "c", "ctx").unwrap().len(), 2);
         assert!(bool_field(&json, "d", "ctx").unwrap());

@@ -38,6 +38,7 @@ pub mod money;
 pub mod names;
 pub mod ranking;
 pub mod requester;
+mod schema;
 pub mod similarity;
 pub mod skills;
 pub mod stats;

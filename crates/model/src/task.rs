@@ -33,18 +33,6 @@ pub enum TaskKind {
     Survey,
 }
 
-impl TaskKind {
-    /// Short name used in reports.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            TaskKind::Labeling { .. } => "labeling",
-            TaskKind::FreeText => "free-text",
-            TaskKind::Ranking { .. } => "ranking",
-            TaskKind::Survey => "survey",
-        }
-    }
-}
-
 /// The requester-dependent and task-dependent working conditions that
 /// Axiom 6 requires a requester to make available: "hourly wage and time
 /// between submission of work and payment … recruitment criteria and

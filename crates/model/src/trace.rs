@@ -93,6 +93,60 @@ pub struct EventIndex {
     pub quits: Vec<(WorkerId, QuitReason, SimTime)>,
 }
 
+impl EventIndex {
+    /// Fold one event into the index: the step [`Trace::event_index`]
+    /// replays and the live auditor takes per ingested event. Returns
+    /// whether the event is a fresh access: false only for a
+    /// `TaskVisible` repeating an exposure already recorded.
+    pub fn apply(&mut self, e: &Event) -> bool {
+        match &e.kind {
+            EventKind::TaskVisible { task, worker } => {
+                let fresh = self.visibility.entry(*worker).insert(*task);
+                self.audience.entry(*task).insert(*worker);
+                return fresh;
+            }
+            EventKind::PaymentIssued {
+                submission,
+                worker,
+                amount,
+                ..
+            } => {
+                *self.payments.entry(*submission) += *amount;
+                *self.earnings.entry(*worker) += *amount;
+            }
+            EventKind::BonusPaid { worker, amount, .. } => {
+                *self.earnings.entry(*worker) += *amount;
+            }
+            EventKind::WorkerFlagged { worker, .. } => {
+                self.flagged.insert(*worker);
+            }
+            EventKind::SessionStarted { worker } => {
+                self.session_workers.insert(*worker);
+            }
+            EventKind::DisclosureShown { worker, .. } => {
+                self.informed_workers.insert(*worker);
+            }
+            EventKind::WorkStarted { .. } => self.work_started += 1,
+            EventKind::WorkInterrupted {
+                task,
+                worker,
+                invested,
+                compensated,
+            } => self.interruptions.push(Interruption {
+                task: *task,
+                worker: *worker,
+                invested: *invested,
+                compensated: *compensated,
+            }),
+            EventKind::WorkerQuit { worker, reason } => {
+                self.quits.push((*worker, *reason, e.time));
+            }
+            _ => {}
+        }
+        true
+    }
+}
+
 /// The complete observable record of a platform run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
@@ -137,49 +191,7 @@ impl Trace {
             ix.audience.entry(t.id);
         }
         for e in &self.events {
-            match &e.kind {
-                EventKind::TaskVisible { task, worker } => {
-                    ix.visibility.entry(*worker).insert(*task);
-                    ix.audience.entry(*task).insert(*worker);
-                }
-                EventKind::PaymentIssued {
-                    submission,
-                    worker,
-                    amount,
-                    ..
-                } => {
-                    *ix.payments.entry(*submission) += *amount;
-                    *ix.earnings.entry(*worker) += *amount;
-                }
-                EventKind::BonusPaid { worker, amount, .. } => {
-                    *ix.earnings.entry(*worker) += *amount;
-                }
-                EventKind::WorkerFlagged { worker, .. } => {
-                    ix.flagged.insert(*worker);
-                }
-                EventKind::SessionStarted { worker } => {
-                    ix.session_workers.insert(*worker);
-                }
-                EventKind::DisclosureShown { worker, .. } => {
-                    ix.informed_workers.insert(*worker);
-                }
-                EventKind::WorkStarted { .. } => ix.work_started += 1,
-                EventKind::WorkInterrupted {
-                    task,
-                    worker,
-                    invested,
-                    compensated,
-                } => ix.interruptions.push(Interruption {
-                    task: *task,
-                    worker: *worker,
-                    invested: *invested,
-                    compensated: *compensated,
-                }),
-                EventKind::WorkerQuit { worker, reason } => {
-                    ix.quits.push((*worker, *reason, e.time));
-                }
-                _ => {}
-            }
+            ix.apply(e);
         }
         ix
     }

@@ -16,14 +16,21 @@
 //!   ([`trace_to_jsonl`] / [`trace_from_jsonl`]), the append-friendly
 //!   form a platform would actually log into.
 //!
+//! Every record's layout — its members, their order and their value
+//! spellings — is declared once, in the crate's private `schema`
+//! module, which derives this module's encoder, its tree decoder and
+//! its canonical-line cursor as well as the `.fcb` codec of
+//! [`crate::trace_bin`]. This module assembles records into traces.
+//!
 //! Schema conventions: ids are raw `u32`s, money is `i64` **millicents**
-//! ([`Credits`]), instants and durations are `u64` **seconds**
-//! ([`SimTime`]/[`SimDuration`]), skill vectors are `0`/`1` strings, and
-//! enum-like values use their existing canonical names
-//! ([`EventKind::tag`], [`DisclosureItem::name`], [`Audience::name`],
-//! `TaskKind::name`). Floats print in Rust's shortest round-trip form,
-//! so encode → decode → encode is byte-identical — the invariant the
-//! replay tests pin.
+//! ([`Credits`](crate::money::Credits)), instants and durations are
+//! `u64` **seconds** ([`SimTime`]/[`SimDuration`](crate::time::SimDuration)),
+//! skill vectors are `0`/`1` strings, and enum-like values use their
+//! canonical names ([`EventKind::tag`](crate::event::EventKind::tag),
+//! [`DisclosureItem::name`](crate::disclosure::DisclosureItem::name),
+//! [`Audience::name`](crate::disclosure::Audience::name)). Floats print
+//! in Rust's shortest round-trip form, so encode → decode → encode is
+//! byte-identical — the invariant the replay tests pin.
 //!
 //! Decoding never panics: every malformed shape surfaces as a
 //! [`FaircrowdError::Persist`] naming the record and field. Referential
@@ -31,25 +38,20 @@
 //! here — that is [`Trace::ensure_valid`]'s job, which the file loader
 //! in `faircrowd-core::persist` runs after decoding.
 
-use crate::attributes::{AttrValue, ComputedAttrs, DeclaredAttrs};
-use crate::contribution::{Contribution, Submission};
-use crate::disclosure::{Audience, DisclosureItem, DisclosureSet};
+use crate::contribution::Submission;
+use crate::disclosure::DisclosureSet;
 use crate::error::FaircrowdError;
-use crate::event::{CancelReason, Event, EventKind, EventLog, QuitReason};
-use crate::fields::{
-    arr_field, bool_field, credits_field, duration_field, f64_field, require, str_field, u32_field,
-    u64_field, u8_field,
-};
-use crate::ids::{CampaignId, RequesterId, SkillId, SubmissionId, TaskId, WorkerId};
+use crate::event::{Event, EventLog};
+use crate::fields::{arr_field, u64_field};
 use crate::json::Json;
-use crate::money::Credits;
 use crate::requester::Requester;
-use crate::skills::SkillVector;
-use crate::task::{Task, TaskConditions, TaskKind};
-use crate::time::{SimDuration, SimTime};
+use crate::schema::{
+    event_from_json, event_to_json, scan_event, At, Field, Member, RecordCtx, Scan,
+};
+use crate::task::Task;
+use crate::time::SimTime;
 use crate::trace::{GroundTruth, Trace};
 use crate::worker::Worker;
-use std::fmt;
 
 /// The schema identifier every trace file carries.
 pub const SCHEMA_NAME: &str = "faircrowd-trace";
@@ -63,35 +65,26 @@ pub(crate) const SCHEMA_VERSION: u64 = 1;
 
 /// Encode a trace as one JSON object (the whole-file form).
 pub fn trace_to_json(trace: &Trace) -> Json {
+    fn arr<T>(items: &[T], to_json: impl Fn(&T) -> Json) -> Json {
+        Json::Arr(items.iter().map(to_json).collect())
+    }
     Json::Obj(vec![
         ("schema".into(), Json::str(SCHEMA_NAME)),
         ("version".into(), Json::uint(SCHEMA_VERSION)),
-        ("horizon".into(), Json::uint(trace.horizon.as_secs())),
-        (
-            "workers".into(),
-            Json::Arr(trace.workers.iter().map(worker_to_json).collect()),
-        ),
-        (
-            "tasks".into(),
-            Json::Arr(trace.tasks.iter().map(task_to_json).collect()),
-        ),
+        ("horizon".into(), trace.horizon.to_json()),
+        ("workers".into(), arr(&trace.workers, Worker::to_json)),
+        ("tasks".into(), arr(&trace.tasks, Task::to_json)),
         (
             "requesters".into(),
-            Json::Arr(trace.requesters.iter().map(requester_to_json).collect()),
+            arr(&trace.requesters, Requester::to_json),
         ),
         (
             "submissions".into(),
-            Json::Arr(trace.submissions.iter().map(submission_to_json).collect()),
+            arr(&trace.submissions, Submission::to_json),
         ),
-        (
-            "events".into(),
-            Json::Arr(trace.events.iter().map(event_to_json).collect()),
-        ),
-        ("disclosure".into(), disclosure_to_json(&trace.disclosure)),
-        (
-            "ground_truth".into(),
-            ground_truth_to_json(&trace.ground_truth),
-        ),
+        ("events".into(), arr(trace.events.as_slice(), event_to_json)),
+        ("disclosure".into(), trace.disclosure.to_json()),
+        ("ground_truth".into(), trace.ground_truth.to_json()),
     ])
 }
 
@@ -103,12 +96,9 @@ pub fn trace_to_jsonl(trace: &Trace) -> String {
         ("schema".into(), Json::str(SCHEMA_NAME)),
         ("version".into(), Json::uint(SCHEMA_VERSION)),
         ("format".into(), Json::str("jsonl")),
-        ("horizon".into(), Json::uint(trace.horizon.as_secs())),
-        ("disclosure".into(), disclosure_to_json(&trace.disclosure)),
-        (
-            "ground_truth".into(),
-            ground_truth_to_json(&trace.ground_truth),
-        ),
+        ("horizon".into(), trace.horizon.to_json()),
+        ("disclosure".into(), trace.disclosure.to_json()),
+        ("ground_truth".into(), trace.ground_truth.to_json()),
     ]);
     let mut out = header.to_compact();
     out.push('\n');
@@ -117,357 +107,21 @@ pub fn trace_to_jsonl(trace: &Trace) -> String {
         out.push('\n');
     };
     for w in &trace.workers {
-        record("worker", worker_to_json(w));
+        record("worker", w.to_json());
     }
     for t in &trace.tasks {
-        record("task", task_to_json(t));
+        record("task", t.to_json());
     }
     for r in &trace.requesters {
-        record("requester", requester_to_json(r));
+        record("requester", r.to_json());
     }
     for s in &trace.submissions {
-        record("submission", submission_to_json(s));
+        record("submission", s.to_json());
     }
     for e in &trace.events {
         record("event", event_to_json(e));
     }
     out
-}
-
-fn worker_to_json(w: &Worker) -> Json {
-    Json::Obj(vec![
-        ("id".into(), Json::uint(u64::from(w.id.raw()))),
-        ("declared".into(), declared_to_json(&w.declared)),
-        ("computed".into(), computed_to_json(&w.computed)),
-        ("skills".into(), skills_to_json(&w.skills)),
-    ])
-}
-
-fn declared_to_json(attrs: &DeclaredAttrs) -> Json {
-    Json::Obj(
-        attrs
-            .iter()
-            .map(|(k, v)| (k.to_owned(), attr_value_to_json(v)))
-            .collect(),
-    )
-}
-
-fn attr_value_to_json(v: &AttrValue) -> Json {
-    match v {
-        AttrValue::Bool(b) => Json::Obj(vec![("bool".into(), Json::Bool(*b))]),
-        AttrValue::Int(i) => Json::Obj(vec![("int".into(), Json::int(*i))]),
-        AttrValue::Real(r) => Json::Obj(vec![("real".into(), Json::float(*r))]),
-        AttrValue::Text(s) => Json::Obj(vec![("text".into(), Json::str(s.clone()))]),
-    }
-}
-
-fn computed_to_json(c: &ComputedAttrs) -> Json {
-    Json::Obj(vec![
-        ("acceptance_ratio".into(), Json::float(c.acceptance_ratio)),
-        ("tasks_approved".into(), Json::uint(c.tasks_approved)),
-        ("tasks_rejected".into(), Json::uint(c.tasks_rejected)),
-        ("tasks_submitted".into(), Json::uint(c.tasks_submitted)),
-        ("quality_estimate".into(), Json::float(c.quality_estimate)),
-        (
-            "mean_approval_latency".into(),
-            Json::uint(c.mean_approval_latency.as_secs()),
-        ),
-        (
-            "total_earnings".into(),
-            Json::int(c.total_earnings.millicents()),
-        ),
-        ("sessions".into(), Json::uint(c.sessions)),
-        (
-            "extra".into(),
-            Json::Obj(
-                c.extra
-                    .iter()
-                    .map(|(k, v)| (k.clone(), Json::float(*v)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn skills_to_json(s: &SkillVector) -> Json {
-    let bits: String = (0..s.len())
-        .map(|i| {
-            if s.get(SkillId::new(i as u32)) {
-                '1'
-            } else {
-                '0'
-            }
-        })
-        .collect();
-    Json::Str(bits)
-}
-
-fn task_to_json(t: &Task) -> Json {
-    Json::Obj(vec![
-        ("id".into(), Json::uint(u64::from(t.id.raw()))),
-        ("requester".into(), Json::uint(u64::from(t.requester.raw()))),
-        ("campaign".into(), Json::uint(u64::from(t.campaign.raw()))),
-        ("skills".into(), skills_to_json(&t.skills)),
-        ("reward".into(), Json::int(t.reward.millicents())),
-        ("kind".into(), kind_to_json(t.kind)),
-        (
-            "assignments_wanted".into(),
-            Json::uint(u64::from(t.assignments_wanted)),
-        ),
-        ("est_duration".into(), Json::uint(t.est_duration.as_secs())),
-        ("conditions".into(), conditions_to_json(&t.conditions)),
-    ])
-}
-
-fn kind_to_json(kind: TaskKind) -> Json {
-    let mut members = vec![("name".to_owned(), Json::str(kind.name()))];
-    match kind {
-        TaskKind::Labeling { classes } => {
-            members.push(("classes".into(), Json::uint(u64::from(classes))));
-        }
-        TaskKind::Ranking { items } => {
-            members.push(("items".into(), Json::uint(u64::from(items))));
-        }
-        TaskKind::FreeText | TaskKind::Survey => {}
-    }
-    Json::Obj(members)
-}
-
-fn conditions_to_json(c: &TaskConditions) -> Json {
-    let mut members = Vec::new();
-    if let Some(wage) = c.stated_hourly_wage {
-        members.push((
-            "stated_hourly_wage".to_owned(),
-            Json::int(wage.millicents()),
-        ));
-    }
-    if let Some(delay) = c.stated_payment_delay {
-        members.push((
-            "stated_payment_delay".to_owned(),
-            Json::uint(delay.as_secs()),
-        ));
-    }
-    for (key, value) in [
-        ("recruitment_criteria", &c.recruitment_criteria),
-        ("rejection_criteria", &c.rejection_criteria),
-        ("evaluation_scheme", &c.evaluation_scheme),
-    ] {
-        if let Some(text) = value {
-            members.push((key.to_owned(), Json::str(text.clone())));
-        }
-    }
-    Json::Obj(members)
-}
-
-fn requester_to_json(r: &Requester) -> Json {
-    Json::Obj(vec![
-        ("id".into(), Json::uint(u64::from(r.id.raw()))),
-        ("name".into(), Json::str(r.name.clone())),
-        ("approved".into(), Json::uint(r.approved)),
-        ("rejected".into(), Json::uint(r.rejected)),
-        (
-            "rejections_with_feedback".into(),
-            Json::uint(r.rejections_with_feedback),
-        ),
-        (
-            "mean_decision_latency".into(),
-            Json::uint(r.mean_decision_latency.as_secs()),
-        ),
-        ("bonuses_promised".into(), Json::uint(r.bonuses_promised)),
-        ("bonuses_paid".into(), Json::uint(r.bonuses_paid)),
-    ])
-}
-
-fn submission_to_json(s: &Submission) -> Json {
-    Json::Obj(vec![
-        ("id".into(), Json::uint(u64::from(s.id.raw()))),
-        ("task".into(), Json::uint(u64::from(s.task.raw()))),
-        ("worker".into(), Json::uint(u64::from(s.worker.raw()))),
-        ("contribution".into(), contribution_to_json(&s.contribution)),
-        ("started_at".into(), Json::uint(s.started_at.as_secs())),
-        ("submitted_at".into(), Json::uint(s.submitted_at.as_secs())),
-    ])
-}
-
-fn contribution_to_json(c: &Contribution) -> Json {
-    match c {
-        Contribution::Label(l) => Json::Obj(vec![("label".into(), Json::uint(u64::from(*l)))]),
-        Contribution::Text(t) => Json::Obj(vec![("text".into(), Json::str(t.clone()))]),
-        Contribution::Ranking(r) => Json::Obj(vec![(
-            "ranking".into(),
-            Json::Arr(r.iter().map(|&i| Json::uint(u64::from(i))).collect()),
-        )]),
-        Contribution::Numeric(n) => Json::Obj(vec![("numeric".into(), Json::float(*n))]),
-    }
-}
-
-fn event_to_json(e: &Event) -> Json {
-    let mut members = vec![
-        ("time".to_owned(), Json::uint(e.time.as_secs())),
-        ("seq".to_owned(), Json::uint(e.seq)),
-        ("kind".to_owned(), Json::str(e.kind.tag())),
-    ];
-    let mut put = |key: &str, value: Json| members.push((key.to_owned(), value));
-    match &e.kind {
-        EventKind::TaskPosted { task, requester } => {
-            put("task", id32(task.raw()));
-            put("requester", id32(requester.raw()));
-        }
-        EventKind::TaskVisible { task, worker }
-        | EventKind::TaskAccepted { task, worker }
-        | EventKind::WorkStarted { task, worker } => {
-            put("task", id32(task.raw()));
-            put("worker", id32(worker.raw()));
-        }
-        EventKind::SubmissionReceived {
-            submission,
-            task,
-            worker,
-        }
-        | EventKind::SubmissionApproved {
-            submission,
-            task,
-            worker,
-        } => {
-            put("submission", id32(submission.raw()));
-            put("task", id32(task.raw()));
-            put("worker", id32(worker.raw()));
-        }
-        EventKind::SubmissionRejected {
-            submission,
-            task,
-            worker,
-            feedback,
-        } => {
-            put("submission", id32(submission.raw()));
-            put("task", id32(task.raw()));
-            put("worker", id32(worker.raw()));
-            if let Some(text) = feedback {
-                put("feedback", Json::str(text.clone()));
-            }
-        }
-        EventKind::PaymentIssued {
-            submission,
-            task,
-            worker,
-            amount,
-        } => {
-            put("submission", id32(submission.raw()));
-            put("task", id32(task.raw()));
-            put("worker", id32(worker.raw()));
-            put("amount", Json::int(amount.millicents()));
-        }
-        EventKind::BonusPromised {
-            worker,
-            requester,
-            amount,
-        }
-        | EventKind::BonusPaid {
-            worker,
-            requester,
-            amount,
-        }
-        | EventKind::BonusReneged {
-            worker,
-            requester,
-            amount,
-        } => {
-            put("worker", id32(worker.raw()));
-            put("requester", id32(requester.raw()));
-            put("amount", Json::int(amount.millicents()));
-        }
-        EventKind::TaskCanceled { task, reason } => {
-            put("task", id32(task.raw()));
-            put("reason", Json::str(cancel_reason_name(*reason)));
-        }
-        EventKind::WorkInterrupted {
-            task,
-            worker,
-            invested,
-            compensated,
-        } => {
-            put("task", id32(task.raw()));
-            put("worker", id32(worker.raw()));
-            put("invested", Json::uint(invested.as_secs()));
-            put("compensated", Json::Bool(*compensated));
-        }
-        EventKind::WorkerFlagged {
-            worker,
-            score,
-            detector,
-        } => {
-            put("worker", id32(worker.raw()));
-            put("score", Json::float(*score));
-            put("detector", Json::str(detector.clone()));
-        }
-        EventKind::DisclosureShown { worker, item } => {
-            put("worker", id32(worker.raw()));
-            put("item", Json::str(item.name()));
-        }
-        EventKind::SessionStarted { worker }
-        | EventKind::SessionEnded { worker }
-        | EventKind::WorkerQuit {
-            worker,
-            reason: QuitReason::NaturalChurn,
-        }
-        | EventKind::WorkerQuit {
-            worker,
-            reason: QuitReason::Frustration,
-        } => {
-            put("worker", id32(worker.raw()));
-            if let EventKind::WorkerQuit { reason, .. } = &e.kind {
-                put("reason", Json::str(quit_reason_name(*reason)));
-            }
-        }
-    }
-    Json::Obj(members)
-}
-
-fn id32(raw: u32) -> Json {
-    Json::uint(u64::from(raw))
-}
-
-fn cancel_reason_name(r: CancelReason) -> &'static str {
-    match r {
-        CancelReason::TargetReached => "target_reached",
-        CancelReason::BudgetExhausted => "budget_exhausted",
-        CancelReason::Withdrawn => "withdrawn",
-    }
-}
-
-fn quit_reason_name(r: QuitReason) -> &'static str {
-    match r {
-        QuitReason::Frustration => "frustration",
-        QuitReason::NaturalChurn => "natural_churn",
-    }
-}
-
-fn disclosure_to_json(set: &DisclosureSet) -> Json {
-    Json::Arr(
-        set.iter()
-            .map(|(item, audience)| {
-                Json::Arr(vec![Json::str(item.name()), Json::str(audience.name())])
-            })
-            .collect(),
-    )
-}
-
-fn ground_truth_to_json(gt: &GroundTruth) -> Json {
-    Json::Obj(vec![
-        (
-            "malicious_workers".into(),
-            Json::Arr(gt.malicious_workers.iter().map(|w| id32(w.raw())).collect()),
-        ),
-        (
-            "true_labels".into(),
-            Json::Arr(
-                gt.true_labels
-                    .iter()
-                    .map(|(t, l)| Json::Arr(vec![id32(t.raw()), Json::uint(u64::from(*l))]))
-                    .collect(),
-            ),
-        ),
-    ])
 }
 
 // ---------------------------------------------------------------------
@@ -480,38 +134,49 @@ fn ground_truth_to_json(gt: &GroundTruth) -> Json {
 /// named; referential integrity is left to [`Trace::ensure_valid`].
 pub fn trace_from_json(json: &Json) -> Result<Trace, FaircrowdError> {
     check_schema(json)?;
-    let mut trace = Trace {
-        horizon: SimTime::from_secs(u64_field(json, "horizon", "trace")?),
-        disclosure: disclosure_from_json(require(json, "disclosure", "trace")?)?,
-        ground_truth: ground_truth_from_json(require(json, "ground_truth", "trace")?)?,
-        ..Trace::default()
+    fn records<T>(
+        json: &Json,
+        key: &str,
+        kind: &'static str,
+        decode: impl Fn(&Json, RecordCtx) -> Result<T, FaircrowdError>,
+    ) -> Result<Vec<T>, FaircrowdError> {
+        let items = arr_field(json, key, "trace")?.iter().enumerate();
+        items
+            .map(|(i, v)| decode(v, RecordCtx::Index(kind, i)))
+            .collect()
+    }
+    let (horizon, disclosure, ground_truth) = scalars(json, RecordCtx::Section("trace"))?;
+    Ok(Trace {
+        horizon,
+        disclosure,
+        ground_truth,
+        workers: records(json, "workers", "worker", decode_record)?,
+        tasks: records(json, "tasks", "task", decode_record)?,
+        requesters: records(json, "requesters", "requester", decode_record)?,
+        submissions: records(json, "submissions", "submission", decode_record)?,
+        events: EventLog::from_events(records(json, "events", "event", event_from_json)?),
+    })
+}
+
+/// Decode one record value; `ctx` names it in errors.
+fn decode_record<T: Field>(json: &Json, ctx: RecordCtx) -> Result<T, FaircrowdError> {
+    let key = match ctx {
+        RecordCtx::Line(_, kind) | RecordCtx::Index(kind, _) | RecordCtx::Section(kind) => kind,
     };
-    for (i, w) in arr_field(json, "workers", "trace")?.iter().enumerate() {
-        trace
-            .workers
-            .push(worker_from_json(w, RecordCtx::Index("worker", i))?);
-    }
-    for (i, t) in arr_field(json, "tasks", "trace")?.iter().enumerate() {
-        trace
-            .tasks
-            .push(task_from_json(t, RecordCtx::Index("task", i))?);
-    }
-    for (i, r) in arr_field(json, "requesters", "trace")?.iter().enumerate() {
-        trace
-            .requesters
-            .push(requester_from_json(r, RecordCtx::Index("requester", i))?);
-    }
-    for (i, s) in arr_field(json, "submissions", "trace")?.iter().enumerate() {
-        trace
-            .submissions
-            .push(submission_from_json(s, RecordCtx::Index("submission", i))?);
-    }
-    let mut events = Vec::new();
-    for (i, e) in arr_field(json, "events", "trace")?.iter().enumerate() {
-        events.push(event_from_json(e, RecordCtx::Index("event", i))?);
-    }
-    trace.events = EventLog::from_events(events);
-    Ok(trace)
+    T::from_json(json, At { ctx, key })
+}
+
+/// The scalar members a whole-file trace and a JSONL header share.
+fn scalars(
+    json: &Json,
+    ctx: RecordCtx,
+) -> Result<(SimTime, DisclosureSet, GroundTruth), FaircrowdError> {
+    let at = |key| At { ctx, key };
+    Ok((
+        SimTime::member_from_json(json, at("horizon"))?,
+        DisclosureSet::member_from_json(json, at("disclosure"))?,
+        GroundTruth::member_from_json(json, at("ground_truth"))?,
+    ))
 }
 
 /// The scalar fields a JSONL trace stream declares up front, decoded
@@ -637,10 +302,12 @@ impl JsonlReader {
                     )))
                 }
             }
+            let (horizon, disclosure, ground_truth) =
+                scalars(&header, RecordCtx::Section("header"))?;
             self.header = Some(JsonlHeader {
-                horizon: SimTime::from_secs(u64_field(&header, "horizon", "header")?),
-                disclosure: disclosure_from_json(require(&header, "disclosure", "header")?)?,
-                ground_truth: ground_truth_from_json(require(&header, "ground_truth", "header")?)?,
+                horizon,
+                disclosure,
+                ground_truth,
             });
             return Ok(None);
         }
@@ -666,20 +333,13 @@ fn record_from_tree(line: &str, lineno: usize) -> Result<JsonlRecord, FaircrowdE
             members.len()
         )));
     };
+    let ctx = |kind| RecordCtx::Line(lineno, kind);
     Ok(match tag.as_str() {
-        "worker" => {
-            JsonlRecord::Worker(worker_from_json(value, RecordCtx::Line(lineno, "worker"))?)
-        }
-        "task" => JsonlRecord::Task(task_from_json(value, RecordCtx::Line(lineno, "task"))?),
-        "requester" => JsonlRecord::Requester(requester_from_json(
-            value,
-            RecordCtx::Line(lineno, "requester"),
-        )?),
-        "submission" => JsonlRecord::Submission(submission_from_json(
-            value,
-            RecordCtx::Line(lineno, "submission"),
-        )?),
-        "event" => JsonlRecord::Event(event_from_json(value, RecordCtx::Line(lineno, "event"))?),
+        "worker" => JsonlRecord::Worker(decode_record(value, ctx("worker"))?),
+        "task" => JsonlRecord::Task(decode_record(value, ctx("task"))?),
+        "requester" => JsonlRecord::Requester(decode_record(value, ctx("requester"))?),
+        "submission" => JsonlRecord::Submission(decode_record(value, ctx("submission"))?),
+        "event" => JsonlRecord::Event(event_from_json(value, ctx("event"))?),
         other => {
             return Err(FaircrowdError::persist(format!(
                 "line {lineno}: unknown record type `{other}` \
@@ -737,411 +397,6 @@ fn check_schema(json: &Json) -> Result<(), FaircrowdError> {
     Ok(())
 }
 
-// ---- record decoders ------------------------------------------------
-
-/// Where a record sits, as its decode errors name it. Formatted only
-/// when an error is built, never for a record that decodes.
-#[derive(Clone, Copy)]
-enum RecordCtx {
-    /// `line N (<type> record)`: a JSONL line.
-    Line(usize, &'static str),
-    /// `<type> record I`: an element of a whole-file JSON array.
-    Index(&'static str, usize),
-}
-
-impl fmt::Display for RecordCtx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecordCtx::Line(lineno, kind) => write!(f, "line {lineno} ({kind} record)"),
-            RecordCtx::Index(kind, i) => write!(f, "{kind} record {i}"),
-        }
-    }
-}
-
-fn worker_from_json(json: &Json, ctx: RecordCtx) -> Result<Worker, FaircrowdError> {
-    Ok(Worker {
-        id: WorkerId::new(u32_field(json, "id", ctx)?),
-        declared: declared_from_json(require(json, "declared", ctx)?, ctx)?,
-        computed: computed_from_json(require(json, "computed", ctx)?, ctx)?,
-        skills: skills_from_json(require(json, "skills", ctx)?, ctx)?,
-    })
-}
-
-fn declared_from_json(json: &Json, ctx: RecordCtx) -> Result<DeclaredAttrs, FaircrowdError> {
-    let members = json.as_obj().ok_or_else(|| {
-        FaircrowdError::persist(format!("{ctx}: declared attributes should be an object"))
-    })?;
-    let mut attrs = DeclaredAttrs::new();
-    for (key, value) in members {
-        attrs.set(key, attr_value_from_json(value, ctx, key)?);
-    }
-    Ok(attrs)
-}
-
-fn attr_value_from_json(
-    json: &Json,
-    ctx: RecordCtx,
-    key: &str,
-) -> Result<AttrValue, FaircrowdError> {
-    let members = json.as_obj().unwrap_or(&[]);
-    match members {
-        [(tag, v)] => match (tag.as_str(), v) {
-            ("bool", v) => v.as_bool().map(AttrValue::Bool),
-            ("int", v) => v.as_i64().map(AttrValue::Int),
-            ("real", v) => v.as_f64().map(AttrValue::Real),
-            ("text", v) => v.as_str().map(|s| AttrValue::Text(s.to_owned())),
-            _ => None,
-        }
-        .ok_or_else(|| {
-            FaircrowdError::persist(format!("{ctx}: attribute `{key}` has a malformed value"))
-        }),
-        _ => Err(FaircrowdError::persist(format!(
-            "{ctx}: attribute `{key}` should be one `{{\"bool\"|\"int\"|\"real\"|\"text\": …}}` member"
-        ))),
-    }
-}
-
-fn computed_from_json(json: &Json, ctx: RecordCtx) -> Result<ComputedAttrs, FaircrowdError> {
-    let mut extra = std::collections::BTreeMap::new();
-    if let Some(members) = require(json, "extra", ctx)?.as_obj() {
-        for (key, value) in members {
-            let v = value.as_f64().ok_or_else(|| {
-                FaircrowdError::persist(format!("{ctx}: extra attribute `{key}` is not a number"))
-            })?;
-            extra.insert(key.clone(), v);
-        }
-    } else {
-        return Err(FaircrowdError::persist(format!(
-            "{ctx}: field `extra` should be an object"
-        )));
-    }
-    Ok(ComputedAttrs {
-        acceptance_ratio: f64_field(json, "acceptance_ratio", ctx)?,
-        tasks_approved: u64_field(json, "tasks_approved", ctx)?,
-        tasks_rejected: u64_field(json, "tasks_rejected", ctx)?,
-        tasks_submitted: u64_field(json, "tasks_submitted", ctx)?,
-        quality_estimate: f64_field(json, "quality_estimate", ctx)?,
-        mean_approval_latency: duration_field(json, "mean_approval_latency", ctx)?,
-        total_earnings: credits_field(json, "total_earnings", ctx)?,
-        sessions: u64_field(json, "sessions", ctx)?,
-        extra,
-    })
-}
-
-fn skills_from_json(json: &Json, ctx: RecordCtx) -> Result<SkillVector, FaircrowdError> {
-    let bits = json.as_str().ok_or_else(|| {
-        FaircrowdError::persist(format!("{ctx}: skill vector should be a 0/1 string"))
-    })?;
-    let mut bools = Vec::with_capacity(bits.len());
-    for c in bits.chars() {
-        match c {
-            '0' => bools.push(false),
-            '1' => bools.push(true),
-            other => {
-                return Err(FaircrowdError::persist(format!(
-                    "{ctx}: skill vector has invalid character `{other}`"
-                )))
-            }
-        }
-    }
-    Ok(SkillVector::from_bools(bools))
-}
-
-fn task_from_json(json: &Json, ctx: RecordCtx) -> Result<Task, FaircrowdError> {
-    Ok(Task {
-        id: TaskId::new(u32_field(json, "id", ctx)?),
-        requester: RequesterId::new(u32_field(json, "requester", ctx)?),
-        campaign: CampaignId::new(u32_field(json, "campaign", ctx)?),
-        skills: skills_from_json(require(json, "skills", ctx)?, ctx)?,
-        reward: credits_field(json, "reward", ctx)?,
-        kind: kind_from_json(require(json, "kind", ctx)?, ctx)?,
-        assignments_wanted: u32_field(json, "assignments_wanted", ctx)?,
-        est_duration: duration_field(json, "est_duration", ctx)?,
-        conditions: conditions_from_json(require(json, "conditions", ctx)?, ctx)?,
-    })
-}
-
-fn kind_from_json(json: &Json, ctx: RecordCtx) -> Result<TaskKind, FaircrowdError> {
-    match str_field(json, "name", ctx)? {
-        "labeling" => Ok(TaskKind::Labeling {
-            classes: u8_field(json, "classes", ctx)?,
-        }),
-        "free-text" => Ok(TaskKind::FreeText),
-        "ranking" => Ok(TaskKind::Ranking {
-            items: u8_field(json, "items", ctx)?,
-        }),
-        "survey" => Ok(TaskKind::Survey),
-        other => Err(FaircrowdError::persist(format!(
-            "{ctx}: unknown task kind `{other}`"
-        ))),
-    }
-}
-
-fn conditions_from_json(json: &Json, ctx: RecordCtx) -> Result<TaskConditions, FaircrowdError> {
-    if json.as_obj().is_none() {
-        return Err(FaircrowdError::persist(format!(
-            "{ctx}: conditions should be an object"
-        )));
-    }
-    let opt_str = |key: &str| -> Result<Option<String>, FaircrowdError> {
-        match json.get(key) {
-            None => Ok(None),
-            Some(_) => Ok(Some(str_field(json, key, ctx)?.to_owned())),
-        }
-    };
-    Ok(TaskConditions {
-        stated_hourly_wage: match json.get("stated_hourly_wage") {
-            None => None,
-            Some(_) => Some(credits_field(json, "stated_hourly_wage", ctx)?),
-        },
-        stated_payment_delay: match json.get("stated_payment_delay") {
-            None => None,
-            Some(_) => Some(duration_field(json, "stated_payment_delay", ctx)?),
-        },
-        recruitment_criteria: opt_str("recruitment_criteria")?,
-        rejection_criteria: opt_str("rejection_criteria")?,
-        evaluation_scheme: opt_str("evaluation_scheme")?,
-    })
-}
-
-fn requester_from_json(json: &Json, ctx: RecordCtx) -> Result<Requester, FaircrowdError> {
-    Ok(Requester {
-        id: RequesterId::new(u32_field(json, "id", ctx)?),
-        name: str_field(json, "name", ctx)?.to_owned(),
-        approved: u64_field(json, "approved", ctx)?,
-        rejected: u64_field(json, "rejected", ctx)?,
-        rejections_with_feedback: u64_field(json, "rejections_with_feedback", ctx)?,
-        mean_decision_latency: duration_field(json, "mean_decision_latency", ctx)?,
-        bonuses_promised: u64_field(json, "bonuses_promised", ctx)?,
-        bonuses_paid: u64_field(json, "bonuses_paid", ctx)?,
-    })
-}
-
-fn submission_from_json(json: &Json, ctx: RecordCtx) -> Result<Submission, FaircrowdError> {
-    Ok(Submission {
-        id: SubmissionId::new(u32_field(json, "id", ctx)?),
-        task: TaskId::new(u32_field(json, "task", ctx)?),
-        worker: WorkerId::new(u32_field(json, "worker", ctx)?),
-        contribution: contribution_from_json(require(json, "contribution", ctx)?, ctx)?,
-        started_at: SimTime::from_secs(u64_field(json, "started_at", ctx)?),
-        submitted_at: SimTime::from_secs(u64_field(json, "submitted_at", ctx)?),
-    })
-}
-
-fn contribution_from_json(json: &Json, ctx: RecordCtx) -> Result<Contribution, FaircrowdError> {
-    let members = json.as_obj().unwrap_or(&[]);
-    let [(tag, value)] = members else {
-        return Err(FaircrowdError::persist(format!(
-            "{ctx}: contribution should be one `{{\"label\"|\"text\"|\"ranking\"|\"numeric\": …}}` member"
-        )));
-    };
-    match (tag.as_str(), value) {
-        ("label", v) => v
-            .as_u64()
-            .and_then(|l| u8::try_from(l).ok())
-            .map(Contribution::Label),
-        ("text", v) => v.as_str().map(|s| Contribution::Text(s.to_owned())),
-        ("ranking", v) => v.as_arr().and_then(|items| {
-            items
-                .iter()
-                .map(|i| i.as_u64().and_then(|i| u16::try_from(i).ok()))
-                .collect::<Option<Vec<u16>>>()
-                .map(Contribution::Ranking)
-        }),
-        ("numeric", v) => v.as_f64().map(Contribution::Numeric),
-        _ => None,
-    }
-    .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: malformed `{tag}` contribution")))
-}
-
-fn event_from_json(json: &Json, ctx: RecordCtx) -> Result<Event, FaircrowdError> {
-    let time = SimTime::from_secs(u64_field(json, "time", ctx)?);
-    let seq = u64_field(json, "seq", ctx)?;
-    let tag = str_field(json, "kind", ctx)?;
-    let worker = |key: &str| Ok::<_, FaircrowdError>(WorkerId::new(u32_field(json, key, ctx)?));
-    let task = || Ok::<_, FaircrowdError>(TaskId::new(u32_field(json, "task", ctx)?));
-    let submission =
-        || Ok::<_, FaircrowdError>(SubmissionId::new(u32_field(json, "submission", ctx)?));
-    let requester =
-        || Ok::<_, FaircrowdError>(RequesterId::new(u32_field(json, "requester", ctx)?));
-    let kind = match tag {
-        "task_posted" => EventKind::TaskPosted {
-            task: task()?,
-            requester: requester()?,
-        },
-        "task_visible" => EventKind::TaskVisible {
-            task: task()?,
-            worker: worker("worker")?,
-        },
-        "task_accepted" => EventKind::TaskAccepted {
-            task: task()?,
-            worker: worker("worker")?,
-        },
-        "work_started" => EventKind::WorkStarted {
-            task: task()?,
-            worker: worker("worker")?,
-        },
-        "submission_received" => EventKind::SubmissionReceived {
-            submission: submission()?,
-            task: task()?,
-            worker: worker("worker")?,
-        },
-        "submission_approved" => EventKind::SubmissionApproved {
-            submission: submission()?,
-            task: task()?,
-            worker: worker("worker")?,
-        },
-        "submission_rejected" => EventKind::SubmissionRejected {
-            submission: submission()?,
-            task: task()?,
-            worker: worker("worker")?,
-            feedback: match json.get("feedback") {
-                None => None,
-                Some(_) => Some(str_field(json, "feedback", ctx)?.to_owned()),
-            },
-        },
-        "payment_issued" => EventKind::PaymentIssued {
-            submission: submission()?,
-            task: task()?,
-            worker: worker("worker")?,
-            amount: credits_field(json, "amount", ctx)?,
-        },
-        "bonus_promised" => EventKind::BonusPromised {
-            worker: worker("worker")?,
-            requester: requester()?,
-            amount: credits_field(json, "amount", ctx)?,
-        },
-        "bonus_paid" => EventKind::BonusPaid {
-            worker: worker("worker")?,
-            requester: requester()?,
-            amount: credits_field(json, "amount", ctx)?,
-        },
-        "bonus_reneged" => EventKind::BonusReneged {
-            worker: worker("worker")?,
-            requester: requester()?,
-            amount: credits_field(json, "amount", ctx)?,
-        },
-        "task_canceled" => EventKind::TaskCanceled {
-            task: task()?,
-            reason: match str_field(json, "reason", ctx)? {
-                "target_reached" => CancelReason::TargetReached,
-                "budget_exhausted" => CancelReason::BudgetExhausted,
-                "withdrawn" => CancelReason::Withdrawn,
-                other => {
-                    return Err(FaircrowdError::persist(format!(
-                        "{ctx}: unknown cancel reason `{other}`"
-                    )))
-                }
-            },
-        },
-        "work_interrupted" => EventKind::WorkInterrupted {
-            task: task()?,
-            worker: worker("worker")?,
-            invested: duration_field(json, "invested", ctx)?,
-            compensated: bool_field(json, "compensated", ctx)?,
-        },
-        "worker_flagged" => EventKind::WorkerFlagged {
-            worker: worker("worker")?,
-            score: f64_field(json, "score", ctx)?,
-            detector: str_field(json, "detector", ctx)?.to_owned(),
-        },
-        "disclosure_shown" => EventKind::DisclosureShown {
-            worker: worker("worker")?,
-            item: {
-                let name = str_field(json, "item", ctx)?;
-                DisclosureItem::from_name(name).ok_or_else(|| {
-                    FaircrowdError::persist(format!("{ctx}: unknown disclosure item `{name}`"))
-                })?
-            },
-        },
-        "session_started" => EventKind::SessionStarted {
-            worker: worker("worker")?,
-        },
-        "session_ended" => EventKind::SessionEnded {
-            worker: worker("worker")?,
-        },
-        "worker_quit" => EventKind::WorkerQuit {
-            worker: worker("worker")?,
-            reason: match str_field(json, "reason", ctx)? {
-                "frustration" => QuitReason::Frustration,
-                "natural_churn" => QuitReason::NaturalChurn,
-                other => {
-                    return Err(FaircrowdError::persist(format!(
-                        "{ctx}: unknown quit reason `{other}`"
-                    )))
-                }
-            },
-        },
-        other => {
-            return Err(FaircrowdError::persist(format!(
-                "{ctx}: unknown event kind `{other}`"
-            )))
-        }
-    };
-    Ok(Event { time, seq, kind })
-}
-
-fn disclosure_from_json(json: &Json) -> Result<DisclosureSet, FaircrowdError> {
-    let grants = json.as_arr().ok_or_else(|| {
-        FaircrowdError::persist("disclosure set should be an array of [item, audience] pairs")
-    })?;
-    let mut set = DisclosureSet::opaque();
-    for (i, grant) in grants.iter().enumerate() {
-        let pair = grant.as_arr().unwrap_or(&[]);
-        let [item, audience] = pair else {
-            return Err(FaircrowdError::persist(format!(
-                "disclosure grant {i} should be an [item, audience] pair"
-            )));
-        };
-        let item_name = item.as_str().unwrap_or("");
-        let audience_name = audience.as_str().unwrap_or("");
-        let item = DisclosureItem::from_name(item_name).ok_or_else(|| {
-            FaircrowdError::persist(format!("disclosure grant {i}: unknown item `{item_name}`"))
-        })?;
-        let audience = Audience::from_name(audience_name).ok_or_else(|| {
-            FaircrowdError::persist(format!(
-                "disclosure grant {i}: unknown audience `{audience_name}`"
-            ))
-        })?;
-        set.grant(item, audience);
-    }
-    Ok(set)
-}
-
-fn ground_truth_from_json(json: &Json) -> Result<GroundTruth, FaircrowdError> {
-    let ctx = "ground truth";
-    let mut gt = GroundTruth::default();
-    for (i, w) in arr_field(json, "malicious_workers", ctx)?
-        .iter()
-        .enumerate()
-    {
-        let raw = w
-            .as_u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| {
-                FaircrowdError::persist(format!("{ctx}: malicious worker {i} is not an id"))
-            })?;
-        gt.malicious_workers.insert(WorkerId::new(raw));
-    }
-    for (i, pair) in arr_field(json, "true_labels", ctx)?.iter().enumerate() {
-        let items = pair.as_arr().unwrap_or(&[]);
-        let [t, l] = items else {
-            return Err(FaircrowdError::persist(format!(
-                "{ctx}: true label {i} should be a [task, label] pair"
-            )));
-        };
-        let task = t.as_u64().and_then(|v| u32::try_from(v).ok());
-        let label = l.as_u64().and_then(|v| u8::try_from(v).ok());
-        let (Some(task), Some(label)) = (task, label) else {
-            return Err(FaircrowdError::persist(format!(
-                "{ctx}: true label {i} has a malformed task id or label"
-            )));
-        };
-        gt.true_labels.insert(TaskId::new(task), label);
-    }
-    Ok(gt)
-}
-
 // ---------------------------------------------------------------------
 // Canonical record lines
 // ---------------------------------------------------------------------
@@ -1151,445 +406,36 @@ fn ground_truth_from_json(json: &Json) -> Result<GroundTruth, FaircrowdError> {
 /// no `\` escape and no control byte, nothing after the closing `}}`.
 /// Any other line, malformed ones included, gives `None`, and
 /// [`JsonlReader::feed_line`] decodes it through the tree parser, which
-/// owns every error text. Numbers are cut by the tree parser's own
-/// grammar and converted by the same `str::parse` its accessors use, so
-/// a line decoded here equals its tree decode.
+/// owns every error text.
 fn canonical_record(line: &str) -> Option<JsonlRecord> {
-    let mut c = Cursor { line, pos: 0 };
-    let record = if c.eat(r#"{"event":"#) {
-        JsonlRecord::Event(c.event()?)
-    } else if c.eat(r#"{"worker":"#) {
-        JsonlRecord::Worker(c.worker()?)
-    } else if c.eat(r#"{"task":"#) {
-        JsonlRecord::Task(c.task()?)
-    } else if c.eat(r#"{"requester":"#) {
-        JsonlRecord::Requester(c.requester()?)
-    } else if c.eat(r#"{"submission":"#) {
-        JsonlRecord::Submission(c.submission()?)
+    let mut s = Scan::new(line);
+    let record = if s.eat(r#"{"event":"#) {
+        JsonlRecord::Event(scan_event(&mut s)?)
+    } else if s.eat(r#"{"worker":"#) {
+        JsonlRecord::Worker(Worker::scan(&mut s)?)
+    } else if s.eat(r#"{"task":"#) {
+        JsonlRecord::Task(Task::scan(&mut s)?)
+    } else if s.eat(r#"{"requester":"#) {
+        JsonlRecord::Requester(Requester::scan(&mut s)?)
+    } else if s.eat(r#"{"submission":"#) {
+        JsonlRecord::Submission(Submission::scan(&mut s)?)
     } else {
         return None;
     };
-    (c.eat("}}") && c.pos == line.len()).then_some(record)
-}
-
-/// A byte cursor over one canonical record line. Every read returns
-/// `None` at the first byte that departs from the writer's layout.
-/// The record readers list struct fields in the writer's member order:
-/// Rust evaluates a struct literal's fields in source order, so that
-/// order is the byte layout they read.
-struct Cursor<'a> {
-    line: &'a str,
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn rest(&self) -> &'a [u8] {
-        &self.line.as_bytes()[self.pos..]
-    }
-
-    /// Step over `text` if it comes next.
-    fn eat(&mut self, text: &str) -> bool {
-        let hit = self.rest().starts_with(text.as_bytes());
-        if hit {
-            self.pos += text.len();
-        }
-        hit
-    }
-
-    /// Step over `text`, which must come next: punctuation, or the
-    /// bytes that open a member up to its value (`{"id":`, `,"seq":`).
-    fn lit(&mut self, text: &str) -> Option<&mut Self> {
-        self.eat(text).then_some(self)
-    }
-
-    /// The optional member `key` (bare name) next: its value, read by
-    /// `value`, or `None` inside when the member is absent. `first` is
-    /// true until a member of this object has been read; after that a
-    /// `,` must precede the next one.
-    fn opt<T>(
-        &mut self,
-        first: &mut bool,
-        key: &str,
-        value: impl FnOnce(&mut Self) -> Option<T>,
-    ) -> Option<Option<T>> {
-        let start = self.pos;
-        if (*first || self.eat(",")) && self.eat("\"") && self.eat(key) && self.eat("\":") {
-            *first = false;
-            return value(self).map(Some);
-        }
-        self.pos = start;
-        Some(None)
-    }
-
-    /// An object of free-form keys, `{}` or `{m,m,…}`, each member read
-    /// by `member`.
-    fn members(&mut self, mut member: impl FnMut(&mut Self) -> Option<()>) -> Option<()> {
-        self.lit("{")?;
-        if self.eat("}") {
-            return Some(());
-        }
-        loop {
-            member(self)?;
-            if self.eat("}") {
-                return Some(());
-            }
-            self.lit(",")?;
-        }
-    }
-
-    /// A number token, parsed as `T`.
-    fn number<T: std::str::FromStr>(&mut self) -> Option<T> {
-        let len = crate::json::number_len(self.rest())?;
-        let token = &self.line[self.pos..self.pos + len];
-        self.pos += len;
-        token.parse().ok()
-    }
-
-    /// An unsigned integer that fits `T` (read as `u64`, then narrowed,
-    /// as the tree path's field accessors do).
-    fn uint<T: TryFrom<u64>>(&mut self) -> Option<T> {
-        T::try_from(self.number::<u64>()?).ok()
-    }
-
-    fn int(&mut self) -> Option<i64> {
-        self.number()
-    }
-
-    /// A float: a number token, or a non-finite spelling of
-    /// [`Json::float`].
-    fn float(&mut self) -> Option<f64> {
-        if !self.rest().starts_with(b"\"") {
-            return self.number();
-        }
-        match self.string()? {
-            "NaN" => Some(f64::NAN),
-            "inf" => Some(f64::INFINITY),
-            "-inf" => Some(f64::NEG_INFINITY),
-            _ => None,
-        }
-    }
-
-    /// A string without escapes or control bytes, borrowed from the
-    /// line. (`"` and `\` never occur inside a multi-byte UTF-8
-    /// character, so the byte scan cannot split one.)
-    fn string(&mut self) -> Option<&'a str> {
-        self.lit("\"")?;
-        let len = self
-            .rest()
-            .iter()
-            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
-        if self.rest()[len] != b'"' {
-            return None;
-        }
-        let text = &self.line[self.pos..self.pos + len];
-        self.pos += len + 1;
-        Some(text)
-    }
-
-    fn owned(&mut self) -> Option<String> {
-        self.string().map(str::to_owned)
-    }
-
-    fn boolean(&mut self) -> Option<bool> {
-        if self.eat("true") {
-            Some(true)
-        } else if self.eat("false") {
-            Some(false)
-        } else {
-            None
-        }
-    }
-
-    fn skills(&mut self) -> Option<SkillVector> {
-        let bits = self.string()?;
-        bits.bytes()
-            .all(|b| b == b'0' || b == b'1')
-            .then(|| SkillVector::from_bools(bits.bytes().map(|b| b == b'1')))
-    }
-
-    fn worker_id(&mut self) -> Option<WorkerId> {
-        self.lit(r#","worker":"#)?.uint().map(WorkerId::new)
-    }
-
-    fn task_id(&mut self) -> Option<TaskId> {
-        self.lit(r#","task":"#)?.uint().map(TaskId::new)
-    }
-
-    fn submission_id(&mut self) -> Option<SubmissionId> {
-        self.lit(r#","submission":"#)?.uint().map(SubmissionId::new)
-    }
-
-    fn requester_id(&mut self) -> Option<RequesterId> {
-        self.lit(r#","requester":"#)?.uint().map(RequesterId::new)
-    }
-
-    fn amount(&mut self) -> Option<Credits> {
-        self.lit(r#","amount":"#)?
-            .int()
-            .map(Credits::from_millicents)
-    }
-
-    fn worker(&mut self) -> Option<Worker> {
-        Some(Worker {
-            id: WorkerId::new(self.lit(r#"{"id":"#)?.uint()?),
-            declared: self.lit(r#","declared":"#)?.declared()?,
-            computed: self.lit(r#","computed":"#)?.computed()?,
-            skills: self.lit(r#","skills":"#)?.skills()?,
-        })
-    }
-
-    fn declared(&mut self) -> Option<DeclaredAttrs> {
-        let mut attrs = DeclaredAttrs::new();
-        self.members(|c| {
-            let key = c.string()?;
-            let value = if c.eat(r#":{"bool":"#) {
-                AttrValue::Bool(c.boolean()?)
-            } else if c.eat(r#":{"int":"#) {
-                AttrValue::Int(c.int()?)
-            } else if c.eat(r#":{"real":"#) {
-                AttrValue::Real(c.float()?)
-            } else if c.eat(r#":{"text":"#) {
-                AttrValue::Text(c.owned()?)
-            } else {
-                return None;
-            };
-            attrs.set(key, value);
-            c.lit("}")?;
-            Some(())
-        })?;
-        Some(attrs)
-    }
-
-    fn computed(&mut self) -> Option<ComputedAttrs> {
-        let computed = ComputedAttrs {
-            acceptance_ratio: self.lit(r#"{"acceptance_ratio":"#)?.float()?,
-            tasks_approved: self.lit(r#","tasks_approved":"#)?.uint()?,
-            tasks_rejected: self.lit(r#","tasks_rejected":"#)?.uint()?,
-            tasks_submitted: self.lit(r#","tasks_submitted":"#)?.uint()?,
-            quality_estimate: self.lit(r#","quality_estimate":"#)?.float()?,
-            mean_approval_latency: SimDuration::from_secs(
-                self.lit(r#","mean_approval_latency":"#)?.uint()?,
-            ),
-            total_earnings: Credits::from_millicents(self.lit(r#","total_earnings":"#)?.int()?),
-            sessions: self.lit(r#","sessions":"#)?.uint()?,
-            extra: {
-                let mut extra = std::collections::BTreeMap::new();
-                self.lit(r#","extra":"#)?.members(|c| {
-                    let key = c.owned()?;
-                    extra.insert(key, c.lit(":")?.float()?);
-                    Some(())
-                })?;
-                extra
-            },
-        };
-        self.lit("}")?;
-        Some(computed)
-    }
-
-    fn task(&mut self) -> Option<Task> {
-        Some(Task {
-            id: TaskId::new(self.lit(r#"{"id":"#)?.uint()?),
-            requester: self.requester_id()?,
-            campaign: CampaignId::new(self.lit(r#","campaign":"#)?.uint()?),
-            skills: self.lit(r#","skills":"#)?.skills()?,
-            reward: Credits::from_millicents(self.lit(r#","reward":"#)?.int()?),
-            kind: {
-                let kind = match self.lit(r#","kind":{"name":"#)?.string()? {
-                    "labeling" => TaskKind::Labeling {
-                        classes: self.lit(r#","classes":"#)?.uint()?,
-                    },
-                    "free-text" => TaskKind::FreeText,
-                    "ranking" => TaskKind::Ranking {
-                        items: self.lit(r#","items":"#)?.uint()?,
-                    },
-                    "survey" => TaskKind::Survey,
-                    _ => return None,
-                };
-                self.lit("}")?;
-                kind
-            },
-            assignments_wanted: self.lit(r#","assignments_wanted":"#)?.uint()?,
-            est_duration: SimDuration::from_secs(self.lit(r#","est_duration":"#)?.uint()?),
-            conditions: self.lit(r#","conditions":{"#)?.conditions()?,
-        })
-    }
-
-    /// The members of a task's conditions, each optional, then `}`.
-    fn conditions(&mut self) -> Option<TaskConditions> {
-        let first = &mut true;
-        let conditions = TaskConditions {
-            stated_hourly_wage: self.opt(first, "stated_hourly_wage", |c| {
-                c.int().map(Credits::from_millicents)
-            })?,
-            stated_payment_delay: self.opt(first, "stated_payment_delay", |c| {
-                c.uint().map(SimDuration::from_secs)
-            })?,
-            recruitment_criteria: self.opt(first, "recruitment_criteria", Self::owned)?,
-            rejection_criteria: self.opt(first, "rejection_criteria", Self::owned)?,
-            evaluation_scheme: self.opt(first, "evaluation_scheme", Self::owned)?,
-        };
-        self.lit("}")?;
-        Some(conditions)
-    }
-
-    fn requester(&mut self) -> Option<Requester> {
-        Some(Requester {
-            id: RequesterId::new(self.lit(r#"{"id":"#)?.uint()?),
-            name: self.lit(r#","name":"#)?.owned()?,
-            approved: self.lit(r#","approved":"#)?.uint()?,
-            rejected: self.lit(r#","rejected":"#)?.uint()?,
-            rejections_with_feedback: self.lit(r#","rejections_with_feedback":"#)?.uint()?,
-            mean_decision_latency: SimDuration::from_secs(
-                self.lit(r#","mean_decision_latency":"#)?.uint()?,
-            ),
-            bonuses_promised: self.lit(r#","bonuses_promised":"#)?.uint()?,
-            bonuses_paid: self.lit(r#","bonuses_paid":"#)?.uint()?,
-        })
-    }
-
-    fn submission(&mut self) -> Option<Submission> {
-        Some(Submission {
-            id: SubmissionId::new(self.lit(r#"{"id":"#)?.uint()?),
-            task: self.task_id()?,
-            worker: self.worker_id()?,
-            contribution: self.lit(r#","contribution":"#)?.contribution()?,
-            started_at: SimTime::from_secs(self.lit(r#","started_at":"#)?.uint()?),
-            submitted_at: SimTime::from_secs(self.lit(r#","submitted_at":"#)?.uint()?),
-        })
-    }
-
-    fn contribution(&mut self) -> Option<Contribution> {
-        let contribution = if self.eat(r#"{"label":"#) {
-            Contribution::Label(self.uint()?)
-        } else if self.eat(r#"{"text":"#) {
-            Contribution::Text(self.owned()?)
-        } else if self.eat(r#"{"ranking":["#) {
-            let mut items = Vec::new();
-            if !self.eat("]") {
-                loop {
-                    items.push(self.uint()?);
-                    if self.eat("]") {
-                        break;
-                    }
-                    self.lit(",")?;
-                }
-            }
-            Contribution::Ranking(items)
-        } else if self.eat(r#"{"numeric":"#) {
-            Contribution::Numeric(self.float()?)
-        } else {
-            return None;
-        };
-        self.lit("}")?;
-        Some(contribution)
-    }
-
-    fn event(&mut self) -> Option<Event> {
-        let time = SimTime::from_secs(self.lit(r#"{"time":"#)?.uint()?);
-        let seq = self.lit(r#","seq":"#)?.uint()?;
-        let kind = match self.lit(r#","kind":"#)?.string()? {
-            "task_posted" => EventKind::TaskPosted {
-                task: self.task_id()?,
-                requester: self.requester_id()?,
-            },
-            "task_visible" => EventKind::TaskVisible {
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-            },
-            "task_accepted" => EventKind::TaskAccepted {
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-            },
-            "work_started" => EventKind::WorkStarted {
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-            },
-            "submission_received" => EventKind::SubmissionReceived {
-                submission: self.submission_id()?,
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-            },
-            "submission_approved" => EventKind::SubmissionApproved {
-                submission: self.submission_id()?,
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-            },
-            "submission_rejected" => EventKind::SubmissionRejected {
-                submission: self.submission_id()?,
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-                feedback: self.opt(&mut false, "feedback", Self::owned)?,
-            },
-            "payment_issued" => EventKind::PaymentIssued {
-                submission: self.submission_id()?,
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-                amount: self.amount()?,
-            },
-            "bonus_promised" => EventKind::BonusPromised {
-                worker: self.worker_id()?,
-                requester: self.requester_id()?,
-                amount: self.amount()?,
-            },
-            "bonus_paid" => EventKind::BonusPaid {
-                worker: self.worker_id()?,
-                requester: self.requester_id()?,
-                amount: self.amount()?,
-            },
-            "bonus_reneged" => EventKind::BonusReneged {
-                worker: self.worker_id()?,
-                requester: self.requester_id()?,
-                amount: self.amount()?,
-            },
-            "task_canceled" => EventKind::TaskCanceled {
-                task: self.task_id()?,
-                reason: match self.lit(r#","reason":"#)?.string()? {
-                    "target_reached" => CancelReason::TargetReached,
-                    "budget_exhausted" => CancelReason::BudgetExhausted,
-                    "withdrawn" => CancelReason::Withdrawn,
-                    _ => return None,
-                },
-            },
-            "work_interrupted" => EventKind::WorkInterrupted {
-                task: self.task_id()?,
-                worker: self.worker_id()?,
-                invested: SimDuration::from_secs(self.lit(r#","invested":"#)?.uint()?),
-                compensated: self.lit(r#","compensated":"#)?.boolean()?,
-            },
-            "worker_flagged" => EventKind::WorkerFlagged {
-                worker: self.worker_id()?,
-                score: self.lit(r#","score":"#)?.float()?,
-                detector: self.lit(r#","detector":"#)?.owned()?,
-            },
-            "disclosure_shown" => EventKind::DisclosureShown {
-                worker: self.worker_id()?,
-                item: DisclosureItem::from_name(self.lit(r#","item":"#)?.string()?)?,
-            },
-            "session_started" => EventKind::SessionStarted {
-                worker: self.worker_id()?,
-            },
-            "session_ended" => EventKind::SessionEnded {
-                worker: self.worker_id()?,
-            },
-            "worker_quit" => EventKind::WorkerQuit {
-                worker: self.worker_id()?,
-                reason: match self.lit(r#","reason":"#)?.string()? {
-                    "frustration" => QuitReason::Frustration,
-                    "natural_churn" => QuitReason::NaturalChurn,
-                    _ => return None,
-                },
-            },
-            _ => return None,
-        };
-        Some(Event { time, seq, kind })
-    }
+    (s.eat("}") && s.at_end()).then_some(record)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attributes::{AttrValue, DeclaredAttrs};
+    use crate::contribution::Contribution;
+    use crate::disclosure::{Audience, DisclosureItem};
+    use crate::event::{CancelReason, EventKind, QuitReason};
+    use crate::ids::{RequesterId, SubmissionId, TaskId, WorkerId};
     use crate::money::Credits;
-    use crate::task::TaskBuilder;
+    use crate::skills::SkillVector;
+    use crate::task::{TaskBuilder, TaskConditions, TaskKind};
     use crate::time::SimDuration;
 
     /// A trace touching every encoder branch: all four contribution

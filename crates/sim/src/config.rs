@@ -333,13 +333,10 @@ pub struct ScenarioConfig {
     pub payment: PaymentSchemeChoice,
     /// Rounds between submission and the approval decision.
     pub decision_delay_rounds: u32,
-    /// Time until the platform auto-approves an unjudged submission.
-    pub auto_approve_after: SimDuration,
     /// Detection sweep, if enabled.
     pub detection: Option<DetectionConfig>,
     /// Agent strategy profile. Defaults to [`StrategyChoice::Static`],
-    /// the pre-strategy behaviour; absent in serialized configs written
-    /// before the strategy layer existed.
+    /// the pre-strategy behaviour.
     #[serde(default)]
     pub strategy: StrategyChoice,
 }
@@ -455,7 +452,6 @@ impl Default for ScenarioConfig {
             cancellation: CancellationPolicy::RunToCompletion,
             payment: PaymentSchemeChoice::Fixed,
             decision_delay_rounds: 2,
-            auto_approve_after: SimDuration::from_days(3),
             detection: Some(DetectionConfig::default()),
             strategy: StrategyChoice::Static,
         }

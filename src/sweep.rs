@@ -92,6 +92,7 @@ use crate::quality::{majority_vote, AnswerSet, GoldSet};
 use crate::sim::{catalog, strategy, PolicyChoice, StrategyChoice, TraceSummary};
 use faircrowd_assign::registry;
 use faircrowd_model::contribution::Contribution;
+use faircrowd_model::json::Json;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1027,23 +1028,9 @@ impl SweepResult {
     }
 }
 
-/// JSON string literal with the escapes our label alphabet can need.
+/// A JSON string literal, escaped as the trace codecs escape strings.
 pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    Json::str(s).to_compact()
 }
 
 /// Shortest round-trip decimal for a float (Rust's `Display`), which is
