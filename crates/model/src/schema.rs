@@ -183,6 +183,10 @@ impl Named for DisclosureItem {
     fn name(self) -> &'static str {
         DisclosureItem::name(self)
     }
+    #[inline]
+    fn from_name(name: &str) -> Option<Self> {
+        DisclosureItem::from_name(name)
+    }
 }
 
 impl Named for Audience {
@@ -1123,7 +1127,9 @@ impl Field for TaskKind {
     }
     #[inline]
     fn get(cur: &mut Cursor<'_>, _what: &str) -> Result<Self, FaircrowdError> {
-        let tag = cur.byte("task kind")?;
+        // Checked here, not by `get_payload`, so an unknown tag is
+        // reported at its own offset. The kinds are tagged 0–3.
+        let tag = cur.u8tag("task kind", 4)?;
         TaskKind::get_payload(tag, cur)
     }
 }

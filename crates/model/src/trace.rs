@@ -98,6 +98,7 @@ impl EventIndex {
     /// replays and the live auditor takes per ingested event. Returns
     /// whether the event is a fresh access: false only for a
     /// `TaskVisible` repeating an exposure already recorded.
+    #[inline]
     pub fn apply(&mut self, e: &Event) -> bool {
         match &e.kind {
             EventKind::TaskVisible { task, worker } => {

@@ -178,6 +178,7 @@ pub fn sniff_binary(bytes: &[u8]) -> bool {
 mod tests {
     use super::*;
     use crate::skills::SkillVector;
+    use crate::task::TaskKind;
 
     #[test]
     fn empty_trace_roundtrips() {
@@ -201,6 +202,19 @@ mod tests {
                 v
             );
         }
+    }
+
+    #[test]
+    fn an_unknown_task_kind_tag_is_reported_at_the_tag() {
+        let mut buf = Vec::new();
+        TaskKind::Survey.put(&mut buf);
+        buf[0] = 9;
+        let err = <TaskKind as Field>::get(&mut Cursor::new(&buf, "probe"), "kind")
+            .expect_err("tag 9 is not a task kind");
+        assert_eq!(
+            err.to_string(),
+            "cannot decode trace: probe: unknown task kind tag 9 at byte 0"
+        );
     }
 
     fn varint_len(v: u64) -> usize {
