@@ -47,6 +47,24 @@ pub(crate) fn similarity_classes(
     classes
 }
 
+/// Does `outcome` show every worker exactly her qualification row, as
+/// the open policies do? Over such a base neither wrapper can grant
+/// anything, which is what lets `PolicyChoice::normalized` (in
+/// `faircrowd-sim`) drop them; the wrappers assert it in debug builds.
+fn shows_qualified_rows(
+    outcome: &AssignmentOutcome,
+    input: &AssignInput,
+    qualified: &Qualification,
+) -> bool {
+    input.workers.iter().enumerate().all(|(wi, w)| {
+        let row = qualified.row(wi);
+        outcome
+            .visibility
+            .get(&w.id)
+            .map_or(row.is_empty(), |shown| shown == row)
+    })
+}
+
 /// Equalise exposure within worker similarity classes.
 #[derive(Debug, Clone)]
 pub struct ExposureParity<P> {
@@ -82,6 +100,7 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
         rng: &mut dyn RngCore,
     ) -> AssignmentOutcome {
         let mut outcome = self.base.assign_qualified(input, qualified, rng);
+        let open_base = cfg!(debug_assertions) && shows_qualified_rows(&outcome, input, qualified);
         let classes =
             similarity_classes(&input.workers, self.skill_threshold, self.quality_tolerance);
         // A lone member's union is her own row: nothing to grant.
@@ -104,7 +123,9 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureParity<P> {
                     .visibility
                     .entry(input.workers[wi].id)
                     .or_insert_with(|| qualified.empty_row())
-                    .union_with(&grant, |_| {});
+                    .union_with(&grant, |_| {
+                        debug_assert!(!open_base, "parity granted a task over an open base");
+                    });
             }
         }
         outcome
@@ -133,6 +154,7 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureFloor<P> {
         rng: &mut dyn RngCore,
     ) -> AssignmentOutcome {
         let mut outcome = self.base.assign_qualified(input, qualified, rng);
+        let open_base = cfg!(debug_assertions) && shows_qualified_rows(&outcome, input, qualified);
         for (wi, w) in input.workers.iter().enumerate() {
             let have = outcome.visibility.get(&w.id).map_or(0, |v| v.len());
             if have >= self.min_exposure {
@@ -150,6 +172,7 @@ impl<P: AssignmentPolicy> AssignmentPolicy for ExposureFloor<P> {
                     break;
                 }
                 if row.contains(t.id) && shown.insert(t.id) {
+                    debug_assert!(!open_base, "floor granted a task over an open base");
                     need -= 1;
                 }
             }
@@ -314,6 +337,30 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert_eq!(w3.len(), 1);
+    }
+
+    #[test]
+    fn wrappers_grant_nothing_over_an_open_base() {
+        // The twins are forced into one class although w1 alone
+        // qualifies for task 3: over self-selection, which shows each
+        // worker her qualification row, neither wrapper may add a task
+        // (and in debug builds each asserts it).
+        let mut m = twin_market();
+        m.tasks[3].skills = SkillVector::from_bools([true, true]);
+        m.workers[1].skills = SkillVector::from_bools([true, true]);
+        let rng = || StdRng::seed_from_u64(0);
+        let base = crate::SelfSelection.assign(&m, &mut rng());
+        let mut parity = ExposureParity {
+            base: crate::SelfSelection,
+            skill_threshold: 0.5,
+            quality_tolerance: 0.2,
+        };
+        assert_eq!(parity.assign(&m, &mut rng()), base);
+        let mut floor = ExposureFloor {
+            base: crate::SelfSelection,
+            min_exposure: 8,
+        };
+        assert_eq!(floor.assign(&m, &mut rng()), base);
     }
 
     #[test]

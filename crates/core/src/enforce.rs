@@ -77,12 +77,18 @@ pub fn equalize_payments(
 /// Grant the Axiom-6/7 disclosure floor on top of an existing set.
 /// Grants are additive, so the set is only ever widened — this is the
 /// repair the `Pipeline`'s minimal-transparency enforcement applies.
+/// An item the set already shows to the audience (say, through a
+/// `Public` grant) gets no second grant, so a set that already meets the
+/// floor comes back equal and the repaired market is the original one.
 pub fn grant_minimal_transparency(set: &mut DisclosureSet) {
-    for item in DisclosureItem::AXIOM6_REQUIRED {
-        set.grant(item, Audience::Workers);
-    }
-    for item in DisclosureItem::AXIOM7_REQUIRED {
-        set.grant(item, Audience::Subject);
+    let floor = DisclosureItem::AXIOM6_REQUIRED
+        .map(|item| (item, Audience::Workers))
+        .into_iter()
+        .chain(DisclosureItem::AXIOM7_REQUIRED.map(|item| (item, Audience::Subject)));
+    for (item, audience) in floor {
+        if !set.allows(item, audience) {
+            set.grant(item, audience);
+        }
     }
 }
 
@@ -176,5 +182,16 @@ mod tests {
         for item in DisclosureItem::ALL {
             assert!(!set.allows(item, Audience::Public));
         }
+    }
+
+    #[test]
+    fn granting_the_floor_twice_or_over_public_items_changes_nothing() {
+        let mut set = minimal_transparent_set();
+        let once = set.clone();
+        grant_minimal_transparency(&mut set);
+        assert_eq!(set, once);
+        let mut open = DisclosureSet::fully_transparent();
+        grant_minimal_transparency(&mut open);
+        assert_eq!(open, DisclosureSet::fully_transparent());
     }
 }

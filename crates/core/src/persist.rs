@@ -175,14 +175,22 @@ pub fn save(trace: &Trace, path: impl AsRef<Path>) -> Result<(), FaircrowdError>
 /// descriptive [`FaircrowdError`] carrying the path — truncated files,
 /// wrong schema versions and dangling ids never panic.
 pub fn load(path: impl AsRef<Path>) -> Result<Trace, FaircrowdError> {
+    let trace = read(path)?;
+    trace.ensure_valid()?;
+    Ok(trace)
+}
+
+/// [`load`] without the integrity pass: read, sniff and decode under
+/// the schema-version check, with the same errors. For a caller that
+/// validates the trace itself next — `Pipeline::replay_owned` does —
+/// so the event log is walked once, not twice.
+pub fn read(path: impl AsRef<Path>) -> Result<Trace, FaircrowdError> {
     let path = path.as_ref();
     let bytes = std::fs::read(path).map_err(|e| FaircrowdError::Io {
         path: path.display().to_string(),
         message: e.to_string(),
     })?;
-    let trace = decode_bytes(&bytes).map_err(|e| e.at_path(path.display()))?;
-    trace.ensure_valid()?;
-    Ok(trace)
+    decode_bytes(&bytes).map_err(|e| e.at_path(path.display()))
 }
 
 #[cfg(test)]

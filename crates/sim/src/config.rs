@@ -74,6 +74,53 @@ impl PolicyChoice {
         }
     }
 
+    /// The same policy with every exposure wrapper that cannot change an
+    /// outcome removed, so two choices that run the same market compare
+    /// equal:
+    ///
+    /// - parity or a floor over a policy that shows each worker her
+    ///   qualification row as it is (the open policies) is that policy:
+    ///   every wrapper grant is already visible;
+    /// - parity over parity is parity: the inner pass already gave each
+    ///   class member the class union within her qualification row;
+    /// - `floor(n)` over `floor(m)` with `m ≥ n` is `floor(m)`: after the
+    ///   inner pass each worker sees at least `m` tasks or every task she
+    ///   qualifies for.
+    ///
+    /// Wrappers draw no randomness, so a simulation under the result is
+    /// byte-identical to one under `self` (tested over every registry
+    /// policy and catalog scenario in `tests/normalized_repairs.rs`).
+    #[must_use]
+    pub fn normalized(&self) -> PolicyChoice {
+        // Declares which policies start their draft from `Draft::open`.
+        // Exhaustive, so a new policy has to say whether it is open.
+        let shows_qualified_rows = |policy: &PolicyChoice| match policy {
+            PolicyChoice::SelfSelection
+            | PolicyChoice::RoundRobin
+            | PolicyChoice::WorkerCentric
+            | PolicyChoice::FairDelivery => true,
+            PolicyChoice::RequesterCentric
+            | PolicyChoice::OnlineGreedy
+            | PolicyChoice::Kos { .. }
+            | PolicyChoice::ParityOver(_)
+            | PolicyChoice::FloorOver(..)
+            | PolicyChoice::BudgetDiverse => false,
+        };
+        match self {
+            PolicyChoice::ParityOver(base) => match base.normalized() {
+                base if shows_qualified_rows(&base) => base,
+                base @ PolicyChoice::ParityOver(_) => base,
+                base => PolicyChoice::ParityOver(Box::new(base)),
+            },
+            PolicyChoice::FloorOver(base, min) => match base.normalized() {
+                base if shows_qualified_rows(&base) => base,
+                base @ PolicyChoice::FloorOver(_, inner) if inner >= *min => base,
+                base => PolicyChoice::FloorOver(Box::new(base), *min),
+            },
+            other => other.clone(),
+        }
+    }
+
     /// Resolve a registry name (see [`faircrowd_assign::registry`]) into
     /// the serialisable policy choice, with the registry's default
     /// parameters for `kos`, `parity` and `floor`.

@@ -469,15 +469,18 @@ fn replay_cmd(args: &Args) -> Result<(), FaircrowdError> {
 /// market-plus-report block as `run`, so the two outputs diff cleanly
 /// from the audit table onward (the CI smoke step does exactly that).
 fn replay_file(path: &str) -> Result<(), FaircrowdError> {
-    let trace = faircrowd::core::persist::load(path)?;
+    // `replay_owned` validates the trace (the one integrity pass of this
+    // route, so `read`, not `load`) and takes it without a copy:
+    // recorded logs can be large.
+    let trace = faircrowd::core::persist::read(path)?;
+    let artifacts = Pipeline::new().replay_owned(trace)?;
+    let trace = &artifacts.trace;
     println!(
         "replaying {path}: {} workers, {} tasks, {} events\n",
         trace.workers.len(),
         trace.tasks.len(),
         trace.events.len()
     );
-    // `replay_owned`: recorded logs can be large, don't copy them.
-    let artifacts = Pipeline::new().replay_owned(trace)?;
     print!("{}", artifacts.render("replayed"));
     Ok(())
 }
@@ -749,10 +752,17 @@ fn sweep(args: &Args) -> Result<(), FaircrowdError> {
     }
     let format = args.value("--format").unwrap_or("table");
 
-    let result = with_progress(args, "", grid.expand()?.len(), |hook| {
+    let cases = grid.expand()?;
+    let runs = faircrowd::sweep::work_units(&cases)?.len();
+    let result = with_progress(args, "", cases.len(), |hook| {
         faircrowd::sweep::run_grid_observed(&grid, jobs, hook)
     })?;
-    print_sweep(&result, format, "sweep", &format!("{jobs} job(s)"))
+    print_sweep(
+        &result,
+        format,
+        "sweep",
+        &format!("{runs} run(s), {jobs} job(s)"),
+    )
 }
 
 /// The `sweep` and `merge` report in `format`; a table opens with a

@@ -86,7 +86,10 @@ impl Enforcement {
         }
     }
 
-    /// Apply this repair to a scenario.
+    /// Apply this repair to a scenario, as staged: a wrapper is wrapped
+    /// even where it cannot change the market, so labels and
+    /// [`EnforcedRun::config`] name every repair. What is simulated is
+    /// the [`market`] of the result.
     fn apply(&self, config: &mut ScenarioConfig) {
         match self {
             Enforcement::ExposureParity => {
@@ -104,6 +107,17 @@ impl Enforcement {
                 config.cancellation = CancellationPolicy::GraceFinish;
             }
         }
+    }
+}
+
+/// The config a simulation of `config` runs: the same scenario with its
+/// policy normalised ([`PolicyChoice::normalized`]), so that exposure
+/// wrappers which cannot change an outcome are neither built nor run.
+/// Configs with equal markets produce byte-identical traces.
+fn market(config: &ScenarioConfig) -> ScenarioConfig {
+    ScenarioConfig {
+        policy: config.policy.normalized(),
+        ..config.clone()
     }
 }
 
@@ -143,7 +157,9 @@ pub struct LiveRunArtifacts {
 /// The enforcement pass of a [`PipelineResult`].
 #[derive(Debug, Clone)]
 pub struct EnforcedRun {
-    /// The repaired scenario that was re-run.
+    /// The repaired scenario, as staged: every repair is named, also
+    /// one that cannot change the market (then `artifacts` are the
+    /// baseline's; see [`Pipeline::run`]).
     pub config: ScenarioConfig,
     /// The repairs, in application order.
     pub applied: Vec<Enforcement>,
@@ -360,12 +376,13 @@ impl Pipeline {
     /// **converged** trace is returned. Every simulation the pipeline
     /// performs (run, export, sweep work units, enforcement re-runs) funnels
     /// through here, so "the trace of a scenario" means the same thing
-    /// on every path.
+    /// on every path. What runs is the config's [`market`].
     fn simulate_config(&self, config: &ScenarioConfig) -> Result<Trace, FaircrowdError> {
+        let config = market(config);
         let trace = if config.strategy == StrategyChoice::Static {
-            crate::sim::run(config.clone())
+            crate::sim::run(config)
         } else {
-            crate::sim::converge::run(config.clone(), &self.converge)?.trace
+            crate::sim::converge::run(config, &self.converge)?.trace
         };
         trace.ensure_valid()?;
         Ok(trace)
@@ -392,7 +409,12 @@ impl Pipeline {
 
     /// Execute the pipeline: validate, simulate, audit, then — when
     /// enforcements are staged — repair the scenario, re-simulate and
-    /// re-audit.
+    /// re-audit. A repair that cannot change the market (the repaired
+    /// config equals the baseline once both policies are
+    /// [normalised](PolicyChoice::normalized), say parity over an open
+    /// policy) is not re-simulated: the enforced run reuses the
+    /// baseline's artifacts, while [`EnforcedRun::config`] still reports
+    /// the repair as staged.
     ///
     /// Each trace is indexed exactly once ([`TraceIndex`]); the audit
     /// and the re-audit both read through that index, and the re-audit's
@@ -412,26 +434,33 @@ impl Pipeline {
         let enforced = if self.enforcements.is_empty() {
             None
         } else {
-            let mut repaired = self.scenario.clone();
-            for enforcement in &self.enforcements {
-                enforcement.apply(&mut repaired);
-            }
+            let repaired = self.repaired();
             repaired.validate()?;
-            let trace = self.simulate_config(&repaired)?;
-            let ix = baseline_ix.rebuilt_for(&trace);
-            let report = self.audit_indexed(&ix);
-            let wages = metrics::wage_stats(&ix);
-            let summary = TraceSummary::of(&trace);
-            drop(ix);
-            Some(EnforcedRun {
-                config: repaired,
-                applied: self.enforcements.clone(),
-                artifacts: RunArtifacts {
+            let artifacts = if market(&repaired) == market(&self.scenario) {
+                RunArtifacts {
+                    trace: baseline_trace.clone(),
+                    summary: baseline_summary.clone(),
+                    report: baseline_report.clone(),
+                    wages: baseline_wages,
+                }
+            } else {
+                let trace = self.simulate_config(&repaired)?;
+                let ix = baseline_ix.rebuilt_for(&trace);
+                let report = self.audit_indexed(&ix);
+                let wages = metrics::wage_stats(&ix);
+                let summary = TraceSummary::of(&trace);
+                drop(ix);
+                RunArtifacts {
                     trace,
                     summary,
                     report,
                     wages,
-                },
+                }
+            };
+            Some(EnforcedRun {
+                config: repaired,
+                applied: self.enforcements.clone(),
+                artifacts,
             })
         };
         drop(baseline_ix);
@@ -513,16 +542,31 @@ impl Pipeline {
     /// the fields of [`RunArtifacts`] (plus a consensus score of the
     /// trace), so dropping the unread baseline work changes wall-clock
     /// and nothing else (pinned byte-identical against the full
-    /// [`Pipeline::run`] by `sweep`'s determinism tests).
+    /// [`Pipeline::run`] by `sweep`'s determinism tests). Pipelines with
+    /// equal [`Pipeline::final_market`]s return equal artifacts, so the
+    /// sweep runs one of them for all.
     pub(crate) fn run_final(self) -> Result<RunArtifacts, FaircrowdError> {
         self.scenario.validate()?;
+        let config = self.repaired();
+        config.validate()?;
+        let trace = self.simulate_config(&config)?;
+        Ok(self.audit_artifacts(trace))
+    }
+
+    /// The staged scenario with every staged repair applied, as staged.
+    fn repaired(&self) -> ScenarioConfig {
         let mut config = self.scenario.clone();
         for enforcement in &self.enforcements {
             enforcement.apply(&mut config);
         }
-        config.validate()?;
-        let trace = self.simulate_config(&config)?;
-        Ok(self.audit_artifacts(trace))
+        config
+    }
+
+    /// The market [`Pipeline::run_final`] simulates: the [`market`] of
+    /// the repaired scenario (of the scenario itself when no repair is
+    /// staged).
+    pub(crate) fn final_market(&self) -> ScenarioConfig {
+        market(&self.repaired())
     }
 
     /// Execute the pipeline **with live auditing**: the staged scenario
@@ -696,6 +740,30 @@ mod tests {
         );
         // The baseline config is untouched.
         assert!(matches!(result.config.policy, PolicyChoice::SelfSelection));
+    }
+
+    #[test]
+    fn a_repair_that_normalises_away_reuses_the_baseline_as_staged() {
+        // Parity and a floor over self-selection cannot change the
+        // market: the enforced run is the baseline's, while its config
+        // still names both repairs.
+        let result = Pipeline::new()
+            .seed(4)
+            .rounds(8)
+            .enforce(Enforcement::ExposureParity)
+            .enforce(Enforcement::ExposureFloor(8))
+            .run()
+            .unwrap();
+        let enforced = result.enforced.as_ref().unwrap();
+        assert_eq!(
+            enforced.config.policy.label(),
+            "floor8[parity[self-selection]]"
+        );
+        assert_eq!(enforced.artifacts.trace, result.baseline.trace);
+        assert_eq!(enforced.artifacts.report, result.baseline.report);
+        assert!(result
+            .render()
+            .contains("policy=floor8[parity[self-selection]]"));
     }
 
     #[test]

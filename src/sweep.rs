@@ -29,21 +29,31 @@
 //!
 //! With each trace indexed once, audits are cheap and **simulation is
 //! the dominant cost of a sweep cell** — so the engine's unit of work
-//! is one *final run*, not one case. Cases that differ only on the
-//! `aggregator` axis are one platform run rescored after the market
-//! closed: the engine groups them (same scenario, policy, strategy,
-//! seed, scale, rounds and enforcement stack), and a worker runs each
-//! group's pipeline once — simulate or converge, repair, validate,
-//! index, audit, wages, summary (`Pipeline::run_final`) — builds
-//! every sibling's outcome from that one run, and drops the trace
-//! before it takes the next group.
-//! Enforced cells simulate only their *repaired* config; the unread
-//! baseline is never simulated or audited. Cases differing on the
-//! `enforce` axis share nothing: each stack is a different market. The
+//! is one *final run*, not one case. Enforced cells simulate only their
+//! *repaired* config; the unread baseline is never simulated or
+//! audited. The engine groups the cases whose final runs simulate the
+//! same market ([`work_units`]), and a worker runs each group's
+//! pipeline once — simulate or converge, repair, validate, index,
+//! audit, wages, summary (`Pipeline::run_final`) — builds every
+//! member's outcome from that one run, scoring each aggregator once,
+//! and drops the trace before it takes the next group. Two kinds of
+//! case share a run:
+//!
+//! - cases that differ only on the `aggregator` axis: one platform run
+//!   rescored after the market closed;
+//! - cases whose enforcement stacks normalise to the same market
+//!   ([`PolicyChoice::normalized`]): parity or a floor over an open
+//!   policy is that policy, parity over parity is parity, `floor(n)`
+//!   over `floor(m ≥ n)` is `floor(m)`, and a transparency grant of
+//!   items the platform already shows leaves the config equal. Such a
+//!   cell joins its base cell's run.
+//!
+//! Labels, tables and exports still name every repair as staged. The
 //! simulator is a pure function of its config, so grouped and
 //! ungrouped sweeps are byte-identical (the determinism tests pin the
 //! grouped sweep against a per-case oracle that runs every case through
-//! the full [`Pipeline::run`]).
+//! the full [`Pipeline::run`], and `tests/sweep_pins.rs` pins the
+//! exports of an every-policy repair grid).
 //!
 //! Grid syntax (the CLI's `--grid` argument): `;`-separated
 //! `axis=value,value,…` entries —
@@ -89,7 +99,7 @@ use crate::pay::WageStats;
 use crate::pipeline::{Enforcement, Pipeline, RunArtifacts};
 use crate::quality::aggregate::{AggregateContext, AggregatorChoice};
 use crate::quality::{majority_vote, AnswerSet, GoldSet};
-use crate::sim::{catalog, strategy, PolicyChoice, StrategyChoice, TraceSummary};
+use crate::sim::{catalog, strategy, PolicyChoice, ScenarioConfig, StrategyChoice, TraceSummary};
 use faircrowd_assign::registry;
 use faircrowd_model::contribution::Contribution;
 use faircrowd_model::json::Json;
@@ -457,22 +467,23 @@ impl SweepCase {
     }
 
     /// This case's outcome from a final run — its own, or the one it
-    /// shares with its aggregator siblings: the run's report, summary
-    /// and wages, with consensus scored under this case's aggregator.
-    fn outcome_of(&self, run: &RunArtifacts) -> Result<CaseOutcome, FaircrowdError> {
-        Ok(CaseOutcome {
-            consensus: consensus_accuracy(&run.trace, &self.aggregator_choice()?),
+    /// shares with the rest of its work unit: the run's report, summary
+    /// and wages, with `consensus` scored under this case's aggregator.
+    fn outcome_of(&self, run: &RunArtifacts, consensus: Option<f64>) -> CaseOutcome {
+        CaseOutcome {
+            consensus,
             report: run.report.clone(),
             summary: run.summary.clone(),
             wages: run.wages,
             case: self.clone(),
-        })
+        }
     }
 
     /// Everything that determines the **baseline** trace. The `enforce`
-    /// axis is absent: it forks the market, so a work unit is keyed by
-    /// this *and* the stack. The shard partition clusters on this
-    /// coarser key alone, so a unit never straddles shards.
+    /// axis is absent: a repair may fork the market, so a work unit is
+    /// keyed by this *and* the market the repaired config simulates. The
+    /// shard partition clusters on this coarser key alone, so a unit
+    /// never straddles shards.
     fn sim_key(&self) -> (String, Option<String>, Option<String>, u64, u64, u32) {
         (
             self.scenario.clone(),
@@ -641,23 +652,30 @@ pub fn run_grid_observed(
     })
 }
 
-/// Group `cases` into work units: the indexes of the cases sharing a
-/// [`SweepCase::sim_key`] and an enforcement stack — the siblings that
-/// differ only on the aggregator. Units appear in first-occurrence
-/// order, each listing its cases ascending.
-fn work_units(cases: &[SweepCase]) -> Vec<Vec<usize>> {
-    let mut unit_of_key = HashMap::new();
+/// Group `cases` into work units, one per pipeline run: the indexes of
+/// the cases that share a baseline key (`SweepCase::sim_key`) and
+/// whose repaired configs simulate the same market once normalised
+/// (aggregator siblings, and cells whose repair normalises to their base
+/// cell's market). Units appear in first-occurrence order, each listing
+/// its cases ascending; `work_units(cases).len()` is the number of runs
+/// a sweep of `cases` performs.
+pub fn work_units(cases: &[SweepCase]) -> Result<Vec<Vec<usize>>, FaircrowdError> {
+    // Markets are compared only within one baseline key, so the configs
+    // need no hash.
+    let mut markets_of_key: HashMap<_, Vec<(ScenarioConfig, usize)>> = HashMap::new();
     let mut units: Vec<Vec<usize>> = Vec::new();
     for (i, case) in cases.iter().enumerate() {
-        let key = (case.sim_key(), stack_label(&case.enforcements));
-        let next = units.len();
-        let unit = *unit_of_key.entry(key).or_insert(next);
-        if unit == next {
-            units.push(Vec::new());
+        let market = case.pipeline()?.final_market();
+        let markets = markets_of_key.entry(case.sim_key()).or_default();
+        match markets.iter().find(|(seen, _)| *seen == market) {
+            Some(&(_, unit)) => units[unit].push(i),
+            None => {
+                markets.push((market, units.len()));
+                units.push(vec![i]);
+            }
         }
-        units[unit].push(i);
     }
-    units
+    Ok(units)
 }
 
 /// Execute `cases` on `jobs` scoped worker threads. Workers pull whole
@@ -666,15 +684,15 @@ fn work_units(cases: &[SweepCase]) -> Vec<Vec<usize>> {
 /// regardless of thread scheduling.
 ///
 /// A unit's pipeline runs once ([`Pipeline::run_final`]) and every
-/// sibling's outcome is built from that run; its trace is dropped
-/// before the worker takes the next unit, so at most `jobs` final
-/// traces are alive at once.
+/// member's outcome is built from that run, each aggregator scored
+/// once; its trace is dropped before the worker takes the next unit,
+/// so at most `jobs` final traces are alive at once.
 fn run_cases(
     cases: &[SweepCase],
     jobs: usize,
     on_done: CellHook<'_>,
 ) -> Result<Vec<CaseOutcome>, FaircrowdError> {
-    let units = work_units(cases);
+    let units = work_units(cases)?;
     let jobs = jobs.max(1).min(units.len().max(1));
     let slots: Vec<Mutex<Option<Result<CaseOutcome, FaircrowdError>>>> =
         cases.iter().map(|_| Mutex::new(None)).collect();
@@ -684,7 +702,7 @@ fn run_cases(
             scope.spawn(|| {
                 while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
                     let outcomes = match cases[unit[0]].pipeline().and_then(Pipeline::run_final) {
-                        Ok(run) => unit.iter().map(|&i| cases[i].outcome_of(&run)).collect(),
+                        Ok(run) => unit_outcomes(cases, unit, &run),
                         Err(e) => vec![Err(e); unit.len()],
                     };
                     for (&i, outcome) in unit.iter().zip(outcomes) {
@@ -703,6 +721,30 @@ fn run_cases(
             slot.into_inner()
                 .expect("result slot poisoned")
                 .expect("every case index was claimed by a worker")
+        })
+        .collect()
+}
+
+/// The outcomes of a unit's cases from its one run, scoring consensus
+/// once per distinct aggregator.
+fn unit_outcomes(
+    cases: &[SweepCase],
+    unit: &[usize],
+    run: &RunArtifacts,
+) -> Vec<Result<CaseOutcome, FaircrowdError>> {
+    let mut scored: Vec<(&Option<String>, Option<f64>)> = Vec::new();
+    unit.iter()
+        .map(|&i| {
+            let case = &cases[i];
+            let consensus = match scored.iter().find(|(name, _)| **name == case.aggregator) {
+                Some(&(_, consensus)) => consensus,
+                None => {
+                    let consensus = consensus_accuracy(&run.trace, &case.aggregator_choice()?);
+                    scored.push((&case.aggregator, consensus));
+                    consensus
+                }
+            };
+            Ok(case.outcome_of(run, consensus))
         })
         .collect()
 }
@@ -1077,7 +1119,9 @@ mod tests {
             .iter()
             .map(|case| {
                 let result = case.pipeline()?.run()?;
-                case.outcome_of(&result.enforced.map_or(result.baseline, |e| e.artifacts))
+                let run = result.enforced.map_or(result.baseline, |e| e.artifacts);
+                let consensus = consensus_accuracy(&run.trace, &case.aggregator_choice()?);
+                Ok(case.outcome_of(&run, consensus))
             })
             .collect::<Result<_, FaircrowdError>>()
             .unwrap();
@@ -1249,44 +1293,63 @@ mod tests {
         let cases = grid.expand().unwrap();
         assert_eq!(cases.len(), 2);
         assert_eq!(cases[0].sim_key(), cases[1].sim_key());
-        assert_eq!(work_units(&cases), vec![vec![0, 1]]);
+        assert_eq!(work_units(&cases).unwrap(), vec![vec![0, 1]]);
     }
 
     #[test]
-    fn work_units_group_exactly_the_aggregator_siblings() {
+    fn work_units_group_exactly_the_cases_of_one_market() {
         let units_of = |spec: &str| {
             let cases = SweepGrid::parse(spec).unwrap().expand().unwrap();
-            let units = work_units(&cases);
+            let units = work_units(&cases).unwrap();
             // Every case appears in exactly one unit.
             let mut seen: Vec<usize> = units.iter().flatten().copied().collect();
             seen.sort_unstable();
             assert_eq!(seen, (0..cases.len()).collect::<Vec<_>>(), "{spec}");
-            // Siblings differ only on the aggregator.
+            // A unit's cases share a baseline key and one normalised
+            // repaired config; different units simulate different
+            // markets or sit under different baseline keys.
+            let market = |i: usize| cases[i].pipeline().unwrap().final_market();
             for unit in &units {
-                let first = &cases[unit[0]];
+                let first = unit[0];
                 for &i in &unit[1..] {
-                    let sibling = SweepCase {
-                        aggregator: first.aggregator.clone(),
-                        aggregator_label: first.aggregator_label.clone(),
-                        ..cases[i].clone()
-                    };
-                    assert_eq!(&sibling, first, "{spec}: unit {unit:?}");
+                    assert_eq!(cases[i].sim_key(), cases[first].sim_key(), "{spec}");
+                    assert_eq!(market(i), market(first), "{spec}: unit {unit:?}");
+                }
+            }
+            for (a, unit_a) in units.iter().enumerate() {
+                for unit_b in &units[a + 1..] {
+                    let (i, j) = (unit_a[0], unit_b[0]);
+                    assert!(
+                        cases[i].sim_key() != cases[j].sim_key() || market(i) != market(j),
+                        "{spec}: cases {i} and {j} run one market in two units"
+                    );
                 }
             }
             (cases.len(), units.len())
         };
         // Frontier-shaped: 3 policies × 2 aggregators × 2 stacks × 2
-        // seeds → each unit is one aggregator pair.
+        // seeds. Parity over the two open policies joins its base
+        // cell's run, parity over kos keeps its own: per seed, four
+        // runs instead of six.
         let (cases, units) = units_of(
             "policy=self_selection,round_robin,kos;aggregator=majority,parity_constrained;\
              enforce=none,parity;seed=1,2;rounds=6",
         );
         assert_eq!(cases, 24);
-        assert_eq!(units, cases / 2);
-        // Aggregator-free: every case is its own unit, enforce siblings
-        // included.
+        assert_eq!(units, 8);
+        // Aggregator-free, and grace changes the config: every case is
+        // its own unit, enforce siblings included.
         let (cases, units) = units_of("policy=round_robin,kos;enforce=none,grace;seed=1,2");
         assert_eq!(units, cases);
+        // Stacked wrappers: parity over the registry's `parity` and
+        // floor:8 over its `floor` (whose own floor is 8) are their
+        // base; floor:9 over `floor` is not. One seed, one aggregator.
+        let (cases, units) =
+            units_of("policy=parity,floor;enforce=none,parity,floor:8,floor:9;seed=1;rounds=6");
+        assert_eq!(cases, 8);
+        // Under `parity`: {none, parity}, {floor:8}, {floor:9}. Under
+        // `floor`: {none, floor:8}, {parity}, {floor:9}.
+        assert_eq!(units, 6);
     }
 
     #[test]

@@ -15,18 +15,18 @@
 //!
 //! Cases are not dealt out cell-by-cell. The sweep's dominant cost is
 //! simulation, and its unit of work is one final run shared by the
-//! cases that differ only on the `aggregator` axis (same
-//! `SweepCase::sim_key` and enforcement stack) — a sharing that lives
-//! inside one process. The partition groups cases into **clusters**
-//! sharing the coarser `sim_key` (clusters are numbered in
-//! first-occurrence order over the expansion) and deals whole clusters
-//! round-robin: `shard(case) = cluster(case) % N`. Every work unit is a
-//! subset of one cluster, so no unit straddles shards and no run is
-//! repeated in two processes; a cluster's enforce variants never
-//! shared a run (each stack is a different market), so keeping them
-//! together costs nothing. Every cluster has exactly one case per
-//! enforcement stack × aggregator, so shards stay balanced to within
-//! one cluster. The tradeoff: a grid with fewer clusters than shards
+//! cases of one `SweepCase::sim_key` whose repaired configs simulate
+//! the same market (aggregator siblings, and cells whose repair
+//! normalises to their base cell's market; see `super::work_units`) —
+//! a sharing that lives inside one process. The partition groups cases
+//! into **clusters** sharing the coarser `sim_key` (clusters are
+//! numbered in first-occurrence order over the expansion) and deals
+//! whole clusters round-robin: `shard(case) = cluster(case) % N`. Every
+//! work unit is a subset of one cluster, so no unit straddles shards
+//! and no run is repeated in two processes. Every cluster has exactly
+//! one case per enforcement stack × aggregator, so shards stay balanced
+//! in cases to within one cluster (in runs, a cluster over an open
+//! policy weighs less). The tradeoff: a grid with fewer clusters than shards
 //! leaves trailing shards empty — acceptable, because such grids are
 //! too small to shard profitably in the first place.
 //!
@@ -899,7 +899,7 @@ mod tests {
         .unwrap();
         for shards in [2, 3] {
             let shard_of = partition(&cases, shards);
-            for unit in super::super::work_units(&cases) {
+            for unit in super::super::work_units(&cases).unwrap() {
                 assert!(
                     unit.iter().all(|&i| shard_of[i] == shard_of[unit[0]]),
                     "unit {unit:?} straddles shards at N={shards}"
