@@ -81,13 +81,14 @@ pub fn equalize_payments(
 /// `Public` grant) gets no second grant, so a set that already meets the
 /// floor comes back equal and the repaired market is the original one.
 pub fn grant_minimal_transparency(set: &mut DisclosureSet) {
-    let floor = DisclosureItem::AXIOM6_REQUIRED
-        .map(|item| (item, Audience::Workers))
-        .into_iter()
-        .chain(DisclosureItem::AXIOM7_REQUIRED.map(|item| (item, Audience::Subject)));
-    for (item, audience) in floor {
-        if !set.allows(item, audience) {
-            set.grant(item, audience);
+    for item in DisclosureItem::AXIOM6_REQUIRED {
+        if !set.allows(item, Audience::Workers) {
+            set.grant(item, Audience::Workers);
+        }
+    }
+    for item in DisclosureItem::AXIOM7_REQUIRED {
+        if !set.allows(item, Audience::Subject) {
+            set.grant(item, Audience::Subject);
         }
     }
 }
