@@ -214,6 +214,7 @@ fn rebuilt_index(input: &Input) -> Seen {
 }
 
 /// Encode, decode, check that re-encoding gives the same bytes, replay.
+/// The replay's summary must equal the summary's own pass over the log.
 fn replay(input: &Input, format: TraceFormat) -> Seen {
     let tag = format!("{} as {format:?}", input.name);
     let bytes = persist::encode_bytes(&input.trace, format);
@@ -222,6 +223,7 @@ fn replay(input: &Input, format: TraceFormat) -> Seen {
     assert!(again == bytes, "{tag}: re-encodes to other bytes");
     let pipeline = Pipeline::new().audit(input.audit.clone());
     let run = pipeline.replay_owned(decoded).expect("replays");
+    assert_eq!(run.summary, TraceSummary::of(&input.trace), "{tag}: summary");
     Seen::new((run.report, run.wages), None, Some(run.trace))
 }
 
