@@ -137,7 +137,7 @@ mod tests {
             EventKind::WorkerFlagged {
                 worker: w(worker_id),
                 score,
-                detector: "test".into(),
+                detector: Box::new("test".into()),
             },
         );
     }

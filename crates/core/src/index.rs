@@ -53,7 +53,7 @@ use faircrowd_model::ids::{SubmissionId, TaskId, WorkerId};
 use faircrowd_model::money::Credits;
 use faircrowd_model::similarity::SimilarityConfig;
 use faircrowd_model::time::SimTime;
-use faircrowd_model::trace::{EventIndex, Interruption, Trace};
+use faircrowd_model::trace::{EventIndex, Interruption, LogTally, Trace};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
 
@@ -288,7 +288,15 @@ impl<'a> TraceIndex<'a> {
     /// submissions. The bit matrices are deferred until an axiom asks
     /// for them.
     pub fn new(trace: &'a Trace) -> TraceIndex<'a> {
-        Self::build(trace, trace.event_index())
+        Self::tallied(trace).0
+    }
+
+    /// [`TraceIndex::new`], also returning what its log pass tallied
+    /// beyond the index: what a trace summary needs besides
+    /// [`TraceIndex::events`].
+    pub fn tallied(trace: &'a Trace) -> (TraceIndex<'a>, LogTally) {
+        let (events, tally) = trace.event_index_tallied();
+        (Self::build(trace, events), tally)
     }
 
     /// Index a trace around a **pre-built** event-derived state — the
@@ -359,6 +367,11 @@ impl<'a> TraceIndex<'a> {
     /// The indexed trace.
     pub(crate) fn trace(&self) -> &'a Trace {
         self.trace
+    }
+
+    /// Every structure replayed from the event log.
+    pub fn events(&self) -> &EventIndex {
+        &self.events
     }
 
     /// Per worker, the tasks made visible to her (every worker appears).

@@ -489,25 +489,7 @@ impl LiveAuditor {
                 "LiveAuditor is finalized; no further events can be ingested",
             ));
         }
-        let position = self.events_seen();
-        let expected = position as u64;
-        let defect = if event.seq != expected {
-            Some(LogDefect::SparseSeq {
-                index: position,
-                expected,
-                found: event.seq,
-            })
-        } else if event.time < self.last_time {
-            Some(LogDefect::TimeRegression {
-                index: position,
-                seq: event.seq,
-                previous: self.last_time,
-                found: event.time,
-            })
-        } else {
-            None
-        };
-        if let Some(defect) = defect {
+        if let Some(defect) = LogDefect::of_entry(self.events_seen(), &event, self.last_time) {
             return Err(FaircrowdError::InvalidTrace {
                 problems: vec![format!("streaming ingestion halted: {defect}")],
             });
@@ -1577,7 +1559,7 @@ mod tests {
             EventKind::WorkerFlagged {
                 worker: w(0), // honest!
                 score: 0.9,
-                detector: "test".into(),
+                detector: Box::new("test".into()),
             },
         ); // seq 3
         let (_, findings) = stream(&trace);
@@ -1736,7 +1718,7 @@ mod tests {
                 kind: EventKind::WorkerFlagged {
                     worker: w(0), // honest
                     score: 0.9,
-                    detector: "test".into(),
+                    detector: Box::new("test".into()),
                 },
             })
             .unwrap();

@@ -90,8 +90,9 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 /// A bounds-checked reader over one encoded buffer. `label` names the
-/// format in every error ("binary trace", "binary checkpoint").
-#[derive(Debug)]
+/// format in every error ("binary trace", "binary checkpoint"). A clone
+/// reads on from the same position independently.
+#[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -89,7 +89,9 @@ pub enum EventKind {
     },
     /// The requester rejected a submission. `feedback` carries the
     /// explanation if one was given — rejections without feedback are the
-    /// requester-opacity scenario of §3.1.2.
+    /// requester-opacity scenario of §3.1.2. The text is boxed, as is
+    /// `WorkerFlagged`'s detector, so that the rare heavy payloads do not
+    /// widen every event (see `events_stay_forty_bytes`).
     SubmissionRejected {
         /// The submission.
         submission: SubmissionId,
@@ -98,7 +100,7 @@ pub enum EventKind {
         /// The worker.
         worker: WorkerId,
         /// The explanation given to the worker, if any.
-        feedback: Option<String>,
+        feedback: Option<Box<String>>,
     },
     /// Money actually moved to a worker.
     PaymentIssued {
@@ -164,7 +166,7 @@ pub enum EventKind {
         /// Suspicion score in `[0, 1]`.
         score: f64,
         /// Which detector fired.
-        detector: String,
+        detector: Box<String>,
     },
     /// The platform showed a disclosure item to a worker.
     DisclosureShown {
@@ -223,6 +225,29 @@ pub enum LogDefect {
 }
 
 impl LogDefect {
+    /// The defect of `event` at log position `index`, following an entry
+    /// timestamped `previous` (`SimTime::ZERO` for the first): a seq
+    /// other than the dense `index`, or a time before `previous`. The
+    /// one step that batch validation and arrival-order checks share.
+    pub fn of_entry(index: usize, event: &Event, previous: SimTime) -> Option<LogDefect> {
+        if event.seq != index as u64 {
+            Some(LogDefect::SparseSeq {
+                index,
+                expected: index as u64,
+                found: event.seq,
+            })
+        } else if event.time < previous {
+            Some(LogDefect::TimeRegression {
+                index,
+                seq: event.seq,
+                previous,
+                found: event.time,
+            })
+        } else {
+            None
+        }
+    }
+
     /// Log position (0-based) of the offending entry.
     pub(crate) fn index(&self) -> usize {
         match self {
@@ -290,7 +315,7 @@ impl EventLog {
     /// Rebuild a log from fully-formed events — the deserialisation
     /// path. Sequence numbers are taken **as given**, not re-assigned,
     /// so a persisted log that was tampered with (or truncated in the
-    /// middle) still fails [`EventLog::check_integrity`] instead of
+    /// middle) still fails [`EventLog::validate`] instead of
     /// being silently repaired.
     pub fn from_events(events: Vec<Event>) -> Self {
         EventLog { events }
@@ -335,33 +360,14 @@ impl EventLog {
     /// seq and timestamps** ([`LogDefect`]), so streaming consumers can
     /// say exactly which entry broke monotonicity.
     pub fn validate(&self) -> Result<(), LogDefect> {
-        let mut last_time = SimTime::ZERO;
+        let mut previous = SimTime::ZERO;
         for (i, e) in self.events.iter().enumerate() {
-            if e.seq != i as u64 {
-                return Err(LogDefect::SparseSeq {
-                    index: i,
-                    expected: i as u64,
-                    found: e.seq,
-                });
+            if let Some(defect) = LogDefect::of_entry(i, e, previous) {
+                return Err(defect);
             }
-            if e.time < last_time {
-                return Err(LogDefect::TimeRegression {
-                    index: i,
-                    seq: e.seq,
-                    previous: last_time,
-                    found: e.time,
-                });
-            }
-            last_time = e.time;
+            previous = e.time;
         }
         Ok(())
-    }
-
-    /// [`EventLog::validate`] reduced to the first violated position —
-    /// the original coarse form, kept for callers that only branch on
-    /// where the log broke.
-    pub fn check_integrity(&self) -> Result<(), usize> {
-        self.validate().map_err(|d| d.index())
     }
 }
 
@@ -406,7 +412,7 @@ mod tests {
         assert_eq!(log.len(), 2);
         assert_eq!(log.as_slice()[0].seq, 0);
         assert_eq!(log.as_slice()[1].seq, 1);
-        assert!(log.check_integrity().is_ok());
+        assert_eq!(log.validate(), Ok(()));
     }
 
     #[test]
@@ -424,8 +430,8 @@ mod tests {
                 worker: WorkerId::new(0),
             },
         );
-        assert_eq!(log.check_integrity(), Err(1));
         let defect = log.validate().unwrap_err();
+        assert_eq!(defect.index(), 1);
         assert_eq!(
             defect,
             LogDefect::TimeRegression {
@@ -507,6 +513,17 @@ mod tests {
             2
         );
         assert_eq!(log.count_where(|k| k.tag() == "session_started"), 1);
+    }
+
+    /// Most of a log is `TaskVisible` events, two `u32` ids each, so
+    /// the widest variant sets the memory of every event a replay holds.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn events_stay_forty_bytes() {
+        let hint = "an event variant grew: box its heavy payload, as \
+                    `SubmissionRejected::feedback` and `WorkerFlagged::detector` are";
+        assert_eq!(std::mem::size_of::<EventKind>(), 24, "{hint}");
+        assert_eq!(std::mem::size_of::<Event>(), 40, "{hint}");
     }
 
     #[test]

@@ -132,7 +132,7 @@ variants!(EventKind, "event kind", pub fn tag {
         submission: SubmissionId, task: TaskId, worker: WorkerId,
     },
     6 SubmissionRejected "submission_rejected" {
-        submission: SubmissionId, task: TaskId, worker: WorkerId, feedback: Option<String>,
+        submission: SubmissionId, task: TaskId, worker: WorkerId, feedback: Option<Box<String>>,
     },
     7 PaymentIssued "payment_issued" {
         submission: SubmissionId, task: TaskId, worker: WorkerId, amount: Credits,
@@ -144,7 +144,7 @@ variants!(EventKind, "event kind", pub fn tag {
     12 WorkInterrupted "work_interrupted" {
         task: TaskId, worker: WorkerId, invested: SimDuration, compensated: bool,
     },
-    13 WorkerFlagged "worker_flagged" { worker: WorkerId, score: f64, detector: String },
+    13 WorkerFlagged "worker_flagged" { worker: WorkerId, score: f64, detector: Box<String> },
     14 DisclosureShown "disclosure_shown" { worker: WorkerId, item: DisclosureItem },
     15 SessionStarted "session_started" { worker: WorkerId },
     16 SessionEnded "session_ended" { worker: WorkerId },
@@ -577,6 +577,32 @@ impl Field for String {
     #[inline]
     fn get(cur: &mut Cursor<'_>, what: &str) -> Result<Self, FaircrowdError> {
         cur.string(what)
+    }
+}
+
+/// A boxed string (an event's rare text payload) is spelled as the
+/// string. `Box<str>` would be a fat pointer, two words, and widen the
+/// event it sits in.
+impl Field for Box<String> {
+    #[inline]
+    fn to_json(&self) -> Json {
+        String::to_json(self)
+    }
+    #[inline]
+    fn from_json(json: &Json, at: At<'_>) -> Result<Self, FaircrowdError> {
+        String::from_json(json, at).map(Box::new)
+    }
+    #[inline]
+    fn scan(s: &mut Scan<'_>) -> Option<Self> {
+        String::scan(s).map(Box::new)
+    }
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        String::put(self, out);
+    }
+    #[inline]
+    fn get(cur: &mut Cursor<'_>, what: &str) -> Result<Self, FaircrowdError> {
+        String::get(cur, what).map(Box::new)
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::arena::{DenseIdMap, IdSet};
 use crate::contribution::Submission;
 use crate::disclosure::DisclosureSet;
-use crate::event::{Event, EventKind, EventLog, QuitReason};
+use crate::event::{Event, EventKind, EventLog, LogDefect, QuitReason};
 use crate::ids::{SubmissionId, TaskId, WorkerId};
 use crate::money::Credits;
 use crate::requester::Requester;
@@ -148,6 +148,22 @@ impl EventIndex {
     }
 }
 
+/// What a trace summary counts in the log beyond the [`EventIndex`]:
+/// judged submissions and the money paid out, tallied in the index
+/// build's own pass by [`Trace::event_index_tallied`]. The index keeps
+/// none of it, since the index is also the live auditor's checkpointed
+/// mirror.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LogTally {
+    /// `SubmissionApproved` events.
+    pub approved: usize,
+    /// `SubmissionRejected` events.
+    pub rejected: usize,
+    /// Payments plus honoured bonuses, added in log order (the money
+    /// add saturates, so another order could differ at the limits).
+    pub paid: Credits,
+}
+
 /// The complete observable record of a platform run.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Trace {
@@ -183,6 +199,12 @@ impl Trace {
     /// Build every event-derived structure in one pass over the log —
     /// the shared builder the per-map accessors below delegate to.
     pub fn event_index(&self) -> EventIndex {
+        self.event_index_tallied().0
+    }
+
+    /// [`Trace::event_index`], with the [`LogTally`] counted in the
+    /// same pass.
+    pub fn event_index_tallied(&self) -> (EventIndex, LogTally) {
         let mut ix = EventIndex::default();
         for w in &self.workers {
             ix.visibility.entry(w.id);
@@ -191,10 +213,19 @@ impl Trace {
         for t in &self.tasks {
             ix.audience.entry(t.id);
         }
+        let mut tally = LogTally::default();
         for e in &self.events {
             ix.apply(e);
+            match &e.kind {
+                EventKind::SubmissionApproved { .. } => tally.approved += 1,
+                EventKind::SubmissionRejected { .. } => tally.rejected += 1,
+                EventKind::PaymentIssued { amount, .. } | EventKind::BonusPaid { amount, .. } => {
+                    tally.paid += *amount;
+                }
+                _ => {}
+            }
         }
-        ix
+        (ix, tally)
     }
 
     /// Total amount actually paid per submission.
@@ -237,37 +268,47 @@ impl Trace {
     /// payment events referencing known submissions. Returns a list of
     /// human-readable problems (empty = consistent).
     pub fn validate(&self) -> Vec<String> {
+        let worker_ids: IdSet<WorkerId> = self.workers.iter().map(|w| w.id).collect();
+        let task_ids: IdSet<TaskId> = self.tasks.iter().map(|t| t.id).collect();
+        let sub_ids: IdSet<SubmissionId> = self.submissions.iter().map(|s| s.id).collect();
+        // One walk over the log finds both its first integrity defect
+        // and every payment for an unknown submission.
+        let mut defect = None;
+        let mut previous = SimTime::ZERO;
+        let mut unknown_payments = Vec::new();
+        for (i, e) in self.events.iter().enumerate() {
+            if defect.is_none() {
+                defect = LogDefect::of_entry(i, e, previous);
+                previous = e.time;
+            }
+            if let EventKind::PaymentIssued { submission, .. } = e.kind {
+                if !sub_ids.contains(submission) {
+                    unknown_payments.push(format!("payment for unknown submission {submission}"));
+                }
+            }
+        }
         let mut problems = Vec::new();
-        if let Err(defect) = self.events.validate() {
+        if let Some(defect) = defect {
             problems.push(format!(
                 "event log integrity violated at index {}: {defect}",
                 defect.index()
             ));
         }
-        let worker_ids: BTreeSet<WorkerId> = self.workers.iter().map(|w| w.id).collect();
-        let task_ids: BTreeSet<TaskId> = self.tasks.iter().map(|t| t.id).collect();
-        let sub_ids: BTreeSet<SubmissionId> = self.submissions.iter().map(|s| s.id).collect();
         for s in &self.submissions {
-            if !worker_ids.contains(&s.worker) {
+            if !worker_ids.contains(s.worker) {
                 problems.push(format!(
                     "submission {} from unknown worker {}",
                     s.id, s.worker
                 ));
             }
-            if !task_ids.contains(&s.task) {
+            if !task_ids.contains(s.task) {
                 problems.push(format!("submission {} for unknown task {}", s.id, s.task));
             }
             if s.submitted_at < s.started_at {
                 problems.push(format!("submission {} finishes before it starts", s.id));
             }
         }
-        for e in &self.events {
-            if let EventKind::PaymentIssued { submission, .. } = e.kind {
-                if !sub_ids.contains(&submission) {
-                    problems.push(format!("payment for unknown submission {submission}"));
-                }
-            }
-        }
+        problems.extend(unknown_payments);
         problems
     }
 

@@ -145,23 +145,28 @@ fn records<T: Field>(cur: &mut Cursor<'_>, kind: &str) -> Result<Vec<T>, Faircro
 }
 
 /// The event section: a count, the time, seq and kind-tag columns, then
-/// each event's fields.
+/// each event's fields. The two varint columns are skip-scanned first,
+/// so a defect in them is reported where a column-by-column read would
+/// meet it; then one walk reads each event's time, seq, tag and payload
+/// in lockstep and builds the event in place, with no column buffered.
 fn events(cur: &mut Cursor<'_>) -> Result<EventLog, FaircrowdError> {
     let n = cur.count("event count")?;
-    let cap = n.min(cur.remaining());
-    let mut times = Vec::with_capacity(cap);
+    let mut times = cur.clone();
     for _ in 0..n {
-        times.push(SimTime::get(cur, "event time column")?);
+        cur.u64("event time column")?;
     }
-    let mut seqs = Vec::with_capacity(cap);
+    let mut seqs = cur.clone();
     for _ in 0..n {
-        seqs.push(cur.u64("event seq column")?);
+        cur.u64("event seq column")?;
     }
     let tags = cur.take(n, "event kind column")?;
-    let mut events = Vec::with_capacity(cap);
-    for (&tag, (time, seq)) in tags.iter().zip(times.into_iter().zip(seqs)) {
-        let kind = EventKind::get_payload(tag, cur)?;
-        events.push(Event { time, seq, kind });
+    let mut events = Vec::with_capacity(n);
+    for &tag in tags {
+        events.push(Event {
+            time: SimTime::get(&mut times, "event time column")?,
+            seq: seqs.u64("event seq column")?,
+            kind: EventKind::get_payload(tag, cur)?,
+        });
     }
     Ok(EventLog::from_events(events))
 }

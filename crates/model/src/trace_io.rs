@@ -537,7 +537,7 @@ mod tests {
                 submission: SubmissionId::new(1),
                 task: TaskId::new(1),
                 worker: WorkerId::new(1),
-                feedback: Some("too slow".into()),
+                feedback: Some(Box::new("too slow".into())),
             },
             EventKind::SubmissionRejected {
                 submission: SubmissionId::new(2),
@@ -579,7 +579,7 @@ mod tests {
             EventKind::WorkerFlagged {
                 worker: WorkerId::new(1),
                 score: 0.875,
-                detector: "spam".into(),
+                detector: Box::new("spam".into()),
             },
             EventKind::DisclosureShown {
                 worker: WorkerId::new(0),
@@ -1017,28 +1017,28 @@ mod tests {
                 submission: SubmissionId::new(0),
                 task: TaskId::new(0),
                 worker: top,
-                feedback: Some("\"late\" \\ \u{7f} ✓".into()),
+                feedback: Some(Box::new("\"late\" \\ \u{7f} ✓".into())),
             },
             EventKind::SubmissionRejected {
                 submission: SubmissionId::new(0),
                 task: TaskId::new(0),
                 worker: top,
-                feedback: Some("Ωk".into()),
+                feedback: Some(Box::new("Ωk".into())),
             },
             EventKind::WorkerFlagged {
                 worker: top,
                 score: f64::NAN,
-                detector: "spam→bot".into(),
+                detector: Box::new("spam→bot".into()),
             },
             EventKind::WorkerFlagged {
                 worker: top,
                 score: f64::INFINITY,
-                detector: String::new(),
+                detector: Box::default(),
             },
             EventKind::WorkerFlagged {
                 worker: top,
                 score: -2.5e-8,
-                detector: "x".into(),
+                detector: Box::new("x".into()),
             },
             EventKind::WorkInterrupted {
                 task: TaskId::new(0),

@@ -479,6 +479,19 @@ impl ScenarioConfig {
         }
         scaled
     }
+
+    /// Run the market for `rounds` rounds. A campaign posted after the
+    /// new last round is posted in it instead, so a shortened scenario
+    /// stays valid; a campaign that fits keeps its round. This is the
+    /// `rounds` axis of the sweep grid and the CLI's `--rounds`, so a
+    /// grid cell is the market its `run` would simulate.
+    pub fn set_rounds(&mut self, rounds: u32) {
+        self.rounds = rounds;
+        let last = rounds.saturating_sub(1);
+        for campaign in &mut self.campaigns {
+            campaign.post_round = campaign.post_round.min(last);
+        }
+    }
 }
 
 impl Default for ScenarioConfig {

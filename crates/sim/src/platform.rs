@@ -832,7 +832,7 @@ impl Simulation {
             }
         } else {
             let feedback = if feedback_given {
-                Some("quality below the stated threshold".to_owned())
+                Some(Box::new("quality below the stated threshold".to_owned()))
             } else {
                 None
             };
@@ -956,7 +956,7 @@ impl Simulation {
                     EventKind::WorkerFlagged {
                         worker,
                         score: score.combined,
-                        detector: "agreement+repetition+speed".to_owned(),
+                        detector: Box::new("agreement+repetition+speed".to_owned()),
                     },
                 );
             }

@@ -11,7 +11,7 @@ use faircrowd_model::event::{EventKind, QuitReason};
 use faircrowd_model::ids::WorkerId;
 use faircrowd_model::json::Json;
 use faircrowd_model::money::Credits;
-use faircrowd_model::trace::Trace;
+use faircrowd_model::trace::{EventIndex, LogTally, Trace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -40,44 +40,77 @@ pub struct TraceSummary {
     pub(crate) uncompensated_interruptions: usize,
 }
 
+/// The event counts a summary is made of, however they were counted.
+#[derive(Default)]
+struct Counts {
+    active_workers: usize,
+    quits: usize,
+    frustration_quits: usize,
+    interruptions: usize,
+    uncompensated_interruptions: usize,
+    tally: LogTally,
+}
+
 impl TraceSummary {
-    /// Summarise a trace.
+    /// Summarise a trace in a pass over the log of its own: the
+    /// reference [`TraceSummary::from_index`] must equal.
     pub fn of(trace: &Trace) -> TraceSummary {
         let mut active: BTreeSet<WorkerId> = BTreeSet::new();
-        let mut quits = 0usize;
-        let mut frustration_quits = 0usize;
-        let mut approved = 0usize;
-        let mut rejected = 0usize;
-        let mut total_paid = Credits::ZERO;
-        let mut interruptions = 0usize;
-        let mut uncompensated = 0usize;
+        let mut counts = Counts::default();
         for e in &trace.events {
             match &e.kind {
                 EventKind::SessionStarted { worker } => {
                     active.insert(*worker);
                 }
                 EventKind::WorkerQuit { reason, .. } => {
-                    quits += 1;
+                    counts.quits += 1;
                     if *reason == QuitReason::Frustration {
-                        frustration_quits += 1;
+                        counts.frustration_quits += 1;
                     }
                 }
-                EventKind::SubmissionApproved { .. } => approved += 1,
-                EventKind::SubmissionRejected { .. } => rejected += 1,
+                EventKind::SubmissionApproved { .. } => counts.tally.approved += 1,
+                EventKind::SubmissionRejected { .. } => counts.tally.rejected += 1,
                 EventKind::PaymentIssued { amount, .. } | EventKind::BonusPaid { amount, .. } => {
-                    total_paid += *amount;
+                    counts.tally.paid += *amount;
                 }
                 EventKind::WorkInterrupted { compensated, .. } => {
-                    interruptions += 1;
+                    counts.interruptions += 1;
                     if !compensated {
-                        uncompensated += 1;
+                        counts.uncompensated_interruptions += 1;
                     }
                 }
                 _ => {}
             }
         }
+        counts.active_workers = active.len();
+        Self::from_counts(trace, counts)
+    }
 
-        // Label quality vs ground truth.
+    /// Summarise a trace whose log was already replayed into `events`
+    /// and `tally` ([`Trace::event_index_tallied`]), without another
+    /// pass over the log.
+    pub fn from_index(trace: &Trace, events: &EventIndex, tally: LogTally) -> TraceSummary {
+        let frustrated = |&&(_, reason, _): &&(_, QuitReason, _)| reason == QuitReason::Frustration;
+        Self::from_counts(
+            trace,
+            Counts {
+                active_workers: events.session_workers.len(),
+                quits: events.quits.len(),
+                frustration_quits: events.quits.iter().filter(frustrated).count(),
+                interruptions: events.interruptions.len(),
+                uncompensated_interruptions: events
+                    .interruptions
+                    .iter()
+                    .filter(|i| !i.compensated)
+                    .count(),
+                tally,
+            },
+        )
+    }
+
+    /// The summary of `counts`, with label quality scored from the
+    /// submissions against the ground truth.
+    fn from_counts(trace: &Trace, counts: Counts) -> TraceSummary {
         let mut quality_sum = 0.0;
         let mut quality_n = 0usize;
         for s in &trace.submissions {
@@ -89,15 +122,23 @@ impl TraceSummary {
             }
         }
 
-        let judged = approved + rejected;
-        TraceSummary {
-            active_workers: active.len(),
+        let Counts {
+            active_workers,
             quits,
             frustration_quits,
-            retention: if active.is_empty() {
+            interruptions,
+            uncompensated_interruptions,
+            tally,
+        } = counts;
+        let judged = tally.approved + tally.rejected;
+        TraceSummary {
+            active_workers,
+            quits,
+            frustration_quits,
+            retention: if active_workers == 0 {
                 1.0
             } else {
-                1.0 - quits as f64 / active.len() as f64
+                1.0 - quits as f64 / active_workers as f64
             },
             submissions: trace.submissions.len(),
             label_quality: if quality_n == 0 {
@@ -108,11 +149,11 @@ impl TraceSummary {
             approval_rate: if judged == 0 {
                 1.0
             } else {
-                approved as f64 / judged as f64
+                tally.approved as f64 / judged as f64
             },
-            total_paid,
+            total_paid: tally.paid,
             interruptions,
-            uncompensated_interruptions: uncompensated,
+            uncompensated_interruptions,
         }
     }
 

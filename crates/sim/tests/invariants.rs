@@ -78,7 +78,7 @@ proptest! {
     fn any_scenario_produces_consistent_books(cfg in random_config()) {
         let trace = Simulation::new(cfg).run();
         prop_assert!(trace.validate().is_empty(), "{:?}", trace.validate());
-        prop_assert!(trace.events.check_integrity().is_ok());
+        prop_assert_eq!(trace.events.validate(), Ok(()));
         let earnings = trace.earnings_by_worker();
         let total: Credits = earnings.values().copied().sum();
         let payout: Credits = trace

@@ -290,7 +290,7 @@ fn scenario_from_flags(args: &Args) -> Result<ScenarioConfig, FaircrowdError> {
     // Explicit flags override whichever base was chosen; a catalog
     // scenario's own seed/rounds survive when the flag is absent.
     config.seed = args.parse("--seed", config.seed)?;
-    config.rounds = args.parse("--rounds", config.rounds)?;
+    config.set_rounds(args.parse("--rounds", config.rounds)?);
     if args.switch("--opaque") {
         config.disclosure = DisclosureSet::opaque();
     }

@@ -345,9 +345,11 @@ impl Pipeline {
         self
     }
 
-    /// Set the number of simulated market rounds.
+    /// Set the number of simulated market rounds
+    /// ([`ScenarioConfig::set_rounds`]: a campaign posted after the new
+    /// last round is posted in it).
     pub fn rounds(mut self, rounds: u32) -> Self {
-        self.scenario.rounds = rounds;
+        self.scenario.set_rounds(rounds);
         self
     }
 
@@ -668,12 +670,14 @@ impl Pipeline {
         })
     }
 
-    /// Index, audit and summarise one owned trace.
+    /// Index, audit and summarise one owned trace. The summary is read
+    /// off the index and what its build tallied, so the log is walked
+    /// once for both.
     fn audit_artifacts(&self, trace: Trace) -> RunArtifacts {
-        let ix = TraceIndex::new(&trace);
+        let (ix, tally) = TraceIndex::tallied(&trace);
         let report = self.audit_indexed(&ix);
         let wages = metrics::wage_stats(&ix);
-        let summary = TraceSummary::of(&trace);
+        let summary = TraceSummary::from_index(&trace, ix.events(), tally);
         drop(ix);
         RunArtifacts {
             trace,

@@ -441,7 +441,7 @@ impl SweepCase {
     pub fn pipeline(&self) -> Result<Pipeline, FaircrowdError> {
         let mut config = catalog::get(&self.scenario)?.at_scale(self.scale);
         config.seed = self.seed;
-        config.rounds = self.rounds;
+        config.set_rounds(self.rounds);
         let mut pipeline = Pipeline::new().scenario(config).audit(AuditConfig {
             parallel: false,
             ..AuditConfig::default()
@@ -1425,6 +1425,30 @@ mod tests {
         );
         assert!(result.to_json().contains("\"strategy\": \"super_turker\""));
         assert!(result.to_csv().starts_with("scenario,policy,strategy,"));
+    }
+
+    /// A `rounds` value before a scenario's last campaign posts that
+    /// campaign in the last round (`flash_crowd` posts its surge in
+    /// round 8), so every scenario runs, and the cell is the market that
+    /// `run --scenario flash_crowd --rounds 8` audits.
+    #[test]
+    fn a_short_rounds_axis_posts_late_campaigns_in_the_last_round() {
+        let grid = SweepGrid::parse("scenario=*;enforce=none,transparency;rounds=8").unwrap();
+        let result = run_grid(&grid, 2).expect("every scenario runs at 8 rounds");
+        assert_eq!(result.cases.len(), 24);
+        let cell = result
+            .cases
+            .iter()
+            .find(|c| c.case.scenario == "flash_crowd" && c.case.enforcements.is_empty())
+            .expect("the grid has the flash_crowd cell");
+        let run = Pipeline::new()
+            .scenario_name("flash_crowd")
+            .unwrap()
+            .rounds(8)
+            .run()
+            .expect("runs at 8 rounds");
+        assert_eq!(run.report(), &cell.report);
+        assert_eq!(run.baseline.summary, cell.summary);
     }
 
     #[test]

@@ -219,7 +219,7 @@ pub fn random_trace(seed: u64, n_workers: usize, n_tasks: usize, n_subs: usize) 
                     log.push(tick(&mut rng), paid);
                 }
                 3 => {
-                    let feedback = rng.gen_bool(0.5).then(|| "too noisy".to_owned());
+                    let feedback = rng.gen_bool(0.5).then(|| Box::new("too noisy".to_owned()));
                     let rejected = EventKind::SubmissionRejected {
                         submission,
                         task,
@@ -247,7 +247,7 @@ pub fn random_trace(seed: u64, n_workers: usize, n_tasks: usize, n_subs: usize) 
             let kind = EventKind::WorkerFlagged {
                 worker,
                 score,
-                detector: "spam".to_owned(),
+                detector: Box::new("spam".to_owned()),
             };
             log.push(tick(&mut rng), kind);
         }

@@ -58,7 +58,7 @@ fn traces_are_well_formed_and_internally_consistent() {
     let trace = result.trace();
     // run() already called ensure_valid(); check the raw invariants too.
     assert!(trace.validate().is_empty(), "{:?}", trace.validate());
-    assert!(trace.events.check_integrity().is_ok());
+    assert_eq!(trace.events.validate(), Ok(()));
 
     // Every payment event refers to an approved or auto-approved
     // submission of the right worker.

@@ -98,10 +98,7 @@ fn normalised_cells(config: &ScenarioConfig) -> Vec<(PolicyChoice, Vec<PolicyCho
 /// number of staged forms compared, and a line per one that drifted.
 fn compare_scenario(name: &str) -> (usize, Vec<String>) {
     let mut config = catalog::get(name).unwrap();
-    config.rounds = config.rounds.min(ROUNDS);
-    for campaign in &mut config.campaigns {
-        campaign.post_round = campaign.post_round.min(config.rounds - 1);
-    }
+    config.set_rounds(config.rounds.min(ROUNDS));
     let (mut compared, mut drifted) = (0, Vec::new());
     for (market, staged_forms) in normalised_cells(&config) {
         let want = trace_bytes(ScenarioConfig {

@@ -223,7 +223,11 @@ fn replay(input: &Input, format: TraceFormat) -> Seen {
     assert!(again == bytes, "{tag}: re-encodes to other bytes");
     let pipeline = Pipeline::new().audit(input.audit.clone());
     let run = pipeline.replay_owned(decoded).expect("replays");
-    assert_eq!(run.summary, TraceSummary::of(&input.trace), "{tag}: summary");
+    assert_eq!(
+        run.summary,
+        TraceSummary::of(&input.trace),
+        "{tag}: summary"
+    );
     Seen::new((run.report, run.wages), None, Some(run.trace))
 }
 
