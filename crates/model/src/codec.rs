@@ -93,8 +93,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// format in every error ("binary trace", "binary checkpoint"). A clone
 /// reads on from the same position independently. The reads an event
 /// field makes are `#[inline]`, so they inline into the `.fcb` event
-/// loop (it decoded 13% faster so: best of 75 decodes of
-/// `baseline` ×16 on a 2-vCPU host).
+/// loop (13% faster decode of `baseline` ×16, best of 75 runs each, on
+/// a 2-vCPU host).
 #[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     bytes: &'a [u8],

@@ -90,13 +90,16 @@ impl TraceSummary {
     /// and `tally` ([`Trace::event_index_tallied`]), without another
     /// pass over the log.
     pub fn from_index(trace: &Trace, events: &EventIndex, tally: LogTally) -> TraceSummary {
-        let frustrated = |&&(_, reason, _): &&(_, QuitReason, _)| reason == QuitReason::Frustration;
         Self::from_counts(
             trace,
             Counts {
                 active_workers: events.session_workers.len(),
                 quits: events.quits.len(),
-                frustration_quits: events.quits.iter().filter(frustrated).count(),
+                frustration_quits: events
+                    .quits
+                    .iter()
+                    .filter(|(_, reason, _)| *reason == QuitReason::Frustration)
+                    .count(),
                 interruptions: events.interruptions.len(),
                 uncompensated_interruptions: events
                     .interruptions
