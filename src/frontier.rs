@@ -139,23 +139,7 @@ pub fn run_frontier_observed(
     on_done: CellHook<'_>,
 ) -> Result<FrontierResult, FaircrowdError> {
     let sweep = run_grid_observed(grid, jobs, on_done)?;
-    let mut points: Vec<FrontierPoint> = sweep
-        .groups
-        .iter()
-        .map(|g| FrontierPoint {
-            scenario: g.scenario.clone(),
-            policy: g.policy.clone(),
-            aggregator: g.aggregator.clone(),
-            enforce: g.enforce.clone(),
-            scale: g.scale,
-            quality: (g.consensus.n > 0).then_some(g.consensus.mean),
-            wage_gini: (g.wage_mean.n > 0).then_some(g.wage_gini.mean),
-            violations: g.aggregate.total_violations,
-            on_frontier: false,
-        })
-        .collect();
-    mark_frontier(&mut points);
-    Ok(FrontierResult { points, sweep })
+    Ok(FrontierResult::of_sweep(sweep))
 }
 
 /// Flag the Pareto-dominant subset: measured points not dominated by
@@ -169,6 +153,28 @@ pub fn mark_frontier(points: &mut [FrontierPoint]) {
 }
 
 impl FrontierResult {
+    /// Score every cell of a finished sweep — run here, or merged from
+    /// shard parts — and flag its Pareto-dominant set.
+    pub fn of_sweep(sweep: SweepResult) -> FrontierResult {
+        let mut points: Vec<FrontierPoint> = sweep
+            .groups
+            .iter()
+            .map(|g| FrontierPoint {
+                scenario: g.scenario.clone(),
+                policy: g.policy.clone(),
+                aggregator: g.aggregator.clone(),
+                enforce: g.enforce.clone(),
+                scale: g.scale,
+                quality: (g.consensus.n > 0).then_some(g.consensus.mean),
+                wage_gini: (g.wage_mean.n > 0).then_some(g.wage_gini.mean),
+                violations: g.aggregate.total_violations,
+                on_frontier: false,
+            })
+            .collect();
+        mark_frontier(&mut points);
+        FrontierResult { points, sweep }
+    }
+
     /// The Pareto-dominant points, in grid order.
     pub fn frontier(&self) -> Vec<&FrontierPoint> {
         self.points.iter().filter(|p| p.on_frontier).collect()
