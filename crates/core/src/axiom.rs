@@ -74,10 +74,10 @@ impl AxiomId {
     }
 
     /// Resolve an axiom from its table label (the inverse of
-    /// [`AxiomId::label`]). `None` for an unknown label — callers
-    /// decoding persisted reports turn that into a schema error rather
-    /// than a panic.
-    pub(crate) fn from_label(label: &str) -> Option<AxiomId> {
+    /// [`AxiomId::label`]). `None` for an unknown label — the sweep's
+    /// part-file decoder turns that into a schema error rather than a
+    /// panic.
+    pub fn from_label(label: &str) -> Option<AxiomId> {
         AxiomId::ALL.into_iter().find(|a| a.label() == label)
     }
 
@@ -247,7 +247,9 @@ mod tests {
         for id in AxiomId::ALL {
             assert!(!id.label().is_empty());
             assert!(!id.statement().is_empty());
+            assert_eq!(AxiomId::from_label(id.label()), Some(id));
         }
+        assert_eq!(AxiomId::from_label("A0-nope"), None);
         assert_eq!(AxiomId::A3Compensation.to_string(), "A3-compensation");
     }
 

@@ -36,7 +36,6 @@ pub mod live;
 pub mod metrics;
 pub mod persist;
 pub mod report;
-pub mod results;
 
 pub use aggregate::{AxiomAggregate, ReportAggregate, ScoreStats};
 pub use audit::{AuditConfig, AuditEngine, FairnessReport};

@@ -1,8 +1,8 @@
 //! Shared JSON field accessors for the versioned on-disk schemas.
 //!
 //! Every JSON schema in the workspace — traces ([`crate::trace_io`]),
-//! per-cell sweep results (`faircrowd-core::results`) — decodes through
-//! the same discipline: a missing or mistyped field is a
+//! sweep part files (`faircrowd::sweep::shard`) — decodes through the
+//! same discipline: a missing or mistyped field is a
 //! [`FaircrowdError::Persist`] naming the field, its expected shape,
 //! and the context it sat in, never a panic. These helpers are that
 //! discipline in one place, so the schemas cannot drift apart in how
@@ -66,21 +66,6 @@ pub fn str_field<'a>(
     })
 }
 
-/// The field `key` as a boolean.
-pub fn bool_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<bool, FaircrowdError> {
-    let v = require(json, key, &ctx)?;
-    v.as_bool().ok_or_else(|| {
-        FaircrowdError::persist(format!(
-            "{ctx}: field `{key}` should be a boolean, got {}",
-            v.kind()
-        ))
-    })
-}
-
 /// The field `key` as an array.
 pub fn arr_field<'a>(
     json: &'a Json,
@@ -106,7 +91,6 @@ mod tests {
         assert_eq!(u64_field(&json, "a", "ctx").unwrap(), 1);
         assert_eq!(str_field(&json, "b", "ctx").unwrap(), "x");
         assert_eq!(arr_field(&json, "c", "ctx").unwrap().len(), 2);
-        assert!(bool_field(&json, "d", "ctx").unwrap());
         assert_eq!(f64_field(&json, "e", "ctx").unwrap(), 1.5);
         let err = u64_field(&json, "missing", "my context").unwrap_err();
         assert!(err.to_string().contains("my context"), "{err}");

@@ -6,10 +6,8 @@
 //! the money and frustration bookkeeping every experiment table shares.
 
 use faircrowd_model::contribution::Contribution;
-use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::event::{EventKind, QuitReason};
 use faircrowd_model::ids::WorkerId;
-use faircrowd_model::json::Json;
 use faircrowd_model::money::Credits;
 use faircrowd_model::trace::{EventIndex, LogTally, Trace};
 use serde::{Deserialize, Serialize};
@@ -159,95 +157,6 @@ impl TraceSummary {
             uncompensated_interruptions,
         }
     }
-
-    /// Encode as a JSON object, losslessly: counts as integer tokens,
-    /// ratios in shortest round-trip float form, money as millicents.
-    /// Sweep part files persist per-cell summaries through this.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "active_workers".to_owned(),
-                Json::uint(self.active_workers as u64),
-            ),
-            ("quits".to_owned(), Json::uint(self.quits as u64)),
-            (
-                "frustration_quits".to_owned(),
-                Json::uint(self.frustration_quits as u64),
-            ),
-            ("retention".to_owned(), Json::float(self.retention)),
-            (
-                "submissions".to_owned(),
-                Json::uint(self.submissions as u64),
-            ),
-            ("label_quality".to_owned(), Json::float(self.label_quality)),
-            ("approval_rate".to_owned(), Json::float(self.approval_rate)),
-            (
-                "total_paid_millicents".to_owned(),
-                Json::int(self.total_paid.millicents()),
-            ),
-            (
-                "interruptions".to_owned(),
-                Json::uint(self.interruptions as u64),
-            ),
-            (
-                "uncompensated_interruptions".to_owned(),
-                Json::uint(self.uncompensated_interruptions as u64),
-            ),
-        ])
-    }
-
-    /// Decode a summary written by [`TraceSummary::to_json`]. Missing or
-    /// mistyped fields are a [`FaircrowdError::Persist`] naming the
-    /// field and `ctx`, never a panic.
-    pub fn from_json(
-        json: &Json,
-        ctx: impl std::fmt::Display,
-    ) -> Result<TraceSummary, FaircrowdError> {
-        let count = |key: &str| -> Result<usize, FaircrowdError> {
-            let v = json
-                .get(key)
-                .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `{key}`")))?;
-            v.as_u64()
-                .and_then(|v| usize::try_from(v).ok())
-                .ok_or_else(|| {
-                    FaircrowdError::persist(format!(
-                        "{ctx}: field `{key}` should be a count, got {}",
-                        v.kind()
-                    ))
-                })
-        };
-        let ratio = |key: &str| -> Result<f64, FaircrowdError> {
-            let v = json
-                .get(key)
-                .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `{key}`")))?;
-            v.as_f64().ok_or_else(|| {
-                FaircrowdError::persist(format!(
-                    "{ctx}: field `{key}` should be a number, got {}",
-                    v.kind()
-                ))
-            })
-        };
-        Ok(TraceSummary {
-            active_workers: count("active_workers")?,
-            quits: count("quits")?,
-            frustration_quits: count("frustration_quits")?,
-            retention: ratio("retention")?,
-            submissions: count("submissions")?,
-            label_quality: ratio("label_quality")?,
-            approval_rate: ratio("approval_rate")?,
-            total_paid: Credits::from_millicents(
-                json.get("total_paid_millicents")
-                    .and_then(Json::as_i64)
-                    .ok_or_else(|| {
-                        FaircrowdError::persist(format!(
-                            "{ctx}: field `total_paid_millicents` should be an integer"
-                        ))
-                    })?,
-            ),
-            interruptions: count("interruptions")?,
-            uncompensated_interruptions: count("uncompensated_interruptions")?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -281,18 +190,6 @@ mod tests {
         assert!(s.approval_rate > 0.7);
         assert!(s.total_paid.is_positive());
         assert_eq!(s.interruptions, 0);
-    }
-
-    #[test]
-    fn summary_json_roundtrips_bit_exact() {
-        let s = TraceSummary::of(&trace());
-        let json = Json::parse(&s.to_json().to_compact()).unwrap();
-        let back = TraceSummary::from_json(&json, "test").unwrap();
-        assert_eq!(back, s);
-        assert_eq!(back.retention.to_bits(), s.retention.to_bits());
-        let err = TraceSummary::from_json(&Json::Obj(vec![]), "cell 3 summary").unwrap_err();
-        assert!(err.to_string().contains("cell 3 summary"), "{err}");
-        assert!(err.to_string().contains("`active_workers`"), "{err}");
     }
 
     #[test]

@@ -93,13 +93,13 @@ pub mod shard;
 
 use crate::core::aggregate::{ReportAggregate, ScoreStats};
 use crate::core::report::TextTable;
-use crate::core::{AuditConfig, FairnessReport};
+use crate::core::{AuditConfig, AxiomId, AxiomReport, FairnessReport};
 use crate::model::{FaircrowdError, Trace};
 use crate::pay::WageStats;
 use crate::pipeline::{Enforcement, Pipeline, RunArtifacts};
 use crate::quality::aggregate::{AggregateContext, AggregatorChoice};
 use crate::quality::{majority_vote, AnswerSet, GoldSet};
-use crate::sim::{catalog, strategy, PolicyChoice, ScenarioConfig, StrategyChoice, TraceSummary};
+use crate::sim::{catalog, strategy, PolicyChoice, ScenarioConfig, StrategyChoice};
 use faircrowd_assign::registry;
 use faircrowd_model::contribution::Contribution;
 use faircrowd_model::json::Json;
@@ -467,13 +467,19 @@ impl SweepCase {
     }
 
     /// This case's outcome from a final run — its own, or the one it
-    /// shares with the rest of its work unit: the run's report, summary
-    /// and wages, with `consensus` scored under this case's aggregator.
+    /// shares with the rest of its work unit: the tallies of the run's
+    /// report ([`axiom_tally`]), its retention and wages, with
+    /// `consensus` scored under this case's aggregator.
     fn outcome_of(&self, run: &RunArtifacts, consensus: Option<f64>) -> CaseOutcome {
+        let axioms = run.report.axioms.iter();
         CaseOutcome {
             consensus,
-            report: run.report.clone(),
-            summary: run.summary.clone(),
+            report: FairnessReport {
+                axioms: axioms
+                    .map(|a| axiom_tally(a.axiom, a.score, a.checked, a.violation_count))
+                    .collect(),
+            },
+            retention: run.summary.retention,
             wages: run.wages,
             case: self.clone(),
         }
@@ -556,15 +562,40 @@ pub fn consensus_accuracy(trace: &Trace, aggregator: &AggregatorChoice) -> Optio
     Some(gold.score_labels(&labels).accuracy())
 }
 
-/// What one executed case contributes to the aggregates.
+/// An audited axiom as a sweep cell keeps it: its score, the size of
+/// its domain and its violation count, with no witnesses or notes —
+/// every export reads the counts alone. `truncated` is what a witness
+/// cap of zero reports: set whenever anything was found. A cell built
+/// in this process and one read back from a part file both go through
+/// here, so they hold the same values.
+pub(crate) fn axiom_tally(
+    axiom: AxiomId,
+    score: f64,
+    checked: usize,
+    violation_count: usize,
+) -> AxiomReport {
+    AxiomReport {
+        axiom,
+        score,
+        checked,
+        violations: Vec::new(),
+        violation_count,
+        truncated: violation_count > 0,
+        notes: Vec::new(),
+    }
+}
+
+/// What one executed case contributes to the aggregates: exactly the
+/// fields some export reads, which is also what a part file keeps.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
     /// The case that ran.
     pub case: SweepCase,
-    /// The final audit (the re-audit when enforcement ran).
+    /// The final audit (the re-audit when enforcement ran), each axiom
+    /// cut to its tallies ([`axiom_tally`]).
     pub(crate) report: FairnessReport,
-    /// The final market summary.
-    pub summary: TraceSummary,
+    /// Worker retention of the final run.
+    pub(crate) retention: f64,
     /// Effective-wage statistics of the final run; `None` when no
     /// worker invested time. Absent wages are **skipped** by the cell
     /// fold, never averaged in as gini-0/jain-1 "perfect fairness".
@@ -760,7 +791,7 @@ fn fold_groups(outcomes: &[CaseOutcome], seeds_per_group: usize) -> Vec<GroupSum
             let mut by_seed: Vec<&CaseOutcome> = chunk.iter().collect();
             by_seed.sort_by_key(|o| o.case.seed);
             let reports: Vec<FairnessReport> = by_seed.iter().map(|o| o.report.clone()).collect();
-            let retention: Vec<f64> = by_seed.iter().map(|o| o.summary.retention).collect();
+            let retention: Vec<f64> = by_seed.iter().map(|o| o.retention).collect();
             // Seeds without a wage distribution contribute nothing — an
             // empty distribution has no statistics, so folding it in
             // (as the old gini-0/jain-1 values) would fabricate
@@ -978,7 +1009,7 @@ impl SweepResult {
                 json_f64(c.report.transparency_score()),
                 json_f64(c.report.overall_score()),
                 c.report.total_violations(),
-                json_f64(c.summary.retention),
+                json_f64(c.retention),
                 wages,
                 consensus,
             );
@@ -1447,8 +1478,9 @@ mod tests {
             .rounds(8)
             .run()
             .expect("runs at 8 rounds");
-        assert_eq!(run.report(), &cell.report);
-        assert_eq!(run.baseline.summary, cell.summary);
+        let want = cell.case.outcome_of(&run.baseline, cell.consensus);
+        assert_eq!(want.report, cell.report);
+        assert_eq!(want.retention.to_bits(), cell.retention.to_bits());
     }
 
     #[test]
@@ -1543,7 +1575,7 @@ mod tests {
         let outcome = |seed, wages| CaseOutcome {
             case: case(seed),
             report: report.clone(),
-            summary: TraceSummary::of(&empty_trace),
+            retention: 1.0,
             wages,
             consensus: None,
         };

@@ -30,11 +30,16 @@
 //! leaves trailing shards empty — acceptable, because such grids are
 //! too small to shard profitably in the first place.
 //!
-//! ## Part files: `faircrowd-sweep-part` v1
+//! ## Part files: `faircrowd-sweep-part` v4
 //!
 //! A part file is JSONL: a schema header line, then one compact record
 //! per completed cell, appended and flushed as each cell finishes — a
-//! cell is durable once its line is written. Loading walks the same
+//! cell is durable once its line is written. A record holds the cell's
+//! index and case plus exactly what the exports read of a
+//! [`CaseOutcome`]: per audited axiom its label, score, domain size and
+//! violation count, the run's retention, its wage statistics and its
+//! consensus score. Witness lists and notes are not kept; no table,
+//! JSON, CSV or frontier reads them. Loading walks the same
 //! three never-panicking gates as every persisted schema here
 //! (`trace_io`, `checkpoint`): **positioned parse** (errors name the
 //! line; only a torn final line — the artifact of a kill mid-append —
@@ -50,13 +55,14 @@
 //! a part written for yesterday's grid cannot quietly merge into
 //! today's.
 
-use super::{fold_groups, CaseOutcome, SweepCase, SweepGrid, SweepResult};
-use crate::core::results;
+use super::{axiom_tally, fold_groups, CaseOutcome, SweepCase, SweepGrid, SweepResult};
+use crate::core::{AxiomId, FairnessReport};
 use crate::model::codec;
+use crate::model::fields::{arr_field, f64_field, str_field, u64_field};
 use crate::model::json::Json;
 use crate::model::FaircrowdError;
+use crate::pay::WageStats;
 use crate::pipeline::Enforcement;
-use crate::sim::TraceSummary;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::Path;
@@ -67,9 +73,10 @@ pub(crate) const SCHEMA: &str = "faircrowd-sweep-part";
 /// Current schema version. v2 added the `strategy`/`strategy_label`
 /// case fields alongside the strategy sweep axis; v3 added the
 /// `aggregator`/`aggregator_label` case fields and the per-cell
-/// `consensus` score alongside the aggregator axis. Earlier versions
-/// are rejected rather than guessed at.
-pub(crate) const VERSION: u64 = 3;
+/// `consensus` score alongside the aggregator axis; v4 keeps only the
+/// exported fields of a cell instead of its whole report and summary.
+/// Other versions are refused by number, not guessed at.
+pub(crate) const VERSION: u64 = 4;
 
 /// Which shard of how many — the CLI's `--shard i/N`, 1-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -533,6 +540,12 @@ fn header_from_json(
         .get("version")
         .and_then(Json::as_u64)
         .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing schema `version`")))?;
+    if version < VERSION {
+        return Err(FaircrowdError::persist(format!(
+            "{ctx}: {SCHEMA} version {version} is no longer readable (this build reads \
+             version {VERSION}); re-run the shard to rewrite it"
+        )));
+    }
     if version != VERSION {
         return Err(FaircrowdError::persist(format!(
             "{ctx}: unsupported {SCHEMA} version {version} (this build reads version {VERSION})"
@@ -707,64 +720,123 @@ fn case_from_json(json: &Json, ctx: impl std::fmt::Display) -> Result<SweepCase,
 }
 
 fn cell_to_json(cell: usize, outcome: &CaseOutcome) -> Json {
+    let axiom = |a: &crate::core::AxiomReport| {
+        Json::Obj(vec![
+            ("axiom".to_owned(), Json::str(a.axiom.label())),
+            ("score".to_owned(), Json::float(a.score)),
+            ("checked".to_owned(), Json::uint(a.checked as u64)),
+            (
+                "violations".to_owned(),
+                Json::uint(a.violation_count as u64),
+            ),
+        ])
+    };
+    let wages = |w: &WageStats| {
+        Json::Obj(vec![
+            ("n".to_owned(), Json::uint(w.n as u64)),
+            ("mean".to_owned(), Json::float(w.mean)),
+            ("median".to_owned(), Json::float(w.median)),
+            ("p10".to_owned(), Json::float(w.p10)),
+            ("p90".to_owned(), Json::float(w.p90)),
+            ("gini".to_owned(), Json::float(w.gini)),
+            ("theil".to_owned(), Json::float(w.theil)),
+            ("jain".to_owned(), Json::float(w.jain)),
+        ])
+    };
     Json::Obj(vec![
         ("cell".to_owned(), Json::uint(cell as u64)),
         ("case".to_owned(), case_to_json(&outcome.case)),
         (
-            "report".to_owned(),
-            results::report_to_json(&outcome.report),
+            "axioms".to_owned(),
+            Json::Arr(outcome.report.axioms.iter().map(axiom).collect()),
         ),
-        ("summary".to_owned(), outcome.summary.to_json()),
+        ("retention".to_owned(), Json::float(outcome.retention)),
         (
             "wages".to_owned(),
-            match &outcome.wages {
-                Some(w) => results::wages_to_json(w),
-                None => Json::Null,
-            },
+            outcome.wages.as_ref().map_or(Json::Null, wages),
         ),
         (
             "consensus".to_owned(),
-            match outcome.consensus {
-                Some(a) => Json::float(a),
-                None => Json::Null,
-            },
+            outcome.consensus.map_or(Json::Null, Json::float),
         ),
     ])
+}
+
+/// The field `key` as a count.
+fn count_field(
+    json: &Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<usize, FaircrowdError> {
+    usize::try_from(u64_field(json, key, &ctx)?)
+        .map_err(|_| FaircrowdError::persist(format!("{ctx}: field `{key}` overflows a count")))
+}
+
+/// The field `key`, `None` when it is `null`.
+fn nullable<'a>(
+    json: &'a Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<Option<&'a Json>, FaircrowdError> {
+    match json.get(key) {
+        None => Err(FaircrowdError::persist(format!(
+            "{ctx}: missing field `{key}`"
+        ))),
+        Some(Json::Null) => Ok(None),
+        Some(v) => Ok(Some(v)),
+    }
 }
 
 fn cell_from_json(
     json: &Json,
     ctx: impl std::fmt::Display,
 ) -> Result<(usize, CaseOutcome), FaircrowdError> {
-    let cell = json
-        .get("cell")
-        .and_then(Json::as_u64)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| {
-            FaircrowdError::persist(format!("{ctx}: record field `cell` should be a cell index"))
-        })?;
-    let field = |key: &str| -> Result<&Json, FaircrowdError> {
-        json.get(key)
-            .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `{key}`")))
-    };
-    let wages = match field("wages")? {
-        Json::Null => None,
-        other => Some(results::wages_from_json(other, &ctx)?),
-    };
-    let consensus = match field("consensus")? {
-        Json::Null => None,
-        other => Some(other.as_f64().ok_or_else(|| {
-            FaircrowdError::persist(format!(
-                "{ctx}: record field `consensus` should be a number or null"
+    let axioms = arr_field(json, "axioms", &ctx)?
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let ctx = format!("{ctx}: axiom {i}");
+            let label = str_field(a, "axiom", &ctx)?;
+            let axiom = AxiomId::from_label(label).ok_or_else(|| {
+                FaircrowdError::persist(format!("{ctx}: unknown axiom label `{label}`"))
+            })?;
+            Ok(axiom_tally(
+                axiom,
+                f64_field(a, "score", &ctx)?,
+                count_field(a, "checked", &ctx)?,
+                count_field(a, "violations", &ctx)?,
             ))
-        })?),
+        })
+        .collect::<Result<Vec<_>, FaircrowdError>>()?;
+    let wages = match nullable(json, "wages", &ctx)? {
+        None => None,
+        Some(w) => {
+            let ctx = format!("{ctx}: wages");
+            Some(WageStats {
+                n: count_field(w, "n", &ctx)?,
+                mean: f64_field(w, "mean", &ctx)?,
+                median: f64_field(w, "median", &ctx)?,
+                p10: f64_field(w, "p10", &ctx)?,
+                p90: f64_field(w, "p90", &ctx)?,
+                gini: f64_field(w, "gini", &ctx)?,
+                theil: f64_field(w, "theil", &ctx)?,
+                jain: f64_field(w, "jain", &ctx)?,
+            })
+        }
     };
+    let consensus = match nullable(json, "consensus", &ctx)? {
+        None => None,
+        Some(_) => Some(f64_field(json, "consensus", &ctx)?),
+    };
+    let case = json
+        .get("case")
+        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `case`")))?;
     Ok((
-        cell,
+        count_field(json, "cell", &ctx)?,
         CaseOutcome {
-            case: case_from_json(field("case")?, &ctx)?,
-            report: results::report_from_json(field("report")?, &ctx)?,
-            summary: TraceSummary::from_json(field("summary")?, &ctx)?,
+            case: case_from_json(case, &ctx)?,
+            report: FairnessReport { axioms },
+            retention: f64_field(json, "retention", &ctx)?,
             wages,
             consensus,
         },
@@ -1100,5 +1172,53 @@ mod tests {
         let err = load_part(&path).unwrap_err();
         assert!(err.to_string().contains("line 3"), "{err}");
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_v3_part_is_refused_by_name_and_left_alone() {
+        let path = temp_path("v3");
+        let v3 = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"version\":3,\"grid_hash\":1,\"cases\":8,\
+             \"seeds_per_group\":2,\"shard\":1,\"shards\":1}}\n"
+        );
+        std::fs::write(&path, &v3).unwrap();
+        let err = load_part(&path).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("faircrowd-sweep-part version 3 is no longer readable"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("reads version 4"), "{err}");
+        let err = run_shard(&grid(), ShardSpec { index: 1, count: 1 }, &path, 2).unwrap_err();
+        assert!(err.to_string().contains("version 3"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), v3);
+    }
+
+    #[test]
+    fn a_record_keeps_only_the_exported_fields_and_names_a_bad_one() {
+        let path = temp_path("slim");
+        let grid = SweepGrid::parse("scenario=spam_campaign;rounds=8;seed=1,2").unwrap();
+        run_shard(&grid, ShardSpec { index: 1, count: 1 }, &path, 2).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let record = Json::parse(text.lines().nth(1).unwrap()).unwrap();
+        let keys = |json: &Json| -> Vec<String> {
+            json.as_obj()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        assert_eq!(
+            keys(&record),
+            ["cell", "case", "axioms", "retention", "wages", "consensus"]
+        );
+        for axiom in record.get("axioms").unwrap().as_arr().unwrap() {
+            assert_eq!(keys(axiom), ["axiom", "score", "checked", "violations"]);
+        }
+        // A mistyped field is named, with its line and axiom.
+        let bad = text.replacen("\"checked\":", "\"checked\":\"x\",\"was\":", 1);
+        std::fs::write(&path, bad).unwrap();
+        let err = load_part(&path).unwrap_err().to_string();
+        assert!(err.contains("line 2: axiom 0: field `checked`"), "{err}");
     }
 }

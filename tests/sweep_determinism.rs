@@ -70,14 +70,18 @@ fn catalog_and_cli_spellings_agree() {
 
 #[test]
 fn scale_axis_grows_the_market() {
-    let grid = SweepGrid::parse("scenario=baseline;scale=1,2;rounds=8").unwrap();
-    let result = run_grid(&grid, 2).unwrap();
-    assert_eq!(result.groups.len(), 2);
-    let (small, large) = (&result.cases[0], &result.cases[1]);
+    let cases = SweepGrid::parse("scenario=baseline;scale=1,2;rounds=8")
+        .unwrap()
+        .expand()
+        .unwrap();
+    assert_eq!(cases.len(), 2);
+    let submissions = |case: &faircrowd::sweep::SweepCase| {
+        let result = case.pipeline().unwrap().run().unwrap();
+        result.baseline.summary.submissions
+    };
+    let (small, large) = (submissions(&cases[0]), submissions(&cases[1]));
     assert!(
-        large.summary.submissions > small.summary.submissions,
-        "a 2× market should produce more submissions ({} vs {})",
-        large.summary.submissions,
-        small.summary.submissions
+        large > small,
+        "a 2× market should produce more submissions ({large} vs {small})"
     );
 }
