@@ -349,21 +349,6 @@ impl<'a> TraceIndex<'a> {
         }
     }
 
-    /// Re-index a follow-up trace (the pipeline's enforce → re-audit
-    /// pass), carrying over the qualification bit matrices when both
-    /// entity tables are unchanged — the one slice that depends on the
-    /// tables alone. Log-derived slices are always replayed — comparing
-    /// the log costs as much as replaying it.
-    pub fn rebuilt_for<'b>(&self, trace: &'b Trace) -> TraceIndex<'b> {
-        let ix = TraceIndex::new(trace);
-        if self.trace.workers == trace.workers && self.trace.tasks == trace.tasks {
-            if let Some(d) = self.dense_qualified.get() {
-                let _ = ix.dense_qualified.set(d.clone());
-            }
-        }
-        ix
-    }
-
     /// The indexed trace.
     pub(crate) fn trace(&self) -> &'a Trace {
         self.trace
@@ -875,44 +860,6 @@ mod tests {
             contribution_candidates(&items, |c| c, 0.0).len(),
             items.len() * (items.len() - 1) / 2
         );
-    }
-
-    #[test]
-    fn rebuilt_for_carries_untouched_slices_over() {
-        // The qualification matrices are the one slice a follow-up trace
-        // can share: they depend on the entity tables alone.
-        let trace = trace_with_counts(&[1, 2, 3, 4]);
-        let ix = TraceIndex::new(&trace);
-        let _ = ix.worker_access_overlap(0, 1); // force the lazy build
-        let mut paid = trace.clone();
-        paid.events.push(
-            SimTime::from_secs(1),
-            EventKind::PaymentIssued {
-                submission: SubmissionId::new(0),
-                task: TaskId::new(0),
-                worker: WorkerId::new(0),
-                amount: Credits::from_cents(5),
-            },
-        );
-        // Entities unchanged: the qualification matrices carry over …
-        let reused = ix.rebuilt_for(&paid);
-        assert!(reused.dense_qualified.get().is_some());
-        assert!(
-            reused.dense_access.get().is_none(),
-            "access is event-derived"
-        );
-        // … while the log-derived slices reflect the new event.
-        assert_eq!(
-            reused.payments().get(SubmissionId::new(0)),
-            Some(&Credits::from_cents(5))
-        );
-        // Touch either entity table and the matrices are rebuilt.
-        let mut reworked = trace.clone();
-        reworked.workers[0].skills = skills(7, 8);
-        assert!(ix.rebuilt_for(&reworked).dense_qualified.get().is_none());
-        let mut retasked = trace.clone();
-        retasked.tasks[0].skills = skills(7, 8);
-        assert!(ix.rebuilt_for(&retasked).dense_qualified.get().is_none());
     }
 
     #[test]

@@ -418,46 +418,22 @@ impl Pipeline {
     /// baseline's artifacts, while [`EnforcedRun::config`] still reports
     /// the repair as staged.
     ///
-    /// Each trace is indexed exactly once ([`TraceIndex`]); the audit
-    /// and the re-audit both read through that index, and the re-audit's
-    /// index is built with [`TraceIndex::rebuilt_for`], which carries
-    /// over the qualification matrices when the enforcement left the
-    /// entity tables untouched (e.g. a pure-transparency repair). The
-    /// market summary stays on
-    /// [`TraceSummary::of`], which is a single event pass of its own.
+    /// Each trace — the baseline and a re-simulated repair — goes
+    /// through the same audit tail as a replay: indexed once
+    /// ([`TraceIndex`]), audited and paid through that index, and
+    /// summarised off what the index build tallied.
     pub fn run(self) -> Result<PipelineResult, FaircrowdError> {
         self.scenario.validate()?;
-        let baseline_trace = self.simulate_config(&self.scenario)?;
-        let baseline_ix = TraceIndex::new(&baseline_trace);
-        let baseline_report = self.audit_indexed(&baseline_ix);
-        let baseline_summary = TraceSummary::of(&baseline_trace);
-        let baseline_wages = metrics::wage_stats(&baseline_ix);
-
+        let baseline = self.audit_artifacts(self.simulate_config(&self.scenario)?);
         let enforced = if self.enforcements.is_empty() {
             None
         } else {
             let repaired = self.repaired();
             repaired.validate()?;
             let artifacts = if market(&repaired) == market(&self.scenario) {
-                RunArtifacts {
-                    trace: baseline_trace.clone(),
-                    summary: baseline_summary.clone(),
-                    report: baseline_report.clone(),
-                    wages: baseline_wages,
-                }
+                baseline.clone()
             } else {
-                let trace = self.simulate_config(&repaired)?;
-                let ix = baseline_ix.rebuilt_for(&trace);
-                let report = self.audit_indexed(&ix);
-                let wages = metrics::wage_stats(&ix);
-                let summary = TraceSummary::of(&trace);
-                drop(ix);
-                RunArtifacts {
-                    trace,
-                    summary,
-                    report,
-                    wages,
-                }
+                self.audit_artifacts(self.simulate_config(&repaired)?)
             };
             Some(EnforcedRun {
                 config: repaired,
@@ -465,16 +441,9 @@ impl Pipeline {
                 artifacts,
             })
         };
-        drop(baseline_ix);
-
         Ok(PipelineResult {
             config: self.scenario,
-            baseline: RunArtifacts {
-                trace: baseline_trace,
-                summary: baseline_summary,
-                report: baseline_report,
-                wages: baseline_wages,
-            },
+            baseline,
             enforced,
         })
     }

@@ -159,7 +159,6 @@ macro_rules! trace_rows {
 trace_rows! {
     indexed_parallel: "indexed, parallel" => |input| indexed(input, true),
     indexed_serial: "indexed, serial" => |input| indexed(input, false),
-    index_rebuilt_after_a_payment: "rebuilt index" => rebuilt_index,
     replay_from_json: "replay from JSON" => |input| replay(input, Json),
     replay_from_jsonl: "replay from JSONL" => |input| replay(input, Jsonl),
     replay_from_fcb: "replay from .fcb" => |input| replay(input, Binary),
@@ -187,30 +186,6 @@ fn indexed(input: &Input, parallel: bool) -> Seen {
         ..input.audit.clone()
     };
     batch(AuditEngine::new(audit).run(&input.trace), &input.trace)
-}
-
-/// The index of the trace with one more payment, audited, then rebuilt
-/// for the trace itself: a payments-only difference, so the entity
-/// slices carry over.
-fn rebuilt_index(input: &Input) -> Seen {
-    let trace = &input.trace;
-    let mut paid = trace.clone();
-    if let Some(s) = trace.submissions.first() {
-        let (submission, task, worker) = (s.id, s.task, s.worker);
-        let amount = Credits::from_cents(3);
-        let kind = EventKind::PaymentIssued {
-            submission,
-            task,
-            worker,
-            amount,
-        };
-        paid.events.push(trace.horizon, kind);
-    }
-    let engine = AuditEngine::new(input.audit.clone());
-    let first = TraceIndex::new(&paid);
-    engine.run_indexed(&first, &AxiomId::ALL);
-    let ix = first.rebuilt_for(trace);
-    batch(engine.run_indexed(&ix, &AxiomId::ALL), trace)
 }
 
 /// Encode, decode, check that re-encoding gives the same bytes, replay.
