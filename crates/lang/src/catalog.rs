@@ -8,7 +8,6 @@
 //! TPL source, compiled on demand — the catalog doubles as an integration
 //! test of the whole language pipeline and as the E5 workload.
 
-use crate::error::LangError;
 use crate::sema::CompiledPolicy;
 
 /// AMT as the paper (and the worker forums) describe it: the platform
@@ -103,14 +102,6 @@ pub fn sources() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
-/// Compile every catalog policy.
-pub fn compile_all() -> Result<Vec<CompiledPolicy>, LangError> {
-    sources()
-        .into_iter()
-        .map(|(_, src)| crate::compile_one(src))
-        .collect()
-}
-
 /// Compile one catalog policy by name.
 pub fn by_name(name: &str) -> Option<CompiledPolicy> {
     sources()
@@ -138,7 +129,10 @@ mod tests {
 
     #[test]
     fn whole_catalog_compiles() {
-        let policies = compile_all().expect("catalog must compile");
+        let policies: Vec<CompiledPolicy> = sources()
+            .iter()
+            .map(|(name, _)| get(name).expect("catalog must compile"))
+            .collect();
         assert_eq!(policies.len(), 5);
         let names: Vec<&str> = policies.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(
@@ -186,7 +180,8 @@ mod tests {
 
     #[test]
     fn catalog_policies_render() {
-        for p in compile_all().unwrap() {
+        for (name, _) in sources() {
+            let p = get(name).unwrap();
             let text = crate::render::render_policy(&p);
             assert!(text.contains(&p.name));
             assert!(text.lines().count() >= 2);

@@ -229,7 +229,7 @@ impl<K: ArenaKey, V> DenseIdMap<K, V> {
     }
 
     /// The whole map as an owned `BTreeMap` (for callers that promise a
-    /// tree-map view, e.g. [`crate::trace::Trace::earnings_by_worker`]).
+    /// tree-map view, e.g. [`crate::trace::Trace::payment_by_submission`]).
     pub(crate) fn to_btree_map(&self) -> BTreeMap<K, V>
     where
         V: Clone,

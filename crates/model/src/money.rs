@@ -70,11 +70,6 @@ impl Credits {
         Credits(round_half_away(v))
     }
 
-    /// Integer multiplication (e.g. `reward * units`).
-    pub fn mul_int(self, n: i64) -> Credits {
-        Credits(self.0.saturating_mul(n))
-    }
-
     /// Divide into `n` equal shares; the remainder millicents are
     /// distributed to the first `rem` shares so the sum of shares is exact.
     /// Returns an empty vec when `n == 0`.

@@ -2,9 +2,9 @@
 //!
 //! Axiom 3 suggests that "for ranked lists, using measures such as
 //! Discounted Cumulative Gain would be more appropriate", citing
-//! Järvelin & Kekäläinen (TOIS 2002). This module implements DCG/nDCG and
-//! Kendall's tau, plus the symmetric ranking similarity used for
-//! contribution comparison.
+//! Järvelin & Kekäläinen (TOIS 2002). This module implements DCG/nDCG,
+//! plus the symmetric ranking similarity used for contribution
+//! comparison.
 
 /// Discounted Cumulative Gain of a relevance sequence (already in rank
 /// order, best-first). Uses the standard log-discount formulation
@@ -37,41 +37,6 @@ pub fn ndcg(ranking: &[u16], relevance: &[f64]) -> f64 {
         return 1.0;
     }
     (dcg(&gains) / ideal_dcg).clamp(0.0, 1.0)
-}
-
-/// Kendall's tau-a between two rankings of the same item set, in `[-1, 1]`.
-///
-/// Both slices list item indices best-first and must rank the same items;
-/// items present in only one ranking are ignored. Returns 1.0 for fewer
-/// than two common items (no discordant information).
-pub fn kendall_tau(a: &[u16], b: &[u16]) -> f64 {
-    // position of each item in each ranking
-    let pos = |r: &[u16]| -> std::collections::HashMap<u16, usize> {
-        r.iter().enumerate().map(|(i, &x)| (x, i)).collect()
-    };
-    let pa = pos(a);
-    let pb = pos(b);
-    let common: Vec<u16> = a.iter().copied().filter(|x| pb.contains_key(x)).collect();
-    let n = common.len();
-    if n < 2 {
-        return 1.0;
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let (x, y) = (common[i], common[j]);
-            let da = pa[&x] as i64 - pa[&y] as i64;
-            let db = pb[&x] as i64 - pb[&y] as i64;
-            if da * db > 0 {
-                concordant += 1;
-            } else if da * db < 0 {
-                discordant += 1;
-            }
-        }
-    }
-    let pairs = (n * (n - 1) / 2) as f64;
-    (concordant - discordant) as f64 / pairs
 }
 
 /// Symmetric similarity in `[0, 1]` between two ranked-list contributions.
@@ -146,23 +111,6 @@ mod tests {
         // out-of-range items contribute nothing
         let rel = [1.0];
         assert!((ndcg(&[0, 9], &rel) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_tau_extremes() {
-        assert!((kendall_tau(&[0, 1, 2, 3], &[0, 1, 2, 3]) - 1.0).abs() < 1e-12);
-        assert!((kendall_tau(&[0, 1, 2, 3], &[3, 2, 1, 0]) + 1.0).abs() < 1e-12);
-        // single swap of adjacent items: 5 of 6 pairs concordant
-        let t = kendall_tau(&[0, 1, 2, 3], &[1, 0, 2, 3]);
-        assert!((t - (5.0 - 1.0) / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_tau_partial_overlap() {
-        // only items 0 and 1 are common; ordered the same way
-        assert_eq!(kendall_tau(&[0, 1, 7], &[0, 1, 9]), 1.0);
-        // fewer than two common items
-        assert_eq!(kendall_tau(&[0], &[1]), 1.0);
     }
 
     #[test]

@@ -171,19 +171,6 @@ impl SkillVector {
         }
         2.0 * self.intersection_count(other) as f64 / denom as f64
     }
-
-    /// Hamming distance (number of differing coordinates over the longer
-    /// length).
-    pub fn hamming(&self, other: &SkillVector) -> usize {
-        let max_words = self.words.len().max(other.words.len());
-        let mut d = 0usize;
-        for i in 0..max_words {
-            let a = self.words.get(i).copied().unwrap_or(0);
-            let b = other.words.get(i).copied().unwrap_or(0);
-            d += (a ^ b).count_ones() as usize;
-        }
-        d
-    }
 }
 
 impl fmt::Display for SkillVector {
@@ -242,13 +229,11 @@ mod tests {
     }
 
     #[test]
-    fn jaccard_dice_hamming() {
+    fn jaccard_and_dice() {
         let a = v(&[1, 1, 0, 0]);
         let b = v(&[1, 0, 1, 0]);
         assert!((a.jaccard(&b) - 1.0 / 3.0).abs() < 1e-12);
         assert!((a.dice(&b) - 0.5).abs() < 1e-12);
-        assert_eq!(a.hamming(&b), 2);
-        assert_eq!(a.hamming(&a), 0);
     }
 
     #[test]
@@ -278,7 +263,6 @@ mod tests {
         b.set(SkillId::new(128), true);
         assert_eq!(a.union_count(&b), 3);
         assert_eq!(a.intersection_count(&b), 1);
-        assert_eq!(a.hamming(&b), 2);
     }
 
     #[test]

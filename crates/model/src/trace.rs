@@ -53,8 +53,7 @@ pub struct Interruption {
 /// Every event-derived structure the audit layer quantifies over, built
 /// in **one pass** over the [`EventLog`] by [`Trace::event_index`].
 ///
-/// The individual [`Trace`] accessors (`payment_by_submission`,
-/// `earnings_by_worker`) delegate here, and `faircrowd-core`'s
+/// [`Trace::payment_by_submission`] delegates here, and `faircrowd-core`'s
 /// `TraceIndex` embeds one so the seven axiom checkers and the objective
 /// metrics all share a single replay of the log instead of re-deriving
 /// their own maps. `faircrowd-core`'s `LiveAuditor` keeps one up to
@@ -233,11 +232,6 @@ impl Trace {
         self.event_index().payments.to_btree_map()
     }
 
-    /// Total earnings per worker (payments plus honoured bonuses).
-    pub fn earnings_by_worker(&self) -> BTreeMap<WorkerId, Credits> {
-        self.event_index().earnings.to_btree_map()
-    }
-
     /// Submissions grouped by task, in submission order.
     pub fn submissions_by_task(&self) -> BTreeMap<TaskId, Vec<&Submission>> {
         let mut map: BTreeMap<TaskId, Vec<&Submission>> = BTreeMap::new();
@@ -414,7 +408,7 @@ mod tests {
         let trace = tiny_trace();
         let pay = trace.payment_by_submission();
         assert_eq!(pay[&SubmissionId::new(0)], Credits::from_cents(10));
-        let earn = trace.earnings_by_worker();
+        let earn = trace.event_index().earnings.to_btree_map();
         assert_eq!(earn[&WorkerId::new(0)], Credits::from_cents(10));
         assert_eq!(earn[&WorkerId::new(1)], Credits::ZERO);
     }
@@ -488,7 +482,6 @@ mod tests {
         );
         let ix = trace.event_index();
         assert_eq!(ix.payments.to_btree_map(), trace.payment_by_submission());
-        assert_eq!(ix.earnings.to_btree_map(), trace.earnings_by_worker());
         assert_eq!(ix.session_workers.len(), 1);
         assert_eq!(ix.work_started, 1);
         assert_eq!(ix.interruptions.len(), 1);

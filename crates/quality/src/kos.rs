@@ -24,8 +24,6 @@ use std::collections::BTreeMap;
 pub struct KosResult {
     /// Decoded label per task (binary: 0 or 1).
     pub labels: BTreeMap<TaskId, u8>,
-    /// Final per-task decision margins (confidence magnitude).
-    pub margins: BTreeMap<TaskId, f64>,
 }
 
 /// Decode a binary answer set with `iters` rounds of message passing.
@@ -100,14 +98,12 @@ pub fn decode(answers: &AnswerSet, iters: usize) -> KosResult {
     }
 
     let mut labels = BTreeMap::new();
-    let mut margins = BTreeMap::new();
     for (ti, es) in edges_of_task.iter().enumerate() {
         let decision: f64 = es.iter().map(|&ei| edges[ei].spin * y[ei]).sum();
         labels.insert(tasks[ti], u8::from(decision > 0.0));
-        margins.insert(tasks[ti], decision.abs());
     }
 
-    KosResult { labels, margins }
+    KosResult { labels }
 }
 
 #[cfg(test)]
@@ -177,17 +173,6 @@ mod tests {
             .filter(|(i, &tl)| res.labels[&t(*i as u32)] == tl)
             .count();
         assert!(correct as f64 / n as f64 > 0.85, "{correct}/{n}");
-    }
-
-    #[test]
-    fn margins_are_nonnegative() {
-        let mut s = AnswerSet::new(2);
-        s.record(w(0), t(0), 1);
-        s.record(w(1), t(0), 0);
-        let res = decode(&s, 3);
-        for &m in res.margins.values() {
-            assert!(m >= 0.0);
-        }
     }
 
     #[test]

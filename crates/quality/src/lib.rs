@@ -21,7 +21,7 @@
 //! * [`gold`] — gold/honeypot question screening;
 //! * [`spam`] — Vuurens-style agreement- and behaviour-based spam scoring
 //!   with the spammer taxonomy used by the simulator;
-//! * [`metrics`] — precision/recall/F1, accuracy, ROC-AUC.
+//! * [`metrics`] — precision/recall/F1 and label accuracy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

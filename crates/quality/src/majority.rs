@@ -75,23 +75,6 @@ fn unique_argmax(xs: &[f64]) -> Option<usize> {
     }
 }
 
-/// Per-task agreement rate: the fraction of answers matching the majority
-/// label. High mean agreement indicates an easy/clean task set; per-worker
-/// *dis*agreement is the core spam signal (see [`crate::spam`]). Tasks
-/// without a consensus — no answers, or a tied vote — have no agreement
-/// rate and are absent from the result.
-pub fn agreement_rates(answers: &AnswerSet) -> BTreeMap<TaskId, f64> {
-    let consensus = majority_vote(answers);
-    let mut rates = BTreeMap::new();
-    for (task, group) in answers.by_task() {
-        if let Some(&label) = consensus.get(&task) {
-            let agree = group.iter().filter(|a| a.label == label).count();
-            rates.insert(task, agree as f64 / group.len() as f64);
-        }
-    }
-    rates
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,28 +157,6 @@ mod tests {
     fn empty_answerset_yields_empty_result() {
         let s = AnswerSet::new(2);
         assert!(majority_vote(&s).is_empty());
-    }
-
-    #[test]
-    fn agreement_rates_computed() {
-        let s = set(&[(0, 0, 1), (1, 0, 1), (2, 0, 0), (0, 1, 0)], 2);
-        let rates = agreement_rates(&s);
-        assert!((rates[&t(0)] - 2.0 / 3.0).abs() < 1e-12);
-        assert!((rates[&t(1)] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn agreement_rates_skip_tied_tasks() {
-        // t0 is tied (no consensus, so no agreement rate — under the old
-        // rule it reported 0.5 agreement "with" an arbitrary label 0);
-        // t1 has a real consensus and keeps its rate.
-        let s = set(&[(0, 0, 1), (1, 0, 0), (0, 1, 1), (1, 1, 1), (2, 1, 0)], 2);
-        let rates = agreement_rates(&s);
-        assert!(
-            !rates.contains_key(&t(0)),
-            "tied task has no agreement rate"
-        );
-        assert!((rates[&t(1)] - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -88,39 +88,6 @@ pub fn label_accuracy(predicted: &BTreeMap<TaskId, u8>, truth: &BTreeMap<TaskId,
     correct as f64 / truth.len() as f64
 }
 
-/// Area under the ROC curve for scored binary outcomes `(score, is_positive)`.
-/// Computed via the rank-sum (Mann–Whitney) formulation with tie handling.
-/// Returns 0.5 when either class is absent (no ranking information).
-pub fn roc_auc(scored: &[(f64, bool)]) -> f64 {
-    let positives = scored.iter().filter(|(_, y)| *y).count();
-    let negatives = scored.len() - positives;
-    if positives == 0 || negatives == 0 {
-        return 0.5;
-    }
-    // ranks with ties averaged
-    let mut indexed: Vec<(f64, bool)> = scored.to_vec();
-    indexed.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN score in AUC"));
-    let mut rank_sum_pos = 0.0f64;
-    let mut i = 0;
-    while i < indexed.len() {
-        let mut j = i;
-        while j + 1 < indexed.len() && indexed[j + 1].0 == indexed[i].0 {
-            j += 1;
-        }
-        // average rank for the tie group, 1-based
-        let avg_rank = (i + 1 + j + 1) as f64 / 2.0;
-        for item in indexed.iter().take(j + 1).skip(i) {
-            if item.1 {
-                rank_sum_pos += avg_rank;
-            }
-        }
-        i = j + 1;
-    }
-    let p = positives as f64;
-    let n = negatives as f64;
-    (rank_sum_pos - p * (p + 1.0) / 2.0) / (p * n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,29 +135,5 @@ mod tests {
         truth.insert(t(2), 0u8); // missing from pred -> wrong
         assert!((label_accuracy(&pred, &truth) - 1.0 / 3.0).abs() < 1e-12);
         assert_eq!(label_accuracy(&pred, &BTreeMap::new()), 1.0);
-    }
-
-    #[test]
-    fn auc_perfect_and_inverted() {
-        let perfect = [(0.9, true), (0.8, true), (0.2, false), (0.1, false)];
-        assert!((roc_auc(&perfect) - 1.0).abs() < 1e-12);
-        let inverted = [(0.1, true), (0.2, true), (0.8, false), (0.9, false)];
-        assert!(roc_auc(&inverted).abs() < 1e-12);
-    }
-
-    #[test]
-    fn auc_handles_ties_and_degenerate_classes() {
-        let all_same = [(0.5, true), (0.5, false), (0.5, true), (0.5, false)];
-        assert!((roc_auc(&all_same) - 0.5).abs() < 1e-12);
-        assert_eq!(roc_auc(&[(0.3, true)]), 0.5);
-        assert_eq!(roc_auc(&[]), 0.5);
-    }
-
-    #[test]
-    fn auc_intermediate_value() {
-        // one inversion among 2x2
-        let scored = [(0.9, true), (0.4, true), (0.6, false), (0.1, false)];
-        // pairs: (0.9 vs 0.6) ok, (0.9 vs 0.1) ok, (0.4 vs 0.6) bad, (0.4 vs 0.1) ok
-        assert!((roc_auc(&scored) - 0.75).abs() < 1e-12);
     }
 }

@@ -79,7 +79,7 @@ proptest! {
         let trace = Simulation::new(cfg).run();
         prop_assert!(trace.validate().is_empty(), "{:?}", trace.validate());
         prop_assert_eq!(trace.events.validate(), Ok(()));
-        let earnings = trace.earnings_by_worker();
+        let earnings = trace.event_index().earnings;
         let total: Credits = earnings.values().copied().sum();
         let payout: Credits = trace
             .events
@@ -94,11 +94,11 @@ proptest! {
         prop_assert!(earnings.values().all(|c| c.millicents() >= 0));
         // a worker never earns without having done anything (submission
         // or a compensated interruption)
-        for (w, earned) in &earnings {
+        for (w, earned) in earnings.iter() {
             if earned.is_positive() {
-                let touched_work = trace.submissions.iter().any(|s| s.worker == *w)
+                let touched_work = trace.submissions.iter().any(|s| s.worker == w)
                     || trace.events.iter().any(|e| {
-                        matches!(e.kind, EventKind::WorkInterrupted { worker, .. } if worker == *w)
+                        matches!(e.kind, EventKind::WorkInterrupted { worker, .. } if worker == w)
                     });
                 prop_assert!(touched_work, "{w} earned {earned} from thin air");
             }

@@ -298,13 +298,6 @@ impl Pipeline {
         self
     }
 
-    /// Replace the scenario with a named preset from the catalog
-    /// ([`crate::sim::catalog`]): `"baseline"`, `"spam_campaign"`, ….
-    pub fn scenario_name(mut self, name: &str) -> Result<Self, FaircrowdError> {
-        self.scenario = crate::sim::catalog::get(name)?;
-        Ok(self)
-    }
-
     /// Set the assignment policy.
     pub fn policy(mut self, choice: PolicyChoice) -> Self {
         self.scenario.policy = choice;
@@ -655,22 +648,6 @@ impl Pipeline {
             wages,
         }
     }
-
-    /// Run the identical pipeline once per policy name — the parameter
-    /// sweep the CLI's `sweep` command and the benches build on.
-    /// Returns `(name, result)` pairs in input order.
-    pub fn sweep_policies(
-        &self,
-        names: &[&str],
-    ) -> Result<Vec<(String, PipelineResult)>, FaircrowdError> {
-        names
-            .iter()
-            .map(|name| {
-                let result = self.clone().policy_name(name)?.run()?;
-                Ok(((*name).to_owned(), result))
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -814,8 +791,7 @@ mod tests {
         // run(), simulate() and run_converged() must all agree on what
         // "the trace of a strategic scenario" is: the converged one.
         let pipeline = Pipeline::new()
-            .scenario_name("super_turkers")
-            .unwrap()
+            .scenario(crate::sim::catalog::get("super_turkers").unwrap())
             .configure(|c| c.rounds = 12);
         let converged = pipeline.clone().run_converged().unwrap();
         assert!(converged.iterations >= 2, "strategic market must iterate");
@@ -840,8 +816,7 @@ mod tests {
     #[test]
     fn run_live_rejects_strategic_scenarios() {
         let err = Pipeline::new()
-            .scenario_name("price_war")
-            .unwrap()
+            .scenario(crate::sim::catalog::get("price_war").unwrap())
             .configure(|c| c.rounds = 8)
             .run_live(|_| {})
             .unwrap_err();

@@ -1473,8 +1473,7 @@ mod tests {
             .find(|c| c.case.scenario == "flash_crowd" && c.case.enforcements.is_empty())
             .expect("the grid has the flash_crowd cell");
         let run = Pipeline::new()
-            .scenario_name("flash_crowd")
-            .unwrap()
+            .scenario(catalog::get("flash_crowd").unwrap())
             .rounds(8)
             .run()
             .expect("runs at 8 rounds");

@@ -74,7 +74,7 @@ fn traces_are_well_formed_and_internally_consistent() {
     }
 
     // Earnings aggregate consistently.
-    let earnings = trace.earnings_by_worker();
+    let earnings = trace.event_index().earnings;
     let total: faircrowd::model::Credits = earnings.values().copied().sum();
     assert_eq!(
         total,

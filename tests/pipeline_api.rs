@@ -129,20 +129,6 @@ fn enforced_pass_equals_hand_wired_repair() {
     assert_eq!(enforced.artifacts.report, report);
 }
 
-/// `sweep_policies` runs the identical scenario once per name, in order.
-#[test]
-fn sweep_covers_the_registry_in_order() {
-    let results = Pipeline::new()
-        .rounds(8)
-        .sweep_policies(&registry::NAMES)
-        .unwrap();
-    assert_eq!(results.len(), registry::NAMES.len());
-    for ((name, result), expected) in results.iter().zip(registry::NAMES) {
-        assert_eq!(name, expected);
-        assert_eq!(result.baseline.report.axioms.len(), 7);
-    }
-}
-
 /// Every failure mode arrives as a typed `FaircrowdError`.
 #[test]
 fn error_paths_are_unified() {

@@ -564,7 +564,7 @@ fn cases() -> &'static [Case] {
 /// whose artifacts must match `Pipeline::run`'s and the reference.
 fn catalog_cases(names: &'static [&'static str]) -> impl Iterator<Item = Case> {
     names.iter().enumerate().map(|(k, &name)| {
-        let pipeline = Pipeline::new().scenario_name(name).expect("catalog name");
+        let pipeline = Pipeline::new().scenario(catalog::get(name).expect("catalog name"));
         let pipeline = pipeline.configure(|c| c.rounds = c.rounds.min(12));
         let runs: Vec<(&str, RunArtifacts)> = if catalog::STRATEGIC_NAMES.contains(&name) {
             vec![("run_converged", pipeline.run_converged().unwrap().artifacts)]

@@ -112,7 +112,7 @@ fn every_payment_scheme_conserves_money() {
             .unwrap_or_else(|e| panic!("{payment:?}: {e}"));
         let trace = &result.baseline.trace;
         // Sum of per-worker earnings equals total payout; no negative pay.
-        let earnings = trace.earnings_by_worker();
+        let earnings = trace.event_index().earnings;
         let total: faircrowd::model::Credits = earnings.values().copied().sum();
         assert_eq!(
             total,
@@ -122,9 +122,9 @@ fn every_payment_scheme_conserves_money() {
         assert!(earnings.values().all(|c| c.millicents() >= 0));
         // Nobody earns more than reward × their submissions (+ partial
         // compensations, absent here under RunToCompletion target runs).
-        for (w, earned) in &earnings {
-            let subs = trace.submissions.iter().filter(|s| s.worker == *w).count();
-            let cap = faircrowd::model::Credits::from_cents(8).mul_int(subs as i64 + 1);
+        for (w, earned) in earnings.iter() {
+            let subs = trace.submissions.iter().filter(|s| s.worker == w).count();
+            let cap = faircrowd::model::Credits::from_cents(8 * (subs as i64 + 1));
             assert!(
                 earned <= &cap,
                 "{payment:?}: {w} earned {earned} for {subs} subs"

@@ -38,8 +38,7 @@ fn every_catalog_preset_round_trips() {
         // …and runs two rounds end to end through the Pipeline (late
         // surge campaigns post at round 0 so they fit the short horizon).
         let result = Pipeline::new()
-            .scenario_name(name)
-            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .scenario(config)
             .configure(|c| {
                 c.rounds = 2;
                 for campaign in &mut c.campaigns {
