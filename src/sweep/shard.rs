@@ -1215,10 +1215,21 @@ mod tests {
         for axiom in record.get("axioms").unwrap().as_arr().unwrap() {
             assert_eq!(keys(axiom), ["axiom", "score", "checked", "violations"]);
         }
-        // A mistyped field is named, with its line and axiom.
+        // A mistyped field or an unknown axiom is named, with its line
+        // and axiom.
         let bad = text.replacen("\"checked\":", "\"checked\":\"x\",\"was\":", 1);
         std::fs::write(&path, bad).unwrap();
         let err = load_part(&path).unwrap_err().to_string();
         assert!(err.contains("line 2: axiom 0: field `checked`"), "{err}");
+        std::fs::write(
+            &path,
+            text.replacen("A1-worker-assignment", "A9-imaginary", 1),
+        )
+        .unwrap();
+        let err = load_part(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("line 2: axiom 0: unknown axiom label `A9-imaginary`"),
+            "{err}"
+        );
     }
 }
