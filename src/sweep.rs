@@ -471,13 +471,11 @@ impl SweepCase {
     /// report ([`axiom_tally`]), its retention and wages, with
     /// `consensus` scored under this case's aggregator.
     fn outcome_of(&self, run: &RunArtifacts, consensus: Option<f64>) -> CaseOutcome {
-        let axioms = run.report.axioms.iter();
+        let tally = |a: &AxiomReport| axiom_tally(a.axiom, a.score, a.checked, a.violation_count);
         CaseOutcome {
             consensus,
             report: FairnessReport {
-                axioms: axioms
-                    .map(|a| axiom_tally(a.axiom, a.score, a.checked, a.violation_count))
-                    .collect(),
+                axioms: run.report.axioms.iter().map(tally).collect(),
             },
             retention: run.summary.retention,
             wages: run.wages,
