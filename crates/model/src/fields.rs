@@ -12,7 +12,7 @@ use crate::error::FaircrowdError;
 use crate::json::Json;
 
 /// The field `key`, or an error naming it.
-fn require<'a>(
+pub fn require<'a>(
     json: &'a Json,
     key: &str,
     ctx: impl std::fmt::Display,
@@ -34,6 +34,28 @@ pub fn u64_field(
             v.kind()
         ))
     })
+}
+
+/// The field `key` as a count: an unsigned integer that fits `usize`.
+pub fn count_field(
+    json: &Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<usize, FaircrowdError> {
+    usize::try_from(u64_field(json, key, &ctx)?)
+        .map_err(|_| FaircrowdError::persist(format!("{ctx}: field `{key}` overflows a count")))
+}
+
+/// The field `key`, `None` when it is `null`.
+pub fn nullable_field<'a>(
+    json: &'a Json,
+    key: &str,
+    ctx: impl std::fmt::Display,
+) -> Result<Option<&'a Json>, FaircrowdError> {
+    match require(json, key, ctx)? {
+        Json::Null => Ok(None),
+        v => Ok(Some(v)),
+    }
 }
 
 /// The field `key` as a number.
@@ -87,8 +109,14 @@ mod tests {
 
     #[test]
     fn helpers_name_field_context_and_kind() {
-        let json = Json::parse(r#"{"a": 1, "b": "x", "c": [1, 2], "d": true, "e": 1.5}"#).unwrap();
+        let json =
+            Json::parse(r#"{"a": 1, "b": "x", "c": [1, 2], "d": true, "e": 1.5, "f": null}"#)
+                .unwrap();
         assert_eq!(u64_field(&json, "a", "ctx").unwrap(), 1);
+        assert_eq!(count_field(&json, "a", "ctx").unwrap(), 1);
+        assert!(nullable_field(&json, "f", "ctx").unwrap().is_none());
+        assert!(nullable_field(&json, "a", "ctx").unwrap().is_some());
+        assert!(nullable_field(&json, "missing", "ctx").is_err());
         assert_eq!(str_field(&json, "b", "ctx").unwrap(), "x");
         assert_eq!(arr_field(&json, "c", "ctx").unwrap().len(), 2);
         assert_eq!(f64_field(&json, "e", "ctx").unwrap(), 1.5);

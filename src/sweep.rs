@@ -562,7 +562,7 @@ pub fn consensus_accuracy(trace: &Trace, aggregator: &AggregatorChoice) -> Optio
 
 /// An audited axiom as a sweep cell keeps it: its score, the size of
 /// its domain and its violation count, with no witnesses or notes —
-/// every export reads the counts alone. `truncated` is what a witness
+/// every export reads the score and the violation count alone. `truncated` is what a witness
 /// cap of zero reports: set whenever anything was found. A cell built
 /// in this process and one read back from a part file both go through
 /// here, so they hold the same values.
@@ -583,8 +583,10 @@ pub(crate) fn axiom_tally(
     }
 }
 
-/// What one executed case contributes to the aggregates: exactly the
-/// fields some export reads, which is also what a part file keeps.
+/// What one executed case contributes to the aggregates: the fields
+/// some export reads, plus each axiom's domain size, which keeps the
+/// report a well-formed [`FairnessReport`]. A part file keeps exactly
+/// this.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
     /// The case that ran.
@@ -1323,6 +1325,21 @@ mod tests {
         assert_eq!(cases.len(), 2);
         assert_eq!(cases[0].sim_key(), cases[1].sim_key());
         assert_eq!(work_units(&cases).unwrap(), vec![vec![0, 1]]);
+    }
+
+    #[test]
+    fn scale_axis_grows_the_market() {
+        // Each scale is its own run: the 2× cell's market measures more
+        // workers than the 1× cell's, so the two never share a run.
+        let grid = SweepGrid::parse("scenario=baseline;scale=1,2;rounds=8").unwrap();
+        let result = run_grid(&grid, 2).unwrap();
+        assert_eq!(result.groups.len(), 2);
+        let workers = |i: usize| result.cases[i].wages.as_ref().map_or(0, |w| w.n);
+        let (small, large) = (workers(0), workers(1));
+        assert!(
+            large > small,
+            "a 2× market should pay more workers ({large} vs {small})"
+        );
     }
 
     #[test]

@@ -35,10 +35,11 @@
 //! A part file is JSONL: a schema header line, then one compact record
 //! per completed cell, appended and flushed as each cell finishes — a
 //! cell is durable once its line is written. A record holds the cell's
-//! index and case plus exactly what the exports read of a
-//! [`CaseOutcome`]: per audited axiom its label, score, domain size and
-//! violation count, the run's retention, its wage statistics and its
-//! consensus score. Witness lists and notes are not kept; no table,
+//! index and its [`CaseOutcome`]: the case, what the exports read (per
+//! audited axiom its label, score and violation count, the run's
+//! retention, its wage statistics and its consensus score), and each
+//! axiom's domain size, which keeps the cell a well-formed
+//! `AxiomReport`. Witness lists and notes are not kept; no table,
 //! JSON, CSV or frontier reads them. Loading walks the same
 //! three never-panicking gates as every persisted schema here
 //! (`trace_io`, `checkpoint`): **positioned parse** (errors name the
@@ -58,7 +59,9 @@
 use super::{axiom_tally, fold_groups, CaseOutcome, SweepCase, SweepGrid, SweepResult};
 use crate::core::{AxiomId, FairnessReport};
 use crate::model::codec;
-use crate::model::fields::{arr_field, f64_field, str_field, u64_field};
+use crate::model::fields::{
+    arr_field, count_field, f64_field, nullable_field, require, str_field, u64_field,
+};
 use crate::model::json::Json;
 use crate::model::FaircrowdError;
 use crate::pay::WageStats;
@@ -536,10 +539,7 @@ fn header_from_json(
             "{ctx}: expected schema `{SCHEMA}`, got `{schema}`"
         )));
     }
-    let version = json
-        .get("version")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing schema `version`")))?;
+    let version = u64_field(json, "version", &ctx)?;
     if version < VERSION {
         return Err(FaircrowdError::persist(format!(
             "{ctx}: {SCHEMA} version {version} is no longer readable (this build reads \
@@ -551,27 +551,12 @@ fn header_from_json(
             "{ctx}: unsupported {SCHEMA} version {version} (this build reads version {VERSION})"
         )));
     }
-    let count = |key: &str| -> Result<usize, FaircrowdError> {
-        json.get(key)
-            .and_then(Json::as_u64)
-            .and_then(|v| usize::try_from(v).ok())
-            .ok_or_else(|| {
-                FaircrowdError::persist(format!("{ctx}: header field `{key}` should be a count"))
-            })
-    };
     let header = PartHeader {
-        grid_hash: json
-            .get("grid_hash")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| {
-                FaircrowdError::persist(format!(
-                    "{ctx}: header field `grid_hash` should be an unsigned integer"
-                ))
-            })?,
-        cases: count("cases")?,
-        seeds_per_group: count("seeds_per_group")?,
-        shard: count("shard")?,
-        shards: count("shards")?,
+        grid_hash: u64_field(json, "grid_hash", &ctx)?,
+        cases: count_field(json, "cases", &ctx)?,
+        seeds_per_group: count_field(json, "seeds_per_group", &ctx)?,
+        shard: count_field(json, "shard", &ctx)?,
+        shards: count_field(json, "shards", &ctx)?,
     };
     if header.shard == 0 || header.shards == 0 || header.shard > header.shards {
         return Err(FaircrowdError::persist(format!(
@@ -647,44 +632,14 @@ fn case_to_json(case: &SweepCase) -> Json {
 }
 
 fn case_from_json(json: &Json, ctx: impl std::fmt::Display) -> Result<SweepCase, FaircrowdError> {
-    let field = |key: &str| -> Result<&Json, FaircrowdError> {
-        json.get(key)
-            .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: case is missing field `{key}`")))
+    let ctx = format!("{ctx}: case");
+    let string = |key: &str| str_field(json, key, &ctx).map(str::to_owned);
+    let string_or_null = |key: &str| {
+        nullable_field(json, key, &ctx)?
+            .map(|_| string(key))
+            .transpose()
     };
-    let str_of = |key: &str| -> Result<String, FaircrowdError> {
-        field(key)?.as_str().map(str::to_owned).ok_or_else(|| {
-            FaircrowdError::persist(format!("{ctx}: case field `{key}` should be a string"))
-        })
-    };
-    let policy = match field("policy")? {
-        Json::Null => None,
-        other => Some(other.as_str().map(str::to_owned).ok_or_else(|| {
-            FaircrowdError::persist(format!(
-                "{ctx}: case field `policy` should be a string or null"
-            ))
-        })?),
-    };
-    let strategy = match field("strategy")? {
-        Json::Null => None,
-        other => Some(other.as_str().map(str::to_owned).ok_or_else(|| {
-            FaircrowdError::persist(format!(
-                "{ctx}: case field `strategy` should be a string or null"
-            ))
-        })?),
-    };
-    let aggregator = match field("aggregator")? {
-        Json::Null => None,
-        other => Some(other.as_str().map(str::to_owned).ok_or_else(|| {
-            FaircrowdError::persist(format!(
-                "{ctx}: case field `aggregator` should be a string or null"
-            ))
-        })?),
-    };
-    let enforcements = field("enforce")?
-        .as_arr()
-        .ok_or_else(|| {
-            FaircrowdError::persist(format!("{ctx}: case field `enforce` should be an array"))
-        })?
+    let enforcements = arr_field(json, "enforce", &ctx)?
         .iter()
         .map(|e| {
             let spec = e.as_str().ok_or_else(|| {
@@ -693,29 +648,21 @@ fn case_from_json(json: &Json, ctx: impl std::fmt::Display) -> Result<SweepCase,
             Enforcement::parse(spec).map_err(|e| FaircrowdError::persist(format!("{ctx}: {e}")))
         })
         .collect::<Result<Vec<_>, _>>()?;
+    let rounds = u32::try_from(u64_field(json, "rounds", &ctx)?).map_err(|_| {
+        FaircrowdError::persist(format!("{ctx}: field `rounds` overflows a round count"))
+    })?;
     Ok(SweepCase {
-        scenario: str_of("scenario")?,
-        policy,
-        policy_label: str_of("policy_label")?,
-        strategy,
-        strategy_label: str_of("strategy_label")?,
-        seed: field("seed")?.as_u64().ok_or_else(|| {
-            FaircrowdError::persist(format!("{ctx}: case field `seed` should be an integer"))
-        })?,
-        scale: field("scale")?.as_f64().ok_or_else(|| {
-            FaircrowdError::persist(format!("{ctx}: case field `scale` should be a number"))
-        })?,
-        rounds: field("rounds")?
-            .as_u64()
-            .and_then(|v| u32::try_from(v).ok())
-            .ok_or_else(|| {
-                FaircrowdError::persist(format!(
-                    "{ctx}: case field `rounds` should be a round count"
-                ))
-            })?,
+        scenario: string("scenario")?,
+        policy: string_or_null("policy")?,
+        policy_label: string("policy_label")?,
+        strategy: string_or_null("strategy")?,
+        strategy_label: string("strategy_label")?,
+        seed: u64_field(json, "seed", &ctx)?,
+        scale: f64_field(json, "scale", &ctx)?,
+        rounds,
         enforcements,
-        aggregator,
-        aggregator_label: str_of("aggregator_label")?,
+        aggregator: string_or_null("aggregator")?,
+        aggregator_label: string("aggregator_label")?,
     })
 }
 
@@ -762,31 +709,6 @@ fn cell_to_json(cell: usize, outcome: &CaseOutcome) -> Json {
     ])
 }
 
-/// The field `key` as a count.
-fn count_field(
-    json: &Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<usize, FaircrowdError> {
-    usize::try_from(u64_field(json, key, &ctx)?)
-        .map_err(|_| FaircrowdError::persist(format!("{ctx}: field `{key}` overflows a count")))
-}
-
-/// The field `key`, `None` when it is `null`.
-fn nullable<'a>(
-    json: &'a Json,
-    key: &str,
-    ctx: impl std::fmt::Display,
-) -> Result<Option<&'a Json>, FaircrowdError> {
-    match json.get(key) {
-        None => Err(FaircrowdError::persist(format!(
-            "{ctx}: missing field `{key}`"
-        ))),
-        Some(Json::Null) => Ok(None),
-        Some(v) => Ok(Some(v)),
-    }
-}
-
 fn cell_from_json(
     json: &Json,
     ctx: impl std::fmt::Display,
@@ -808,7 +730,7 @@ fn cell_from_json(
             ))
         })
         .collect::<Result<Vec<_>, FaircrowdError>>()?;
-    let wages = match nullable(json, "wages", &ctx)? {
+    let wages = match nullable_field(json, "wages", &ctx)? {
         None => None,
         Some(w) => {
             let ctx = format!("{ctx}: wages");
@@ -824,17 +746,14 @@ fn cell_from_json(
             })
         }
     };
-    let consensus = match nullable(json, "consensus", &ctx)? {
+    let consensus = match nullable_field(json, "consensus", &ctx)? {
         None => None,
         Some(_) => Some(f64_field(json, "consensus", &ctx)?),
     };
-    let case = json
-        .get("case")
-        .ok_or_else(|| FaircrowdError::persist(format!("{ctx}: missing field `case`")))?;
     Ok((
         count_field(json, "cell", &ctx)?,
         CaseOutcome {
-            case: case_from_json(case, &ctx)?,
+            case: case_from_json(require(json, "case", &ctx)?, &ctx)?,
             report: FairnessReport { axioms },
             retention: f64_field(json, "retention", &ctx)?,
             wages,
@@ -1229,6 +1148,14 @@ mod tests {
         let err = load_part(&path).unwrap_err().to_string();
         assert!(
             err.contains("line 2: axiom 0: unknown axiom label `A9-imaginary`"),
+            "{err}"
+        );
+        // So is a mistyped case field, with its line.
+        assert!(text.contains("\"policy\":null"), "{text}");
+        std::fs::write(&path, text.replacen("\"policy\":null", "\"policy\":7", 1)).unwrap();
+        let err = load_part(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("line 2: case: field `policy` should be a string, got"),
             "{err}"
         );
     }

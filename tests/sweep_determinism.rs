@@ -66,21 +66,3 @@ fn catalog_and_cli_spellings_agree() {
         .unwrap();
     assert_eq!(cases[0].rounds, catalog::get("flash_crowd").unwrap().rounds);
 }
-
-#[test]
-fn scale_axis_grows_the_market() {
-    let cases = SweepGrid::parse("scenario=baseline;scale=1,2;rounds=8")
-        .unwrap()
-        .expand()
-        .unwrap();
-    assert_eq!(cases.len(), 2);
-    let submissions = |case: &faircrowd::sweep::SweepCase| {
-        let result = case.pipeline().unwrap().run().unwrap();
-        result.baseline.summary.submissions
-    };
-    let (small, large) = (submissions(&cases[0]), submissions(&cases[1]));
-    assert!(
-        large > small,
-        "a 2× market should produce more submissions ({large} vs {small})"
-    );
-}
