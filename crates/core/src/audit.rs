@@ -33,7 +33,10 @@ pub struct AuditConfig {
     pub max_witnesses: usize,
     /// Fan the axioms out over a scoped thread pool (default). Reports
     /// are identical either way; serial runs exist for benchmarking and
-    /// for embedding in already-parallel callers like the sweep engine.
+    /// for embedding in already-parallel callers: the sweep engine
+    /// (`SweepCase::pipeline`, one case per worker) and the audit
+    /// daemon (`AuditDaemon::new`, which closes its markets on its
+    /// shard pool).
     pub parallel: bool,
 }
 

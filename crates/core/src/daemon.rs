@@ -14,7 +14,9 @@
 //!   and read by the daemon itself, or fed line-by-line through
 //!   [`AuditDaemon::feed_line`] — the consumption route for a single
 //!   multiplexed stream whose records carry a market tag: route each
-//!   line by its tag and the daemon does the rest.
+//!   line by its tag and the daemon does the rest. Fed lines queue as
+//!   bytes in one buffer per market, which the next poll reads exactly
+//!   as it reads a tailed file's growth.
 //! - **One ingest path for both trace formats** — a file that starts
 //!   with the `.fcb` magic is a finished recording: it is decoded once
 //!   and its header and records go straight into the auditor, in the
@@ -27,8 +29,11 @@
 //!   of its name (stable across runs and processes, unlike the
 //!   process-seeded `RandomState`), and each [`AuditDaemon::poll`]
 //!   round runs the shards on a scoped thread pool
-//!   (`--jobs`). Per-market work is sequential, so per-market results
-//!   are bit-identical whatever the shard count or thread timing.
+//!   (`--jobs`); [`AuditDaemon::reports`] closes the markets on the
+//!   same pool. Per-market work is sequential — each closing audit
+//!   runs its axioms in turn, not on a fan-out of its own — so
+//!   per-market results are bit-identical whatever the shard count or
+//!   thread timing.
 //! - **One ordered finding stream** — every round's findings are
 //!   merged into a single deterministic order (market name, then
 //!   per-market emission order) and tagged as
@@ -40,7 +45,8 @@
 //!   [`crate::checkpoint`] every `checkpoint_every` events. A restarted
 //!   daemon ([`AuditDaemon::open`] over the same directory) resumes
 //!   every stream from its last checkpoint seq *without replaying the
-//!   log*: the consumed prefix is skipped by line count, the auditor
+//!   log*: the consumed prefix is skipped by line count (fed prefix
+//!   lines are counted off as they arrive, never queued), the auditor
 //!   continues from its restored mirrors, and finishing the stream is
 //!   bit-identical — findings, final report, wages — to never having
 //!   stopped. A checkpoint that fails any load gate (foreign schema,
@@ -104,7 +110,10 @@ use std::path::{Path, PathBuf};
 /// How an [`AuditDaemon`] is configured.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// The audit configuration every market's auditor runs under.
+    /// The audit configuration every market's auditor runs under, save
+    /// [`AuditConfig::parallel`]: [`AuditDaemon::new`] turns the axiom
+    /// fan-out off, since the daemon already closes its markets on its
+    /// shard pool. Reports are identical either way.
     pub audit: AuditConfig,
     /// Shard (thread) count for each poll round. Clamped to at least 1.
     pub jobs: usize,
@@ -255,8 +264,9 @@ struct Market {
     tail: Option<MarketTail>,
     /// A decoded `.fcb` recording, ingested whole at the next poll.
     recording: Option<Trace>,
-    /// Lines queued by [`AuditDaemon::feed_line`], drained each round.
-    pending: Vec<String>,
+    /// Lines queued by [`AuditDaemon::feed_line`], each ended by `\n`,
+    /// drained each round.
+    pending: Vec<u8>,
     auditor: LiveAuditor,
     reader: JsonlReader,
     header_applied: bool,
@@ -296,8 +306,14 @@ pub struct AuditDaemon {
 
 impl AuditDaemon {
     /// A daemon with no markets yet. `jobs` is clamped to at least 1.
+    ///
+    /// Axiom fan-out is kept serial here, as in the sweep engine: the
+    /// daemon's own shard pool already closes `jobs` markets at once,
+    /// and a fan-out per closing would spawn threads for every market
+    /// without changing any output.
     pub fn new(mut config: DaemonConfig) -> Self {
         config.jobs = config.jobs.max(1);
+        config.audit.parallel = false;
         AuditDaemon {
             config,
             markets: BTreeMap::new(),
@@ -358,17 +374,37 @@ impl AuditDaemon {
     /// the consumption route for a multiplexed stream: route each line
     /// by its market tag. Lines are processed at the next
     /// [`AuditDaemon::poll`].
-    pub fn feed_line(&mut self, market: &str, line: impl Into<String>) {
-        if !self.markets.contains_key(market) {
-            let checkpoint = self.dir_journal();
-            let created = self.make_market(market.to_owned(), checkpoint);
-            self.markets.insert(market.to_owned(), created);
+    ///
+    /// One call is one line: a trailing `\n` or `\r\n`, as
+    /// `BufRead::read_line` leaves it, ends the line and adds no blank
+    /// one. A `line` with an inner `\n` is the several lines it spells,
+    /// each counted, exactly as a tailed file holding the same bytes is
+    /// read. Lines for a failed market are dropped (its error stays on
+    /// [`AuditDaemon::failed_markets`]), and a resumed market counts
+    /// off its consumed prefix here, without queuing it.
+    pub fn feed_line(&mut self, market: &str, line: &str) {
+        let m = match self.markets.get_mut(market) {
+            Some(m) => m,
+            None => {
+                let checkpoint = self.dir_journal();
+                let created = self.make_market(market.to_owned(), checkpoint);
+                self.markets.entry(market.to_owned()).or_insert(created)
+            }
+        };
+        if m.failed.is_some() {
+            return;
         }
-        self.markets
-            .get_mut(market)
-            .expect("just inserted")
-            .pending
-            .push(line.into());
+        let line = line.strip_suffix('\n').unwrap_or(line).as_bytes();
+        let nothing_ahead = m.pending.is_empty() && m.recording.is_none() && m.tail.is_none();
+        if m.skip_lines > 0 && nothing_ahead {
+            let lines = 1 + line.iter().filter(|&&b| b == b'\n').count() as u64;
+            if lines <= m.skip_lines {
+                m.skip_lines -= lines;
+                return;
+            }
+        }
+        m.pending.extend_from_slice(line);
+        m.pending.push(b'\n');
     }
 
     /// `<dir>/checkpoints.journal` under the configured checkpoint
@@ -554,76 +590,34 @@ impl AuditDaemon {
         self.round(finalize_market)
     }
 
-    /// Run `step` over every live market, shards on a scoped thread
-    /// pool, and merge the results.
+    /// Run `step` over every live market on the shard pool, and merge
+    /// the results.
     fn round(&mut self, step: impl Fn(&mut Market) -> RoundResult + Sync) -> Vec<DaemonFinding> {
-        let jobs = self.config.jobs;
-        let step = &step;
-        let mut shards: Vec<Vec<&mut Market>> = (0..jobs).map(|_| Vec::new()).collect();
-        for m in self.markets.values_mut() {
-            if m.failed.is_none() {
-                shards[m.shard % jobs].push(m);
-            }
-        }
-        let results: Vec<RoundResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .filter(|shard| !shard.is_empty())
-                .map(|shard| {
-                    s.spawn(move || shard.into_iter().map(step).collect::<Vec<RoundResult>>())
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard thread panicked"))
-                .collect()
-        });
+        let live = self.markets.values_mut().filter(|m| m.failed.is_none());
+        let results = on_shards(self.config.jobs, live.map(|m| (m.shard, m)), step);
         self.merge(results)
     }
 
-    /// Per-market closing artifacts, sorted by market name. Failed
-    /// markets are skipped (their errors stay on
+    /// Per-market closing artifacts, sorted by market name, computed on
+    /// the shard pool so `jobs` markets close at once. Failed markets
+    /// are skipped (their errors stay on
     /// [`AuditDaemon::failed_markets`]). A market that watched its
     /// whole stream is also referentially validated, exactly like a
     /// batch replay; a resumed market skips that gate — its prefix was
     /// validated before the checkpoint was taken, and the tail was
-    /// validated event by event.
+    /// validated event by event. The error is the first failing
+    /// market's, in name order.
     pub fn reports(&self) -> Result<Vec<DaemonReport>, FaircrowdError> {
-        let mut out = Vec::new();
-        for m in self.markets.values() {
-            if m.failed.is_some() {
-                continue;
-            }
-            if m.resumed_from.is_none() {
-                m.auditor.trace().ensure_valid().map_err(|e| match e {
-                    FaircrowdError::InvalidTrace { problems } => FaircrowdError::InvalidTrace {
-                        problems: problems
-                            .into_iter()
-                            .map(|p| format!("market `{}`: {p}", m.name))
-                            .collect(),
-                    },
-                    other => other,
-                })?;
-            }
-            let (report, wages) = m.auditor.final_artifacts(&AxiomId::ALL);
-            out.push(DaemonReport {
-                market: m.name.clone(),
-                report,
-                wages,
-                workers: m.auditor.trace().workers.len(),
-                tasks: m.auditor.trace().tasks.len(),
-                events: m.auditor.events_seen(),
-                resumed_from: m.resumed_from,
-            });
-        }
-        Ok(out)
+        let live = self.markets.values().filter(|m| m.failed.is_none());
+        on_shards(self.config.jobs, live.map(|m| (m.shard, m)), close_report)
+            .into_iter()
+            .collect()
     }
 
-    /// Merge one round's per-market results into the deterministic
-    /// output order, fold notices/errors into daemon state, and append
+    /// Merge one round's per-market results, in market order, into the
+    /// output stream, fold notices/errors into daemon state, and append
     /// the round's checkpoints to their journals.
-    fn merge(&mut self, mut results: Vec<RoundResult>) -> Vec<DaemonFinding> {
-        results.sort_by(|a, b| a.market.cmp(&b.market));
+    fn merge(&mut self, results: Vec<RoundResult>) -> Vec<DaemonFinding> {
         let mut out = Vec::new();
         let mut batches: BTreeMap<PathBuf, Vec<Record>> = BTreeMap::new();
         for r in results {
@@ -673,6 +667,65 @@ impl AuditDaemon {
 /// markets between shards across restarts; this hash never does.
 fn shard_of(name: &str) -> usize {
     codec::fnv1a64(name.as_bytes()) as usize
+}
+
+/// Run `step` over `(shard, market)` pairs on a scoped thread pool:
+/// one thread per non-empty shard (`shard % jobs`), which takes its
+/// markets in turn. The results come back in the order of `markets`.
+fn on_shards<M: Send, R: Send>(
+    jobs: usize,
+    markets: impl Iterator<Item = (usize, M)>,
+    step: impl Fn(M) -> R + Sync,
+) -> Vec<R> {
+    let step = &step;
+    let mut shards: Vec<Vec<(usize, M)>> = (0..jobs).map(|_| Vec::new()).collect();
+    for (i, (shard, m)) in markets.enumerate() {
+        shards[shard % jobs].push((i, m));
+    }
+    let mut results: Vec<(usize, R)> = std::thread::scope(|s| {
+        let handles: Vec<_> = shards
+            .into_iter()
+            .filter(|shard| !shard.is_empty())
+            .map(|shard| {
+                s.spawn(move || {
+                    let run = |(i, m)| (i, step(m));
+                    shard.into_iter().map(run).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("shard thread panicked"))
+            .collect()
+    });
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// One market's closing artifacts, validated as
+/// [`AuditDaemon::reports`] describes.
+fn close_report(m: &Market) -> Result<DaemonReport, FaircrowdError> {
+    if m.resumed_from.is_none() {
+        m.auditor.trace().ensure_valid().map_err(|e| match e {
+            FaircrowdError::InvalidTrace { problems } => FaircrowdError::InvalidTrace {
+                problems: problems
+                    .into_iter()
+                    .map(|p| format!("market `{}`: {p}", m.name))
+                    .collect(),
+            },
+            other => other,
+        })?;
+    }
+    let (report, wages) = m.auditor.final_artifacts(&AxiomId::ALL);
+    Ok(DaemonReport {
+        market: m.name.clone(),
+        report,
+        wages,
+        workers: m.auditor.trace().workers.len(),
+        tasks: m.auditor.trace().tasks.len(),
+        events: m.auditor.events_seen(),
+        resumed_from: m.resumed_from,
+    })
 }
 
 /// A market's trace file, opened.
@@ -776,8 +829,13 @@ fn ingest_arrivals(m: &mut Market, findings: &mut Vec<LiveFinding>) -> Result<()
     if let Some(trace) = m.recording.take() {
         feed_recording(m, trace, findings)?;
     }
-    for line in std::mem::take(&mut m.pending) {
-        findings.extend(feed_one(m, &line)?);
+    if !m.pending.is_empty() {
+        // Every queued line ends in `\n`, so all of them are fed; the
+        // emptied buffer goes back to queue the next round's lines.
+        let mut pending = std::mem::take(&mut m.pending);
+        feed_lines(m, &pending, findings)?;
+        pending.clear();
+        m.pending = pending;
     }
     let Some(tail) = &mut m.tail else {
         return Ok(());
@@ -1051,7 +1109,7 @@ mod tests {
         let mut first = AuditDaemon::new(config.clone());
         let cut = lines.len() - 2;
         for line in &lines[..cut] {
-            first.feed_line("m", *line);
+            first.feed_line("m", line);
         }
         let before_kill = first.poll();
         assert!(first.take_notices().iter().all(|n| !n.contains("failed")),);
@@ -1061,7 +1119,7 @@ mod tests {
         // skipped by line count, the rest ingested.
         let mut second = AuditDaemon::new(config);
         for line in &lines {
-            second.feed_line("m", *line);
+            second.feed_line("m", line);
         }
         let notices_checked = {
             let mut merged = second.poll();
@@ -1109,7 +1167,7 @@ mod tests {
             ..DaemonConfig::default()
         });
         for line in &lines {
-            daemon.feed_line("m", *line);
+            daemon.feed_line("m", line);
         }
         daemon.poll();
         let notices = daemon.take_notices();
@@ -1190,6 +1248,111 @@ mod tests {
         let (want, _) = reference(&trace);
         assert_eq!(merged.len(), want.len(), "good market is unaffected");
         assert_eq!(daemon.reports().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_failed_market_queues_nothing_after_further_feeds() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let mut daemon = AuditDaemon::new(DaemonConfig::default());
+        daemon.feed_line("bad", "{not json");
+        daemon.poll();
+        for line in jsonl.lines() {
+            daemon.feed_line("bad", line);
+        }
+        assert!(daemon.markets["bad"].pending.is_empty());
+        let failed = daemon.failed_markets();
+        assert_eq!(failed.len(), 1);
+        assert!(failed[0].1.contains("line 1 (header)"), "{}", failed[0].1);
+    }
+
+    #[test]
+    fn one_call_is_one_line_whatever_its_ending() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let dir = temp_dir("endings");
+        let mut daemon = AuditDaemon::new(DaemonConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..DaemonConfig::default()
+        });
+        let endings = [("bare", ""), ("lf", "\n"), ("crlf", "\r\n")];
+        for (market, ending) in endings {
+            for line in &lines {
+                daemon.feed_line(market, &format!("{line}{ending}"));
+            }
+        }
+        // An inner `\n` spells several lines, as in a tailed file.
+        daemon.feed_line("joined", &lines[..3].join("\n"));
+        for line in &lines[3..] {
+            daemon.feed_line("joined", line);
+        }
+        let mut merged = daemon.poll();
+        merged.extend(daemon.finalize());
+        let (want, want_report) = reference(&trace);
+        let journal = dir.join(journal::FILE_NAME);
+        for market in ["bare", "lf", "crlf", "joined"] {
+            let m = &daemon.markets[market];
+            assert_eq!(m.reader.lines_fed(), lines.len(), "{market}");
+            let source_lines = newest(&journal, market).source_lines();
+            assert_eq!(source_lines, lines.len() as u64, "{market}");
+            let got: Vec<&LiveFinding> = merged
+                .iter()
+                .filter(|f| f.market == market)
+                .map(|f| &f.finding)
+                .collect();
+            assert_eq!(got, want.iter().collect::<Vec<_>>(), "{market}");
+        }
+        for r in daemon.reports().unwrap() {
+            assert_eq!(r.report, want_report, "{}", r.market);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_resumed_prefix_is_counted_off_without_queuing_a_byte() {
+        let trace = violating_trace();
+        let jsonl = persist::encode(&trace, persist::TraceFormat::Jsonl);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        let dir = temp_dir("skip");
+        let config = DaemonConfig {
+            checkpoint_dir: Some(dir.clone()),
+            checkpoint_every: 1,
+            ..DaemonConfig::default()
+        };
+        let cut = lines.len() - 2;
+        let mut first = AuditDaemon::new(config.clone());
+        for line in &lines[..cut] {
+            first.feed_line("m", line);
+        }
+        first.poll();
+        drop(first);
+        let mut second = AuditDaemon::new(config);
+        for line in &lines[..cut - 1] {
+            second.feed_line("m", line);
+        }
+        let m = &second.markets["m"];
+        assert_eq!((m.skip_lines, m.pending.len()), (1, 0));
+        // A fed text that runs past the prefix is queued whole, and the
+        // prefix line it starts with is skipped when it is read; the
+        // lines after it queue behind it.
+        let across = lines[cut - 1..=cut].join("\n");
+        second.feed_line("m", &across);
+        second.feed_line("m", lines[cut + 1]);
+        let m = &second.markets["m"];
+        let queued = across.len() + lines[cut + 1].len() + 2;
+        assert_eq!((m.skip_lines, m.pending.len()), (1, queued));
+        let findings: Vec<LiveFinding> = second
+            .restored_findings()
+            .into_iter()
+            .chain(second.poll())
+            .chain(second.finalize())
+            .map(|f| f.finding)
+            .collect();
+        let (want, want_report) = reference(&trace);
+        assert_eq!(findings, want);
+        assert_eq!(second.reports().unwrap()[0].report, want_report);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1587,7 +1750,7 @@ mod tests {
         let mut daemon = AuditDaemon::new(config.clone());
         for market in markets {
             for line in lines {
-                daemon.feed_line(market, *line);
+                daemon.feed_line(market, line);
             }
         }
         let mut found: BTreeMap<String, Vec<LiveFinding>> = BTreeMap::new();
@@ -1624,7 +1787,7 @@ mod tests {
         for cut in [lines.len() - 3, lines.len() - 1] {
             for market in ["a", "b"] {
                 for line in &lines[fed..cut] {
-                    first.feed_line(market, *line);
+                    first.feed_line(market, line);
                 }
             }
             fed = cut;
@@ -1698,7 +1861,7 @@ mod tests {
                 for (i, market) in markets.iter().enumerate() {
                     let pace = |r: usize| (lines.len() * r * (i + 1) / 8).min(lines.len());
                     for line in &lines[pace(round - 1)..pace(round)] {
-                        daemon.feed_line(market, *line);
+                        daemon.feed_line(market, line);
                     }
                 }
                 daemon.poll();

@@ -168,6 +168,7 @@ trace_rows! {
     daemon_tailing_a_jsonl_file: "daemon, tailing a .jsonl file" => daemon_tailing,
     daemon_fcb_recording: "daemon, .fcb recording" => daemon_recording,
     daemon_journal_resume: "daemon, journal resume" => journal_resume,
+    daemon_journal_resume_fed_in_chunks: "daemon, journal resume fed in chunks" => resume_in_chunks,
     daemon_torn_journal: "daemon, torn journal" => torn_journal,
 }
 
@@ -260,7 +261,7 @@ fn checkpoint_at(input: &Input, cut: usize) -> Seen {
 
 fn feed(daemon: &mut AuditDaemon, lines: &[&str]) {
     for line in lines {
-        daemon.feed_line("m", *line);
+        daemon.feed_line("m", line);
     }
 }
 
@@ -355,6 +356,37 @@ fn journal_resume(input: &Input) -> Seen {
     drop(first);
     let seq = cut.saturating_sub(input.entity_lines());
     resume_at(input, &dir, 3, (seq, if seq > 0 { before } else { 0 })).0
+}
+
+/// [`journal_resume`], with the restart re-fed its stream in chunks and
+/// polled after each: two chunks inside the consumed prefix, then one
+/// across its end. The restart resumes at the checkpoint seq and
+/// restores the first life's findings.
+fn resume_in_chunks(input: &Input) -> Seen {
+    let (dir, lines) = (scratch(), input.lines());
+    let cut = input.cut(5, 1, lines.len());
+    let mut first = input.daemon(3, Some(&dir), None);
+    feed(&mut first, &lines[..cut]);
+    let before = first.poll().len();
+    drop(first);
+    let seq = cut.saturating_sub(input.entity_lines());
+    let mut second = input.daemon(3, Some(&dir), None);
+    let (mut fed, mut polled) = (0, Vec::new());
+    for end in [cut / 3, 2 * cut / 3, (cut + lines.len()) / 2] {
+        feed(&mut second, &lines[fed..end]);
+        polled.extend(second.poll());
+        fed = end;
+    }
+    feed(&mut second, &lines[fed..]);
+    let tag = format!("{}, resumed at seq {seq}", input.name);
+    let restored = second.restored_findings().len();
+    let before = if seq > 0 { before } else { 0 };
+    assert_eq!(restored, before, "{tag}: restored findings");
+    let resumed_events = second.auditor("m").unwrap().resumed_events();
+    assert_eq!(resumed_events, seq as u64, "{tag}");
+    let seen = close(&mut second, polled).remove("m").unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    seen
 }
 
 /// A daemon that checkpointed twice inside the event region and was
