@@ -35,8 +35,8 @@ pub struct AuditConfig {
     /// are identical either way; serial runs exist for benchmarking and
     /// for embedding in already-parallel callers: the sweep engine
     /// (`SweepCase::pipeline`, one case per worker) and the audit
-    /// daemon (`AuditDaemon::new`, which closes its markets on its
-    /// shard pool).
+    /// daemon (`AuditDaemon::new` says why: A2 is most of a closing's
+    /// axiom time).
     pub parallel: bool,
 }
 
