@@ -9,6 +9,7 @@
 //! instead of once per axiom.
 
 use crate::index::TraceIndex;
+use faircrowd_model::codec::Named;
 use faircrowd_model::similarity::SimilarityConfig;
 use faircrowd_model::trace::Trace;
 use serde::{Deserialize, Serialize};
@@ -123,6 +124,18 @@ impl fmt::Display for AxiomId {
     }
 }
 
+/// An axiom is its label in JSON and its index in [`AxiomId::ALL`] as
+/// one binary byte.
+impl Named for AxiomId {
+    const ALL: &'static [Self] = &AxiomId::ALL;
+    const WHAT: &'static str = "axiom";
+    fn name(self) -> &'static str {
+        self.label()
+    }
+}
+
+faircrowd_model::named_fields!(AxiomId);
+
 /// A concrete witness of an axiom violation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Violation {
@@ -170,6 +183,55 @@ impl AxiomReport {
     /// True when no violations were found.
     pub fn holds(&self) -> bool {
         self.violation_count == 0
+    }
+}
+
+/// An audited axiom cut to its tallies: its score, the size of its
+/// domain and its violation count, with no witnesses or notes. A sweep
+/// cell keeps its axioms so — every export reads the score and the
+/// violation count alone — and a sweep part file stores exactly this.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AxiomTally {
+    /// Which axiom.
+    pub(crate) axiom: AxiomId,
+    /// Satisfaction score in `[0, 1]`.
+    pub(crate) score: f64,
+    /// Size of the quantifier domain examined.
+    pub(crate) checked: usize,
+    /// Total violations found.
+    pub(crate) violations: usize,
+}
+
+faircrowd_model::record!(AxiomTally {
+    axiom: AxiomId,
+    score: f64,
+    checked: usize,
+    violations: usize,
+});
+
+impl AxiomTally {
+    /// The tallies of `report`.
+    pub fn of(report: &AxiomReport) -> Self {
+        AxiomTally {
+            axiom: report.axiom,
+            score: report.score,
+            checked: report.checked,
+            violations: report.violation_count,
+        }
+    }
+
+    /// The report these tallies stand for. `truncated` is what a witness
+    /// cap of zero reports: set whenever anything was found.
+    pub fn report(&self) -> AxiomReport {
+        AxiomReport {
+            axiom: self.axiom,
+            score: self.score,
+            checked: self.checked,
+            violations: Vec::new(),
+            violation_count: self.violations,
+            truncated: self.violations > 0,
+            notes: Vec::new(),
+        }
     }
 }
 

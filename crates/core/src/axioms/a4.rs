@@ -75,9 +75,12 @@ impl Axiom for MaliceDetection {
             };
         }
 
-        let tp = flagged.intersection(&active_malicious).count();
-        let fp = flagged.difference(malicious).count();
-        let fn_ = active_malicious.difference(flagged).count();
+        let tp = active_malicious
+            .iter()
+            .filter(|&&w| flagged.contains(w))
+            .count();
+        let fp = flagged.iter().filter(|w| !malicious.contains(w)).count();
+        let fn_ = active_malicious.len() - tp;
         let precision = if tp + fp == 0 {
             1.0
         } else {
@@ -94,10 +97,10 @@ impl Axiom for MaliceDetection {
             2.0 * precision * recall / (precision + recall)
         };
 
-        for w in active_malicious.difference(flagged) {
+        for w in active_malicious.iter().filter(|&&w| !flagged.contains(w)) {
             collector.push(0.8, format!("malicious worker {w} was never flagged"));
         }
-        for w in flagged.difference(malicious) {
+        for w in flagged.iter().filter(|w| !malicious.contains(w)) {
             collector.push(0.4, format!("honest worker {w} was wrongly flagged"));
         }
 

@@ -50,10 +50,10 @@ impl Axiom for PlatformTransparency {
         let evidence = if active.is_empty() {
             1.0 // nobody to inform
         } else {
-            active.intersection(informed).count() as f64 / active.len() as f64
+            active.intersection_len(informed) as f64 / active.len() as f64
         };
         if coverage > 0.0 && evidence < 1.0 {
-            let uninformed = active.difference(informed).count();
+            let uninformed = active.len() - active.intersection_len(informed);
             collector.push(
                 (1.0 - evidence).min(1.0),
                 format!(

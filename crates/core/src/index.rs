@@ -375,17 +375,17 @@ impl<'a> TraceIndex<'a> {
     }
 
     /// Workers flagged by any detector.
-    pub(crate) fn flagged(&self) -> &BTreeSet<WorkerId> {
+    pub(crate) fn flagged(&self) -> &IdSet<WorkerId> {
         &self.events.flagged
     }
 
     /// Workers who had at least one session.
-    pub(crate) fn session_workers(&self) -> &BTreeSet<WorkerId> {
+    pub(crate) fn session_workers(&self) -> &IdSet<WorkerId> {
         &self.events.session_workers
     }
 
     /// Workers who were shown at least one disclosure.
-    pub(crate) fn informed_workers(&self) -> &BTreeSet<WorkerId> {
+    pub(crate) fn informed_workers(&self) -> &IdSet<WorkerId> {
         &self.events.informed_workers
     }
 

@@ -39,7 +39,7 @@ pub mod report;
 
 pub use aggregate::{AxiomAggregate, ReportAggregate, ScoreStats};
 pub use audit::{AuditConfig, AuditEngine, FairnessReport};
-pub use axiom::{Axiom, AxiomId, AxiomReport, Violation};
+pub use axiom::{Axiom, AxiomId, AxiomReport, AxiomTally, Violation};
 pub use checkpoint::Checkpoint;
 pub use daemon::{AuditDaemon, DaemonConfig, DaemonFinding, DaemonReport, MarketSource};
 pub use faircrowd_model::similarity::SimilarityConfig;

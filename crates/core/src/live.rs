@@ -73,7 +73,7 @@
 use crate::audit::{AuditConfig, AuditEngine, FairnessReport};
 use crate::axiom::{AxiomId, Violation};
 use crate::axioms::{a1_witness, a2_witness, a6::obligation_coverage, worker_similarity};
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, Flags, HeaderSeq};
 use crate::index::{AccessOverlap, TraceIndex};
 use faircrowd_model::arena::{ArenaKey, DenseIdMap, IdSet};
 use faircrowd_model::contribution::Submission;
@@ -686,8 +686,9 @@ impl LiveAuditor {
                 );
             } else {
                 let missed: Vec<WorkerId> = active_malicious
-                    .difference(&self.events.flagged)
+                    .iter()
                     .copied()
+                    .filter(|&w| !self.events.flagged.contains(w))
                     .collect();
                 for w in missed {
                     self.record(
@@ -705,9 +706,9 @@ impl LiveAuditor {
                 let wrong: Vec<WorkerId> = self
                     .events
                     .flagged
-                    .difference(&self.trace.ground_truth.malicious_workers)
+                    .iter()
+                    .filter(|w| !self.trace.ground_truth.malicious_workers.contains(w))
                     .filter(|w| !self.a4_emitted.contains(w))
-                    .copied()
                     .collect();
                 for w in wrong {
                     self.a4_emitted.insert(w);
@@ -731,9 +732,9 @@ impl LiveAuditor {
         let active = &self.events.session_workers;
         if coverage > 0.0 && !active.is_empty() {
             let informed = &self.events.informed_workers;
-            let evidence = active.intersection(informed).count() as f64 / active.len() as f64;
+            let evidence = active.intersection_len(informed) as f64 / active.len() as f64;
             if evidence < 1.0 {
-                let uninformed = active.difference(informed).count();
+                let uninformed = active.len() - active.intersection_len(informed);
                 self.record(
                     LiveFinding {
                         origin,
@@ -813,22 +814,24 @@ impl LiveAuditor {
                 ground_truth: t.ground_truth.clone(),
             },
             mirror: self.events.clone(),
-            events_seen: self.events_seen() as u64,
+            events_seen: HeaderSeq(self.events_seen() as u64),
             source_lines,
             last_time: self.last_time,
-            policy_scanned: self.policy_scanned,
-            finalized: self.finalized,
+            flags: Flags {
+                policy_scanned: self.policy_scanned,
+                finalized: self.finalized,
+            },
             max_findings: self.max_findings,
             suppressed: self.suppressed as u64,
             qual_tasks: self
                 .qual_tasks
                 .iter()
-                .map(|r| (r.seen, r.ids.iter().collect()))
+                .map(|r| (r.seen, r.ids.clone()))
                 .collect(),
             qual_workers: self
                 .qual_workers
                 .iter()
-                .map(|r| (r.seen, r.ids.iter().collect()))
+                .map(|r| (r.seen, r.ids.clone()))
                 .collect(),
             similar_partners: self
                 .similar_partners
@@ -894,11 +897,11 @@ impl LiveAuditor {
         auditor.events = ckpt.mirror.clone();
         for (row, (seen, ids)) in auditor.qual_tasks.iter_mut().zip(&ckpt.qual_tasks) {
             row.seen = *seen;
-            row.ids = ids.iter().copied().collect();
+            row.ids = ids.clone();
         }
         for (row, (seen, ids)) in auditor.qual_workers.iter_mut().zip(&ckpt.qual_workers) {
             row.seen = *seen;
-            row.ids = ids.iter().copied().collect();
+            row.ids = ids.clone();
         }
         for (cache, (seen, partners)) in auditor
             .similar_partners
@@ -919,15 +922,15 @@ impl LiveAuditor {
         auditor.a1_pairs = PairTable::restore(&ckpt.a1_pairs, &ckpt.a1_emitted);
         auditor.a2_pairs = PairTable::restore(&ckpt.a2_pairs, &ckpt.a2_emitted);
         auditor.a3_emitted = ckpt.a3_emitted.iter().copied().collect();
-        auditor.a4_emitted = ckpt.a4_emitted.iter().copied().collect();
-        auditor.a6_emitted = ckpt.a6_emitted.iter().copied().collect();
+        auditor.a4_emitted = ckpt.a4_emitted.iter().collect();
+        auditor.a6_emitted = ckpt.a6_emitted.iter().collect();
         auditor.last_time = ckpt.last_time;
-        auditor.policy_scanned = ckpt.policy_scanned;
-        auditor.finalized = ckpt.finalized;
+        auditor.policy_scanned = ckpt.flags.policy_scanned;
+        auditor.finalized = ckpt.flags.finalized;
         auditor.max_findings = ckpt.max_findings;
         auditor.suppressed = ckpt.suppressed as usize;
         auditor.findings = ckpt.findings.clone();
-        auditor.resumed_events = ckpt.events_seen;
+        auditor.resumed_events = ckpt.seq();
         Ok(auditor)
     }
 

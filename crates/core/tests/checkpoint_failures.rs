@@ -15,6 +15,8 @@ use faircrowd_core::checkpoint::{self, MAGIC, SCHEMA_NAME};
 use faircrowd_core::persist::{self, TraceFormat};
 use faircrowd_core::{AuditConfig, LiveAuditor};
 use faircrowd_model::error::FaircrowdError;
+use faircrowd_model::fields::{At, Field, RecordCtx};
+use faircrowd_model::json::Json;
 use faircrowd_model::trace::Trace;
 use faircrowd_sim::{CampaignSpec, ScenarioConfig, Simulation, WorkerPopulation};
 use std::path::PathBuf;
@@ -162,6 +164,24 @@ fn a_valid_checkpoint_loads_and_resumes() {
 }
 
 #[test]
+fn the_declaration_also_gives_a_lossless_json_form() {
+    // The body's table derives a JSON spelling with the binary one. A
+    // finalized snapshot adds end-of-stream findings to the origins.
+    let mut finished = LiveAuditor::new(AuditConfig::default());
+    finished.ingest_trace(&small_trace()).unwrap();
+    finished.finalize();
+    let at = At {
+        ctx: RecordCtx::Section("checkpoint"),
+        key: "checkpoint",
+    };
+    for ckpt in [mid_stream_checkpoint(), finished.checkpoint(0)] {
+        let text = ckpt.to_json().to_compact();
+        let back = checkpoint::Checkpoint::from_json(&Json::parse(&text).unwrap(), at).unwrap();
+        assert_eq!(back, ckpt);
+    }
+}
+
+#[test]
 fn truncated_checkpoints_error_at_every_byte() {
     let bytes = checkpoint::encode(&mid_stream_checkpoint());
     for cut in 0..bytes.len() {
@@ -291,6 +311,29 @@ fn monitor_state_must_cover_the_entity_tables() {
     assert!(matches!(err, FaircrowdError::Persist { .. }), "{err:?}");
     assert!(msg.contains("integrity"), "{msg}");
     assert!(msg.contains("`qual_tasks` has 5 row(s)"), "{msg}");
+}
+
+#[test]
+fn a_truncation_inside_a_field_names_the_field_and_the_byte() {
+    // The body's decoder is derived from its declaration; a cut anywhere
+    // inside `qual_tasks` (its row count, a row's `seen`, an id count or
+    // a gap-coded id) must still name the field and the byte it broke at.
+    let bytes = checkpoint::encode(&mid_stream_checkpoint());
+    let at = qual_tasks_at(&bytes);
+    let mut rows = Walk { bytes: &bytes, at };
+    for _ in 0..rows.varint() {
+        rows.varint(); // seen
+        rows.ids();
+    }
+    assert!(rows.at > at + 6, "the section holds one row per worker");
+    for cut in at..rows.at {
+        let msg = checkpoint::decode(&bytes[..cut]).unwrap_err().to_string();
+        assert!(msg.contains("qual_tasks"), "cut at {cut}: {msg}");
+        assert!(
+            msg.contains(&format!("at byte {cut}")),
+            "cut at {cut}: {msg}"
+        );
+    }
 }
 
 #[test]

@@ -11,8 +11,6 @@
 //! offending byte offset.
 
 use crate::error::FaircrowdError;
-use crate::money::Credits;
-use crate::time::{SimDuration, SimTime};
 
 /// Append `v` as a LEB128 varint.
 pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
@@ -46,11 +44,6 @@ pub fn put_f64(out: &mut Vec<u8>, v: f64) {
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u64(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
-}
-
-/// Append money as zigzag-varint millicents.
-pub fn put_credits(out: &mut Vec<u8>, c: Credits) {
-    put_i64(out, c.millicents());
 }
 
 /// A closed set of values spelled by name in JSON and, in the binary
@@ -110,6 +103,11 @@ impl<'a> Cursor<'a> {
             pos: 0,
             label,
         }
+    }
+
+    /// The format's name, as errors give it.
+    pub(crate) fn label(&self) -> &'static str {
+        self.label
     }
 
     /// The byte offset of the next read.
@@ -269,21 +267,6 @@ impl<'a> Cursor<'a> {
                 start + e.valid_up_to()
             ))
         })
-    }
-
-    /// An instant as varint seconds.
-    pub fn secs(&mut self, what: &str) -> Result<SimTime, FaircrowdError> {
-        Ok(SimTime::from_secs(self.u64(what)?))
-    }
-
-    /// A duration as varint seconds.
-    pub fn duration(&mut self, what: &str) -> Result<SimDuration, FaircrowdError> {
-        Ok(SimDuration::from_secs(self.u64(what)?))
-    }
-
-    /// Money as zigzag-varint millicents.
-    pub fn credits(&mut self, what: &str) -> Result<Credits, FaircrowdError> {
-        Ok(Credits::from_millicents(self.i64(what)?))
     }
 
     /// A [`Named`] value's one-byte wire tag.

@@ -79,11 +79,11 @@ pub struct EventIndex {
     /// known worker appears, possibly at zero.
     pub earnings: DenseIdMap<WorkerId, Credits>,
     /// Workers flagged by any detector (Axiom 4).
-    pub flagged: BTreeSet<WorkerId>,
+    pub flagged: IdSet<WorkerId>,
     /// Workers who had at least one session (Axiom 7, retention).
-    pub session_workers: BTreeSet<WorkerId>,
+    pub session_workers: IdSet<WorkerId>,
     /// Workers who were shown at least one disclosure (Axiom 7).
-    pub informed_workers: BTreeSet<WorkerId>,
+    pub informed_workers: IdSet<WorkerId>,
     /// Number of `WorkStarted` events (the Axiom 5 quantifier domain).
     pub work_started: usize,
     /// Every interruption, in log order (Axiom 5 witnesses).

@@ -49,7 +49,7 @@
 use crate::codec::{put_str, put_u64, Cursor};
 use crate::error::FaircrowdError;
 use crate::event::{Event, EventKind, EventLog};
-use crate::schema::Field;
+use crate::fields::Field;
 use crate::time::SimTime;
 use crate::trace::Trace;
 use crate::trace_io::{SCHEMA_NAME, SCHEMA_VERSION};

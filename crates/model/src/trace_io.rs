@@ -42,12 +42,10 @@ use crate::contribution::Submission;
 use crate::disclosure::DisclosureSet;
 use crate::error::FaircrowdError;
 use crate::event::{Event, EventLog};
-use crate::fields::{arr_field, u64_field};
+use crate::fields::{At, Field, Member, RecordCtx, Scan};
 use crate::json::Json;
 use crate::requester::Requester;
-use crate::schema::{
-    event_from_json, event_to_json, scan_event, At, Field, Member, RecordCtx, Scan,
-};
+use crate::schema::{event_from_json, event_to_json, scan_event};
 use crate::task::Task;
 use crate::time::SimTime;
 use crate::trace::{GroundTruth, Trace};
@@ -140,12 +138,23 @@ pub fn trace_from_json(json: &Json) -> Result<Trace, FaircrowdError> {
         kind: &'static str,
         decode: impl Fn(&Json, RecordCtx) -> Result<T, FaircrowdError>,
     ) -> Result<Vec<T>, FaircrowdError> {
-        let items = arr_field(json, key, "trace")?.iter().enumerate();
+        let at = At {
+            ctx: RecordCtx::Section("trace"),
+            key,
+        };
+        let items = at.member(json)?;
+        let items = items.as_arr().ok_or_else(|| at.shape("an array", items))?;
         items
+            .iter()
+            .enumerate()
             .map(|(i, v)| decode(v, RecordCtx::Index(kind, i)))
             .collect()
     }
-    let (horizon, disclosure, ground_truth) = scalars(json, RecordCtx::Section("trace"))?;
+    let JsonlHeader {
+        horizon,
+        disclosure,
+        ground_truth,
+    } = decode_record(json, RecordCtx::Section("trace"))?;
     Ok(Trace {
         horizon,
         disclosure,
@@ -166,21 +175,8 @@ fn decode_record<T: Field>(json: &Json, ctx: RecordCtx) -> Result<T, FaircrowdEr
     T::from_json(json, At { ctx, key })
 }
 
-/// The scalar members a whole-file trace and a JSONL header share.
-fn scalars(
-    json: &Json,
-    ctx: RecordCtx,
-) -> Result<(SimTime, DisclosureSet, GroundTruth), FaircrowdError> {
-    let at = |key| At { ctx, key };
-    Ok((
-        SimTime::member_from_json(json, at("horizon"))?,
-        DisclosureSet::member_from_json(json, at("disclosure"))?,
-        GroundTruth::member_from_json(json, at("ground_truth"))?,
-    ))
-}
-
 /// The scalar fields a JSONL trace stream declares up front, decoded
-/// from its header line.
+/// from its header line (a whole-file trace carries the same members).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JsonlHeader {
     /// Simulation end time.
@@ -302,13 +298,7 @@ impl JsonlReader {
                     )))
                 }
             }
-            let (horizon, disclosure, ground_truth) =
-                scalars(&header, RecordCtx::Section("header"))?;
-            self.header = Some(JsonlHeader {
-                horizon,
-                disclosure,
-                ground_truth,
-            });
+            self.header = Some(decode_record(&header, RecordCtx::Section("header"))?);
             return Ok(None);
         }
         match canonical_record(line) {
@@ -388,7 +378,11 @@ fn check_schema(json: &Json) -> Result<(), FaircrowdError> {
             "schema is `{schema}`, expected `{SCHEMA_NAME}`"
         )));
     }
-    let version = u64_field(json, "version", "trace")?;
+    let at = At {
+        ctx: RecordCtx::Section("trace"),
+        key: "version",
+    };
+    let version = u64::member_from_json(json, at)?;
     if version != SCHEMA_VERSION {
         return Err(FaircrowdError::persist(format!(
             "unsupported schema version {version} (this build reads version {SCHEMA_VERSION})"

@@ -76,6 +76,17 @@ pub struct WageStats {
     pub jain: f64,
 }
 
+faircrowd_model::record!(WageStats {
+    n: usize,
+    mean: f64,
+    median: f64,
+    p10: f64,
+    p90: f64,
+    gini: f64,
+    theil: f64,
+    jain: f64,
+});
+
 impl WageStats {
     /// Compute statistics from per-worker hourly wages.
     ///

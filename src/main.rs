@@ -19,6 +19,7 @@ use faircrowd::assign::registry;
 use faircrowd::lang::{catalog, compare, printer, render};
 use faircrowd::model::disclosure::DisclosureSet;
 use faircrowd::model::FaircrowdError;
+use faircrowd::pipeline::render_audit;
 use faircrowd::prelude::*;
 use faircrowd::sim::catalog as scenarios;
 use faircrowd::sim::{strategy, StrategyChoice};
@@ -530,18 +531,12 @@ fn watch_cmd(args: &Args) -> Result<(), FaircrowdError> {
     poll_until_idle(&mut daemon, once, idle_ms, |f| f.finding.to_string());
     fail_on_failed_markets(&daemon)?;
     let closed = daemon.reports()?.pop().expect("the watched market closed");
-    let trace = daemon.auditor(path).expect("registered").trace().clone();
+    let summary = TraceSummary::of(daemon.auditor(path).expect("registered").trace());
     println!(
         "\nwatched {path}: {} workers, {} tasks, {} events\n",
         closed.workers, closed.tasks, closed.events
     );
-    let artifacts = RunArtifacts {
-        summary: TraceSummary::of(&trace),
-        trace,
-        report: closed.report,
-        wages: closed.wages,
-    };
-    print!("{}", artifacts.render("watched"));
+    print!("{}", render_audit("watched", &summary, &closed.report));
     Ok(())
 }
 

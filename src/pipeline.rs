@@ -34,6 +34,9 @@
 use crate::core::live::{LiveAuditor, LiveFinding};
 use crate::core::report::render_report;
 use crate::core::{metrics, AuditConfig, AuditEngine, AxiomId, FairnessReport, TraceIndex};
+use crate::model::codec::Cursor;
+use crate::model::fields::{At, Field};
+use crate::model::json::Json;
 use crate::model::trace::GroundTruth;
 use crate::model::{FaircrowdError, Trace};
 use crate::pay::WageStats;
@@ -76,6 +79,17 @@ impl Enforcement {
         }
     }
 
+    /// The grid/CLI spelling, which [`Enforcement::parse`] reads back
+    /// (unlike the display [`Enforcement::label`]).
+    fn spec(&self) -> String {
+        match self {
+            Enforcement::ExposureParity => "parity".to_owned(),
+            Enforcement::ExposureFloor(n) => format!("floor:{n}"),
+            Enforcement::MinimalTransparency => "transparency".to_owned(),
+            Enforcement::GraceFinish => "grace".to_owned(),
+        }
+    }
+
     /// Short display label.
     pub fn label(&self) -> String {
         match self {
@@ -107,6 +121,23 @@ impl Enforcement {
                 config.cancellation = CancellationPolicy::GraceFinish;
             }
         }
+    }
+}
+
+/// An enforcement is its grid spelling (`parity`, `floor:N`, …), a
+/// string that [`Enforcement::parse`] reads back.
+impl Field for Enforcement {
+    fn to_json(&self) -> Json {
+        Json::str(self.spec())
+    }
+    fn from_json(json: &Json, at: At<'_>) -> Result<Self, FaircrowdError> {
+        Enforcement::parse(&String::from_json(json, at)?).map_err(|e| at.err(e))
+    }
+    fn put(&self, out: &mut Vec<u8>) {
+        self.spec().put(out);
+    }
+    fn get(cur: &mut Cursor<'_>, what: &str) -> Result<Self, FaircrowdError> {
+        Enforcement::parse(&cur.string(what)?).map_err(|e| cur.err(e))
     }
 }
 
@@ -216,17 +247,19 @@ impl PipelineResult {
     /// when enforcement ran — the repairs and the re-audit.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(&render_run(
-            &format!("policy={}", self.config.policy.label()),
-            &self.baseline,
-        ));
+        out.push_str(
+            &self
+                .baseline
+                .render(&format!("policy={}", self.config.policy.label())),
+        );
         if let Some(enforced) = &self.enforced {
             let labels: Vec<String> = enforced.applied.iter().map(Enforcement::label).collect();
             out.push_str(&format!("\nafter enforcement: {}\n\n", labels.join(" + ")));
-            out.push_str(&render_run(
-                &format!("policy={}", enforced.config.policy.label()),
-                &enforced.artifacts,
-            ));
+            out.push_str(
+                &enforced
+                    .artifacts
+                    .render(&format!("policy={}", enforced.config.policy.label())),
+            );
             out.push_str(&format!(
                 "\noverall score: {:.3} → {:.3}\n",
                 self.baseline.report.overall_score(),
@@ -237,24 +270,27 @@ impl PipelineResult {
     }
 }
 
-fn render_run(heading: &str, artifacts: &RunArtifacts) -> String {
-    artifacts.render(heading)
-}
-
 impl RunArtifacts {
     /// Render the market summary line and the audit report — the block
     /// `run`, `audit` and `replay` all print, so a replayed trace's
     /// output diffs cleanly against the in-memory pipeline's.
     pub fn render(&self, heading: &str) -> String {
-        format!(
-            "market ({heading}): {} submissions, {:.0}% approved, {} paid, retention {:.1}%\n\n{}",
-            self.summary.submissions,
-            self.summary.approval_rate * 100.0,
-            self.summary.total_paid,
-            self.summary.retention * 100.0,
-            render_report(&self.report)
-        )
+        render_audit(heading, &self.summary, &self.report)
     }
+}
+
+/// [`RunArtifacts::render`] from borrowed parts, for a caller that holds
+/// a summary and a report but no trace of its own (`watch`, closing a
+/// market its daemon keeps).
+pub fn render_audit(heading: &str, summary: &TraceSummary, report: &FairnessReport) -> String {
+    format!(
+        "market ({heading}): {} submissions, {:.0}% approved, {} paid, retention {:.1}%\n\n{}",
+        summary.submissions,
+        summary.approval_rate * 100.0,
+        summary.total_paid,
+        summary.retention * 100.0,
+        render_report(report)
+    )
 }
 
 /// Builder for the scenario → simulate → audit → enforce → report loop.

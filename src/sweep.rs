@@ -93,7 +93,7 @@ pub mod shard;
 
 use crate::core::aggregate::{ReportAggregate, ScoreStats};
 use crate::core::report::TextTable;
-use crate::core::{AuditConfig, AxiomId, AxiomReport, FairnessReport};
+use crate::core::{AuditConfig, AxiomReport, AxiomTally, FairnessReport};
 use crate::model::{FaircrowdError, Trace};
 use crate::pay::WageStats;
 use crate::pipeline::{Enforcement, Pipeline, RunArtifacts};
@@ -468,10 +468,10 @@ impl SweepCase {
 
     /// This case's outcome from a final run — its own, or the one it
     /// shares with the rest of its work unit: the tallies of the run's
-    /// report ([`axiom_tally`]), its retention and wages, with
+    /// report ([`AxiomTally`]), its retention and wages, with
     /// `consensus` scored under this case's aggregator.
     fn outcome_of(&self, run: &RunArtifacts, consensus: Option<f64>) -> CaseOutcome {
-        let tally = |a: &AxiomReport| axiom_tally(a.axiom, a.score, a.checked, a.violation_count);
+        let tally = |a: &AxiomReport| AxiomTally::of(a).report();
         CaseOutcome {
             consensus,
             report: FairnessReport {
@@ -560,29 +560,6 @@ pub fn consensus_accuracy(trace: &Trace, aggregator: &AggregatorChoice) -> Optio
     Some(gold.score_labels(&labels).accuracy())
 }
 
-/// An audited axiom as a sweep cell keeps it: its score, the size of
-/// its domain and its violation count, with no witnesses or notes —
-/// every export reads the score and the violation count alone. `truncated` is what a witness
-/// cap of zero reports: set whenever anything was found. A cell built
-/// in this process and one read back from a part file both go through
-/// here, so they hold the same values.
-pub(crate) fn axiom_tally(
-    axiom: AxiomId,
-    score: f64,
-    checked: usize,
-    violation_count: usize,
-) -> AxiomReport {
-    AxiomReport {
-        axiom,
-        score,
-        checked,
-        violations: Vec::new(),
-        violation_count,
-        truncated: violation_count > 0,
-        notes: Vec::new(),
-    }
-}
-
 /// What one executed case contributes to the aggregates: the fields
 /// some export reads, plus each axiom's domain size, which keeps the
 /// report a well-formed [`FairnessReport`]. A part file keeps exactly
@@ -592,7 +569,8 @@ pub struct CaseOutcome {
     /// The case that ran.
     pub case: SweepCase,
     /// The final audit (the re-audit when enforcement ran), each axiom
-    /// cut to its tallies ([`axiom_tally`]).
+    /// cut to its tallies ([`AxiomTally`]): a cell built in this process
+    /// and one read back from a part file hold the same values.
     pub(crate) report: FairnessReport,
     /// Worker retention of the final run.
     pub(crate) retention: f64,

@@ -30,7 +30,7 @@
 //! leaves trailing shards empty — acceptable, because such grids are
 //! too small to shard profitably in the first place.
 //!
-//! ## Part files: `faircrowd-sweep-part` v4
+//! ## Part files: `faircrowd-sweep-part` v5
 //!
 //! A part file is JSONL: a schema header line, then one compact record
 //! per completed cell, appended and flushed as each cell finishes — a
@@ -40,7 +40,11 @@
 //! retention, its wage statistics and its consensus score), and each
 //! axiom's domain size, which keeps the cell a well-formed
 //! `AxiomReport`. Witness lists and notes are not kept; no table,
-//! JSON, CSV or frontier reads them. Loading walks the same
+//! JSON, CSV or frontier reads them. Each line's layout is a
+//! declaration (`record!` over the header, [`SweepCase`] and the cell
+//! below, over [`AxiomTally`] in `faircrowd-core` and over
+//! [`WageStats`] in `faircrowd-pay`); only the header's schema stamp is
+//! written by hand. Loading walks the same
 //! three never-panicking gates as every persisted schema here
 //! (`trace_io`, `checkpoint`): **positioned parse** (errors name the
 //! line; only a torn final line — the artifact of a kill mid-append —
@@ -56,17 +60,16 @@
 //! a part written for yesterday's grid cannot quietly merge into
 //! today's.
 
-use super::{axiom_tally, fold_groups, CaseOutcome, SweepCase, SweepGrid, SweepResult};
-use crate::core::{AxiomId, FairnessReport};
+use super::{fold_groups, CaseOutcome, SweepCase, SweepGrid, SweepResult};
+use crate::core::{AxiomTally, FairnessReport};
 use crate::model::codec;
-use crate::model::fields::{
-    arr_field, count_field, f64_field, nullable_field, require, str_field, u64_field,
-};
+use crate::model::fields::{At, Field, Member, RecordCtx};
 use crate::model::json::Json;
-use crate::model::FaircrowdError;
+use crate::model::{record, FaircrowdError};
 use crate::pay::WageStats;
 use crate::pipeline::Enforcement;
 use std::collections::{HashMap, HashSet};
+use std::fs::OpenOptions;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
@@ -77,9 +80,13 @@ pub(crate) const SCHEMA: &str = "faircrowd-sweep-part";
 /// case fields alongside the strategy sweep axis; v3 added the
 /// `aggregator`/`aggregator_label` case fields and the per-cell
 /// `consensus` score alongside the aggregator axis; v4 keeps only the
-/// exported fields of a cell instead of its whole report and summary.
-/// Other versions are refused by number, not guessed at.
-pub(crate) const VERSION: u64 = 4;
+/// exported fields of a cell instead of its whole report and summary;
+/// v5 derives every line from the declarations below, so an absent
+/// policy, strategy, aggregator, wage set or consensus is an omitted
+/// member instead of `null`, and a case's enforcement stack sits under
+/// `enforcements`. Other versions are refused by number, not guessed
+/// at.
+pub(crate) const VERSION: u64 = 5;
 
 /// Which shard of how many — the CLI's `--shard i/N`, 1-based.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,7 +143,7 @@ pub fn partition(cases: &[SweepCase], shards: usize) -> Vec<usize> {
 pub fn grid_hash(cases: &[SweepCase]) -> u64 {
     let mut text = String::new();
     for case in cases {
-        text.push_str(&case_to_json(case).to_compact());
+        text.push_str(&case.to_json().to_compact());
         text.push('\n');
     }
     codec::fnv1a64(text.as_bytes())
@@ -226,22 +233,32 @@ pub fn run_shard_opts(
         .collect();
 
     // Resume: an existing non-empty file must be this part, exactly.
-    let existing = match std::fs::metadata(out) {
-        Ok(meta) if meta.len() > 0 => {
-            let part = load_part(out)?;
-            ensure_part_matches(&part, &header, &cases, &shard_of, out)?;
-            if part.clean_bytes < meta.len() {
-                // Drop the torn final line a kill left behind, so the
-                // next append starts on a fresh line instead of gluing
-                // onto half a record.
-                truncate_to(out, part.clean_bytes)?;
-            }
-            part.cells
+    let io = |e: std::io::Error| FaircrowdError::Io {
+        path: out.display().to_string(),
+        message: e.to_string(),
+    };
+    let mut file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(out)
+        .map_err(io)?;
+    let len = file.metadata().map_err(io)?.len();
+    let existing = if len > 0 {
+        let part = load_part(out)?;
+        ensure_part_matches(&part, &header, &cases, &shard_of, out)?;
+        if part.clean_bytes < len {
+            // Drop the torn final line a kill left behind, so the next
+            // append starts on a fresh line instead of gluing onto half
+            // a record.
+            file.set_len(part.clean_bytes).map_err(io)?;
         }
-        _ => {
-            append_line(out, &header_to_json(&header).to_compact())?;
-            Vec::new()
-        }
+        part.cells
+    } else {
+        let header = header_line(&header);
+        writeln!(file, "{header}")
+            .and_then(|()| file.flush())
+            .map_err(io)?;
+        Vec::new()
     };
     let done: HashSet<usize> = existing.iter().map(|(i, _)| *i).collect();
     let missing: Vec<usize> = mine.iter().copied().filter(|i| !done.contains(i)).collect();
@@ -252,21 +269,18 @@ pub fn run_shard_opts(
     // line, which the loader drops). The first write failure is kept
     // and surfaced after the pool drains — later cells compute but
     // must not be trusted as durable.
-    let file = Mutex::new(open_append(out)?);
+    let file = Mutex::new(file);
     let write_err: Mutex<Option<FaircrowdError>> = Mutex::new(None);
     let on_done = |subset_index: usize, outcome: &CaseOutcome| {
         let cell = missing[subset_index];
-        let line = cell_to_json(cell, outcome).to_compact();
+        let line = Cell::of(cell, outcome).to_json().to_compact();
         let mut file = file.lock().expect("part writer poisoned");
         let result = writeln!(file, "{line}").and_then(|()| file.flush());
         if let Err(e) = result {
-            let mut slot = write_err.lock().expect("write-error slot poisoned");
-            if slot.is_none() {
-                *slot = Some(FaircrowdError::Io {
-                    path: out.display().to_string(),
-                    message: e.to_string(),
-                });
-            }
+            write_err
+                .lock()
+                .expect("write-error slot poisoned")
+                .get_or_insert(io(e));
         }
         if let Some(progress) = progress {
             progress(cell, outcome);
@@ -328,7 +342,7 @@ pub fn load_part(path: &Path) -> Result<PartFile, FaircrowdError> {
         .ok_or_else(|| FaircrowdError::persist(format!("part file {} is empty", path.display())))?;
     let header_json = Json::parse(header_text)
         .map_err(|e| FaircrowdError::persist(format!("{}: {e}", ctx(header_line))))?;
-    let header = header_from_json(&header_json, ctx(header_line))?;
+    let header = read_header(&header_json, path, header_line)?;
     let mut clean_bytes = header_end;
 
     let records: Vec<_> = entries.collect();
@@ -345,7 +359,7 @@ pub fn load_part(path: &Path) -> Result<PartFile, FaircrowdError> {
             Err(_) if Some(k) == last => break,
             Err(e) => return Err(FaircrowdError::persist(format!("{ctx}: {e}"))),
         };
-        let (cell, outcome) = cell_from_json(&json, &ctx)?;
+        let (cell, outcome) = decode_line::<Cell>(&json, path, line_number, "cell")?.into_outcome();
         if cell >= header.cases {
             return Err(FaircrowdError::persist(format!(
                 "{ctx}: cell {cell} out of range (grid has {} cases)",
@@ -510,27 +524,91 @@ pub fn merge_paths<P: AsRef<Path>>(paths: &[P]) -> Result<SweepResult, Faircrowd
     merge_parts(&parts)
 }
 
-// ---- codecs ---------------------------------------------------------
+// ---- the part file's declarations ----------------------------------
 
-fn header_to_json(h: &PartHeader) -> Json {
-    Json::Obj(vec![
-        ("schema".to_owned(), Json::str(SCHEMA)),
-        ("version".to_owned(), Json::uint(VERSION)),
-        ("grid_hash".to_owned(), Json::uint(h.grid_hash)),
-        ("cases".to_owned(), Json::uint(h.cases as u64)),
-        (
-            "seeds_per_group".to_owned(),
-            Json::uint(h.seeds_per_group as u64),
-        ),
-        ("shard".to_owned(), Json::uint(h.shard as u64)),
-        ("shards".to_owned(), Json::uint(h.shards as u64)),
-    ])
+/// A part file's record of one finished cell: its index in the grid's
+/// expansion and its outcome, the report cut to its tallies.
+struct Cell {
+    cell: usize,
+    case: SweepCase,
+    axioms: Vec<AxiomTally>,
+    retention: f64,
+    wages: Option<WageStats>,
+    consensus: Option<f64>,
 }
 
-fn header_from_json(
-    json: &Json,
-    ctx: impl std::fmt::Display,
-) -> Result<PartHeader, FaircrowdError> {
+record!(PartHeader {
+    grid_hash: u64,
+    cases: usize,
+    seeds_per_group: usize,
+    shard: usize,
+    shards: usize,
+});
+
+record!(SweepCase {
+    scenario: String,
+    policy: Option<String>,
+    policy_label: String,
+    strategy: Option<String>,
+    strategy_label: String,
+    seed: u64,
+    scale: f64,
+    rounds: u32,
+    aggregator: Option<String>,
+    aggregator_label: String,
+    enforcements: Vec<Enforcement>,
+});
+
+record!(Cell {
+    cell: usize,
+    case: SweepCase,
+    axioms: Vec<AxiomTally>,
+    retention: f64,
+    wages: Option<WageStats>,
+    consensus: Option<f64>,
+});
+
+impl Cell {
+    fn of(cell: usize, outcome: &CaseOutcome) -> Self {
+        Cell {
+            cell,
+            case: outcome.case.clone(),
+            axioms: outcome.report.axioms.iter().map(AxiomTally::of).collect(),
+            retention: outcome.retention,
+            wages: outcome.wages,
+            consensus: outcome.consensus,
+        }
+    }
+
+    fn into_outcome(self) -> (usize, CaseOutcome) {
+        let axioms = self.axioms.iter().map(AxiomTally::report).collect();
+        let outcome = CaseOutcome {
+            case: self.case,
+            report: FairnessReport { axioms },
+            retention: self.retention,
+            wages: self.wages,
+            consensus: self.consensus,
+        };
+        (self.cell, outcome)
+    }
+}
+
+/// The header line: the schema stamp, then the header's members.
+fn header_line(header: &PartHeader) -> String {
+    let mut members = vec![
+        ("schema".to_owned(), Json::str(SCHEMA)),
+        ("version".to_owned(), Json::uint(VERSION)),
+    ];
+    if let Json::Obj(fields) = header.to_json() {
+        members.extend(fields);
+    }
+    Json::Obj(members).to_compact()
+}
+
+/// The header on line `line` of the part at `path`, behind the schema
+/// gate (name, then version) and the shard checks.
+fn read_header(json: &Json, path: &Path, line: usize) -> Result<PartHeader, FaircrowdError> {
+    let ctx = format!("part file {} line {line}", path.display());
     let schema = json.get("schema").and_then(Json::as_str).ok_or_else(|| {
         FaircrowdError::persist(format!("{ctx}: not a sweep part file (no `schema` field)"))
     })?;
@@ -539,7 +617,11 @@ fn header_from_json(
             "{ctx}: expected schema `{SCHEMA}`, got `{schema}`"
         )));
     }
-    let version = u64_field(json, "version", &ctx)?;
+    let at = At {
+        ctx: RecordCtx::Line(line, "header"),
+        key: "version",
+    };
+    let version = u64::member_from_json(json, at).map_err(|e| e.at_path(path.display()))?;
     if version < VERSION {
         return Err(FaircrowdError::persist(format!(
             "{ctx}: {SCHEMA} version {version} is no longer readable (this build reads \
@@ -551,13 +633,7 @@ fn header_from_json(
             "{ctx}: unsupported {SCHEMA} version {version} (this build reads version {VERSION})"
         )));
     }
-    let header = PartHeader {
-        grid_hash: u64_field(json, "grid_hash", &ctx)?,
-        cases: count_field(json, "cases", &ctx)?,
-        seeds_per_group: count_field(json, "seeds_per_group", &ctx)?,
-        shard: count_field(json, "shard", &ctx)?,
-        shards: count_field(json, "shards", &ctx)?,
-    };
+    let header: PartHeader = decode_line(json, path, line, "header")?;
     if header.shard == 0 || header.shards == 0 || header.shard > header.shards {
         return Err(FaircrowdError::persist(format!(
             "{ctx}: header declares shard {}/{}, which is not a valid 1-based shard",
@@ -572,228 +648,19 @@ fn header_from_json(
     Ok(header)
 }
 
-/// The grid/CLI spelling of an enforcement — re-parseable by
-/// [`Enforcement::parse`], unlike the display [`Enforcement::label`].
-fn enforce_spec(e: &Enforcement) -> String {
-    match e {
-        Enforcement::ExposureParity => "parity".to_owned(),
-        Enforcement::ExposureFloor(n) => format!("floor:{n}"),
-        Enforcement::MinimalTransparency => "transparency".to_owned(),
-        Enforcement::GraceFinish => "grace".to_owned(),
-    }
-}
-
-fn case_to_json(case: &SweepCase) -> Json {
-    Json::Obj(vec![
-        ("scenario".to_owned(), Json::str(&*case.scenario)),
-        (
-            "policy".to_owned(),
-            match &case.policy {
-                Some(p) => Json::str(&**p),
-                None => Json::Null,
-            },
-        ),
-        ("policy_label".to_owned(), Json::str(&*case.policy_label)),
-        (
-            "strategy".to_owned(),
-            match &case.strategy {
-                Some(s) => Json::str(&**s),
-                None => Json::Null,
-            },
-        ),
-        (
-            "strategy_label".to_owned(),
-            Json::str(&*case.strategy_label),
-        ),
-        ("seed".to_owned(), Json::uint(case.seed)),
-        ("scale".to_owned(), Json::float(case.scale)),
-        ("rounds".to_owned(), Json::uint(u64::from(case.rounds))),
-        (
-            "aggregator".to_owned(),
-            match &case.aggregator {
-                Some(a) => Json::str(&**a),
-                None => Json::Null,
-            },
-        ),
-        (
-            "aggregator_label".to_owned(),
-            Json::str(&*case.aggregator_label),
-        ),
-        (
-            "enforce".to_owned(),
-            Json::Arr(
-                case.enforcements
-                    .iter()
-                    .map(|e| Json::str(enforce_spec(e)))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn case_from_json(json: &Json, ctx: impl std::fmt::Display) -> Result<SweepCase, FaircrowdError> {
-    let ctx = format!("{ctx}: case");
-    let string = |key: &str| str_field(json, key, &ctx).map(str::to_owned);
-    let string_or_null = |key: &str| {
-        nullable_field(json, key, &ctx)?
-            .map(|_| string(key))
-            .transpose()
-    };
-    let enforcements = arr_field(json, "enforce", &ctx)?
-        .iter()
-        .map(|e| {
-            let spec = e.as_str().ok_or_else(|| {
-                FaircrowdError::persist(format!("{ctx}: enforcement entry should be a string"))
-            })?;
-            Enforcement::parse(spec).map_err(|e| FaircrowdError::persist(format!("{ctx}: {e}")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let rounds = u32::try_from(u64_field(json, "rounds", &ctx)?).map_err(|_| {
-        FaircrowdError::persist(format!("{ctx}: field `rounds` overflows a round count"))
-    })?;
-    Ok(SweepCase {
-        scenario: string("scenario")?,
-        policy: string_or_null("policy")?,
-        policy_label: string("policy_label")?,
-        strategy: string_or_null("strategy")?,
-        strategy_label: string("strategy_label")?,
-        seed: u64_field(json, "seed", &ctx)?,
-        scale: f64_field(json, "scale", &ctx)?,
-        rounds,
-        enforcements,
-        aggregator: string_or_null("aggregator")?,
-        aggregator_label: string("aggregator_label")?,
-    })
-}
-
-fn cell_to_json(cell: usize, outcome: &CaseOutcome) -> Json {
-    let axiom = |a: &crate::core::AxiomReport| {
-        Json::Obj(vec![
-            ("axiom".to_owned(), Json::str(a.axiom.label())),
-            ("score".to_owned(), Json::float(a.score)),
-            ("checked".to_owned(), Json::uint(a.checked as u64)),
-            (
-                "violations".to_owned(),
-                Json::uint(a.violation_count as u64),
-            ),
-        ])
-    };
-    let wages = |w: &WageStats| {
-        Json::Obj(vec![
-            ("n".to_owned(), Json::uint(w.n as u64)),
-            ("mean".to_owned(), Json::float(w.mean)),
-            ("median".to_owned(), Json::float(w.median)),
-            ("p10".to_owned(), Json::float(w.p10)),
-            ("p90".to_owned(), Json::float(w.p90)),
-            ("gini".to_owned(), Json::float(w.gini)),
-            ("theil".to_owned(), Json::float(w.theil)),
-            ("jain".to_owned(), Json::float(w.jain)),
-        ])
-    };
-    Json::Obj(vec![
-        ("cell".to_owned(), Json::uint(cell as u64)),
-        ("case".to_owned(), case_to_json(&outcome.case)),
-        (
-            "axioms".to_owned(),
-            Json::Arr(outcome.report.axioms.iter().map(axiom).collect()),
-        ),
-        ("retention".to_owned(), Json::float(outcome.retention)),
-        (
-            "wages".to_owned(),
-            outcome.wages.as_ref().map_or(Json::Null, wages),
-        ),
-        (
-            "consensus".to_owned(),
-            outcome.consensus.map_or(Json::Null, Json::float),
-        ),
-    ])
-}
-
-fn cell_from_json(
+/// Decode the `kind` record on line `line` of the part at `path`;
+/// errors name the file, the line and the field.
+fn decode_line<T: Field>(
     json: &Json,
-    ctx: impl std::fmt::Display,
-) -> Result<(usize, CaseOutcome), FaircrowdError> {
-    let axioms = arr_field(json, "axioms", &ctx)?
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let ctx = format!("{ctx}: axiom {i}");
-            let label = str_field(a, "axiom", &ctx)?;
-            let axiom = AxiomId::from_label(label).ok_or_else(|| {
-                FaircrowdError::persist(format!("{ctx}: unknown axiom label `{label}`"))
-            })?;
-            Ok(axiom_tally(
-                axiom,
-                f64_field(a, "score", &ctx)?,
-                count_field(a, "checked", &ctx)?,
-                count_field(a, "violations", &ctx)?,
-            ))
-        })
-        .collect::<Result<Vec<_>, FaircrowdError>>()?;
-    let wages = match nullable_field(json, "wages", &ctx)? {
-        None => None,
-        Some(w) => {
-            let ctx = format!("{ctx}: wages");
-            Some(WageStats {
-                n: count_field(w, "n", &ctx)?,
-                mean: f64_field(w, "mean", &ctx)?,
-                median: f64_field(w, "median", &ctx)?,
-                p10: f64_field(w, "p10", &ctx)?,
-                p90: f64_field(w, "p90", &ctx)?,
-                gini: f64_field(w, "gini", &ctx)?,
-                theil: f64_field(w, "theil", &ctx)?,
-                jain: f64_field(w, "jain", &ctx)?,
-            })
-        }
+    path: &Path,
+    line: usize,
+    kind: &'static str,
+) -> Result<T, FaircrowdError> {
+    let at = At {
+        ctx: RecordCtx::Line(line, kind),
+        key: kind,
     };
-    let consensus = match nullable_field(json, "consensus", &ctx)? {
-        None => None,
-        Some(_) => Some(f64_field(json, "consensus", &ctx)?),
-    };
-    Ok((
-        count_field(json, "cell", &ctx)?,
-        CaseOutcome {
-            case: case_from_json(require(json, "case", &ctx)?, &ctx)?,
-            report: FairnessReport { axioms },
-            retention: f64_field(json, "retention", &ctx)?,
-            wages,
-            consensus,
-        },
-    ))
-}
-
-// ---- file plumbing --------------------------------------------------
-
-fn open_append(path: &Path) -> Result<std::fs::File, FaircrowdError> {
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| FaircrowdError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
-}
-
-fn truncate_to(path: &Path, len: u64) -> Result<(), FaircrowdError> {
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(path)
-        .and_then(|f| f.set_len(len))
-        .map_err(|e| FaircrowdError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
-}
-
-fn append_line(path: &Path, line: &str) -> Result<(), FaircrowdError> {
-    let mut file = open_append(path)?;
-    writeln!(file, "{line}")
-        .and_then(|()| file.flush())
-        .map_err(|e| FaircrowdError::Io {
-            path: path.display().to_string(),
-            message: e.to_string(),
-        })
+    T::from_json(json, at).map_err(|e| e.at_path(path.display()))
 }
 
 #[cfg(test)]
@@ -1094,23 +961,49 @@ mod tests {
     }
 
     #[test]
-    fn a_v3_part_is_refused_by_name_and_left_alone() {
-        let path = temp_path("v3");
-        let v3 = format!(
-            "{{\"schema\":\"{SCHEMA}\",\"version\":3,\"grid_hash\":1,\"cases\":8,\
+    fn a_cell_record_reads_back_in_either_spelling() {
+        // The JSON line is what a part keeps; the binary spelling comes
+        // with the same declaration and must read back the same cell.
+        let grid = SweepGrid::parse("policy=kos;seed=1;rounds=6;enforce=floor:3").unwrap();
+        let outcome = &run_grid(&grid, 1).unwrap().cases[0];
+        let line = Cell::of(7, outcome).to_json().to_compact();
+        let at = At {
+            ctx: RecordCtx::Line(2, "cell"),
+            key: "cell",
+        };
+        let from_line = Cell::from_json(&Json::parse(&line).unwrap(), at).unwrap();
+        let mut bytes = Vec::new();
+        Cell::of(7, outcome).put(&mut bytes);
+        let mut cur = codec::Cursor::new(&bytes, "cell");
+        let from_bytes = Cell::get(&mut cur, "cell").unwrap();
+        cur.finish().unwrap();
+        for back in [from_line, from_bytes] {
+            assert_eq!(back.to_json().to_compact(), line);
+            let (cell, back) = back.into_outcome();
+            assert_eq!(cell, 7);
+            assert_eq!(back.case, outcome.case);
+            assert_eq!(back.report, outcome.report);
+        }
+    }
+
+    #[test]
+    fn a_v4_part_is_refused_by_name_and_left_alone() {
+        let path = temp_path("v4");
+        let v4 = format!(
+            "{{\"schema\":\"{SCHEMA}\",\"version\":4,\"grid_hash\":1,\"cases\":8,\
              \"seeds_per_group\":2,\"shard\":1,\"shards\":1}}\n"
         );
-        std::fs::write(&path, &v3).unwrap();
+        std::fs::write(&path, &v4).unwrap();
         let err = load_part(&path).unwrap_err();
         assert!(
             err.to_string()
-                .contains("faircrowd-sweep-part version 3 is no longer readable"),
+                .contains("faircrowd-sweep-part version 4 is no longer readable"),
             "{err}"
         );
-        assert!(err.to_string().contains("reads version 4"), "{err}");
+        assert!(err.to_string().contains("reads version 5"), "{err}");
         let err = run_shard(&grid(), ShardSpec { index: 1, count: 1 }, &path, 2).unwrap_err();
-        assert!(err.to_string().contains("version 3"), "{err}");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), v3);
+        assert!(err.to_string().contains("version 4"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), v4);
     }
 
     #[test]
@@ -1134,12 +1027,14 @@ mod tests {
         for axiom in record.get("axioms").unwrap().as_arr().unwrap() {
             assert_eq!(keys(axiom), ["axiom", "score", "checked", "violations"]);
         }
-        // A mistyped field or an unknown axiom is named, with its line
-        // and axiom.
+        // A mistyped field or an unknown axiom is named, with its line.
         let bad = text.replacen("\"checked\":", "\"checked\":\"x\",\"was\":", 1);
         std::fs::write(&path, bad).unwrap();
         let err = load_part(&path).unwrap_err().to_string();
-        assert!(err.contains("line 2: axiom 0: field `checked`"), "{err}");
+        assert!(
+            err.contains("line 2 (cell record): field `checked`"),
+            "{err}"
+        );
         std::fs::write(
             &path,
             text.replacen("A1-worker-assignment", "A9-imaginary", 1),
@@ -1147,15 +1042,17 @@ mod tests {
         .unwrap();
         let err = load_part(&path).unwrap_err().to_string();
         assert!(
-            err.contains("line 2: axiom 0: unknown axiom label `A9-imaginary`"),
+            err.contains("line 2 (cell record): unknown axiom `A9-imaginary`"),
             "{err}"
         );
-        // So is a mistyped case field, with its line.
-        assert!(text.contains("\"policy\":null"), "{text}");
-        std::fs::write(&path, text.replacen("\"policy\":null", "\"policy\":7", 1)).unwrap();
+        // So is a mistyped case field, with its line. An absent policy
+        // is an omitted member.
+        assert!(!text.contains("\"policy\":"), "{text}");
+        let bad = text.replacen("\"policy_label\":", "\"policy\":7,\"policy_label\":", 1);
+        std::fs::write(&path, bad).unwrap();
         let err = load_part(&path).unwrap_err().to_string();
         assert!(
-            err.contains("line 2: case: field `policy` should be a string, got"),
+            err.contains("line 2 (cell record): field `policy` should be a string, got"),
             "{err}"
         );
     }
