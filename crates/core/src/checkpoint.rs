@@ -11,8 +11,8 @@
 //! [`Checkpoint`] captures everything
 //! [`LiveAuditor::checkpoint`] accumulated — the event-less world
 //! (entity tables + header scalars), the incremental [`EventIndex`]
-//! mirror, lazy qualification rows, A1/A2 partner caches and overlap
-//! counters, emitted-set dedup state, and the findings so far — in a
+//! mirror, lazy qualification rows, A1/A2 partner caches, fired-pair
+//! and emitted-set dedup state, and the findings so far — in a
 //! versioned binary schema (`faircrowd-checkpoint` v2) behind the same
 //! three never-panicking load gates as trace files ([`crate::persist`]):
 //!
@@ -29,7 +29,8 @@
 //!    from before this format;
 //! 3. **Integrity** — [`Checkpoint::ensure_valid`] cross-checks the
 //!    monitor state against the entity tables (row and cache lengths,
-//!    partner/pair index bounds, finding seqs against the header seq),
+//!    partner/pair index bounds, the retired pair-counter lists empty,
+//!    finding seqs against the header seq),
 //!    and [`decode`] rejects a header `seq` that disagrees with the
 //!    body's `events_seen` — a snapshot stitched from two different
 //!    moments must fail loudly, not resume into silent drift.
@@ -72,7 +73,7 @@ use crate::live::{FindingOrigin, LiveFinding};
 use crate::Violation;
 use faircrowd_model::arena::IdSet;
 use faircrowd_model::codec::{put_str, put_u64, put_u64_le, Cursor};
-use faircrowd_model::error::FaircrowdError;
+use faircrowd_model::error::{FaircrowdError, PersistFormat};
 use faircrowd_model::fields::{At, Field};
 use faircrowd_model::ids::{SubmissionId, TaskId, WorkerId};
 use faircrowd_model::json::Json;
@@ -124,11 +125,15 @@ pub struct Checkpoint {
     pub(crate) similar_partners: Vec<(usize, Vec<usize>)>,
     /// Per task: (tasks folded in, comparable partner positions).
     pub(crate) comparable_partners: Vec<(usize, Vec<usize>)>,
-    /// `[i, j, left, right, inter]` per monitored worker pair, sorted.
+    /// Per-pair A1 counters `[i, j, left, right, inter]`: always empty;
+    /// kept so v2 bytes hold.
     pub(crate) a1_pairs: Vec<[u64; 5]>,
-    /// `[i, j, left, right, inter]` per monitored task pair, sorted.
+    /// Per-pair A2 counters, like `a1_pairs`: always empty; kept so v2
+    /// bytes hold.
     pub(crate) a2_pairs: Vec<[u64; 5]>,
+    /// Worker position pairs `(i, j)`, `i < j`, whose A1 finding fired.
     pub(crate) a1_emitted: Vec<(u64, u64)>,
+    /// Task position pairs whose A2 finding fired.
     pub(crate) a2_emitted: Vec<(u64, u64)>,
     pub(crate) a3_emitted: Vec<(SubmissionId, SubmissionId)>,
     pub(crate) a4_emitted: IdSet<WorkerId>,
@@ -262,17 +267,15 @@ impl Checkpoint {
                 }
             }
         }
-        let pair_sets = [
-            ("a1_pairs", &self.a1_pairs, n_workers),
-            ("a2_pairs", &self.a2_pairs, n_tasks),
-        ];
-        for (name, pairs, bound) in pair_sets {
-            for &[i, j, ..] in pairs.iter() {
-                if i >= j || j >= bound as u64 {
-                    problems.push(format!(
-                        "`{name}` pair ({i}, {j}) is not an ordered pair of positions below {bound}"
-                    ));
-                }
+        // No build writes pair counters (a pair fires at its first
+        // qualifying exposure), so rows here are state this build cannot
+        // resume; the market replays instead.
+        for (name, rows) in [("a1_pairs", &self.a1_pairs), ("a2_pairs", &self.a2_pairs)] {
+            if !rows.is_empty() {
+                problems.push(format!(
+                    "`{name}` holds {} pair counter row(s); this build keeps none",
+                    rows.len()
+                ));
             }
         }
         let emitted_sets = [
@@ -309,7 +312,8 @@ impl Checkpoint {
             Err(FaircrowdError::persist(format!(
                 "checkpoint failed integrity checks: {}",
                 problems.join("; ")
-            )))
+            ))
+            .reading(PersistFormat::Checkpoint))
         }
     }
 }
@@ -511,8 +515,13 @@ pub(crate) fn encode_into(ckpt: &Checkpoint, out: &mut Vec<u8>) {
 /// `.fcb` trace gates) and gate 2 (magic, schema name, version), plus
 /// the header-vs-body seq cross-check. Gate 3
 /// ([`Checkpoint::ensure_valid`]) runs in [`load`], the path untrusted
-/// files come through.
+/// files come through. Every error reads as a checkpoint's, the
+/// embedded world's included.
 pub fn decode(bytes: &[u8]) -> Result<Checkpoint, FaircrowdError> {
+    decode_file(bytes).map_err(|e| e.reading(PersistFormat::Checkpoint))
+}
+
+fn decode_file(bytes: &[u8]) -> Result<Checkpoint, FaircrowdError> {
     let mut cur = Cursor::new(bytes, "binary checkpoint");
     cur.magic(&MAGIC)
         .map_err(|e| identify_foreign(bytes).unwrap_or(e))?;

@@ -425,7 +425,7 @@ fn check_header(head: &[u8]) -> Result<(), String> {
     }
 }
 
-/// A cursor error's own words, without the "cannot decode trace" its
+/// A cursor error's own words, without the "cannot decode …" its
 /// display leads with.
 fn message(e: FaircrowdError) -> String {
     match e {

@@ -44,22 +44,29 @@
 //! A monitor emits a finding the first time its axiom's condition holds
 //! **on the stream prefix seen so far**, and never retracts: a pair of
 //! similar workers whose access diverges at seq 17 is reported at seq
-//! 17 even if later events re-equalise them. For Axioms 1–3 and 5 the
-//! monitors are *prefix-complete* when every entity is declared before
-//! the events that touch its pairs — which every JSONL stream
-//! guarantees, since entity records precede all events: every violation
-//! present in the final batch report was emitted at the event that
-//! introduced it, because access overlap changes only at `TaskVisible`,
-//! payment equality only at `SubmissionReceived` / `PaymentIssued`, and
-//! every interruption is its own witness. When an entity is declared
-//! **mid-stream** (a task posted in a later `run_live` round), exposure
-//! history predating the pair's candidacy is not in its overlap
-//! counters; such cross-declaration pairs may fire later than their
-//! true first divergence or only surface in the closing report — but
-//! never spuriously, and stale history can never *suppress* a fresh
-//! divergence (a shared access is credited only once both sides have
-//! been counted). Axiom 4 "never flagged", Axiom 7 delivery evidence,
-//! and Axiom 6 for tasks that never saw a `TaskPosted` event are
+//! 17 even if later events re-equalise them. The Axiom 1 and 2 rule is
+//! one line: a pair fires at the first fresh exposure of either member
+//! to a task (A1) or a worker (A2) that both members qualify for, so a
+//! pair holds no counters, only its place in its axiom's fired set.
+//!
+//! For Axioms 1–3 and 5 the monitors are *prefix-complete* when every
+//! entity is declared before the events that touch its pairs — which
+//! every JSONL stream guarantees, since entity records precede all
+//! events: every violation present in the final batch report was
+//! emitted at the event that introduced it, because access overlap
+//! changes only at `TaskVisible`, payment equality only at
+//! `SubmissionReceived` / `PaymentIssued`, and every interruption is
+//! its own witness. On such a stream a pair's first qualifying exposure
+//! is its divergence: the other member has not been shown the same
+//! task (worker) yet, or that earlier exposure would have fired the
+//! pair. When an entity is declared **mid-stream** (a task posted in a
+//! later `run_live` round), exposures predating the pair's candidacy are
+//! not consulted: such a pair fires at its first exposure after it —
+//! possibly later than its true first divergence, and possibly where the
+//! other member already had the same exposure, so that access was equal
+//! (the closing report, computed from the end state, stays the
+//! authority). Axiom 4 "never flagged", Axiom 7 delivery evidence, and
+//! Axiom 6 for tasks that never saw a `TaskPosted` event are
 //! end-state quantifiers and surface from [`LiveAuditor::finalize`]
 //! with [`FindingOrigin::EndOfStream`]; the Axiom 4 wrong-flag monitor
 //! fires only once a malicious worker is *active* — the batch
@@ -78,7 +85,7 @@ use crate::index::{AccessOverlap, TraceIndex};
 use faircrowd_model::arena::{ArenaKey, DenseIdMap, IdSet};
 use faircrowd_model::contribution::Submission;
 use faircrowd_model::disclosure::{Audience, DisclosureItem, DisclosureSet};
-use faircrowd_model::error::FaircrowdError;
+use faircrowd_model::error::{FaircrowdError, PersistFormat};
 use faircrowd_model::event::{Event, EventKind, LogDefect};
 use faircrowd_model::ids::{SubmissionId, TaskId, WorkerId};
 use faircrowd_model::money::Credits;
@@ -89,7 +96,7 @@ use faircrowd_model::trace::{EventIndex, GroundTruth, Trace};
 use faircrowd_model::trace_io::{JsonlHeader, JsonlRecord};
 use faircrowd_model::worker::Worker;
 use faircrowd_pay::wage::WageStats;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Where in the stream a live finding came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,135 +176,16 @@ impl<T: ArenaKey> Default for LazyRow<T> {
     }
 }
 
-/// An entity's monitor candidates (similar workers / comparable tasks),
-/// computed on first need and extended incrementally as new entities
-/// are declared — so the quadratic similarity scan is paid **once per
-/// entity over the stream's lifetime**, not once per event.
+/// An entity's monitor candidates (similar workers / comparable tasks)
+/// as table positions, computed on first need and extended
+/// incrementally as new entities are declared — so the quadratic
+/// similarity scan is paid **once per entity over the stream's
+/// lifetime**, not once per event. A partner leaves the list when its
+/// pair fires.
 #[derive(Debug, Clone, Default)]
 struct PartnerCache {
-    partners: Vec<Partner>,
+    partners: Vec<usize>,
     seen: usize,
-}
-
-/// One candidate on a partner list: the partner's table position plus
-/// the pair's slot in the [`PairTable`], resolved on this side's first
-/// touch and then read as a plain array index on every later event.
-#[derive(Debug, Clone, Copy)]
-struct Partner {
-    /// The partner's entity-table position (ids are `u32`, so positions
-    /// fit; 8 bytes per entry keeps the per-event scan cache-friendly).
-    pos: u32,
-    slot: u32,
-}
-
-/// Sentinel slot for a partner this side has not yet touched (the cold
-/// [`PairTable`] index is consulted exactly once to replace it).
-const PAIR_UNRESOLVED: u32 = u32::MAX;
-
-impl Partner {
-    fn fresh(pos: usize) -> Self {
-        Partner {
-            pos: pos as u32,
-            slot: PAIR_UNRESOLVED,
-        }
-    }
-}
-
-/// Running restricted-access counters for one monitored pair:
-/// `left`/`right` are each side's accesses within the pair's common
-/// qualified set, `inter` the shared ones. Updated in O(1) per
-/// visibility event, so a monitor never re-intersects whole sets — the
-/// pair violates exactly when `left + right > 2 · inter` (Jaccard < 1).
-#[derive(Debug, Clone, Copy, Default)]
-struct PairCounters {
-    left: usize,
-    right: usize,
-    inter: usize,
-}
-
-/// All monitored pairs of one axiom, counters in a flat slot vector.
-/// The per-event hot path reaches a pair through the slot id cached on
-/// the triggering entity's partner list — a plain array index, no
-/// hashing, no tree descent. The ordered `index` is cold: consulted
-/// once per pair side to resolve the slot (and by checkpointing, which
-/// wants pairs in canonical key order anyway).
-#[derive(Debug, Clone, Default)]
-struct PairTable {
-    slots: Vec<PairSlot>,
-    index: BTreeMap<(usize, usize), u32>,
-}
-
-/// One monitored pair: its running counters and whether its finding has
-/// already been emitted (settled slots persist so a partner list
-/// rebuilt after [`LiveAuditor::adopt_end_state`] can never re-emit).
-#[derive(Debug, Clone)]
-struct PairSlot {
-    counters: PairCounters,
-    settled: bool,
-}
-
-impl PairTable {
-    /// The pair's slot id, allocating one on first touch.
-    fn slot_of(&mut self, key: (usize, usize)) -> u32 {
-        if let Some(&id) = self.index.get(&key) {
-            return id;
-        }
-        let id = self.slots.len() as u32;
-        self.slots.push(PairSlot {
-            counters: PairCounters::default(),
-            settled: false,
-        });
-        self.index.insert(key, id);
-        id
-    }
-
-    /// Unsettled pairs with their counters, in canonical key order —
-    /// the checkpoint row shape.
-    fn live_rows(&self) -> Vec<[u64; 5]> {
-        self.index
-            .iter()
-            .filter(|&(_, &s)| !self.slots[s as usize].settled)
-            .map(|(&(i, j), &s)| {
-                let c = self.slots[s as usize].counters;
-                [
-                    i as u64,
-                    j as u64,
-                    c.left as u64,
-                    c.right as u64,
-                    c.inter as u64,
-                ]
-            })
-            .collect()
-    }
-
-    /// Settled pairs in canonical key order — the checkpoint's emitted
-    /// list.
-    fn settled_keys(&self) -> Vec<(u64, u64)> {
-        self.index
-            .iter()
-            .filter(|&(_, &s)| self.slots[s as usize].settled)
-            .map(|(&(i, j), _)| (i as u64, j as u64))
-            .collect()
-    }
-
-    /// Rebuild the table from checkpoint rows: live pairs restore their
-    /// counters, emitted pairs restore as settled slots.
-    fn restore(live: &[[u64; 5]], settled: &[(u64, u64)]) -> Self {
-        let mut table = PairTable::default();
-        for &[i, j, left, right, inter] in live {
-            let id = table.slot_of((i as usize, j as usize));
-            table.slots[id as usize].counters = PairCounters {
-                left: left as usize,
-                right: right as usize,
-                inter: inter as usize,
-            };
-        }
-        for &(i, j) in settled {
-            let id = table.slot_of((i as usize, j as usize));
-            table.slots[id as usize].settled = true;
-        }
-        table
-    }
 }
 
 /// The streaming auditor. See the [module docs](self) for the contract.
@@ -331,10 +219,11 @@ pub struct LiveAuditor {
     /// Per task: positions of its comparable cross-requester partners
     /// (Axiom 2).
     comparable_partners: Vec<PartnerCache>,
-    /// Counters and settled flags per monitored worker pair.
-    a1_pairs: PairTable,
-    /// Counters and settled flags per monitored task pair.
-    a2_pairs: PairTable,
+    /// Worker position pairs `(i, j)`, `i < j`, whose Axiom 1 finding
+    /// has fired.
+    a1_fired: BTreeSet<(usize, usize)>,
+    /// Task position pairs whose Axiom 2 finding has fired.
+    a2_fired: BTreeSet<(usize, usize)>,
     last_time: SimTime,
     a3_emitted: BTreeSet<(SubmissionId, SubmissionId)>,
     a4_emitted: BTreeSet<WorkerId>,
@@ -370,8 +259,8 @@ impl LiveAuditor {
             qual_workers: Vec::new(),
             similar_partners: Vec::new(),
             comparable_partners: Vec::new(),
-            a1_pairs: PairTable::default(),
-            a2_pairs: PairTable::default(),
+            a1_fired: BTreeSet::new(),
+            a2_fired: BTreeSet::new(),
             last_time: SimTime::ZERO,
             a3_emitted: BTreeSet::new(),
             a4_emitted: BTreeSet::new(),
@@ -506,8 +395,8 @@ impl LiveAuditor {
         let time = event.time;
         let origin = FindingOrigin::Event { seq, time };
         match &event.kind {
-            // A repeated show (`!fresh`) changes no access set: the pair
-            // counters must see each (worker, task) exposure once.
+            // A repeated show (`!fresh`) changes no access set, so only a
+            // first exposure can fire a pair.
             EventKind::TaskVisible { task, worker } if fresh => {
                 let (task, worker) = (*task, *worker);
                 self.monitor_a1(task, worker, origin, &mut out);
@@ -795,9 +684,9 @@ impl LiveAuditor {
     /// included), so a resumed tailer knows how far to skip; pass `0`
     /// for auditors not fed from a line stream.
     ///
-    /// Pair tables are walked through their ordered key index, so the
-    /// same auditor state always snapshots to the same checkpoint —
-    /// byte-identical once encoded.
+    /// Fired pairs are kept in key order, so the same auditor state
+    /// always snapshots to the same checkpoint — byte-identical once
+    /// encoded.
     pub fn checkpoint(&self, source_lines: u64) -> Checkpoint {
         // Field by field: cloning the whole trace would copy the event
         // log only to throw it away.
@@ -836,17 +725,25 @@ impl LiveAuditor {
             similar_partners: self
                 .similar_partners
                 .iter()
-                .map(|c| (c.seen, c.partners.iter().map(|p| p.pos as usize).collect()))
+                .map(|c| (c.seen, c.partners.clone()))
                 .collect(),
             comparable_partners: self
                 .comparable_partners
                 .iter()
-                .map(|c| (c.seen, c.partners.iter().map(|p| p.pos as usize).collect()))
+                .map(|c| (c.seen, c.partners.clone()))
                 .collect(),
-            a1_pairs: self.a1_pairs.live_rows(),
-            a2_pairs: self.a2_pairs.live_rows(),
-            a1_emitted: self.a1_pairs.settled_keys(),
-            a2_emitted: self.a2_pairs.settled_keys(),
+            a1_pairs: Vec::new(),
+            a2_pairs: Vec::new(),
+            a1_emitted: self
+                .a1_fired
+                .iter()
+                .map(|&(i, j)| (i as u64, j as u64))
+                .collect(),
+            a2_emitted: self
+                .a2_fired
+                .iter()
+                .map(|&(i, j)| (i as u64, j as u64))
+                .collect(),
             a3_emitted: self.a3_emitted.iter().copied().collect(),
             a4_emitted: self.a4_emitted.iter().copied().collect(),
             a6_emitted: self.a6_emitted.iter().copied().collect(),
@@ -876,7 +773,8 @@ impl LiveAuditor {
             return Err(FaircrowdError::persist(
                 "checkpoint monitor state does not cover its entity tables \
                  (was it decoded through `checkpoint::load`?)",
-            ));
+            )
+            .reading(PersistFormat::Checkpoint));
         }
         let mut auditor = LiveAuditor::new(config);
         auditor.set_horizon(ckpt.world.horizon);
@@ -909,7 +807,7 @@ impl LiveAuditor {
             .zip(&ckpt.similar_partners)
         {
             cache.seen = *seen;
-            cache.partners = partners.iter().copied().map(Partner::fresh).collect();
+            cache.partners = partners.clone();
         }
         for (cache, (seen, partners)) in auditor
             .comparable_partners
@@ -917,10 +815,18 @@ impl LiveAuditor {
             .zip(&ckpt.comparable_partners)
         {
             cache.seen = *seen;
-            cache.partners = partners.iter().copied().map(Partner::fresh).collect();
+            cache.partners = partners.clone();
         }
-        auditor.a1_pairs = PairTable::restore(&ckpt.a1_pairs, &ckpt.a1_emitted);
-        auditor.a2_pairs = PairTable::restore(&ckpt.a2_pairs, &ckpt.a2_emitted);
+        auditor.a1_fired = ckpt
+            .a1_emitted
+            .iter()
+            .map(|&(i, j)| (i as usize, j as usize))
+            .collect();
+        auditor.a2_fired = ckpt
+            .a2_emitted
+            .iter()
+            .map(|&(i, j)| (i as usize, j as usize))
+            .collect();
         auditor.a3_emitted = ckpt.a3_emitted.iter().copied().collect();
         auditor.a4_emitted = ckpt.a4_emitted.iter().collect();
         auditor.a6_emitted = ckpt.a6_emitted.iter().collect();
@@ -992,7 +898,7 @@ impl LiveAuditor {
         let mut fresh = Vec::new();
         for (j, other) in self.trace.workers.iter().enumerate().skip(seen) {
             if j != wi && worker_similarity(me, other, cfg) >= cfg.worker_threshold {
-                fresh.push(Partner::fresh(j));
+                fresh.push(j);
             }
         }
         let cache = &mut self.similar_partners[wi];
@@ -1018,7 +924,7 @@ impl LiveAuditor {
                 && cfg.skill_measure.score(&me.skills, &other.skills) >= cfg.task_skill_threshold
                 && me.reward_comparable(other, cfg.reward_tolerance)
             {
-                fresh.push(Partner::fresh(j));
+                fresh.push(j);
             }
         }
         let cache = &mut self.comparable_partners[ti];
@@ -1026,12 +932,11 @@ impl LiveAuditor {
         cache.seen = total;
     }
 
-    /// Axiom 1 monitor: a fresh `TaskVisible` shifts the restricted
-    /// access overlap only for pairs that both qualify for the shown
-    /// task, and only by one count — so each similar partner costs two
-    /// set probes and an O(1) counter update, with the full
-    /// intersection computed exactly once, at emission, for the
-    /// witness text.
+    /// Axiom 1 monitor: a similar pair fires at the first fresh exposure
+    /// of either member to a task both qualify for. That exposure is the
+    /// pair's divergence — the shown worker holds it, and the partner
+    /// cannot yet, or its own exposure would have fired the pair — so
+    /// the finding reads one access against none.
     fn monitor_a1(
         &mut self,
         task: TaskId,
@@ -1047,102 +952,44 @@ impl LiveAuditor {
             return; // the shown task is outside every common-qualified set
         }
         self.ensure_similar_partners(wi);
-        // Take the candidate list out for the scan: the loop iterates a
-        // local slice (no re-borrowed double indexing the optimizer
-        // can't hoist) and writes resolved slot ids straight into it.
         let mut partners = std::mem::take(&mut self.similar_partners[wi].partners);
-        let mut settled_any = false;
-        for p in partners.iter_mut() {
-            let wj = p.pos as usize;
-            if p.slot != PAIR_UNRESOLVED && self.a1_pairs.slots[p.slot as usize].settled {
-                settled_any = true; // stale entry; swept below
-                continue;
-            }
+        partners.retain(|&wj| {
             self.ensure_worker_row(wj);
             if !self.qual_tasks[wj].ids.contains(task) {
-                continue; // outside the pair's common qualified set
+                return true; // outside the pair's common qualified set
             }
             let key = (wi.min(wj), wi.max(wj));
-            // Resolve the pair's slot once per side — and only once the
-            // partner actually qualifies, so pairs that never share a
-            // qualified task never allocate a slot; every later event
-            // reaches the counters by plain index.
-            if p.slot == PAIR_UNRESOLVED {
-                p.slot = self.a1_pairs.slot_of(key);
-                if self.a1_pairs.slots[p.slot as usize].settled {
-                    settled_any = true; // settled from the other side
-                    continue;
-                }
+            // A pair already fired from the other side (or before a
+            // partner-list rebuild) only leaves the list.
+            if !self.a1_fired.insert(key) {
+                return false;
             }
-            let slot = p.slot as usize;
-            let partner_saw = self
-                .events
-                .visibility
-                .get(self.trace.workers[wj].id)
-                .is_some_and(|seen| seen.contains(task));
-            let counters = &mut self.a1_pairs.slots[slot].counters;
-            let partner_credited = if wi == key.0 {
-                counters.right > 0
-            } else {
-                counters.left > 0
-            };
-            if wi == key.0 {
-                counters.left += 1;
-            } else {
-                counters.right += 1;
-            }
-            // `inter` is credited only when the partner's own side has
-            // been counted: a shared access the counters never saw (the
-            // partner was exposed before this pair entered candidacy,
-            // e.g. an entity declared mid-stream) must not suppress a
-            // fresh divergence. On streams whose entities all precede
-            // their events — every JSONL stream — the guard is a no-op.
-            if partner_saw && partner_credited {
-                counters.inter += 1;
-            }
-            let c = *counters;
-            if c.left + c.right <= 2 * c.inter {
-                continue; // still perfectly equal access
-            }
-            self.a1_pairs.slots[slot].settled = true;
-            settled_any = true;
             let (a, b) = (&self.trace.workers[key.0], &self.trace.workers[key.1]);
             let sim = worker_similarity(a, b, &self.config.similarity);
+            let left = usize::from(wi == key.0);
             let o = AccessOverlap {
                 common: self.qual_tasks[key.0]
                     .ids
                     .intersection_len(&self.qual_tasks[key.1].ids),
-                left: c.left,
-                right: c.right,
-                inter: c.inter,
+                left,
+                right: 1 - left,
+                inter: 0,
             };
             let overlap = o.jaccard();
-            self.record(
-                LiveFinding {
-                    origin,
-                    violation: Violation {
-                        axiom: AxiomId::A1WorkerAssignment,
-                        severity: 1.0 - overlap,
-                        description: a1_witness(a.id, b.id, sim, &o, overlap),
-                    },
-                },
-                out,
-            );
-        }
-        if settled_any {
-            // Settled pairs stop costing per-event work: one sweep
-            // drops every already-reported partner from this worker's
-            // candidate list (the settled slot still guards re-emission
-            // should a later cache rebuild re-include the partner).
-            let table = &self.a1_pairs;
-            partners.retain(|p| p.slot == PAIR_UNRESOLVED || !table.slots[p.slot as usize].settled);
-        }
+            let violation = Violation {
+                axiom: AxiomId::A1WorkerAssignment,
+                severity: 1.0 - overlap,
+                description: a1_witness(a.id, b.id, sim, &o, overlap),
+            };
+            self.record(LiveFinding { origin, violation }, out);
+            false
+        });
         self.similar_partners[wi].partners = partners;
     }
 
-    /// Axiom 2 monitor: the same counter scheme transposed — a fresh
-    /// exposure shifts a task pair's restricted audience overlap only
-    /// when the receiving worker qualifies for both tasks.
+    /// Axiom 2 monitor: the same rule transposed — a comparable task
+    /// pair fires at the first fresh exposure of either task to a worker
+    /// qualified for both.
     fn monitor_a2(
         &mut self,
         task: TaskId,
@@ -1158,82 +1005,32 @@ impl LiveAuditor {
             return;
         }
         self.ensure_comparable_partners(tp);
-        // Same take-out-and-scan shape as the A1 monitor.
         let mut partners = std::mem::take(&mut self.comparable_partners[tp].partners);
-        let mut settled_any = false;
-        for p in partners.iter_mut() {
-            let tj = p.pos as usize;
-            if p.slot != PAIR_UNRESOLVED && self.a2_pairs.slots[p.slot as usize].settled {
-                settled_any = true; // stale entry; swept below
-                continue;
-            }
+        partners.retain(|&tj| {
             self.ensure_task_row(tj);
             if !self.qual_workers[tj].ids.contains(worker) {
-                continue;
+                return true;
             }
             let key = (tp.min(tj), tp.max(tj));
-            if p.slot == PAIR_UNRESOLVED {
-                p.slot = self.a2_pairs.slot_of(key);
-                if self.a2_pairs.slots[p.slot as usize].settled {
-                    settled_any = true; // settled from the other side
-                    continue;
-                }
+            if !self.a2_fired.insert(key) {
+                return false;
             }
-            let slot = p.slot as usize;
-            let partner_reached = self
-                .events
-                .audience
-                .get(self.trace.tasks[tj].id)
-                .is_some_and(|seen| seen.contains(worker));
-            let counters = &mut self.a2_pairs.slots[slot].counters;
-            let partner_credited = if tp == key.0 {
-                counters.right > 0
-            } else {
-                counters.left > 0
-            };
-            if tp == key.0 {
-                counters.left += 1;
-            } else {
-                counters.right += 1;
-            }
-            // Same crediting guard as the A1 monitor: audience history
-            // predating the pair's candidacy (a task posted in a later
-            // round) must not suppress a fresh divergence.
-            if partner_reached && partner_credited {
-                counters.inter += 1;
-            }
-            let c = *counters;
-            if c.left + c.right <= 2 * c.inter {
-                continue;
-            }
-            self.a2_pairs.slots[slot].settled = true;
-            settled_any = true;
             let (a, b) = (&self.trace.tasks[key.0], &self.trace.tasks[key.1]);
             let skill_sim = self
                 .config
                 .similarity
                 .skill_measure
                 .score(&a.skills, &b.skills);
-            // The witness text never shows the common-qualified size, so
-            // no set intersection is paid here — this emission path runs
-            // once per comparable pair on busy markets.
-            let overlap = c.inter as f64 / (c.left + c.right - c.inter) as f64;
-            self.record(
-                LiveFinding {
-                    origin,
-                    violation: Violation {
-                        axiom: AxiomId::A2RequesterAssignment,
-                        severity: 1.0 - overlap,
-                        description: a2_witness(a, b, skill_sim, c.left, c.right, overlap),
-                    },
-                },
-                out,
-            );
-        }
-        if settled_any {
-            let table = &self.a2_pairs;
-            partners.retain(|p| p.slot == PAIR_UNRESOLVED || !table.slots[p.slot as usize].settled);
-        }
+            // One audience member against none: overlap 0, severity 1.
+            let left = usize::from(tp == key.0);
+            let violation = Violation {
+                axiom: AxiomId::A2RequesterAssignment,
+                severity: 1.0,
+                description: a2_witness(a, b, skill_sim, left, 1 - left, 0.0),
+            };
+            self.record(LiveFinding { origin, violation }, out);
+            false
+        });
         self.comparable_partners[tp].partners = partners;
     }
 

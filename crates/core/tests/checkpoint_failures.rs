@@ -314,6 +314,44 @@ fn monitor_state_must_cover_the_entity_tables() {
 }
 
 #[test]
+fn pair_counter_rows_are_refused_by_name() {
+    // No build writes A1/A2 pair counters (a pair fires at its first
+    // qualifying exposure); a body holding one row is state this build
+    // cannot resume, and the gate names the field that holds it.
+    let bytes = checkpoint::encode(&mid_stream_checkpoint());
+    let mut w = Walk {
+        bytes: &bytes,
+        at: qual_tasks_at(&bytes),
+    };
+    for _ in 0..4 {
+        // qual_tasks, qual_workers, similar_ and comparable_partners:
+        // rows of a `seen` count and a list of positions or ids.
+        for _ in 0..w.varint() {
+            w.varint();
+            w.ids();
+        }
+    }
+    let a1_at = w.at;
+    assert_eq!(&bytes[a1_at..a1_at + 2], &[0, 0], "both lists are empty");
+    for (at, name) in [(a1_at, "a1_pairs"), (a1_at + 1, "a2_pairs")] {
+        let mut tampered = bytes[..at].to_vec();
+        tampered.extend_from_slice(&[1, 0, 1, 1, 0, 0]); // one row [0, 1, 1, 0, 0]
+        tampered.extend_from_slice(&bytes[at + 1..]);
+        let decoded = checkpoint::decode(&tampered).expect("the row itself is well-formed");
+        let msg = decoded.ensure_valid().unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!("`{name}` holds 1 pair counter row(s)")),
+            "{msg}"
+        );
+        let err = load_bytes("counters.checkpoint", &tampered).unwrap_err();
+        assert!(matches!(err, FaircrowdError::Persist { .. }), "{err:?}");
+        let msg = err.to_string();
+        assert!(msg.starts_with("cannot decode checkpoint file `"), "{msg}");
+        assert!(msg.contains(name), "{msg}");
+    }
+}
+
+#[test]
 fn a_truncation_inside_a_field_names_the_field_and_the_byte() {
     // The body's decoder is derived from its declaration; a cut anywhere
     // inside `qual_tasks` (its row count, a row's `seen`, an id count or

@@ -79,10 +79,12 @@ pub enum FaircrowdError {
         /// The OS error, rendered.
         message: String,
     },
-    /// A trace file's contents could not be decoded: malformed JSON, a
-    /// wrong schema name, an unsupported schema version, or a field of
-    /// the wrong shape.
+    /// A persisted file's contents could not be decoded: malformed
+    /// JSON, a wrong schema name, an unsupported schema version, a field
+    /// of the wrong shape, or state that fails an integrity check.
     Persist {
+        /// The format being read.
+        format: PersistFormat,
         /// The path involved (empty when decoding from memory).
         path: String,
         /// What was wrong, with enough context to find it.
@@ -110,11 +112,28 @@ impl FaircrowdError {
         }
     }
 
-    /// A [`FaircrowdError::Persist`] with no path (in-memory decoding).
+    /// A [`FaircrowdError::Persist`] reading a trace, with no path
+    /// (in-memory decoding); see [`FaircrowdError::reading`] for the
+    /// other formats.
     pub fn persist(message: impl fmt::Display) -> Self {
         FaircrowdError::Persist {
+            format: PersistFormat::Trace,
             path: String::new(),
             message: message.to_string(),
+        }
+    }
+
+    /// Name the format a decode error was reading, so a decoder nested
+    /// in another format — a checkpoint's embedded trace — is reported
+    /// as the outer file.
+    pub fn reading(self, format: PersistFormat) -> Self {
+        match self {
+            FaircrowdError::Persist { path, message, .. } => FaircrowdError::Persist {
+                format,
+                path,
+                message,
+            },
+            other => other,
         }
     }
 
@@ -123,7 +142,10 @@ impl FaircrowdError {
     /// threading a path through.
     pub fn at_path(self, path: impl fmt::Display) -> Self {
         match self {
-            FaircrowdError::Persist { message, .. } => FaircrowdError::Persist {
+            FaircrowdError::Persist {
+                format, message, ..
+            } => FaircrowdError::Persist {
+                format,
                 path: path.to_string(),
                 message,
             },
@@ -133,6 +155,28 @@ impl FaircrowdError {
             },
             other => other,
         }
+    }
+}
+
+/// The persisted format a [`FaircrowdError::Persist`] was reading. One
+/// byte, so naming it leaves the error type no larger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PersistFormat {
+    /// A trace file, in any of its spellings.
+    Trace,
+    /// A checkpoint body, in its own file or as a journal record.
+    Checkpoint,
+    /// A sweep part file.
+    SweepPart,
+}
+
+impl fmt::Display for PersistFormat {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            PersistFormat::Trace => "trace",
+            PersistFormat::Checkpoint => "checkpoint",
+            PersistFormat::SweepPart => "sweep part",
+        })
     }
 }
 
@@ -186,11 +230,15 @@ impl fmt::Display for FaircrowdError {
             FaircrowdError::Io { path, message } => {
                 write!(f, "cannot access trace file `{path}`: {message}")
             }
-            FaircrowdError::Persist { path, message } => {
+            FaircrowdError::Persist {
+                format,
+                path,
+                message,
+            } => {
                 if path.is_empty() {
-                    write!(f, "cannot decode trace: {message}")
+                    write!(f, "cannot decode {format}: {message}")
                 } else {
-                    write!(f, "cannot decode trace file `{path}`: {message}")
+                    write!(f, "cannot decode {format} file `{path}`: {message}")
                 }
             }
             FaircrowdError::Lang { message } => write!(f, "{message}"),
@@ -221,6 +269,20 @@ mod tests {
         };
         assert!(e.to_string().contains("kos"));
         assert!(e.to_string().contains("over capacity"));
+    }
+
+    #[test]
+    fn a_decode_error_names_the_format_it_was_reading() {
+        let e = FaircrowdError::persist("bad byte");
+        assert_eq!(e.to_string(), "cannot decode trace: bad byte");
+        // The outer format wins, and a path attached later keeps it.
+        let e = e.reading(PersistFormat::Checkpoint).at_path("m.journal");
+        assert_eq!(
+            e.to_string(),
+            "cannot decode checkpoint file `m.journal`: bad byte"
+        );
+        let e = FaircrowdError::usage("nope").reading(PersistFormat::Checkpoint);
+        assert_eq!(e.to_string(), "nope");
     }
 
     #[test]

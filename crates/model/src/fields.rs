@@ -172,6 +172,11 @@ pub fn mask_of(presence: &[Option<bool>]) -> Option<u8> {
     mask
 }
 
+/// The most optional fields one record (or variant) may declare: their
+/// presence bits share one byte, whose read limit `1 << optionals` must
+/// itself fit a byte. The table macros refuse more at compile time.
+pub const MAX_OPTIONALS: u8 = 7;
+
 /// A record's presence byte on the read side, read at its first
 /// optional member.
 pub struct Mask {
@@ -678,14 +683,35 @@ macro_rules! named_fields {
 /// Declare a struct as a record: its fields, in wire order, become the
 /// members of a JSON object and, in binary, follow one another. Every
 /// field type must be a [`Field`], or an `Option` of one.
+///
+/// A record holds at most [`MAX_OPTIONALS`](crate::fields::MAX_OPTIONALS)
+/// optional fields, since their presence bits share one byte; an eighth
+/// fails to compile:
+///
+/// ```compile_fail,E0080
+/// struct Wide {
+///     a: Option<u64>, b: Option<u64>, c: Option<u64>, d: Option<u64>,
+///     e: Option<u64>, f: Option<u64>, g: Option<u64>, h: Option<u64>,
+/// }
+/// faircrowd_model::record!(Wide {
+///     a: Option<u64>, b: Option<u64>, c: Option<u64>, d: Option<u64>,
+///     e: Option<u64>, f: Option<u64>, g: Option<u64>, h: Option<u64>,
+/// });
+/// ```
 #[macro_export]
 macro_rules! record {
     ($ty:ident { $($f:ident: $t:ty),+ $(,)? }) => {
         const _: () = {
             use $crate::codec::Cursor;
             use $crate::error::FaircrowdError;
-            use $crate::fields::{mask_of, At, Field, Mask, Member, Scan};
+            use $crate::fields::{mask_of, At, Field, Mask, Member, Scan, MAX_OPTIONALS};
             use $crate::json::Json;
+
+            const OPTIONALS: u8 = 0 $(+ <$t as Member>::OPTIONAL as u8)+;
+            const _: () = assert!(
+                OPTIONALS <= MAX_OPTIONALS,
+                "a record holds at most `fields::MAX_OPTIONALS` optional fields"
+            );
 
             impl Field for $ty {
                 #[inline]
@@ -727,7 +753,7 @@ macro_rules! record {
                 }
                 #[inline]
                 fn get(cur: &mut Cursor<'_>, _what: &str) -> Result<Self, FaircrowdError> {
-                    let mask = &mut Mask::new(0 $(+ u8::from(<$t as Member>::OPTIONAL))+);
+                    let mask = &mut Mask::new(OPTIONALS);
                     Ok($ty {
                         $($f: <$t as Member>::get_in(cur, stringify!($f), mask)?,)+
                     })
@@ -749,7 +775,7 @@ macro_rules! variants {
         const _: () = {
             use $crate::codec::Cursor;
             use $crate::error::FaircrowdError;
-            use $crate::fields::{mask_of, At, Mask, Member, RecordCtx, Scan};
+            use $crate::fields::{mask_of, At, Mask, Member, RecordCtx, Scan, MAX_OPTIONALS};
             use $crate::json::Json;
 
             impl $ty {
@@ -837,7 +863,12 @@ macro_rules! variants {
                 ) -> Result<Self, FaircrowdError> {
                     Ok(match tag {
                         $($tag => {
-                            let _mask = &mut Mask::new(0 $(+ u8::from(<$t as Member>::OPTIONAL))*);
+                            const OPTIONALS: u8 = 0 $(+ <$t as Member>::OPTIONAL as u8)*;
+                            const _: () = assert!(
+                                OPTIONALS <= MAX_OPTIONALS,
+                                concat!("variant `", $name, "` holds more than `fields::MAX_OPTIONALS` optional fields")
+                            );
+                            let _mask = &mut Mask::new(OPTIONALS);
                             $ty::$v {
                                 $($f: <$t as Member>::get_in(cur, stringify!($f), _mask)?,)*
                             }
@@ -1023,5 +1054,48 @@ mod tests {
         assert!(err.contains("got string"), "{err}");
         let err = at("c").str(&json).unwrap_err().to_string();
         assert!(err.contains("field `c` should be a string"), "{err}");
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Seven {
+        a: Option<u64>,
+        b: Option<u64>,
+        c: Option<u64>,
+        d: Option<u64>,
+        e: Option<u64>,
+        f: Option<u64>,
+        g: Option<u64>,
+    }
+
+    crate::record!(Seven {
+        a: Option<u64>,
+        b: Option<u64>,
+        c: Option<u64>,
+        d: Option<u64>,
+        e: Option<u64>,
+        f: Option<u64>,
+        g: Option<u64>,
+    });
+
+    #[test]
+    fn a_record_with_the_most_optional_fields_reads_its_own_bytes() {
+        for bits in [0u8, 0x7f, 0x40, 0x55] {
+            let on = |i: u8| (bits >> i & 1 == 1).then_some(u64::from(i) * 300);
+            let record = Seven {
+                a: on(0),
+                b: on(1),
+                c: on(2),
+                d: on(3),
+                e: on(4),
+                f: on(5),
+                g: on(6),
+            };
+            let mut bytes = Vec::new();
+            record.put(&mut bytes);
+            assert_eq!(bytes[0], bits, "the presence byte");
+            let mut cur = Cursor::new(&bytes, "seven");
+            assert_eq!(Seven::get(&mut cur, "seven").unwrap(), record);
+            cur.finish().unwrap();
+        }
     }
 }

@@ -63,6 +63,7 @@
 use super::{fold_groups, CaseOutcome, SweepCase, SweepGrid, SweepResult};
 use crate::core::{AxiomTally, FairnessReport};
 use crate::model::codec;
+use crate::model::error::PersistFormat;
 use crate::model::fields::{At, Field, Member, RecordCtx};
 use crate::model::json::Json;
 use crate::model::{record, FaircrowdError};
@@ -298,6 +299,11 @@ pub fn run_shard_opts(
     })
 }
 
+/// A part-file decode error with no path.
+fn part_error(message: impl std::fmt::Display) -> FaircrowdError {
+    FaircrowdError::persist(message).reading(PersistFormat::SweepPart)
+}
+
 /// Load a part file through the three gates (positioned parse, schema,
 /// per-record integrity). Cross-grid integrity — does this part belong
 /// to *that* grid — is the caller's second step ([`run_shard`] checks
@@ -317,7 +323,7 @@ pub fn load_part(path: &Path) -> Result<PartFile, FaircrowdError> {
             std::str::from_utf8(&bytes[..e.valid_up_to()]).expect("valid prefix")
         }
         Err(e) => {
-            return Err(FaircrowdError::persist(format!(
+            return Err(part_error(format!(
                 "part file {} has invalid UTF-8 at byte {} (before the final line)",
                 path.display(),
                 e.valid_up_to()
@@ -339,9 +345,9 @@ pub fn load_part(path: &Path) -> Result<PartFile, FaircrowdError> {
 
     let &(header_line, _, header_end, header_text) = entries
         .next()
-        .ok_or_else(|| FaircrowdError::persist(format!("part file {} is empty", path.display())))?;
-    let header_json = Json::parse(header_text)
-        .map_err(|e| FaircrowdError::persist(format!("{}: {e}", ctx(header_line))))?;
+        .ok_or_else(|| part_error(format!("part file {} is empty", path.display())))?;
+    let header_json =
+        Json::parse(header_text).map_err(|e| part_error(format!("{}: {e}", ctx(header_line))))?;
     let header = read_header(&header_json, path, header_line)?;
     let mut clean_bytes = header_end;
 
@@ -357,17 +363,17 @@ pub fn load_part(path: &Path) -> Result<PartFile, FaircrowdError> {
             // the cell was not durable yet, so drop it. Anywhere else,
             // a parse failure is corruption and must be said.
             Err(_) if Some(k) == last => break,
-            Err(e) => return Err(FaircrowdError::persist(format!("{ctx}: {e}"))),
+            Err(e) => return Err(part_error(format!("{ctx}: {e}"))),
         };
         let (cell, outcome) = decode_line::<Cell>(&json, path, line_number, "cell")?.into_outcome();
         if cell >= header.cases {
-            return Err(FaircrowdError::persist(format!(
+            return Err(part_error(format!(
                 "{ctx}: cell {cell} out of range (grid has {} cases)",
                 header.cases
             )));
         }
         if !seen.insert(cell) {
-            return Err(FaircrowdError::persist(format!(
+            return Err(part_error(format!(
                 "{ctx}: duplicate record for cell {cell}"
             )));
         }
@@ -391,7 +397,7 @@ fn ensure_part_matches(
     shard_of: &[usize],
     out: &Path,
 ) -> Result<(), FaircrowdError> {
-    let at = |what: String| FaircrowdError::persist(format!("part file {}: {what}", out.display()));
+    let at = |what: String| part_error(format!("part file {}: {what}", out.display()));
     if part.header.grid_hash != header.grid_hash {
         return Err(at(format!(
             "written for a different grid (grid hash {:#018x}, expected {:#018x}); \
@@ -456,7 +462,7 @@ pub(crate) fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdEr
                 first.shards,
             )
         {
-            return Err(FaircrowdError::persist(format!(
+            return Err(part_error(format!(
                 "part {} disagrees with part 1 on the grid: \
                  hash {:#018x} vs {:#018x}, {} vs {} case(s), {} vs {} seed(s) per group, \
                  {} vs {} shard(s) — parts of different sweeps cannot merge",
@@ -472,7 +478,7 @@ pub(crate) fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdEr
             )));
         }
         if let Some(prev) = shards_seen.insert(h.shard, k + 1) {
-            return Err(FaircrowdError::persist(format!(
+            return Err(part_error(format!(
                 "part {} and part {prev} are both shard {}/{} — merge each shard once",
                 k + 1,
                 h.shard,
@@ -481,7 +487,7 @@ pub(crate) fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdEr
         }
         for (cell, outcome) in &part.cells {
             if outcomes[*cell].is_some() {
-                return Err(FaircrowdError::persist(format!(
+                return Err(part_error(format!(
                     "cell {cell} appears in more than one part"
                 )));
             }
@@ -491,7 +497,7 @@ pub(crate) fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdEr
     let missing = outcomes.iter().filter(|o| o.is_none()).count();
     if missing > 0 {
         let example = outcomes.iter().position(Option::is_none).unwrap_or(0);
-        return Err(FaircrowdError::persist(format!(
+        return Err(part_error(format!(
             "parts cover {} of {} cell(s); {missing} missing (e.g. cell {example}) — \
              did every shard finish?",
             first.cases - missing,
@@ -502,7 +508,7 @@ pub(crate) fn merge_parts(parts: &[PartFile]) -> Result<SweepResult, FaircrowdEr
     let merged_cases: Vec<SweepCase> = outcomes.iter().map(|o| o.case.clone()).collect();
     let rehash = grid_hash(&merged_cases);
     if rehash != first.grid_hash {
-        return Err(FaircrowdError::persist(format!(
+        return Err(part_error(format!(
             "merged cases hash to {rehash:#018x}, but the parts declare {:#018x} — \
              a part carries records for a different grid",
             first.grid_hash
@@ -609,11 +615,12 @@ fn header_line(header: &PartHeader) -> String {
 /// gate (name, then version) and the shard checks.
 fn read_header(json: &Json, path: &Path, line: usize) -> Result<PartHeader, FaircrowdError> {
     let ctx = format!("part file {} line {line}", path.display());
-    let schema = json.get("schema").and_then(Json::as_str).ok_or_else(|| {
-        FaircrowdError::persist(format!("{ctx}: not a sweep part file (no `schema` field)"))
-    })?;
+    let schema = json
+        .get("schema")
+        .and_then(Json::as_str)
+        .ok_or_else(|| part_error(format!("{ctx}: not a sweep part file (no `schema` field)")))?;
     if schema != SCHEMA {
-        return Err(FaircrowdError::persist(format!(
+        return Err(part_error(format!(
             "{ctx}: expected schema `{SCHEMA}`, got `{schema}`"
         )));
     }
@@ -621,27 +628,28 @@ fn read_header(json: &Json, path: &Path, line: usize) -> Result<PartHeader, Fair
         ctx: RecordCtx::Line(line, "header"),
         key: "version",
     };
-    let version = u64::member_from_json(json, at).map_err(|e| e.at_path(path.display()))?;
+    let version = u64::member_from_json(json, at)
+        .map_err(|e| e.at_path(path.display()).reading(PersistFormat::SweepPart))?;
     if version < VERSION {
-        return Err(FaircrowdError::persist(format!(
+        return Err(part_error(format!(
             "{ctx}: {SCHEMA} version {version} is no longer readable (this build reads \
              version {VERSION}); re-run the shard to rewrite it"
         )));
     }
     if version != VERSION {
-        return Err(FaircrowdError::persist(format!(
+        return Err(part_error(format!(
             "{ctx}: unsupported {SCHEMA} version {version} (this build reads version {VERSION})"
         )));
     }
     let header: PartHeader = decode_line(json, path, line, "header")?;
     if header.shard == 0 || header.shards == 0 || header.shard > header.shards {
-        return Err(FaircrowdError::persist(format!(
+        return Err(part_error(format!(
             "{ctx}: header declares shard {}/{}, which is not a valid 1-based shard",
             header.shard, header.shards
         )));
     }
     if header.seeds_per_group == 0 {
-        return Err(FaircrowdError::persist(format!(
+        return Err(part_error(format!(
             "{ctx}: header declares zero seeds per group"
         )));
     }
@@ -660,7 +668,7 @@ fn decode_line<T: Field>(
         ctx: RecordCtx::Line(line, kind),
         key: kind,
     };
-    T::from_json(json, at).map_err(|e| e.at_path(path.display()))
+    T::from_json(json, at).map_err(|e| e.at_path(path.display()).reading(PersistFormat::SweepPart))
 }
 
 #[cfg(test)]
