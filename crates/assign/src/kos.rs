@@ -52,15 +52,18 @@ impl AssignmentPolicy for KosAllocation {
         let mut task_order: Vec<usize> = (0..input.tasks.len()).collect();
         task_order.shuffle(rng);
 
+        let mut candidates: Vec<usize> = Vec::new();
         for ti in task_order {
             let t = &input.tasks[ti];
             let want = self.l.min(t.slots);
             // candidate qualified workers with remaining budget
-            let mut candidates: Vec<usize> = (0..input.workers.len())
-                .filter(|&wi| budget[wi] > 0 && qualified.row(wi).contains(t.id))
-                .collect();
+            candidates.clear();
+            candidates.extend(
+                (0..input.workers.len())
+                    .filter(|&wi| budget[wi] > 0 && qualified.row(wi).contains(t.id)),
+            );
             candidates.shuffle(rng);
-            for wi in candidates.into_iter().take(want as usize) {
+            for &wi in candidates.iter().take(want as usize) {
                 budget[wi] -= 1;
                 outcome.assign(wi, ti);
             }

@@ -79,9 +79,11 @@ pub struct AssignInput {
 
 /// The round's qualification matrix: for each worker, in input order,
 /// the bit row of the task ids she qualifies for. Built once per round
-/// ([`AssignmentPolicy::assign`] does it) and shared by a policy and any
-/// wrapper around it. Task ids are unique within an [`AssignInput`].
-#[derive(Debug)]
+/// ([`AssignmentPolicy::assign`] does it, and a caller that assigns
+/// every round refills one matrix in place with
+/// [`Qualification::refill`]) and shared by a policy and any wrapper
+/// around it. Task ids are unique within an [`AssignInput`].
+#[derive(Debug, Default)]
 pub struct Qualification {
     rows: Vec<IdSet<TaskId>>,
     /// An empty row whose bit region covers every task id of the input,
@@ -92,22 +94,27 @@ pub struct Qualification {
 impl Qualification {
     /// Test every (worker, task) pair of `input` once.
     pub fn of(input: &AssignInput) -> Self {
-        let empty = match input.tasks.iter().map(|t| t.id).max() {
-            Some(largest) => IdSet::with_region(largest, input.tasks.len()),
-            None => IdSet::new(),
+        let mut qualified = Qualification::default();
+        qualified.refill(input);
+        qualified
+    }
+
+    /// Become [`Qualification::of`]`(input)`, writing each row over a
+    /// row of the last input's matrix so its buffer is reused.
+    pub fn refill(&mut self, input: &AssignInput) {
+        let largest = input.tasks.iter().map(|t| t.id).max();
+        let reset = |row: &mut IdSet<TaskId>| match largest {
+            Some(largest) => row.reset_region(largest, input.tasks.len()),
+            None => *row = IdSet::new(),
         };
-        let rows = input
-            .workers
-            .iter()
-            .map(|w| {
-                let mut row = empty.clone();
-                for t in input.tasks.iter().filter(|t| w.qualifies(t)) {
-                    row.insert(t.id);
-                }
-                row
-            })
-            .collect();
-        Qualification { rows, empty }
+        reset(&mut self.empty);
+        self.rows.resize_with(input.workers.len(), IdSet::new);
+        for (row, w) in self.rows.iter_mut().zip(&input.workers) {
+            reset(row);
+            for t in input.tasks.iter().filter(|t| w.qualifies(t)) {
+                row.insert(t.id);
+            }
+        }
     }
 
     /// The tasks the worker at input position `wi` qualifies for.
@@ -272,9 +279,9 @@ pub trait AssignmentPolicy {
     fn name(&self) -> &'static str;
 
     /// Decide visibility and assignments for one round, given the
-    /// round's qualification matrix (`Qualification::of(input)`) — the
-    /// entry point wrappers call on the policy they wrap, so one matrix
-    /// serves both.
+    /// round's qualification matrix (`Qualification::of(input)`, or one
+    /// refilled for `input`) — the entry point wrappers call on the
+    /// policy they wrap, so one matrix serves both.
     fn assign_qualified(
         &mut self,
         input: &AssignInput,
@@ -282,7 +289,11 @@ pub trait AssignmentPolicy {
         rng: &mut dyn RngCore,
     ) -> AssignmentOutcome;
 
-    /// Decide visibility and assignments for one round.
+    /// Decide visibility and assignments for one round, testing
+    /// qualification into a fresh matrix. The simulator does not come
+    /// through here: it keeps one matrix, refills it each round
+    /// ([`Qualification::refill`]) and calls
+    /// [`AssignmentPolicy::assign_qualified`] with it.
     fn assign(&mut self, input: &AssignInput, rng: &mut dyn RngCore) -> AssignmentOutcome {
         self.assign_qualified(input, &Qualification::of(input), rng)
     }
@@ -436,6 +447,63 @@ mod tests {
             for t in &m.tasks {
                 assert_eq!(q.row(wi).contains(t.id), w.qualifies(t));
             }
+        }
+    }
+
+    /// `small_market` with its tasks re-posted `copies` times under
+    /// ids from `first` on, and its workers repeated `copies` times.
+    fn scaled_market(first: u32, copies: usize) -> AssignInput {
+        let m = small_market();
+        let tasks = m.tasks.iter().cycle().take(m.tasks.len() * copies);
+        let workers = m.workers.iter().cycle().take(m.workers.len() * copies);
+        AssignInput {
+            tasks: tasks
+                .zip(first..)
+                .map(|(t, id)| TaskView {
+                    id: TaskId::new(id),
+                    ..t.clone()
+                })
+                .collect(),
+            workers: workers
+                .zip(0..)
+                .map(|(w, id)| WorkerView {
+                    id: WorkerId::new(id),
+                    ..w.clone()
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn refilled_qualification_equals_a_fresh_one() {
+        let no_tasks = AssignInput {
+            tasks: Vec::new(),
+            ..small_market()
+        };
+        let no_workers = AssignInput {
+            workers: Vec::new(),
+            ..small_market()
+        };
+        // Grow, move to a late id window, shrink, empty either side,
+        // grow back.
+        let markets = [
+            scaled_market(0, 1),
+            scaled_market(0, 3),
+            scaled_market(5_000, 40),
+            scaled_market(70, 2),
+            no_tasks,
+            scaled_market(3, 1),
+            no_workers,
+            AssignInput::default(),
+            scaled_market(200, 5),
+        ];
+        let mut refilled = Qualification::default();
+        for (i, m) in markets.iter().enumerate() {
+            refilled.refill(m);
+            let fresh = Qualification::of(m);
+            assert_eq!(refilled.rows, fresh.rows, "market {i}: rows");
+            assert_eq!(refilled.empty_row(), fresh.empty_row(), "market {i}");
+            assert!(refilled.empty_row().is_empty(), "market {i}");
         }
     }
 

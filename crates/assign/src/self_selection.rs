@@ -34,18 +34,23 @@ impl AssignmentPolicy for SelfSelection {
         let mut slots: Vec<u32> = input.tasks.iter().map(|t| t.slots).collect();
         let mut order: Vec<usize> = (0..input.workers.len()).collect();
         order.shuffle(rng);
+        let mut prefs: Vec<(f64, usize)> = Vec::new();
         for wi in order {
             let w = &input.workers[wi];
             let row = qualified.row(wi);
             // rank qualified open tasks by the worker's own preference
-            let mut prefs: Vec<(f64, usize)> = input
-                .tasks
-                .iter()
-                .enumerate()
-                .filter(|&(ti, t)| slots[ti] > 0 && row.contains(t.id))
-                .map(|(ti, t)| (preference_score(w, t), ti))
-                .collect();
-            prefs.sort_by(|a, b| {
+            prefs.clear();
+            prefs.extend(
+                input
+                    .tasks
+                    .iter()
+                    .enumerate()
+                    .filter(|&(ti, t)| slots[ti] > 0 && row.contains(t.id))
+                    .map(|(ti, t)| (preference_score(w, t), ti)),
+            );
+            // Task indices are unique, so no two keys tie and the
+            // unstable sort gives the stable sort's order.
+            prefs.sort_unstable_by(|a, b| {
                 b.0.partial_cmp(&a.0)
                     .expect("NaN preference")
                     .then(a.1.cmp(&b.1))

@@ -188,7 +188,7 @@ impl MarketSource {
         sources.sort();
         for pair in sources.windows(2) {
             if pair[0].market == pair[1].market {
-                return Err(FaircrowdError::persist(format!(
+                return Err(FaircrowdError::daemon(format!(
                     "market `{}` has both `{}` and `{}` in `{}`; keep exactly one trace \
                      file per market",
                     pair[0].market,
@@ -1504,6 +1504,7 @@ mod tests {
         )
         .unwrap();
         let err = MarketSource::discover(dir.to_str().unwrap()).unwrap_err();
+        assert!(matches!(err, FaircrowdError::Daemon { .. }), "{err:?}");
         let msg = err.to_string();
         assert!(msg.contains("market `m`"), "{msg}");
         assert!(msg.contains("m.jsonl") && msg.contains("m.fcb"), "{msg}");

@@ -307,12 +307,22 @@ impl<T: ArenaKey> IdSet<T> {
     /// + 64)` words — one word per id the growth rule would allow — so a
     /// hostile `largest` gets a plain empty set, not a huge allocation.
     pub fn with_region(largest: T, members: usize) -> Self {
-        let words = largest.raw_index() as usize / 64 + 1;
         let mut set = IdSet::new();
-        if words <= dense_bound(members) {
-            set.words = vec![0; words];
-        }
+        set.reset_region(largest, members);
         set
+    }
+
+    /// Empty the set and give it [`IdSet::with_region`]'s region for
+    /// `largest` and `members`, keeping its allocation: the set equals
+    /// a fresh `with_region(largest, members)`, bit region included.
+    pub fn reset_region(&mut self, largest: T, members: usize) {
+        let words = largest.raw_index() as usize / 64 + 1;
+        self.words.clear();
+        if words <= dense_bound(members) {
+            self.words.resize(words, 0);
+        }
+        self.spill.clear();
+        self.len = 0;
     }
 
     /// Number of members.
@@ -748,6 +758,24 @@ mod tests {
         let hostile: IdSet<TaskId> = IdSet::with_region(t(u32::MAX), 10);
         assert!(hostile.words.is_empty() && hostile.is_empty());
         assert_eq!(hostile, IdSet::new());
+    }
+
+    #[test]
+    fn id_set_reset_region_is_a_fresh_with_region_in_the_old_allocation() {
+        // A set with bits and spilled ids, reset to a smaller, a larger
+        // and a refused region.
+        let mut set: IdSet<TaskId> = [1, 700, 2_000_000].map(t).into_iter().collect();
+        assert!(!set.spill.is_empty());
+        for (largest, members) in [(t(90), 3), (t(5_009), 10), (t(u32::MAX), 10), (t(0), 1)] {
+            let capacity = set.words.capacity();
+            set.reset_region(largest, members);
+            let fresh = IdSet::with_region(largest, members);
+            assert_eq!(set.words, fresh.words, "{largest:?}: the same region");
+            assert!(set.spill.is_empty() && set.is_empty());
+            assert!(set.words.capacity() >= capacity, "the allocation is kept");
+            set.insert(largest);
+            assert_eq!(set.iter().collect::<Vec<_>>(), vec![largest]);
+        }
     }
 
     /// Model-check `union_with` and `intersect_with` against `BTreeSet`

@@ -90,6 +90,14 @@ pub enum FaircrowdError {
         /// What was wrong, with enough context to find it.
         message: String,
     },
+    /// The audit daemon cannot serve its market set: two trace files
+    /// claim one market, or market streams failed during the run. Not
+    /// a decode error: the daemon's own rule failed, or a market's
+    /// error was already reported as it happened.
+    Daemon {
+        /// What went wrong, naming the markets involved.
+        message: String,
+    },
     /// The API or CLI was used incorrectly.
     Usage {
         /// What the caller got wrong.
@@ -108,6 +116,13 @@ impl FaircrowdError {
     /// A [`FaircrowdError::Diverged`] from anything displayable.
     pub fn diverged(message: impl fmt::Display) -> Self {
         FaircrowdError::Diverged {
+            message: message.to_string(),
+        }
+    }
+
+    /// A [`FaircrowdError::Daemon`] from anything displayable.
+    pub fn daemon(message: impl fmt::Display) -> Self {
+        FaircrowdError::Daemon {
             message: message.to_string(),
         }
     }
@@ -241,6 +256,7 @@ impl fmt::Display for FaircrowdError {
                     write!(f, "cannot decode {format} file `{path}`: {message}")
                 }
             }
+            FaircrowdError::Daemon { message } => write!(f, "audit daemon: {message}"),
             FaircrowdError::Lang { message } => write!(f, "{message}"),
             FaircrowdError::Usage { message } => write!(f, "{message}"),
         }

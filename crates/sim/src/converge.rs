@@ -16,18 +16,22 @@
 //! ```
 //!
 //! Each iteration re-runs the **same seed** under the current
-//! [`StrategyState`], extracts per-agent signals from the trace, and
-//! moves the state a proportional step ([`ConvergeOptions::gain`])
-//! toward each agent's target. When the largest state change falls
-//! below [`ConvergeOptions::tolerance`], the market is at a fixed
-//! point: re-simulating under the final state reproduces the final
-//! trace, so the converged trace is an ordinary trace — replayable,
-//! exportable and auditable like any other.
+//! [`StrategyState`], folds per-agent signals from each round's
+//! [`crate::RoundDelta`] as the simulation runs, and moves the state a
+//! proportional step ([`ConvergeOptions::gain`]) toward each agent's
+//! target. The fold adds the deltas' events and submissions in log
+//! order, so every sum equals a scan of the finished trace bit for
+//! bit; no iteration scans its trace, and every trace but the fixed
+//! point's is dropped as soon as its run ends. When the largest state
+//! change falls below [`ConvergeOptions::tolerance`], the market is at
+//! a fixed point: re-simulating under the final state reproduces the
+//! final trace, so the converged trace is an ordinary trace —
+//! replayable, exportable and auditable like any other.
 //!
 //! Determinism: the inner simulation is a pure function of
-//! `(config, state)` and the controller is pure arithmetic over trace
-//! signals, so the whole loop — iteration count included — is a pure
-//! function of the config (seed included).
+//! `(config, state)` and the controller is pure arithmetic over the
+//! run's signals, so the whole loop — iteration count included — is a
+//! pure function of the config (seed included).
 //!
 //! The [`StrategyChoice::Static`] strategy has no feedback (its
 //! decisions ignore the state), so the residual is zero after the first
@@ -40,14 +44,14 @@
 //! error, never a silent best-effort trace.
 
 use crate::config::ScenarioConfig;
-use crate::stats::TraceSummary;
+use crate::platform::RoundDelta;
 use crate::strategy::{PriceUndercutRequester, StrategyChoice, StrategyState};
 use crate::Simulation;
+use faircrowd_model::arena::{DenseIdMap, IdSet};
 use faircrowd_model::error::FaircrowdError;
 use faircrowd_model::event::EventKind;
 use faircrowd_model::ids::{RequesterId, TaskId, WorkerId};
 use faircrowd_model::trace::Trace;
-use std::collections::BTreeMap;
 
 /// Tuning knobs for the fixed-point loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +79,10 @@ impl Default for ConvergeOptions {
     }
 }
 
-/// One iteration of the loop, as reported back to callers.
+/// One iteration of the loop, as reported back to callers: what the
+/// controller did, and the two headline numbers of the iteration's
+/// market, folded as it ran (each equals its [`crate::TraceSummary`]
+/// field over the iteration's trace).
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationSummary {
     /// 1-based iteration number.
@@ -83,8 +90,10 @@ pub struct IterationSummary {
     /// The largest normalized state change the controller applied
     /// *after* this iteration's simulation (0.0 for a static strategy).
     pub residual: f64,
-    /// Headline numbers of this iteration's trace.
-    pub summary: TraceSummary,
+    /// Worker retention: 1 − quits / workers who had a session.
+    pub retention: f64,
+    /// Approved over judged submissions (1.0 when none was judged).
+    pub approval_rate: f64,
 }
 
 /// The result of a converged run.
@@ -102,7 +111,7 @@ pub struct Converged {
     pub state: StrategyState,
 }
 
-/// The per-agent signals one trace yields, input to the controller.
+/// The per-agent signals one run yields, input to the controller.
 #[derive(Debug, Clone)]
 struct Signals {
     /// Realized hourly wage per worker, in dollars (0.0 for workers who
@@ -163,15 +172,15 @@ pub fn run(cfg: ScenarioConfig, opts: &ConvergeOptions) -> Result<Converged, Fai
     let mut state = StrategyState::initial(&cfg);
     let mut history: Vec<IterationSummary> = Vec::new();
     for iteration in 1..=opts.max_iterations {
-        let trace = Simulation::with_state(cfg.clone(), state.clone()).run();
-        let signals = Signals::of(&trace, &state);
+        let (trace, fold) = simulate(&cfg, &state);
         let mut next = state.clone();
         let step = opts.gain * GAIN_DECAY.powi(iteration as i32 - 1);
-        let residual = control(cfg.strategy, &signals, &mut next, step);
+        let residual = control(cfg.strategy, &fold.signals(), &mut next, step);
         history.push(IterationSummary {
             iteration,
             residual,
-            summary: TraceSummary::of(&trace),
+            retention: fold.retention(),
+            approval_rate: fold.approval_rate(),
         });
         if !residual.is_finite() {
             return Err(FaircrowdError::diverged(format!(
@@ -200,96 +209,157 @@ pub fn run(cfg: ScenarioConfig, opts: &ConvergeOptions) -> Result<Converged, Fai
     )))
 }
 
-impl Signals {
-    /// Extract per-agent signals from one iteration's trace. Sized to
-    /// the strategy state so out-of-trace agents keep neutral signals.
-    fn of(trace: &Trace, state: &StrategyState) -> Signals {
-        let windex = |w: WorkerId| -> Option<usize> {
-            let i = w.index();
-            (i < state.reservation.len()).then_some(i)
-        };
+/// One iteration: simulate `cfg` under `state`, folding what the
+/// controller and the history read from each round as it lands.
+fn simulate(cfg: &ScenarioConfig, state: &StrategyState) -> (Trace, Fold) {
+    let mut fold = Fold::new(state);
+    let trace =
+        Simulation::with_state(cfg.clone(), state.clone()).run_observed(|delta| fold.add(&delta));
+    (trace, fold)
+}
 
-        // Per-worker money earned and approval counts, off the event log.
-        let mut earned = vec![0.0f64; state.reservation.len()];
-        let mut approved = vec![0u64; state.reservation.len()];
-        let mut judged = vec![0u64; state.reservation.len()];
-        let mut requester_approved: BTreeMap<RequesterId, u64> = BTreeMap::new();
-        let task_requester: BTreeMap<TaskId, RequesterId> =
-            trace.tasks.iter().map(|t| (t.id, t.requester)).collect();
-        for e in trace.events.as_slice() {
+/// The counts and sums one run's signals and headline numbers are made
+/// of, added round by round. Per-agent vectors are sized to the
+/// strategy state, so out-of-state agents keep neutral signals.
+struct Fold {
+    /// Per worker: money earned in dollars (payments and bonuses).
+    earned: Vec<f64>,
+    /// Per worker: submissions approved.
+    approved: Vec<u64>,
+    /// Per worker: submissions approved or rejected.
+    judged: Vec<u64>,
+    /// Per worker: hours worked, off the submission records.
+    hours: Vec<f64>,
+    /// Per requester: submissions approved.
+    requester_approved: Vec<u64>,
+    /// Per requester: assignment slots wanted over every posted task.
+    wanted: Vec<u64>,
+    /// The requester of every posted task.
+    task_requester: DenseIdMap<TaskId, RequesterId>,
+    /// Workers who started a session.
+    active: IdSet<WorkerId>,
+    quits: usize,
+    approvals: usize,
+    rejections: usize,
+}
+
+impl Fold {
+    fn new(state: &StrategyState) -> Fold {
+        let workers = state.reservation.len();
+        let requesters = state.multiplier.len();
+        Fold {
+            earned: vec![0.0; workers],
+            approved: vec![0; workers],
+            judged: vec![0; workers],
+            hours: vec![0.0; workers],
+            requester_approved: vec![0; requesters],
+            wanted: vec![0; requesters],
+            task_requester: DenseIdMap::new(),
+            active: IdSet::new(),
+            quits: 0,
+            approvals: 0,
+            rejections: 0,
+        }
+    }
+
+    /// Add one round. Its tasks go first: a task can be posted and
+    /// judged in the same round.
+    fn add(&mut self, delta: &RoundDelta<'_>) {
+        for t in &delta.new_tasks {
+            self.task_requester.insert(t.id, t.requester);
+            if let Some(w) = self.wanted.get_mut(t.requester.index()) {
+                *w += u64::from(t.assignments_wanted);
+            }
+        }
+        for e in delta.new_events {
             match &e.kind {
-                EventKind::PaymentIssued { worker, amount, .. } => {
-                    if let Some(i) = windex(*worker) {
-                        earned[i] += amount.as_dollars_f64();
-                    }
+                EventKind::SessionStarted { worker } => {
+                    self.active.insert(*worker);
                 }
-                EventKind::BonusPaid { worker, amount, .. } => {
-                    if let Some(i) = windex(*worker) {
-                        earned[i] += amount.as_dollars_f64();
+                EventKind::WorkerQuit { .. } => self.quits += 1,
+                EventKind::PaymentIssued { worker, amount, .. }
+                | EventKind::BonusPaid { worker, amount, .. } => {
+                    if let Some(earned) = self.earned.get_mut(worker.index()) {
+                        *earned += amount.as_dollars_f64();
                     }
                 }
                 EventKind::SubmissionApproved { worker, task, .. } => {
-                    if let Some(i) = windex(*worker) {
-                        approved[i] += 1;
-                        judged[i] += 1;
+                    self.approvals += 1;
+                    if let Some(i) = self.worker(*worker) {
+                        self.approved[i] += 1;
+                        self.judged[i] += 1;
                     }
-                    if let Some(r) = task_requester.get(task) {
-                        *requester_approved.entry(*r).or_default() += 1;
+                    let requester = self.task_requester.get(*task);
+                    if let Some(a) =
+                        requester.and_then(|r| self.requester_approved.get_mut(r.index()))
+                    {
+                        *a += 1;
                     }
                 }
                 EventKind::SubmissionRejected { worker, .. } => {
-                    if let Some(i) = windex(*worker) {
-                        judged[i] += 1;
+                    self.rejections += 1;
+                    if let Some(i) = self.worker(*worker) {
+                        self.judged[i] += 1;
                     }
                 }
                 _ => {}
             }
         }
-
-        // Per-worker hours actually worked, off the submission records.
-        let mut hours = vec![0.0f64; state.reservation.len()];
-        for s in &trace.submissions {
-            if let Some(i) = windex(s.worker) {
-                hours[i] += s.work_duration().as_hours_f64();
+        for s in delta.new_submissions {
+            if let Some(hours) = self.hours.get_mut(s.worker.index()) {
+                *hours += s.work_duration().as_hours_f64();
             }
         }
+    }
 
-        let wage = earned
+    /// `w`'s index into the per-worker vectors, if the state sizes it.
+    fn worker(&self, w: WorkerId) -> Option<usize> {
+        (w.index() < self.judged.len()).then_some(w.index())
+    }
+
+    /// The controller's input.
+    fn signals(&self) -> Signals {
+        let wage = self
+            .earned
             .iter()
-            .zip(&hours)
+            .zip(&self.hours)
             .map(|(&e, &h)| if h > 0.0 { e / h } else { 0.0 })
             .collect();
-        let acceptance = approved
+        let acceptance = self
+            .approved
             .iter()
-            .zip(&judged)
+            .zip(&self.judged)
             .map(|(&a, &j)| if j > 0 { a as f64 / j as f64 } else { 1.0 })
             .collect();
-
-        // Per-requester fill: approved submissions over slots wanted.
-        let mut wanted = vec![0u64; state.multiplier.len()];
-        for t in &trace.tasks {
-            if let Some(w) = wanted.get_mut(t.requester.index()) {
-                *w += u64::from(t.assignments_wanted);
-            }
-        }
-        let fill = (0..state.multiplier.len())
-            .map(|r| {
-                let a = requester_approved
-                    .get(&RequesterId::new(r as u32))
-                    .copied()
-                    .unwrap_or(0);
-                if wanted[r] > 0 {
-                    a as f64 / wanted[r] as f64
-                } else {
-                    0.0
-                }
-            })
+        let fill = self
+            .requester_approved
+            .iter()
+            .zip(&self.wanted)
+            .map(|(&a, &w)| if w > 0 { a as f64 / w as f64 } else { 0.0 })
             .collect();
-
         Signals {
             wage,
             acceptance,
             fill,
+        }
+    }
+
+    /// [`crate::TraceSummary`]'s retention, over the folded counts.
+    fn retention(&self) -> f64 {
+        if self.active.is_empty() {
+            1.0
+        } else {
+            1.0 - self.quits as f64 / self.active.len() as f64
+        }
+    }
+
+    /// [`crate::TraceSummary`]'s approval rate, over the folded counts.
+    fn approval_rate(&self) -> f64 {
+        let judged = self.approvals + self.rejections;
+        if judged == 0 {
+            1.0
+        } else {
+            self.approvals as f64 / judged as f64
         }
     }
 }
@@ -346,11 +416,153 @@ fn control(
 mod tests {
     use super::*;
     use crate::catalog;
+    use crate::TraceSummary;
+    use std::collections::BTreeMap;
+
+    impl Signals {
+        /// Scan per-agent signals off a finished trace: the oracle the
+        /// fold must equal. Sized to the strategy state so out-of-trace
+        /// agents keep neutral signals.
+        fn of(trace: &Trace, state: &StrategyState) -> Signals {
+            let windex = |w: WorkerId| -> Option<usize> {
+                let i = w.index();
+                (i < state.reservation.len()).then_some(i)
+            };
+
+            // Per-worker money earned and approval counts, off the event log.
+            let mut earned = vec![0.0f64; state.reservation.len()];
+            let mut approved = vec![0u64; state.reservation.len()];
+            let mut judged = vec![0u64; state.reservation.len()];
+            let mut requester_approved: BTreeMap<RequesterId, u64> = BTreeMap::new();
+            let task_requester: BTreeMap<TaskId, RequesterId> =
+                trace.tasks.iter().map(|t| (t.id, t.requester)).collect();
+            for e in trace.events.as_slice() {
+                match &e.kind {
+                    EventKind::PaymentIssued { worker, amount, .. } => {
+                        if let Some(i) = windex(*worker) {
+                            earned[i] += amount.as_dollars_f64();
+                        }
+                    }
+                    EventKind::BonusPaid { worker, amount, .. } => {
+                        if let Some(i) = windex(*worker) {
+                            earned[i] += amount.as_dollars_f64();
+                        }
+                    }
+                    EventKind::SubmissionApproved { worker, task, .. } => {
+                        if let Some(i) = windex(*worker) {
+                            approved[i] += 1;
+                            judged[i] += 1;
+                        }
+                        if let Some(r) = task_requester.get(task) {
+                            *requester_approved.entry(*r).or_default() += 1;
+                        }
+                    }
+                    EventKind::SubmissionRejected { worker, .. } => {
+                        if let Some(i) = windex(*worker) {
+                            judged[i] += 1;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+
+            // Per-worker hours actually worked, off the submission records.
+            let mut hours = vec![0.0f64; state.reservation.len()];
+            for s in &trace.submissions {
+                if let Some(i) = windex(s.worker) {
+                    hours[i] += s.work_duration().as_hours_f64();
+                }
+            }
+
+            let wage = earned
+                .iter()
+                .zip(&hours)
+                .map(|(&e, &h)| if h > 0.0 { e / h } else { 0.0 })
+                .collect();
+            let acceptance = approved
+                .iter()
+                .zip(&judged)
+                .map(|(&a, &j)| if j > 0 { a as f64 / j as f64 } else { 1.0 })
+                .collect();
+
+            // Per-requester fill: approved submissions over slots wanted.
+            let mut wanted = vec![0u64; state.multiplier.len()];
+            for t in &trace.tasks {
+                if let Some(w) = wanted.get_mut(t.requester.index()) {
+                    *w += u64::from(t.assignments_wanted);
+                }
+            }
+            let fill = (0..state.multiplier.len())
+                .map(|r| {
+                    let a = requester_approved
+                        .get(&RequesterId::new(r as u32))
+                        .copied()
+                        .unwrap_or(0);
+                    if wanted[r] > 0 {
+                        a as f64 / wanted[r] as f64
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+
+            Signals {
+                wage,
+                acceptance,
+                fill,
+            }
+        }
+    }
 
     fn short(name: &str) -> ScenarioConfig {
         let mut cfg = catalog::get(name).unwrap();
         cfg.rounds = cfg.rounds.min(12);
         cfg
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The loop of [`run`], checking at every iteration that the fold
+    /// equals a scan of the finished trace bit for bit.
+    #[test]
+    fn folded_signals_equal_a_scan_of_every_iteration_trace() {
+        let opts = ConvergeOptions::default();
+        for name in catalog::STRATEGIC_NAMES {
+            for seed in [0, 1, 7] {
+                let mut cfg = catalog::get(name).unwrap();
+                cfg.seed = seed;
+                let mut state = StrategyState::initial(&cfg);
+                for iteration in 1..=opts.max_iterations {
+                    let at = format!("{name} seed {seed} iteration {iteration}");
+                    let (trace, fold) = simulate(&cfg, &state);
+                    let (folded, scanned) = (fold.signals(), Signals::of(&trace, &state));
+                    assert_eq!(bits(&folded.wage), bits(&scanned.wage), "{at}: wage");
+                    assert_eq!(
+                        bits(&folded.acceptance),
+                        bits(&scanned.acceptance),
+                        "{at}: acceptance"
+                    );
+                    assert_eq!(bits(&folded.fill), bits(&scanned.fill), "{at}: fill");
+                    let summary = TraceSummary::of(&trace);
+                    assert_eq!(
+                        fold.retention().to_bits(),
+                        summary.retention.to_bits(),
+                        "{at}: retention"
+                    );
+                    assert_eq!(
+                        fold.approval_rate().to_bits(),
+                        summary.approval_rate.to_bits(),
+                        "{at}: approval rate"
+                    );
+                    let step = opts.gain * GAIN_DECAY.powi(iteration as i32 - 1);
+                    if control(cfg.strategy, &folded, &mut state, step) <= opts.tolerance {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::agents::{frustration, WorkerState};
 use crate::config::{ApprovalPolicy, CancellationPolicy, ScenarioConfig};
 use crate::gen::{self, Reference};
 use crate::strategy::{RequesterStrategy, StrategyState, TaskOffer, WorkerStrategy};
-use faircrowd_assign::{AssignInput, AssignmentPolicy, TaskView, WorkerView};
+use faircrowd_assign::{AssignInput, AssignmentPolicy, Qualification, TaskView, WorkerView};
 use faircrowd_model::arena::IdSet;
 use faircrowd_model::attributes::{AttrValue, DeclaredAttrs};
 use faircrowd_model::contribution::Submission;
@@ -151,6 +151,9 @@ pub struct Simulation {
     /// The last round's assignment input, refreshed in place each round
     /// (see `Simulation::snapshot`) so its views are not rebuilt.
     views: AssignInput,
+    /// The qualification matrix of `views`, refilled in place each
+    /// round an assignment runs.
+    qualified: Qualification,
     /// How many of `tasks` have been considered for a view.
     viewed_tasks: usize,
     true_labels: BTreeMap<TaskId, u8>,
@@ -271,6 +274,7 @@ impl Simulation {
             judgments: Vec::new(),
             seen_visibility: vec![IdSet::new(); n_workers],
             views: AssignInput::default(),
+            qualified: Qualification::default(),
             viewed_tasks: 0,
             true_labels: BTreeMap::new(),
         }
@@ -530,7 +534,10 @@ impl Simulation {
             self.views = input;
             return;
         }
-        let outcome = self.policy.assign(&input, &mut self.rng);
+        self.qualified.refill(&input);
+        let outcome = self
+            .policy
+            .assign_qualified(&input, &self.qualified, &mut self.rng);
         debug_assert!(
             outcome.check_feasible(&input).is_empty(),
             "policy produced infeasible outcome: {:?}",
@@ -603,20 +610,10 @@ impl Simulation {
     }
 
     fn land_submissions(&mut self, round: u32) {
-        let due: Vec<InFlight> = {
-            let mut due = Vec::new();
-            let mut rest = Vec::new();
-            for item in self.in_flight.drain(..) {
-                if item.submit_round <= round {
-                    due.push(item);
-                } else {
-                    rest.push(item);
-                }
-            }
-            self.in_flight = rest;
-            due
-        };
-        for item in due {
+        // Due work leaves the queue in order and the rest stays in its
+        // buffer; landing never touches the queue, so it is set aside.
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        for item in in_flight.extract_if(.., |item| item.submit_round <= round) {
             let trt = &self.tasks[item.task.index()];
             // Tasks cancelled under the interrupting policy have already
             // had their in-flight items removed; anything still flying
@@ -666,25 +663,16 @@ impl Simulation {
                 work_duration: item.duration,
             });
         }
+        self.in_flight = in_flight;
     }
 
     fn process_due_judgments(&mut self, round: u32, flush: bool) {
-        let due: Vec<PendingJudgment> = {
-            let mut due = Vec::new();
-            let mut rest = Vec::new();
-            for j in self.judgments.drain(..) {
-                if flush || j.decide_round <= round {
-                    due.push(j);
-                } else {
-                    rest.push(j);
-                }
-            }
-            self.judgments = rest;
-            due
-        };
-        for j in due {
+        // As in `land_submissions`: deciding never touches the queue.
+        let mut judgments = std::mem::take(&mut self.judgments);
+        for j in judgments.extract_if(.., |j| flush || j.decide_round <= round) {
             self.decide(j);
         }
+        self.judgments = judgments;
     }
 
     fn decide(&mut self, j: PendingJudgment) {

@@ -31,8 +31,8 @@ fn main() -> Result<(), FaircrowdError> {
             "{:>4}   {:>8.6}   {:>8.1}%   {:>7.1}%",
             step.iteration,
             step.residual,
-            step.summary.retention * 100.0,
-            step.summary.approval_rate * 100.0,
+            step.retention * 100.0,
+            step.approval_rate * 100.0,
         );
     }
 

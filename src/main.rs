@@ -433,7 +433,7 @@ fn converge_cmd(args: &Args) -> Result<(), FaircrowdError> {
             "iteration {:>2}: residual {:.6}  retention {:>5.1}%",
             it.iteration,
             it.residual,
-            it.summary.retention * 100.0
+            it.retention * 100.0
         );
     }
     println!("\nfixed point after {} iteration(s)\n", run.iterations);
@@ -655,7 +655,7 @@ fn fail_on_failed_markets(daemon: &AuditDaemon) -> Result<(), FaircrowdError> {
         .map(|(m, e)| format!("`{m}`: {e}"))
         .collect::<Vec<_>>()
         .join("; ");
-    Err(FaircrowdError::persist(format!(
+    Err(FaircrowdError::daemon(format!(
         "{} market stream(s) failed: {list}",
         failed.len()
     )))

@@ -206,8 +206,8 @@ pub struct ConvergedRun {
     pub config: ScenarioConfig,
     /// Iterations to the fixed point (1 for the `static` strategy).
     pub iterations: u32,
-    /// Per-iteration residuals and market summaries, in order; the last
-    /// entry describes the converged trace.
+    /// Per-iteration residuals, retention and approval rates, in order;
+    /// the last entry describes the converged trace.
     pub history: Vec<IterationSummary>,
     /// The strategy state at the fixed point — re-simulating the config
     /// under this state reproduces [`ConvergedRun::artifacts`]' trace.

@@ -63,6 +63,38 @@ fn serve_fails_a_headerless_market_and_still_reports_the_rest() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two errors the daemon reports decode nothing, so they read as the
+/// daemon's own, not as a trace that could not be decoded.
+#[test]
+fn daemon_errors_are_not_reported_as_decode_errors() {
+    let dir = temp_dir("kinds");
+    std::fs::create_dir_all(dir.join("twins")).unwrap();
+    export(&dir.join("twins").join("m.jsonl"));
+    export(&dir.join("twins").join("m.fcb"));
+    let twins = dir.join("twins");
+    let out = faircrowd(&["serve", twins.to_str().unwrap(), "--once"]);
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        format!(
+            "error: audit daemon: market `m` has both `m.fcb` and `m.jsonl` in `{}`; \
+             keep exactly one trace file per market\n",
+            twins.display()
+        )
+    );
+
+    std::fs::create_dir_all(dir.join("hollow")).unwrap();
+    std::fs::write(dir.join("hollow").join("empty.jsonl"), "").unwrap();
+    let out = faircrowd(&["serve", dir.join("hollow").to_str().unwrap(), "--once"]);
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: audit daemon: 1 market stream(s) failed: `empty`: not a JSONL trace stream \
+         (no schema header line); use `faircrowd replay` for whole-file JSON traces\n"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn watch_refuses_a_headerless_stream_without_the_help_text() {
     let dir = temp_dir("watch_empty");

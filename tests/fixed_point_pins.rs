@@ -162,9 +162,7 @@ fn full_length_fixed_points_reproduce_their_pinned_traces_and_histories() {
             let history: Vec<u8> = converged
                 .history
                 .iter()
-                .flat_map(|it| {
-                    [it.residual, it.summary.retention, it.summary.approval_rate].map(f64::to_bits)
-                })
+                .flat_map(|it| [it.residual, it.retention, it.approval_rate].map(f64::to_bits))
                 .flat_map(u64::to_le_bytes)
                 .collect();
             let got = (
